@@ -18,7 +18,7 @@ use crate::result::{InferenceResult, RunStats};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_graph::{Edge, GeneNetwork};
-use gnet_mi::{prepare_gene, MiScratch, PreparedGene};
+use gnet_mi::{prepare_gene, MiKernel, MiScratch, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, TileSpace};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::Recorder;
@@ -58,6 +58,15 @@ fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, tiles: usize)
     h = mix(h, config.seed);
     h = mix(h, config.alpha.to_bits());
     h = mix(h, config.mi_threshold.map_or(0, f64::to_bits));
+    // The kernel fixes the accumulation order, so a prefix summed by one
+    // kernel must not be finished by the other.
+    h = mix(
+        h,
+        match config.kernel {
+            MiKernel::ScalarSparse => 1,
+            MiKernel::VectorDense => 2,
+        },
+    );
     h
 }
 
@@ -351,6 +360,24 @@ mod tests {
         let (other, _) = coupled_pairs(5, 100, Coupling::Linear(0.8), 1);
         let cp =
             infer_network_resumable(&other, &cfg(), None, 2, |_| false).expect_err("interrupted");
+        let _ = infer_network_resumable(&matrix, &cfg(), Some(cp), 2, |_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match this run")]
+    fn checkpoint_of_the_other_kernel_rejected() {
+        let (matrix, _) = coupled_pairs(4, 100, Coupling::Linear(0.8), 1);
+        let scalar = InferenceConfig {
+            kernel: MiKernel::ScalarSparse,
+            ..cfg()
+        };
+        assert_ne!(
+            run_digest_for(&matrix, &scalar),
+            run_digest_for(&matrix, &cfg()),
+            "the kernel must be part of the run digest"
+        );
+        let cp =
+            infer_network_resumable(&matrix, &scalar, None, 2, |_| false).expect_err("interrupted");
         let _ = infer_network_resumable(&matrix, &cfg(), Some(cp), 2, |_| true);
     }
 

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETCKP\x01"
-//! 8       4     version (= 1)
+//! 8       4     version (= 2)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
@@ -52,7 +52,10 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 8] = *b"GNETCKP\x01";
-const VERSION: u32 = 1;
+/// v2: prefixes summed by the run-blocked accumulation kernel. A v1 prefix
+/// was summed in another order, so resuming it could not be bit-identical
+/// to a batch run.
+const VERSION: u32 = 2;
 const HEADER_LEN: usize = 28;
 
 /// Name of the durable checkpoint file inside the store directory.
@@ -696,6 +699,22 @@ mod tests {
         let err = store.load().expect_err("future version rejected");
         assert!(
             matches!(err, CheckpointError::Corrupt { reason, .. } if reason.contains("version"))
+        );
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_rejected() {
+        let (_, cp) = interrupted_checkpoint();
+        let store = CheckpointStore::new(tmpdir("v1"));
+        store.save(&cp).expect("save succeeds");
+        let mut bytes = fs::read(store.path()).expect("file readable");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(store.path(), &bytes).expect("rewrite");
+        let err = store.load().expect_err("a v1 prefix must not resume");
+        assert!(
+            matches!(&err, CheckpointError::Corrupt { reason, .. }
+                if reason.contains("unsupported checkpoint version 1")),
+            "{err}"
         );
     }
 

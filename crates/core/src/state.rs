@@ -18,7 +18,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETSTA\x01"
-//! 8       4     version (= 1)
+//! 8       4     version (= 2)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
@@ -62,7 +62,9 @@ use std::path::PathBuf;
 
 const MAGIC: [u8; 8] = *b"GNETSTA\x01";
 const PROGRESS_MAGIC: [u8; 8] = *b"GNETUPD\x01";
-const VERSION: u32 = 1;
+/// v2: accumulators summed by the run-blocked accumulation kernel. Merging
+/// a v1 state into an update could not be bit-identical to a batch run.
+const VERSION: u32 = 2;
 const HEADER_LEN: usize = 28;
 
 /// Name of the state bundle inside the store directory.
@@ -976,6 +978,22 @@ mod tests {
         fs::write(store.path(), &future).expect("rewrite");
         let err = store.load().expect_err("future version rejected");
         assert!(matches!(err, StateError::Corrupt { reason, .. } if reason.contains("version")));
+    }
+
+    #[test]
+    fn version_1_states_are_rejected() {
+        let state = small_state();
+        let store = StateStore::new(tmpdir("v1"));
+        store.save(&state).expect("save succeeds");
+        let mut bytes = fs::read(store.path()).expect("file readable");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(store.path(), &bytes).expect("rewrite");
+        let err = store.load().expect_err("a v1 state must not be updated");
+        assert!(
+            matches!(&err, StateError::Corrupt { reason, .. }
+                if reason.contains("unsupported state version 1")),
+            "{err}"
+        );
     }
 
     #[test]

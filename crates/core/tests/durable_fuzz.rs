@@ -180,11 +180,11 @@ fn every_single_bit_flip_in_the_payload_fails_the_integrity_check() {
 
 /// Forge a file whose header is internally consistent (correct declared
 /// length and digest) around `payload`, reaching the payload decoder
-/// behind the integrity check.
-fn forge(store: &CheckpointStore, payload: &[u8]) {
+/// behind the integrity check. Magic and version are copied from the
+/// genuine file `full`.
+fn forge(store: &CheckpointStore, full: &[u8], payload: &[u8]) {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(b"GNETCKP\x01");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&full[..12]);
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
@@ -196,7 +196,7 @@ fn truncated_payloads_with_consistent_digests_are_rejected_by_the_decoder() {
     let (store, full) = checkpoint_file("decoder-truncate");
     let payload = &full[HEADER_LEN..];
     for cut in 0..payload.len() {
-        forge(&store, &payload[..cut]);
+        forge(&store, &full, &payload[..cut]);
         let err = store
             .load()
             .err()
@@ -207,7 +207,7 @@ fn truncated_payloads_with_consistent_digests_are_rejected_by_the_decoder() {
         );
     }
     // Sanity: the full payload re-forged through the same path loads.
-    forge(&store, payload);
+    forge(&store, &full, payload);
     store.load().expect("forged-but-intact file loads");
 }
 
@@ -221,7 +221,7 @@ fn oversized_candidate_counts_are_rejected_before_allocating() {
     for declared in [u32::MAX, 1 << 28, just_past] {
         let mut forged = payload.to_vec();
         forged[count_offset..count_offset + 4].copy_from_slice(&declared.to_le_bytes());
-        forge(&store, &forged);
+        forge(&store, &full, &forged);
         let err = store
             .load()
             .err()

@@ -26,6 +26,7 @@ use core::fmt;
 use core::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::run_plan::RunPlan;
 use crate::slice_ops;
 
 /// One of the selectable slice-kernel implementations.
@@ -113,10 +114,6 @@ impl fmt::Display for Backend {
     }
 }
 
-/// Signature of the dispatched joint-histogram accumulator
-/// ([`slice_ops::joint_accumulate_w16`]).
-pub type JointFn = fn(&mut [f32], &[u16], &[f32], usize, &[f32], Option<&[u32]>);
-
 /// The function-pointer table one backend exposes. All entries are safe
 /// functions: the hardware entries validate their slice arguments before
 /// touching raw pointers, exactly like the emulated ones panic on bad
@@ -134,8 +131,18 @@ pub struct KernelTable {
     pub xlogx_sum: fn(&[f32]) -> f32,
     /// In-place scalar multiply.
     pub scale: fn(f32, &mut [f32]),
-    /// Dense 16-lane joint-histogram accumulation (the paper's kernel).
-    pub joint_accumulate_w16: JointFn,
+    /// Run-blocked dense 16-lane joint-histogram accumulation (the
+    /// paper's kernel; see [`slice_ops::accumulate_runs`]).
+    pub accumulate_runs: fn(&mut [f32], &RunPlan, Option<usize>, &[f32]),
+}
+
+impl KernelTable {
+    /// The table of backend `b`, or `None` when this CPU cannot run it.
+    /// A pure lookup: it neither reads nor changes the active backend, so
+    /// tests and benches can compare backends without forcing dispatch.
+    pub fn for_backend(b: Backend) -> Option<&'static KernelTable> {
+        b.is_supported().then(|| table_for(b))
+    }
 }
 
 static EMULATED_TABLE: KernelTable = KernelTable {
@@ -145,7 +152,7 @@ static EMULATED_TABLE: KernelTable = KernelTable {
     axpy: slice_ops::axpy_emulated,
     xlogx_sum: slice_ops::xlogx_sum_emulated,
     scale: slice_ops::scale_emulated,
-    joint_accumulate_w16: slice_ops::joint_accumulate_w16_emulated,
+    accumulate_runs: slice_ops::accumulate_runs_emulated,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -156,7 +163,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx2::axpy,
     xlogx_sum: crate::x86::avx2::xlogx_sum,
     scale: crate::x86::avx2::scale,
-    joint_accumulate_w16: crate::x86::avx2::joint_accumulate_w16,
+    accumulate_runs: crate::x86::avx2::accumulate_runs,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -167,7 +174,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx512::axpy,
     xlogx_sum: crate::x86::avx512::xlogx_sum,
     scale: crate::x86::avx512::scale,
-    joint_accumulate_w16: crate::x86::avx512::joint_accumulate_w16,
+    accumulate_runs: crate::x86::avx512::accumulate_runs,
 };
 
 fn table_for(b: Backend) -> &'static KernelTable {
@@ -321,6 +328,17 @@ pub fn dispatch_report() -> DispatchReport {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that force or read the active backend: a
+    /// forced section in one test thread would otherwise show up as a
+    /// foreign backend in another test's `active_backend()` read.
+    static ACTIVE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_active() -> std::sync::MutexGuard<'static, ()> {
+        ACTIVE_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn emulated_always_supported() {
         assert!(Backend::Emulated.is_supported());
@@ -338,12 +356,14 @@ mod tests {
 
     #[test]
     fn active_backend_is_supported() {
+        let _active = lock_active();
         assert!(active_backend().is_supported());
         assert_eq!(table().backend, active_backend());
     }
 
     #[test]
     fn detect_prefers_fastest_supported() {
+        let _active = lock_active();
         let report = dispatch_report();
         // `detected` must be the first supported entry of ALL.
         assert_eq!(report.detected, report.supported[0]);
@@ -351,6 +371,7 @@ mod tests {
 
     #[test]
     fn with_forced_restores_previous_backend() {
+        let _active = lock_active();
         let before = active_backend();
         let ran = with_forced(Backend::Emulated, || {
             assert_eq!(active_backend(), Backend::Emulated);
@@ -363,6 +384,7 @@ mod tests {
 
     #[test]
     fn with_forced_restores_on_panic() {
+        let _active = lock_active();
         let before = active_backend();
         let result = std::panic::catch_unwind(|| {
             let _ = with_forced(Backend::Emulated, || panic!("boom"));
@@ -373,6 +395,7 @@ mod tests {
 
     #[test]
     fn every_supported_backend_can_be_forced() {
+        let _active = lock_active();
         for b in Backend::supported() {
             with_forced(b, || {
                 assert_eq!(active_backend(), b);
@@ -380,5 +403,25 @@ mod tests {
             })
             .expect("supported backend must force cleanly");
         }
+    }
+
+    #[test]
+    fn for_backend_is_a_pure_lookup() {
+        let _active = lock_active();
+        let before = active_backend();
+        for b in Backend::ALL {
+            match KernelTable::for_backend(b) {
+                Some(t) => {
+                    assert!(b.is_supported());
+                    assert_eq!(t.backend, b);
+                }
+                None => assert!(!b.is_supported()),
+            }
+        }
+        assert_eq!(
+            active_backend(),
+            before,
+            "a lookup must not switch dispatch"
+        );
     }
 }

@@ -12,8 +12,10 @@
 //!   data).
 //! * Slice kernels — [`slice_ops`] — the whole-slice primitives the MI
 //!   estimators are built from (`sum`, `dot`, `axpy`, `xlogx_sum`,
-//!   `scale`, `joint_accumulate_w16`), each in a `_scalar` reference form,
-//!   a portable `_emulated` laned form, and a dispatched public form that
+//!   `scale`, and the run-blocked joint accumulator `accumulate_runs`
+//!   driven by a validated [`RunPlan`]), each in a portable `_emulated`
+//!   laned form (most also in a `_scalar` reference form) and a
+//!   dispatched public form that
 //!   runs real `std::arch` intrinsics — AVX-512F (one 512-bit FMA per
 //!   16-lane row, the paper's KNC shape) or AVX2+FMA (two 256-bit
 //!   registers per row) — selected once at runtime by [`dispatch`] from
@@ -37,6 +39,7 @@
 pub mod dispatch;
 pub mod lanes;
 pub mod model;
+pub mod run_plan;
 pub mod slice_ops;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
@@ -44,3 +47,4 @@ pub(crate) mod x86;
 pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
 pub use lanes::{F32x16, F32x8, F64x4, F64x8, LaneCount};
 pub use model::VectorModel;
+pub use run_plan::RunPlan;

@@ -7,10 +7,15 @@
 //! * zero-padded tail handling (tails are staged through a zeroed stack
 //!   buffer, exactly like `F32x16::from_slice_padded`),
 //! * the deterministic pairwise-tree horizontal reduction
-//!   (`lane[i] += lane[i + width]`, width halving 16 → 1).
+//!   (`lane[i] += lane[i + width]`, width halving 16 → 1);
+//! * for `accumulate_runs`, the run-blocked order of
+//!   `slice_ops::accumulate_runs_emulated`: per run, two partial sets of
+//!   `k` register rows alternating sample by sample, then
+//!   `grid += set₀ + set₁`.
 //!
 //! Because a hardware FMA computes the same correctly-rounded fused result
-//! as `f32::mul_add`, `sum`/`dot`/`axpy`/`scale` are *bitwise* identical to
+//! as `f32::mul_add`, `sum`/`dot`/`axpy`/`scale`/`accumulate_runs` are
+//! *bitwise* identical to
 //! the emulated backend. `xlogx_sum` is the one exception: it vectorizes
 //! `ln` with an exponent/mantissa split and an atanh polynomial instead of
 //! calling libm per lane, so it agrees to a few ULP rather than bitwise
@@ -22,9 +27,11 @@
 //! dispatch table (and therefore any caller) can reach this module. The
 //! wrappers validate slice lengths first, then the `unsafe` call is merely
 //! "the CPU has the feature", guaranteed by runtime detection in
-//! [`crate::dispatch`].
+//! [`crate::dispatch`]. The accumulation kernel's index ranges were proved
+//! once when its [`RunPlan`] was built; its wrapper checks the O(1)
+//! shapes that tie the plan to the slices.
 
-use crate::slice_ops::validate_joint_w16;
+use crate::run_plan::{with_order, RunPlan};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
@@ -81,19 +88,22 @@ pub(crate) mod avx512 {
         unsafe { scale_impl(a, x) }
     }
 
-    pub(crate) fn joint_accumulate_w16(
+    pub(crate) fn accumulate_runs(
         grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+        plan: &RunPlan,
+        perm: Option<usize>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
     ) {
-        validate_joint_w16(grid, first_bins, weights, k, y_rows, perm);
-        // SAFETY: avx512f verified at dispatch-table selection;
-        // `validate_joint_w16` just proved every row index the inner fn
-        // derives from `first_bins`/`perm` stays inside `grid`/`y_rows`.
-        unsafe { joint_impl(grid, first_bins, weights, k, y_rows, perm) }
+        let rows = plan.check(grid, y_rows, perm);
+        // SAFETY: avx512f verified at dispatch-table selection; the plan's
+        // build proved every run bound, weight offset and y-row index in
+        // range, and `check` just tied its shapes to `grid` and `y_rows`.
+        unsafe {
+            with_order!(
+                plan.order(),
+                runs_impl(grid, plan.offsets(), plan.sorted_weights(), rows, y_rows)
+            )
+        }
     }
 
     // ---- feature-gated implementations ----
@@ -260,34 +270,61 @@ pub(crate) mod avx512 {
         reduce_add_tree(acc)
     }
 
+    /// The run-blocked loop for spline order `K`: two partial sets of `K`
+    /// zmm rows per run, alternating sample by sample, added to the grid
+    /// once at the run's end.
     #[target_feature(enable = "avx512f")]
-    fn joint_impl(
+    fn runs_impl<const K: usize>(
         grid: &mut [f32],
-        first_bins: &[u16],
+        offsets: &[u32],
         weights: &[f32],
-        k: usize,
+        rows: &[u32],
         y_rows: &[f32],
-        perm: Option<&[u32]>,
     ) {
         let gp = grid.as_mut_ptr();
         let yp = y_rows.as_ptr();
-        for s in 0..first_bins.len() {
-            let ys = match perm {
-                Some(p) => p[s] as usize, // cast-ok: u32 to usize widens losslessly
-                None => s,
-            };
-            // SAFETY: validate_joint_w16 (entry wrapper) proved
-            // ys*16 + 16 ≤ y_rows.len() for every permuted or identity row.
-            let yv = unsafe { _mm512_loadu_ps(yp.add(ys * W)) };
-            let fx = first_bins[s] as usize; // cast-ok: u16 to usize widens losslessly
-            let wrow = &weights[s * k..s * k + k];
-            for (i, &w) in wrow.iter().enumerate() {
-                let wv = _mm512_set1_ps(w);
-                // SAFETY: validate_joint_w16 proved fx + k ≤ grid.len()/16,
-                // so row fx+i's 16-float window is inside `grid`.
+        let wp = weights.as_ptr();
+        let ip = rows.as_ptr();
+        for (r, run) in offsets.windows(2).enumerate() {
+            let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
+            if a == b {
+                continue;
+            }
+            let mut acc0 = [_mm512_setzero_ps(); K];
+            let mut acc1 = [_mm512_setzero_ps(); K];
+            let mut t = a;
+            while t + 1 < b {
+                // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
+                // (each < m) and m·K weights; `check` proved
+                // y_rows.len() == m·16, so both 16-float rows are in bounds.
                 unsafe {
-                    let rp = gp.add((fx + i) * W);
-                    _mm512_storeu_ps(rp, _mm512_fmadd_ps(yv, wv, _mm512_loadu_ps(rp)));
+                    let y0 = _mm512_loadu_ps(yp.add(*ip.add(t) as usize * W)); // cast-ok: u32 to usize widens losslessly
+                    let y1 = _mm512_loadu_ps(yp.add(*ip.add(t + 1) as usize * W)); // cast-ok: u32 to usize widens losslessly
+                    let w = wp.add(t * K);
+                    for (i, (a0, a1)) in acc0.iter_mut().zip(&mut acc1).enumerate() {
+                        *a0 = _mm512_fmadd_ps(y0, _mm512_set1_ps(*w.add(i)), *a0);
+                        *a1 = _mm512_fmadd_ps(y1, _mm512_set1_ps(*w.add(K + i)), *a1);
+                    }
+                }
+                t += 2;
+            }
+            if t < b {
+                // SAFETY: t < b ≤ m; same bounds as the paired loads above.
+                unsafe {
+                    let y0 = _mm512_loadu_ps(yp.add(*ip.add(t) as usize * W)); // cast-ok: u32 to usize widens losslessly
+                    let w = wp.add(t * K);
+                    for (i, a0) in acc0.iter_mut().enumerate() {
+                        *a0 = _mm512_fmadd_ps(y0, _mm512_set1_ps(*w.add(i)), *a0);
+                    }
+                }
+            }
+            for i in 0..K {
+                // SAFETY: the plan has rows − K + 1 runs, so r + K ≤ rows
+                // and `check` proved grid.len() == rows·16.
+                unsafe {
+                    let rp = gp.add((r + i) * W);
+                    let run_sum = _mm512_add_ps(acc0[i], acc1[i]);
+                    _mm512_storeu_ps(rp, _mm512_add_ps(_mm512_loadu_ps(rp), run_sum));
                 }
             }
         }
@@ -333,19 +370,22 @@ pub(crate) mod avx2 {
         unsafe { scale_impl(a, x) }
     }
 
-    pub(crate) fn joint_accumulate_w16(
+    pub(crate) fn accumulate_runs(
         grid: &mut [f32],
-        first_bins: &[u16],
-        weights: &[f32],
-        k: usize,
+        plan: &RunPlan,
+        perm: Option<usize>,
         y_rows: &[f32],
-        perm: Option<&[u32]>,
     ) {
-        validate_joint_w16(grid, first_bins, weights, k, y_rows, perm);
-        // SAFETY: avx2+fma verified at dispatch-table selection;
-        // `validate_joint_w16` just proved every row index the inner fn
-        // derives from `first_bins`/`perm` stays inside `grid`/`y_rows`.
-        unsafe { joint_impl(grid, first_bins, weights, k, y_rows, perm) }
+        let rows = plan.check(grid, y_rows, perm);
+        // SAFETY: avx2+fma verified at dispatch-table selection; the plan's
+        // build proved every run bound, weight offset and y-row index in
+        // range, and `check` just tied its shapes to `grid` and `y_rows`.
+        unsafe {
+            with_order!(
+                plan.order(),
+                runs_impl(grid, plan.offsets(), plan.sorted_weights(), rows, y_rows)
+            )
+        }
     }
 
     // ---- feature-gated implementations ----
@@ -536,42 +576,73 @@ pub(crate) mod avx2 {
         reduce_add_tree(lo, hi)
     }
 
+    /// The run-blocked loop for spline order `K`, each 16-lane row held
+    /// as a (lanes 0..8, lanes 8..16) ymm pair — the same lanewise
+    /// arithmetic as the AVX-512 backend.
     #[target_feature(enable = "avx2,fma")]
-    fn joint_impl(
+    fn runs_impl<const K: usize>(
         grid: &mut [f32],
-        first_bins: &[u16],
+        offsets: &[u32],
         weights: &[f32],
-        k: usize,
+        rows: &[u32],
         y_rows: &[f32],
-        perm: Option<&[u32]>,
     ) {
         let gp = grid.as_mut_ptr();
         let yp = y_rows.as_ptr();
-        for s in 0..first_bins.len() {
-            let ys = match perm {
-                Some(p) => p[s] as usize, // cast-ok: u32 to usize widens losslessly
-                None => s,
-            };
-            // SAFETY: validate_joint_w16 (entry wrapper) proved
-            // ys*16 + 16 ≤ y_rows.len() for every permuted or identity row.
-            let (ylo, yhi) = unsafe {
-                (
-                    _mm256_loadu_ps(yp.add(ys * W)),
-                    _mm256_loadu_ps(yp.add(ys * W + 8)),
-                )
-            };
-            let fx = first_bins[s] as usize; // cast-ok: u16 to usize widens losslessly
-            let wrow = &weights[s * k..s * k + k];
-            for (i, &w) in wrow.iter().enumerate() {
-                let wv = _mm256_set1_ps(w);
-                // SAFETY: validate_joint_w16 proved fx + k ≤ grid.len()/16,
-                // so row fx+i's 16-float window is inside `grid`.
+        let wp = weights.as_ptr();
+        let ip = rows.as_ptr();
+        for (r, run) in offsets.windows(2).enumerate() {
+            let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
+            if a == b {
+                continue;
+            }
+            let mut acc0 = [[_mm256_setzero_ps(); 2]; K];
+            let mut acc1 = [[_mm256_setzero_ps(); 2]; K];
+            let mut t = a;
+            while t + 1 < b {
+                // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
+                // (each < m) and m·K weights; `check` proved
+                // y_rows.len() == m·16, so both 16-float rows are in bounds.
                 unsafe {
-                    let rp = gp.add((fx + i) * W);
-                    let r0 = _mm256_fmadd_ps(ylo, wv, _mm256_loadu_ps(rp));
-                    let r1 = _mm256_fmadd_ps(yhi, wv, _mm256_loadu_ps(rp.add(8)));
-                    _mm256_storeu_ps(rp, r0);
-                    _mm256_storeu_ps(rp.add(8), r1);
+                    let y0 = yp.add(*ip.add(t) as usize * W); // cast-ok: u32 to usize widens losslessly
+                    let y1 = yp.add(*ip.add(t + 1) as usize * W); // cast-ok: u32 to usize widens losslessly
+                    let (y0lo, y0hi) = (_mm256_loadu_ps(y0), _mm256_loadu_ps(y0.add(8)));
+                    let (y1lo, y1hi) = (_mm256_loadu_ps(y1), _mm256_loadu_ps(y1.add(8)));
+                    let w = wp.add(t * K);
+                    for (i, (a0, a1)) in acc0.iter_mut().zip(&mut acc1).enumerate() {
+                        let w0 = _mm256_set1_ps(*w.add(i));
+                        let w1 = _mm256_set1_ps(*w.add(K + i));
+                        a0[0] = _mm256_fmadd_ps(y0lo, w0, a0[0]);
+                        a0[1] = _mm256_fmadd_ps(y0hi, w0, a0[1]);
+                        a1[0] = _mm256_fmadd_ps(y1lo, w1, a1[0]);
+                        a1[1] = _mm256_fmadd_ps(y1hi, w1, a1[1]);
+                    }
+                }
+                t += 2;
+            }
+            if t < b {
+                // SAFETY: t < b ≤ m; same bounds as the paired loads above.
+                unsafe {
+                    let y0 = yp.add(*ip.add(t) as usize * W); // cast-ok: u32 to usize widens losslessly
+                    let (y0lo, y0hi) = (_mm256_loadu_ps(y0), _mm256_loadu_ps(y0.add(8)));
+                    let w = wp.add(t * K);
+                    for (i, a0) in acc0.iter_mut().enumerate() {
+                        let w0 = _mm256_set1_ps(*w.add(i));
+                        a0[0] = _mm256_fmadd_ps(y0lo, w0, a0[0]);
+                        a0[1] = _mm256_fmadd_ps(y0hi, w0, a0[1]);
+                    }
+                }
+            }
+            for i in 0..K {
+                // SAFETY: the plan has rows − K + 1 runs, so r + K ≤ rows
+                // and `check` proved grid.len() == rows·16.
+                unsafe {
+                    let rp = gp.add((r + i) * W);
+                    for (h, off) in [0, 8].into_iter().enumerate() {
+                        let run_sum = _mm256_add_ps(acc0[i][h], acc1[i][h]);
+                        let cell = _mm256_add_ps(_mm256_loadu_ps(rp.add(off)), run_sum);
+                        _mm256_storeu_ps(rp.add(off), cell);
+                    }
                 }
             }
         }
