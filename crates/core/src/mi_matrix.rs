@@ -8,10 +8,11 @@
 //! [`gnet_parallel::pair_index`].
 
 use crate::config::InferenceConfig;
-use gnet_bspline::{BsplineBasis, DenseWeights};
+use crate::pipeline::for_each_planned_pair;
+use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
-use gnet_mi::{mi_scalar, mi_vector, prepare_gene, MiKernel, MiScratch, PreparedGene};
-use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
+use gnet_mi::{prepare_gene, MiScratch, PreparedGene};
+use gnet_parallel::{execute_tiles, pair_index, SchedulerPolicy, TileSpace};
 
 /// A symmetric MI matrix in packed upper-triangular storage.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,7 +68,9 @@ impl MiMatrix {
 
 /// Compute the full MI matrix of a raw expression matrix, in parallel.
 /// Uses the config's estimator settings, kernel, thread count, and
-/// scheduler; permutation/threshold settings are ignored.
+/// scheduler; permutation/threshold settings are ignored. Like the
+/// inference pipeline, each tile expands its column genes once and plans
+/// each row gene once.
 pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) -> MiMatrix {
     config.validate();
     assert!(matrix.genes() >= 2, "need at least two genes");
@@ -76,45 +79,36 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
         .map(|g| prepare_gene(matrix.gene(g), &basis))
         .collect();
     let n = matrix.genes();
-    let tile = config.resolved_tile_size(n, prepared[0].heap_bytes());
-    let threads = config.resolved_threads();
+    let space = TileSpace::new(n, config.resolved_tile_size(n, prepared[0].heap_bytes()));
     let kernel = config.kernel;
-    let prepared_ref = &prepared;
-    let basis_ref = &basis;
 
-    struct Ctx {
-        scratch: MiScratch,
-        /// Dense expansions keyed by gene, bounded to a tile-scale working
-        /// set (tiles iterate j within a bounded column range, so hits are
-        /// high and the clear is rare).
-        dense: std::collections::HashMap<usize, DenseWeights>,
-    }
-
-    let (packed, _report) = compute_pairwise(
-        n,
-        tile,
-        threads,
+    // Each worker collects its tiles' values; they are scattered into the
+    // packed matrix after the join.
+    let (results, _report) = execute_tiles(
+        space.tiles(),
+        config.resolved_threads(),
         SchedulerPolicy::DynamicCounter,
-        |_tid| Ctx {
-            scratch: MiScratch::for_basis(basis_ref),
-            dense: Default::default(),
-        },
-        |ctx, i, j| match kernel {
-            MiKernel::ScalarSparse => {
-                mi_scalar(&prepared_ref[i], &prepared_ref[j], &mut ctx.scratch) as f32
-            }
-            MiKernel::VectorDense => {
-                if ctx.dense.len() > 4 * tile.max(16) {
-                    ctx.dense.clear();
-                }
-                let yd = ctx
-                    .dense
-                    .entry(j)
-                    .or_insert_with(|| prepared_ref[j].to_dense());
-                mi_vector(&prepared_ref[i], &prepared_ref[j], yd, &mut ctx.scratch) as f32
-            }
+        |_tid| (MiScratch::for_basis(&basis), Vec::<(u32, u32, f32)>::new()),
+        |(scratch, out), tile| {
+            for_each_planned_pair(
+                tile,
+                &prepared,
+                &[],
+                kernel,
+                scratch,
+                |row, i, j, y_dense| {
+                    let v = row.mi(&prepared[j as usize], y_dense);
+                    out.push((i, j, v as f32));
+                },
+            );
         },
     );
+    let mut packed = vec![0.0f32; n * (n - 1) / 2];
+    for (_, values) in results {
+        for (i, j, v) in values {
+            packed[pair_index(n, i as usize, j as usize)] = v;
+        }
+    }
     MiMatrix { genes: n, packed }
 }
 
@@ -122,6 +116,7 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
 mod tests {
     use super::*;
     use gnet_expr::synth::{coupled_pairs, Coupling};
+    use gnet_mi::mi_scalar;
 
     fn cfg() -> InferenceConfig {
         InferenceConfig {

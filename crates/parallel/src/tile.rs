@@ -49,14 +49,18 @@ impl Tile {
     /// order.
     pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let tile = *self;
-        (tile.row_start..tile.row_end).flat_map(move |i| {
-            let cstart = if tile.is_diagonal() {
-                i + 1
-            } else {
-                tile.col_start
-            };
-            (cstart.max(tile.col_start)..tile.col_end).map(move |j| (i, j))
-        })
+        (tile.row_start..tile.row_end).flat_map(move |i| tile.row_columns(i).map(move |j| (i, j)))
+    }
+
+    /// The columns `j` paired with row gene `i` inside the tile (`i < j`);
+    /// empty for the last row of a diagonal tile.
+    pub fn row_columns(&self, i: u32) -> std::ops::Range<u32> {
+        let cstart = if self.is_diagonal() {
+            i + 1
+        } else {
+            self.col_start
+        };
+        cstart.max(self.col_start)..self.col_end
     }
 
     /// The distinct gene indices the tile touches: rows first, then any
