@@ -270,7 +270,10 @@ mod tests {
         };
         let outcome = check_determinism(&cfg).expect("schedulers are deterministic");
         assert_eq!(outcome.runs, 2);
-        assert_eq!(outcome.checks, 2 * 4 * cfg.threads.len());
+        assert_eq!(
+            outcome.checks,
+            2 * SchedulerPolicy::ALL.len() * cfg.threads.len()
+        );
         assert_eq!(outcome.pairs, 32 * 31 / 2);
     }
 

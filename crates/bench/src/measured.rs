@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn schedulers_cover_all_policies() {
         let rows = host_schedulers(32, 64, 2, 2);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), SchedulerPolicy::ALL.len());
         let names: Vec<&str> = rows.iter().map(|r| r.0.as_str()).collect();
         assert!(names.contains(&"dynamic"));
     }

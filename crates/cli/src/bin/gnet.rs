@@ -26,7 +26,7 @@ subcommands:
             --input FILE --output FILE [--q N] [--alpha A] [--bins B]
             [--order K] [--threshold T] [--threads T] [--tile T]
             [--kernel vector|scalar] [--scheduler dynamic|static-block|
-            static-cyclic|rayon] [--early-exit] [--dpi EPS] [--ranks P]
+            static-cyclic] [--early-exit] [--dpi EPS] [--ranks P]
             [--quantile-normalize] [--center-batches N]
             [--trace FILE] [--metrics FILE] [--progress]
             [--trace-dir DIR (with --ranks: per-rank streams + manifest)]

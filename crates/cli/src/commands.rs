@@ -237,10 +237,10 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
 /// Read either surface with `gnet status`. Telemetry is observational
 /// only: the edge set is byte-identical with it on or off.
 ///
-/// Incremental: `--save-state DIR` runs the canonical serial scan and
-/// persists an updatable state bundle alongside the edge list, so later
-/// appends go through `gnet update` instead of a rebuild. Incompatible
-/// with `--ranks`, `--checkpoint-dir`, and `--early-exit`.
+/// Incremental: `--save-state DIR` scans the pair space on `--threads`
+/// and persists an updatable state bundle alongside the edge list, so
+/// later appends go through `gnet update` instead of a rebuild.
+/// Incompatible with `--ranks`, `--checkpoint-dir`, and `--early-exit`.
 pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.require("input")?.to_string();
     let output = args.require("output")?.to_string();
@@ -302,7 +302,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let save_state = args.get("save-state").map(str::to_string);
     if save_state.is_some() && ranks.is_some() {
-        return fail("--save-state builds the canonical serial state bundle and cannot be combined with --ranks");
+        return fail("--save-state builds the state bundle in shared memory and cannot be combined with --ranks");
     }
     if save_state.is_some() && checkpoint_dir.is_some() {
         return fail("--save-state is itself durable; drop --checkpoint-dir");
@@ -340,6 +340,24 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         matrix.genes(),
         matrix.samples()
     )?;
+    if matrix.genes() < 2 {
+        return fail(format!(
+            "{input} holds {} gene(s); a network needs at least two",
+            matrix.genes()
+        ));
+    }
+    if matrix.samples() < 2 && cfg.permutations > 0 {
+        return fail(format!(
+            "{input} holds {} sample(s); permutation nulls need at least two (or --q 0 with --threshold)",
+            matrix.samples()
+        ));
+    }
+    if let Some(p) = ranks.filter(|&p| p == 0 || p > matrix.genes()) {
+        return fail(format!(
+            "--ranks {p} needs between 1 and {} ranks, one gene or more per rank",
+            matrix.genes()
+        ));
+    }
 
     if quantile {
         matrix = gnet_expr::normalize::quantile_normalize(&matrix);
@@ -563,8 +581,8 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 /// `--append FILE` (TSV holding the appended genes or samples),
 /// `--output FILE` (updated edge list), `--mode genes|samples`
 /// (auto-detected from the append's shape when unambiguous),
-/// `--checkpoint-every N` (durable progress every N evaluated pairs,
-/// default 64), `--resume` (continue an interrupted update from its
+/// `--checkpoint-every N` (durable progress every N scanned tiles,
+/// default 8), `--resume` (continue an interrupted update from its
 /// progress file), and `--fault-plan PLAN` (deterministic fault
 /// injection, e.g. `update-crash(boundary=B)`).
 ///
@@ -582,9 +600,9 @@ pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         Some("samples") => Some(UpdateMode::Samples),
         Some(other) => return fail(format!("unknown --mode {other:?} (genes|samples)")),
     };
-    let checkpoint_every = args.get_or("checkpoint-every", 64usize)?;
+    let checkpoint_every = args.get_or("checkpoint-every", 8usize)?;
     if checkpoint_every == 0 {
-        return fail("--checkpoint-every must be at least 1 pair");
+        return fail("--checkpoint-every must be at least 1 tile");
     }
     let resume = args.flag("resume");
     let fault_plan = match args.get("fault-plan") {
@@ -2381,10 +2399,25 @@ mod tests {
     /// Split a synthetic dataset three ways: the full TSV, a gene-prefix
     /// TSV, and the appended-genes TSV.
     fn update_fixture(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBuf) {
-        let (full, _) =
-            gnet_expr::synth::coupled_pairs(3, 60, gnet_expr::synth::Coupling::Linear(0.9), 5);
-        let old = full.select_genes(&[0, 1, 2, 3]);
-        let append = full.select_genes(&[4, 5]);
+        split_fixture(dir, 3, 60, 4)
+    }
+
+    /// [`update_fixture`] over `2 · pairs` coupled genes of `samples`
+    /// samples, keeping the first `old` genes as the base.
+    fn split_fixture(
+        dir: &std::path::Path,
+        pairs: usize,
+        samples: usize,
+        old: usize,
+    ) -> (std::path::PathBuf, std::path::PathBuf) {
+        let (full, _) = gnet_expr::synth::coupled_pairs(
+            pairs,
+            samples,
+            gnet_expr::synth::Coupling::Linear(0.9),
+            5,
+        );
+        let old = full.select_genes(&(0..old).collect::<Vec<_>>());
+        let append = full.select_genes(&(old.genes()..full.genes()).collect::<Vec<_>>());
         write_matrix(&full, &dir.join("full.tsv"));
         write_matrix(&old, &dir.join("old.tsv"));
         write_matrix(&append, &dir.join("append.tsv"));
@@ -2454,7 +2487,9 @@ mod tests {
     #[test]
     fn update_boundary_kill_resumes_to_the_same_bytes() {
         let dir = tmpdir("update_kill");
-        let (old_tsv, append_tsv) = update_fixture(&dir);
+        // 8 + 4 genes at m = 3,000: the cache rule tiles them 6 wide, so
+        // the frontier has three tiles and boundary 2 falls mid-scan.
+        let (old_tsv, append_tsv) = split_fixture(&dir, 6, 3_000, 8);
         let state_dir = dir.join("state");
         let mut sink = Vec::new();
 
@@ -2486,7 +2521,7 @@ mod tests {
                 "--output",
                 dir.join("updated_edges.tsv").to_str().unwrap(),
                 "--checkpoint-every",
-                "2",
+                "1",
                 "--fault-plan",
                 "seed=1;update-crash(boundary=2)",
             ]),
@@ -2494,6 +2529,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("--resume"), "{}", err.0);
+        assert!(err.0.contains("after 32 pair(s)"), "{}", err.0);
         // The kill left the bundle untouched and the progress durable.
         assert_eq!(std::fs::read(&bundle).unwrap(), before);
         assert!(state_dir.join(gnet_core::state::PROGRESS_FILE).exists());
@@ -2507,7 +2543,7 @@ mod tests {
                 "--output",
                 dir.join("resumed_edges.tsv").to_str().unwrap(),
                 "--checkpoint-every",
-                "2",
+                "1",
                 "--resume",
             ]),
             &mut sink,
@@ -2564,6 +2600,46 @@ mod tests {
             assert!(err.0.contains("--save-state"), "{}", err.0);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `gnet infer` on `matrix` with `extra` flags; the error it returns.
+    fn infer_error(tag: &str, matrix: &ExpressionMatrix, extra: &[&str]) -> CliError {
+        let dir = tmpdir(tag);
+        let input = dir.join("m.tsv");
+        write_matrix(matrix, &input);
+        let out_tsv = dir.join("e.tsv");
+        let mut args = vec![
+            "--input",
+            input.to_str().unwrap(),
+            "--output",
+            out_tsv.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let err = cmd_infer(&argmap(&args), &mut Vec::new()).unwrap_err();
+        assert!(!out_tsv.exists(), "a rejected run writes no edges");
+        let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
+    #[test]
+    fn infer_rejects_a_one_gene_matrix() {
+        let matrix = gnet_expr::synth::independent_uniform(1, 40, 3);
+        let err = infer_error("one_gene", &matrix, &[]);
+        assert!(err.0.contains("1 gene(s)"), "{}", err.0);
+    }
+
+    #[test]
+    fn infer_rejects_a_one_sample_matrix_with_permutations() {
+        let matrix = gnet_expr::synth::independent_uniform(4, 1, 3);
+        let err = infer_error("one_sample", &matrix, &["--q", "5"]);
+        assert!(err.0.contains("1 sample(s)"), "{}", err.0);
+    }
+
+    #[test]
+    fn infer_rejects_more_ranks_than_genes() {
+        let matrix = gnet_expr::synth::independent_uniform(3, 40, 3);
+        let err = infer_error("too_many_ranks", &matrix, &["--ranks", "4", "--q", "4"]);
+        assert!(err.0.contains("--ranks 4"), "{}", err.0);
     }
 
     #[test]

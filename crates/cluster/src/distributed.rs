@@ -56,12 +56,13 @@ use crate::transport::Transport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gnet_bspline::BsplineBasis;
 use gnet_core::config::NullStrategy;
-use gnet_core::InferenceConfig;
+use gnet_core::{scan_tile, InferenceConfig, NullScan};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, Fault, FaultInjector};
 use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::{prepare_gene, MiKernel, MiScratch};
-use gnet_permute::{PermutationSet, PooledNull};
+use gnet_parallel::Tile;
+use gnet_permute::PermutationSet;
 use gnet_trace::{MetricsSink, Recorder, Span, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -628,9 +629,6 @@ fn write_rank_traces(
     write_manifest(dir, recs.len(), &result.crashed_ranks, &files)
 }
 
-/// One rank's share of reassigned work: pooled nulls plus candidates.
-type Share = (PooledNull, Vec<(u32, u32, f64)>);
-
 pub(crate) struct RankOutput {
     pub(crate) network: Option<GeneNetwork>,
     pub(crate) threshold: f64,
@@ -927,8 +925,8 @@ pub(crate) fn rank_main(
     };
     busy += t0.elapsed();
 
-    let mut pooled = PooledNull::new();
-    let mut candidates: Vec<(u32, u32, f64)> = Vec::new();
+    // Phase-1 evidence over the block pairs this rank owns.
+    let mut own_scan = NullScan::default();
 
     // ---- Protocol interpreter ----
     //
@@ -961,10 +959,10 @@ pub(crate) fn rank_main(
         };
     }
     let mut parts: Vec<Option<Bytes>> = vec![None; p];
-    let mut supplements: Vec<Option<Share>> = vec![None; p];
+    let mut supplements: Vec<Option<NullScan>> = vec![None; p];
     let mut cache: HashMap<usize, GeneBlock> = HashMap::new();
-    let mut sup_pooled = PooledNull::new();
-    let mut sup_candidates: Vec<(u32, u32, f64)> = Vec::new();
+    // Evidence over the block pairs reassigned to this rank.
+    let mut sup_scan = NullScan::default();
     let mut output: Option<(GeneNetwork, f64, Vec<usize>)> = None;
     let mut ring_span: Option<Span> = None;
     let mut finalize_span: Option<Span> = None;
@@ -978,15 +976,13 @@ pub(crate) fn rank_main(
                     let t = Instant::now();
                     {
                         let _diag_span = rank_rec.span("rank.diag");
-                        compute_block_pair(
+                        stats.pairs += scan_block_pair(
                             own.as_ref().expect("own block is live in the ring"),
                             None,
-                            config.kernel,
+                            config,
                             &perms,
                             &basis,
-                            &mut pooled,
-                            &mut candidates,
-                            &mut stats.pairs,
+                            &mut own_scan,
                         );
                     }
                     stats.block_pairs += 1;
@@ -1008,8 +1004,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Results,
                 } => {
-                    let results = encode_rank_results(&pooled, &candidates);
-                    tp.send(to, frame(TAG_RESULTS, 0, &results));
+                    tp.send(to, frame(TAG_RESULTS, 0, &encode_scan(&own_scan)));
                 }
                 Effect::Send {
                     to,
@@ -1021,8 +1016,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Supplement,
                 } => {
-                    let sup = encode_rank_results(&sup_pooled, &sup_candidates);
-                    tp.send(to, frame(TAG_SUPPLEMENT, 0, &sup));
+                    tp.send(to, frame(TAG_SUPPLEMENT, 0, &encode_scan(&sup_scan)));
                 }
                 Effect::AcceptBlock => {
                     travelling = block_payload
@@ -1091,16 +1085,8 @@ pub(crate) fn rank_main(
                     } else {
                         (own_ref, &foreign)
                     };
-                    compute_block_pair(
-                        lo,
-                        Some(hi),
-                        config.kernel,
-                        &perms,
-                        &basis,
-                        &mut pooled,
-                        &mut candidates,
-                        &mut stats.pairs,
-                    );
+                    stats.pairs +=
+                        scan_block_pair(lo, Some(hi), config, &perms, &basis, &mut own_scan);
                     stats.block_pairs += 1;
                     busy += t.elapsed();
                 }
@@ -1145,55 +1131,28 @@ pub(crate) fn rank_main(
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
+                    let mut share = NullScan::default();
+                    for &(a, b) in &pairs {
+                        stats.pairs += compute_assigned_pair(
+                            a, b, matrix, &basis, n, p, &mut cache, config, &perms, &mut share,
+                        );
+                    }
                     if r == 0 {
-                        let mut sp = PooledNull::new();
-                        let mut sc = Vec::new();
-                        for &(a, b) in &pairs {
-                            compute_assigned_pair(
-                                a,
-                                b,
-                                matrix,
-                                &basis,
-                                n,
-                                p,
-                                &mut cache,
-                                config.kernel,
-                                &perms,
-                                &mut sp,
-                                &mut sc,
-                                &mut stats.pairs,
-                            );
-                        }
-                        supplements[0] = Some((sp, sc));
+                        supplements[0] = Some(share);
                     } else {
-                        for &(a, b) in &pairs {
-                            compute_assigned_pair(
-                                a,
-                                b,
-                                matrix,
-                                &basis,
-                                n,
-                                p,
-                                &mut cache,
-                                config.kernel,
-                                &perms,
-                                &mut sup_pooled,
-                                &mut sup_candidates,
-                                &mut stats.pairs,
-                            );
-                        }
+                        sup_scan.merge(share);
                     }
                     stats.reassigned_block_pairs += pairs.len();
                     stats.block_pairs += pairs.len();
                     busy += t.elapsed();
                 }
                 Effect::AcceptSupplement { from } => {
-                    let (sp, sc) = decode_rank_results(
-                        pending_payload
+                    supplements[from] = Some(decode_scan(
+                        &pending_payload
                             .take()
                             .expect("accepted SUPPLEMENT frame has a payload"),
-                    );
-                    supplements[from] = Some((sp, sc));
+                        n,
+                    ));
                 }
                 Effect::RecomputeShare { from, pairs } => {
                     // Survivor went silent after the census — recompute
@@ -1204,56 +1163,40 @@ pub(crate) fn rank_main(
                     if let Some(own_block) = own.take() {
                         cache.insert(r, own_block);
                     }
-                    let mut sp = PooledNull::new();
-                    let mut sc = Vec::new();
+                    let mut share = NullScan::default();
                     for &(a, b) in &pairs {
-                        compute_assigned_pair(
-                            a,
-                            b,
-                            matrix,
-                            &basis,
-                            n,
-                            p,
-                            &mut cache,
-                            config.kernel,
-                            &perms,
-                            &mut sp,
-                            &mut sc,
-                            &mut stats.pairs,
+                        stats.pairs += compute_assigned_pair(
+                            a, b, matrix, &basis, n, p, &mut cache, config, &perms, &mut share,
                         );
                     }
-                    supplements[from] = Some((sp, sc));
+                    supplements[from] = Some(share);
                     stats.reassigned_block_pairs += pairs.len();
                     stats.block_pairs += pairs.len();
                     busy += t.elapsed();
                 }
                 Effect::Finalize { dead } => {
-                    // Merge: phase-1 results in rank order, then
-                    // supplements in rank order. Fault-free, every
-                    // supplement is empty and this reduces to the
-                    // historical gather-merge bit for bit.
-                    parts[0] = Some(encode_rank_results(&pooled, &candidates));
-                    let mut merged = PooledNull::new();
-                    let mut all_candidates: Vec<(u32, u32, f64)> = Vec::new();
+                    // Merge phase-1 results and supplements. The merge is
+                    // exact and order-free, so the result is the same
+                    // bits at any rank count and after any crash.
+                    let mut merged = std::mem::take(&mut own_scan);
                     for part in std::mem::take(&mut parts).into_iter().flatten() {
-                        let (pp, cc) = decode_rank_results(part);
-                        merged.merge(&pp);
-                        all_candidates.extend(cc);
+                        merged.merge(decode_scan(&part, n));
                     }
-                    for (sp, sc) in std::mem::take(&mut supplements).into_iter().flatten() {
-                        merged.merge(&sp);
-                        all_candidates.extend(sc);
+                    for share in std::mem::take(&mut supplements).into_iter().flatten() {
+                        merged.merge(share);
                     }
                     let total_pairs = (n as u64) * (n as u64 - 1) / 2;
                     let threshold = match config.mi_threshold {
                         Some(t) => t,
-                        None => merged.global_threshold(config.alpha, total_pairs.max(1)),
+                        None => merged
+                            .pooled
+                            .global_threshold(config.alpha, total_pairs.max(1)),
                     };
-                    all_candidates.sort_by_key(|c| (c.0, c.1));
                     let network = GeneNetwork::from_edges(
                         n,
                         matrix.gene_names().to_vec(),
-                        all_candidates
+                        merged
+                            .candidates
                             .into_iter()
                             .filter(|&(_, _, v)| v > threshold)
                             .map(|(i, j, v)| Edge::new(i, j, v as f32)),
@@ -1345,7 +1288,8 @@ pub(crate) fn rank_main(
 /// Recompute one reassigned block pair `{a, b}` from the shared matrix,
 /// in the same canonical orientation as the original owner would have
 /// used (lower block index on the x side) — so the recomputed null draws
-/// and candidate decisions are identical to the lost ones.
+/// and candidate decisions are identical to the lost ones. Returns the
+/// pairs evaluated.
 #[allow(clippy::too_many_arguments)]
 fn compute_assigned_pair(
     a: usize,
@@ -1355,12 +1299,10 @@ fn compute_assigned_pair(
     n: usize,
     p: usize,
     cache: &mut HashMap<usize, GeneBlock>,
-    kernel: MiKernel,
+    config: &InferenceConfig,
     perms: &PermutationSet,
-    pooled: &mut PooledNull,
-    candidates: &mut Vec<(u32, u32, f64)>,
-    pair_counter: &mut u64,
-) {
+    acc: &mut NullScan,
+) -> u64 {
     let (lo, hi) = (a.min(b), a.max(b));
     for idx in [lo, hi] {
         cache
@@ -1368,76 +1310,48 @@ fn compute_assigned_pair(
             .or_insert_with(|| build_block(matrix, basis, n, p, idx));
     }
     let x = cache.get(&lo).expect("block cached just above");
-    if lo == hi {
-        compute_block_pair(
-            x,
-            None,
-            kernel,
-            perms,
-            basis,
-            pooled,
-            candidates,
-            pair_counter,
-        );
-    } else {
-        let y = cache.get(&hi).expect("block cached just above");
-        compute_block_pair(
-            x,
-            Some(y),
-            kernel,
-            perms,
-            basis,
-            pooled,
-            candidates,
-            pair_counter,
-        );
-    }
+    let y = (lo != hi).then(|| cache.get(&hi).expect("block cached just above"));
+    scan_block_pair(x, y, config, perms, basis, acc)
 }
 
-/// Evaluate all pairs between `x_block` and `y_block` (or within
-/// `x_block` when `y_block` is `None`), accumulating nulls and
-/// candidates. Dense expansions of the column side are built once per
-/// block and each x gene is planned once — the cluster-side analogue of
-/// tile reuse.
-#[allow(clippy::too_many_arguments)]
-fn compute_block_pair(
-    x_block: &GeneBlock,
-    y_block: Option<&GeneBlock>,
-    kernel: MiKernel,
+/// Scan block pair `(x, y)` — one tile of the pair space, rows from `x`
+/// and columns from `y` (the diagonal tile of `x` when `y` is `None`) —
+/// into `acc`. Returns the pairs evaluated.
+fn scan_block_pair(
+    x: &GeneBlock,
+    y: Option<&GeneBlock>,
+    config: &InferenceConfig,
     perms: &PermutationSet,
     basis: &BsplineBasis,
-    pooled: &mut PooledNull,
-    candidates: &mut Vec<(u32, u32, f64)>,
-    pair_counter: &mut u64,
-) {
-    let y = y_block.unwrap_or(x_block);
-    let dense: Vec<_> = match kernel {
-        MiKernel::VectorDense => y.genes.iter().map(|g| Some(g.to_dense())).collect(),
-        MiKernel::ScalarSparse => y.genes.iter().map(|_| None).collect(),
+    acc: &mut NullScan,
+) -> u64 {
+    let y = y.unwrap_or(x);
+    let span = |b: &GeneBlock| (b.indices[0], b.indices[0] + b.indices.len() as u32);
+    let ((row_start, row_end), (col_start, col_end)) = (span(x), span(y));
+    let tile = Tile {
+        row_start,
+        row_end,
+        col_start,
+        col_end,
     };
     // A scratch per block pair frees the row plans' buffers with the
     // block's dense expansions. Kept for a rank's whole run, they moved
     // glibc's dynamic mmap threshold and raised the 2-rank peak RSS by
     // about 6 MiB.
     let mut scratch = MiScratch::for_basis(basis);
-    for (xi, xg) in x_block.genes.iter().enumerate() {
-        let y_start = if y_block.is_none() { xi + 1 } else { 0 };
-        if y_start >= dense.len() {
-            continue;
-        }
-        let mut row = scratch.plan_row(kernel, xg, perms.as_vecs());
-        for (yi, dy) in dense.iter().enumerate().skip(y_start) {
-            let res = row.mi_with_nulls(&y.genes[yi], dy.as_ref());
-            pooled.extend(&res.null);
-            *pair_counter += 1;
-            if res.exceed_count() == 0 {
-                let gi = x_block.indices[xi];
-                let gj = y.indices[yi];
-                let (a, b) = if gi < gj { (gi, gj) } else { (gj, gi) };
-                candidates.push((a, b, res.observed));
-            }
-        }
-    }
+    let mut scan = NullScan::default();
+    scan_tile(
+        &tile,
+        &x.genes,
+        &y.genes,
+        perms,
+        config.kernel,
+        config.mi_threshold,
+        &mut scratch,
+        &mut scan,
+    );
+    acc.merge(scan);
+    tile.pair_count()
 }
 
 fn encode_assignment(pairs: &[(usize, usize)]) -> Bytes {
@@ -1460,38 +1374,16 @@ fn decode_assignment(bytes: &Bytes) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn encode_rank_results(pooled: &PooledNull, candidates: &[(u32, u32, f64)]) -> Bytes {
-    let (count, mean, m2, max) = pooled.raw_parts();
-    let mut buf = BytesMut::with_capacity(32 + 4 + candidates.len() * 16);
-    buf.put_u64_le(count);
-    buf.put_f64_le(mean);
-    buf.put_f64_le(m2);
-    buf.put_f64_le(max);
-    buf.put_u32_le(candidates.len() as u32);
-    for &(i, j, v) in candidates {
-        buf.put_u32_le(i);
-        buf.put_u32_le(j);
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
+/// A RESULTS or SUPPLEMENT payload: the sender's evidence in
+/// [`NullScan::encode`] form.
+fn encode_scan(scan: &NullScan) -> Vec<u8> {
+    let mut out = Vec::new();
+    scan.encode(&mut out);
+    out
 }
 
-fn decode_rank_results(mut bytes: Bytes) -> (PooledNull, Vec<(u32, u32, f64)>) {
-    let count = bytes.get_u64_le();
-    let mean = bytes.get_f64_le();
-    let m2 = bytes.get_f64_le();
-    let max = bytes.get_f64_le();
-    let pooled = PooledNull::from_raw_parts(count, mean, m2, max);
-    let c = bytes.get_u32_le() as usize;
-    let mut candidates = Vec::with_capacity(c);
-    for _ in 0..c {
-        let i = bytes.get_u32_le();
-        let j = bytes.get_u32_le();
-        let v = bytes.get_f64_le();
-        candidates.push((i, j, v));
-    }
-    assert!(!bytes.has_remaining(), "trailing bytes in rank results");
-    (pooled, candidates)
+fn decode_scan(payload: &Bytes, genes: usize) -> NullScan {
+    NullScan::decode(payload, genes as u32).expect("rank results frame decodes")
 }
 
 #[cfg(test)]
@@ -1588,6 +1480,11 @@ mod tests {
             assert_eq!(
                 total_pairs, shared.stats.pairs,
                 "{ranks} ranks: pair coverage"
+            );
+            assert_eq!(
+                dist.threshold.to_bits(),
+                shared.stats.threshold.to_bits(),
+                "{ranks} ranks: I* must be bitwise the shared-memory one"
             );
             assert!(dist.crashed_ranks.is_empty());
         }
@@ -1781,6 +1678,11 @@ mod tests {
             edge_keys(&dist.network),
             edge_keys(&baseline.network),
             "recovery changed the inferred network"
+        );
+        assert_eq!(
+            dist.threshold.to_bits(),
+            baseline.threshold.to_bits(),
+            "recomputed supplements must merge to the same I*"
         );
         // Coverage is preserved: the survivors' pairs plus the crashed
         // rank's wasted (recomputed) pairs add up to full coverage plus

@@ -75,9 +75,11 @@ const HELLO_MAGIC: u32 = 0x474E_574B;
 /// Magic opening a WELCOME blob (`"GNWC"` LE).
 const WELCOME_MAGIC: u32 = 0x474E_5743;
 /// Bootstrap wire-format version. v2 added `telem_interval_us` to the
-/// WELCOME header (0 = live telemetry off); the codec is closed-world,
-/// so a v1 peer is rejected rather than mis-parsed.
-const BOOTSTRAP_VERSION: u8 = 2;
+/// WELCOME header (0 = live telemetry off); v3 workers send RESULTS and
+/// SUPPLEMENT frames carrying the exact fixed-point pooled null. The
+/// codec is closed-world, so an older peer is rejected rather than
+/// mis-parsed.
+const BOOTSTRAP_VERSION: u8 = 3;
 /// Upper bound on a control blob. The dominant term is the matrix
 /// snapshot; whole-genome matrices are hundreds of MiB at most.
 const MAX_BLOB: usize = 1024 * 1024 * 1024;
@@ -818,6 +820,33 @@ mod tests {
         assert_eq!(w.matrix.samples(), matrix.samples());
         assert_eq!(w.matrix.as_flat(), matrix.as_flat());
         assert_eq!(w.matrix.gene_names(), matrix.gene_names());
+    }
+
+    #[test]
+    fn older_bootstrap_versions_are_rejected_with_a_typed_error() {
+        let (matrix, _) = coupled_pairs(2, 20, Coupling::Linear(0.8), 5);
+        let wire = encode_welcome(
+            1,
+            2,
+            Duration::from_millis(750),
+            0,
+            false,
+            "",
+            "",
+            &test_config(),
+            &[],
+            &gnet_expr::io::to_snapshot(&matrix),
+        );
+        for old in [1u8, 2] {
+            let mut bytes = wire.to_vec();
+            bytes[4] = old; // the version byte follows the u32 magic
+            let err = decode_welcome(Bytes::from(bytes)).err();
+            assert!(
+                matches!(&err, Some(ClusterError::Transport { message })
+                    if message.contains("unsupported bootstrap version")),
+                "v{old}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,20 +11,19 @@
 //!   repeated with the vector kernel forced onto every SIMD backend this
 //!   host supports, so each set of intrinsics is held to the grade
 //!   independently of what runtime dispatch would pick.
-//! * **Scheduler** (4 policies × thread counts vs the serial baseline):
+//! * **Scheduler** (3 policies × thread counts vs the serial baseline):
 //!   *bit*-equal. Scheduling only changes which thread computes a pair,
 //!   never the per-pair arithmetic, so the packed MI array must match the
 //!   single-threaded reference bit for bit — this is the repo's core
 //!   determinism claim (`gnet analyze --concurrency` spot-checks it; this
-//!   oracle sweeps it over the corpus). The full-pipeline variant pins an
-//!   explicit `mi_threshold` so the pooled-null merge order (the one
-//!   legitimately order-dependent reduction) is out of the picture, and
-//!   then demands bit-identical edge weights and thresholds.
+//!   oracle sweeps it over the corpus). The full-pipeline variant runs
+//!   with the pooled threshold, which merges exactly in any order, and
+//!   demands bit-identical edge weights and thresholds.
 //! * **Distributed** (`{1,2,4,8}` ranks): *byte*-equal serialized edge
-//!   lists, per the gnet-cluster contract; the pooled threshold alone is
-//!   only tolerance-equal (see [`distributed_oracle`]).
-//! * **Recovery** (resume-from-checkpoint, rank-crash): bit-identical
-//!   results versus the clean run, per DESIGN.md §10.
+//!   lists and bit-equal pooled thresholds.
+//! * **Recovery** (resume-from-checkpoint at another thread count and
+//!   scheduler, rank-crash): bit-identical results versus the clean run,
+//!   per DESIGN.md §10.
 
 use crate::corpus::DatasetSpec;
 use crate::TolerancePolicy;
@@ -238,11 +237,11 @@ pub(crate) fn scheduler_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Or
         }
     }
 
-    // Full pipeline under an explicit threshold: per-pair decisions are
-    // independent of merge order, so the edge lists must match bitwise.
+    // Full pipeline under the pooled threshold: per-pair decisions and
+    // the pooled null are independent of scheduling, so the edge lists
+    // and I* must match bitwise.
     let cfg = |policy, threads| InferenceConfig {
         permutations: 6,
-        mi_threshold: Some(0.02),
         threads: Some(threads),
         tile_size: Some(3),
         scheduler: policy,
@@ -265,12 +264,10 @@ pub(crate) fn scheduler_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Or
 }
 
 /// Distributed differential: `{1,2,4,8}`-rank runs must serialize to
-/// byte-identical edge lists; the pooled threshold is held to
-/// [`POOLED_THRESHOLD_ABS`] instead of bitwise (merge order varies with
-/// the rank count — see the constant's doc). The same grade is then
-/// demanded of `{2,4}`-rank runs over the loopback-TCP transport: real
-/// sockets, framing, and drain-then-FIN shutdown must be invisible in
-/// the serialized output.
+/// byte-identical edge lists with bit-identical pooled thresholds. The
+/// same grade is then demanded of `{2,4}`-rank runs over the
+/// loopback-TCP transport: real sockets, framing, and drain-then-FIN
+/// shutdown must be invisible in the serialized output.
 pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> OracleOutcome {
     let matrix = spec.build();
     let cfg = dist_config();
@@ -312,29 +309,29 @@ pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> 
 /// rank-crash run must both reproduce the clean result exactly.
 pub(crate) fn recovery_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> OracleOutcome {
     let matrix = spec.build();
-    // Deterministic-merge configuration (single worker, static partition):
-    // resume is bit-identical here even for the pooled threshold.
-    let cfg = InferenceConfig {
+    let cfg = |threads, scheduler| InferenceConfig {
         permutations: 8,
-        threads: Some(1),
+        threads: Some(threads),
         tile_size: Some(3),
-        scheduler: SchedulerPolicy::StaticCyclic,
+        scheduler,
         ..InferenceConfig::default()
     };
     let mut checks = 0;
 
-    let clean = infer_network_resumable(&matrix, &cfg, None, 2, |_| true)
-        .unwrap_or_else(|_| unreachable!("uninterrupted run cannot yield a checkpoint"));
-    // Interrupt at the first chunk boundary, then resume from the
-    // persisted state.
-    match infer_network_resumable(&matrix, &cfg, None, 2, |_| false) {
+    let clean = infer_network(&matrix, &cfg(3, SchedulerPolicy::StaticCyclic));
+    // Interrupt at the first chunk boundary on two dynamic-scheduled
+    // threads, then resume from the persisted state on one static-block
+    // thread: the prefix must merge to the clean run's bits.
+    let interrupting = cfg(2, SchedulerPolicy::DynamicCounter);
+    let resuming = cfg(1, SchedulerPolicy::StaticBlock);
+    match infer_network_resumable(&matrix, &interrupting, None, 2, |_| false) {
         Ok(_) => {
             // Fewer tiles than one chunk: nothing to resume; the clean
             // run above already covers this dataset.
         }
         Err(cp) => {
             let tiles_done = cp.tiles_done;
-            let resumed = match infer_network_resumable(&matrix, &cfg, Some(cp), 2, |_| true) {
+            let resumed = match infer_network_resumable(&matrix, &resuming, Some(cp), 2, |_| true) {
                 Ok(r) => r,
                 Err(_) => {
                     return OracleOutcome::fail(
@@ -433,27 +430,14 @@ fn diff_networks(a: &GeneNetwork, b: &GeneNetwork) -> Option<String> {
     None
 }
 
-/// Drift budget for the pooled-null threshold across distributed merge
-/// orders. The pooled moments merge in rank order (fault-free) or with
-/// recomputed supplements appended (after a crash), so the f64 summation
-/// order — and hence the last ulp of the threshold — depends on the rank
-/// count and crash history. gnet-cluster's own contract
-/// (`knife_edge_pairs_do_not_flip_across_rank_counts`,
-/// `one_crashed_rank_yields_the_same_edge_set`) is therefore: identical
-/// edge sets with bit-identical weights, threshold equal only up to
-/// merge-order round-off. `1e-9` nats is six orders looser than observed
-/// ulp drift and six tighter than any real pooling bug.
-pub(crate) const POOLED_THRESHOLD_ABS: f64 = 1e-9;
-
 fn diff_distributed(
     a: &DistributedResult,
     b: &DistributedResult,
     a_bytes: &[u8],
 ) -> Option<String> {
-    let drift = (a.threshold - b.threshold).abs();
-    if drift > POOLED_THRESHOLD_ABS {
+    if a.threshold.to_bits() != b.threshold.to_bits() {
         return Some(format!(
-            "pooled threshold {} vs {} — |Δ| {drift:.3e} exceeds {POOLED_THRESHOLD_ABS:.1e}",
+            "pooled threshold {} != {} (bitwise)",
             b.threshold, a.threshold
         ));
     }

@@ -16,18 +16,17 @@
 //!    sample-block append, whose rank merge must reproduce a full
 //!    re-sort exactly (the pair scan legitimately covers all pairs).
 //! 3. **Cross-executor**: the updated state's edge list must match the
-//!    tiled parallel pipeline under all four scheduler policies and the
-//!    `{2,4}`-rank ring byte for byte, with the pooled threshold inside
-//!    the same merge-order budget the distributed oracle uses
-//!    ([`crate::differential`]'s `POOLED_THRESHOLD_ABS`).
+//!    tiled parallel pipeline under every scheduler policy and the
+//!    `{2,4}`-rank ring byte for byte, with a bit-identical pooled
+//!    threshold.
 //!
 //! [`mutated_incremental_oracle`] swaps in
 //! [`gnet_core::apply_update_mutated`] — the `--self-check` path that
 //! proves each seeded incremental-engine defect (stale rank cache,
-//! skipped frontier pair, unrefreshed null moments) is caught here.
+//! skipped frontier tile, unrefreshed null moments) is caught here.
 
 use crate::corpus::DatasetSpec;
-use crate::differential::{edge_bytes, OracleOutcome, POOLED_THRESHOLD_ABS};
+use crate::differential::{edge_bytes, OracleOutcome};
 use crate::TolerancePolicy;
 use gnet_cluster::infer_network_distributed;
 use gnet_core::{
@@ -37,13 +36,14 @@ use gnet_core::{
 use gnet_expr::{ExpressionMatrix, MissingPolicy};
 use gnet_parallel::SchedulerPolicy;
 
-/// Estimator configuration for the incremental differential — the serial,
-/// exact-full-null shape `gnet infer --save-state` pins. Small `q` keeps
-/// the corpus sweep fast without weakening the bitwise contract.
+/// Estimator configuration for the incremental differential — the
+/// exact-full-null shape `gnet infer --save-state` runs, on two threads.
+/// Small `q` keeps the corpus sweep fast without weakening the bitwise
+/// contract.
 fn update_config() -> InferenceConfig {
     InferenceConfig {
         permutations: 6,
-        threads: Some(1),
+        threads: Some(2),
         ..InferenceConfig::default()
     }
 }
@@ -83,14 +83,15 @@ fn sample_suffix(matrix: &ExpressionMatrix, from: usize) -> ExpressionMatrix {
 /// First divergence between the batch-built state and the incrementally
 /// updated one, rendered for the report; `None` when bit-identical.
 fn diff_states(batch: &NetworkState, incr: &NetworkState) -> Option<String> {
-    if incr.candidates.len() != batch.candidates.len() {
+    let (incr_scan, batch_scan) = (&incr.scan, &batch.scan);
+    if incr_scan.candidates.len() != batch_scan.candidates.len() {
         return Some(format!(
             "candidate count {} != batch {}",
-            incr.candidates.len(),
-            batch.candidates.len()
+            incr_scan.candidates.len(),
+            batch_scan.candidates.len()
         ));
     }
-    for (a, b) in incr.candidates.iter().zip(&batch.candidates) {
+    for (a, b) in incr_scan.candidates.iter().zip(&batch_scan.candidates) {
         if a.0 != b.0 || a.1 != b.1 || a.2.to_bits() != b.2.to_bits() {
             return Some(format!(
                 "candidate ({},{}) MI {} != batch ({},{}) MI {} (bitwise)",
@@ -98,11 +99,14 @@ fn diff_states(batch: &NetworkState, incr: &NetworkState) -> Option<String> {
             ));
         }
     }
-    if incr.pooled != batch.pooled {
-        let (ic, im, _, _) = incr.pooled.raw_parts();
-        let (bc, bm, _, _) = batch.pooled.raw_parts();
+    if incr_scan.pooled != batch_scan.pooled {
+        let (ip, bp) = (&incr_scan.pooled, &batch_scan.pooled);
         return Some(format!(
-            "pooled null diverged: {ic} nulls mean {im} != batch {bc} nulls mean {bm} (bitwise)"
+            "pooled null diverged: {} nulls mean {} != batch {} nulls mean {} (bitwise)",
+            ip.count(),
+            ip.mean(),
+            bp.count(),
+            bp.mean()
         ));
     }
     if incr.threshold().to_bits() != batch.threshold().to_bits() {
@@ -222,13 +226,11 @@ fn incremental_with(spec: &DatasetSpec, mutation: Option<UpdateMutation>) -> Ora
                 ),
             );
         }
-        let drift = (run.stats.threshold - threshold).abs();
-        if drift > POOLED_THRESHOLD_ABS {
+        if run.stats.threshold.to_bits() != threshold.to_bits() {
             return OracleOutcome::fail(
                 checks,
                 format!(
-                    "updated threshold {threshold} vs policy {} threshold {} — |Δ| {drift:.3e} \
-                     exceeds {POOLED_THRESHOLD_ABS:.1e}",
+                    "updated threshold {threshold} != policy {} threshold {} (bitwise)",
                     policy.name(),
                     run.stats.threshold
                 ),
@@ -247,13 +249,11 @@ fn incremental_with(spec: &DatasetSpec, mutation: Option<UpdateMutation>) -> Ora
                 format!("updated state vs {ranks}-rank ring: serialized edge lists differ"),
             );
         }
-        let drift = (run.threshold - threshold).abs();
-        if drift > POOLED_THRESHOLD_ABS {
+        if run.threshold.to_bits() != threshold.to_bits() {
             return OracleOutcome::fail(
                 checks,
                 format!(
-                    "updated threshold {threshold} vs {ranks}-rank threshold {} — |Δ| {drift:.3e} \
-                     exceeds {POOLED_THRESHOLD_ABS:.1e}",
+                    "updated threshold {threshold} != {ranks}-rank threshold {} (bitwise)",
                     run.threshold
                 ),
             );
@@ -281,8 +281,8 @@ mod tests {
         };
         let outcome = incremental_oracle(&spec, &tol());
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        // 2 legs × (frontier + state) checks, 4 scheduler legs, 2 ring legs.
-        assert_eq!(outcome.checks, 10);
+        // 2 legs × (frontier + state) checks, 3 scheduler legs, 2 ring legs.
+        assert_eq!(outcome.checks, 9);
     }
 
     #[test]

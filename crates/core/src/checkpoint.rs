@@ -13,33 +13,16 @@
 //! decisions mid-run.
 
 use crate::config::{InferenceConfig, NullStrategy};
-use crate::pipeline::{process_tile, ThreadState as WorkerState};
-use crate::result::{InferenceResult, RunStats};
+use crate::pipeline::{finish_run, PreparedRun};
+use crate::result::InferenceResult;
+pub use crate::scan::Checkpoint;
+use crate::scan::NullScan;
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
-use gnet_graph::{Edge, GeneNetwork};
-use gnet_mi::{prepare_gene, MiKernel, MiScratch, PreparedGene};
-use gnet_parallel::{execute_tiles_traced, ExecutionReport, TileSpace};
-use gnet_permute::{PermutationSet, PooledNull};
+use gnet_mi::{prepare_gene, MiKernel};
+use gnet_parallel::TileSpace;
 use gnet_trace::Recorder;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Resumable progress over the deterministic tile list.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Digest binding the checkpoint to (config, matrix shape, tiling);
-    /// resuming with anything else is rejected.
-    pub digest: u64,
-    /// Tiles `0..tiles_done` are fully accounted for below.
-    pub tiles_done: usize,
-    /// Pooled null over the completed prefix.
-    pub pooled: PooledNull,
-    /// Candidate edges found in the completed prefix.
-    pub candidates: Vec<(u32, u32, f64)>,
-    /// Joint evaluations performed in the completed prefix.
-    pub joints: u64,
-}
 
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -100,9 +83,9 @@ pub type ResumableOutcome = Result<InferenceResult, Checkpoint>;
 /// return `false` to interrupt (the checkpoint comes back as `Err`).
 /// Passing a prior checkpoint resumes exactly where it stopped.
 ///
-/// The final network is identical to [`crate::infer_network`]'s modulo
-/// accumulator-merge rounding in the estimated threshold (bit-identical
-/// with an explicit `mi_threshold`).
+/// The final network and threshold are bit-identical to
+/// [`crate::infer_network`]'s at any thread count, scheduler and chunk
+/// size, interrupted or not.
 ///
 /// # Panics
 /// Panics on config/matrix violations, a digest mismatch, a non-exact
@@ -136,9 +119,6 @@ pub fn infer_network_resumable_traced(
     mut on_checkpoint: impl FnMut(&Checkpoint) -> bool,
     rec: &Recorder,
 ) -> ResumableOutcome {
-    config.validate();
-    assert!(chunk_tiles >= 1, "chunk size must be positive");
-    assert!(matrix.genes() >= 2, "need at least two genes");
     assert_eq!(
         config.null_strategy,
         NullStrategy::ExactFull,
@@ -147,129 +127,62 @@ pub fn infer_network_resumable_traced(
 
     let t0 = Instant::now();
     let span_prep = rec.span("stage.prep");
-    let basis = BsplineBasis::new(config.spline_order, config.bins);
-    let prepared: Vec<PreparedGene> = (0..matrix.genes())
-        .map(|g| prepare_gene(matrix.gene(g), &basis))
-        .collect();
-    let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
-    let tile_size = config.resolved_tile_size(matrix.genes(), prepared[0].heap_bytes());
-    let space = TileSpace::new(matrix.genes(), tile_size);
-    let digest = run_digest(config, matrix, space.tiles().len());
+    let run = PreparedRun::new(matrix, config);
+    let total_tiles = run.space.tiles().len();
+    let digest = run_digest(config, matrix, total_tiles);
     drop(span_prep);
     let prep_time = t0.elapsed();
 
     let mut progress = match resume_from {
         Some(cp) => {
             assert_eq!(cp.digest, digest, "checkpoint does not match this run");
-            assert!(
-                cp.tiles_done <= space.tiles().len(),
-                "corrupt checkpoint prefix"
-            );
+            assert!(cp.tiles_done <= total_tiles, "corrupt checkpoint prefix");
             cp
         }
         None => Checkpoint {
             digest,
             tiles_done: 0,
-            pooled: PooledNull::new(),
-            candidates: Vec::new(),
-            joints: 0,
+            scan: NullScan::default(),
         },
     };
 
-    let threads = config.resolved_threads();
     let t1 = Instant::now();
     let span_mi = rec.span("stage.mi");
-    // The execution report must cover *every* chunk of this invocation.
-    // The old code kept only the last chunk's report, so `RunStats::
-    // execution` under-counted tiles/pairs/busy for any multi-chunk run.
-    let mut execution = ExecutionReport::default();
-    while progress.tiles_done < space.tiles().len() {
-        let hi = (progress.tiles_done + chunk_tiles).min(space.tiles().len());
-        let chunk = &space.tiles()[progress.tiles_done..hi];
-        let (states, report) = execute_tiles_traced(
-            chunk,
-            threads,
-            config.scheduler,
-            |_tid| WorkerState::new(MiScratch::for_basis(&basis)),
-            |state, tile| {
-                process_tile(
-                    tile,
-                    &prepared,
-                    &perms,
-                    config.kernel,
-                    config.mi_threshold,
-                    state,
-                );
-            },
-            rec,
-        );
-        for s in states {
-            progress.pooled.merge(&s.pooled);
-            progress
-                .candidates
-                .extend(s.candidates.into_iter().map(|c| (c.i, c.j, c.observed)));
-            progress.joints += s.joints;
-        }
-        progress.tiles_done = hi;
-        execution.absorb(&report);
+    let scanned = run.scan(config).run(&mut progress, chunk_tiles, rec, |cp| {
         if rec.is_enabled() {
             rec.event(
                 "checkpoint.chunk",
                 &[
-                    ("tiles_done", (progress.tiles_done as u64).into()),
-                    ("total_tiles", (space.tiles().len() as u64).into()),
-                    ("joints", progress.joints.into()),
-                    ("candidates", (progress.candidates.len() as u64).into()),
+                    ("tiles_done", (cp.tiles_done as u64).into()),
+                    ("total_tiles", (total_tiles as u64).into()),
+                    ("joints", cp.scan.joints.into()),
+                    ("candidates", (cp.scan.candidates.len() as u64).into()),
                 ],
             );
-            rec.progress(progress.tiles_done, space.tiles().len());
+            rec.progress(cp.tiles_done, total_tiles);
         }
-        if !on_checkpoint(&progress) {
-            return Err(progress);
+        if on_checkpoint(cp) {
+            Ok(())
+        } else {
+            Err(())
         }
-    }
+    });
+    let Ok(execution) = scanned else {
+        return Err(progress);
+    };
     drop(span_mi);
     let mi_time = t1.elapsed();
 
-    // Finalize exactly as the one-shot pipeline does.
-    let t2 = Instant::now();
-    let span_finalize = rec.span("stage.finalize");
-    let pairs = space.total_pairs();
-    let threshold = match config.mi_threshold {
-        Some(t) => t,
-        None => progress.pooled.global_threshold(config.alpha, pairs.max(1)),
-    };
-    let candidate_count = progress.candidates.len() as u64;
-    let mut sorted = progress.candidates;
-    sorted.sort_by_key(|c| (c.0, c.1));
-    let network = GeneNetwork::from_edges(
-        matrix.genes(),
-        matrix.gene_names().to_vec(),
-        sorted
-            .into_iter()
-            .filter(|&(_, _, v)| v > threshold)
-            .map(|(i, j, v)| Edge::new(i, j, v as f32)),
-    );
-    let stats = RunStats {
-        prep_time,
-        mi_time,
-        finalize_time: t2.elapsed(),
-        pairs,
-        candidates: candidate_count,
-        joints_evaluated: progress.joints,
-        threshold,
-        null_mean: progress.pooled.mean(),
-        null_sd: if progress.pooled.count() >= 2 {
-            progress.pooled.std_dev()
-        } else {
-            0.0
-        },
-        tile_size,
-        threads,
+    let _span_finalize = rec.span("stage.finalize");
+    Ok(finish_run(
+        matrix,
+        config,
+        &run,
+        &progress.scan,
+        None,
+        [prep_time, mi_time],
         execution,
-    };
-    drop(span_finalize);
-    Ok(InferenceResult { network, stats })
+    ))
 }
 
 #[cfg(test)]
@@ -277,6 +190,7 @@ mod tests {
     use super::*;
     use crate::infer_network;
     use gnet_expr::synth::{coupled_pairs, Coupling};
+    use gnet_parallel::SchedulerPolicy;
 
     fn cfg() -> InferenceConfig {
         InferenceConfig {
@@ -382,17 +296,56 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_serde_roundtrip() {
-        let (matrix, _) = coupled_pairs(4, 120, Coupling::Linear(0.9), 3);
-        let cp =
-            infer_network_resumable(&matrix, &cfg(), None, 2, |_| false).expect_err("interrupted");
-        let json = serde_json::to_string(&cp).unwrap();
-        let back: Checkpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cp);
-        // And the deserialized checkpoint actually resumes.
-        let done =
-            infer_network_resumable(&matrix, &cfg(), Some(back), 2, |_| true).expect("finishes");
-        assert_eq!(done.stats.pairs, 28); // C(8,2) — 4 coupled pairs = 8 genes
+    fn resume_at_another_thread_count_and_scheduler_is_bitwise() {
+        // Interrupt at 2 threads under the dynamic scheduler, resume at 1
+        // thread under static-block: the pooled null merges exactly, so
+        // I* and the edge bytes equal an uninterrupted 3-thread run.
+        let (matrix, _) = coupled_pairs(7, 160, Coupling::Linear(0.8), 47);
+        let with = |threads, scheduler| InferenceConfig {
+            permutations: 10,
+            threads: Some(threads),
+            tile_size: Some(3),
+            scheduler,
+            ..InferenceConfig::default()
+        };
+        let reference = infer_network(&matrix, &with(3, SchedulerPolicy::StaticCyclic));
+        let mut seen = 0;
+        let cp = infer_network_resumable(
+            &matrix,
+            &with(2, SchedulerPolicy::DynamicCounter),
+            None,
+            2,
+            |_| {
+                seen += 1;
+                seen < 3
+            },
+        )
+        .expect_err("interrupted after the third chunk");
+        assert_eq!(cp.tiles_done, 6);
+        let resumed = infer_network_resumable(
+            &matrix,
+            &with(1, SchedulerPolicy::StaticBlock),
+            Some(cp),
+            5,
+            |_| true,
+        )
+        .expect("resume finishes");
+        assert_eq!(
+            resumed.stats.threshold.to_bits(),
+            reference.stats.threshold.to_bits()
+        );
+        let bytes = |net: &gnet_graph::GeneNetwork| {
+            let mut out = Vec::new();
+            gnet_graph::io::write_edge_list(net, &mut out).expect("in-memory write");
+            out
+        };
+        assert!(!reference.network.edges().is_empty());
+        assert_eq!(bytes(&resumed.network), bytes(&reference.network));
+        assert_eq!(resumed.stats.candidates, reference.stats.candidates);
+        assert_eq!(
+            resumed.stats.joints_evaluated,
+            reference.stats.joints_evaluated
+        );
     }
 
     #[test]

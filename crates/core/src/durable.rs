@@ -6,27 +6,26 @@
 //! rename), so a kill at any instant leaves either the previous complete
 //! checkpoint or the new complete checkpoint on disk — never a torn one.
 //!
-//! ## File schema v1
+//! ## File schema v3
 //!
 //! All integers little-endian:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETCKP\x01"
-//! 8       4     version (= 2)
+//! 8       4     version (= 3)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
 //! ```
 //!
-//! Payload (f64 values stored as raw IEEE-754 bits, so resumed pooled
-//! moments are **bit-identical** to the in-memory accumulator):
+//! Payload (f64 values stored as raw IEEE-754 bits, so a resumed prefix
+//! is **bit-identical** to the in-memory one):
 //!
 //! ```text
 //! u64  run digest (see [`crate::checkpoint::run_digest_for`])
 //! u64  tiles_done
-//! u64  pooled.count       u64 pooled.mean bits
-//! u64  pooled.m2 bits     u64 pooled.max bits
+//! 48   pooled null ([`gnet_permute::PooledNull::to_bytes`])
 //! u64  joints
 //! u32  candidate count, then per candidate: u32 i, u32 j, u64 MI bits
 //! ```
@@ -42,9 +41,9 @@
 use crate::checkpoint::{infer_network_resumable_traced, run_digest_for, Checkpoint};
 use crate::config::InferenceConfig;
 use crate::result::InferenceResult;
+use crate::scan::NullScan;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, FaultInjector, IoOp};
-use gnet_permute::PooledNull;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
 use std::fs::{self, File};
@@ -52,10 +51,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 8] = *b"GNETCKP\x01";
-/// v2: prefixes summed by the run-blocked accumulation kernel. A v1 prefix
-/// was summed in another order, so resuming it could not be bit-identical
-/// to a batch run.
-const VERSION: u32 = 2;
+/// v3: the pooled null as exact fixed-point sums. A v2 prefix carries
+/// Welford moments, which the exact accumulator cannot continue.
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 28;
 
 /// Name of the durable checkpoint file inside the store directory.
@@ -180,22 +178,11 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn encode_payload(cp: &Checkpoint) -> Vec<u8> {
-    let (count, mean, m2, max) = cp.pooled.raw_parts();
-    let mut out = Vec::with_capacity(8 * 7 + 4 + cp.candidates.len() * 16);
+pub(crate) fn encode_payload(cp: &Checkpoint) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
     out.extend_from_slice(&cp.digest.to_le_bytes());
     out.extend_from_slice(&(cp.tiles_done as u64).to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&mean.to_bits().to_le_bytes());
-    out.extend_from_slice(&m2.to_bits().to_le_bytes());
-    out.extend_from_slice(&max.to_bits().to_le_bytes());
-    out.extend_from_slice(&cp.joints.to_le_bytes());
-    out.extend_from_slice(&(cp.candidates.len() as u32).to_le_bytes());
-    for &(i, j, v) in &cp.candidates {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&j.to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    cp.scan.encode(&mut out);
     out
 }
 
@@ -246,44 +233,21 @@ impl<'a> Reader<'a> {
     pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// Everything not yet read.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
+pub(crate) fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut r = Reader::new(payload);
     let digest = r.u64("run digest")?;
     let tiles_done = r.u64("tiles_done")? as usize;
-    let count = r.u64("pooled count")?;
-    let mean = r.f64("pooled mean")?;
-    let m2 = r.f64("pooled m2")?;
-    let max = r.f64("pooled max")?;
-    let joints = r.u64("joints")?;
-    let n = r.u32("candidate count")? as usize;
-    // A candidate is 16 bytes; reject counts the remaining bytes cannot
-    // hold before allocating.
-    if r.remaining() != n * 16 {
-        return Err(format!(
-            "candidate section length mismatch: {n} candidates declared, \
-             {} bytes remain (need {})",
-            r.remaining(),
-            n * 16
-        ));
-    }
-    let mut candidates = Vec::with_capacity(n);
-    for idx in 0..n {
-        let i = r.u32("candidate gene i")?;
-        let j = r.u32("candidate gene j")?;
-        let v = r.f64("candidate MI")?;
-        if i >= j {
-            return Err(format!("candidate {idx} is not upper-triangular ({i},{j})"));
-        }
-        candidates.push((i, j, v));
-    }
     Ok(Checkpoint {
         digest,
         tiles_done,
-        pooled: PooledNull::from_raw_parts(count, mean, m2, max),
-        candidates,
-        joints,
+        scan: NullScan::decode(r.rest(), u32::MAX)?,
     })
 }
 
@@ -600,10 +564,6 @@ mod tests {
             permutations: 10,
             threads: Some(2),
             tile_size: Some(6),
-            // Static partition: per-thread state contents (and therefore
-            // pooled-merge order) are reproducible, which the bit-identical
-            // assertions below rely on.
-            scheduler: gnet_parallel::SchedulerPolicy::StaticCyclic,
             ..InferenceConfig::default()
         }
     }
@@ -632,13 +592,8 @@ mod tests {
         store.save(&cp).expect("save succeeds");
         let back = store.load().expect("load succeeds");
         assert_eq!(back, cp);
-        // Bit-level equality of the pooled moments, not just PartialEq.
-        let (c0, m0, s0, x0) = cp.pooled.raw_parts();
-        let (c1, m1, s1, x1) = back.pooled.raw_parts();
-        assert_eq!(c0, c1);
-        assert_eq!(m0.to_bits(), m1.to_bits());
-        assert_eq!(s0.to_bits(), s1.to_bits());
-        assert_eq!(x0.to_bits(), x1.to_bits());
+        // Bit-level equality of the pooled null, not just PartialEq.
+        assert_eq!(back.scan.pooled.to_bytes(), cp.scan.pooled.to_bytes());
         // Atomic write leaves no temp file behind.
         assert!(!store.tmp_path().exists());
     }
@@ -703,19 +658,21 @@ mod tests {
     }
 
     #[test]
-    fn version_1_checkpoints_are_rejected() {
+    fn older_checkpoint_versions_are_rejected() {
         let (_, cp) = interrupted_checkpoint();
-        let store = CheckpointStore::new(tmpdir("v1"));
-        store.save(&cp).expect("save succeeds");
-        let mut bytes = fs::read(store.path()).expect("file readable");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(store.path(), &bytes).expect("rewrite");
-        let err = store.load().expect_err("a v1 prefix must not resume");
-        assert!(
-            matches!(&err, CheckpointError::Corrupt { reason, .. }
-                if reason.contains("unsupported checkpoint version 1")),
-            "{err}"
-        );
+        let store = CheckpointStore::new(tmpdir("old"));
+        for old in [1u32, 2] {
+            store.save(&cp).expect("save succeeds");
+            let mut bytes = fs::read(store.path()).expect("file readable");
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            fs::write(store.path(), &bytes).expect("rewrite");
+            let err = store.load().expect_err("an old prefix must not resume");
+            assert!(
+                matches!(&err, CheckpointError::Corrupt { reason, .. }
+                    if reason.contains(&format!("unsupported checkpoint version {old}"))),
+                "{err}"
+            );
+        }
     }
 
     #[test]

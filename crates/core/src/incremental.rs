@@ -8,35 +8,39 @@
 //! * **Gene append** keeps every stored per-gene artifact and every
 //!   already-evaluated pair, and scans only the *frontier* — pairs with at
 //!   least one new endpoint: `g·(N−g) + g·(g−1)/2` pairs for `g` appended
-//!   genes out of `N` total, versus `N(N−1)/2` for a rebuild.
+//!   genes out of `N` total, versus `N(N−1)/2` for a rebuild. The frontier
+//!   is tiled by [`TileSpace::frontier`] and scanned by the same tile
+//!   engine as a batch run ([`crate::scan`]).
 //! * **Sample append** merge-updates each gene's stored `(value, index)`
 //!   sort order with the newly sorted appended block (two-pointer merge,
 //!   no re-sort of the old samples), re-derives ranks and B-spline
-//!   weights from the merged order, then rescans the pair space (every
-//!   pair's MI depends on every sample, so the pair scan cannot shrink —
-//!   the preprocessing can).
+//!   weights from the merged order, then rescans every tile (every pair's
+//!   MI depends on every sample, so the pair scan cannot shrink — the
+//!   preprocessing can).
 //!
 //! Both paths are pinned by conformance oracle family 6 to be
 //! **bit-identical** to a batch [`build_state`] over the concatenated
-//! dataset: the canonical column-major pair order makes even the pooled
-//! null's floating-point accumulation order match, so the resulting
-//! [`NetworkState`] — candidates, pooled moments, threshold, edges — is
-//! `assert_eq!`-equal, not merely close.
+//! dataset. Nothing about that depends on scan order: per-pair MI is the
+//! same in any tile, the pooled null sums exactly, and candidates are
+//! kept sorted, so the resulting [`NetworkState`] — candidates, pooled
+//! null, threshold, edges — is `assert_eq!`-equal at any thread count.
 //!
 //! [`update_durable`] adds crash durability: progress is checkpointed
-//! every `chunk_pairs` evaluated pairs, and a kill at a progress boundary
-//! ([`gnet_fault::Fault::UpdateCrash`]) resumes bit-identically because
-//! per-pair MI is deterministic and the pooled accumulator round-trips
-//! through its raw parts exactly.
+//! every `chunk_tiles` frontier tiles as a tile prefix, and a kill at a
+//! progress boundary ([`gnet_fault::Fault::UpdateCrash`]) resumes
+//! bit-identically.
 
+use crate::checkpoint::Checkpoint;
 use crate::config::{InferenceConfig, NullStrategy};
-use crate::state::{GeneState, NetworkState, StateError, StateStore, UpdateProgress};
-use gnet_bspline::{BsplineBasis, DenseWeights};
+use crate::scan::{NullScan, TileScan};
+use crate::state::{GeneState, NetworkState, StateError, StateStore};
+use gnet_bspline::BsplineBasis;
 use gnet_expr::normalize::{rank_from_order, rank_sort_order};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::names;
-use gnet_mi::{mi_with_nulls, MiKernel, MiScratch, PreparedGene};
-use gnet_permute::{PermutationSet, PooledNull};
+use gnet_mi::PreparedGene;
+use gnet_parallel::TileSpace;
+use gnet_permute::PermutationSet;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
 
@@ -88,90 +92,11 @@ pub struct UpdateStats {
     /// Pairs the invocation skipped because durable progress already
     /// covered them.
     pub pairs_resumed: u64,
-    /// Joint-entropy evaluations performed by this invocation.
+    /// Joint-entropy evaluations behind the updated state, old pairs
+    /// included.
     pub joints: u64,
     /// Global threshold of the updated state.
     pub threshold: f64,
-}
-
-/// The canonical pair order every scan in this crate's serial paths uses:
-/// column-major over `j ∈ [j_start, n)`, `i ∈ [0, j)`. A gene append's
-/// frontier (`j_start = old gene count`) is then a strict *suffix* of the
-/// full scan (`j_start = 0`), which is what makes incremental pooled-null
-/// accumulation bit-identical to batch.
-fn pair_frontier(j_start: usize, n: usize) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
-    for j in j_start..n {
-        for i in 0..j {
-            pairs.push((i as u32, j as u32));
-        }
-    }
-    pairs
-}
-
-/// Accumulators of a (possibly resumed) pair scan.
-struct ScanAcc {
-    pooled: PooledNull,
-    candidates: Vec<(u32, u32, f64)>,
-    joints: u64,
-    /// Pairs of the canonical order fully accounted for above.
-    done: u64,
-}
-
-/// Evaluate `pairs[acc.done..]` in order, exactly as the batch pipeline
-/// evaluates them, invoking `after_pair` once per newly completed pair
-/// (the durable path checkpoints and injects crashes there).
-#[allow(clippy::too_many_arguments)]
-fn scan_pairs(
-    prepared: &[PreparedGene],
-    perms: &PermutationSet,
-    kernel: MiKernel,
-    explicit_threshold: Option<f64>,
-    basis: &BsplineBasis,
-    pairs: &[(u32, u32)],
-    acc: &mut ScanAcc,
-    mut after_pair: impl FnMut(&ScanAcc) -> Result<(), StateError>,
-) -> Result<(), StateError> {
-    let mut scratch = MiScratch::for_basis(basis);
-    // Column gene j is densified once per j-run, mirroring the batch
-    // pipeline's per-tile column expansion.
-    let mut dense: Option<(u32, DenseWeights)> = None;
-    for (k, &(i, j)) in pairs.iter().enumerate() {
-        if (k as u64) < acc.done {
-            continue;
-        }
-        let y_dense = match kernel {
-            MiKernel::VectorDense => {
-                if dense.as_ref().map(|(col, _)| *col) != Some(j) {
-                    dense = Some((j, prepared[j as usize].to_dense()));
-                }
-                dense.as_ref().map(|(_, d)| d)
-            }
-            MiKernel::ScalarSparse => None,
-        };
-        let res = mi_with_nulls(
-            kernel,
-            &prepared[i as usize],
-            &prepared[j as usize],
-            y_dense,
-            perms.as_vecs(),
-            &mut scratch,
-        );
-        acc.joints += 1 + res.null.len() as u64;
-        acc.pooled.extend(&res.null);
-        if res.exceed_count() == 0 {
-            let keep = match explicit_threshold {
-                Some(t) => res.observed > t,
-                None => true,
-            };
-            if keep {
-                acc.candidates.push((i, j, res.observed));
-            }
-        }
-        acc.done += 1;
-        after_pair(acc)?;
-    }
-    Ok(())
 }
 
 fn gene_state_for(profile: Vec<f32>, basis: &BsplineBasis) -> GeneState {
@@ -193,17 +118,23 @@ fn prepared_of(g: &GeneState) -> PreparedGene {
     }
 }
 
+/// The tiles of the pairs `(i, j)` with `j ≥ first_new` over `genes`,
+/// tiled by the configuration's cache rule.
+fn tiles_for(config: &InferenceConfig, genes: &[PreparedGene], first_new: usize) -> TileSpace {
+    let tile_size = config.resolved_tile_size(genes.len(), genes[0].heap_bytes());
+    TileSpace::frontier(genes.len(), first_new, tile_size)
+}
+
 /// Build an updatable [`NetworkState`] from scratch — the batch side of
 /// the batch-equivalence contract, and what `gnet infer --save-state`
-/// runs. Serial by design: the canonical pair order *is* the spec that
-/// incremental updates are pinned against; the resulting edge set matches
-/// the tiled parallel [`crate::infer_network`] and differs from it only
-/// in the last ulps of the pooled threshold (floating-point merge order).
+/// runs. It scans the tiles on `config.threads` under `config.scheduler`
+/// like [`crate::infer_network`], and its threshold and edges are
+/// bit-identical to that run's.
 ///
 /// # Panics
 /// Panics on invalid configuration, fewer than two genes, or a
 /// non-[`NullStrategy::ExactFull`] null strategy (early exit discards the
-/// pooled moments an updatable state must keep).
+/// pooled null an updatable state must keep).
 #[must_use]
 pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> NetworkState {
     config.validate();
@@ -221,24 +152,23 @@ pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Netwo
         .collect();
     let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
-    let pairs = pair_frontier(0, matrix.genes());
-    let mut acc = ScanAcc {
-        pooled: PooledNull::new(),
-        candidates: Vec::new(),
-        joints: 0,
-        done: 0,
+    let space = tiles_for(config, &prepared, 0);
+    let mut progress = Checkpoint {
+        digest: 0,
+        tiles_done: 0,
+        scan: NullScan::default(),
     };
-    scan_pairs(
-        &prepared,
-        &perms,
-        config.kernel,
-        config.mi_threshold,
-        &basis,
-        &pairs,
-        &mut acc,
-        |_| Ok(()),
-    )
-    .expect("in-memory scan has no fallible steps");
+    TileScan {
+        tiles: space.tiles(),
+        prepared: &prepared,
+        perms: &perms,
+        basis: &basis,
+        config,
+    }
+    .run(&mut progress, usize::MAX, &Recorder::disabled(), |_| {
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
     NetworkState {
         bins: config.bins,
         spline_order: config.spline_order,
@@ -250,9 +180,7 @@ pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Netwo
         names: matrix.gene_names().to_vec(),
         samples: matrix.samples(),
         genes,
-        pooled: acc.pooled,
-        joints: acc.joints,
-        candidates: acc.candidates,
+        scan: progress.scan,
     }
 }
 
@@ -303,11 +231,11 @@ pub enum UpdateMutation {
     /// merging them — the cached ranks go stale across the append
     /// boundary.
     StaleRankCache,
-    /// The scan silently drops the last frontier pair — a fencepost bug
+    /// The scan silently drops the last frontier tile — a fencepost bug
     /// in frontier enumeration.
-    SkippedFrontierPair,
-    /// The pooled-null moments are not refreshed with the newly scanned
-    /// nulls, so the global threshold is computed from stale evidence.
+    SkippedFrontierTile,
+    /// The pooled null is not refreshed with the newly scanned nulls, so
+    /// the global threshold is computed from stale evidence.
     UnrefreshedNullMoments,
 }
 
@@ -315,7 +243,7 @@ impl UpdateMutation {
     /// Every mutation, for exhaustive self-check loops.
     pub const ALL: [Self; 3] = [
         Self::StaleRankCache,
-        Self::SkippedFrontierPair,
+        Self::SkippedFrontierTile,
         Self::UnrefreshedNullMoments,
     ];
 
@@ -324,7 +252,7 @@ impl UpdateMutation {
     pub fn name(self) -> &'static str {
         match self {
             Self::StaleRankCache => "stale-rank-cache",
-            Self::SkippedFrontierPair => "skipped-frontier-pair",
+            Self::SkippedFrontierTile => "skipped-frontier-tile",
             Self::UnrefreshedNullMoments => "unrefreshed-null-moments",
         }
     }
@@ -333,7 +261,7 @@ impl UpdateMutation {
 #[derive(Clone, Copy, Default)]
 struct UpdateFlaws {
     stale_rank_cache: bool,
-    skip_last_pair: bool,
+    skip_last_tile: bool,
     keep_stale_pooled: bool,
 }
 
@@ -344,8 +272,8 @@ impl UpdateFlaws {
                 stale_rank_cache: true,
                 ..Self::default()
             },
-            UpdateMutation::SkippedFrontierPair => Self {
-                skip_last_pair: true,
+            UpdateMutation::SkippedFrontierTile => Self {
+                skip_last_tile: true,
                 ..Self::default()
             },
             UpdateMutation::UnrefreshedNullMoments => Self {
@@ -356,20 +284,20 @@ impl UpdateFlaws {
     }
 }
 
-/// Everything a pair scan needs, derived from the state + append before
+/// Everything a tile scan needs, derived from the state + append before
 /// any MI is evaluated.
 struct PreparedUpdate {
     names: Vec<String>,
     samples: usize,
     genes: Vec<GeneState>,
     prepared: Vec<PreparedGene>,
-    pairs: Vec<(u32, u32)>,
+    /// First gene whose pairs are rescanned: the old gene count for a
+    /// gene append, 0 for a sample append.
+    first_new: usize,
     appended: usize,
-    /// Accumulator seed: the already-valid prefix (gene append keeps the
-    /// old pooled/candidates/joints; sample append starts fresh).
-    base_pooled: PooledNull,
-    base_candidates: Vec<(u32, u32, f64)>,
-    base_joints: u64,
+    /// Evidence the scan extends: the state's own for a gene append,
+    /// nothing for a sample append.
+    base: NullScan,
 }
 
 /// Merge a gene's stored sort order with the sorted order of an appended
@@ -435,17 +363,14 @@ fn prepare_update(
                 (0..append.genes()).map(|g| gene_state_for(append.gene(g).to_vec(), basis)),
             );
             let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
-            let pairs = pair_frontier(state.gene_count(), genes.len());
             Ok(PreparedUpdate {
                 names,
                 samples: state.samples,
                 prepared,
                 genes,
-                pairs,
+                first_new: state.gene_count(),
                 appended: append.genes(),
-                base_pooled: state.pooled,
-                base_candidates: state.candidates.clone(),
-                base_joints: state.joints,
+                base: state.scan.clone(),
             })
         }
         UpdateMode::Samples => {
@@ -499,32 +424,87 @@ fn prepare_update(
                 })
                 .collect();
             let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
-            let pairs = pair_frontier(0, genes.len());
             Ok(PreparedUpdate {
                 names: state.names.clone(),
                 samples: m_old + append.samples(),
                 prepared,
                 genes,
-                pairs,
+                first_new: 0,
                 appended: append.samples(),
-                base_pooled: PooledNull::new(),
-                base_candidates: Vec::new(),
-                base_joints: 0,
+                base: NullScan::default(),
             })
         }
     }
 }
 
-fn finish_update(
+/// Run an update's tile scan from `resume_from` (or from the update's
+/// base evidence, as progress bound to `digest`) in chunks of
+/// `chunk_tiles`, calling `after_chunk` with the progress and the pairs it
+/// covers after each chunk short of the last, then assemble the updated
+/// state.
+#[allow(clippy::too_many_arguments)]
+fn run_update(
     state: &NetworkState,
-    pu: PreparedUpdate,
-    acc: ScanAcc,
+    append: &ExpressionMatrix,
     mode: UpdateMode,
     flaws: UpdateFlaws,
-    scanned: u64,
-    resumed: u64,
-) -> (NetworkState, UpdateStats) {
-    let joints = acc.joints;
+    digest: u64,
+    resume_from: Option<Checkpoint>,
+    chunk_tiles: usize,
+    rec: &Recorder,
+    mut after_chunk: impl FnMut(&Checkpoint, u64) -> Result<(), StateError>,
+) -> Result<(NetworkState, UpdateStats), StateError> {
+    let basis = BsplineBasis::new(state.spline_order, state.bins);
+    let pu = prepare_update(state, append, mode, flaws, &basis)?;
+    let perms = PermutationSet::generate(pu.samples, state.permutations, state.seed);
+    let config = state.config();
+    let space = tiles_for(&config, &pu.prepared, pu.first_new);
+    let mut tiles = space.tiles();
+    if flaws.skip_last_tile {
+        tiles = &tiles[..tiles.len() - 1];
+    }
+    let scan = TileScan {
+        tiles,
+        prepared: &pu.prepared,
+        perms: &perms,
+        basis: &basis,
+        config: &config,
+    };
+    let resuming = resume_from.is_some();
+    let mut progress = resume_from.unwrap_or(Checkpoint {
+        digest,
+        tiles_done: 0,
+        scan: pu.base,
+    });
+    if progress.tiles_done > tiles.len() {
+        return Err(StateError::Append {
+            reason: format!(
+                "progress covers {} tiles; this update has {}",
+                progress.tiles_done,
+                tiles.len()
+            ),
+        });
+    }
+    let resumed = scan.pairs_in(progress.tiles_done);
+    if resuming {
+        rec.event(
+            names::EVT_RESUMED,
+            &[
+                ("pairs_done", Value::from(resumed)),
+                ("mode", Value::from(mode.name())),
+            ],
+        );
+        rec.counter_add(names::CNT_RESUMES, 1);
+    }
+    scan.run(&mut progress, chunk_tiles, rec, |cp| {
+        if cp.tiles_done < tiles.len() {
+            after_chunk(cp, scan.pairs_in(cp.tiles_done))
+        } else {
+            Ok(())
+        }
+    })?;
+    let scanned = scan.pairs_in(tiles.len()) - resumed;
+
     let next = NetworkState {
         bins: state.bins,
         spline_order: state.spline_order,
@@ -536,18 +516,19 @@ fn finish_update(
         names: pu.names,
         samples: pu.samples,
         genes: pu.genes,
-        pooled: if flaws.keep_stale_pooled {
-            state.pooled
+        scan: if flaws.keep_stale_pooled {
+            NullScan {
+                pooled: state.scan.pooled,
+                ..progress.scan
+            }
         } else {
-            acc.pooled
+            progress.scan
         },
-        joints,
-        candidates: acc.candidates,
     };
-    // A mutated engine can drop the only frontier pair and leave no
+    // A mutated engine can drop the only frontier tile and leave no
     // pooled evidence to derive a threshold from; report NaN instead of
     // panicking so the conformance oracle can still diff the states.
-    let threshold = if next.mi_threshold.is_some() || next.pooled.count() >= 2 {
+    let threshold = if next.mi_threshold.is_some() || next.scan.pooled.count() >= 2 {
         next.threshold()
     } else {
         f64::NAN
@@ -557,10 +538,10 @@ fn finish_update(
         appended: pu.appended,
         pairs_scanned: scanned,
         pairs_resumed: resumed,
-        joints,
+        joints: next.scan.joints,
         threshold,
     };
-    (next, stats)
+    Ok((next, stats))
 }
 
 fn apply_update_flawed(
@@ -569,30 +550,17 @@ fn apply_update_flawed(
     mode: UpdateMode,
     flaws: UpdateFlaws,
 ) -> Result<(NetworkState, UpdateStats), StateError> {
-    let basis = BsplineBasis::new(state.spline_order, state.bins);
-    let mut pu = prepare_update(state, append, mode, flaws, &basis)?;
-    if flaws.skip_last_pair {
-        pu.pairs.pop();
-    }
-    let perms = PermutationSet::generate(pu.samples, state.permutations, state.seed);
-    let mut acc = ScanAcc {
-        pooled: pu.base_pooled,
-        candidates: pu.base_candidates.clone(),
-        joints: pu.base_joints,
-        done: 0,
-    };
-    let scanned = pu.pairs.len() as u64;
-    scan_pairs(
-        &pu.prepared,
-        &perms,
-        state.kernel,
-        state.mi_threshold,
-        &basis,
-        &pu.pairs,
-        &mut acc,
-        |_| Ok(()),
-    )?;
-    Ok(finish_update(state, pu, acc, mode, flaws, scanned, 0))
+    run_update(
+        state,
+        append,
+        mode,
+        flaws,
+        0,
+        None,
+        usize::MAX,
+        &Recorder::disabled(),
+        |_, _| Ok(()),
+    )
 }
 
 /// Apply an append in memory, producing the updated state and what it
@@ -647,13 +615,13 @@ pub fn update_digest(state: &NetworkState, append: &ExpressionMatrix, mode: Upda
 }
 
 /// Durable `gnet update`: load the bundle from `store`, apply the append
-/// with progress checkpointed every `chunk_pairs` evaluated pairs, save
-/// the updated bundle, and clear the progress file.
+/// with progress checkpointed every `chunk_tiles` scanned tiles, save the
+/// updated bundle, and clear the progress file.
 ///
 /// With `resume`, a progress file matching this exact update (state +
-/// append + mode, via [`update_digest`]) restores the scan prefix
+/// append + mode, via [`update_digest`]) restores the scanned tile prefix
 /// bit-exactly; a progress file for a *different* update is rejected as
-/// [`StateError::StaleProgress`]. `chunk_pairs == 0` disables
+/// [`StateError::StaleProgress`]. `chunk_tiles == 0` disables
 /// intermediate progress.
 ///
 /// # Errors
@@ -666,7 +634,7 @@ pub fn update_durable(
     store: &StateStore,
     append: &ExpressionMatrix,
     mode: Option<UpdateMode>,
-    chunk_pairs: usize,
+    chunk_tiles: usize,
     resume: bool,
     rec: &Recorder,
 ) -> Result<(NetworkState, UpdateStats), StateError> {
@@ -686,78 +654,34 @@ pub fn update_durable(
         None
     };
 
-    let basis = BsplineBasis::new(state.spline_order, state.bins);
-    let pu = prepare_update(&state, append, mode, UpdateFlaws::default(), &basis)?;
-    let perms = PermutationSet::generate(pu.samples, state.permutations, state.seed);
-
-    let mut acc = match &progress {
-        Some(p) => {
-            rec.event(
-                names::EVT_RESUMED,
-                &[
-                    ("pairs_done", Value::from(p.pairs_done)),
-                    ("mode", Value::from(mode.name())),
-                ],
-            );
-            rec.counter_add(names::CNT_RESUMES, 1);
-            ScanAcc {
-                pooled: p.pooled,
-                candidates: p.candidates.clone(),
-                joints: p.joints,
-                done: p.pairs_done,
-            }
-        }
-        None => ScanAcc {
-            pooled: pu.base_pooled,
-            candidates: pu.base_candidates.clone(),
-            joints: pu.base_joints,
-            done: 0,
-        },
-    };
-    let resumed = acc.done;
     let injector = store.injector().clone();
-    let chunk = chunk_pairs as u64;
-
-    scan_pairs(
-        &pu.prepared,
-        &perms,
-        state.kernel,
-        state.mi_threshold,
-        &basis,
-        &pu.pairs,
-        &mut acc,
-        |acc| {
-            if chunk == 0 || acc.done % chunk != 0 {
-                return Ok(());
-            }
-            store.save_progress(&UpdateProgress {
-                update_digest: digest,
-                mode: mode.tag(),
-                pairs_done: acc.done,
-                joints: acc.joints,
-                pooled: acc.pooled,
-                candidates: acc.candidates.clone(),
-            })?;
-            let boundary = (acc.done / chunk) as usize;
+    let mut boundary = 0usize;
+    let (next, stats) = run_update(
+        &state,
+        append,
+        mode,
+        UpdateFlaws::default(),
+        digest,
+        progress,
+        if chunk_tiles == 0 {
+            usize::MAX
+        } else {
+            chunk_tiles
+        },
+        rec,
+        |cp, pairs_done| {
+            store.save_progress(cp)?;
+            rec.event(
+                "update.progress_saved",
+                &[("pairs_done", Value::from(pairs_done))],
+            );
+            boundary += 1;
             if injector.should_crash_at_update_boundary(boundary) {
-                return Err(StateError::Interrupted {
-                    pairs_done: acc.done,
-                });
+                return Err(StateError::Interrupted { pairs_done });
             }
             Ok(())
         },
     )?;
-
-    let total = pu.pairs.len() as u64;
-    let (next, stats) = finish_update(
-        &state,
-        pu,
-        acc,
-        mode,
-        UpdateFlaws::default(),
-        total - resumed,
-        resumed,
-    );
     store.save(&next)?;
     store.clear_progress()?;
     rec.event(
@@ -794,9 +718,20 @@ mod tests {
     fn cfg() -> InferenceConfig {
         InferenceConfig {
             permutations: 6,
-            threads: Some(1),
+            threads: Some(2),
             ..InferenceConfig::default()
         }
+    }
+
+    /// 12 genes at m = 3,000: the cache rule tiles them 6 wide, so an
+    /// append of the last 4 onto the first 8 has three frontier tiles
+    /// (24, 8 and 6 pairs).
+    fn multi_tile_append(seed: u64) -> (ExpressionMatrix, NetworkState, ExpressionMatrix) {
+        let (full, _) = coupled_pairs(6, 3_000, Coupling::Linear(0.9), seed);
+        let old = full.select_genes(&(0..8).collect::<Vec<_>>());
+        let append = full.select_genes(&(8..12).collect::<Vec<_>>());
+        let state = build_state(&old, &cfg());
+        (full, state, append)
     }
 
     /// Columns `from..` of `matrix` as their own matrix, names preserved.
@@ -871,7 +806,40 @@ mod tests {
                 assert_eq!(a.key(), b.key(), "{policy:?}");
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{policy:?}");
             }
-            assert!((updated.threshold() - batch.stats.threshold).abs() < 1e-9);
+            assert_eq!(
+                updated.threshold().to_bits(),
+                batch.stats.threshold.to_bits(),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_state_is_bitwise_at_any_thread_count_policy_and_tiling() {
+        let (matrix, _) = coupled_pairs(4, 120, Coupling::Linear(0.85), 37);
+        let with = |threads, scheduler, tile_size| InferenceConfig {
+            threads: Some(threads),
+            scheduler,
+            tile_size,
+            ..cfg()
+        };
+        let reference = build_state(&matrix, &with(1, SchedulerPolicy::StaticBlock, None));
+        let batch = infer_network(&matrix, &with(2, SchedulerPolicy::DynamicCounter, Some(3)));
+        assert_eq!(
+            reference.threshold().to_bits(),
+            batch.stats.threshold.to_bits()
+        );
+        assert!(reference.scan.candidates.is_sorted_by_key(|c| (c.0, c.1)));
+        for threads in [1, 2, 3] {
+            for policy in SchedulerPolicy::ALL {
+                for tile_size in [Some(2), None] {
+                    let state = build_state(&matrix, &with(threads, policy, tile_size));
+                    assert_eq!(
+                        state, reference,
+                        "{threads} threads, {policy:?}, {tile_size:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -941,10 +909,7 @@ mod tests {
 
     #[test]
     fn durable_update_survives_a_boundary_kill_bit_identically() {
-        let (full, _) = coupled_pairs(3, 60, Coupling::Linear(0.9), 23);
-        let old = full.select_genes(&[0, 1, 2, 3]);
-        let append = full.select_genes(&[4, 5]);
-        let state = build_state(&old, &cfg());
+        let (_, state, append) = multi_tile_append(23);
         let dir = tmpdir("kill");
 
         // Uninterrupted reference.
@@ -956,17 +921,22 @@ mod tests {
             StateStore::with_faults(&dir, FaultInjector::from_plan_traced(&plan, &rec), &rec);
         store.save(&state).expect("seed state saved");
         let err =
-            update_durable(&store, &append, None, 2, false, &rec).expect_err("injected kill fires");
-        assert!(matches!(err, StateError::Interrupted { pairs_done: 4 }));
+            update_durable(&store, &append, None, 1, false, &rec).expect_err("injected kill fires");
+        // Two of the three frontier tiles (24 + 8 pairs) were persisted.
+        assert!(
+            matches!(err, StateError::Interrupted { pairs_done: 32 }),
+            "{err}"
+        );
+        assert_eq!(rec.event_count("update.progress_saved"), 2);
 
         // Resume in a fresh process: disarmed injector, same directory.
         let rec2 = Recorder::enabled();
         let store2 = StateStore::with_faults(&dir, FaultInjector::none(), &rec2);
         let (resumed, stats) =
-            update_durable(&store2, &append, None, 2, true, &rec2).expect("resume completes");
+            update_durable(&store2, &append, None, 1, true, &rec2).expect("resume completes");
         assert_eq!(resumed, reference);
-        assert_eq!(stats.pairs_resumed, 4);
-        assert_eq!(stats.pairs_scanned, 9 - 4);
+        assert_eq!(stats.pairs_resumed, 32);
+        assert_eq!(stats.pairs_scanned, 38 - 32);
         assert_eq!(rec2.counter(names::CNT_RESUMES), Some(1));
         // The landed bundle reloads to the same bits, and progress is gone.
         assert_eq!(store2.load().expect("bundle reloads"), reference);
@@ -978,29 +948,26 @@ mod tests {
 
     #[test]
     fn resume_rejects_progress_from_a_different_update() {
-        let (full, _) = coupled_pairs(3, 60, Coupling::Linear(0.9), 31);
-        let old = full.select_genes(&[0, 1, 2, 3]);
-        let append = full.select_genes(&[4, 5]);
-        let state = build_state(&old, &cfg());
+        let (full, state, append) = multi_tile_append(31);
         let dir = tmpdir("stale");
 
         let plan = FaultPlan::parse("seed=1;update-crash(boundary=1)").expect("plan parses");
         let store =
             StateStore::with_faults(&dir, FaultInjector::from_plan(&plan), &Recorder::disabled());
         store.save(&state).expect("seed state saved");
-        update_durable(&store, &append, None, 3, false, &Recorder::disabled())
+        update_durable(&store, &append, None, 1, false, &Recorder::disabled())
             .expect_err("injected kill fires");
 
         // Resuming with *different* appended data must refuse the file.
-        let other = full.select_genes(&[5, 4]);
+        let other = full.select_genes(&[9, 8, 10, 11]);
         let store2 = StateStore::new(&dir);
         assert!(matches!(
-            update_durable(&store2, &other, None, 3, true, &Recorder::disabled()),
+            update_durable(&store2, &other, None, 1, true, &Recorder::disabled()),
             Err(StateError::StaleProgress { .. })
         ));
         // Restarting without resume ignores it and lands the update.
         let (fresh, stats) =
-            update_durable(&store2, &append, None, 3, false, &Recorder::disabled())
+            update_durable(&store2, &append, None, 1, false, &Recorder::disabled())
                 .expect("fresh run completes");
         assert_eq!(stats.pairs_resumed, 0);
         let (reference, _) = apply_update(&state, &append, UpdateMode::Genes).expect("reference");
@@ -1032,7 +999,6 @@ mod tests {
 
         let config = InferenceConfig {
             permutations: 4,
-            threads: Some(1),
             ..InferenceConfig::default()
         };
         let state = build_state(&old, &config);

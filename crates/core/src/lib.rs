@@ -38,6 +38,7 @@ pub mod mi_matrix;
 pub mod pipeline;
 pub mod plan;
 pub mod result;
+pub mod scan;
 pub mod state;
 
 pub use checkpoint::{
@@ -54,4 +55,5 @@ pub use mi_matrix::{compute_mi_matrix, MiMatrix};
 pub use pipeline::{infer_network, infer_network_traced};
 pub use plan::MemoryPlan;
 pub use result::{InferenceResult, RunStats};
-pub use state::{GeneState, NetworkState, StateError, StateStore, UpdateProgress};
+pub use scan::{scan_tile, NullScan};
+pub use state::{GeneState, NetworkState, StateError, StateStore};

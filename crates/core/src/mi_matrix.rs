@@ -8,7 +8,7 @@
 //! [`gnet_parallel::pair_index`].
 
 use crate::config::InferenceConfig;
-use crate::pipeline::for_each_planned_pair;
+use crate::scan::{for_each_planned_pair, tile_genes};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{prepare_gene, MiScratch, PreparedGene};
@@ -90,14 +90,16 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
         SchedulerPolicy::DynamicCounter,
         |_tid| (MiScratch::for_basis(&basis), Vec::<(u32, u32, f32)>::new()),
         |(scratch, out), tile| {
+            let (rows, cols) = tile_genes(tile, &prepared);
             for_each_planned_pair(
                 tile,
-                &prepared,
+                rows,
+                cols,
                 &[],
                 kernel,
                 scratch,
-                |row, i, j, y_dense| {
-                    let v = row.mi(&prepared[j as usize], y_dense);
+                |row, i, j, y, y_dense| {
+                    let v = row.mi(y, y_dense);
                     out.push((i, j, v as f32));
                 },
             );

@@ -2,45 +2,114 @@
 
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use gnet_bspline::{BsplineBasis, DenseWeights};
+use crate::scan::{for_each_planned_pair, tile_genes, Checkpoint, NullScan, TileScan};
+use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_graph::{Edge, GeneNetwork};
-use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PlannedRow, PreparedGene};
-use gnet_parallel::{execute_tiles_traced, Tile, TileSpace};
+use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
+use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile, TileSpace};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::Recorder;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A pair that beat all of its own permutation nulls, awaiting the global
-/// threshold.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Candidate {
-    pub(crate) i: u32,
-    pub(crate) j: u32,
-    pub(crate) observed: f64,
+/// Everything a shared-memory run derives from the matrix before any pair
+/// is evaluated: the B-spline basis, every prepared gene, the shared
+/// permutations, and the tiling.
+pub(crate) struct PreparedRun {
+    pub(crate) basis: BsplineBasis,
+    pub(crate) genes: Vec<PreparedGene>,
+    pub(crate) perms: PermutationSet,
+    pub(crate) space: TileSpace,
 }
 
-/// Per-thread worker state: kernel scratch (which holds the current tile
-/// row's plan), the mergeable pooled-null accumulator, and this thread's
-/// candidate edges.
-pub(crate) struct ThreadState {
-    pub(crate) scratch: MiScratch,
-    pub(crate) pooled: PooledNull,
-    pub(crate) candidates: Vec<Candidate>,
-    pub(crate) joints: u64,
-}
-
-impl ThreadState {
-    /// Fresh state around a kernel scratch (in-memory and checkpointed
-    /// runs share this worker).
-    pub(crate) fn new(scratch: MiScratch) -> Self {
+impl PreparedRun {
+    /// Prepare every gene of `matrix` and tile its pair space.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration or fewer than two genes.
+    pub(crate) fn new(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Self {
+        config.validate();
+        assert!(
+            matrix.genes() >= 2,
+            "need at least two genes to infer a network"
+        );
+        let basis = BsplineBasis::new(config.spline_order, config.bins);
+        let genes: Vec<PreparedGene> = (0..matrix.genes())
+            .map(|g| prepare_gene(matrix.gene(g), &basis))
+            .collect();
+        let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
+        let tile_size = config.resolved_tile_size(matrix.genes(), genes[0].heap_bytes());
+        let space = TileSpace::new(matrix.genes(), tile_size);
         Self {
-            scratch,
-            pooled: PooledNull::new(),
-            candidates: Vec::new(),
-            joints: 0,
+            basis,
+            genes,
+            perms,
+            space,
         }
     }
+
+    /// The exact-null scan of this run's tiles under `config`.
+    pub(crate) fn scan<'a>(&'a self, config: &'a InferenceConfig) -> TileScan<'a> {
+        TileScan {
+            tiles: self.space.tiles(),
+            prepared: &self.genes,
+            perms: &self.perms,
+            basis: &self.basis,
+            config,
+        }
+    }
+}
+
+/// The network of the candidates above `threshold`.
+pub(crate) fn network_above(
+    matrix: &ExpressionMatrix,
+    candidates: &[(u32, u32, f64)],
+    threshold: f64,
+) -> GeneNetwork {
+    GeneNetwork::from_edges(
+        matrix.genes(),
+        matrix.gene_names().to_vec(),
+        candidates
+            .iter()
+            .filter(|c| c.2 > threshold)
+            .map(|&(i, j, v)| Edge::new(i, j, v as f32)),
+    )
+}
+
+/// Finalize a run: resolve `I*` (`threshold` when given, else the
+/// explicit threshold, else the pooled one), apply it, and assemble the
+/// statistics. `stage_times` holds the prep and MI stage durations; the
+/// finalize stage is timed here.
+pub(crate) fn finish_run(
+    matrix: &ExpressionMatrix,
+    config: &InferenceConfig,
+    run: &PreparedRun,
+    scan: &NullScan,
+    threshold: Option<f64>,
+    stage_times: [Duration; 2],
+    execution: ExecutionReport,
+) -> InferenceResult {
+    let t0 = Instant::now();
+    let pairs = run.space.total_pairs();
+    let threshold = threshold
+        .or(config.mi_threshold)
+        .unwrap_or_else(|| scan.pooled.global_threshold(config.alpha, pairs.max(1)));
+    let network = network_above(matrix, &scan.candidates, threshold);
+    let stats = RunStats {
+        prep_time: stage_times[0],
+        mi_time: stage_times[1],
+        finalize_time: t0.elapsed(),
+        pairs,
+        candidates: scan.candidates.len() as u64,
+        joints_evaluated: scan.joints,
+        threshold,
+        null_mean: scan.pooled.mean(),
+        null_sd: scan.pooled.std_dev(),
+        tile_size: run.space.tile_size(),
+        threads: config.resolved_threads(),
+        execution,
+    };
+    InferenceResult { network, stats }
 }
 
 /// SplitMix64 — a tiny seeded generator for the threshold pre-pass pair
@@ -176,31 +245,16 @@ pub fn infer_network_traced(
     config: &InferenceConfig,
     rec: &Recorder,
 ) -> InferenceResult {
-    config.validate();
-    assert!(
-        matrix.genes() >= 2,
-        "need at least two genes to infer a network"
-    );
-
     // ---- Stage 1+2: preprocess and prepare every gene -------------------
     let t0 = Instant::now();
     let span_prep = rec.span("stage.prep");
-    let basis = BsplineBasis::new(config.spline_order, config.bins);
-    let prepared: Vec<PreparedGene> = (0..matrix.genes())
-        .map(|g| prepare_gene(matrix.gene(g), &basis))
-        .collect();
-    let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
+    let run = PreparedRun::new(matrix, config);
     drop(span_prep);
     let prep_time = t0.elapsed();
 
     // ---- Stage 3: tiled pairwise MI + permutation nulls ------------------
     let t1 = Instant::now();
     let span_mi = rec.span("stage.mi");
-    let bytes_per_gene = prepared[0].heap_bytes();
-    let tile_size = config.resolved_tile_size(matrix.genes(), bytes_per_gene);
-    let threads = config.resolved_threads();
-    let space = TileSpace::new(matrix.genes(), tile_size);
-
     // Run-shape stamp: everything offline perf attribution needs to match
     // this run against a calibrated kernel model (see `gnet trace-report`).
     rec.event(
@@ -217,220 +271,126 @@ pub fn infer_network_traced(
                 }
                 .into(),
             ),
-            ("threads", threads.into()),
-            ("tile_size", tile_size.into()),
+            ("threads", config.resolved_threads().into()),
+            ("tile_size", run.space.tile_size().into()),
             ("scheduler", config.scheduler.name().into()),
         ],
     );
+    let (scan, early_threshold, execution) = match config.null_strategy {
+        NullStrategy::ExactFull => {
+            let mut progress = Checkpoint {
+                digest: 0,
+                tiles_done: 0,
+                scan: NullScan::default(),
+            };
+            let execution = run
+                .scan(config)
+                .run(&mut progress, usize::MAX, rec, |_| {
+                    Ok::<(), std::convert::Infallible>(())
+                })
+                .unwrap_or_else(|never| match never {});
+            (progress.scan, None, execution)
+        }
+        NullStrategy::EarlyExit => {
+            let (scan, threshold, execution) = early_exit_scan(config, &run, rec);
+            (scan, Some(threshold), execution)
+        }
+    };
+    drop(span_mi);
+    let mi_time = t1.elapsed();
 
-    // Early-insert filtering: with an explicit threshold the per-pair
-    // decision is final, so candidates below it are dropped immediately.
-    let explicit_threshold = config.mi_threshold;
+    // ---- Stage 4: pooled threshold + candidate filtering -----------------
+    let span_finalize = rec.span("stage.finalize");
+    let result = finish_run(
+        matrix,
+        config,
+        &run,
+        &scan,
+        early_threshold,
+        [prep_time, mi_time],
+        execution,
+    );
+    let stats = &result.stats;
+    if rec.is_enabled() {
+        rec.counter_add("mi.pairs", stats.pairs);
+        rec.counter_add("mi.joints_evaluated", stats.joints_evaluated);
+        rec.counter_add("mi.candidates", stats.candidates);
+        if early_threshold.is_some() {
+            rec.counter_add("mi.early_exit_survivors", stats.candidates);
+            rec.counter_add("mi.early_exit_pruned", stats.pairs - stats.candidates);
+        }
+        rec.event(
+            "pipeline.done",
+            &[
+                ("pairs", stats.pairs.into()),
+                ("edges", (result.network.edge_count() as u64).into()),
+                ("threshold", stats.threshold.into()),
+            ],
+        );
+    }
+    drop(span_finalize);
+    result
+}
 
-    let kernel = config.kernel;
-    let strategy = config.null_strategy;
-    let prepared_ref = &prepared;
-    let perms_ref = &perms;
-    let basis_ref = &basis;
-
-    // The early-exit strategy needs the global threshold *before* the main
-    // pass: explicit if given, otherwise estimated from sampled pairs.
-    let mut prepass_pooled: Option<PooledNull> = None;
-    let early_threshold: Option<f64> = match (strategy, explicit_threshold) {
-        (NullStrategy::EarlyExit, Some(t)) => Some(t),
-        (NullStrategy::EarlyExit, None) => {
+/// The early-exit strategy's MI stage: resolve the threshold first —
+/// explicit, or estimated by a full-null pre-pass over sampled pairs —
+/// then scan every tile with nulls skipped below it and abandoned at the
+/// first exceedance. The returned evidence holds the pre-pass's pooled
+/// null (empty with an explicit threshold).
+fn early_exit_scan(
+    config: &InferenceConfig,
+    run: &PreparedRun,
+    rec: &Recorder,
+) -> (NullScan, f64, ExecutionReport) {
+    let (threshold, pooled) = match config.mi_threshold {
+        Some(t) => (t, PooledNull::new()),
+        None => {
             // `.max(2)` must come *before* `.min(total_pairs)`: the old
             // order could force `sample > total_pairs` on a 2-gene matrix,
             // which the deduplicating sampler could never satisfy.
             let sample = config
                 .null_sample_pairs
                 .max(2)
-                .min(space.total_pairs() as usize);
+                .min(run.space.total_pairs() as usize);
             rec.counter_add("mi.prepass_pairs", sample as u64);
-            let (t, pooled) = estimate_threshold(
-                &prepared,
-                &perms,
-                kernel,
-                &basis,
+            estimate_threshold(
+                &run.genes,
+                &run.perms,
+                config.kernel,
+                &run.basis,
                 sample,
-                space.total_pairs(),
+                run.space.total_pairs(),
                 config.alpha,
                 config.seed,
-            );
-            prepass_pooled = Some(pooled);
-            Some(t)
+            )
         }
-        (NullStrategy::ExactFull, _) => None,
     };
-
     let (states, execution) = execute_tiles_traced(
-        space.tiles(),
-        threads,
+        run.space.tiles(),
+        config.resolved_threads(),
         config.scheduler,
-        |_tid| ThreadState::new(MiScratch::for_basis(basis_ref)),
-        |state, tile| match strategy {
-            NullStrategy::ExactFull => {
-                process_tile(
-                    tile,
-                    prepared_ref,
-                    perms_ref,
-                    kernel,
-                    explicit_threshold,
-                    state,
-                );
-            }
-            NullStrategy::EarlyExit => {
-                process_tile_early_exit(
-                    tile,
-                    prepared_ref,
-                    perms_ref,
-                    kernel,
-                    early_threshold.expect("early-exit threshold resolved above"),
-                    state,
-                );
-            }
+        |_tid| (MiScratch::for_basis(&run.basis), NullScan::default()),
+        |(scratch, acc), tile| {
+            process_tile_early_exit(
+                tile,
+                &run.genes,
+                &run.perms,
+                config.kernel,
+                threshold,
+                scratch,
+                acc,
+            );
         },
         rec,
     );
-    drop(span_mi);
-    let mi_time = t1.elapsed();
-
-    // ---- Stage 4: pooled threshold + candidate filtering -----------------
-    let t2 = Instant::now();
-    let span_finalize = rec.span("stage.finalize");
-    let mut pooled = prepass_pooled.unwrap_or_default();
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut joints_evaluated = 0u64;
-    for s in states {
-        pooled.merge(&s.pooled);
-        candidates.extend(s.candidates);
-        joints_evaluated += s.joints;
-    }
-    let pairs = space.total_pairs();
-    let threshold = match (early_threshold, explicit_threshold) {
-        (Some(t), _) => t,
-        (None, Some(t)) => t,
-        (None, None) => pooled.global_threshold(config.alpha, pairs.max(1)),
-    };
-    let candidate_count = candidates.len() as u64;
-
-    let edges = candidates
-        .into_iter()
-        .filter(|c| c.observed > threshold)
-        .map(|c| Edge::new(c.i, c.j, c.observed as f32));
-    let network = GeneNetwork::from_edges(matrix.genes(), matrix.gene_names().to_vec(), edges);
-    if rec.is_enabled() {
-        rec.counter_add("mi.pairs", pairs);
-        rec.counter_add("mi.joints_evaluated", joints_evaluated);
-        rec.counter_add("mi.candidates", candidate_count);
-        if matches!(strategy, NullStrategy::EarlyExit) {
-            rec.counter_add("mi.early_exit_survivors", candidate_count);
-            rec.counter_add("mi.early_exit_pruned", pairs - candidate_count);
-        }
-        rec.event(
-            "pipeline.done",
-            &[
-                ("pairs", pairs.into()),
-                ("edges", (network.edge_count() as u64).into()),
-                ("threshold", threshold.into()),
-            ],
-        );
-    }
-    drop(span_finalize);
-    let finalize_time = t2.elapsed();
-
-    let stats = RunStats {
-        prep_time,
-        mi_time,
-        finalize_time,
-        pairs,
-        candidates: candidate_count,
-        joints_evaluated,
-        threshold,
-        null_mean: pooled.mean(),
-        null_sd: if pooled.count() >= 2 {
-            pooled.std_dev()
-        } else {
-            0.0
-        },
-        tile_size,
-        threads,
-        execution,
-    };
-    InferenceResult { network, stats }
-}
-
-/// The tile's column genes expanded into the dense layout, once per tile
-/// (vector kernel only; the scalar kernel reads no expansion).
-fn dense_columns(tile: &Tile, prepared: &[PreparedGene], kernel: MiKernel) -> Vec<DenseWeights> {
-    match kernel {
-        MiKernel::VectorDense => (tile.col_start..tile.col_end)
-            .map(|j| prepared[j as usize].to_dense())
-            .collect(),
-        MiKernel::ScalarSparse => Vec::new(),
-    }
-}
-
-/// Visit the tile's pairs in row-major order through each row gene's
-/// [`PlannedRow`], planned once before the row's first pair. The visitor
-/// gets the planned row, the pair, and the column gene's dense expansion.
-pub(crate) fn for_each_planned_pair(
-    tile: &Tile,
-    prepared: &[PreparedGene],
-    perms: &[Vec<u32>],
-    kernel: MiKernel,
-    scratch: &mut MiScratch,
-    mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, Option<&DenseWeights>),
-) {
-    let dense = dense_columns(tile, prepared, kernel);
-    for i in tile.row_start..tile.row_end {
-        let cols = tile.row_columns(i);
-        if cols.is_empty() {
-            continue;
-        }
-        let mut row = scratch.plan_row(kernel, &prepared[i as usize], perms);
-        for j in cols {
-            visit(&mut row, i, j, dense.get((j - tile.col_start) as usize));
-        }
-    }
-}
-
-/// Process one tile: expand the tile's column genes into the dense layout
-/// once (vector kernel only), plan each row gene once, then evaluate every
-/// pair with its nulls.
-pub(crate) fn process_tile(
-    tile: &Tile,
-    prepared: &[PreparedGene],
-    perms: &PermutationSet,
-    kernel: MiKernel,
-    explicit_threshold: Option<f64>,
-    state: &mut ThreadState,
-) {
-    let ThreadState {
-        scratch,
+    let mut scan = NullScan {
         pooled,
-        candidates,
-        joints,
-    } = state;
-    for_each_planned_pair(
-        tile,
-        prepared,
-        perms.as_vecs(),
-        kernel,
-        scratch,
-        |row, i, j, y_dense| {
-            let res = row.mi_with_nulls(&prepared[j as usize], y_dense);
-            *joints += 1 + res.null.len() as u64;
-            pooled.extend(&res.null);
-            if res.exceed_count() == 0 && explicit_threshold.is_none_or(|t| res.observed > t) {
-                candidates.push(Candidate {
-                    i,
-                    j,
-                    observed: res.observed,
-                });
-            }
-        },
-    );
+        ..NullScan::default()
+    };
+    for (_, acc) in states {
+        scan.merge(acc);
+    }
+    (scan, threshold, execution)
 }
 
 /// Early-exit tile processing: nulls are skipped below the global
@@ -443,29 +403,22 @@ fn process_tile_early_exit(
     perms: &PermutationSet,
     kernel: MiKernel,
     threshold: f64,
-    state: &mut ThreadState,
+    scratch: &mut MiScratch,
+    acc: &mut NullScan,
 ) {
-    let ThreadState {
-        scratch,
-        candidates,
-        joints,
-        ..
-    } = state;
+    let (rows, cols) = tile_genes(tile, prepared);
     for_each_planned_pair(
         tile,
-        prepared,
+        rows,
+        cols,
         perms.as_vecs(),
         kernel,
         scratch,
-        |row, i, j, y_dense| {
-            let res = row.mi_with_nulls_early_exit(&prepared[j as usize], y_dense, threshold);
-            *joints += u64::from(res.joints_evaluated);
+        |row, i, j, y, y_dense| {
+            let res = row.mi_with_nulls_early_exit(y, y_dense, threshold);
+            acc.joints += u64::from(res.joints_evaluated);
             if res.survived {
-                candidates.push(Candidate {
-                    i,
-                    j,
-                    observed: res.observed,
-                });
+                acc.candidates.push((i, j, res.observed));
             }
         },
     );

@@ -4,13 +4,13 @@
 //! network must keep the intermediate artifacts the incremental engine
 //! reuses ([`crate::incremental`]): the raw expression snapshot, each
 //! gene's `(value, index)` sort order and B-spline weight matrix, the
-//! candidate set with exact MI values, and the pooled-null moments. This
+//! candidate set with exact MI values, and the pooled null. This
 //! module persists all of that as a single `GNETSTA` bundle following the
 //! GNETCKP codec conventions from [`crate::durable`] — schema tag +
 //! version, FNV-1a64 integrity digest, bounds-checked decoding with typed
 //! errors, atomic temp-file + `fsync` + rename writes.
 //!
-//! ## File schema v1
+//! ## File schema v3
 //!
 //! All integers little-endian; f64/f32 stored as raw IEEE-754 bits so a
 //! reloaded state is **bit-identical** to the in-memory one:
@@ -18,7 +18,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETSTA\x01"
-//! 8       4     version (= 2)
+//! 8       4     version (= 3)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
@@ -36,24 +36,27 @@
 //!            u32 weight order k, u32 weight bins,
 //!            first-bin (m × u16), weights (m·k × f32 bits),
 //!            u64 marginal-entropy bits
-//! u64 pooled.count   u64 pooled.mean bits   u64 pooled.m2 bits
-//! u64 pooled.max bits
+//! 48  pooled null ([`gnet_permute::PooledNull::to_bytes`])
 //! u64 joints
-//! u32 candidate count, then per candidate: u32 i, u32 j, u64 MI bits
+//! u32 candidate count, then per (i, j)-sorted candidate:
+//!     u32 i, u32 j, u64 MI bits
 //! ```
 //!
-//! The sibling progress file (`gnet.update.progress`, magic `GNETUPD`)
-//! captures a *partially applied* update so a chunk-boundary kill during
-//! `gnet update` resumes bit-identically; see [`UpdateProgress`].
+//! The sibling progress file (`gnet.update.progress`, magic `GNETUPD`,
+//! same header) captures a *partially applied* update so a chunk-boundary
+//! kill during `gnet update` resumes bit-identically. Its payload is a
+//! GNETCKP payload ([`crate::durable`]) whose digest is the update's
+//! [`crate::update_digest`] and whose prefix counts frontier tiles.
 
+use crate::checkpoint::Checkpoint;
 use crate::config::InferenceConfig;
-use crate::durable::{fnv1a64, write_durably, Reader};
+use crate::durable::{decode_payload, encode_payload, fnv1a64, write_durably, Reader};
+use crate::scan::NullScan;
 use gnet_bspline::SparseWeights;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, IoOp};
 use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::MiKernel;
-use gnet_permute::PooledNull;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
 use std::fs::{self, File};
@@ -62,9 +65,9 @@ use std::path::PathBuf;
 
 const MAGIC: [u8; 8] = *b"GNETSTA\x01";
 const PROGRESS_MAGIC: [u8; 8] = *b"GNETUPD\x01";
-/// v2: accumulators summed by the run-blocked accumulation kernel. Merging
-/// a v1 state into an update could not be bit-identical to a batch run.
-const VERSION: u32 = 2;
+/// v3: the pooled null as exact fixed-point sums. A v2 state carries
+/// Welford moments, which an update could not extend exactly.
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 28;
 
 /// Name of the state bundle inside the store directory.
@@ -90,7 +93,7 @@ pub struct GeneState {
 }
 
 /// The complete updatable network state: result-binding configuration,
-/// per-gene artifacts, and the merged pair-scan accumulators.
+/// per-gene artifacts, and the exact-null evidence over every pair.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetworkState {
     /// Histogram bins of the B-spline estimator.
@@ -113,13 +116,9 @@ pub struct NetworkState {
     pub samples: usize,
     /// Per-gene artifacts, in matrix order.
     pub genes: Vec<GeneState>,
-    /// Pooled null moments over every evaluated pair.
-    pub pooled: PooledNull,
-    /// Joint-entropy evaluations performed so far.
-    pub joints: u64,
-    /// Pairs that beat all of their own nulls: `(i, j, observed MI)` with
-    /// `i < j`.
-    pub candidates: Vec<(u32, u32, f64)>,
+    /// Pooled null, joint count and `(i, j)`-sorted candidates over every
+    /// pair.
+    pub scan: NullScan,
 }
 
 impl NetworkState {
@@ -162,6 +161,7 @@ impl NetworkState {
         match self.mi_threshold {
             Some(t) => t,
             None => self
+                .scan
                 .pooled
                 .global_threshold(self.alpha, self.total_pairs().max(1)),
         }
@@ -173,6 +173,7 @@ impl NetworkState {
     pub fn network(&self) -> GeneNetwork {
         let threshold = self.threshold();
         let edges = self
+            .scan
             .candidates
             .iter()
             .filter(|&&(_, _, v)| v > threshold)
@@ -181,8 +182,8 @@ impl NetworkState {
     }
 
     /// The result-binding [`InferenceConfig`] this state was built under
-    /// (execution-shape fields are left at serial defaults — they do not
-    /// affect the result).
+    /// (execution-shape fields — threads, scheduler, tile size — are left
+    /// at their defaults; they do not affect the result).
     #[must_use]
     pub fn config(&self) -> InferenceConfig {
         InferenceConfig {
@@ -193,7 +194,6 @@ impl NetworkState {
             alpha: self.alpha,
             mi_threshold: self.mi_threshold,
             kernel: self.kernel,
-            threads: Some(1),
             ..InferenceConfig::default()
         }
     }
@@ -221,25 +221,6 @@ impl NetworkState {
             .expect("one stored name per gene");
         m
     }
-}
-
-/// Durable progress of a partially applied update: the pair-scan prefix
-/// plus the frontier accumulators over it, restored bitwise on resume.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UpdateProgress {
-    /// Digest binding this progress to (state snapshot, appended data,
-    /// update mode); resuming anything else is rejected.
-    pub update_digest: u64,
-    /// 0 = gene append, 1 = sample append.
-    pub mode: u8,
-    /// Pairs of the canonical scan order fully accounted for below.
-    pub pairs_done: u64,
-    /// Joint evaluations performed over the completed prefix.
-    pub joints: u64,
-    /// Pooled null over the completed prefix (frontier only).
-    pub pooled: PooledNull,
-    /// Candidates found in the completed prefix (frontier only).
-    pub candidates: Vec<(u32, u32, f64)>,
 }
 
 /// Why a network state bundle or update progress file could not be
@@ -294,9 +275,10 @@ pub enum StateError {
     },
     /// The update was interrupted at a progress boundary (an injected
     /// crash) *after* that boundary's progress file was durably written;
-    /// re-running with `resume` continues from `pairs_done`.
+    /// re-running with `resume` continues after the persisted tiles.
     Interrupted {
-        /// Pairs completed and persisted before the interruption.
+        /// Pairs in the tiles completed and persisted before the
+        /// interruption.
         pairs_done: u64,
     },
 }
@@ -398,18 +380,7 @@ fn encode_state(state: &NetworkState) -> Vec<u8> {
         }
         out.extend_from_slice(&g.h_marginal.to_bits().to_le_bytes());
     }
-    let (count, mean, m2, max) = state.pooled.raw_parts();
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&mean.to_bits().to_le_bytes());
-    out.extend_from_slice(&m2.to_bits().to_le_bytes());
-    out.extend_from_slice(&max.to_bits().to_le_bytes());
-    out.extend_from_slice(&state.joints.to_le_bytes());
-    out.extend_from_slice(&(state.candidates.len() as u32).to_le_bytes());
-    for &(i, j, v) in &state.candidates {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&j.to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    state.scan.encode(&mut out);
     out
 }
 
@@ -512,33 +483,7 @@ fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
             h_marginal,
         });
     }
-    let count = r.u64("pooled count")?;
-    let mean = r.f64("pooled mean")?;
-    let m2 = r.f64("pooled m2")?;
-    let max = r.f64("pooled max")?;
-    let joints = r.u64("joints")?;
-    let n = r.u32("candidate count")? as usize;
-    if r.remaining() != n * 16 {
-        return Err(format!(
-            "candidate section length mismatch: {n} candidates declared, \
-             {} bytes remain (need {})",
-            r.remaining(),
-            n * 16
-        ));
-    }
-    let mut candidates = Vec::with_capacity(n);
-    for idx in 0..n {
-        let i = r.u32("candidate gene i")?;
-        let j = r.u32("candidate gene j")?;
-        let v = r.f64("candidate MI")?;
-        if i >= j {
-            return Err(format!("candidate {idx} is not upper-triangular ({i},{j})"));
-        }
-        if j as usize >= genes {
-            return Err(format!("candidate {idx} endpoint {j} out of range"));
-        }
-        candidates.push((i, j, v));
-    }
+    let scan = NullScan::decode(r.rest(), genes as u32)?;
     Ok(NetworkState {
         bins,
         spline_order,
@@ -550,71 +495,7 @@ fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
         names,
         samples,
         genes: gene_states,
-        pooled: PooledNull::from_raw_parts(count, mean, m2, max),
-        joints,
-        candidates,
-    })
-}
-
-fn encode_progress(p: &UpdateProgress) -> Vec<u8> {
-    let (count, mean, m2, max) = p.pooled.raw_parts();
-    let mut out = Vec::with_capacity(8 * 8 + 4 + p.candidates.len() * 16);
-    out.extend_from_slice(&p.update_digest.to_le_bytes());
-    out.push(p.mode);
-    out.extend_from_slice(&p.pairs_done.to_le_bytes());
-    out.extend_from_slice(&p.joints.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&mean.to_bits().to_le_bytes());
-    out.extend_from_slice(&m2.to_bits().to_le_bytes());
-    out.extend_from_slice(&max.to_bits().to_le_bytes());
-    out.extend_from_slice(&(p.candidates.len() as u32).to_le_bytes());
-    for &(i, j, v) in &p.candidates {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&j.to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
-}
-
-fn decode_progress(payload: &[u8]) -> Result<UpdateProgress, String> {
-    let mut r = Reader::new(payload);
-    let update_digest = r.u64("update digest")?;
-    let mode = r.take(1, "update mode")?[0];
-    if mode > 1 {
-        return Err(format!("bad update mode {mode} (0 = genes, 1 = samples)"));
-    }
-    let pairs_done = r.u64("pairs done")?;
-    let joints = r.u64("joints")?;
-    let count = r.u64("pooled count")?;
-    let mean = r.f64("pooled mean")?;
-    let m2 = r.f64("pooled m2")?;
-    let max = r.f64("pooled max")?;
-    let n = r.u32("candidate count")? as usize;
-    if r.remaining() != n * 16 {
-        return Err(format!(
-            "candidate section length mismatch: {n} candidates declared, \
-             {} bytes remain (need {})",
-            r.remaining(),
-            n * 16
-        ));
-    }
-    let mut candidates = Vec::with_capacity(n);
-    for idx in 0..n {
-        let i = r.u32("candidate gene i")?;
-        let j = r.u32("candidate gene j")?;
-        let v = r.f64("candidate MI")?;
-        if i >= j {
-            return Err(format!("candidate {idx} is not upper-triangular ({i},{j})"));
-        }
-        candidates.push((i, j, v));
-    }
-    Ok(UpdateProgress {
-        update_digest,
-        mode,
-        pairs_done,
-        joints,
-        pooled: PooledNull::from_raw_parts(count, mean, m2, max),
-        candidates,
+        scan,
     })
 }
 
@@ -793,7 +674,7 @@ impl StateStore {
             "state.saved",
             &[
                 ("genes", Value::from(state.genes.len())),
-                ("candidates", Value::from(state.candidates.len())),
+                ("candidates", Value::from(state.scan.candidates.len())),
             ],
         );
         Ok(())
@@ -812,18 +693,13 @@ impl StateStore {
     ///
     /// # Errors
     /// [`StateError::Io`] naming the path and operation that failed.
-    pub fn save_progress(&self, progress: &UpdateProgress) -> Result<(), StateError> {
+    pub fn save_progress(&self, progress: &Checkpoint) -> Result<(), StateError> {
         self.save_file(
             &PROGRESS_MAGIC,
             PROGRESS_TMP,
             PROGRESS_FILE,
-            encode_progress(progress),
-        )?;
-        self.rec.event(
-            "update.progress_saved",
-            &[("pairs_done", Value::from(progress.pairs_done))],
-        );
-        Ok(())
+            encode_payload(progress),
+        )
     }
 
     /// Load the progress file, additionally rejecting progress whose
@@ -832,18 +708,18 @@ impl StateStore {
     /// # Errors
     /// Everything [`Self::load`] maps for the progress file, plus
     /// [`StateError::StaleProgress`] on a digest mismatch.
-    pub fn load_progress_for(&self, expected_digest: u64) -> Result<UpdateProgress, StateError> {
+    pub fn load_progress_for(&self, expected_digest: u64) -> Result<Checkpoint, StateError> {
         let p = self.load_file(
             &PROGRESS_MAGIC,
             self.progress_path(),
             "update progress",
-            decode_progress,
+            decode_payload,
         )?;
-        if p.update_digest != expected_digest {
+        if p.digest != expected_digest {
             return Err(StateError::StaleProgress {
                 path: self.progress_path(),
                 expected: expected_digest,
-                found: p.update_digest,
+                found: p.digest,
             });
         }
         Ok(p)
@@ -906,12 +782,7 @@ mod tests {
         store.save(&state).expect("save succeeds");
         let back = store.load().expect("load succeeds");
         assert_eq!(back, state);
-        let (c0, m0, s0, x0) = state.pooled.raw_parts();
-        let (c1, m1, s1, x1) = back.pooled.raw_parts();
-        assert_eq!(c0, c1);
-        assert_eq!(m0.to_bits(), m1.to_bits());
-        assert_eq!(s0.to_bits(), s1.to_bits());
-        assert_eq!(x0.to_bits(), x1.to_bits());
+        assert_eq!(back.scan.pooled.to_bytes(), state.scan.pooled.to_bytes());
         assert_eq!(back.snapshot_digest(), state.snapshot_digest());
         assert_eq!(back.threshold().to_bits(), state.threshold().to_bits());
     }
@@ -981,19 +852,37 @@ mod tests {
     }
 
     #[test]
-    fn version_1_states_are_rejected() {
+    fn older_state_and_progress_versions_are_rejected() {
         let state = small_state();
-        let store = StateStore::new(tmpdir("v1"));
-        store.save(&state).expect("save succeeds");
-        let mut bytes = fs::read(store.path()).expect("file readable");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(store.path(), &bytes).expect("rewrite");
-        let err = store.load().expect_err("a v1 state must not be updated");
-        assert!(
-            matches!(&err, StateError::Corrupt { reason, .. }
-                if reason.contains("unsupported state version 1")),
-            "{err}"
-        );
+        let store = StateStore::new(tmpdir("old"));
+        let progress = Checkpoint {
+            digest: 7,
+            tiles_done: 1,
+            scan: state.scan.clone(),
+        };
+        for old in [1u32, 2] {
+            store.save(&state).expect("save succeeds");
+            store.save_progress(&progress).expect("save succeeds");
+            for path in [store.path(), store.progress_path()] {
+                let mut bytes = fs::read(&path).expect("file readable");
+                bytes[8..12].copy_from_slice(&old.to_le_bytes());
+                fs::write(&path, &bytes).expect("rewrite");
+            }
+            let err = store.load().expect_err("an old state must not be updated");
+            assert!(
+                matches!(&err, StateError::Corrupt { reason, .. }
+                    if reason.contains(&format!("unsupported state version {old}"))),
+                "{err}"
+            );
+            let err = store
+                .load_progress_for(7)
+                .expect_err("old progress must not resume");
+            assert!(
+                matches!(&err, StateError::Corrupt { reason, .. }
+                    if reason.contains(&format!("unsupported update progress version {old}"))),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1033,13 +922,16 @@ mod tests {
     #[test]
     fn progress_round_trips_and_rejects_foreign_digests() {
         let store = StateStore::new(tmpdir("progress"));
-        let p = UpdateProgress {
-            update_digest: 0xDEAD_BEEF,
-            mode: 0,
-            pairs_done: 17,
-            joints: 119,
-            pooled: PooledNull::from_raw_parts(20, 0.5, 0.25, 0.9),
-            candidates: vec![(0, 3, 0.7), (1, 2, 0.4)],
+        let mut pooled = gnet_permute::PooledNull::new();
+        pooled.extend(&[0.5, 0.25, 0.9]);
+        let p = Checkpoint {
+            digest: 0xDEAD_BEEF,
+            tiles_done: 17,
+            scan: NullScan {
+                pooled,
+                candidates: vec![(0, 3, 0.7), (1, 2, 0.4)],
+                joints: 119,
+            },
         };
         store.save_progress(&p).expect("save succeeds");
         let back = store
@@ -1075,7 +967,7 @@ mod tests {
             assert_eq!(a.key(), b.key());
             assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
-        assert!((state.threshold() - batch.stats.threshold).abs() < 1e-9);
+        assert_eq!(state.threshold().to_bits(), batch.stats.threshold.to_bits());
         assert_eq!(state.matrix(), matrix);
     }
 }

@@ -49,9 +49,7 @@ fn real_checkpoint() -> Checkpoint {
     let (matrix, _) = coupled_pairs(6, 180, Coupling::Linear(0.85), 77);
     let cfg = InferenceConfig {
         permutations: 10,
-        threads: Some(1),
         tile_size: Some(6),
-        scheduler: gnet_parallel::SchedulerPolicy::StaticCyclic,
         ..InferenceConfig::default()
     };
     infer_network_resumable(&matrix, &cfg, None, 1, |_| false)
@@ -215,8 +213,9 @@ fn truncated_payloads_with_consistent_digests_are_rejected_by_the_decoder() {
 fn oversized_candidate_counts_are_rejected_before_allocating() {
     let (store, full) = checkpoint_file("decoder-candidates");
     let payload = &full[HEADER_LEN..];
-    // The candidate count is the u32 after seven u64 fields.
-    let count_offset = 8 * 7;
+    // The candidate count is the u32 after the run digest, the tile
+    // prefix, the 48-byte pooled null and the joint count.
+    let count_offset = 8 + 8 + 48 + 8;
     let just_past = u32::try_from(payload.len()).expect("payload is small") + 1;
     for declared in [u32::MAX, 1 << 28, just_past] {
         let mut forged = payload.to_vec();

@@ -11,7 +11,7 @@
 //! and, on a 244-thread chip, per-tile runtime varies enough that the
 //! distribution policy matters. [`scheduler`] implements the policies the
 //! evaluation compares: static block, static cyclic, a dynamic shared
-//! counter (the paper's choice), and Rayon work-stealing — all behind one
+//! counter (the paper's choice) — all behind one
 //! executor so the result is policy-independent by construction.
 
 #![warn(missing_docs)]

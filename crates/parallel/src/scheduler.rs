@@ -14,8 +14,6 @@
 //! * [`SchedulerPolicy::DynamicCounter`] — threads pop the next tile from
 //!   a shared atomic counter (the paper's scheme): one `fetch_add` per
 //!   tile, self-balancing.
-//! * [`SchedulerPolicy::RayonSteal`] — Rayon's work-stealing deques, the
-//!   idiomatic Rust equivalent.
 
 use crossbeam::thread as cb_thread;
 use gnet_trace::Recorder;
@@ -38,18 +36,12 @@ pub enum SchedulerPolicy {
     /// Shared atomic counter (the paper's dynamic scheme).
     #[default]
     DynamicCounter,
-    /// Rayon work stealing.
-    RayonSteal,
 }
 
 impl SchedulerPolicy {
     /// All policies, for sweep experiments.
-    pub const ALL: [SchedulerPolicy; 4] = [
-        Self::StaticBlock,
-        Self::StaticCyclic,
-        Self::DynamicCounter,
-        Self::RayonSteal,
-    ];
+    pub const ALL: [SchedulerPolicy; 3] =
+        [Self::StaticBlock, Self::StaticCyclic, Self::DynamicCounter];
 
     /// Short stable name used in experiment output.
     pub fn name(&self) -> &'static str {
@@ -57,20 +49,12 @@ impl SchedulerPolicy {
             Self::StaticBlock => "static-block",
             Self::StaticCyclic => "static-cyclic",
             Self::DynamicCounter => "dynamic",
-            Self::RayonSteal => "rayon-steal",
         }
     }
 
-    /// Parse a policy from its [`Self::name`] slug; `"rayon"` is kept
-    /// as an alias for `"rayon-steal"` (the CLI's historical spelling).
+    /// Parse a policy from its [`Self::name`] slug.
     pub fn from_slug(slug: &str) -> Option<Self> {
-        match slug {
-            "static-block" => Some(Self::StaticBlock),
-            "static-cyclic" => Some(Self::StaticCyclic),
-            "dynamic" => Some(Self::DynamicCounter),
-            "rayon-steal" | "rayon" => Some(Self::RayonSteal),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|p| p.name() == slug)
     }
 }
 
@@ -221,7 +205,6 @@ where
             &tracer,
         ),
         SchedulerPolicy::DynamicCounter => run_dynamic(tiles, threads, &make_state, &work, &tracer),
-        SchedulerPolicy::RayonSteal => run_rayon(tiles, threads, &make_state, &work, &tracer),
     };
     (
         states,
@@ -401,70 +384,6 @@ where
     .expect("scoped execution failed")
 }
 
-fn run_rayon<S, FMake, FWork>(
-    tiles: &[Tile],
-    threads: usize,
-    make_state: &FMake,
-    work: &FWork,
-    tracer: &TileTracer<'_>,
-) -> (Vec<S>, Vec<ThreadStats>)
-where
-    S: Send,
-    FMake: Fn(usize) -> S + Sync,
-    FWork: Fn(&mut S, &Tile) + Sync,
-{
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool");
-    // fold() gives one partial state per rayon job batch. A worker thread
-    // can own several partials whose lifetimes overlap on its clock, so
-    // busy time is measured per work item (not from the partial's creation
-    // — that double-counted overlapping windows and broke `imbalance()`)
-    // and the partials' stats are then aggregated per worker thread. The
-    // thread index is captured in the fold closure because `map` runs on
-    // the collecting thread, not the worker.
-    let partials: Vec<(S, ThreadStats, usize)> = pool.install(|| {
-        tiles
-            .par_iter()
-            .fold(
-                || {
-                    let tid = rayon::current_thread_index().unwrap_or(0);
-                    (make_state(tid), ThreadStats::default(), tid)
-                },
-                |(mut state, mut stats, tid), tile| {
-                    let t_item = Instant::now();
-                    work(&mut state, tile);
-                    let dur = t_item.elapsed();
-                    if tracer.enabled() {
-                        tracer.tile_done(dur);
-                    }
-                    stats.busy += dur;
-                    stats.tiles += 1;
-                    stats.pairs += tile.pair_count();
-                    (state, stats, tid)
-                },
-            )
-            .collect()
-    });
-    let mut states = Vec::with_capacity(partials.len());
-    let mut per_thread = vec![ThreadStats::default(); threads];
-    for (state, stats, tid) in partials {
-        states.push(state);
-        let agg = per_thread
-            .get_mut(tid)
-            .expect("rayon thread index is bounded by the pool width");
-        agg.tiles += stats.tiles;
-        agg.pairs += stats.pairs;
-        agg.busy += stats.busy;
-    }
-    for (tid, stats) in per_thread.iter().enumerate() {
-        tracer.claims(tid, stats.tiles);
-    }
-    (states, per_thread)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,15 +411,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_slugs_round_trip_and_aliases_parse() {
+    fn policy_slugs_round_trip_and_retired_slugs_fail() {
         for policy in SchedulerPolicy::ALL {
             assert_eq!(SchedulerPolicy::from_slug(policy.name()), Some(policy));
         }
-        assert_eq!(
-            SchedulerPolicy::from_slug("rayon"),
-            Some(SchedulerPolicy::RayonSteal)
-        );
-        assert_eq!(SchedulerPolicy::from_slug("work-stealing"), None);
+        for retired in ["rayon", "rayon-steal", "work-stealing"] {
+            assert_eq!(SchedulerPolicy::from_slug(retired), None);
+        }
     }
 
     #[test]
@@ -632,44 +549,6 @@ mod tests {
         std::hint::black_box(acc);
     }
 
-    /// Regression: `run_rayon` used to stamp `busy = t0.elapsed()` per
-    /// fold partial from the *partial's creation time*, so one worker
-    /// owning several partials reported overlapping busy windows. Busy is
-    /// now per-item time aggregated per worker thread, which restores the
-    /// physical invariants: imbalance ≥ 1 and the busy sum bounded by
-    /// wall-clock × threads.
-    #[test]
-    fn rayon_busy_is_per_thread_and_physically_bounded() {
-        let sp = space();
-        let threads = 3;
-        let (_, report) = execute_tiles(
-            sp.tiles(),
-            threads,
-            SchedulerPolicy::RayonSteal,
-            |_| (),
-            |_, tile| spin_work(tile),
-        );
-        assert!(report.imbalance() >= 1.0, "{}", report.imbalance());
-        assert_eq!(report.per_thread.len(), threads);
-        assert_eq!(report.total_pairs(), sp.total_pairs());
-        assert_eq!(report.total_tiles(), sp.tiles().len());
-        let busy_sum: Duration = report.per_thread.iter().map(|t| t.busy).sum();
-        assert!(
-            busy_sum <= report.elapsed * u32::try_from(threads).expect("tiny thread count"),
-            "busy sum {busy_sum:?} exceeds wall {:?} × {threads}",
-            report.elapsed
-        );
-        // Each thread's own busy time is also bounded by the wall clock.
-        for t in &report.per_thread {
-            assert!(
-                t.busy <= report.elapsed,
-                "{:?} > {:?}",
-                t.busy,
-                report.elapsed
-            );
-        }
-    }
-
     #[test]
     fn absorb_accumulates_reports_entrywise() {
         let mut a = ExecutionReport {
@@ -744,7 +623,6 @@ mod tests {
         assert_eq!(SchedulerPolicy::DynamicCounter.name(), "dynamic");
         assert_eq!(SchedulerPolicy::StaticBlock.name(), "static-block");
         assert_eq!(SchedulerPolicy::StaticCyclic.name(), "static-cyclic");
-        assert_eq!(SchedulerPolicy::RayonSteal.name(), "rayon-steal");
     }
 
     #[test]

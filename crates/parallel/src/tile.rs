@@ -90,19 +90,38 @@ impl TileSpace {
     /// # Panics
     /// Panics if `genes < 2` or `tile_size == 0`.
     pub fn new(genes: usize, tile_size: usize) -> Self {
+        Self::frontier(genes, 0, tile_size)
+    }
+
+    /// Tile only the pairs `(i, j)`, `i < j`, with `j ≥ first_new`: the
+    /// pairs a gene append adds, `g·(N−g) + g·(g−1)/2` of them for
+    /// `g = genes − first_new`. Row blocks restart at `first_new`, so no
+    /// tile straddles the old/new boundary; `first_new = 0` is the full
+    /// tiling of [`Self::new`].
+    ///
+    /// # Panics
+    /// Panics if `genes < 2`, `tile_size == 0`, or `first_new ≥ genes`.
+    pub fn frontier(genes: usize, first_new: usize, tile_size: usize) -> Self {
         assert!(genes >= 2, "need at least two genes to have a pair");
         assert!(tile_size >= 1, "tile size must be positive");
+        assert!(first_new < genes, "a frontier needs at least one new gene");
         let n = u32::try_from(genes).expect("gene count fits the u32 tile index space");
         let t = u32::try_from(tile_size).expect("tile size fits the u32 tile index space");
-        let blocks = n.div_ceil(t);
-        let mut tiles = Vec::with_capacity((blocks * (blocks + 1) / 2) as usize);
-        for br in 0..blocks {
-            for bc in br..blocks {
+        let old = u32::try_from(first_new).expect("first_new < genes fits u32");
+        let blocks = |lo: u32, hi: u32| {
+            (lo..hi)
+                .step_by(tile_size)
+                .map(move |s| (s, (s + t).min(hi)))
+        };
+        let new_blocks: Vec<(u32, u32)> = blocks(old, n).collect();
+        let mut tiles = Vec::new();
+        for (row_start, row_end) in blocks(0, old).chain(new_blocks.iter().copied()) {
+            for &(col_start, col_end) in new_blocks.iter().filter(|c| c.0 >= row_start) {
                 let tile = Tile {
-                    row_start: br * t,
-                    row_end: ((br + 1) * t).min(n),
-                    col_start: bc * t,
-                    col_end: ((bc + 1) * t).min(n),
+                    row_start,
+                    row_end,
+                    col_start,
+                    col_end,
                 };
                 if tile.pair_count() > 0 {
                     tiles.push(tile);
@@ -131,7 +150,7 @@ impl TileSpace {
         &self.tiles
     }
 
-    /// Total pair count over all tiles; always `n(n−1)/2`.
+    /// Total pair count over all tiles: `n(n−1)/2` for [`Self::new`].
     pub fn total_pairs(&self) -> u64 {
         self.tiles.iter().map(Tile::pair_count).sum()
     }
@@ -177,6 +196,38 @@ mod tests {
                 "n={n}, t={t}"
             );
             assert_eq!(space.total_pairs(), seen.len() as u64);
+        }
+    }
+
+    #[test]
+    fn frontier_tiles_cover_each_new_pair_exactly_once() {
+        for (n, first_new, t) in [
+            (6usize, 4u32, 2usize),
+            (10, 7, 3),
+            (17, 5, 4),
+            (12, 11, 5),
+            (9, 0, 4),
+            (40, 33, 8),
+            (25, 1, 1),
+        ] {
+            let space = TileSpace::frontier(n, first_new as usize, t);
+            let mut seen = HashSet::new();
+            for tile in space.tiles() {
+                assert!(
+                    tile.row_end <= first_new || tile.row_start >= first_new,
+                    "{tile:?} straddles the old/new boundary"
+                );
+                for (i, j) in tile.pairs() {
+                    assert!(i < j && (j as usize) < n);
+                    assert!(j >= first_new, "({i},{j}) is not a new pair");
+                    assert!(seen.insert((i, j)), "({i},{j}) covered twice");
+                }
+                assert!(tile.genes_touched() as usize <= 2 * t);
+            }
+            let (n, g) = (n as u64, n as u64 - u64::from(first_new));
+            let want = g * (n - g) + g * (g - 1) / 2;
+            assert_eq!(seen.len() as u64, want, "n={n} first_new={first_new} t={t}");
+            assert_eq!(space.total_pairs(), want);
         }
     }
 

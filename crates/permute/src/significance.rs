@@ -11,61 +11,97 @@ pub fn empirical_p_value(observed: f64, null: &[f64]) -> f64 {
     (1 + exceed) as f64 / (1 + null.len()) as f64
 }
 
+/// Fixed-point scale of [`PooledNull`]: null MI values are rounded to
+/// multiples of 2⁻⁴⁰ nats.
+const SCALE: f64 = (1u64 << 40) as f64;
+/// Magnitude bound on pooled values. Below it, `q² < 2⁸⁸`, so `Σq²` stays
+/// below 2¹²⁷ for up to 2³⁹ values (the headline run pools about 2³²).
+const LIMIT: f64 = 16.0;
+
 /// Streaming, mergeable accumulator over the pooled null distribution
-/// (every null MI value of every pair). Uses Welford/Chan so per-thread
-/// accumulators merge exactly, keeping the pipeline's result independent
-/// of the scheduling policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// (every null MI value of every pair).
+///
+/// Each value is rounded to a multiple of 2⁻⁴⁰ nats and summed exactly as
+/// an integer (`Σq`, `Σq²` in `i128`), so [`Self::extend`] and
+/// [`Self::merge`] are integer additions: any partition of the pair
+/// space, merged in any order, gives the same bits — and hence the same
+/// threshold `I*` across threads, schedulers, ranks, resumes and appends.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PooledNull {
     count: u64,
-    mean: f64,
-    m2: f64,
+    sum: i128,
+    sum_sq: i128,
     max: f64,
 }
 
+impl Default for PooledNull {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// `value` in units of 2⁻⁴⁰ nats, rounded to nearest (ties away from
+/// zero). The scale is a power of two, so `value · 2⁴⁰` is exact, and
+/// below 2⁴⁴ so is adding ±0.5; the cast then truncates.
+///
+/// # Panics
+/// Panics on a non-finite value or one of magnitude 16 nats or more.
+#[inline]
+#[allow(clippy::cast_possible_truncation)] // cast-ok: |value · 2⁴⁰| < 2⁴⁴ is asserted
+fn quantize(value: f64) -> i64 {
+    assert!(
+        value.abs() < LIMIT,
+        "pooled null value {value} is not finite or not below {LIMIT} nats"
+    );
+    let scaled = value * SCALE;
+    (scaled + 0.5f64.copysign(scaled)) as i64
+}
+
 impl PooledNull {
+    /// Length of the [`Self::to_bytes`] encoding.
+    pub const ENCODED_LEN: usize = 48;
+
     /// Empty accumulator.
     pub fn new() -> Self {
         Self {
             count: 0,
-            mean: 0.0,
-            m2: 0.0,
+            sum: 0,
+            sum_sq: 0,
             max: f64::NEG_INFINITY,
         }
     }
 
     /// Fold in one null MI value.
+    ///
+    /// # Panics
+    /// Panics on a non-finite value or one of magnitude 16 nats or more.
     pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.max = self.max.max(value);
+        self.extend(&[value]);
     }
 
     /// Fold in a batch of null values.
+    ///
+    /// # Panics
+    /// Panics on a non-finite value or one of magnitude 16 nats or more.
     pub fn extend(&mut self, values: &[f64]) {
+        let (mut sum, mut sum_sq, mut max) = (0i128, 0i128, self.max);
         for &v in values {
-            self.push(v);
+            let q = i128::from(quantize(v));
+            sum += q;
+            sum_sq += q * q;
+            max = max.max(v);
         }
+        self.count += values.len() as u64;
+        self.sum += sum;
+        self.sum_sq += sum_sq;
+        self.max = max;
     }
 
-    /// Merge another accumulator (Chan's parallel combination).
+    /// Merge another accumulator: exact, associative and commutative.
     pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
         self.max = self.max.max(other.max);
     }
 
@@ -74,18 +110,29 @@ impl PooledNull {
         self.count
     }
 
-    /// Mean of the pooled null.
+    /// Mean of the pooled null (0 when empty).
     pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n − 1 denominator) of the pooled null.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
+        if self.count == 0 {
             0.0
         } else {
-            self.m2 / (self.count - 1) as f64
+            self.sum as f64 / self.count as f64 / SCALE
         }
+    }
+
+    /// Sample variance (n − 1 denominator) of the pooled null, clamped
+    /// at 0.
+    pub fn variance(&self) -> f64 {
+        if self.count < 2 {
+            return 0.0;
+        }
+        // Σ(q − q̄)² = Σq² − (Σq)²/n. Writing Σq = a·n + r makes every
+        // term but r²/n an exact integer: (Σq)²/n = a²n + 2ar + r²/n, and
+        // a²n ≤ (Σq)²/n ≤ Σq² keeps it inside i128.
+        let n = i128::from(self.count);
+        let (a, r) = (self.sum / n, self.sum % n);
+        let exact = self.sum_sq - a * a * n - 2 * a * r;
+        let centered = exact as f64 - (r as f64) * (r as f64) / n as f64;
+        (centered / (n - 1) as f64 / (SCALE * SCALE)).max(0.0)
     }
 
     /// Sample standard deviation of the pooled null.
@@ -93,25 +140,51 @@ impl PooledNull {
         self.variance().sqrt()
     }
 
-    /// Largest null value observed.
+    /// Largest null value observed (−∞ when empty).
     pub fn max(&self) -> f64 {
         self.max
     }
 
-    /// Raw moments `(count, mean, m2, max)` — for wire transfer between
-    /// processes/ranks. Inverse of [`Self::from_raw_parts`].
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.max)
+    /// Little-endian encoding: count, `Σq`, `Σq²`, then the bits of
+    /// `max`. Checkpoints, state bundles and the ring's result frames all
+    /// carry the pooled null in this form.
+    pub fn to_bytes(&self) -> [u8; Self::ENCODED_LEN] {
+        let mut out = [0u8; Self::ENCODED_LEN];
+        out[..8].copy_from_slice(&self.count.to_le_bytes());
+        out[8..24].copy_from_slice(&self.sum.to_le_bytes());
+        out[24..40].copy_from_slice(&self.sum_sq.to_le_bytes());
+        out[40..].copy_from_slice(&self.max.to_bits().to_le_bytes());
+        out
     }
 
-    /// Reassemble from raw moments produced by [`Self::raw_parts`].
-    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, max: f64) -> Self {
-        Self {
+    /// Decode [`Self::to_bytes`], rejecting encodings no accumulator can
+    /// reach.
+    ///
+    /// # Errors
+    /// A reason when the count and `max` disagree (empty iff `max` is
+    /// −∞), `max` is out of range, or `Σq²` is negative.
+    pub fn from_bytes(bytes: &[u8; Self::ENCODED_LEN]) -> Result<Self, String> {
+        let field = |lo: usize, hi: usize| &bytes[lo..hi];
+        let count = u64::from_le_bytes(field(0, 8).try_into().expect("8-byte field"));
+        let max = f64::from_bits(u64::from_le_bytes(
+            field(40, 48).try_into().expect("8-byte field"),
+        ));
+        let pooled = Self {
             count,
-            mean,
-            m2,
+            sum: i128::from_le_bytes(field(8, 24).try_into().expect("16-byte field")),
+            sum_sq: i128::from_le_bytes(field(24, 40).try_into().expect("16-byte field")),
             max,
+        };
+        let empty = pooled.count == 0;
+        if empty != (max == f64::NEG_INFINITY) || !(empty || max.abs() < LIMIT) {
+            return Err(format!(
+                "pooled null max {max} disagrees with count {count}"
+            ));
         }
+        if pooled.sum_sq < 0 || (empty && (pooled.sum != 0 || pooled.sum_sq != 0)) {
+            return Err("pooled null sums are inconsistent".into());
+        }
+        Ok(pooled)
     }
 
     /// The TINGe-style family-wise threshold `I*`: the Bonferroni-corrected
@@ -130,7 +203,7 @@ impl PooledNull {
         assert!(self.count >= 2, "need at least two pooled null values");
         let corrected = (alpha / tests as f64).max(f64::MIN_POSITIVE);
         let z = inverse_cdf(1.0 - corrected);
-        self.mean + z * self.std_dev()
+        self.mean() + z * self.std_dev()
     }
 }
 
@@ -203,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
+    fn merge_equals_sequential_bitwise() {
         let all: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 3.0 + 1.0).collect();
         let mut whole = PooledNull::new();
         whole.extend(&all);
@@ -212,12 +285,10 @@ mod tests {
         left.extend(&all[..123]);
         let mut right = PooledNull::new();
         right.extend(&all[123..]);
-        left.merge(&right);
-
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-10);
-        assert!((left.variance() - whole.variance()).abs() < 1e-8);
-        assert_eq!(left.max(), whole.max());
+        right.merge(&left);
+        assert_eq!(right, whole);
+        assert_eq!(right.mean().to_bits(), whole.mean().to_bits());
+        assert_eq!(right.variance().to_bits(), whole.variance().to_bits());
     }
 
     #[test]
@@ -231,6 +302,65 @@ mod tests {
         let mut e = PooledNull::new();
         e.merge(&before);
         assert_eq!(e, before);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(PooledNull::default(), PooledNull::new());
+        assert_eq!(PooledNull::default().max(), f64::NEG_INFINITY);
+        let mut p = PooledNull::default();
+        p.push(-0.5);
+        assert_eq!(p.max(), -0.5, "an empty max must not start at 0");
+    }
+
+    #[test]
+    fn values_round_to_the_nearest_fixed_point_step() {
+        let step = 1.0 / SCALE;
+        assert_eq!(quantize(0.0), 0);
+        assert_eq!(quantize(step * 0.49), 0);
+        assert_eq!(quantize(step * 0.5), 1, "ties round away from zero");
+        assert_eq!(quantize(-step * 0.5), -1);
+        assert_eq!(quantize(step * 2.6), 3);
+        assert_eq!(quantize(-step * 2.6), -3);
+        assert_eq!(quantize(15.999) as f64, (15.999 * SCALE).round());
+    }
+
+    #[test]
+    fn variance_is_clamped_and_exact_for_constants() {
+        let mut p = PooledNull::new();
+        p.extend(&[0.25; 1000]);
+        assert_eq!(p.variance(), 0.0);
+        assert_eq!(p.mean(), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite or not below 16 nats")]
+    fn non_finite_values_panic() {
+        PooledNull::new().push(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite or not below 16 nats")]
+    fn values_of_16_nats_panic() {
+        PooledNull::new().extend(&[0.1, -16.0]);
+    }
+
+    #[test]
+    fn byte_encoding_round_trips_and_rejects_unreachable_states() {
+        let mut p = PooledNull::new();
+        p.extend(&[0.01, 0.2, 0.033, 1.5]);
+        for pooled in [p, PooledNull::new()] {
+            assert_eq!(PooledNull::from_bytes(&pooled.to_bytes()), Ok(pooled));
+        }
+        let mut empty_with_max = PooledNull::new().to_bytes();
+        empty_with_max[40..].copy_from_slice(&1.0f64.to_bits().to_le_bytes());
+        assert!(PooledNull::from_bytes(&empty_with_max).is_err());
+        let mut nan_max = p.to_bytes();
+        nan_max[40..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert!(PooledNull::from_bytes(&nan_max).is_err());
+        let mut negative_sq = p.to_bytes();
+        negative_sq[24..40].copy_from_slice(&(-1i128).to_le_bytes());
+        assert!(PooledNull::from_bytes(&negative_sq).is_err());
     }
 
     #[test]
@@ -280,19 +410,40 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_merge_any_split(values in proptest::collection::vec(-10.0f64..10.0, 2..200),
-                                split in 0usize..200) {
-            let split = split.min(values.len());
+        fn prop_any_split_merged_in_any_order_is_bitwise_sequential(
+            values in proptest::collection::vec(-10.0f64..10.0, 2..200),
+            cuts in proptest::collection::vec(0usize..200, 0..6),
+            rotate in 0usize..8,
+        ) {
             let mut whole = PooledNull::new();
             whole.extend(&values);
-            let mut a = PooledNull::new();
-            a.extend(&values[..split]);
-            let mut b = PooledNull::new();
-            b.extend(&values[split..]);
-            a.merge(&b);
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-8);
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
-            prop_assert_eq!(a.count(), whole.count());
+
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(values.len())).collect();
+            bounds.push(0);
+            bounds.push(values.len());
+            bounds.sort_unstable();
+            let mut parts: Vec<PooledNull> = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut p = PooledNull::new();
+                    for &v in &values[w[0]..w[1]] {
+                        p.push(v);
+                    }
+                    p
+                })
+                .collect();
+            parts.reverse();
+            let rot = rotate % parts.len();
+            parts.rotate_left(rot);
+            let mut merged = PooledNull::new();
+            for p in &parts {
+                merged.merge(p);
+            }
+            prop_assert_eq!(merged, whole);
+            prop_assert_eq!(
+                merged.global_threshold(0.01, 1_000).to_bits(),
+                whole.global_threshold(0.01, 1_000).to_bits()
+            );
         }
 
         #[test]

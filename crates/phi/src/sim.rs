@@ -107,13 +107,10 @@ pub fn simulate_tiles_traced(
         .collect();
     // Dispatch cost differs by policy: static assignments are computed
     // once up front (no per-tile cost); the shared counter pays one
-    // cross-chip atomic round trip per tile; work stealing pays a local
-    // deque operation most of the time (modeled at a third of the
-    // counter's cost).
+    // cross-chip atomic round trip per tile.
     let sync = match policy {
         SchedulerPolicy::StaticBlock | SchedulerPolicy::StaticCyclic => 0.0,
         SchedulerPolicy::DynamicCounter => machine.sync_cost_us * 1e-6,
-        SchedulerPolicy::RayonSteal => machine.sync_cost_us * 1e-6 / 3.0,
     };
 
     let (busy, tile_counts) = match policy {
@@ -131,12 +128,8 @@ pub fn simulate_tiles_traced(
             assign_cyclic(tiles.len(), threads),
             rec,
         ),
-        // Work stealing behaves like ideal list scheduling at this
-        // granularity; the shared counter is list scheduling by
-        // construction.
-        SchedulerPolicy::DynamicCounter | SchedulerPolicy::RayonSteal => {
-            replay_dynamic(tiles, &pair_secs, sync, rec)
-        }
+        // The shared counter is list scheduling by construction.
+        SchedulerPolicy::DynamicCounter => replay_dynamic(tiles, &pair_secs, sync, rec),
     };
 
     let pair_wall = busy.iter().cloned().fold(0.0, f64::max);

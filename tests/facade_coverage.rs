@@ -4,7 +4,8 @@
 
 use genome_net::core::baselines::clr_network;
 use genome_net::core::{
-    compute_mi_matrix, infer_network, infer_network_resumable, InferenceConfig, MemoryPlan,
+    compute_mi_matrix, infer_network, infer_network_resumable, CheckpointStore, InferenceConfig,
+    MemoryPlan,
 };
 use genome_net::expr::synth::{coupled_pairs, Coupling};
 use genome_net::graph::analysis::{core_numbers, degree_assortativity, top_hubs};
@@ -93,17 +94,25 @@ fn memory_plan_matches_observed_configuration() {
 fn checkpointed_run_through_the_facade() {
     let (matrix, _) = coupled_pairs(5, 150, Coupling::Linear(0.85), 3);
     let reference = infer_network(&matrix, &cfg());
-    // Interrupt mid-run, serialize the checkpoint like a job system would,
-    // resume in a "new process".
+    // Interrupt mid-run, persist the checkpoint in its on-disk form
+    // (GNETCKP) like a job system would, resume in a "new process".
     let cp = infer_network_resumable(&matrix, &cfg(), None, 1, |_| false)
         .expect_err("interrupted after the first chunk");
-    let wire = serde_json::to_vec(&cp).unwrap();
-    let restored = serde_json::from_slice(&wire).unwrap();
+    let dir = std::env::temp_dir().join(format!("gnet-facade-ckpt-{}", std::process::id()));
+    let store = CheckpointStore::new(&dir);
+    store.save(&cp).expect("checkpoint saves");
+    let restored = store.load().expect("checkpoint loads");
+    assert_eq!(restored, cp);
     let resumed = infer_network_resumable(&matrix, &cfg(), Some(restored), 1, |_| true)
         .expect("resume completes");
     let a: Vec<_> = resumed.network.edges().iter().map(|e| e.key()).collect();
     let b: Vec<_> = reference.network.edges().iter().map(|e| e.key()).collect();
     assert_eq!(a, b);
+    assert_eq!(
+        resumed.stats.threshold.to_bits(),
+        reference.stats.threshold.to_bits()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

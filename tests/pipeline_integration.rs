@@ -86,7 +86,7 @@ fn kernels_and_schedulers_commute_with_results() {
     let (matrix, _) = coupled_pairs(5, 220, Coupling::Linear(0.8), 12);
     let baseline = infer_network(&matrix, &test_config());
     for kernel in [MiKernel::ScalarSparse, MiKernel::VectorDense] {
-        for policy in [SchedulerPolicy::StaticCyclic, SchedulerPolicy::RayonSteal] {
+        for policy in [SchedulerPolicy::StaticCyclic, SchedulerPolicy::StaticBlock] {
             let cfg = InferenceConfig {
                 kernel,
                 scheduler: policy,
