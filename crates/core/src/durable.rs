@@ -51,10 +51,11 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 8] = *b"GNETCKP\x01";
-/// v3: the pooled null as exact fixed-point sums. A v2 prefix carries
-/// Welford moments, which the exact accumulator cannot continue.
-const VERSION: u32 = 3;
-const HEADER_LEN: usize = 28;
+/// Version of every framed file (GNETCKP, GNETSTA, GNETUPD). v3: the
+/// pooled null as exact fixed-point sums. A v2 file carries Welford
+/// moments, which the exact accumulator cannot continue.
+pub(crate) const VERSION: u32 = 3;
+pub(crate) const HEADER_LEN: usize = 28;
 
 /// Name of the durable checkpoint file inside the store directory.
 pub const CHECKPOINT_FILE: &str = "gnet.ckpt";
@@ -300,60 +301,19 @@ impl CheckpointStore {
     /// [`CheckpointError::Io`] naming the path and operation that failed
     /// (including injected faults).
     pub fn save(&self, cp: &Checkpoint) -> Result<(), CheckpointError> {
-        fs::create_dir_all(&self.dir).map_err(|source| CheckpointError::Io {
-            path: self.dir.clone(),
-            op: "create-dir",
-            source,
-        })?;
-        let mut payload = encode_payload(cp);
-        // The integrity digest covers the *intended* bytes; injected
-        // flips happen after, modeling media corruption that load()
-        // must catch.
-        let integrity = fnv1a64(&payload);
-        self.injector.corrupt_checkpoint(&mut payload);
-
-        let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        file_bytes.extend_from_slice(&MAGIC);
-        file_bytes.extend_from_slice(&VERSION.to_le_bytes());
-        file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file_bytes.extend_from_slice(&integrity.to_le_bytes());
-        file_bytes.extend_from_slice(&payload);
-
-        let tmp = self.tmp_path();
-        if let Some(source) = self.injector.on_io(IoOp::Write) {
-            return Err(CheckpointError::Io {
-                path: tmp,
-                op: "write",
-                source,
-            });
-        }
-        write_durably(&tmp, &file_bytes).map_err(|source| CheckpointError::Io {
-            path: tmp.clone(),
-            op: "write",
-            source,
-        })?;
-        if let Some(source) = self.injector.on_io(IoOp::Rename) {
-            return Err(CheckpointError::Io {
-                path: self.path(),
-                op: "rename",
-                source,
-            });
-        }
-        fs::rename(&tmp, self.path()).map_err(|source| CheckpointError::Io {
-            path: self.path(),
-            op: "rename",
-            source,
-        })?;
-        // Durability of the rename itself. Some filesystems refuse
-        // directory handles; the rename is still atomic, so best-effort.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        let bytes = save_framed(
+            &self.dir,
+            TMP_FILE,
+            CHECKPOINT_FILE,
+            &MAGIC,
+            encode_payload(cp),
+            &self.injector,
+        )?;
         self.rec.event(
             "checkpoint.saved",
             &[
                 ("tiles_done", Value::from(cp.tiles_done)),
-                ("bytes", Value::from(file_bytes.len())),
+                ("bytes", Value::from(bytes)),
             ],
         );
         Ok(())
@@ -365,66 +325,13 @@ impl CheckpointStore {
     /// [`CheckpointError::Missing`] when no file exists; `Io`, `Corrupt`,
     /// or `IntegrityMismatch` when the file cannot be trusted.
     pub fn load(&self) -> Result<Checkpoint, CheckpointError> {
-        let path = self.path();
-        if let Some(source) = self.injector.on_io(IoOp::Read) {
-            return Err(CheckpointError::Io {
-                path,
-                op: "read",
-                source,
-            });
-        }
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(CheckpointError::Missing { path })
-            }
-            Err(source) => {
-                return Err(CheckpointError::Io {
-                    path,
-                    op: "read",
-                    source,
-                })
-            }
-        };
-        let corrupt = |reason: String| CheckpointError::Corrupt {
-            path: path.clone(),
-            reason,
-        };
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-                bytes.len()
-            )));
-        }
-        if bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic; not a gnet checkpoint file".into()));
-        }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32("version").map_err(&corrupt)?;
-        if version != VERSION {
-            return Err(corrupt(format!(
-                "unsupported checkpoint version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let payload_len = header.u64("payload length").map_err(&corrupt)? as usize;
-        let expected = header.u64("integrity digest").map_err(&corrupt)?;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != payload_len {
-            return Err(corrupt(format!(
-                "payload length mismatch: header declares {payload_len} bytes, \
-                 file holds {}",
-                payload.len()
-            )));
-        }
-        let found = fnv1a64(payload);
-        if found != expected {
-            return Err(CheckpointError::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            });
-        }
-        decode_payload(payload).map_err(corrupt)
+        Ok(load_framed(
+            self.path(),
+            &MAGIC,
+            "checkpoint",
+            &self.injector,
+            decode_payload,
+        )?)
     }
 
     /// [`Self::load`], additionally rejecting checkpoints whose run
@@ -451,21 +358,182 @@ impl CheckpointStore {
     /// [`CheckpointError::Io`] on a filesystem failure other than the
     /// files already being absent.
     pub fn clear(&self) -> Result<(), CheckpointError> {
-        for path in [self.path(), self.tmp_path()] {
-            match fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(source) => {
-                    return Err(CheckpointError::Io {
-                        path,
-                        op: "remove",
-                        source,
-                    })
-                }
+        Ok(remove_files([self.path(), self.tmp_path()])?)
+    }
+}
+
+/// Why a framed file (a GNETCKP checkpoint, a GNETSTA state bundle or a
+/// GNETUPD progress file) could not be written or read; each store maps
+/// it onto its own typed error.
+#[derive(Debug)]
+pub(crate) enum FileFault {
+    Io {
+        path: PathBuf,
+        op: &'static str,
+        source: io::Error,
+    },
+    Corrupt {
+        path: PathBuf,
+        reason: String,
+    },
+    IntegrityMismatch {
+        path: PathBuf,
+        expected: u64,
+        found: u64,
+    },
+    Missing {
+        path: PathBuf,
+    },
+}
+
+impl From<FileFault> for CheckpointError {
+    fn from(f: FileFault) -> Self {
+        match f {
+            FileFault::Io { path, op, source } => Self::Io { path, op, source },
+            FileFault::Corrupt { path, reason } => Self::Corrupt { path, reason },
+            FileFault::IntegrityMismatch {
+                path,
+                expected,
+                found,
+            } => Self::IntegrityMismatch {
+                path,
+                expected,
+                found,
+            },
+            FileFault::Missing { path } => Self::Missing { path },
+        }
+    }
+}
+
+/// Atomically write `payload` as `dir/name`, framed by the header of the
+/// module-level schema (magic, [`VERSION`], length, FNV-1a64 digest):
+/// write `dir/tmp_name`, `fsync`, rename, `fsync` the directory. Returns
+/// the file's size. The injector's write/rename faults and payload flips
+/// apply.
+pub(crate) fn save_framed(
+    dir: &Path,
+    tmp_name: &str,
+    name: &str,
+    magic: &[u8; 8],
+    mut payload: Vec<u8>,
+    injector: &FaultInjector,
+) -> Result<usize, FileFault> {
+    let io_err = |path: &Path, op, source| FileFault::Io {
+        path: path.to_path_buf(),
+        op,
+        source,
+    };
+    fs::create_dir_all(dir).map_err(|e| io_err(dir, "create-dir", e))?;
+    // The integrity digest covers the *intended* bytes; injected flips
+    // happen after, modeling media corruption that a load must catch.
+    let integrity = fnv1a64(&payload);
+    injector.corrupt_checkpoint(&mut payload);
+
+    let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+    file_bytes.extend_from_slice(magic);
+    file_bytes.extend_from_slice(&VERSION.to_le_bytes());
+    file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file_bytes.extend_from_slice(&integrity.to_le_bytes());
+    file_bytes.extend_from_slice(&payload);
+
+    let (tmp, dst) = (dir.join(tmp_name), dir.join(name));
+    if let Some(e) = injector.on_io(IoOp::Write) {
+        return Err(io_err(&tmp, "write", e));
+    }
+    write_durably(&tmp, &file_bytes).map_err(|e| io_err(&tmp, "write", e))?;
+    if let Some(e) = injector.on_io(IoOp::Rename) {
+        return Err(io_err(&dst, "rename", e));
+    }
+    fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, "rename", e))?;
+    // Durability of the rename itself. Some filesystems refuse directory
+    // handles; the rename is still atomic, so best-effort.
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(file_bytes.len())
+}
+
+/// Read the framed file at `path`, verify its magic, version, length and
+/// integrity digest, and decode the payload. `what` names the file kind
+/// in error reasons. The injector's read faults apply.
+pub(crate) fn load_framed<T>(
+    path: PathBuf,
+    magic: &[u8; 8],
+    what: &str,
+    injector: &FaultInjector,
+    decode: impl FnOnce(&[u8]) -> Result<T, String>,
+) -> Result<T, FileFault> {
+    let bytes = match injector
+        .on_io(IoOp::Read)
+        .map_or_else(|| fs::read(&path), Err)
+    {
+        Ok(b) => b,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(FileFault::Missing { path }),
+        Err(source) => {
+            return Err(FileFault::Io {
+                path,
+                op: "read",
+                source,
+            })
+        }
+    };
+    let corrupt = |reason: String| FileFault::Corrupt {
+        path: path.clone(),
+        reason,
+    };
+    if bytes.len() < HEADER_LEN {
+        return Err(corrupt(format!(
+            "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
+            bytes.len()
+        )));
+    }
+    if bytes[..8] != magic[..] {
+        return Err(corrupt(format!("bad magic; not a gnet {what} file")));
+    }
+    let mut header = Reader::new(&bytes[8..HEADER_LEN]);
+    let version = header.u32("version").map_err(&corrupt)?;
+    if version != VERSION {
+        return Err(corrupt(format!(
+            "unsupported {what} version {version} (this build reads v{VERSION})"
+        )));
+    }
+    let payload_len = header.u64("payload length").map_err(&corrupt)? as usize;
+    let expected = header.u64("integrity digest").map_err(&corrupt)?;
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() != payload_len {
+        return Err(corrupt(format!(
+            "payload length mismatch: header declares {payload_len} bytes, \
+             file holds {}",
+            payload.len()
+        )));
+    }
+    let found = fnv1a64(payload);
+    if found != expected {
+        return Err(FileFault::IntegrityMismatch {
+            path,
+            expected,
+            found,
+        });
+    }
+    decode(payload).map_err(corrupt)
+}
+
+/// Remove each of `paths` that exists.
+pub(crate) fn remove_files(paths: impl IntoIterator<Item = PathBuf>) -> Result<(), FileFault> {
+    for path in paths {
+        match fs::remove_file(&path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(source) => {
+                return Err(FileFault::Io {
+                    path,
+                    op: "remove",
+                    source,
+                })
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {

@@ -153,22 +153,14 @@ pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Netwo
     let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
     let space = tiles_for(config, &prepared, 0);
-    let mut progress = Checkpoint {
-        digest: 0,
-        tiles_done: 0,
-        scan: NullScan::default(),
-    };
-    TileScan {
+    let (scan, _) = TileScan {
         tiles: space.tiles(),
         prepared: &prepared,
         perms: &perms,
         basis: &basis,
         config,
     }
-    .run(&mut progress, usize::MAX, &Recorder::disabled(), |_| {
-        Ok::<(), std::convert::Infallible>(())
-    })
-    .unwrap_or_else(|never| match never {});
+    .run_all(&Recorder::disabled());
     NetworkState {
         bins: config.bins,
         spline_order: config.spline_order,
@@ -180,7 +172,7 @@ pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Netwo
         names: matrix.gene_names().to_vec(),
         samples: matrix.samples(),
         genes,
-        scan: progress.scan,
+        scan,
     }
 }
 

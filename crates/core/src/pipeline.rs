@@ -2,7 +2,7 @@
 
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use crate::scan::{for_each_planned_pair, tile_genes, Checkpoint, NullScan, TileScan};
+use crate::scan::{for_each_planned_pair, tile_genes, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_graph::{Edge, GeneNetwork};
@@ -173,40 +173,33 @@ pub(crate) fn sample_unique_pairs(rng: &mut SplitMix64, n: u64, want: usize) -> 
 /// pairs with full nulls — the pre-pass of the early-exit strategy. Valid
 /// because the rank transform gives every gene the same marginal, so the
 /// null MI distribution is pair-independent.
-// The pre-pass genuinely consumes eight independent inputs; bundling them
-// into a one-shot struct would only rename the argument list.
-#[allow(clippy::too_many_arguments)]
 fn estimate_threshold(
-    prepared: &[PreparedGene],
-    perms: &PermutationSet,
-    kernel: MiKernel,
-    basis: &BsplineBasis,
+    run: &PreparedRun,
+    config: &InferenceConfig,
     sample_pairs: usize,
-    total_pairs: u64,
-    alpha: f64,
-    seed: u64,
 ) -> (f64, PooledNull) {
-    let n = prepared.len() as u64;
-    let mut rng = SplitMix64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-    let mut scratch = MiScratch::for_basis(basis);
+    let prepared = &run.genes;
+    let mut rng = SplitMix64(config.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
+    let mut scratch = MiScratch::for_basis(&run.basis);
     let mut pooled = PooledNull::new();
-    for (i, j) in sample_unique_pairs(&mut rng, n, sample_pairs) {
+    for (i, j) in sample_unique_pairs(&mut rng, prepared.len() as u64, sample_pairs) {
         let (i, j) = (i as usize, j as usize);
-        let dense = match kernel {
+        let dense = match config.kernel {
             MiKernel::VectorDense => Some(prepared[j].to_dense()),
             MiKernel::ScalarSparse => None,
         };
         let res = mi_with_nulls(
-            kernel,
+            config.kernel,
             &prepared[i],
             &prepared[j],
             dense.as_ref(),
-            perms.as_vecs(),
+            run.perms.as_vecs(),
             &mut scratch,
         );
         pooled.extend(&res.null);
     }
-    (pooled.global_threshold(alpha, total_pairs.max(1)), pooled)
+    let tests = run.space.total_pairs().max(1);
+    (pooled.global_threshold(config.alpha, tests), pooled)
 }
 
 /// Run the full pipeline over an expression matrix.
@@ -278,18 +271,8 @@ pub fn infer_network_traced(
     );
     let (scan, early_threshold, execution) = match config.null_strategy {
         NullStrategy::ExactFull => {
-            let mut progress = Checkpoint {
-                digest: 0,
-                tiles_done: 0,
-                scan: NullScan::default(),
-            };
-            let execution = run
-                .scan(config)
-                .run(&mut progress, usize::MAX, rec, |_| {
-                    Ok::<(), std::convert::Infallible>(())
-                })
-                .unwrap_or_else(|never| match never {});
-            (progress.scan, None, execution)
+            let (scan, execution) = run.scan(config).run_all(rec);
+            (scan, None, execution)
         }
         NullStrategy::EarlyExit => {
             let (scan, threshold, execution) = early_exit_scan(config, &run, rec);
@@ -353,16 +336,7 @@ fn early_exit_scan(
                 .max(2)
                 .min(run.space.total_pairs() as usize);
             rec.counter_add("mi.prepass_pairs", sample as u64);
-            estimate_threshold(
-                &run.genes,
-                &run.perms,
-                config.kernel,
-                &run.basis,
-                sample,
-                run.space.total_pairs(),
-                config.alpha,
-                config.seed,
-            )
+            estimate_threshold(run, config, sample)
         }
     };
     let (states, execution) = execute_tiles_traced(
@@ -519,14 +493,12 @@ mod tests {
     #[test]
     fn tile_shape_and_threads_do_not_change_a_single_bit() {
         // Row plans are rebuilt per tile row, so the tile shape decides how
-        // often a gene is planned — never what its pairs compute. An
-        // explicit threshold keeps the (merge-order dependent) pooled null
-        // out of the comparison.
+        // often a gene is planned — never what its pairs compute — and the
+        // pooled null merges exactly, so I* does not move either.
         let (matrix, _) = synth::coupled_pairs(6, 150, Coupling::Linear(0.8), 29);
         let run = |tile_size, threads| {
             let cfg = InferenceConfig {
                 permutations: 8,
-                mi_threshold: Some(0.02),
                 tile_size,
                 threads: Some(threads),
                 ..InferenceConfig::default()

@@ -35,15 +35,30 @@ pub struct NullScan {
 }
 
 impl NullScan {
-    /// Fold in the evidence of disjoint pairs. Exact and order-free:
-    /// candidates stay sorted by `(i, j)`.
-    pub fn merge(&mut self, other: NullScan) {
+    /// Fold in the evidence of disjoint pairs. `self` must be a merged
+    /// scan (candidates sorted by `(i, j)`, as every empty or merged scan
+    /// is); `other` may be a worker's, in any order. Exact and
+    /// order-free: any partition of the pairs, merged in any order, gives
+    /// the same value.
+    pub fn merge(&mut self, mut other: NullScan) {
         self.pooled.merge(&other.pooled);
         self.joints += other.joints;
-        self.candidates.extend(other.candidates);
-        // Stable sort: a sorted prefix plus a short tail merges in
-        // linear time.
-        self.candidates.sort_by_key(|c| (c.0, c.1));
+        let key = |c: &(u32, u32, f64)| (c.0, c.1);
+        other.candidates.sort_unstable_by_key(key);
+        // Merge the two sorted lists in place, back to front: linear, and
+        // no scratch buffer beyond the growth of `self`.
+        let (mut i, mut j) = (self.candidates.len(), other.candidates.len());
+        self.candidates.resize(i + j, (0, 0, 0.0));
+        while j > 0 {
+            let c = if i > 0 && key(&self.candidates[i - 1]) > key(&other.candidates[j - 1]) {
+                i -= 1;
+                self.candidates[i]
+            } else {
+                j -= 1;
+                other.candidates[j]
+            };
+            self.candidates[i + j] = c;
+        }
     }
 
     /// Append the byte form checkpoints, state bundles and the ring's
@@ -215,6 +230,22 @@ impl TileScan<'_> {
         self.tiles[..tiles_done].iter().map(Tile::pair_count).sum()
     }
 
+    /// Scan every tile as one chunk: the evidence over all of them and
+    /// the execution report.
+    pub(crate) fn run_all(&self, rec: &Recorder) -> (NullScan, ExecutionReport) {
+        let mut progress = Checkpoint {
+            digest: 0,
+            tiles_done: 0,
+            scan: NullScan::default(),
+        };
+        let execution = self
+            .run(&mut progress, usize::MAX, rec, |_| {
+                Ok::<(), std::convert::Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
+        (progress.scan, execution)
+    }
+
     /// Scan the tiles after `progress.tiles_done` in chunks of
     /// `chunk_tiles` on the configured threads and scheduler, folding
     /// each chunk into `progress` and then calling `after_chunk`; an
@@ -269,5 +300,63 @@ impl TileScan<'_> {
             after_chunk(progress)?;
         }
         Ok(execution)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn part(candidates: Vec<(u32, u32, f64)>, nulls: &[f64]) -> NullScan {
+        let mut pooled = PooledNull::new();
+        pooled.extend(nulls);
+        NullScan {
+            pooled,
+            joints: candidates.len() as u64,
+            candidates,
+        }
+    }
+
+    #[test]
+    fn merge_is_order_free_and_keeps_candidates_sorted() {
+        let all: Vec<(u32, u32, f64)> = (0..30u32)
+            .flat_map(|i| (i + 1..31).map(move |j| (i, j, f64::from(i * 31 + j) / 1e3)))
+            .filter(|c| (c.0 * 7 + c.1) % 3 == 0)
+            .collect();
+        // Four unsorted, interleaved parts with their own nulls.
+        let parts: Vec<NullScan> = (0..4)
+            .map(|k| {
+                let mut mine: Vec<_> = all.iter().copied().skip(k).step_by(4).collect();
+                mine.reverse();
+                part(mine, &[0.01 * k as f64, 0.2, 1.0 / 3.0])
+            })
+            .collect();
+        let mut forward = NullScan::default();
+        for p in parts.iter().cloned() {
+            forward.merge(p);
+        }
+        let mut backward = NullScan::default();
+        for p in parts.into_iter().rev() {
+            backward.merge(p);
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(forward.candidates, all);
+        assert_eq!(forward.pooled.count(), 12);
+    }
+
+    #[test]
+    fn byte_form_round_trips_and_rejects_unsorted_candidates() {
+        let scan = part(vec![(0, 2, 0.5), (1, 2, 0.25), (1, 3, 0.125)], &[0.1, 0.2]);
+        let mut bytes = Vec::new();
+        scan.encode(&mut bytes);
+        assert_eq!(NullScan::decode(&bytes, 4), Ok(scan.clone()));
+        assert!(
+            NullScan::decode(&bytes, 3).is_err(),
+            "gene 3 is out of range"
+        );
+        assert!(NullScan::decode(&bytes[..bytes.len() - 1], 4).is_err());
+        let mut unsorted = Vec::new();
+        part(vec![(1, 2, 0.25), (0, 2, 0.5)], &[]).encode(&mut unsorted);
+        assert!(NullScan::decode(&unsorted, 4).is_err_and(|reason| reason.contains("out of order")));
     }
 }

@@ -50,25 +50,23 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::InferenceConfig;
-use crate::durable::{decode_payload, encode_payload, fnv1a64, write_durably, Reader};
+use crate::durable::{
+    decode_payload, encode_payload, fnv1a64, load_framed, remove_files, save_framed, FileFault,
+    Reader,
+};
 use crate::scan::NullScan;
 use gnet_bspline::SparseWeights;
 use gnet_expr::ExpressionMatrix;
-use gnet_fault::{FaultInjector, IoOp};
+use gnet_fault::FaultInjector;
 use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::MiKernel;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
-use std::fs::{self, File};
 use std::io;
 use std::path::PathBuf;
 
 const MAGIC: [u8; 8] = *b"GNETSTA\x01";
 const PROGRESS_MAGIC: [u8; 8] = *b"GNETUPD\x01";
-/// v3: the pooled null as exact fixed-point sums. A v2 state carries
-/// Welford moments, which an update could not extend exactly.
-const VERSION: u32 = 3;
-const HEADER_LEN: usize = 28;
 
 /// Name of the state bundle inside the store directory.
 pub const STATE_FILE: &str = "gnet.state";
@@ -544,124 +542,11 @@ impl StateStore {
         &self,
         magic: &[u8; 8],
         tmp_name: &str,
-        final_name: &str,
-        mut payload: Vec<u8>,
+        name: &str,
+        payload: Vec<u8>,
     ) -> Result<(), StateError> {
-        fs::create_dir_all(&self.dir).map_err(|source| StateError::Io {
-            path: self.dir.clone(),
-            op: "create-dir",
-            source,
-        })?;
-        // The integrity digest covers the *intended* bytes; injected
-        // flips happen after, modeling media corruption load() must catch.
-        let integrity = fnv1a64(&payload);
-        self.injector.corrupt_checkpoint(&mut payload);
-
-        let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        file_bytes.extend_from_slice(magic);
-        file_bytes.extend_from_slice(&VERSION.to_le_bytes());
-        file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file_bytes.extend_from_slice(&integrity.to_le_bytes());
-        file_bytes.extend_from_slice(&payload);
-
-        let tmp = self.dir.join(tmp_name);
-        let dst = self.dir.join(final_name);
-        if let Some(source) = self.injector.on_io(IoOp::Write) {
-            return Err(StateError::Io {
-                path: tmp,
-                op: "write",
-                source,
-            });
-        }
-        write_durably(&tmp, &file_bytes).map_err(|source| StateError::Io {
-            path: tmp.clone(),
-            op: "write",
-            source,
-        })?;
-        if let Some(source) = self.injector.on_io(IoOp::Rename) {
-            return Err(StateError::Io {
-                path: dst,
-                op: "rename",
-                source,
-            });
-        }
-        fs::rename(&tmp, &dst).map_err(|source| StateError::Io {
-            path: dst.clone(),
-            op: "rename",
-            source,
-        })?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        save_framed(&self.dir, tmp_name, name, magic, payload, &self.injector)?;
         Ok(())
-    }
-
-    fn load_file<T>(
-        &self,
-        magic: &[u8; 8],
-        path: PathBuf,
-        what: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> Result<T, StateError> {
-        if let Some(source) = self.injector.on_io(IoOp::Read) {
-            return Err(StateError::Io {
-                path,
-                op: "read",
-                source,
-            });
-        }
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(StateError::Missing { path })
-            }
-            Err(source) => {
-                return Err(StateError::Io {
-                    path,
-                    op: "read",
-                    source,
-                })
-            }
-        };
-        let corrupt = |reason: String| StateError::Corrupt {
-            path: path.clone(),
-            reason,
-        };
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-                bytes.len()
-            )));
-        }
-        if bytes[..8] != magic[..] {
-            return Err(corrupt(format!("bad magic; not a gnet {what} file")));
-        }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32("version").map_err(&corrupt)?;
-        if version != VERSION {
-            return Err(corrupt(format!(
-                "unsupported {what} version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let payload_len = header.u64("payload length").map_err(&corrupt)? as usize;
-        let expected = header.u64("integrity digest").map_err(&corrupt)?;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != payload_len {
-            return Err(corrupt(format!(
-                "payload length mismatch: header declares {payload_len} bytes, \
-                 file holds {}",
-                payload.len()
-            )));
-        }
-        let found = fnv1a64(payload);
-        if found != expected {
-            return Err(StateError::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            });
-        }
-        decode(payload).map_err(corrupt)
     }
 
     /// Atomically persist the state bundle.
@@ -686,7 +571,13 @@ impl StateStore {
     /// [`StateError::Missing`] when no file exists; `Io`, `Corrupt`, or
     /// `IntegrityMismatch` when the file cannot be trusted.
     pub fn load(&self) -> Result<NetworkState, StateError> {
-        self.load_file(&MAGIC, self.path(), "state", decode_state)
+        Ok(load_framed(
+            self.path(),
+            &MAGIC,
+            "state",
+            &self.injector,
+            decode_state,
+        )?)
     }
 
     /// Atomically persist the in-flight update progress.
@@ -709,10 +600,11 @@ impl StateStore {
     /// Everything [`Self::load`] maps for the progress file, plus
     /// [`StateError::StaleProgress`] on a digest mismatch.
     pub fn load_progress_for(&self, expected_digest: u64) -> Result<Checkpoint, StateError> {
-        let p = self.load_file(
-            &PROGRESS_MAGIC,
+        let p = load_framed(
             self.progress_path(),
+            &PROGRESS_MAGIC,
             "update progress",
+            &self.injector,
             decode_payload,
         )?;
         if p.digest != expected_digest {
@@ -732,28 +624,39 @@ impl StateStore {
     /// [`StateError::Io`] on a filesystem failure other than the files
     /// already being absent.
     pub fn clear_progress(&self) -> Result<(), StateError> {
-        for path in [self.progress_path(), self.dir.join(PROGRESS_TMP)] {
-            match fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(source) => {
-                    return Err(StateError::Io {
-                        path,
-                        op: "remove",
-                        source,
-                    })
-                }
-            }
+        Ok(remove_files([
+            self.progress_path(),
+            self.dir.join(PROGRESS_TMP),
+        ])?)
+    }
+}
+
+impl From<FileFault> for StateError {
+    fn from(f: FileFault) -> Self {
+        match f {
+            FileFault::Io { path, op, source } => Self::Io { path, op, source },
+            FileFault::Corrupt { path, reason } => Self::Corrupt { path, reason },
+            FileFault::IntegrityMismatch {
+                path,
+                expected,
+                found,
+            } => Self::IntegrityMismatch {
+                path,
+                expected,
+                found,
+            },
+            FileFault::Missing { path } => Self::Missing { path },
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::VERSION;
     use crate::incremental::build_state;
     use gnet_expr::synth::{coupled_pairs, Coupling};
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -43,9 +43,10 @@ fn distributed_grn_inference_matches_shared_memory() {
                 .collect::<Vec<_>>(),
             "{ranks} ranks"
         );
-        // The gathered threshold is numerically consistent with shared.
-        assert!(
-            (dist.threshold - shared.stats.threshold).abs() < 1e-9,
+        // The gathered pooled null merges exactly: the same I* bits.
+        assert_eq!(
+            dist.threshold.to_bits(),
+            shared.stats.threshold.to_bits(),
             "{ranks} ranks: threshold {} vs {}",
             dist.threshold,
             shared.stats.threshold
