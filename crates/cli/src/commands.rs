@@ -1040,9 +1040,13 @@ pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             None => {}
             Some(Ok((o, cfg))) => writeln!(
                 out,
-                "concurrency: {} scheduler executions ({} runs × 4 policies × {:?} threads), \
+                "concurrency: {} scheduler executions ({} runs × {} policies × {:?} threads), \
                  {} pairs each, all bitwise identical to the single-threaded reference",
-                o.checks, o.runs, cfg.threads, o.pairs
+                o.checks,
+                o.runs,
+                SchedulerPolicy::ALL.len(),
+                cfg.threads,
+                o.pairs
             )?,
             Some(Err(e)) => writeln!(out, "concurrency: FAILED — {e}")?,
         }
@@ -1962,19 +1966,14 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        // StaticCyclic + 1 thread: deterministic merge order, so the
-        // resumed run must reproduce the uninterrupted one exactly.
+        // Crash on two dynamic-scheduled threads, resume on one
+        // static-block thread: the resumed run must reproduce an
+        // uninterrupted one exactly.
         let common = [
             "--input",
             matrix.to_str().unwrap(),
-            "--output",
-            edges.to_str().unwrap(),
             "--q",
             "8",
-            "--threads",
-            "1",
-            "--scheduler",
-            "static-cyclic",
             "--tile",
             "5",
             "--checkpoint-dir",
@@ -1982,19 +1981,32 @@ mod tests {
             "--checkpoint-every",
             "2",
         ];
+        let reference = dir.join("ref.tsv");
+        let mut ref_args: Vec<&str> = common.to_vec();
+        ref_args.extend(["--output", reference.to_str().unwrap(), "--threads", "2"]);
+        cmd_infer(&argmap(&ref_args), &mut sink).unwrap();
+        std::fs::remove_dir_all(&ckpt).unwrap();
+
         let mut crash_args: Vec<&str> = common.to_vec();
+        crash_args.extend(["--output", edges.to_str().unwrap()]);
+        crash_args.extend(["--threads", "2", "--scheduler", "dynamic"]);
         crash_args.extend(["--fault-plan", "seed=1;chunk-crash(boundary=2)"]);
         let err = cmd_infer(&argmap(&crash_args), &mut sink).unwrap_err();
         assert!(err.0.contains("--resume"), "{}", err.0);
         assert!(ckpt.join("gnet.ckpt").exists(), "checkpoint must survive");
 
         let mut resume_args: Vec<&str> = common.to_vec();
-        resume_args.push("--resume");
+        resume_args.extend(["--output", edges.to_str().unwrap()]);
+        resume_args.extend(["--threads", "1", "--scheduler", "static-block", "--resume"]);
         let mut out = Vec::new();
         cmd_infer(&argmap(&resume_args), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("checkpointed every 2 tiles"), "{text}");
-        assert!(edges.exists());
+        assert_eq!(
+            std::fs::read(&edges).unwrap(),
+            std::fs::read(&reference).unwrap(),
+            "resumed edges must equal the uninterrupted run's bytes"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,8 @@
 //! |---------------|-----------------------------------------------------|------------|
 //! | `kernel`      | `ScalarSparse` vs `VectorDense`, observed + nulls,  | tolerance  |
 //! |               | repeated per supported SIMD dispatch backend        |            |
-//! | `scheduler`   | 4 policies × thread counts vs serial baseline       | bitwise    |
-//! | `distributed` | `{1,2,4,8}`-rank runs                               | bytewise   |
+//! | `scheduler`   | 3 policies × thread counts vs serial baseline       | bitwise    |
+//! | `distributed` | `{1,2,4,8}`-rank runs (edge bytes, `I*` bits)       | bytewise   |
 //! | `recovery`    | resume-from-checkpoint & rank-crash vs clean runs   | bitwise    |
 //! | `metamorphic` | symmetry, monotone/permutation invariance, self-MI, | mixed (see |
 //! |               | non-negativity, independence-null consistency       | module)    |
