@@ -1004,7 +1004,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Results,
                 } => {
-                    tp.send(to, frame(TAG_RESULTS, 0, &encode_scan(&own_scan)));
+                    tp.send(to, frame(TAG_RESULTS, 0, &encode_scan(&mut own_scan)));
                 }
                 Effect::Send {
                     to,
@@ -1016,7 +1016,7 @@ pub(crate) fn rank_main(
                     to,
                     frame: ProtoFrame::Supplement,
                 } => {
-                    tp.send(to, frame(TAG_SUPPLEMENT, 0, &encode_scan(&sup_scan)));
+                    tp.send(to, frame(TAG_SUPPLEMENT, 0, &encode_scan(&mut sup_scan)));
                 }
                 Effect::AcceptBlock => {
                     travelling = block_payload
@@ -1132,15 +1132,14 @@ pub(crate) fn rank_main(
                         cache.insert(r, own_block);
                     }
                     let mut share = NullScan::default();
+                    let acc = if r == 0 { &mut share } else { &mut sup_scan };
                     for &(a, b) in &pairs {
                         stats.pairs += compute_assigned_pair(
-                            a, b, matrix, &basis, n, p, &mut cache, config, &perms, &mut share,
+                            a, b, matrix, &basis, n, p, &mut cache, config, &perms, acc,
                         );
                     }
                     if r == 0 {
                         supplements[0] = Some(share);
-                    } else {
-                        sup_scan.merge(share);
                     }
                     stats.reassigned_block_pairs += pairs.len();
                     stats.block_pairs += pairs.len();
@@ -1178,7 +1177,8 @@ pub(crate) fn rank_main(
                     // Merge phase-1 results and supplements. The merge is
                     // exact and order-free, so the result is the same
                     // bits at any rank count and after any crash.
-                    let mut merged = std::mem::take(&mut own_scan);
+                    let mut merged = NullScan::default();
+                    merged.merge(std::mem::take(&mut own_scan));
                     for part in std::mem::take(&mut parts).into_iter().flatten() {
                         merged.merge(decode_scan(&part, n));
                     }
@@ -1339,7 +1339,6 @@ fn scan_block_pair(
     // glibc's dynamic mmap threshold and raised the 2-rank peak RSS by
     // about 6 MiB.
     let mut scratch = MiScratch::for_basis(basis);
-    let mut scan = NullScan::default();
     scan_tile(
         &tile,
         &x.genes,
@@ -1348,9 +1347,8 @@ fn scan_block_pair(
         config.kernel,
         config.mi_threshold,
         &mut scratch,
-        &mut scan,
+        acc,
     );
-    acc.merge(scan);
     tile.pair_count()
 }
 
@@ -1375,8 +1373,9 @@ fn decode_assignment(bytes: &Bytes) -> Vec<(usize, usize)> {
 }
 
 /// A RESULTS or SUPPLEMENT payload: the sender's evidence in
-/// [`NullScan::encode`] form.
-fn encode_scan(scan: &NullScan) -> Vec<u8> {
+/// [`NullScan::encode`] form, candidates sorted first.
+fn encode_scan(scan: &mut NullScan) -> Vec<u8> {
+    scan.candidates.sort_unstable_by_key(|c| (c.0, c.1));
     let mut out = Vec::new();
     scan.encode(&mut out);
     out

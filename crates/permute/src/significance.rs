@@ -14,9 +14,11 @@ pub fn empirical_p_value(observed: f64, null: &[f64]) -> f64 {
 /// Fixed-point scale of [`PooledNull`]: null MI values are rounded to
 /// multiples of 2⁻⁴⁰ nats.
 const SCALE: f64 = (1u64 << 40) as f64;
-/// Magnitude bound on pooled values. Below it, `q² < 2⁸⁸`, so `Σq²` stays
-/// below 2¹²⁷ for up to 2³⁹ values (the headline run pools about 2³²).
+/// Magnitude bound on pooled values: below it `|q| < 2⁴⁴` and `q² < 2⁸⁸`.
 const LIMIT: f64 = 16.0;
+/// Bound on the pooled count, which keeps `Σq²` below 2¹²⁷ (the headline
+/// run pools about 2³² values).
+const MAX_COUNT: u64 = 1 << 39;
 
 /// Streaming, mergeable accumulator over the pooled null distribution
 /// (every null MI value of every pair).
@@ -82,7 +84,8 @@ impl PooledNull {
     /// Fold in a batch of null values.
     ///
     /// # Panics
-    /// Panics on a non-finite value or one of magnitude 16 nats or more.
+    /// Panics on a non-finite value or one of magnitude 16 nats or more,
+    /// or when the count reaches 2³⁹ values.
     pub fn extend(&mut self, values: &[f64]) {
         let (mut sum, mut sum_sq, mut max) = (0i128, 0i128, self.max);
         for &v in values {
@@ -92,14 +95,25 @@ impl PooledNull {
             max = max.max(v);
         }
         self.count += values.len() as u64;
+        assert!(
+            self.count < MAX_COUNT,
+            "pooled null holds 2^39 values or more"
+        );
         self.sum += sum;
         self.sum_sq += sum_sq;
         self.max = max;
     }
 
     /// Merge another accumulator: exact, associative and commutative.
+    ///
+    /// # Panics
+    /// Panics when the merged count reaches 2³⁹ values.
     pub fn merge(&mut self, other: &Self) {
         self.count += other.count;
+        assert!(
+            self.count < MAX_COUNT,
+            "pooled null holds 2^39 values or more"
+        );
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
         self.max = self.max.max(other.max);
@@ -162,7 +176,8 @@ impl PooledNull {
     ///
     /// # Errors
     /// A reason when the count and `max` disagree (empty iff `max` is
-    /// −∞), `max` is out of range, or `Σq²` is negative.
+    /// −∞), `max` is out of range, or the sums exceed what the count
+    /// allows.
     pub fn from_bytes(bytes: &[u8; Self::ENCODED_LEN]) -> Result<Self, String> {
         let field = |lo: usize, hi: usize| &bytes[lo..hi];
         let count = u64::from_le_bytes(field(0, 8).try_into().expect("8-byte field"));
@@ -181,8 +196,16 @@ impl PooledNull {
                 "pooled null max {max} disagrees with count {count}"
             ));
         }
-        if pooled.sum_sq < 0 || (empty && (pooled.sum != 0 || pooled.sum_sq != 0)) {
-            return Err("pooled null sums are inconsistent".into());
+        // Every |q| is at most 2⁴⁴ − 1, which bounds both sums by the count.
+        let (n, q_max) = (u128::from(count), (1u128 << 44) - 1);
+        if count >= MAX_COUNT
+            || pooled.sum.unsigned_abs() > n * q_max
+            || pooled.sum_sq < 0
+            || pooled.sum_sq.unsigned_abs() > n * q_max * q_max
+        {
+            return Err(format!(
+                "pooled null sums are out of range for {count} values"
+            ));
         }
         Ok(pooled)
     }
@@ -361,6 +384,12 @@ mod tests {
         let mut negative_sq = p.to_bytes();
         negative_sq[24..40].copy_from_slice(&(-1i128).to_le_bytes());
         assert!(PooledNull::from_bytes(&negative_sq).is_err());
+        let mut huge_sum = p.to_bytes();
+        huge_sum[8..24].copy_from_slice(&i128::MIN.to_le_bytes());
+        assert!(PooledNull::from_bytes(&huge_sum).is_err());
+        let mut huge_count = p.to_bytes();
+        huge_count[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(PooledNull::from_bytes(&huge_count).is_err());
     }
 
     #[test]
