@@ -59,7 +59,7 @@ use gnet_core::config::NullStrategy;
 use gnet_core::{scan_tile, InferenceConfig, NullScan};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, Fault, FaultInjector};
-use gnet_graph::{Edge, GeneNetwork};
+use gnet_graph::GeneNetwork;
 use gnet_mi::{prepare_gene, MiKernel, MiScratch};
 use gnet_parallel::Tile;
 use gnet_permute::PermutationSet;
@@ -1192,15 +1192,7 @@ pub(crate) fn rank_main(
                             .pooled
                             .global_threshold(config.alpha, total_pairs.max(1)),
                     };
-                    let network = GeneNetwork::from_edges(
-                        n,
-                        matrix.gene_names().to_vec(),
-                        merged
-                            .candidates
-                            .into_iter()
-                            .filter(|&(_, _, v)| v > threshold)
-                            .map(|(i, j, v)| Edge::new(i, j, v as f32)),
-                    );
+                    let network = merged.network(matrix.gene_names(), threshold);
                     output = Some((network, threshold, dead));
                 }
             }

@@ -5,7 +5,6 @@ use crate::result::{InferenceResult, RunStats};
 use crate::scan::{for_each_planned_pair, tile_genes, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
-use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile, TileSpace};
 use gnet_permute::{PermutationSet, PooledNull};
@@ -60,22 +59,6 @@ impl PreparedRun {
     }
 }
 
-/// The network of the candidates above `threshold`.
-pub(crate) fn network_above(
-    matrix: &ExpressionMatrix,
-    candidates: &[(u32, u32, f64)],
-    threshold: f64,
-) -> GeneNetwork {
-    GeneNetwork::from_edges(
-        matrix.genes(),
-        matrix.gene_names().to_vec(),
-        candidates
-            .iter()
-            .filter(|c| c.2 > threshold)
-            .map(|&(i, j, v)| Edge::new(i, j, v as f32)),
-    )
-}
-
 /// Finalize a run: resolve `I*` (`threshold` when given, else the
 /// explicit threshold, else the pooled one), apply it, and assemble the
 /// statistics. `stage_times` holds the prep and MI stage durations; the
@@ -94,7 +77,7 @@ pub(crate) fn finish_run(
     let threshold = threshold
         .or(config.mi_threshold)
         .unwrap_or_else(|| scan.pooled.global_threshold(config.alpha, pairs.max(1)));
-    let network = network_above(matrix, &scan.candidates, threshold);
+    let network = scan.network(matrix.gene_names(), threshold);
     let stats = RunStats {
         prep_time: stage_times[0],
         mi_time: stage_times[1],

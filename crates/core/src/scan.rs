@@ -16,6 +16,7 @@
 use crate::config::InferenceConfig;
 use crate::durable::Reader;
 use gnet_bspline::{BsplineBasis, DenseWeights};
+use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::{MiKernel, MiScratch, PlannedRow, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile};
 use gnet_permute::{PermutationSet, PooledNull};
@@ -59,6 +60,19 @@ impl NullScan {
             };
             self.candidates[i + j] = c;
         }
+    }
+
+    /// The network of the candidates above `threshold`, over one gene per
+    /// name.
+    pub fn network(&self, names: &[String], threshold: f64) -> GeneNetwork {
+        GeneNetwork::from_edges(
+            names.len(),
+            names.to_vec(),
+            self.candidates
+                .iter()
+                .filter(|c| c.2 > threshold)
+                .map(|&(i, j, v)| Edge::new(i, j, v as f32)),
+        )
     }
 
     /// Append the byte form checkpoints, state bundles and the ring's

@@ -58,7 +58,7 @@ use crate::scan::NullScan;
 use gnet_bspline::SparseWeights;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::FaultInjector;
-use gnet_graph::{Edge, GeneNetwork};
+use gnet_graph::GeneNetwork;
 use gnet_mi::MiKernel;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
@@ -169,14 +169,7 @@ impl NetworkState {
     /// exactly the finalize stage of [`crate::infer_network`].
     #[must_use]
     pub fn network(&self) -> GeneNetwork {
-        let threshold = self.threshold();
-        let edges = self
-            .scan
-            .candidates
-            .iter()
-            .filter(|&&(_, _, v)| v > threshold)
-            .map(|&(i, j, v)| Edge::new(i, j, v as f32));
-        GeneNetwork::from_edges(self.genes.len(), self.names.clone(), edges)
+        self.scan.network(&self.names, self.threshold())
     }
 
     /// The result-binding [`InferenceConfig`] this state was built under
