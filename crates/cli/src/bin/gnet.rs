@@ -41,8 +41,8 @@ subcommands:
             JSON)] [--status-interval-ms N (heartbeat cadence, 250)]
   update    incrementally append genes or samples to a saved state
             --state DIR --append FILE --output FILE
-            [--mode genes|samples] [--checkpoint-every N] [--resume]
-            [--fault-plan PLAN]
+            [--mode genes|samples] [--checkpoint-every N (tiles, 8)]
+            [--resume] [--fault-plan PLAN]
   worker    join a multi-process run started by infer --listen
             --connect ADDR [--trace-dir DIR]
   status    one-screen live summary of a running inference
