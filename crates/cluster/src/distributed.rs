@@ -8,9 +8,10 @@
 //! block `(r − d) mod P`, and each unordered block pair has exactly one
 //! *owner* (the rank that meets the partner block in the earlier round,
 //! ties to the lower rank), so every gene pair is computed exactly once
-//! across the cluster. Pooled-null moments and candidate edges are then
-//! collected on rank 0, which applies the global threshold — the same
-//! statistics, in the same arithmetic, as the shared-memory pipeline.
+//! across the cluster. Each block pair is one tile, scanned by the
+//! shared-memory pipeline's `scan_tile`; the pooled null and candidate
+//! edges are then collected on rank 0, which applies the global threshold
+//! — the same statistics, to the bit, as the shared-memory pipeline.
 //!
 //! This is the structure of the original TINGe MPI implementation (the
 //! cluster baseline the paper compares against), realized over the
@@ -41,9 +42,9 @@
 //!   semantics: the job cannot outlive its root).
 //!
 //! In a fault-free run the recovery protocol is pure bookkeeping: every
-//! assignment is empty, merging empty supplements is an exact no-op, and
-//! results merge in rank order — so the output is bit-identical to the
-//! historical gather-based implementation.
+//! assignment is empty and merging empty supplements is an exact no-op.
+//! The merge is exact and order-free in any case, so recovered runs are
+//! bit-identical to fault-free ones.
 
 use crate::codec::{decode_block, encode_block, GeneBlock};
 use crate::comm::{run_ranks_on, Fabric, RecvTimeoutError};

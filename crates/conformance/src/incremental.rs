@@ -4,7 +4,7 @@
 //! behind `gnet update`) promises that appending genes or samples to a
 //! saved [`NetworkState`] yields the *bit-identical* state a from-scratch
 //! [`build_state`] over the concatenated dataset produces — candidates,
-//! pooled-null moments, threshold, edges, everything. This oracle states
+//! pooled null, threshold, edges, everything. This oracle states
 //! that promise over the whole conformance corpus:
 //!
 //! 1. **Gene leg** (datasets with ≥ 3 genes): split the gene set into a

@@ -2,11 +2,12 @@
 //!
 //! A full-scale run is tens of minutes on the paper's hardware and many
 //! hours on a workstation; production deployments need to survive
-//! preemption. Because the pipeline's per-thread state is *mergeable*
-//! (pooled-null moments merge exactly, candidates concatenate) and the
-//! tile list is deterministic, progress can be captured as a compact
-//! [`Checkpoint`]: a prefix length into the tile list plus the merged
-//! accumulators over that prefix. Resuming replays nothing.
+//! preemption. Because the pipeline's per-thread state merges exactly
+//! in any order (integer pooled-null sums, `(i, j)`-sorted candidates)
+//! and the tile list is deterministic, progress can be captured as a
+//! compact [`Checkpoint`]: a prefix length into the tile list plus the
+//! merged evidence over that prefix. Resuming replays nothing, at any
+//! thread count and scheduler.
 //!
 //! Only the exact (paper-faithful) null strategy is supported — the
 //! early-exit pre-pass would have to be re-estimated on resume, changing

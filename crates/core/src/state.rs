@@ -531,23 +531,19 @@ impl StateStore {
         self.dir.join(PROGRESS_FILE)
     }
 
-    fn save_file(
-        &self,
-        magic: &[u8; 8],
-        tmp_name: &str,
-        name: &str,
-        payload: Vec<u8>,
-    ) -> Result<(), StateError> {
-        save_framed(&self.dir, tmp_name, name, magic, payload, &self.injector)?;
-        Ok(())
-    }
-
     /// Atomically persist the state bundle.
     ///
     /// # Errors
     /// [`StateError::Io`] naming the path and operation that failed.
     pub fn save(&self, state: &NetworkState) -> Result<(), StateError> {
-        self.save_file(&MAGIC, STATE_TMP, STATE_FILE, encode_state(state))?;
+        save_framed(
+            &self.dir,
+            STATE_TMP,
+            STATE_FILE,
+            &MAGIC,
+            encode_state(state),
+            &self.injector,
+        )?;
         self.rec.event(
             "state.saved",
             &[
@@ -578,12 +574,15 @@ impl StateStore {
     /// # Errors
     /// [`StateError::Io`] naming the path and operation that failed.
     pub fn save_progress(&self, progress: &Checkpoint) -> Result<(), StateError> {
-        self.save_file(
-            &PROGRESS_MAGIC,
+        save_framed(
+            &self.dir,
             PROGRESS_TMP,
             PROGRESS_FILE,
+            &PROGRESS_MAGIC,
             encode_payload(progress),
-        )
+            &self.injector,
+        )?;
+        Ok(())
     }
 
     /// Load the progress file, additionally rejecting progress whose
