@@ -13,10 +13,12 @@
 //!   then `P = Xᵀ·Y / m`, a small dense GEMM whose inner loop streams over
 //!   samples with FMA lanes — the restructuring that unlocks the Phi's
 //!   512-bit unit. Rows are padded to a lane multiple so kernels need no
-//!   tail handling.
+//!   tail handling, and stored as cache-line-aligned [`Row16`]s so no row
+//!   load straddles two cache lines.
 
 use crate::basis::{BsplineBasis, MAX_ORDER};
 use gnet_simd::lanes::F32x16;
+use gnet_simd::Row16;
 
 /// Compact per-gene weight matrix: `k` weights + first-bin index per sample.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,7 +125,15 @@ impl SparseWeights {
 
     /// Expand into the dense, lane-padded layout.
     pub fn to_dense(&self) -> DenseWeights {
-        let mut dense = DenseWeights::zeroed(self.samples, self.bins);
+        let mut dense = DenseWeights::zeroed(0, self.bins);
+        self.expand_into(&mut dense);
+        dense
+    }
+
+    /// Expand into the dense layout in `dense`, reusing its rows'
+    /// allocation; the result equals [`Self::to_dense`].
+    pub fn expand_into(&self, dense: &mut DenseWeights) {
+        dense.reset_zeroed(self.samples, self.bins);
         for s in 0..self.samples {
             let fb = self.first_bin(s);
             let row = dense.row_mut(s);
@@ -131,7 +141,6 @@ impl SparseWeights {
                 row[fb + j] = w;
             }
         }
-        dense
     }
 
     /// Approximate heap footprint in bytes (used by the tile-size planner).
@@ -219,28 +228,40 @@ impl SparseWeights {
 }
 
 /// Dense, zero-padded per-gene weight matrix (`m` rows × `b` columns, each
-/// row padded to a multiple of the lane width).
+/// row padded to a multiple of the lane width and starting on a 64-byte
+/// cache line).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseWeights {
     samples: usize,
     bins: usize,
     /// Row stride ≥ bins, a multiple of `F32x16::LANES`.
     stride: usize,
-    /// `samples × stride`, row-major; padding columns are zero.
-    data: Vec<f32>,
+    /// `samples × stride / 16` aligned rows, sample-major; padding columns
+    /// are zero.
+    data: Vec<Row16>,
 }
 
 impl DenseWeights {
     /// All-zero matrix with lane-padded rows.
     pub fn zeroed(samples: usize, bins: usize) -> Self {
+        let mut dense = Self {
+            samples: 0,
+            bins: 0,
+            stride: 0,
+            data: Vec::new(),
+        };
+        dense.reset_zeroed(samples, bins);
+        dense
+    }
+
+    /// Make `self` the all-zero `samples × bins` matrix, reusing its
+    /// allocation.
+    fn reset_zeroed(&mut self, samples: usize, bins: usize) {
         let lanes = F32x16::LANES;
         let stride = bins.div_ceil(lanes) * lanes;
-        Self {
-            samples,
-            bins,
-            stride,
-            data: vec![0.0; samples * stride],
-        }
+        (self.samples, self.bins, self.stride) = (samples, bins, stride);
+        self.data.clear();
+        self.data.resize(samples * stride / lanes, Row16::ZERO);
     }
 
     /// Number of samples `m` (rows).
@@ -261,17 +282,24 @@ impl DenseWeights {
     /// Row `s` including padding columns.
     #[inline(always)]
     pub fn row(&self, s: usize) -> &[f32] {
-        &self.data[s * self.stride..(s + 1) * self.stride]
+        &self.as_slice()[s * self.stride..(s + 1) * self.stride]
     }
 
     /// Mutable row `s` including padding columns.
     #[inline(always)]
     pub fn row_mut(&mut self, s: usize) -> &mut [f32] {
-        &mut self.data[s * self.stride..(s + 1) * self.stride]
+        let stride = self.stride;
+        &mut Row16::flatten_mut(&mut self.data)[s * stride..(s + 1) * stride]
     }
 
     /// Whole backing slice (rows × stride).
     pub fn as_slice(&self) -> &[f32] {
+        Row16::flatten(&self.data)
+    }
+
+    /// The aligned rows the run kernel reads: one per sample when
+    /// `stride == 16` (`b ≤ 16`), `stride / 16` per sample otherwise.
+    pub fn rows16(&self) -> &[Row16] {
         &self.data
     }
 
@@ -279,9 +307,7 @@ impl DenseWeights {
     /// vectorized joint kernel uses column views to stream over samples.
     pub fn column(&self, u: usize) -> Vec<f32> {
         assert!(u < self.bins, "column {u} out of range");
-        (0..self.samples)
-            .map(|s| self.data[s * self.stride + u])
-            .collect()
+        (0..self.samples).map(|s| self.row(s)[u]).collect()
     }
 
     /// Marginal bin distribution `p[u] = (1/m) Σ_s row_s[u]`.
@@ -308,12 +334,13 @@ impl DenseWeights {
     /// Panics if `perm.len() != samples`.
     pub fn permuted(&self, perm: &[u32]) -> Self {
         assert_eq!(perm.len(), self.samples, "permutation length mismatch");
-        let mut out = Self::zeroed(self.samples, self.bins);
-        for (dst, &src) in perm.iter().enumerate() {
-            let src_row = self.row(src as usize).to_vec();
-            out.row_mut(dst).copy_from_slice(&src_row);
+        let per_sample = self.stride / F32x16::LANES;
+        let mut data = Vec::with_capacity(self.data.len());
+        for &src in perm {
+            let s = src as usize; // cast-ok: u32 to usize widens losslessly
+            data.extend_from_slice(&self.data[s * per_sample..(s + 1) * per_sample]);
         }
-        out
+        Self { data, ..*self }
     }
 
     /// Column-major transpose of the padded matrix: `stride` rows of
@@ -340,7 +367,7 @@ impl DenseWeights {
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.data.len() * core::mem::size_of::<f32>()
+        self.data.len() * core::mem::size_of::<Row16>()
     }
 }
 
@@ -444,6 +471,34 @@ mod tests {
                 assert_eq!(v, 0.0, "padding column must stay zero");
             }
         }
+    }
+
+    #[test]
+    fn dense_rows_start_on_cache_lines_through_every_copy() {
+        let basis = BsplineBasis::tinge_default();
+        let w = SparseWeights::from_normalized(&demo_values(), &basis);
+        let m = u32::try_from(w.samples()).expect("test sample count fits u32");
+        let perm: Vec<u32> = (0..m).rev().collect();
+        let d = w.to_dense();
+        for copy in [&d, &d.clone(), &d.permuted(&perm)] {
+            for s in 0..copy.samples() {
+                assert!(
+                    (copy.row(s).as_ptr() as usize).is_multiple_of(64),
+                    "row {s}"
+                );
+            }
+        }
+        // The type proves it for every row of every copy.
+        assert_eq!(core::mem::align_of::<Row16>(), 64);
+    }
+
+    #[test]
+    fn expanding_into_a_used_buffer_equals_a_fresh_expansion() {
+        let w = SparseWeights::from_normalized(&demo_values(), &BsplineBasis::tinge_default());
+        let mut reused =
+            SparseWeights::from_normalized(&[0.5; 50], &BsplineBasis::new(2, 20)).to_dense();
+        w.expand_into(&mut reused);
+        assert_eq!(reused, w.to_dense());
     }
 
     #[test]

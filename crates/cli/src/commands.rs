@@ -1269,18 +1269,21 @@ pub fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliErr
 ///
 /// Options: `--quick` (smaller shapes, 3 reps — the PR-CI mode),
 /// `--reps K` (override repetitions), `--out FILE` (artifact path,
-/// default `BENCH_7.json`), `--baseline FILE` (compare against a
+/// default `BENCH_14.json`), `--baseline FILE` (compare against a
 /// committed artifact and exit nonzero on statistically significant
 /// regressions), `--update-baseline` (with `--baseline`: overwrite the
 /// baseline file with this run instead of gating against it — the
-/// re-baselining path after a real speedup), `--inject-slowdown F`
-/// (artificially slow the vector kernel by F× — the gate's self-test
-/// hook).
+/// re-baselining path after a real speedup or a suite change),
+/// `--inject-slowdown F` (artificially slow the vector kernel by F× —
+/// the gate's self-test hook).
 ///
 /// When a candidate minimum undercuts the baseline by more than the
 /// stale gate (`min < base × 0.5`), the command prints a warning: the
 /// committed numbers no longer anchor the regression gate and should be
-/// refreshed with `--update-baseline`.
+/// refreshed with `--update-baseline`. A bench id the baseline lacks
+/// fails the gate (it could never be gated otherwise) unless
+/// `--update-baseline` is given; a baseline id the suite no longer runs
+/// only warns.
 pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_obs::bench;
 
@@ -1292,7 +1295,7 @@ pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         ),
         None => None,
     };
-    let out_path = args.get("out").unwrap_or("BENCH_7.json").to_string();
+    let out_path = args.get("out").unwrap_or("BENCH_14.json").to_string();
     let baseline_path = args.get("baseline").map(str::to_string);
     let update_baseline = args.flag("update-baseline");
     let slowdown = args.get_or("inject-slowdown", 1.0f64)?;
@@ -1336,54 +1339,81 @@ pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
     writeln!(out, "wrote {out_path}")?;
 
-    if let Some(bp) = baseline_path {
-        let text = std::fs::read_to_string(&bp)
-            .map_err(|e| CliError(format!("cannot read baseline {bp}: {e}")))?;
-        let base = bench::parse_suite(&text).map_err(|e| CliError(format!("{bp}: {e}")))?;
-        if base.quick != suite.quick {
-            // Quick and full shapes share ids but not workloads; a
-            // quick candidate would "pass" against a full baseline by
-            // construction.
-            return fail(format!(
-                "baseline {bp} is a {} suite but this run is {} — modes must match",
-                if base.quick { "quick" } else { "full" },
-                if suite.quick { "quick" } else { "full" },
-            ));
-        }
-        for w in bench::improvements(&base, &suite) {
-            writeln!(
-                out,
-                "WARNING {:<20} {:.1} us -> {:.1} us ({:.2}x faster): baseline is stale \
-                 — refresh it with --update-baseline",
-                w.id, w.base_min_us, w.cand_min_us, w.speedup
-            )?;
-        }
-        if update_baseline {
-            // Re-baselining: this run *becomes* the committed numbers, so
-            // gating it against the numbers it replaces would be circular.
-            std::fs::write(&bp, bench::to_json(&suite))
-                .map_err(|e| CliError(format!("cannot update baseline {bp}: {e}")))?;
-            writeln!(out, "updated baseline {bp} from this run")?;
-            return Ok(());
-        }
-        let regressions = bench::compare(&base, &suite);
-        if regressions.is_empty() {
-            writeln!(out, "no significant regressions vs {bp}")?;
-        } else {
-            for r in &regressions {
-                writeln!(
-                    out,
-                    "REGRESSION {:<20} {:.1} us -> {:.1} us ({:.2}x, gate {:.1} us)",
-                    r.id, r.base_min_us, r.cand_min_us, r.ratio, r.threshold_us
-                )?;
-            }
-            return fail(format!(
-                "{} benchmark regression(s) vs {bp}",
-                regressions.len()
-            ));
-        }
+    match baseline_path {
+        Some(bp) => gate_on_baseline(&suite, &bp, update_baseline, out),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// `gnet bench`'s gate: compare `suite` with the baseline artifact at
+/// `bp` — or, with `update_baseline`, overwrite `bp` with `suite`.
+fn gate_on_baseline(
+    suite: &gnet_obs::bench::BenchSuite,
+    bp: &str,
+    update_baseline: bool,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    use gnet_obs::bench;
+
+    let text = std::fs::read_to_string(bp)
+        .map_err(|e| CliError(format!("cannot read baseline {bp}: {e}")))?;
+    let base = bench::parse_suite(&text).map_err(|e| CliError(format!("{bp}: {e}")))?;
+    if base.quick != suite.quick {
+        // Quick and full shapes share ids but not workloads; a
+        // quick candidate would "pass" against a full baseline by
+        // construction.
+        return fail(format!(
+            "baseline {bp} is a {} suite but this run is {} — modes must match",
+            if base.quick { "quick" } else { "full" },
+            if suite.quick { "quick" } else { "full" },
+        ));
+    }
+    for w in bench::improvements(&base, suite) {
+        writeln!(
+            out,
+            "WARNING {:<20} {:.1} us -> {:.1} us ({:.2}x faster): baseline is stale \
+             — refresh it with --update-baseline",
+            w.id, w.base_min_us, w.cand_min_us, w.speedup
+        )?;
+    }
+    let drift = bench::id_drift(&base, suite);
+    for id in &drift.retired {
+        writeln!(
+            out,
+            "WARNING {id:<20} is in {bp} but no longer in the suite (retired)"
+        )?;
+    }
+    if update_baseline {
+        // Re-baselining: this run *becomes* the committed numbers, so
+        // gating it against the numbers it replaces would be circular.
+        std::fs::write(bp, bench::to_json(suite))
+            .map_err(|e| CliError(format!("cannot update baseline {bp}: {e}")))?;
+        writeln!(out, "updated baseline {bp} from this run")?;
+        return Ok(());
+    }
+    if !drift.new.is_empty() {
+        return fail(format!(
+            "bench id(s) {} missing from baseline {bp}: they cannot be gated \
+             — refresh the baseline with --update-baseline",
+            drift.new.join(", ")
+        ));
+    }
+    let regressions = bench::compare(&base, suite);
+    if regressions.is_empty() {
+        writeln!(out, "no significant regressions vs {bp}")?;
+        return Ok(());
+    }
+    for r in &regressions {
+        writeln!(
+            out,
+            "REGRESSION {:<20} {:.1} us -> {:.1} us ({:.2}x, gate {:.1} us)",
+            r.id, r.base_min_us, r.cand_min_us, r.ratio, r.threshold_us
+        )?;
+    }
+    fail(format!(
+        "{} benchmark regression(s) vs {bp}",
+        regressions.len()
+    ))
 }
 
 /// `gnet simd` — report which SIMD backend the kernel dispatcher picked.
@@ -1456,6 +1486,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gnet_cli_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Serializes the tests that run the bench suite — which forces each
+    /// SIMD backend through the process-global dispatch override — with
+    /// the tests that read the dispatch or compare the bytes of two runs,
+    /// so a test thread never computes on another test's forced backend.
+    fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
+        static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A panicking holder leaves nothing to repair: the lock guards no
+        // data, and `with_forced` restores the backend on unwind.
+        DISPATCH
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -1845,6 +1888,7 @@ mod tests {
 
     #[test]
     fn simd_reports_dispatch_and_verifies_clean() {
+        let _dispatch = dispatch_lock();
         // No GNET_SIMD_FORCE in the test environment, so active must be
         // the detected best and --verify must pass.
         let mut out = Vec::new();
@@ -1855,6 +1899,53 @@ mod tests {
         assert!(text.contains("supported"), "{text}");
         // Every host supports at least the emulated backend.
         assert!(text.contains("emulated"), "{text}");
+    }
+
+    #[test]
+    fn bench_gate_rejects_new_ids_until_the_baseline_is_refreshed() {
+        use gnet_obs::bench::{to_json, BenchEntry, BenchSuite};
+        let suite = |ids: &[&str]| BenchSuite {
+            quick: true,
+            entries: ids
+                .iter()
+                .map(|id| BenchEntry {
+                    id: (*id).to_string(),
+                    unit: "us".to_string(),
+                    values_us: vec![100.0],
+                    min_us: 100.0,
+                    median_us: 100.0,
+                    mad_us: 0.0,
+                })
+                .collect(),
+        };
+        let dir = tmpdir("bench_ids");
+        let baseline = dir.join("BENCH_14.json");
+        let bp = baseline.to_str().unwrap();
+        std::fs::write(
+            &baseline,
+            to_json(&suite(&["kernel.vector", "retired.bench"])),
+        )
+        .unwrap();
+        let candidate = suite(&["kernel.vector", "telemetry.overhead"]);
+        // A suite id the baseline lacks fails the gate; a retired one
+        // only warns.
+        let mut out = Vec::new();
+        let err = gate_on_baseline(&candidate, bp, false, &mut out).unwrap_err();
+        assert!(
+            err.0.contains("telemetry.overhead") && err.0.contains("missing from baseline"),
+            "{}",
+            err.0
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("WARNING retired.bench"), "{text}");
+        // Refreshing accepts the new id and drops the retired one.
+        let mut out = Vec::new();
+        gate_on_baseline(&candidate, bp, true, &mut out).expect("refreshing accepts new ids");
+        let refreshed = std::fs::read_to_string(&baseline).unwrap();
+        assert!(refreshed.contains("telemetry.overhead") && !refreshed.contains("retired.bench"));
+        let mut out = Vec::new();
+        gate_on_baseline(&candidate, bp, false, &mut out).expect("the refreshed baseline gates");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2272,9 +2363,10 @@ mod tests {
 
     #[test]
     fn bench_writes_artifact_and_gates_on_baseline() {
+        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench");
-        let artifact = dir.join("BENCH_7.json");
-        let candidate = dir.join("BENCH_7.cand.json");
+        let artifact = dir.join("BENCH_14.json");
+        let candidate = dir.join("BENCH_14.cand.json");
         let mut out = Vec::new();
         cmd_bench(
             &argmap(&[
@@ -2314,9 +2406,10 @@ mod tests {
 
     #[test]
     fn bench_gate_trips_on_injected_vector_slowdown() {
+        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench_slow");
-        let artifact = dir.join("BENCH_7.json");
-        let candidate = dir.join("BENCH_7.cand.json");
+        let artifact = dir.join("BENCH_14.json");
+        let candidate = dir.join("BENCH_14.cand.json");
         let mut out = Vec::new();
         cmd_bench(
             &argmap(&[
@@ -2360,6 +2453,7 @@ mod tests {
 
     #[test]
     fn bench_rejects_mode_mismatched_baseline() {
+        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench_mode");
         let baseline = dir.join("full.json");
         // A minimal *full* baseline; the candidate runs --quick.
@@ -2747,6 +2841,7 @@ mod tests {
     /// snapshot, and the byte-identity invariant vs a telemetry-off run.
     #[test]
     fn live_status_file_flows_into_gnet_status() {
+        let _dispatch = dispatch_lock();
         let dir = tmpdir("live_status");
         let matrix = dir.join("m.tsv");
         let edges_live = dir.join("live.tsv");

@@ -1307,9 +1307,10 @@ fn compute_assigned_pair(
     scan_block_pair(x, y, config, perms, basis, acc)
 }
 
-/// Scan block pair `(x, y)` — one tile of the pair space, rows from `x`
-/// and columns from `y` (the diagonal tile of `x` when `y` is `None`) —
-/// into `acc`. Returns the pairs evaluated.
+/// Scan block pair `(x, y)` — rows from `x` and columns from `y` (the
+/// diagonal block of `x` when `y` is `None`) — into `acc`, in the
+/// shared-memory run's tiles: bands of the configured or cache-rule tile
+/// size on each side. Returns the pairs evaluated.
 fn scan_block_pair(
     x: &GeneBlock,
     y: Option<&GeneBlock>,
@@ -1318,31 +1319,51 @@ fn scan_block_pair(
     basis: &BsplineBasis,
     acc: &mut NullScan,
 ) -> u64 {
-    let y = y.unwrap_or(x);
+    let cols = y.unwrap_or(x);
     let span = |b: &GeneBlock| (b.indices[0], b.indices[0] + b.indices.len() as u32);
-    let ((row_start, row_end), (col_start, col_end)) = (span(x), span(y));
-    let tile = Tile {
+    let ((row_start, row_end), (col_start, col_end)) = (span(x), span(cols));
+    // A tile's worth of dense columns at a time: expanding the whole
+    // block's columns at once held about 12.8 MB of them per rank at
+    // m = 3,137. The scratch is per block pair; kept for a rank's whole
+    // run, its buffers raised the 2-rank peak RSS.
+    let size = config.resolved_tile_size(cols.genes.len(), cols.genes[0].heap_bytes()) as u32;
+    let bands = |start: u32, end: u32| {
+        (start..end)
+            .step_by(size as usize)
+            .map(move |s| (s, (s + size).min(end)))
+    };
+    let mut scratch = MiScratch::for_basis(basis);
+    for (r0, r1) in bands(row_start, row_end) {
+        for (c0, c1) in bands(col_start, col_end) {
+            if y.is_none() && c1 <= r0 {
+                continue; // below the diagonal block's diagonal
+            }
+            let tile = Tile {
+                row_start: r0,
+                row_end: r1,
+                col_start: c0,
+                col_end: c1,
+            };
+            let local = |start: u32, (a, b): (u32, u32)| (a - start) as usize..(b - start) as usize;
+            scan_tile(
+                &tile,
+                &x.genes[local(row_start, (r0, r1))],
+                &cols.genes[local(col_start, (c0, c1))],
+                perms,
+                config.kernel,
+                config.mi_threshold,
+                &mut scratch,
+                acc,
+            );
+        }
+    }
+    Tile {
         row_start,
         row_end,
         col_start,
         col_end,
-    };
-    // A scratch per block pair frees the row plans' buffers with the
-    // block's dense expansions. Kept for a rank's whole run, they moved
-    // glibc's dynamic mmap threshold and raised the 2-rank peak RSS by
-    // about 6 MiB.
-    let mut scratch = MiScratch::for_basis(basis);
-    scan_tile(
-        &tile,
-        &x.genes,
-        &y.genes,
-        perms,
-        config.kernel,
-        config.mi_threshold,
-        &mut scratch,
-        acc,
-    );
-    tile.pair_count()
+    }
+    .pair_count()
 }
 
 fn encode_assignment(pairs: &[(usize, usize)]) -> Bytes {

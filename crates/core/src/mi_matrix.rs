@@ -8,7 +8,7 @@
 //! [`gnet_parallel::pair_index`].
 
 use crate::config::InferenceConfig;
-use crate::scan::{for_each_planned_pair, tile_genes};
+use crate::scan::{for_each_planned_block, tile_genes};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{prepare_gene, MiScratch, PreparedGene};
@@ -69,8 +69,8 @@ impl MiMatrix {
 /// Compute the full MI matrix of a raw expression matrix, in parallel.
 /// Uses the config's estimator settings, kernel, thread count, and
 /// scheduler; permutation/threshold settings are ignored. Like the
-/// inference pipeline, each tile expands its column genes once and plans
-/// each row gene once.
+/// inference pipeline, each tile expands its column genes once, plans
+/// each row gene once and meets the row's column genes in blocks.
 pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) -> MiMatrix {
     config.validate();
     assert!(matrix.genes() >= 2, "need at least two genes");
@@ -91,16 +91,18 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
         |_tid| (MiScratch::for_basis(&basis), Vec::<(u32, u32, f32)>::new()),
         |(scratch, out), tile| {
             let (rows, cols) = tile_genes(tile, &prepared);
-            for_each_planned_pair(
+            let mut values = Vec::new();
+            for_each_planned_block(
                 tile,
                 rows,
                 cols,
                 &[],
                 kernel,
                 scratch,
-                |row, i, j, y, y_dense| {
-                    let v = row.mi(y, y_dense);
-                    out.push((i, j, v as f32));
+                |row, i, j0, ys, dense| {
+                    values.resize(ys.len(), 0.0);
+                    row.mi_block(ys, dense, &mut values);
+                    out.extend((j0..).zip(&values).map(|(j, &v)| (i, j, v as f32)));
                 },
             );
         },

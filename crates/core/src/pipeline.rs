@@ -2,7 +2,7 @@
 
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use crate::scan::{for_each_planned_pair, tile_genes, NullScan, TileScan};
+use crate::scan::{for_each_planned_block, tile_genes, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
@@ -364,18 +364,22 @@ fn process_tile_early_exit(
     acc: &mut NullScan,
 ) {
     let (rows, cols) = tile_genes(tile, prepared);
-    for_each_planned_pair(
+    for_each_planned_block(
         tile,
         rows,
         cols,
         perms.as_vecs(),
         kernel,
         scratch,
-        |row, i, j, y, y_dense| {
-            let res = row.mi_with_nulls_early_exit(y, y_dense, threshold);
-            acc.joints += u64::from(res.joints_evaluated);
-            if res.survived {
-                acc.candidates.push((i, j, res.observed));
+        |row, i, j0, ys, dense| {
+            // Each pair stops at its own first beating null, so the block's
+            // pairs are tested one at a time.
+            for (c, (j, y)) in (j0..).zip(ys).enumerate() {
+                let res = row.mi_with_nulls_early_exit(y, dense.get(c), threshold);
+                acc.joints += u64::from(res.joints_evaluated);
+                if res.survived {
+                    acc.candidates.push((i, j, res.observed));
+                }
             }
         },
     );
@@ -475,31 +479,39 @@ mod tests {
 
     #[test]
     fn tile_shape_and_threads_do_not_change_a_single_bit() {
-        // Row plans are rebuilt per tile row, so the tile shape decides how
-        // often a gene is planned — never what its pairs compute — and the
-        // pooled null merges exactly, so I* does not move either.
+        // Row plans are rebuilt per tile row and a row's columns are
+        // evaluated in blocks, so the tile shape decides how often a gene
+        // is planned and how its columns are blocked — never what its
+        // pairs compute — and the pooled null merges exactly, so I* does
+        // not move either. Tile 1 evaluates every pair as a one-column
+        // block; the other tiles make every block width of orders 3
+        // (4 columns), 4 (3) and 8 (1) occur, with balanced splits
+        // (5 → 3 + 2, 7 → 3 + 2 + 2) and one-column tails.
         let (matrix, _) = synth::coupled_pairs(6, 150, Coupling::Linear(0.8), 29);
-        let run = |tile_size, threads| {
-            let cfg = InferenceConfig {
-                permutations: 8,
-                tile_size,
-                threads: Some(threads),
-                ..InferenceConfig::default()
+        for order in [3, 4, 8] {
+            let run = |tile_size, threads| {
+                let cfg = InferenceConfig {
+                    permutations: 8,
+                    spline_order: order,
+                    tile_size,
+                    threads: Some(threads),
+                    ..InferenceConfig::default()
+                };
+                let r = infer_network(&matrix, &cfg);
+                let mut bytes = Vec::new();
+                gnet_graph::io::write_edge_list(&r.network, &mut bytes).expect("in-memory write");
+                (bytes, r.stats.threshold.to_bits(), r.stats.joints_evaluated)
             };
-            let r = infer_network(&matrix, &cfg);
-            let mut bytes = Vec::new();
-            gnet_graph::io::write_edge_list(&r.network, &mut bytes).expect("in-memory write");
-            (bytes, r.stats.threshold.to_bits(), r.stats.joints_evaluated)
-        };
-        let reference = run(Some(1), 1);
-        assert!(!reference.0.is_empty());
-        for tile_size in [Some(1), Some(5), None] {
-            for threads in [1, 2] {
-                assert_eq!(
-                    run(tile_size, threads),
-                    reference,
-                    "tile {tile_size:?} × {threads} threads"
-                );
+            let reference = run(Some(1), 1);
+            assert!(!reference.0.is_empty());
+            for tile_size in [1, 2, 3, 4, 5, 7, 9].map(Some).into_iter().chain([None]) {
+                for threads in [1, 2] {
+                    assert_eq!(
+                        run(tile_size, threads),
+                        reference,
+                        "order {order}, tile {tile_size:?} × {threads} threads"
+                    );
+                }
             }
         }
     }

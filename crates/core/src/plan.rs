@@ -4,11 +4,13 @@
 //! whole-genome problem is sized uncomfortably close to it: the raw
 //! matrix is ~195 MB, the per-gene sparse weight matrices ~684 MB, and
 //! every worker thread additionally materializes the dense lane-padded
-//! expansions of its current tile's column genes. This module makes those
-//! footprints explicit so callers can pick a tile size that fits a memory
-//! budget *before* starting a multi-hour run.
+//! expansions of its current tile's column genes, the run plan of its
+//! current row gene and one joint grid per column of a block. This module
+//! makes those footprints explicit so callers can pick a tile size that
+//! fits a memory budget *before* starting a multi-hour run.
 
 use crate::config::InferenceConfig;
+use gnet_simd::run_block_columns;
 use serde::{Deserialize, Serialize};
 
 /// Byte-level footprint model of one inference run.
@@ -20,6 +22,8 @@ pub struct MemoryPlan {
     pub samples: usize,
     /// Spline order `k`.
     pub order: usize,
+    /// Bins `b`: the rows of a joint grid.
+    pub bins: usize,
     /// Lane-padded bins of the dense layout.
     pub bins_padded: usize,
     /// Permutations `q`.
@@ -35,6 +39,7 @@ impl MemoryPlan {
             genes,
             samples,
             order: config.spline_order,
+            bins: config.bins,
             bins_padded: config.bins.div_ceil(lanes) * lanes,
             permutations: config.permutations,
         }
@@ -56,10 +61,27 @@ impl MemoryPlan {
         self.permutations * self.samples * 4
     }
 
+    /// One thread's fixed buffers, whatever the tile: the run plan of its
+    /// row gene, fully composed — `m × k` sorted weights, the identity
+    /// list and `q` composed lists of `m` row indices each, `b − k + 2`
+    /// run bounds and `q` composed flags — plus one `b × bins_padded`
+    /// joint grid per column of a block.
+    pub fn per_thread_fixed_bytes(&self) -> usize {
+        let (m, k, b, q) = (self.samples, self.order, self.bins, self.permutations);
+        let plan = m * (4 * k + 4 + 4 * q) + 4 * (b - k + 2) + q;
+        plan + run_block_columns(k) * b * self.bins_padded * 4
+    }
+
+    /// Bytes of one gene's dense expansion (`m × bins_padded × 4`).
+    fn dense_gene_bytes(&self) -> usize {
+        self.samples * self.bins_padded * 4
+    }
+
     /// One thread's dense expansion of a tile's column genes
-    /// (`tile × m × bins_padded × 4`) plus its joint grid.
+    /// (`tile × m × bins_padded × 4`) plus its fixed buffers
+    /// ([`Self::per_thread_fixed_bytes`]).
     pub fn per_thread_tile_bytes(&self, tile: usize) -> usize {
-        tile * self.samples * self.bins_padded * 4 + self.bins_padded * self.bins_padded * 4
+        tile * self.dense_gene_bytes() + self.per_thread_fixed_bytes()
     }
 
     /// Peak resident bytes with `threads` workers at tile size `tile`.
@@ -75,13 +97,12 @@ impl MemoryPlan {
     /// the budget).
     pub fn max_tile_for_budget(&self, budget_bytes: usize, threads: usize) -> Option<usize> {
         let fixed = self.matrix_bytes() + self.prepared_bytes() + self.permutations_bytes();
-        let grid = self.bins_padded * self.bins_padded * 4;
-        let per_thread_fixed = threads * grid;
-        if fixed + per_thread_fixed + threads * self.samples * self.bins_padded * 4 > budget_bytes {
+        let per_thread_fixed = threads * self.per_thread_fixed_bytes();
+        let per_gene = self.dense_gene_bytes();
+        if fixed + per_thread_fixed + threads * per_gene > budget_bytes {
             return None;
         }
         let spare = budget_bytes - fixed - per_thread_fixed;
-        let per_gene = self.samples * self.bins_padded * 4;
         Some((spare / (threads * per_gene)).min(self.genes).max(1))
     }
 
@@ -116,9 +137,53 @@ mod tests {
         assert_eq!(p.prepared_bytes(), 15_575 * 3_137 * 14); // ≈ 684 MB
         assert_eq!(p.permutations_bytes(), 30 * 3_137 * 4);
         assert_eq!(p.bins_padded, 16);
-        // One thread at T=64: 64 × 3,137 × 16 × 4 ≈ 12.8 MB + grid.
+        // The row plan: 3,137 × (12 + 4 + 120) bytes ≈ 0.41 MiB, plus 9
+        // run bounds and 30 flags; four 10 × 16 grids.
+        let plan = 3_137 * 136 + 4 * 9 + 30;
+        assert_eq!(p.per_thread_fixed_bytes(), plan + 4 * 10 * 16 * 4);
+        // One thread at T=64: 64 × 3,137 × 16 × 4 ≈ 12.8 MB + plan + grids.
         let per = p.per_thread_tile_bytes(64);
-        assert!((12_800_000..13_000_000).contains(&per), "{per}");
+        assert!((13_200_000..13_300_000).contains(&per), "{per}");
+        // At the cache-rule tile T = 5 the plan adds ~40% to the dense
+        // columns.
+        assert_eq!(
+            p.per_thread_tile_bytes(5),
+            5 * 3_137 * 64 + p.per_thread_fixed_bytes()
+        );
+    }
+
+    #[test]
+    fn per_thread_bytes_equal_a_threads_buffers() {
+        use gnet_bspline::BsplineBasis;
+        use gnet_mi::{prepare_gene, MiKernel, MiScratch};
+        let (genes, m, tile) = (8usize, 40usize, 5usize);
+        let config = InferenceConfig {
+            permutations: 6,
+            ..InferenceConfig::default()
+        };
+        let plan = MemoryPlan::new(&config, genes, m);
+        let basis = BsplineBasis::new(config.spline_order, config.bins);
+        let values =
+            |g: usize| -> Vec<f32> { (0..m).map(|s| ((s * 7 + g * 13) % m) as f32).collect() };
+        let prepared: Vec<_> = (0..genes)
+            .map(|g| prepare_gene(&values(g), &basis))
+            .collect();
+        let perms: Vec<Vec<u32>> = (0..config.permutations as u32)
+            .map(|r| (0..m as u32).map(|s| (s * 3 + r) % m as u32).collect())
+            .collect();
+        let mut scratch = MiScratch::for_basis(&basis);
+        let dense = scratch.expand_columns(&prepared[genes - tile..]);
+        let dense_bytes: usize = dense.iter().map(|d| d.heap_bytes()).sum();
+        scratch.reuse_columns(dense);
+        let dense = scratch.expand_columns(&prepared[genes - tile..]);
+        let mut row = scratch.plan_row(MiKernel::VectorDense, &prepared[0], &perms);
+        let width = row.block_columns();
+        let _ = row.mi_with_nulls_block(&prepared[genes - tile..][..width], &dense[..width]);
+        scratch.reuse_columns(dense);
+        assert_eq!(
+            plan.per_thread_tile_bytes(tile),
+            dense_bytes + scratch.vector_heap_bytes()
+        );
     }
 
     #[test]

@@ -148,41 +148,61 @@ pub(crate) fn tile_genes<'a>(
 }
 
 /// Visit the tile's pairs in row-major order through each row gene's
-/// [`PlannedRow`], planned once before the row's first pair. `rows[0]` is
-/// gene `tile.row_start` and `cols[0]` gene `tile.col_start`; the column
-/// genes are expanded into the dense layout once (vector kernel only).
-/// The visitor gets the planned row, the pair, the column gene and its
-/// dense expansion.
-pub(crate) fn for_each_planned_pair(
+/// [`PlannedRow`], planned once before the row's first pair, a block of
+/// column genes at a time. A row's columns split into balanced blocks of
+/// at most [`PlannedRow::block_columns`] genes (5 → 3 + 2 at k = 3, not
+/// 4 + 1). `rows[0]` is gene `tile.row_start` and `cols[0]` gene
+/// `tile.col_start`; the column genes are expanded into the dense layout
+/// once, into the scratch's reused buffers (vector kernel only). The
+/// visitor gets the planned row, the row gene's index, the block's first
+/// column gene index, the block's column genes and their dense
+/// expansions (empty for the scalar kernel).
+pub(crate) fn for_each_planned_block(
     tile: &Tile,
     rows: &[PreparedGene],
     cols: &[PreparedGene],
     perms: &[Vec<u32>],
     kernel: MiKernel,
     scratch: &mut MiScratch,
-    mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, &PreparedGene, Option<&DenseWeights>),
+    mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, &[PreparedGene], &[DenseWeights]),
 ) {
     let dense: Vec<DenseWeights> = match kernel {
-        MiKernel::VectorDense => cols.iter().map(PreparedGene::to_dense).collect(),
+        MiKernel::VectorDense => scratch.expand_columns(cols),
         MiKernel::ScalarSparse => Vec::new(),
     };
     for i in tile.row_start..tile.row_end {
         let row_cols = tile.row_columns(i);
-        if row_cols.is_empty() {
+        let n = row_cols.len();
+        if n == 0 {
             continue;
         }
         let mut row = scratch.plan_row(kernel, &rows[(i - tile.row_start) as usize], perms);
-        for j in row_cols {
-            let c = (j - tile.col_start) as usize;
-            visit(&mut row, i, j, &cols[c], dense.get(c));
+        // `blocks` balanced blocks: the first `n % blocks` one gene wider.
+        let blocks = n.div_ceil(row.block_columns());
+        let mut c = (row_cols.start - tile.col_start) as usize;
+        for b in 0..blocks {
+            let len = n / blocks + usize::from(b < n % blocks);
+            let block = c..c + len;
+            let block_dense = dense.get(block.clone()).unwrap_or(&[]);
+            visit(
+                &mut row,
+                i,
+                tile.col_start + c as u32,
+                &cols[block.clone()],
+                block_dense,
+            );
+            c = block.end;
         }
     }
+    scratch.reuse_columns(dense);
 }
 
 /// Evaluate every pair of `tile` with its full nulls into `acc`: every
 /// null feeds the pooled null, and a pair that beats all of its own nulls
-/// (and `threshold`, when given) becomes a candidate. `rows` and `cols`
-/// are the tile's row and column genes, as in [`for_each_planned_pair`].
+/// (and `threshold`, when given) becomes a candidate. Each block of
+/// column genes is evaluated in one pass per joint over the row's plan
+/// and folded in column order. `rows` and `cols` are the tile's row and
+/// column genes, as in [`for_each_planned_block`].
 #[allow(clippy::too_many_arguments)]
 pub fn scan_tile(
     tile: &Tile,
@@ -194,19 +214,20 @@ pub fn scan_tile(
     scratch: &mut MiScratch,
     acc: &mut NullScan,
 ) {
-    for_each_planned_pair(
+    for_each_planned_block(
         tile,
         rows,
         cols,
         perms.as_vecs(),
         kernel,
         scratch,
-        |row, i, j, y, y_dense| {
-            let res = row.mi_with_nulls(y, y_dense);
-            acc.joints += 1 + res.null.len() as u64;
-            acc.pooled.extend(&res.null);
-            if res.exceed_count() == 0 && threshold.is_none_or(|t| res.observed > t) {
-                acc.candidates.push((i, j, res.observed));
+        |row, i, j0, ys, dense| {
+            for (j, res) in (j0..).zip(row.mi_with_nulls_block(ys, dense)) {
+                acc.joints += 1 + res.null.len() as u64;
+                acc.pooled.extend(&res.null);
+                if res.exceed_count() == 0 && threshold.is_none_or(|t| res.observed > t) {
+                    acc.candidates.push((i, j, res.observed));
+                }
             }
         },
     );

@@ -8,7 +8,8 @@
 //! tile by the executor ([`PreparedGene::to_dense`]), which is exactly how
 //! the paper bounds the working set to the L2 cache. Symmetrically, the
 //! vector kernel's run plan of a row gene is built once per tile row
-//! ([`MiScratch::plan_row`]) and shared by every pair in the row.
+//! ([`MiScratch::plan_row`]) and shared by every pair in the row, whose
+//! column genes it meets in blocks ([`PlannedRow::mi_with_nulls_block`]).
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
@@ -88,9 +89,14 @@ pub fn prepare_matrix(matrix: &ExpressionMatrix, basis: &BsplineBasis) -> Vec<Pr
 #[derive(Clone, Debug)]
 pub struct MiScratch {
     scalar_grid: Vec<f32>,
-    vector_grid: Option<VectorGrid>,
+    /// One joint grid per column of the widest block met so far, all of
+    /// one dense layout.
+    vector_grids: Vec<VectorGrid>,
     /// The vector kernel's run plan of the current [`PlannedRow`].
     plan: RunPlan,
+    /// Dense expansions handed back by [`Self::reuse_columns`], whose
+    /// aligned rows the next [`Self::expand_columns`] refills.
+    dense_pool: Vec<DenseWeights>,
     bins: usize,
 }
 
@@ -100,10 +106,42 @@ impl MiScratch {
         let b = basis.bins();
         Self {
             scalar_grid: vec![0.0; b * b],
-            vector_grid: None,
+            vector_grids: Vec::new(),
             plan: RunPlan::new(),
+            dense_pool: Vec::new(),
             bins: b,
         }
+    }
+
+    /// The dense expansions of `genes`, in its first `genes.len()`
+    /// entries, refilling the buffers of the last [`Self::reuse_columns`]
+    /// call: a tile executor expands each tile's column genes without
+    /// allocating once its first tile has.
+    pub fn expand_columns(&mut self, genes: &[PreparedGene]) -> Vec<DenseWeights> {
+        let mut dense = core::mem::take(&mut self.dense_pool);
+        for (i, g) in genes.iter().enumerate() {
+            match dense.get_mut(i) {
+                Some(d) => g.sparse.expand_into(d),
+                None => dense.push(g.to_dense()),
+            }
+        }
+        dense
+    }
+
+    /// Hand back [`Self::expand_columns`]'s buffers for the next tile.
+    pub fn reuse_columns(&mut self, dense: Vec<DenseWeights>) {
+        self.dense_pool = dense;
+    }
+
+    /// Heap bytes of the vector kernel's buffers: the run plan and the
+    /// joint grids.
+    pub fn vector_heap_bytes(&self) -> usize {
+        self.plan.heap_bytes()
+            + self
+                .vector_grids
+                .iter()
+                .map(VectorGrid::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Plan the row gene `x` for every pair it is evaluated in against the
@@ -129,19 +167,23 @@ impl MiScratch {
     }
 }
 
-/// The grid in `slot`, reallocated if `dense` has another layout.
-fn vector_grid_for<'g>(
-    slot: &'g mut Option<VectorGrid>,
+/// `columns` grids of `dense`'s layout out of `slot`, reallocated if they
+/// have another layout.
+fn vector_grids_for<'g>(
+    slot: &'g mut Vec<VectorGrid>,
     dense: &DenseWeights,
-) -> &'g mut VectorGrid {
-    let needs_new = match slot {
-        Some(g) => g.bins() != dense.bins() || g.stride() != dense.stride(),
-        None => true,
-    };
-    if needs_new {
-        *slot = Some(VectorGrid::for_dense(dense));
+    columns: usize,
+) -> &'g mut [VectorGrid] {
+    if slot
+        .first()
+        .is_some_and(|g| g.bins() != dense.bins() || g.stride() != dense.stride())
+    {
+        slot.clear();
     }
-    slot.as_mut().expect("just ensured")
+    while slot.len() < columns {
+        slot.push(VectorGrid::for_dense(dense));
+    }
+    &mut slot[..columns]
 }
 
 /// A row gene `x` planned once for all the pairs it is evaluated in
@@ -161,6 +203,14 @@ pub struct PlannedRow<'a> {
 }
 
 impl PlannedRow<'_> {
+    /// Column genes per block the row is best evaluated in: the run
+    /// kernel's [`run_block_columns`](gnet_simd::run_block_columns) at the
+    /// row gene's spline order. Derived from the order alone; any block
+    /// width gives the same values.
+    pub fn block_columns(&self) -> usize {
+        gnet_simd::run_block_columns(self.x.sparse.order())
+    }
+
     /// MI (nats) of the row gene against `y`. The dense expansion of `y`
     /// is only touched (and required to be `Some`) for the vector kernel.
     ///
@@ -168,21 +218,66 @@ impl PlannedRow<'_> {
     /// Panics if the kernel is [`MiKernel::VectorDense`] and `y_dense` is
     /// `None`, or on a shape mismatch between the genes.
     pub fn mi(&mut self, y: &PreparedGene, y_dense: Option<&DenseWeights>) -> f64 {
-        self.joint(y, y_dense, None)
+        let mut mi = [0.0];
+        self.mi_block(core::slice::from_ref(y), dense_block(y_dense), &mut mi);
+        mi[0]
+    }
+
+    /// MI (nats) of the row gene against each gene of the block `ys`,
+    /// into `out`. `dense` holds the dense expansions of `ys`, one each,
+    /// for the vector kernel, and may be empty for the scalar one.
+    ///
+    /// # Panics
+    /// As [`Self::mi`], plus if `out` is not one per gene.
+    pub fn mi_block(&mut self, ys: &[PreparedGene], dense: &[DenseWeights], out: &mut [f64]) {
+        self.joint_block(ys, dense, None, out);
     }
 
     /// The row gene against `y` and under each of the row's null
-    /// permutations — the unit of work the tile executor schedules.
+    /// permutations.
     ///
     /// # Panics
     /// As [`Self::mi`], plus if a permutation has the wrong length or an
     /// out-of-range index.
     pub fn mi_with_nulls(&mut self, y: &PreparedGene, y_dense: Option<&DenseWeights>) -> PairMi {
-        let observed = self.joint(y, y_dense, None);
-        let null = (0..self.perms.len())
-            .map(|p| self.joint(y, y_dense, Some(p)))
+        let mut pairs = self.mi_with_nulls_block(core::slice::from_ref(y), dense_block(y_dense));
+        pairs.pop().expect("a one-gene block has one pair")
+    }
+
+    /// The row gene against each gene of the block `ys` and under each of
+    /// the row's null permutations — the unit of work the tile executor
+    /// schedules. Each joint (the observed pairing, then each null in
+    /// turn) runs for the whole block in one pass over the row's plan;
+    /// every pair's values are those of a one-gene block. `dense` is as
+    /// in [`Self::mi_block`].
+    ///
+    /// # Panics
+    /// As [`Self::mi_with_nulls`].
+    pub fn mi_with_nulls_block(
+        &mut self,
+        ys: &[PreparedGene],
+        dense: &[DenseWeights],
+    ) -> Vec<PairMi> {
+        let q = self.perms.len();
+        let mut pairs: Vec<PairMi> = ys
+            .iter()
+            .map(|_| PairMi {
+                observed: 0.0,
+                null: vec![0.0; q],
+            })
             .collect();
-        PairMi { observed, null }
+        let mut values = vec![0.0; ys.len()];
+        self.joint_block(ys, dense, None, &mut values);
+        for (pair, &v) in pairs.iter_mut().zip(&values) {
+            pair.observed = v;
+        }
+        for p in 0..q {
+            self.joint_block(ys, dense, Some(p), &mut values);
+            for (pair, &v) in pairs.iter_mut().zip(&values) {
+                pair.null[p] = v;
+            }
+        }
+        pairs
     }
 
     /// The early-exit test of the row gene against `y`; see
@@ -196,7 +291,10 @@ impl PlannedRow<'_> {
         y_dense: Option<&DenseWeights>,
         threshold: f64,
     ) -> EarlyExitMi {
-        let observed = self.joint(y, y_dense, None);
+        let (ys, dense) = (core::slice::from_ref(y), dense_block(y_dense));
+        let mut value = [0.0];
+        self.joint_block(ys, dense, None, &mut value);
+        let observed = value[0];
         let mut joints = 1u32;
         if observed <= threshold {
             return EarlyExitMi {
@@ -206,9 +304,9 @@ impl PlannedRow<'_> {
             };
         }
         for p in 0..self.perms.len() {
-            let null = self.joint(y, y_dense, Some(p));
+            self.joint_block(ys, dense, Some(p), &mut value);
             joints += 1;
-            if null >= observed {
+            if value[0] >= observed {
                 return EarlyExitMi {
                     observed,
                     survived: false,
@@ -223,50 +321,87 @@ impl PlannedRow<'_> {
         }
     }
 
-    /// One joint MI: the identity pairing for `perm == None`, null
-    /// permutation `p` for `Some(p)`.
-    fn joint(
+    /// One joint MI per gene of the block into `out`: the identity pairing
+    /// for `perm == None`, null permutation `p` for `Some(p)`.
+    fn joint_block(
         &mut self,
-        y: &PreparedGene,
-        y_dense: Option<&DenseWeights>,
+        ys: &[PreparedGene],
+        dense: &[DenseWeights],
         perm: Option<usize>,
-    ) -> f64 {
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), ys.len(), "one MI per column gene");
         let (x, perms) = (self.x, self.perms);
-        let (hx, hy) = (x.h_marginal, y.h_marginal);
+        let hx = x.h_marginal;
         let MiScratch {
             scalar_grid,
-            vector_grid,
+            vector_grids,
             plan,
             ..
         } = &mut *self.scratch;
-        match self.kernel {
-            MiKernel::ScalarSparse => match perm {
-                None => sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, scalar_grid),
-                Some(p) => {
-                    sparse_kernel::mi_permuted(&x.sparse, &y.sparse, &perms[p], hx, hy, scalar_grid)
-                }
-            },
-            MiKernel::VectorDense => {
-                let yd = y_dense.expect("vector kernel requires the dense expansion of y");
-                let grid = vector_grid_for(vector_grid, yd);
-                if !vector_kernel::fits_run_kernel(yd) {
-                    return match perm {
-                        None => vector_kernel::mi(&x.sparse, yd, hx, hy, grid),
-                        Some(p) => {
-                            vector_kernel::mi_permuted(&x.sparse, yd, &perms[p], hx, hy, grid)
-                        }
-                    };
-                }
-                assert_eq!(x.sparse.bins(), yd.bins(), "genes must share the bin count");
-                if let Some(p) = perm {
-                    if !plan.is_composed(p) {
-                        plan.compose(p, &perms[p]);
-                    }
-                }
-                vector_kernel::mi_planned(plan, perm, yd, hx, hy, grid)
+        if self.kernel == MiKernel::ScalarSparse {
+            for (y, mi) in ys.iter().zip(out.iter_mut()) {
+                let hy = y.h_marginal;
+                *mi = match perm {
+                    None => sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, scalar_grid),
+                    Some(p) => sparse_kernel::mi_permuted(
+                        &x.sparse,
+                        &y.sparse,
+                        &perms[p],
+                        hx,
+                        hy,
+                        scalar_grid,
+                    ),
+                };
+            }
+            return;
+        }
+        assert_eq!(
+            dense.len(),
+            ys.len(),
+            "vector kernel requires the dense expansion of y"
+        );
+        let Some(first) = dense.first() else {
+            return;
+        };
+        let grids = vector_grids_for(vector_grids, first, ys.len().min(vector_kernel::MAX_BLOCK));
+        if !vector_kernel::fits_run_kernel(first) {
+            for ((y, yd), mi) in ys.iter().zip(dense).zip(out.iter_mut()) {
+                let (hy, grid) = (y.h_marginal, &mut grids[0]);
+                *mi = match perm {
+                    None => vector_kernel::mi(&x.sparse, yd, hx, hy, grid),
+                    Some(p) => vector_kernel::mi_permuted(&x.sparse, yd, &perms[p], hx, hy, grid),
+                };
+            }
+            return;
+        }
+        assert_eq!(
+            x.sparse.bins(),
+            first.bins(),
+            "genes must share the bin count"
+        );
+        if let Some(p) = perm {
+            if !plan.is_composed(p) {
+                plan.compose(p, &perms[p]);
+            }
+        }
+        let chunks = ys
+            .chunks(vector_kernel::MAX_BLOCK)
+            .zip(dense.chunks(vector_kernel::MAX_BLOCK));
+        for ((ys, dense), out) in chunks.zip(out.chunks_mut(vector_kernel::MAX_BLOCK)) {
+            let grids = &mut grids[..ys.len()];
+            vector_kernel::joint_entropies_planned(plan, perm, dense, grids, out);
+            for (mi, y) in out.iter_mut().zip(ys) {
+                let hxy = *mi;
+                *mi = hx + y.h_marginal - hxy;
             }
         }
     }
+}
+
+/// A single gene's dense expansion as a block (empty for `None`).
+fn dense_block(y_dense: Option<&DenseWeights>) -> &[DenseWeights] {
+    y_dense.map_or(&[], core::slice::from_ref)
 }
 
 /// MI (nats) of a prepared pair with the scalar kernel.
@@ -492,6 +627,44 @@ mod tests {
     }
 
     #[test]
+    fn blocks_reproduce_one_gene_blocks_bitwise() {
+        let matrix = synth::independent_gaussian(6, 211, 31);
+        let m = 211u32;
+        let perms: Vec<Vec<u32>> = (1..5)
+            .map(|r| (0..m).map(|i| (i * (2 * r + 3) + r) % m).collect())
+            .collect();
+        for order in [1, 3, 4, 6] {
+            let b = BsplineBasis::new(order, 10);
+            let genes: Vec<_> = (0..6).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
+            let mut scratch = MiScratch::for_basis(&b);
+            let dense = scratch.expand_columns(&genes[1..]);
+            let mut single = MiScratch::for_basis(&b);
+            let mut row = scratch.plan_row(MiKernel::VectorDense, &genes[0], &perms);
+            for width in 1..=row.block_columns() {
+                let (ys, ds) = (&genes[1..=width], &dense[..width]);
+                let block = row.mi_with_nulls_block(ys, ds);
+                let mut observed = vec![0.0; width];
+                row.mi_block(ys, ds, &mut observed);
+                for ((y, yd), (pair, obs)) in ys.iter().zip(ds).zip(block.iter().zip(&observed)) {
+                    let one = mi_with_nulls(
+                        MiKernel::VectorDense,
+                        &genes[0],
+                        y,
+                        Some(yd),
+                        &perms,
+                        &mut single,
+                    );
+                    assert_eq!(pair.observed.to_bits(), one.observed.to_bits(), "k {order}");
+                    assert_eq!(obs.to_bits(), one.observed.to_bits(), "k {order}");
+                    for (a, b) in pair.null.iter().zip(&one.null) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "k {order}, width {width}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn early_exit_composes_only_the_nulls_it_reaches() {
         let (x, y) = prepared_pair(4, 64);
         let yd = y.to_dense();
@@ -644,7 +817,7 @@ mod tests {
             &d20,
             x20.h_marginal,
             x20.h_marginal,
-            vector_grid_for(&mut scratch.vector_grid, &d20),
+            &mut vector_grids_for(&mut scratch.vector_grids, &d20, 1)[0],
         );
         assert!((v - x20.h_marginal).abs() < 1e-3, "I(X,X)=H(X)");
     }

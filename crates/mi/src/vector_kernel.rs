@@ -23,22 +23,27 @@
 //! planned on the *x* side too ("permute x, not y"): each one is a
 //! composed list of *y* row indices, and *y*'s rows stay put. The tile
 //! executor plans each *x* gene once (`MiScratch::plan_row`) and reuses
-//! the plan for every *y* it meets; [`joint_counts`] and
-//! [`joint_counts_permuted`] build a one-off plan per call. Wider layouts
-//! fall back to a per-sample row loop.
+//! the plan for every *y* it meets, a block of up to
+//! [`run_block_columns`](gnet_simd::run_block_columns) *y* genes per
+//! pass; [`joint_counts`] and [`joint_counts_permuted`] build a one-off
+//! plan per call. Dense rows and grids are cache-line-aligned [`Row16`]s.
+//! Wider layouts fall back to a per-sample row loop.
 
 use crate::entropy::entropy_from_counts;
 use gnet_bspline::{DenseWeights, SparseWeights};
 use gnet_simd::slice_ops::{accumulate_runs, axpy};
-use gnet_simd::{F32x16, RunPlan};
+use gnet_simd::{F32x16, Row16, RunPlan};
+
+/// Most *y* columns one call of the planned block kernel takes.
+pub(crate) const MAX_BLOCK: usize = gnet_simd::run_block_columns(1);
 
 /// Reusable joint-grid scratch for the vector kernel: `bins` rows padded to
-/// the dense layout's stride.
+/// the dense layout's stride, each starting on a cache line.
 #[derive(Clone, Debug)]
 pub struct VectorGrid {
     bins: usize,
     stride: usize,
-    data: Vec<f32>,
+    data: Vec<Row16>,
 }
 
 impl VectorGrid {
@@ -47,7 +52,7 @@ impl VectorGrid {
         Self {
             bins: dense.bins(),
             stride: dense.stride(),
-            data: vec![0.0; dense.bins() * dense.stride()],
+            data: vec![Row16::ZERO; dense.bins() * dense.stride() / F32x16::LANES],
         }
     }
 
@@ -64,18 +69,24 @@ impl VectorGrid {
     /// The backing slice, rows × stride. Padding columns stay zero, so
     /// entropy over the whole slice equals entropy over the live cells.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        Row16::flatten(&self.data)
+    }
+
+    /// Heap bytes of the grid's rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.len() * core::mem::size_of::<Row16>()
     }
 
     fn reset(&mut self, dense: &DenseWeights) {
         assert_eq!(self.stride, dense.stride(), "grid/dense stride mismatch");
         assert_eq!(self.bins, dense.bins(), "grid/dense bin mismatch");
-        self.data.fill(0.0);
+        self.data.fill(Row16::ZERO);
     }
 
     #[inline(always)]
     fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.stride..(r + 1) * self.stride]
+        let stride = self.stride;
+        &mut Row16::flatten_mut(&mut self.data)[r * stride..(r + 1) * stride]
     }
 }
 
@@ -97,22 +108,35 @@ pub(crate) fn plan_runs(x: &SparseWeights, permutations: usize, plan: &mut RunPl
     );
 }
 
-/// Accumulate the unnormalized joint grid of a planned `x` against
-/// dense-`y`: the identity pairing for `perm == None`, the planned
-/// permutation `p` for `Some(p)`. `y` must have the one-register-row
-/// layout ([`fits_run_kernel`]).
+/// Accumulate the unnormalized joint grids of a planned `x` against a
+/// block of dense *y* genes, one grid each: the identity pairing for
+/// `perm == None`, the planned permutation `p` for `Some(p)`. Every `y`
+/// must have the one-register-row layout ([`fits_run_kernel`]).
 ///
 /// # Panics
-/// Panics if the plan's shapes disagree with `y` or `grid`, or `perm`
-/// names a permutation whose list is not composed.
+/// Panics if the block is wider than [`MAX_BLOCK`], `ys` and `grids`
+/// differ in length, the plan's shapes disagree with a `y` or its grid,
+/// or `perm` names a permutation whose list is not composed.
 fn joint_counts_planned(
     plan: &RunPlan,
     perm: Option<usize>,
-    y: &DenseWeights,
-    grid: &mut VectorGrid,
+    ys: &[DenseWeights],
+    grids: &mut [VectorGrid],
 ) {
-    grid.reset(y);
-    accumulate_runs(&mut grid.data, plan, perm, y.as_slice());
+    assert!(ys.len() <= MAX_BLOCK, "block of {} columns", ys.len());
+    assert_eq!(ys.len(), grids.len(), "one grid per y column");
+    let mut y_rows: [&[Row16]; MAX_BLOCK] = Default::default();
+    let mut grid_rows: [&mut [Row16]; MAX_BLOCK] = Default::default();
+    for ((yr, gr), (y, grid)) in y_rows
+        .iter_mut()
+        .zip(grid_rows.iter_mut())
+        .zip(ys.iter().zip(grids.iter_mut()))
+    {
+        grid.reset(y);
+        (*yr, *gr) = (y.rows16(), &mut grid.data);
+    }
+    let n = ys.len();
+    accumulate_runs(plan, perm, &y_rows[..n], &mut grid_rows[..n]);
 }
 
 /// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`.
@@ -124,7 +148,12 @@ pub fn joint_counts(x: &SparseWeights, y: &DenseWeights, grid: &mut VectorGrid) 
     if fits_run_kernel(y) {
         let mut plan = RunPlan::new();
         plan_runs(x, 0, &mut plan);
-        joint_counts_planned(&plan, None, y, grid);
+        joint_counts_planned(
+            &plan,
+            None,
+            core::slice::from_ref(y),
+            core::slice::from_mut(grid),
+        );
         return;
     }
     grid.reset(y);
@@ -156,7 +185,8 @@ pub fn joint_counts_permuted(
         let mut plan = RunPlan::new();
         plan_runs(x, 1, &mut plan);
         plan.compose(0, perm);
-        joint_counts_planned(&plan, Some(0), y, grid);
+        let (ys, grids) = (core::slice::from_ref(y), core::slice::from_mut(grid));
+        joint_counts_planned(&plan, Some(0), ys, grids);
         return;
     }
     grid.reset(y);
@@ -195,24 +225,25 @@ pub fn mi_permuted(
     hx + hy - hxy
 }
 
-/// Mutual information (nats) of a planned `x` against `y` — the identity
-/// pairing for `perm == None`, the planned permutation `p` for `Some(p)`.
-/// `hx` is `x`'s marginal entropy, `hy` the unpermuted one of `y`.
+/// Joint entropies (nats) of a planned `x` against a block of *y* genes,
+/// into `hxy` — the identity pairing for `perm == None`, the planned
+/// permutation `p` for `Some(p)`. One grid per column.
 ///
 /// # Panics
-/// As [`joint_counts_planned`].
-pub(crate) fn mi_planned(
+/// As [`joint_counts_planned`], plus if `hxy` is not one per column.
+pub(crate) fn joint_entropies_planned(
     plan: &RunPlan,
     perm: Option<usize>,
-    y: &DenseWeights,
-    hx: f64,
-    hy: f64,
-    grid: &mut VectorGrid,
-) -> f64 {
-    joint_counts_planned(plan, perm, y, grid);
-    // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-    let hxy = entropy_from_counts(grid.as_slice(), plan.samples() as f64);
-    hx + hy - hxy
+    ys: &[DenseWeights],
+    grids: &mut [VectorGrid],
+    hxy: &mut [f64],
+) {
+    assert_eq!(hxy.len(), ys.len(), "one joint entropy per y column");
+    joint_counts_planned(plan, perm, ys, grids);
+    for (h, grid) in hxy.iter_mut().zip(grids.iter()) {
+        // cast-ok: sample counts are far below f64's 2^53 exact-integer range
+        *h = entropy_from_counts(grid.as_slice(), plan.samples() as f64);
+    }
 }
 
 fn check_pair(x: &SparseWeights, y: &DenseWeights) {
@@ -330,6 +361,20 @@ mod tests {
         joint_counts(&x, &yd, &mut grid);
         let mass: f32 = grid.as_slice().iter().sum();
         assert!((mass - 41.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn grid_rows_start_on_cache_lines() {
+        let basis = BsplineBasis::tinge_default();
+        let (a, _) = random_profiles(3, 20);
+        let yd = prep(&a, &basis).to_dense();
+        let grid = VectorGrid::for_dense(&yd);
+        for copy in [&grid, &grid.clone()] {
+            let rows = copy.as_slice().chunks_exact(copy.stride());
+            assert!(rows
+                .into_iter()
+                .all(|r| (r.as_ptr() as usize).is_multiple_of(64)));
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ use std::time::Instant;
 
 /// Schema version of `BENCH_*.json` files.
 pub const BENCH_FORMAT_VERSION: u64 = 1;
-/// Issue number stamped into the artifact name (`BENCH_7.json`).
-pub const BENCH_ISSUE: u64 = 7;
+/// Issue number stamped into the artifact name (`BENCH_14.json`).
+pub const BENCH_ISSUE: u64 = 14;
 /// Relative slowdown a candidate must exceed to regress (1.30 = +30 %).
 pub const RATIO_GATE: f64 = 1.30;
 /// Noise multiplier: candidate must also exceed the baseline by this
@@ -424,7 +424,7 @@ pub fn run_suite(opts: &BenchOptions) -> BenchSuite {
     }
 }
 
-/// Serialize a suite as the versioned `BENCH_7.json` artifact.
+/// Serialize a suite as the versioned `BENCH_14.json` artifact.
 #[must_use]
 pub fn to_json(suite: &BenchSuite) -> String {
     let mut out = String::new();
@@ -543,9 +543,38 @@ pub fn parse_suite(text: &str) -> Result<BenchSuite, IngestError> {
     Ok(BenchSuite { quick, entries })
 }
 
-/// The gate: compare a candidate run against a baseline. Ids present in
-/// only one of the two are ignored (suites evolve); regressions are
-/// returned most-severe first.
+/// Ids the gate cannot compare: a suite change the baseline must be
+/// refreshed for ([`id_drift`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IdDrift {
+    /// Candidate ids missing from the baseline: never gated until the
+    /// baseline is refreshed, so the gate rejects them.
+    pub new: Vec<String>,
+    /// Baseline ids the candidate no longer runs (retired benches): worth
+    /// a warning, not a failure.
+    pub retired: Vec<String>,
+}
+
+/// The ids present on only one side of a baseline/candidate comparison,
+/// each in its suite's order.
+#[must_use]
+pub fn id_drift(baseline: &BenchSuite, candidate: &BenchSuite) -> IdDrift {
+    let missing = |from: &BenchSuite, other: &BenchSuite| -> Vec<String> {
+        from.entries
+            .iter()
+            .filter(|e| other.entry(&e.id).is_none())
+            .map(|e| e.id.clone())
+            .collect()
+    };
+    IdDrift {
+        new: missing(candidate, baseline),
+        retired: missing(baseline, candidate),
+    }
+}
+
+/// The gate: compare a candidate run against a baseline over the ids
+/// both run (the others are [`id_drift`]'s); regressions are returned
+/// most-severe first.
 #[must_use]
 pub fn compare(baseline: &BenchSuite, candidate: &BenchSuite) -> Vec<Regression> {
     let mut regressions: Vec<Regression> = candidate
@@ -673,10 +702,23 @@ mod tests {
     }
 
     #[test]
-    fn gate_ignores_ids_missing_from_either_side() {
-        let base = suite(vec![entry("old.bench", 100.0, 1.0)]);
-        let cand = suite(vec![entry("new.bench", 100_000.0, 1.0)]);
+    fn id_drift_names_new_and_retired_ids() {
+        let base = suite(vec![
+            entry("kept.bench", 100.0, 1.0),
+            entry("old.bench", 100.0, 1.0),
+        ]);
+        let cand = suite(vec![
+            entry("new.bench", 100_000.0, 1.0),
+            entry("kept.bench", 100.0, 1.0),
+        ]);
+        // The timing gate compares only the shared ids ...
         assert!(compare(&base, &cand).is_empty());
+        // ... and the drift names the rest, for the caller to reject
+        // (new) or warn about (retired).
+        let drift = id_drift(&base, &cand);
+        assert_eq!(drift.new, ["new.bench"]);
+        assert_eq!(drift.retired, ["old.bench"]);
+        assert_eq!(id_drift(&base, &base), IdDrift::default());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable).
 //! * [`flame`] — folded flamegraph-stack export.
 //! * [`bench`] — `gnet bench`: the seeded fixed-shape benchmark suite
-//!   and the MAD-based regression gate over `BENCH_7.json` artifacts.
+//!   and the MAD-based regression gate over `BENCH_14.json` artifacts.
 
 pub mod bench;
 pub mod chrome;

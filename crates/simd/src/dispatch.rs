@@ -26,6 +26,7 @@ use core::fmt;
 use core::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::row::Row16;
 use crate::run_plan::RunPlan;
 use crate::slice_ops;
 
@@ -114,6 +115,11 @@ impl fmt::Display for Backend {
     }
 }
 
+/// The run-blocked joint accumulator's signature: a plan, the pairing,
+/// a block of dense *y* genes and one grid per *y*
+/// ([`slice_ops::accumulate_runs`]).
+pub type RunKernel = fn(&RunPlan, Option<usize>, &[&[Row16]], &mut [&mut [Row16]]);
+
 /// The function-pointer table one backend exposes. All entries are safe
 /// functions: the hardware entries validate their slice arguments before
 /// touching raw pointers, exactly like the emulated ones panic on bad
@@ -131,9 +137,10 @@ pub struct KernelTable {
     pub xlogx_sum: fn(&[f32]) -> f32,
     /// In-place scalar multiply.
     pub scale: fn(f32, &mut [f32]),
-    /// Run-blocked dense 16-lane joint-histogram accumulation (the
-    /// paper's kernel; see [`slice_ops::accumulate_runs`]).
-    pub accumulate_runs: fn(&mut [f32], &RunPlan, Option<usize>, &[f32]),
+    /// Run-blocked dense 16-lane joint-histogram accumulation of a block
+    /// of *y* columns into one grid each (the paper's kernel; see
+    /// [`slice_ops::accumulate_runs`]).
+    pub accumulate_runs: RunKernel,
 }
 
 impl KernelTable {

@@ -13,7 +13,8 @@
 //! * Slice kernels — [`slice_ops`] — the whole-slice primitives the MI
 //!   estimators are built from (`sum`, `dot`, `axpy`, `xlogx_sum`,
 //!   `scale`, and the run-blocked joint accumulator `accumulate_runs`
-//!   driven by a validated [`RunPlan`]), each in a portable `_emulated`
+//!   driven by a validated [`RunPlan`] over a block of cache-line-aligned
+//!   [`Row16`] *y* genes and grids), each in a portable `_emulated`
 //!   laned form (most also in a `_scalar` reference form) and a
 //!   dispatched public form that
 //!   runs real `std::arch` intrinsics — AVX-512F (one 512-bit FMA per
@@ -30,15 +31,17 @@
 #![warn(missing_docs)]
 // safety: this crate is the workspace's designated home for `std::arch`
 // SIMD intrinsics (see the unsafe-audit policy note on `unsafe_code` in
-// the root Cargo.toml). All unsafe is confined to `x86.rs`, where every
+// the root Cargo.toml). Unsafe is confined to `x86.rs`, where every
 // raw-pointer intrinsic sits behind a safe entry wrapper that validates
 // slice shapes first and a dispatch table that only selects a backend
-// after runtime CPU-feature detection.
+// after runtime CPU-feature detection, and to `row.rs`, whose flat views
+// of aligned rows rest on a layout the compiler checks.
 #![allow(unsafe_code)]
 
 pub mod dispatch;
 pub mod lanes;
 pub mod model;
+pub mod row;
 pub mod run_plan;
 pub mod slice_ops;
 #[cfg(target_arch = "x86_64")]
@@ -47,4 +50,5 @@ pub(crate) mod x86;
 pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
 pub use lanes::{F32x16, F32x8, F64x4, F64x8, LaneCount};
 pub use model::VectorModel;
-pub use run_plan::RunPlan;
+pub use row::Row16;
+pub use run_plan::{run_block_columns, RunPlan};

@@ -127,7 +127,7 @@ mod tests {
     }
 
     /// Minimal extractor for the `"min"` of one entry in a
-    /// `BENCH_7.json` artifact — just enough structure for the test
+    /// `BENCH_14.json` artifact — just enough structure for the test
     /// below without pulling a JSON dependency into `gnet-simd`.
     fn bench_min(text: &str, id: &str) -> Option<f64> {
         let needle = format!("\"id\": \"{id}\"");
@@ -144,8 +144,8 @@ mod tests {
         // entries actually present in the baseline are compared, so a
         // baseline regenerated on a host without AVX-512 still anchors
         // the remaining pairs.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_7.json is present");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_14.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_14.json is present");
         let measured: Vec<(&str, f64, f64)> = [
             ("kernel.vector.avx512", VectorModel::avx512_xeon()),
             ("kernel.vector.avx2", VectorModel::avx2_fma_256()),
@@ -158,7 +158,7 @@ mod tests {
         .collect();
         assert!(
             !measured.is_empty(),
-            "BENCH_7.json lost its kernel.vector.* per-backend entries"
+            "BENCH_14.json lost its kernel.vector.* per-backend entries"
         );
         for pair in measured.windows(2) {
             let (fast_id, fast_speedup, fast_min) = pair[0];

@@ -6,7 +6,10 @@
 //! of one *run* (same first bin `r`) update the same `k` rows
 //! `r..r + k`. The kernel ([`crate::slice_ops::accumulate_runs`]) can
 //! then keep those rows in registers for the whole run and touch the
-//! grid once per run instead of once per sample.
+//! grid once per run instead of once per sample. It runs a *block* of up
+//! to [`run_block_columns`] *y* genes per pass over the plan, so the
+//! block's columns share the run bounds, index loads and weight
+//! broadcasts.
 //!
 //! A plan holds, in sorted order:
 //!
@@ -27,14 +30,27 @@
 //! ([`RunPlan::check`]). A plan is built once per *x* gene and reused for
 //! every *y* it meets.
 
-use crate::lanes::F32x16;
-
-/// Width of one grid row and one dense *y* row.
-const W: usize = F32x16::LANES;
+use crate::row::Row16;
 
 /// Largest spline order the run-blocked kernel supports: `k` register
 /// accumulators × 2 partial sets must fit the register file.
 pub const MAX_RUN_ORDER: usize = 8;
+
+/// *y* columns one pass of the run kernel accumulates at spline order
+/// `order`: a block holds `columns · order · 2` accumulators, at most 24
+/// of AVX-512's 32 zmm registers, and at most 4 columns — 4 for
+/// `order ≤ 3`, 3 for 4, 2 for 5–6 and 1 for 7–8. Derived from the order
+/// alone; every column's arithmetic is the same at any block width.
+pub const fn run_block_columns(order: usize) -> usize {
+    let columns = 12 / if order == 0 { 1 } else { order };
+    if columns == 0 {
+        1
+    } else if columns > 4 {
+        4
+    } else {
+        columns
+    }
+}
 
 /// A validated, bin-sorted accumulation plan for one *x* gene against a
 /// fixed set of null permutations. See the [module docs](self).
@@ -224,17 +240,36 @@ impl RunPlan {
         }
     }
 
+    /// Heap bytes of the plan's buffers at their current lengths: run
+    /// bounds, sorted weights, the identity list, room for every null
+    /// list and the composed flags.
+    pub fn heap_bytes(&self) -> usize {
+        (self.offsets.len() + self.identity.len() + self.lists.len()) * 4
+            + self.weights.len() * 4
+            + self.composed.len()
+    }
+
     /// The O(1) shape checks every backend's safe entry makes before the
-    /// kernel runs: the plan is built, `grid` has exactly the plan's
-    /// 16-float rows, and `y_rows` exactly one 16-float row per sample.
-    /// Returns the pairing's y-row index list.
+    /// kernel runs: the plan is built, there is one grid per *y* column,
+    /// every grid has exactly the plan's rows and every *y* exactly one
+    /// row per sample. Returns the pairing's y-row index list.
     ///
     /// # Panics
     /// Panics on an empty plan, a shape mismatch, or an uncomposed `perm`.
-    pub(crate) fn check(&self, grid: &[f32], y_rows: &[f32], perm: Option<usize>) -> &[u32] {
+    pub(crate) fn check(
+        &self,
+        ys: &[&[Row16]],
+        grids: &[&mut [Row16]],
+        perm: Option<usize>,
+    ) -> &[u32] {
         assert!(self.order > 0, "run plan: accumulate on an empty plan");
-        assert_eq!(grid.len(), self.rows * W, "run plan: grid row count");
-        assert_eq!(y_rows.len(), self.samples * W, "run plan: y row count");
+        assert_eq!(ys.len(), grids.len(), "run plan: one grid per y column");
+        for grid in grids {
+            assert_eq!(grid.len(), self.rows, "run plan: grid row count");
+        }
+        for y in ys {
+            assert_eq!(y.len(), self.samples, "run plan: y row count");
+        }
         self.y_rows(perm)
     }
 }
@@ -317,7 +352,7 @@ mod tests {
     fn an_uncomposed_list_is_rejected() {
         let mut plan = RunPlan::new();
         plan.rebuild(&[0, 0], &[1.0, 1.0], 1, 2, 1);
-        let _ = plan.check(&[0.0; 2 * W], &[0.0; 2 * W], Some(0));
+        let _ = plan.check(&[&[Row16::ZERO; 2]], &[&mut [Row16::ZERO; 2]], Some(0));
     }
 
     #[test]
@@ -371,6 +406,37 @@ mod tests {
     fn check_rejects_a_short_y() {
         let mut plan = RunPlan::new();
         plan.rebuild(&[0, 0], &[1.0, 1.0], 1, 2, 0);
-        let _ = plan.check(&[0.0; 2 * W], &[0.0; W], None);
+        let _ = plan.check(&[&[Row16::ZERO; 1]], &[&mut [Row16::ZERO; 2]], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one grid per y column")]
+    fn check_rejects_a_missing_grid() {
+        let mut plan = RunPlan::new();
+        plan.rebuild(&[0], &[1.0], 1, 2, 0);
+        let y = [Row16::ZERO; 1];
+        let _ = plan.check(&[&y, &y], &[&mut [Row16::ZERO; 2]], None);
+    }
+
+    #[test]
+    fn block_width_keeps_accumulators_within_24_registers() {
+        let widths: Vec<usize> = (1..=MAX_RUN_ORDER).map(run_block_columns).collect();
+        assert_eq!(widths, [4, 4, 4, 3, 2, 2, 1, 1]);
+        for (k, c) in (1..).zip(widths) {
+            assert!(c * k * 2 <= 24 || c == 1, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn heap_bytes_count_every_buffer_of_a_composed_plan() {
+        let (m, k, b, q) = (5usize, 3usize, 10usize, 2usize);
+        let mut plan = RunPlan::new();
+        plan.rebuild(&[0, 1, 2, 3, 7], &[0.25; 15], k, b, q);
+        plan.compose(0, &[4, 3, 2, 1, 0]);
+        plan.compose(1, &[0, 1, 2, 3, 4]);
+        assert_eq!(
+            plan.heap_bytes(),
+            m * (4 * k + 4 + 4 * q) + 4 * (b - k + 2) + q
+        );
     }
 }

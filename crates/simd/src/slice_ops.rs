@@ -27,6 +27,7 @@
 
 use crate::dispatch;
 use crate::lanes::F32x16;
+use crate::row::Row16;
 use crate::run_plan::{with_order, RunPlan};
 
 /// Width used by the laned slice kernels.
@@ -139,25 +140,38 @@ pub fn scale(a: f32, x: &mut [f32]) {
 }
 
 /// The paper's joint-histogram accumulation on the dense 16-lane layout,
-/// run-blocked: for every sample `s` of the planned *x* gene, add
-/// `w_s[i] · y_rows[row(s)]` into the 16-float grid row
-/// `first_bin[s] + i` (`i < k`), where `row(s) = s` for `perm == None` and
-/// `row(s) = π_p[s]` for `perm == Some(p)`.
+/// run-blocked and column-blocked: for every *y* column `c` of the block
+/// and every sample `s` of the planned *x* gene, add
+/// `w_s[i] · ys[c][row(s)]` into row `first_bin[s] + i` (`i < k`) of
+/// `grids[c]`, where `row(s) = s` for `perm == None` and `row(s) = π_p[s]`
+/// for `perm == Some(p)`.
 ///
 /// The samples of one run (same first bin, see [`RunPlan`]) update the
-/// same `k` rows, so the kernel keeps them in registers: `k` accumulators
-/// × 2 partial sets, alternating sample by sample within the run. At the
-/// run's end each row adds `(set₀ + set₁)` to the grid once. Every backend
-/// performs exactly this sequence of correctly-rounded FMAs and adds, so
-/// results agree bitwise across backends.
+/// same `k` rows, so the kernel keeps them in registers: per column, `k`
+/// accumulators × 2 partial sets, alternating sample by sample within the
+/// run. At the run's end each row adds `(set₀ + set₁)` to its grid once.
+/// The AVX-512 backend runs up to [`run_block_columns`] columns per pass
+/// over the plan, sharing the run bounds, index loads and weight
+/// broadcasts between them; the other backends take the block one column
+/// at a time. Every column sees exactly this sequence of
+/// correctly-rounded FMAs and adds at any block width and on every
+/// backend, so results agree bitwise.
 ///
 /// # Panics
-/// Panics on an empty plan, if `grid` is not exactly the plan's rows ×
-/// 16 floats, if `y_rows` is not exactly one 16-float row per sample, or
-/// if `perm` names a permutation whose list is not composed. These are
-/// O(1) checks; the O(m) range checks ran when the plan was built.
-pub fn accumulate_runs(grid: &mut [f32], plan: &RunPlan, perm: Option<usize>, y_rows: &[f32]) {
-    (dispatch::table().accumulate_runs)(grid, plan, perm, y_rows)
+/// Panics on an empty plan, if `ys` and `grids` differ in length, if a
+/// grid is not exactly the plan's rows, if a *y* is not exactly one row
+/// per sample, or if `perm` names a permutation whose list is not
+/// composed. These are O(1)-per-column checks; the O(m) range checks ran
+/// when the plan was built.
+///
+/// [`run_block_columns`]: crate::run_plan::run_block_columns
+pub fn accumulate_runs(
+    plan: &RunPlan,
+    perm: Option<usize>,
+    ys: &[&[Row16]],
+    grids: &mut [&mut [Row16]],
+) {
+    (dispatch::table().accumulate_runs)(plan, perm, ys, grids)
 }
 
 // ---------------------------------------------------------------------------
@@ -253,29 +267,31 @@ pub fn scale_emulated(a: f32, x: &mut [f32]) {
 }
 
 /// Portable emulated backend of [`accumulate_runs`]: the run-blocked loop
-/// on [`F32x16`] values, in the same per-cell operation order as the
-/// hardware backends.
+/// on [`F32x16`] values, one column of the block at a time, in the same
+/// per-cell operation order as the hardware backends.
 pub fn accumulate_runs_emulated(
-    grid: &mut [f32],
     plan: &RunPlan,
     perm: Option<usize>,
-    y_rows: &[f32],
+    ys: &[&[Row16]],
+    grids: &mut [&mut [Row16]],
 ) {
-    let rows = plan.check(grid, y_rows, perm);
-    with_order!(
-        plan.order(),
-        runs_emulated(grid, plan.offsets(), plan.sorted_weights(), rows, y_rows)
-    );
+    let rows = plan.check(ys, grids, perm);
+    for (y, grid) in ys.iter().zip(grids.iter_mut()) {
+        with_order!(
+            plan.order(),
+            runs_emulated(plan.offsets(), plan.sorted_weights(), rows, y, grid)
+        );
+    }
 }
 
 fn runs_emulated<const K: usize>(
-    grid: &mut [f32],
     offsets: &[u32],
     weights: &[f32],
     rows: &[u32],
-    y_rows: &[f32],
+    y: &[Row16],
+    grid: &mut [Row16],
 ) {
-    let y_row = |t: usize| F32x16::from_slice(&y_rows[rows[t] as usize * W..]); // cast-ok: u32 to usize widens losslessly
+    let y_row = |t: usize| F32x16::from_slice(&y[rows[t] as usize].0); // cast-ok: u32 to usize widens losslessly
     for (r, run) in offsets.windows(2).enumerate() {
         let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
         if a == b {
@@ -299,7 +315,7 @@ fn runs_emulated<const K: usize>(
             }
         }
         for i in 0..K {
-            let row = &mut grid[(r + i) * W..(r + i + 1) * W];
+            let row = &mut grid[r + i].0;
             (F32x16::from_slice(row) + (acc0[i] + acc1[i])).write_to_slice(row);
         }
     }
@@ -526,24 +542,53 @@ mod tests {
         grid
     }
 
+    /// `m` rows of pseudo-random lanes.
+    fn rows_from(m: usize, f: impl Fn(usize) -> f32) -> Vec<Row16> {
+        (0..m)
+            .map(|s| Row16(core::array::from_fn(|j| f(s * W + j))))
+            .collect()
+    }
+
+    /// Run `kernel` on a block of `ys` into fresh grids of `rows` rows.
+    fn run_block(
+        kernel: crate::dispatch::RunKernel,
+        plan: &RunPlan,
+        perm: Option<usize>,
+        ys: &[Vec<Row16>],
+    ) -> Vec<Vec<Row16>> {
+        let mut grids = vec![vec![Row16::ZERO; plan.rows()]; ys.len()];
+        let y_refs: Vec<&[Row16]> = ys.iter().map(Vec::as_slice).collect();
+        let mut grid_refs: Vec<&mut [Row16]> = grids.iter_mut().map(Vec::as_mut_slice).collect();
+        kernel(plan, perm, &y_refs, &mut grid_refs);
+        grids
+    }
+
     #[test]
     fn accumulate_runs_matches_naive_reference() {
         let (rows, k, m) = (10, 3, 37u16);
         let first_bins: Vec<u16> = (0..m).map(|s| (s * 5) % 8).collect();
         let m = usize::from(m);
         let weights: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
-        let y_rows: Vec<f32> = (0..m * W).map(|i| (i as f32 * 0.11).cos()).collect();
+        let ys: Vec<Vec<Row16>> = (0..5)
+            .map(|c| rows_from(m, |i| ((i + 7 * c) as f32 * 0.11).cos()))
+            .collect();
         let perm: Vec<u32> = (0..37u32).map(|s| (s * 11) % 37).collect();
         let mut plan = RunPlan::new();
         plan.rebuild(&first_bins, &weights, k, rows, 1);
         plan.compose(0, &perm);
         for (p, naive_perm) in [(None, None), (Some(0), Some(&perm[..]))] {
-            let mut grid = vec![0.0f32; rows * W];
-            accumulate_runs(&mut grid, &plan, p, &y_rows);
-            assert_eq!(grid, reference_runs(&plan, p, &y_rows), "perm {p:?}");
-            let naive = naive_joint(rows, &first_bins, &weights, k, &y_rows, naive_perm);
-            for (got, want) in grid.iter().zip(&naive) {
-                assert!((f64::from(*got) - want).abs() < 1e-4, "{got} vs {want}");
+            let grids = run_block(accumulate_runs, &plan, p, &ys);
+            for (y, grid) in ys.iter().zip(&grids) {
+                let flat = Row16::flatten(y);
+                assert_eq!(
+                    Row16::flatten(grid),
+                    reference_runs(&plan, p, flat),
+                    "perm {p:?}"
+                );
+                let naive = naive_joint(rows, &first_bins, &weights, k, flat, naive_perm);
+                for (got, want) in Row16::flatten(grid).iter().zip(&naive) {
+                    assert!((f64::from(*got) - want).abs() < 1e-4, "{got} vs {want}");
+                }
             }
         }
     }
@@ -553,7 +598,7 @@ mod tests {
     fn accumulate_runs_rejects_a_grid_of_another_shape() {
         let mut plan = RunPlan::new();
         plan.rebuild(&[0], &[1.0], 1, 4, 0);
-        accumulate_runs(&mut [0.0; 3 * W], &plan, None, &[0.0; W]);
+        accumulate_runs(&plan, None, &[&[Row16::ZERO]], &mut [&mut [Row16::ZERO; 3]]);
     }
 
     #[test]
@@ -561,7 +606,12 @@ mod tests {
     fn accumulate_runs_rejects_an_unplanned_permutation() {
         let mut plan = RunPlan::new();
         plan.rebuild(&[0], &[1.0], 1, 4, 0);
-        accumulate_runs(&mut [0.0; 4 * W], &plan, Some(0), &[0.0; W]);
+        accumulate_runs(
+            &plan,
+            Some(0),
+            &[&[Row16::ZERO]],
+            &mut [&mut [Row16::ZERO; 4]],
+        );
     }
 
     #[test]
@@ -569,7 +619,12 @@ mod tests {
     fn accumulate_runs_rejects_an_uncomposed_permutation() {
         let mut plan = RunPlan::new();
         plan.rebuild(&[0], &[1.0], 1, 4, 1);
-        accumulate_runs(&mut [0.0; 4 * W], &plan, Some(0), &[0.0; W]);
+        accumulate_runs(
+            &plan,
+            Some(0),
+            &[&[Row16::ZERO]],
+            &mut [&mut [Row16::ZERO; 4]],
+        );
     }
 
     proptest! {
@@ -629,10 +684,11 @@ mod tests {
         }
 
         /// The run-blocked accumulator is pure FMA plus adds in one fixed
-        /// order, so it is bitwise across backends — identity and permuted
-        /// alike — and equal to the scalar statement of that order. Bins
-        /// are drawn from a narrow window so runs of length 0, 1, odd and
-        /// even all occur.
+        /// order per column, so every column of a block of any width from
+        /// 1 to the order's block width is bitwise equal to the scalar
+        /// statement of that order — identity and composed lists alike,
+        /// on every backend's table entry. Bins are drawn from a narrow
+        /// window so runs of length 0, 1, odd and even all occur.
         #[test]
         fn prop_accumulate_runs_bitwise_across_backends(
             seed in 0u64..1000,
@@ -651,7 +707,10 @@ mod tests {
                 .map(|s| u16::try_from(usize::try_from(mixu(s)).unwrap() % bins).unwrap())
                 .collect();
             let weights: Vec<f32> = (0..m * k).map(|i| mixf(i + 1000)).collect();
-            let y_rows: Vec<f32> = (0..m * W).map(|i| mixf(i + 50_000)).collect();
+            let width = crate::run_plan::run_block_columns(k);
+            let ys: Vec<Vec<Row16>> = (0..width)
+                .map(|c| rows_from(m, |i| mixf(i + 50_000 + c * 10_000)))
+                .collect();
             let m32 = u32::try_from(m).unwrap();
             let perms: Vec<Vec<u32>> = vec![
                 (0..m32).rev().collect(),
@@ -665,15 +724,22 @@ mod tests {
             let mut lists = vec![None];
             lists.extend((0..perms.len()).map(Some));
             for p in lists {
-                let reference = reference_runs(&plan, p, &y_rows);
-                let mut emulated = vec![0.0f32; rows * W];
-                accumulate_runs_emulated(&mut emulated, &plan, p, &y_rows);
-                prop_assert_eq!(&emulated, &reference, "emulated vs reference, perm {:?}", p);
-                for t in tables() {
-                    let mut grid = vec![0.0f32; rows * W];
-                    (t.accumulate_runs)(&mut grid, &plan, p, &y_rows);
-                    for (got, want) in grid.iter().zip(&reference) {
-                        prop_assert_eq!(got.to_bits(), want.to_bits(), "runs on {}, perm {:?}", t.backend, p);
+                let reference: Vec<Vec<f32>> = ys
+                    .iter()
+                    .map(|y| reference_runs(&plan, p, Row16::flatten(y)))
+                    .collect();
+                for columns in 1..=width {
+                    let block = &ys[..columns];
+                    let emulated = run_block(accumulate_runs_emulated, &plan, p, block);
+                    for (c, grid) in emulated.iter().enumerate() {
+                        prop_assert_eq!(Row16::flatten(grid), &reference[c][..], "emulated, perm {:?}, column {}/{}", p, c, columns);
+                    }
+                    for t in tables() {
+                        for (c, grid) in run_block(t.accumulate_runs, &plan, p, block).iter().enumerate() {
+                            for (got, want) in Row16::flatten(grid).iter().zip(&reference[c]) {
+                                prop_assert_eq!(got.to_bits(), want.to_bits(), "runs on {}, perm {:?}, column {}/{}", t.backend, p, c, columns);
+                            }
+                        }
                     }
                 }
             }

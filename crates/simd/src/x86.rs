@@ -9,9 +9,11 @@
 //! * the deterministic pairwise-tree horizontal reduction
 //!   (`lane[i] += lane[i + width]`, width halving 16 → 1);
 //! * for `accumulate_runs`, the run-blocked order of
-//!   `slice_ops::accumulate_runs_emulated`: per run, two partial sets of
-//!   `k` register rows alternating sample by sample, then
-//!   `grid += set₀ + set₁`.
+//!   `slice_ops::accumulate_runs_emulated`: per run and per *y* column,
+//!   two partial sets of `k` register rows alternating sample by sample,
+//!   then `grid += set₀ + set₁`. AVX-512 runs up to
+//!   [`run_block_columns`] columns per pass over the plan; AVX2 (16 ymm
+//!   registers, 12 of them one column's accumulators at k = 3) runs one.
 //!
 //! Because a hardware FMA computes the same correctly-rounded fused result
 //! as `f32::mul_add`, `sum`/`dot`/`axpy`/`scale`/`accumulate_runs` are
@@ -29,14 +31,49 @@
 //! "the CPU has the feature", guaranteed by runtime detection in
 //! [`crate::dispatch`]. The accumulation kernel's index ranges were proved
 //! once when its [`RunPlan`] was built; its wrapper checks the O(1)
-//! shapes that tie the plan to the slices.
+//! shapes that tie the plan to the slices, and the [`Row16`] type proves
+//! every row 64-byte aligned for the aligned loads and stores.
 
-use crate::run_plan::{with_order, RunPlan};
+use crate::row::Row16;
+use crate::run_plan::{run_block_columns, with_order, RunPlan};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
 /// Width shared by every backend (one 512-bit register, two 256-bit ones).
 const W: usize = 16;
+
+/// Call `$f::<K, C>($args…)` with `K` the runtime spline order `$k` and
+/// `C` the runtime column count `$c`, for every `C ≤`
+/// [`run_block_columns`]`(K)` — the block shapes the AVX-512 kernel
+/// keeps in registers.
+macro_rules! with_order_and_columns {
+    ($k:expr, $c:expr, $f:ident ( $($arg:expr),* $(,)? )) => {
+        match ($k, $c) {
+            (1, 1) => $f::<1, 1>($($arg),*),
+            (1, 2) => $f::<1, 2>($($arg),*),
+            (1, 3) => $f::<1, 3>($($arg),*),
+            (1, 4) => $f::<1, 4>($($arg),*),
+            (2, 1) => $f::<2, 1>($($arg),*),
+            (2, 2) => $f::<2, 2>($($arg),*),
+            (2, 3) => $f::<2, 3>($($arg),*),
+            (2, 4) => $f::<2, 4>($($arg),*),
+            (3, 1) => $f::<3, 1>($($arg),*),
+            (3, 2) => $f::<3, 2>($($arg),*),
+            (3, 3) => $f::<3, 3>($($arg),*),
+            (3, 4) => $f::<3, 4>($($arg),*),
+            (4, 1) => $f::<4, 1>($($arg),*),
+            (4, 2) => $f::<4, 2>($($arg),*),
+            (4, 3) => $f::<4, 3>($($arg),*),
+            (5, 1) => $f::<5, 1>($($arg),*),
+            (5, 2) => $f::<5, 2>($($arg),*),
+            (6, 1) => $f::<6, 1>($($arg),*),
+            (6, 2) => $f::<6, 2>($($arg),*),
+            (7, 1) => $f::<7, 1>($($arg),*),
+            (8, 1) => $f::<8, 1>($($arg),*),
+            (k, c) => unreachable!("no {c}-column block at order {k}"),
+        }
+    };
+}
 
 // Polynomial for ln(m), m ∈ [0.75, 1.5): with t = (m−1)/(m+1) (|t| ≤ 0.2),
 // ln m = 2·atanh(t) = t·(2 + t²·(2/3 + t²·(2/5 + t²·(2/7 + t²·(2/9))))).
@@ -89,20 +126,25 @@ pub(crate) mod avx512 {
     }
 
     pub(crate) fn accumulate_runs(
-        grid: &mut [f32],
         plan: &RunPlan,
         perm: Option<usize>,
-        y_rows: &[f32],
+        ys: &[&[Row16]],
+        grids: &mut [&mut [Row16]],
     ) {
-        let rows = plan.check(grid, y_rows, perm);
-        // SAFETY: avx512f verified at dispatch-table selection; the plan's
-        // build proved every run bound, weight offset and y-row index in
-        // range, and `check` just tied its shapes to `grid` and `y_rows`.
-        unsafe {
-            with_order!(
-                plan.order(),
-                runs_impl(grid, plan.offsets(), plan.sorted_weights(), rows, y_rows)
-            )
+        let rows = plan.check(ys, grids, perm);
+        let width = run_block_columns(plan.order());
+        for (ys, grids) in ys.chunks(width).zip(grids.chunks_mut(width)) {
+            // SAFETY: avx512f verified at dispatch-table selection; the
+            // plan's build proved every run bound, weight offset and y-row
+            // index in range, `check` tied its shapes to every grid and y,
+            // and the chunk holds 1..=width columns.
+            unsafe {
+                with_order_and_columns!(
+                    plan.order(),
+                    ys.len(),
+                    runs_impl(plan.offsets(), plan.sorted_weights(), rows, ys, grids)
+                )
+            }
         }
     }
 
@@ -270,19 +312,22 @@ pub(crate) mod avx512 {
         reduce_add_tree(acc)
     }
 
-    /// The run-blocked loop for spline order `K`: two partial sets of `K`
-    /// zmm rows per run, alternating sample by sample, added to the grid
-    /// once at the run's end.
+    /// The run-blocked loop for spline order `K` over a block of `C` *y*
+    /// columns: per column, two partial sets of `K` zmm rows per run,
+    /// alternating sample by sample, added to the column's grid once at
+    /// the run's end. The columns share each sample's row index and
+    /// weights; each column's own FMAs and adds are those of a one-column
+    /// block.
     #[target_feature(enable = "avx512f")]
-    fn runs_impl<const K: usize>(
-        grid: &mut [f32],
+    fn runs_impl<const K: usize, const C: usize>(
         offsets: &[u32],
         weights: &[f32],
         rows: &[u32],
-        y_rows: &[f32],
+        ys: &[&[Row16]],
+        grids: &mut [&mut [Row16]],
     ) {
-        let gp = grid.as_mut_ptr();
-        let yp = y_rows.as_ptr();
+        let yp: [*const f32; C] = core::array::from_fn(|c| ys[c].as_ptr().cast::<f32>());
+        let gp: [*mut f32; C] = core::array::from_fn(|c| grids[c].as_mut_ptr().cast::<f32>());
         let wp = weights.as_ptr();
         let ip = rows.as_ptr();
         for (r, run) in offsets.windows(2).enumerate() {
@@ -290,20 +335,24 @@ pub(crate) mod avx512 {
             if a == b {
                 continue;
             }
-            let mut acc0 = [_mm512_setzero_ps(); K];
-            let mut acc1 = [_mm512_setzero_ps(); K];
+            let mut acc0 = [[_mm512_setzero_ps(); K]; C];
+            let mut acc1 = [[_mm512_setzero_ps(); K]; C];
             let mut t = a;
             while t + 1 < b {
                 // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
-                // (each < m) and m·K weights; `check` proved
-                // y_rows.len() == m·16, so both 16-float rows are in bounds.
+                // (each < m) and m·K weights; `check` proved every y holds
+                // m rows, so both rows of every column are in bounds, and
+                // `Row16` aligns each row to 64 bytes for the aligned load.
                 unsafe {
-                    let y0 = _mm512_loadu_ps(yp.add(*ip.add(t) as usize * W)); // cast-ok: u32 to usize widens losslessly
-                    let y1 = _mm512_loadu_ps(yp.add(*ip.add(t + 1) as usize * W)); // cast-ok: u32 to usize widens losslessly
+                    let y0 = *ip.add(t) as usize * W; // cast-ok: u32 to usize widens losslessly
+                    let y1 = *ip.add(t + 1) as usize * W; // cast-ok: u32 to usize widens losslessly
                     let w = wp.add(t * K);
-                    for (i, (a0, a1)) in acc0.iter_mut().zip(&mut acc1).enumerate() {
-                        *a0 = _mm512_fmadd_ps(y0, _mm512_set1_ps(*w.add(i)), *a0);
-                        *a1 = _mm512_fmadd_ps(y1, _mm512_set1_ps(*w.add(K + i)), *a1);
+                    for ((c0, c1), y) in acc0.iter_mut().zip(&mut acc1).zip(yp) {
+                        let (v0, v1) = (_mm512_load_ps(y.add(y0)), _mm512_load_ps(y.add(y1)));
+                        for (i, (a0, a1)) in c0.iter_mut().zip(c1).enumerate() {
+                            *a0 = _mm512_fmadd_ps(v0, _mm512_set1_ps(*w.add(i)), *a0);
+                            *a1 = _mm512_fmadd_ps(v1, _mm512_set1_ps(*w.add(K + i)), *a1);
+                        }
                     }
                 }
                 t += 2;
@@ -311,20 +360,25 @@ pub(crate) mod avx512 {
             if t < b {
                 // SAFETY: t < b ≤ m; same bounds as the paired loads above.
                 unsafe {
-                    let y0 = _mm512_loadu_ps(yp.add(*ip.add(t) as usize * W)); // cast-ok: u32 to usize widens losslessly
+                    let y0 = *ip.add(t) as usize * W; // cast-ok: u32 to usize widens losslessly
                     let w = wp.add(t * K);
-                    for (i, a0) in acc0.iter_mut().enumerate() {
-                        *a0 = _mm512_fmadd_ps(y0, _mm512_set1_ps(*w.add(i)), *a0);
+                    for (c0, y) in acc0.iter_mut().zip(yp) {
+                        let v0 = _mm512_load_ps(y.add(y0));
+                        for (i, a0) in c0.iter_mut().enumerate() {
+                            *a0 = _mm512_fmadd_ps(v0, _mm512_set1_ps(*w.add(i)), *a0);
+                        }
                     }
                 }
             }
-            for i in 0..K {
-                // SAFETY: the plan has rows − K + 1 runs, so r + K ≤ rows
-                // and `check` proved grid.len() == rows·16.
-                unsafe {
-                    let rp = gp.add((r + i) * W);
-                    let run_sum = _mm512_add_ps(acc0[i], acc1[i]);
-                    _mm512_storeu_ps(rp, _mm512_add_ps(_mm512_loadu_ps(rp), run_sum));
+            for ((c0, c1), g) in acc0.iter().zip(&acc1).zip(gp) {
+                for (i, (a0, a1)) in c0.iter().zip(c1).enumerate() {
+                    // SAFETY: the plan has rows − K + 1 runs, so r + K ≤ rows,
+                    // `check` proved every grid holds `rows` aligned rows.
+                    unsafe {
+                        let rp = g.add((r + i) * W);
+                        let run_sum = _mm512_add_ps(*a0, *a1);
+                        _mm512_store_ps(rp, _mm512_add_ps(_mm512_load_ps(rp), run_sum));
+                    }
                 }
             }
         }
@@ -371,20 +425,22 @@ pub(crate) mod avx2 {
     }
 
     pub(crate) fn accumulate_runs(
-        grid: &mut [f32],
         plan: &RunPlan,
         perm: Option<usize>,
-        y_rows: &[f32],
+        ys: &[&[Row16]],
+        grids: &mut [&mut [Row16]],
     ) {
-        let rows = plan.check(grid, y_rows, perm);
-        // SAFETY: avx2+fma verified at dispatch-table selection; the plan's
-        // build proved every run bound, weight offset and y-row index in
-        // range, and `check` just tied its shapes to `grid` and `y_rows`.
-        unsafe {
-            with_order!(
-                plan.order(),
-                runs_impl(grid, plan.offsets(), plan.sorted_weights(), rows, y_rows)
-            )
+        let rows = plan.check(ys, grids, perm);
+        for (y, grid) in ys.iter().zip(grids.iter_mut()) {
+            // SAFETY: avx2+fma verified at dispatch-table selection; the
+            // plan's build proved every run bound, weight offset and y-row
+            // index in range, and `check` tied its shapes to `grid` and `y`.
+            unsafe {
+                with_order!(
+                    plan.order(),
+                    runs_impl(plan.offsets(), plan.sorted_weights(), rows, y, grid)
+                )
+            }
         }
     }
 
@@ -581,14 +637,14 @@ pub(crate) mod avx2 {
     /// arithmetic as the AVX-512 backend.
     #[target_feature(enable = "avx2,fma")]
     fn runs_impl<const K: usize>(
-        grid: &mut [f32],
         offsets: &[u32],
         weights: &[f32],
         rows: &[u32],
-        y_rows: &[f32],
+        y: &[Row16],
+        grid: &mut [Row16],
     ) {
-        let gp = grid.as_mut_ptr();
-        let yp = y_rows.as_ptr();
+        let gp = grid.as_mut_ptr().cast::<f32>();
+        let yp = y.as_ptr().cast::<f32>();
         let wp = weights.as_ptr();
         let ip = rows.as_ptr();
         for (r, run) in offsets.windows(2).enumerate() {
@@ -601,8 +657,8 @@ pub(crate) mod avx2 {
             let mut t = a;
             while t + 1 < b {
                 // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
-                // (each < m) and m·K weights; `check` proved
-                // y_rows.len() == m·16, so both 16-float rows are in bounds.
+                // (each < m) and m·K weights; `check` proved `y` holds m
+                // rows, so both 16-float rows are in bounds.
                 unsafe {
                     let y0 = yp.add(*ip.add(t) as usize * W); // cast-ok: u32 to usize widens losslessly
                     let y1 = yp.add(*ip.add(t + 1) as usize * W); // cast-ok: u32 to usize widens losslessly
@@ -635,7 +691,7 @@ pub(crate) mod avx2 {
             }
             for i in 0..K {
                 // SAFETY: the plan has rows − K + 1 runs, so r + K ≤ rows
-                // and `check` proved grid.len() == rows·16.
+                // and `check` proved `grid` holds `rows` rows.
                 unsafe {
                     let rp = gp.add((r + i) * W);
                     for (h, off) in [0, 8].into_iter().enumerate() {
