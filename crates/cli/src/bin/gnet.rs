@@ -26,7 +26,9 @@ subcommands:
             --input FILE --output FILE [--q N] [--alpha A] [--bins B]
             [--order K] [--threshold T] [--threads T] [--tile T]
             [--kernel vector|scalar] [--scheduler dynamic|static-block|
-            static-cyclic] [--early-exit] [--dpi EPS] [--ranks P]
+            static-cyclic] [--early-exit] [--dpi EPS]
+            [--ranks P (P ring ranks, each scanning its block pairs on
+            --threads workers; excludes --early-exit)]
             [--quantile-normalize] [--center-batches N]
             [--trace FILE] [--metrics FILE] [--progress]
             [--trace-dir DIR (with --ranks: per-rank streams + manifest)]

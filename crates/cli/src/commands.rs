@@ -158,6 +158,15 @@ fn config_from_args(args: &ArgMap) -> Result<InferenceConfig, CliError> {
     if args.flag("early-exit") {
         cfg.null_strategy = NullStrategy::EarlyExit;
     }
+    cfg.check().map_err(|e| {
+        let flag = match e.field {
+            "spline_order" => "order",
+            "permutations" => "q",
+            "tile_size" => "tile",
+            other => other,
+        };
+        CliError(format!("bad --{flag}: {}", e.reason))
+    })?;
     Ok(cfg)
 }
 
@@ -209,11 +218,15 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
 /// `gnet infer` — run the pipeline on a TSV matrix.
 ///
 /// Options: `--input FILE` `--output FILE` plus the config options of
-/// [`config_from_args`], `--dpi EPS` for post-pruning, `--ranks P`
-/// to run over the simulated cluster instead of shared memory, and the
-/// observability options `--trace FILE` (NDJSON event stream),
-/// `--metrics FILE` (metrics summary JSON), `--progress` (live stderr
-/// status line with an EWMA-smoothed ETA). With `--ranks`,
+/// [`config_from_args`] (each bad value is an error naming its flag),
+/// `--dpi EPS` for post-pruning, `--ranks P` to run over the simulated
+/// cluster instead of shared memory — each of the `P` ranks scans its
+/// block pairs on `--threads T` workers, so the run uses `P × T`
+/// workers (`--early-exit` is a shared-memory strategy and is rejected
+/// with `--ranks`) — and the observability options `--trace FILE`
+/// (NDJSON event stream), `--metrics FILE` (metrics summary JSON),
+/// `--progress` (live stderr status line with an EWMA-smoothed ETA).
+/// With `--ranks`,
 /// `--trace-dir DIR` writes one NDJSON stream per rank plus a
 /// `manifest.json` (analyse with `gnet trace-report --trace-dir DIR`).
 ///
@@ -328,6 +341,9 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         None => None,
     };
     let cfg = config_from_args(args)?;
+    if ranks.is_some() && cfg.null_strategy == NullStrategy::EarlyExit {
+        return fail("--early-exit needs the shared-memory pipeline's threshold pre-pass and cannot be combined with --ranks");
+    }
     if save_state.is_some() && !matches!(cfg.null_strategy, NullStrategy::ExactFull) {
         return fail("--save-state needs the exact-full pooled null (drop --early-exit): an updatable state must keep the pooled moments");
     }
@@ -2725,6 +2741,29 @@ mod tests {
         assert!(!out_tsv.exists(), "a rejected run writes no edges");
         let _ = std::fs::remove_dir_all(&dir);
         err
+    }
+
+    #[test]
+    fn bad_infer_options_are_errors_naming_their_flag() {
+        let matrix = gnet_expr::synth::independent_uniform(6, 40, 3);
+        for (extra, flag) in [
+            (&["--ranks", "2", "--early-exit"][..], "--early-exit"),
+            (&["--threads", "0"], "--threads"),
+            (&["--tile", "0"], "--tile"),
+            (&["--tile", "5000000000"], "--tile"),
+            (&["--bins", "1"], "--bins"),
+            (&["--bins", "2"], "--bins"),
+            (&["--bins", "65"], "--bins"),
+            (&["--order", "0"], "--order"),
+            (&["--order", "9"], "--order"),
+            (&["--alpha", "0"], "--alpha"),
+            (&["--alpha", "2"], "--alpha"),
+            (&["--q", "0"], "--q"),
+        ] {
+            let run = std::panic::catch_unwind(|| infer_error("bad_option", &matrix, extra));
+            let err = run.unwrap_or_else(|_| panic!("gnet infer {extra:?} panicked"));
+            assert!(err.0.contains(flag), "{extra:?}: {}", err.0);
+        }
     }
 
     #[test]

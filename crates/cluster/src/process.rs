@@ -44,10 +44,12 @@
 //!    stats. The coordinator then writes the manifest listing every
 //!    rank stream that actually exists on its filesystem.
 //!
-//! The scheduler policy is deliberately absent from the wire config:
-//! each distributed rank is single-threaded by construction, so the
-//! policy is never consulted on the worker side and shipping it would
-//! cost this crate a dependency edge on the parallel runtime.
+//! The wire config carries `threads`, so every worker process runs the
+//! coordinator's per-rank worker count (`None` resolves to each host's
+//! own available parallelism). The scheduler policy is absent from it:
+//! a worker schedules its sub-tiles under the default policy, and since
+//! no policy changes a bit of the result, shipping it would only change
+//! the bootstrap format.
 
 use crate::distributed::{
     frame, parse_frame, rank_main, validate_run, write_manifest, write_one_rank_trace,
@@ -225,9 +227,9 @@ fn decode_config(bytes: &mut Bytes) -> Result<InferenceConfig, ClusterError> {
         threads,
         null_strategy,
         null_sample_pairs,
-        // The scheduler policy is never consulted by the distributed
-        // rank loop (each rank is single-threaded); the default keeps
-        // the struct total without a wire field.
+        // The scheduler policy is not on the wire: a worker process
+        // hands its sub-tiles to its `threads` workers under the default
+        // policy, and no policy changes a bit of the result.
         ..InferenceConfig::default()
     })
 }

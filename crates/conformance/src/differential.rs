@@ -19,8 +19,9 @@
 //!   oracle sweeps it over the corpus). The full-pipeline variant runs
 //!   with the pooled threshold, which merges exactly in any order, and
 //!   demands bit-identical edge weights and thresholds.
-//! * **Distributed** (`{1,2,4,8}` ranks): *byte*-equal serialized edge
-//!   lists and bit-equal pooled thresholds.
+//! * **Distributed** (`{1,2,4,8}` ranks × `{1,3}` threads per rank, and
+//!   `{2,4}` TCP ranks × 2 threads): *byte*-equal serialized edge lists
+//!   and bit-equal pooled thresholds.
 //! * **Recovery** (resume-from-checkpoint at another thread count and
 //!   scheduler, rank-crash): bit-identical results versus the clean run,
 //!   per DESIGN.md §10.
@@ -263,32 +264,41 @@ pub(crate) fn scheduler_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Or
     OracleOutcome::clean(checks)
 }
 
-/// Distributed differential: `{1,2,4,8}`-rank runs must serialize to
-/// byte-identical edge lists with bit-identical pooled thresholds. The
-/// same grade is then demanded of `{2,4}`-rank runs over the
-/// loopback-TCP transport: real sockets, framing, and drain-then-FIN
-/// shutdown must be invisible in the serialized output.
+/// Distributed differential: `{2,4,8}`-rank runs at 1 and at 3 threads
+/// per rank must serialize to the byte-identical edge list, with the
+/// bit-identical pooled threshold, of the 1-rank × 1-thread run. The
+/// same grade is then demanded of `{2,4}`-rank runs at 2 threads per
+/// rank over the loopback-TCP transport: real sockets, framing, and
+/// drain-then-FIN shutdown must be invisible in the serialized output.
 pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> OracleOutcome {
     let matrix = spec.build();
-    let cfg = dist_config();
-    let reference = infer_network_distributed(&matrix, &cfg, 1);
+    let per_rank = |threads| InferenceConfig {
+        threads: Some(threads),
+        ..dist_config()
+    };
+    let reference = infer_network_distributed(&matrix, &dist_config(), 1);
     let ref_bytes = edge_bytes(&reference.network);
     let mut checks = 0;
-    for ranks in [2usize, 4, 8] {
-        if ranks > matrix.genes() {
-            continue;
-        }
-        let run = infer_network_distributed(&matrix, &cfg, ranks);
-        checks += 1;
-        if let Some(diff) = diff_distributed(&reference, &run, &ref_bytes) {
-            return OracleOutcome::fail(checks, format!("{ranks} ranks vs 1 rank: {diff}"));
+    for threads in [1usize, 3] {
+        for ranks in [2usize, 4, 8] {
+            if ranks > matrix.genes() {
+                continue;
+            }
+            let run = infer_network_distributed(&matrix, &per_rank(threads), ranks);
+            checks += 1;
+            if let Some(diff) = diff_distributed(&reference, &run, &ref_bytes) {
+                return OracleOutcome::fail(
+                    checks,
+                    format!("{ranks} ranks × {threads} threads vs 1 rank × 1 thread: {diff}"),
+                );
+            }
         }
     }
     for ranks in [2usize, 4] {
         if ranks > matrix.genes() {
             continue;
         }
-        let run = match infer_network_distributed_tcp(&matrix, &cfg, ranks) {
+        let run = match infer_network_distributed_tcp(&matrix, &per_rank(2), ranks) {
             Ok(r) => r,
             Err(e) => {
                 return OracleOutcome::fail(
@@ -299,7 +309,10 @@ pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> 
         };
         checks += 1;
         if let Some(diff) = diff_distributed(&reference, &run, &ref_bytes) {
-            return OracleOutcome::fail(checks, format!("{ranks} TCP ranks vs 1 rank: {diff}"));
+            return OracleOutcome::fail(
+                checks,
+                format!("{ranks} TCP ranks × 2 threads vs 1 rank × 1 thread: {diff}"),
+            );
         }
     }
     OracleOutcome::clean(checks)

@@ -9,7 +9,8 @@
 //! | `kernel`      | `ScalarSparse` vs `VectorDense`, observed + nulls,  | tolerance  |
 //! |               | repeated per supported SIMD dispatch backend        |            |
 //! | `scheduler`   | 3 policies × thread counts vs serial baseline       | bitwise    |
-//! | `distributed` | `{1,2,4,8}`-rank runs (edge bytes, `I*` bits)       | bytewise   |
+//! | `distributed` | `{1,2,4,8}` ranks × `{1,3}` threads per rank, TCP   | bytewise   |
+//! |               | ranks at 2 threads (edge bytes, `I*` bits)          |            |
 //! | `recovery`    | resume-from-checkpoint & rank-crash vs clean runs   | bitwise    |
 //! | `metamorphic` | symmetry, monotone/permutation invariance, self-MI, | mixed (see |
 //! |               | non-negativity, independence-null consistency       | module)    |

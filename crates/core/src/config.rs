@@ -1,8 +1,10 @@
 //! Pipeline configuration.
 
+use gnet_bspline::MAX_ORDER;
 use gnet_mi::MiKernel;
 use gnet_parallel::SchedulerPolicy;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// How the permutation null is evaluated per pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -21,6 +23,23 @@ pub enum NullStrategy {
     /// null pair instead of `q + 1`).
     EarlyExit,
 }
+
+/// A configuration [`InferenceConfig::check`] rejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending [`InferenceConfig`] field, by name.
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub reason: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Complete configuration of one inference run.
 ///
@@ -47,7 +66,9 @@ pub struct InferenceConfig {
     pub kernel: MiKernel,
     /// Tile edge length; `None` picks the cache-blocking default.
     pub tile_size: Option<usize>,
-    /// Worker threads; `None` uses the host's available parallelism.
+    /// Worker threads; `None` uses the host's available parallelism. On
+    /// the distributed path this counts workers per rank, so `P` ranks
+    /// run `P × threads` workers.
     pub threads: Option<usize>,
     /// Tile scheduling policy.
     pub scheduler: SchedulerPolicy,
@@ -89,40 +110,92 @@ impl InferenceConfig {
         }
     }
 
-    /// Validate the configuration, panicking with a clear message on
-    /// nonsense (called by the pipeline before any work).
+    /// Validate the configuration, panicking with the [`Self::check`]
+    /// error on nonsense (called by the pipeline before any work).
+    ///
+    /// # Panics
+    /// Panics when [`Self::check`] fails.
     pub fn validate(&self) {
-        assert!(self.bins >= 2, "need at least two bins");
-        assert!(self.spline_order >= 1, "spline order must be at least 1");
-        assert!(
-            self.spline_order <= self.bins,
-            "spline order cannot exceed the bin count"
-        );
-        assert!(
-            (f64::MIN_POSITIVE..1.0).contains(&self.alpha),
-            "alpha must lie in (0, 1)"
-        );
-        if self.permutations == 0 {
-            assert!(
-                self.mi_threshold.is_some(),
-                "with q = 0 an explicit mi_threshold is required"
-            );
-        }
-        if self.null_strategy == NullStrategy::EarlyExit && self.mi_threshold.is_none() {
-            assert!(
-                self.null_sample_pairs >= 2,
-                "early-exit needs an mi_threshold or a null_sample_pairs pre-pass"
-            );
-        }
-        if let Some(t) = self.tile_size {
-            assert!(t >= 1, "tile size must be positive");
-        }
-        if let Some(t) = self.threads {
-            assert!(t >= 1, "thread count must be positive");
+        if let Err(e) = self.check() {
+            panic!("invalid inference configuration: {e}");
         }
     }
 
-    /// Resolved thread count.
+    /// Check the configuration: at least two and at most 64 bins, a
+    /// spline order in `1..=MAX_ORDER` and not above the bin count, α in
+    /// (0, 1), an explicit threshold when `q = 0`, a threshold or a
+    /// pre-pass sample under early exit, a tile size in `1..=u32::MAX`
+    /// and a positive thread count when set.
+    ///
+    /// # Errors
+    /// The first failed rule, naming its field.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let fail = |field, reason: String| Err(ConfigError { field, reason });
+        if self.bins < 2 {
+            return fail("bins", "need at least two bins".into());
+        }
+        if self.bins > 64 {
+            return fail(
+                "bins",
+                "more than 64 bins is outside the estimator's useful range".into(),
+            );
+        }
+        if self.spline_order < 1 {
+            return fail("spline_order", "spline order must be at least 1".into());
+        }
+        if self.spline_order > MAX_ORDER {
+            return fail(
+                "spline_order",
+                format!(
+                    "spline order {} exceeds MAX_ORDER={MAX_ORDER}",
+                    self.spline_order
+                ),
+            );
+        }
+        if self.spline_order > self.bins {
+            return fail(
+                "bins",
+                format!(
+                    "spline order cannot exceed the bin count ({} > {})",
+                    self.spline_order, self.bins
+                ),
+            );
+        }
+        if !(f64::MIN_POSITIVE..1.0).contains(&self.alpha) {
+            return fail("alpha", format!("alpha {} must lie in (0, 1)", self.alpha));
+        }
+        if self.permutations == 0 && self.mi_threshold.is_none() {
+            return fail(
+                "permutations",
+                "with q = 0 an explicit mi_threshold is required".into(),
+            );
+        }
+        if self.null_strategy == NullStrategy::EarlyExit
+            && self.mi_threshold.is_none()
+            && self.null_sample_pairs < 2
+        {
+            return fail(
+                "null_sample_pairs",
+                "early-exit needs an mi_threshold or a null_sample_pairs pre-pass".into(),
+            );
+        }
+        match self.tile_size {
+            Some(0) => return fail("tile_size", "tile size must be positive".into()),
+            Some(t) if u32::try_from(t).is_err() => {
+                return fail(
+                    "tile_size",
+                    format!("tile size {t} exceeds the u32 tile index space"),
+                )
+            }
+            _ => {}
+        }
+        if self.threads == Some(0) {
+            return fail("threads", "thread count must be positive".into());
+        }
+        Ok(())
+    }
+
+    /// Resolved thread count (per rank on the distributed path).
     pub fn resolved_threads(&self) -> usize {
         self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -185,6 +258,40 @@ mod tests {
             ..InferenceConfig::default()
         };
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_field_of_each_broken_rule() {
+        type Break = fn(&mut InferenceConfig);
+        let broken: [(Break, &str); 13] = [
+            (|c| c.bins = 1, "bins"),
+            (|c| c.bins = 65, "bins"),
+            (|c| c.bins = 2, "bins"),
+            (|c| c.spline_order = 0, "spline_order"),
+            (|c| (c.spline_order, c.bins) = (9, 20), "spline_order"),
+            (|c| c.alpha = 0.0, "alpha"),
+            (|c| c.alpha = 2.0, "alpha"),
+            (|c| c.alpha = f64::NAN, "alpha"),
+            (|c| c.permutations = 0, "permutations"),
+            (
+                |c| (c.null_strategy, c.null_sample_pairs) = (NullStrategy::EarlyExit, 1),
+                "null_sample_pairs",
+            ),
+            (|c| c.tile_size = Some(0), "tile_size"),
+            (|c| c.tile_size = Some(1 << 32), "tile_size"),
+            (|c| c.threads = Some(0), "threads"),
+        ];
+        for (breaks, field) in broken {
+            let mut c = InferenceConfig::default();
+            breaks(&mut c);
+            assert_eq!(c.check().map_err(|e| e.field), Err(field), "{c:?}");
+        }
+        let at_limits = InferenceConfig {
+            bins: 64,
+            spline_order: MAX_ORDER,
+            ..InferenceConfig::default()
+        };
+        assert_eq!(at_limits.check(), Ok(()));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod state;
 pub use checkpoint::{
     infer_network_resumable, infer_network_resumable_traced, run_digest_for, Checkpoint,
 };
-pub use config::{InferenceConfig, NullStrategy};
+pub use config::{ConfigError, InferenceConfig, NullStrategy};
 pub use durable::{infer_network_durable, CheckpointError, CheckpointStore};
 pub use gnet_trace::Recorder;
 pub use incremental::{
@@ -55,5 +55,5 @@ pub use mi_matrix::{compute_mi_matrix, MiMatrix};
 pub use pipeline::{infer_network, infer_network_traced};
 pub use plan::MemoryPlan;
 pub use result::{InferenceResult, RunStats};
-pub use scan::{scan_tile, NullScan};
+pub use scan::{scan_tile, scan_tiles, NullScan};
 pub use state::{GeneState, NetworkState, StateError, StateStore};

@@ -2,10 +2,12 @@
 //!
 //! Every scan that evaluates pairs with their full permutation nulls —
 //! the in-memory and checkpointed runs, state builds, incremental
-//! updates and the ring's block pairs — evaluates a tile through
-//! [`scan_tile`]. Shared-memory scans run a tile list through
-//! [`TileScan::run`], which schedules chunks of tiles on the executor
-//! and records progress as a tile prefix.
+//! updates and the ring's block pairs — runs a tile list through
+//! [`scan_tiles`], which schedules the tiles on the executor, evaluates
+//! each with [`scan_tile`] and merges the workers' evidence.
+//! Shared-memory scans go through [`TileScan::run`], which calls it once
+//! per chunk of tiles and records progress as a tile prefix; a ring rank
+//! calls it once per block pair.
 //!
 //! The result cannot depend on how the pair space is divided: per-pair
 //! MI does not depend on the tile shape (each row gene is planned the
@@ -233,6 +235,48 @@ pub fn scan_tile(
     );
 }
 
+/// Scan `tiles` on the configured threads and scheduler into `acc`:
+/// each worker evaluates its tiles through [`scan_tile`] into its own
+/// scratch and evidence, and every worker's evidence is then merged into
+/// `acc`, which must itself be merged evidence (see [`NullScan::merge`]).
+/// `genes` maps a tile to its row and column genes (as [`scan_tile`]
+/// takes them). An enabled `rec` receives the executor's per-tile
+/// latencies and per-thread claim counts. Returns the execution report.
+pub fn scan_tiles<'g>(
+    tiles: &[Tile],
+    genes: impl Fn(&Tile) -> (&'g [PreparedGene], &'g [PreparedGene]) + Sync,
+    perms: &PermutationSet,
+    basis: &BsplineBasis,
+    config: &InferenceConfig,
+    rec: &Recorder,
+    acc: &mut NullScan,
+) -> ExecutionReport {
+    let (states, report) = execute_tiles_traced(
+        tiles,
+        config.resolved_threads(),
+        config.scheduler,
+        |_tid| (MiScratch::for_basis(basis), NullScan::default()),
+        |(scratch, part), tile| {
+            let (rows, cols) = genes(tile);
+            scan_tile(
+                tile,
+                rows,
+                cols,
+                perms,
+                config.kernel,
+                config.mi_threshold,
+                scratch,
+                part,
+            );
+        },
+        rec,
+    );
+    for (_, part) in states {
+        acc.merge(part);
+    }
+    report
+}
+
 /// Resumable progress over a tile list: tiles `0..tiles_done` are
 /// accounted for in `scan`. The same value is a GNETCKP checkpoint of
 /// `gnet infer` and a GNETUPD progress file of `gnet update`.
@@ -307,29 +351,15 @@ impl TileScan<'_> {
                 .tiles_done
                 .saturating_add(chunk_tiles)
                 .min(self.tiles.len());
-            let (states, report) = execute_tiles_traced(
+            let report = scan_tiles(
                 &self.tiles[progress.tiles_done..end],
-                self.config.resolved_threads(),
-                self.config.scheduler,
-                |_tid| (MiScratch::for_basis(self.basis), NullScan::default()),
-                |(scratch, acc), tile| {
-                    let (rows, cols) = tile_genes(tile, self.prepared);
-                    scan_tile(
-                        tile,
-                        rows,
-                        cols,
-                        self.perms,
-                        self.config.kernel,
-                        self.config.mi_threshold,
-                        scratch,
-                        acc,
-                    );
-                },
+                |tile| tile_genes(tile, self.prepared),
+                self.perms,
+                self.basis,
+                self.config,
                 rec,
+                &mut progress.scan,
             );
-            for (_, acc) in states {
-                progress.scan.merge(acc);
-            }
             progress.tiles_done = end;
             execution.absorb(&report);
             after_chunk(progress)?;

@@ -6,15 +6,18 @@
 //! * a critical path exists and stays within the makespan;
 //! * the perf-attribution table is populated (with the
 //!   percent-of-modeled-peak column when a kernel model is supplied);
-//! * the Chrome export of the same model stays schema-valid.
+//! * the Chrome export of the same model stays schema-valid;
+//! * a ranks × threads run stamps its per-rank threads and sub-tile size,
+//!   and each rank's workers claim exactly that rank's sub-tiles.
 
-use gnet_cluster::infer_network_distributed_traced;
+use gnet_cluster::{block_pair_owner, block_range, infer_network_distributed_traced};
 use gnet_core::InferenceConfig;
 use gnet_expr::synth::{coupled_pairs, Coupling};
 use gnet_fault::FaultInjector;
 use gnet_obs::ingest::parse_ndjson;
 use gnet_obs::model::{span_key, RunModel};
-use gnet_obs::report::{analyze, KernelModel};
+use gnet_obs::report::{analyze, KernelModel, RunConfig};
+use gnet_parallel::TileSpace;
 use gnet_trace::Recorder;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -188,6 +191,68 @@ fn chrome_export_of_a_real_run_is_loadable_json() {
         assert!(
             folded.lines().any(|l| l.starts_with(&format!("rank-{r};"))),
             "flamegraph subtree for rank {r}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ranks_times_threads_stamp_the_run_shape_and_claim_every_sub_tile() {
+    let dir = std::env::temp_dir().join(format!("gnet-obs-report-{}-hybrid", std::process::id()));
+    let (matrix, _) = coupled_pairs(8, 220, Coupling::Linear(0.85), 13);
+    let (ranks, tile) = (2, 3);
+    let config = InferenceConfig {
+        permutations: 4,
+        threads: Some(2),
+        tile_size: Some(tile),
+        mi_threshold: Some(0.1),
+        ..InferenceConfig::default()
+    };
+    infer_network_distributed_traced(
+        &matrix,
+        &config,
+        ranks,
+        &FaultInjector::none(),
+        &Recorder::disabled(),
+        Duration::from_secs(5),
+        &dir,
+    )
+    .expect("fault-free traced run succeeds");
+    let model = RunModel::from_dir(&dir).expect("trace dir loads");
+    let shape = RunConfig::from_model(&model).expect("run.config stamped");
+    assert_eq!(shape.threads, 2, "workers per rank");
+    assert_eq!(
+        shape.tile_size, tile as u64,
+        "sub-tile edge, not the block size"
+    );
+
+    let n = matrix.genes();
+    let genes = |b| {
+        let (s, e) = block_range(n, ranks, b);
+        s..e
+    };
+    let report = analyze(&model, None);
+    assert_eq!(report.ranks.len(), ranks);
+    for load in &report.ranks {
+        let r = usize::try_from(load.rank).expect("rank ids are small");
+        let sub_tiles: usize = (0..ranks)
+            .flat_map(|a| (a..ranks).map(move |b| (a, b)))
+            .filter(|&(a, b)| block_pair_owner(a, b, ranks) == r)
+            .map(|(a, b)| {
+                TileSpace::block_pair(genes(a), genes(b), tile)
+                    .tiles()
+                    .len()
+            })
+            .sum();
+        let claimed: u64 = load.thread_claims.iter().map(|&(_, c)| c).sum();
+        assert_eq!(
+            claimed, sub_tiles as u64,
+            "rank {r}: {:?}",
+            load.thread_claims
+        );
+        assert!(
+            load.thread_claims.iter().all(|&(tid, _)| tid < 2),
+            "rank {r}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -136,7 +136,7 @@ impl ExecutionReport {
 /// thread's final state (callers merge them) and the execution report.
 ///
 /// The executor guarantees each tile is executed exactly once regardless
-/// of policy.
+/// of policy. A single worker runs on the calling thread.
 ///
 /// # Panics
 /// Panics if `threads == 0` or a worker panics.
@@ -188,23 +188,35 @@ where
     let start = Instant::now();
     let tracer = TileTracer::new(rec, tiles.len());
     let (states, per_thread) = match policy {
-        SchedulerPolicy::StaticBlock => run_static(
-            tiles,
-            threads,
-            &make_state,
-            &work,
-            assign_block(tiles.len(), threads),
-            &tracer,
-        ),
-        SchedulerPolicy::StaticCyclic => run_static(
-            tiles,
-            threads,
-            &make_state,
-            &work,
-            assign_cyclic(tiles.len(), threads),
-            &tracer,
-        ),
-        SchedulerPolicy::DynamicCounter => run_dynamic(tiles, threads, &make_state, &work, &tracer),
+        SchedulerPolicy::StaticBlock | SchedulerPolicy::StaticCyclic => {
+            let assignment = if policy == SchedulerPolicy::StaticBlock {
+                assign_block(tiles.len(), threads)
+            } else {
+                assign_cyclic(tiles.len(), threads)
+            };
+            run_workers(
+                tiles,
+                threads,
+                &make_state,
+                &work,
+                &|tid, nth| assignment[tid].get(nth).copied(),
+                &tracer,
+            )
+        }
+        SchedulerPolicy::DynamicCounter => {
+            let next = AtomicUsize::new(0);
+            run_workers(
+                tiles,
+                threads,
+                &make_state,
+                &work,
+                // ordering: the counter only claims tile indices — no data
+                // is published through it, and the scoped join synchronizes
+                // the merged states.
+                &|_, _| Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < tiles.len()),
+                &tracer,
+            )
+        }
     };
     (
         states,
@@ -274,12 +286,15 @@ pub fn assign_cyclic(n: usize, threads: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-fn run_static<S, FMake, FWork>(
+/// Run `threads` workers, worker `tid` on a fresh `make_state(tid)`: its
+/// `n`-th tile is `claim(tid, n)`, until that returns `None`. A single
+/// worker runs on the calling thread, so a one-thread run spawns nothing.
+fn run_workers<S, FMake, FWork>(
     tiles: &[Tile],
     threads: usize,
     make_state: &FMake,
     work: &FWork,
-    assignment: Vec<Vec<usize>>,
+    claim: &(dyn Fn(usize, usize) -> Option<usize> + Sync),
     tracer: &TileTracer<'_>,
 ) -> (Vec<S>, Vec<ThreadStats>)
 where
@@ -287,99 +302,39 @@ where
     FMake: Fn(usize) -> S + Sync,
     FWork: Fn(&mut S, &Tile) + Sync,
 {
-    cb_thread::scope(|scope| {
-        let handles: Vec<_> = assignment
-            .into_iter()
-            .enumerate()
-            .map(|(tid, indices)| {
-                scope.spawn(move |_| {
-                    let mut state = make_state(tid);
-                    let mut stats = ThreadStats::default();
-                    let t0 = Instant::now();
-                    for idx in indices {
-                        let tile = &tiles[idx];
-                        if tracer.enabled() {
-                            let t_tile = Instant::now();
-                            work(&mut state, tile);
-                            tracer.tile_done(t_tile.elapsed());
-                        } else {
-                            work(&mut state, tile);
-                        }
-                        stats.tiles += 1;
-                        stats.pairs += tile.pair_count();
-                    }
-                    stats.busy = t0.elapsed();
-                    tracer.claims(tid, stats.tiles);
-                    (state, stats)
-                })
-            })
-            .collect();
-        let mut states = Vec::with_capacity(threads);
-        let mut all_stats = Vec::with_capacity(threads);
-        for h in handles {
-            let (s, st) = h.join().expect("worker thread panicked");
-            states.push(s);
-            all_stats.push(st);
+    let worker = |tid: usize| {
+        let mut state = make_state(tid);
+        let mut stats = ThreadStats::default();
+        let t0 = Instant::now();
+        while let Some(idx) = claim(tid, stats.tiles) {
+            let tile = &tiles[idx];
+            if tracer.enabled() {
+                let t_tile = Instant::now();
+                work(&mut state, tile);
+                tracer.tile_done(t_tile.elapsed());
+            } else {
+                work(&mut state, tile);
+            }
+            stats.tiles += 1;
+            stats.pairs += tile.pair_count();
         }
-        (states, all_stats)
-    })
-    .expect("scoped execution failed")
-}
-
-fn run_dynamic<S, FMake, FWork>(
-    tiles: &[Tile],
-    threads: usize,
-    make_state: &FMake,
-    work: &FWork,
-    tracer: &TileTracer<'_>,
-) -> (Vec<S>, Vec<ThreadStats>)
-where
-    S: Send,
-    FMake: Fn(usize) -> S + Sync,
-    FWork: Fn(&mut S, &Tile) + Sync,
-{
-    let next = AtomicUsize::new(0);
+        stats.busy = t0.elapsed();
+        tracer.claims(tid, stats.tiles);
+        (state, stats)
+    };
+    if threads == 1 {
+        let (state, stats) = worker(0);
+        return (vec![state], vec![stats]);
+    }
+    let worker = &worker;
     cb_thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let next = &next;
-                scope.spawn(move |_| {
-                    let mut state = make_state(tid);
-                    let mut stats = ThreadStats::default();
-                    let t0 = Instant::now();
-                    loop {
-                        // ordering: the counter only claims tile indices —
-                        // no data is published through it, and the scoped
-                        // join below synchronizes the merged states.
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= tiles.len() {
-                            break;
-                        }
-                        let tile = &tiles[idx];
-                        if tracer.enabled() {
-                            let t_tile = Instant::now();
-                            work(&mut state, tile);
-                            tracer.tile_done(t_tile.elapsed());
-                        } else {
-                            work(&mut state, tile);
-                        }
-                        stats.tiles += 1;
-                        stats.pairs += tile.pair_count();
-                    }
-                    stats.busy = t0.elapsed();
-                    tracer.claims(tid, stats.tiles);
-                    (state, stats)
-                })
-            })
+            .map(|tid| scope.spawn(move |_| worker(tid)))
             .collect();
-        let mut states = Vec::with_capacity(threads);
-        let mut all_stats = Vec::with_capacity(threads);
-        for h in handles {
-            let (s, st) = h.join().expect("worker thread panicked");
-            states.push(s);
-            all_stats.push(st);
-        }
-        (states, all_stats)
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .unzip()
     })
     .expect("scoped execution failed")
 }

@@ -1,6 +1,7 @@
 //! Upper-triangular tile decomposition of the gene-pair space.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One rectangular tile of the pair space: gene rows `row_start..row_end`
 /// against gene columns `col_start..col_end`, restricted to pairs
@@ -103,20 +104,50 @@ impl TileSpace {
     /// Panics if `genes < 2`, `tile_size == 0`, or `first_new ≥ genes`.
     pub fn frontier(genes: usize, first_new: usize, tile_size: usize) -> Self {
         assert!(genes >= 2, "need at least two genes to have a pair");
-        assert!(tile_size >= 1, "tile size must be positive");
         assert!(first_new < genes, "a frontier needs at least one new gene");
-        let n = u32::try_from(genes).expect("gene count fits the u32 tile index space");
-        let t = u32::try_from(tile_size).expect("tile size fits the u32 tile index space");
-        let old = u32::try_from(first_new).expect("first_new < genes fits u32");
-        let blocks = |lo: u32, hi: u32| {
-            (lo..hi)
-                .step_by(tile_size)
-                .map(move |s| (s, (s + t).min(hi)))
-        };
-        let new_blocks: Vec<(u32, u32)> = blocks(old, n).collect();
+        let new_bands = bands(first_new..genes, tile_size);
+        let row_bands = bands(0..first_new, tile_size)
+            .into_iter()
+            .chain(new_bands.iter().copied());
+        Self::from_bands(genes, tile_size, row_bands, &new_bands)
+    }
+
+    /// Tile one block pair of a block-distributed run: row genes `rows`
+    /// against column genes `cols`, each side cut into `tile_size` bands
+    /// from its first gene. `rows == cols` is a diagonal block, which
+    /// keeps only the pairs `i < j` (tiles on its diagonal are triangles,
+    /// none lie below it); otherwise every row gene precedes every column
+    /// gene and every tile is a full rectangle. [`Self::genes`] is
+    /// `cols.end`, the gene count the tiles index into.
+    ///
+    /// # Panics
+    /// Panics if `tile_size == 0`, a side is empty, or the sides overlap
+    /// without being equal.
+    pub fn block_pair(rows: Range<usize>, cols: Range<usize>, tile_size: usize) -> Self {
+        assert!(
+            !rows.is_empty() && !cols.is_empty(),
+            "a block pair needs genes on both sides"
+        );
+        assert!(
+            rows == cols || rows.end <= cols.start,
+            "block rows must be the columns or precede them"
+        );
+        let genes = cols.end;
+        let col_bands = bands(cols, tile_size);
+        Self::from_bands(genes, tile_size, bands(rows, tile_size), &col_bands)
+    }
+
+    /// Every non-empty tile of a row band against the column bands that
+    /// start at or after it, in row-major band order.
+    fn from_bands(
+        genes: usize,
+        tile_size: usize,
+        row_bands: impl IntoIterator<Item = (u32, u32)>,
+        col_bands: &[(u32, u32)],
+    ) -> Self {
         let mut tiles = Vec::new();
-        for (row_start, row_end) in blocks(0, old).chain(new_blocks.iter().copied()) {
-            for &(col_start, col_end) in new_blocks.iter().filter(|c| c.0 >= row_start) {
+        for (row_start, row_end) in row_bands {
+            for &(col_start, col_end) in col_bands.iter().filter(|c| c.0 >= row_start) {
                 let tile = Tile {
                     row_start,
                     row_end,
@@ -129,13 +160,13 @@ impl TileSpace {
             }
         }
         Self {
-            genes: n,
-            tile_size: t,
+            genes: u32::try_from(genes).expect("gene count fits the u32 tile index space"),
+            tile_size: u32::try_from(tile_size).expect("tile size fits the u32 tile index space"),
             tiles,
         }
     }
 
-    /// Number of genes `n`.
+    /// Number of genes `n`: every tile indexes genes below it.
     pub fn genes(&self) -> usize {
         self.genes as usize
     }
@@ -163,6 +194,21 @@ impl TileSpace {
         let t = cache_bytes / (2 * bytes_per_gene);
         t.clamp(4, genes.max(4))
     }
+}
+
+/// `genes` cut into consecutive `tile_size`-wide bands (the last one
+/// shorter), as `(start, end)` gene indices.
+///
+/// # Panics
+/// Panics if `tile_size == 0` or `genes` reaches past `u32`.
+fn bands(genes: Range<usize>, tile_size: usize) -> Vec<(u32, u32)> {
+    assert!(tile_size >= 1, "tile size must be positive");
+    let index = |g: usize| u32::try_from(g).expect("gene count fits the u32 tile index space");
+    let end = genes.end;
+    genes
+        .step_by(tile_size)
+        .map(|s| (index(s), index(s.saturating_add(tile_size).min(end))))
+        .collect()
 }
 
 #[cfg(test)]
@@ -229,6 +275,45 @@ mod tests {
             assert_eq!(seen.len() as u64, want, "n={n} first_new={first_new} t={t}");
             assert_eq!(space.total_pairs(), want);
         }
+    }
+
+    #[test]
+    fn block_pair_tiles_cover_each_pair_of_the_block_pair_once() {
+        // (rows, cols, tile): diagonal blocks of several sizes, cross
+        // blocks adjacent and apart, bands wider than a block.
+        for (rows, cols, t) in [
+            (0usize..7, 0usize..7, 3usize),
+            (5..6, 5..6, 4),
+            (4..12, 4..12, 1),
+            (10..19, 10..19, 9),
+            (0..7, 7..13, 3),
+            (3..5, 9..20, 4),
+            (2..9, 9..10, 2),
+            (0..4, 4..8, 64),
+        ] {
+            let space = TileSpace::block_pair(rows.clone(), cols.clone(), t);
+            let diagonal = rows == cols;
+            let mut seen = HashSet::new();
+            for tile in space.tiles() {
+                assert!(tile.genes_touched() as usize <= 2 * t, "{tile:?}");
+                for (i, j) in tile.pairs() {
+                    assert!(rows.contains(&(i as usize)) && cols.contains(&(j as usize)));
+                    assert!(i < j, "({i},{j}) lies below the diagonal");
+                    assert!(seen.insert((i, j)), "({i},{j}) covered twice");
+                }
+            }
+            let (r, c) = (rows.len() as u64, cols.len() as u64);
+            let want = if diagonal { r * (r - 1) / 2 } else { r * c };
+            assert_eq!(seen.len() as u64, want, "{rows:?} × {cols:?}, t={t}");
+            assert_eq!(space.total_pairs(), want);
+            assert_eq!(space.genes(), cols.end);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "precede")]
+    fn overlapping_block_pair_rejected() {
+        let _ = TileSpace::block_pair(0..6, 3..9, 2);
     }
 
     #[test]
