@@ -78,6 +78,19 @@ pub fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> 
     let matrix_path = args.require("out")?.to_string();
     let truth_path = args.get("truth").map(str::to_string);
     args.reject_unknown()?;
+    if genes < 2 {
+        return fail(format!(
+            "bad --genes {genes}: a network needs at least two genes"
+        ));
+    }
+    if samples < 1 {
+        return fail("bad --samples 0: a matrix needs at least one sample");
+    }
+    if !(avg_degree.is_finite() && avg_degree > 0.0) {
+        return fail(format!(
+            "bad --avg-degree {avg_degree}: must be finite and positive"
+        ));
+    }
 
     let ds = SyntheticDataset::generate(
         GrnConfig {
@@ -162,6 +175,7 @@ fn config_from_args(args: &ArgMap) -> Result<InferenceConfig, CliError> {
         let flag = match e.field {
             "spline_order" => "order",
             "permutations" => "q",
+            "mi_threshold" => "threshold",
             "tile_size" => "tile",
             other => other,
         };
@@ -260,7 +274,9 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let dpi: Option<f32> = match args.get("dpi") {
         Some(raw) => Some(
             raw.parse()
-                .map_err(|_| CliError(format!("bad --dpi {raw:?}")))?,
+                .ok()
+                .filter(|eps| (0.0..1.0).contains(eps))
+                .ok_or_else(|| CliError(format!("bad --dpi {raw:?}: must lie in [0, 1)")))?,
         ),
         None => None,
     };
@@ -1190,6 +1206,11 @@ pub fn cmd_predict(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let samples = args.get_or("samples", 3_137usize)?;
     let q = args.get_or("q", 30usize)?;
     args.reject_unknown()?;
+    if genes < 2 {
+        return fail(format!(
+            "bad --genes {genes}: a network needs at least two genes"
+        ));
+    }
 
     let workload = gnet_phi::WorkloadModel {
         genes,
@@ -1502,19 +1523,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gnet_cli_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// Serializes the tests that run the bench suite — which forces each
-    /// SIMD backend through the process-global dispatch override — with
-    /// the tests that read the dispatch or compare the bytes of two runs,
-    /// so a test thread never computes on another test's forced backend.
-    fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // A panicking holder leaves nothing to repair: the lock guards no
-        // data, and `with_forced` restores the backend on unwind.
-        DISPATCH
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -1904,7 +1912,6 @@ mod tests {
 
     #[test]
     fn simd_reports_dispatch_and_verifies_clean() {
-        let _dispatch = dispatch_lock();
         // No GNET_SIMD_FORCE in the test environment, so active must be
         // the detected best and --verify must pass.
         let mut out = Vec::new();
@@ -2379,7 +2386,6 @@ mod tests {
 
     #[test]
     fn bench_writes_artifact_and_gates_on_baseline() {
-        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench");
         let artifact = dir.join("BENCH_14.json");
         let candidate = dir.join("BENCH_14.cand.json");
@@ -2422,7 +2428,6 @@ mod tests {
 
     #[test]
     fn bench_gate_trips_on_injected_vector_slowdown() {
-        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench_slow");
         let artifact = dir.join("BENCH_14.json");
         let candidate = dir.join("BENCH_14.cand.json");
@@ -2469,7 +2474,6 @@ mod tests {
 
     #[test]
     fn bench_rejects_mode_mismatched_baseline() {
-        let _dispatch = dispatch_lock();
         let dir = tmpdir("bench_mode");
         let baseline = dir.join("full.json");
         // A minimal *full* baseline; the candidate runs --quick.
@@ -2759,11 +2763,50 @@ mod tests {
             (&["--alpha", "0"], "--alpha"),
             (&["--alpha", "2"], "--alpha"),
             (&["--q", "0"], "--q"),
+            (&["--q", "0", "--threshold", "nan"], "--threshold"),
+            (&["--threshold", "inf"], "--threshold"),
+            (&["--dpi", "-1"], "--dpi"),
+            (&["--dpi", "1"], "--dpi"),
+            (&["--dpi", "nan"], "--dpi"),
         ] {
             let run = std::panic::catch_unwind(|| infer_error("bad_option", &matrix, extra));
             let err = run.unwrap_or_else(|_| panic!("gnet infer {extra:?} panicked"));
             assert!(err.0.contains(flag), "{extra:?}: {}", err.0);
         }
+    }
+
+    #[test]
+    fn bad_generate_and_predict_options_are_errors_naming_their_flag() {
+        let dir = tmpdir("bad_generate");
+        let matrix = dir.join("m.tsv");
+        let out = matrix.to_str().unwrap();
+        for (command, flag, value) in [
+            ("generate", "--genes", "0"),
+            ("generate", "--genes", "1"),
+            ("generate", "--samples", "0"),
+            ("generate", "--avg-degree", "0"),
+            ("generate", "--avg-degree", "nan"),
+            ("generate", "--avg-degree", "inf"),
+            ("predict", "--genes", "0"),
+            ("predict", "--genes", "1"),
+        ] {
+            let run = std::panic::catch_unwind(|| {
+                let mut sink = Vec::new();
+                match command {
+                    "generate" => cmd_generate(&argmap(&[flag, value, "--out", out]), &mut sink),
+                    _ => cmd_predict(&argmap(&[flag, value]), &mut sink),
+                }
+            });
+            let result = run.unwrap_or_else(|_| panic!("gnet {command} {flag} {value} panicked"));
+            let err = result.expect_err("a bad option is rejected");
+            assert!(
+                err.0.contains(flag),
+                "gnet {command} {flag} {value}: {}",
+                err.0
+            );
+        }
+        assert!(!matrix.exists(), "a rejected generate writes no matrix");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2880,7 +2923,6 @@ mod tests {
     /// snapshot, and the byte-identity invariant vs a telemetry-off run.
     #[test]
     fn live_status_file_flows_into_gnet_status() {
-        let _dispatch = dispatch_lock();
         let dir = tmpdir("live_status");
         let matrix = dir.join("m.tsv");
         let edges_live = dir.join("live.tsv");

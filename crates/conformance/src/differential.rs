@@ -8,9 +8,9 @@
 //!   two kernels accumulate the same joint histogram in different f32
 //!   summation orders, so last-ulp drift is expected; the bound is the
 //!   stated [`crate::TolerancePolicy::kernel_abs`]. The differential is
-//!   repeated with the vector kernel forced onto every SIMD backend this
-//!   host supports, so each set of intrinsics is held to the grade
-//!   independently of what runtime dispatch would pick.
+//!   repeated with the vector kernel on the kernel table of every SIMD
+//!   backend this host supports, so each set of intrinsics is held to the
+//!   grade independently of what runtime dispatch would pick.
 //! * **Scheduler** (3 policies × thread counts vs the serial baseline):
 //!   *bit*-equal. Scheduling only changes which thread computes a pair,
 //!   never the per-pair arithmetic, so the packed MI array must match the
@@ -41,7 +41,7 @@ use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, prepare_matrix, MiKerne
 use gnet_mi::PreparedGene;
 use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
-use gnet_simd::dispatch::{with_forced, Backend};
+use gnet_simd::dispatch::{Backend, KernelTable};
 use gnet_trace::Recorder;
 
 /// What one oracle found on one dataset.
@@ -110,18 +110,21 @@ where
 }
 
 /// Kernel differential on the real kernels, run once per supported SIMD
-/// dispatch backend (emulated / AVX2 / AVX-512): the scalar oracle must
-/// hold whichever backend the vector kernel lands on, so a backend whose
-/// intrinsics drift out of grade is caught here, not just on the machine
-/// that happens to dispatch to it by default. Violations name the
-/// backend that produced them.
+/// backend's kernel table (emulated / AVX2 / AVX-512): the scalar oracle
+/// must hold whichever backend the vector kernel lands on, so a backend
+/// whose intrinsics drift out of grade is caught here, not just on the
+/// machine that happens to dispatch to it by default. Violations name
+/// the backend that produced them.
 pub(crate) fn kernel_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> OracleOutcome {
     let mut checks = 0;
-    for backend in Backend::supported() {
-        let outcome = with_forced(backend, || kernel_oracle_one_backend(spec, tol))
-            .unwrap_or_else(|e| unreachable!("supported backend must force cleanly: {e}"));
+    for kernels in Backend::ALL
+        .into_iter()
+        .filter_map(KernelTable::for_backend)
+    {
+        let outcome = kernel_oracle_one_backend(spec, tol, kernels);
         checks += outcome.checks;
         if let Some(detail) = outcome.violation {
+            let backend = kernels.backend;
             return OracleOutcome::fail(checks, format!("[backend {backend}] {detail}"));
         }
     }
@@ -129,10 +132,14 @@ pub(crate) fn kernel_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> Oracle
 }
 
 /// One backend's scalar-vs-vector differential, including the permuted
-/// (null-evaluation) paths the pipeline exercises per pair. Runs under
-/// whatever dispatch backend is active when called.
-fn kernel_oracle_one_backend(spec: &DatasetSpec, tol: &TolerancePolicy) -> OracleOutcome {
-    let mut scratch = MiScratch::for_basis(&basis());
+/// (null-evaluation) paths the pipeline exercises per pair, with the
+/// vector kernel on `kernels`.
+fn kernel_oracle_one_backend(
+    spec: &DatasetSpec,
+    tol: &TolerancePolicy,
+    kernels: &'static KernelTable,
+) -> OracleOutcome {
+    let mut scratch = MiScratch::with_kernels(&basis(), kernels);
     let observed = kernel_oracle_with(spec, tol, &mut |x, y, yd| mi_vector(x, y, yd, &mut scratch));
     if observed.violation.is_some() {
         return observed;
@@ -142,7 +149,7 @@ fn kernel_oracle_one_backend(spec: &DatasetSpec, tol: &TolerancePolicy) -> Oracl
     let matrix = spec.build();
     let prepared = prepare_matrix(&matrix, &basis());
     let perms = PermutationSet::generate(matrix.samples(), 2, spec.seed ^ 0x7065_726D); // "perm"
-    let mut scratch = MiScratch::for_basis(&basis());
+    let mut scratch = MiScratch::with_kernels(&basis(), kernels);
     let mut checks = observed.checks;
     for j in 1..prepared.len() {
         let yd = prepared[j].to_dense();

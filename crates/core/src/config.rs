@@ -123,9 +123,9 @@ impl InferenceConfig {
 
     /// Check the configuration: at least two and at most 64 bins, a
     /// spline order in `1..=MAX_ORDER` and not above the bin count, α in
-    /// (0, 1), an explicit threshold when `q = 0`, a threshold or a
-    /// pre-pass sample under early exit, a tile size in `1..=u32::MAX`
-    /// and a positive thread count when set.
+    /// (0, 1), a finite threshold when set and an explicit one when
+    /// `q = 0`, a threshold or a pre-pass sample under early exit, a tile
+    /// size in `1..=u32::MAX` and a positive thread count when set.
     ///
     /// # Errors
     /// The first failed rule, naming its field.
@@ -163,6 +163,9 @@ impl InferenceConfig {
         }
         if !(f64::MIN_POSITIVE..1.0).contains(&self.alpha) {
             return fail("alpha", format!("alpha {} must lie in (0, 1)", self.alpha));
+        }
+        if let Some(t) = self.mi_threshold.filter(|t| !t.is_finite()) {
+            return fail("mi_threshold", format!("threshold {t} must be finite"));
         }
         if self.permutations == 0 && self.mi_threshold.is_none() {
             return fail(
@@ -263,7 +266,7 @@ mod tests {
     #[test]
     fn check_names_the_field_of_each_broken_rule() {
         type Break = fn(&mut InferenceConfig);
-        let broken: [(Break, &str); 13] = [
+        let broken: [(Break, &str); 15] = [
             (|c| c.bins = 1, "bins"),
             (|c| c.bins = 65, "bins"),
             (|c| c.bins = 2, "bins"),
@@ -273,6 +276,8 @@ mod tests {
             (|c| c.alpha = 2.0, "alpha"),
             (|c| c.alpha = f64::NAN, "alpha"),
             (|c| c.permutations = 0, "permutations"),
+            (|c| c.mi_threshold = Some(f64::NAN), "mi_threshold"),
+            (|c| c.mi_threshold = Some(f64::INFINITY), "mi_threshold"),
             (
                 |c| (c.null_strategy, c.null_sample_pairs) = (NullStrategy::EarlyExit, 1),
                 "null_sample_pairs",

@@ -1,5 +1,6 @@
 //! Plug-in entropy helpers shared by every estimator.
 
+use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::slice_ops;
 
 /// Shannon entropy (nats) of a normalized distribution: `−Σ p ln p`.
@@ -8,7 +9,7 @@ use gnet_simd::slice_ops;
 /// should prefer [`entropy_from_counts`], which is exact under the count
 /// identity and cheaper (no per-element division).
 pub fn entropy_nats(p: &[f32]) -> f64 {
-    -slice_ops::xlogx_sum(p) as f64
+    -(dispatch::table().xlogx_sum)(p) as f64
 }
 
 /// Shannon entropy (nats) from unnormalized non-negative counts with known
@@ -21,8 +22,13 @@ pub fn entropy_nats(p: &[f32]) -> f64 {
 /// # Panics
 /// Panics if `total` is not strictly positive.
 pub fn entropy_from_counts(counts: &[f32], total: f64) -> f64 {
+    entropy_from_counts_on(dispatch::table(), counts, total)
+}
+
+/// [`entropy_from_counts`] on the `xlogx_sum` of `kernels`.
+pub(crate) fn entropy_from_counts_on(kernels: &KernelTable, counts: &[f32], total: f64) -> f64 {
     assert!(total > 0.0, "total mass must be positive");
-    total.ln() - slice_ops::xlogx_sum(counts) as f64 / total
+    total.ln() - (kernels.xlogx_sum)(counts) as f64 / total
 }
 
 /// Scalar-reference twin of [`entropy_from_counts`] used by the no-vec

@@ -10,6 +10,7 @@
 //! vector kernel's run plan of a row gene is built once per tile row
 //! ([`MiScratch::plan_row`]) and shared by every pair in the row, whose
 //! column genes it meets in blocks ([`PlannedRow::mi_with_nulls_block`]).
+//! Each scratch carries the SIMD [`KernelTable`] its joints run on.
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
@@ -17,6 +18,7 @@ use crate::vector_kernel::{self, VectorGrid};
 use gnet_bspline::{BsplineBasis, DenseWeights, SparseWeights};
 use gnet_expr::normalize::rank_transform_profile;
 use gnet_expr::ExpressionMatrix;
+use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::{F32x16, RunPlan};
 
 /// Which B-spline kernel the pipeline dispatches to.
@@ -88,6 +90,9 @@ pub fn prepare_matrix(matrix: &ExpressionMatrix, basis: &BsplineBasis) -> Vec<Pr
 /// Reusable per-thread scratch covering both kernels.
 #[derive(Clone, Debug)]
 pub struct MiScratch {
+    /// The SIMD kernels every vector joint and joint entropy of this
+    /// scratch runs on.
+    kernels: &'static KernelTable,
     scalar_grid: Vec<f32>,
     /// One joint grid per column of the widest block met so far, all of
     /// one dense layout.
@@ -101,10 +106,19 @@ pub struct MiScratch {
 }
 
 impl MiScratch {
-    /// Scratch for genes produced with `basis`.
+    /// Scratch for genes produced with `basis`, on the process's
+    /// resolved kernel table ([`dispatch::table`]).
     pub fn for_basis(basis: &BsplineBasis) -> Self {
+        Self::with_kernels(basis, dispatch::table())
+    }
+
+    /// Scratch for genes produced with `basis` whose vector joints run on
+    /// `kernels` — how a caller compares backends in one process
+    /// ([`KernelTable::for_backend`]).
+    pub fn with_kernels(basis: &BsplineBasis, kernels: &'static KernelTable) -> Self {
         let b = basis.bins();
         Self {
+            kernels,
             scalar_grid: vec![0.0; b * b],
             vector_grids: Vec::new(),
             plan: RunPlan::new(),
@@ -334,6 +348,7 @@ impl PlannedRow<'_> {
         let (x, perms) = (self.x, self.perms);
         let hx = x.h_marginal;
         let MiScratch {
+            kernels,
             scalar_grid,
             vector_grids,
             plan,
@@ -366,12 +381,10 @@ impl PlannedRow<'_> {
         };
         let grids = vector_grids_for(vector_grids, first, ys.len().min(vector_kernel::MAX_BLOCK));
         if !vector_kernel::fits_run_kernel(first) {
+            let pairing = perm.map(|p| perms[p].as_slice());
             for ((y, yd), mi) in ys.iter().zip(dense).zip(out.iter_mut()) {
                 let (hy, grid) = (y.h_marginal, &mut grids[0]);
-                *mi = match perm {
-                    None => vector_kernel::mi(&x.sparse, yd, hx, hy, grid),
-                    Some(p) => vector_kernel::mi_permuted(&x.sparse, yd, &perms[p], hx, hy, grid),
-                };
+                *mi = vector_kernel::mi_on(kernels, &x.sparse, yd, pairing, hx, hy, grid);
             }
             return;
         }
@@ -390,7 +403,7 @@ impl PlannedRow<'_> {
             .zip(dense.chunks(vector_kernel::MAX_BLOCK));
         for ((ys, dense), out) in chunks.zip(out.chunks_mut(vector_kernel::MAX_BLOCK)) {
             let grids = &mut grids[..ys.len()];
-            vector_kernel::joint_entropies_planned(plan, perm, dense, grids, out);
+            vector_kernel::joint_entropies_planned(kernels, plan, perm, dense, grids, out);
             for (mi, y) in out.iter_mut().zip(ys) {
                 let hxy = *mi;
                 *mi = hx + y.h_marginal - hxy;

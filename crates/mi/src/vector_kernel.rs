@@ -16,22 +16,25 @@
 //! row FMA is exactly one 512-bit instruction on the paper's hardware.
 //!
 //! On that one-register-row layout (`b ≤ 16`, which covers the TINGe
-//! default of 10 bins) the update runs through the dispatched run-blocked
-//! kernel ([`accumulate_runs`]): *x*'s samples are sorted by first bin
-//! into a [`RunPlan`], so each run of samples updates the same `k` rows,
-//! which stay in registers until the run ends. The null permutations are
-//! planned on the *x* side too ("permute x, not y"): each one is a
-//! composed list of *y* row indices, and *y*'s rows stay put. The tile
-//! executor plans each *x* gene once (`MiScratch::plan_row`) and reuses
-//! the plan for every *y* it meets, a block of up to
-//! [`run_block_columns`](gnet_simd::run_block_columns) *y* genes per
-//! pass; [`joint_counts`] and [`joint_counts_permuted`] build a one-off
-//! plan per call. Dense rows and grids are cache-line-aligned [`Row16`]s.
-//! Wider layouts fall back to a per-sample row loop.
+//! default of 10 bins) the update runs through a kernel table's
+//! run-blocked kernel ([`KernelTable::accumulate_runs`]): *x*'s samples
+//! are sorted by first bin into a [`RunPlan`], so each run of samples
+//! updates the same `k` rows, which stay in registers until the run ends.
+//! The null permutations are planned on the *x* side too ("permute x, not
+//! y"): each one is a composed list of *y* row indices, and *y*'s rows
+//! stay put. The tile executor plans each *x* gene once
+//! (`MiScratch::plan_row`) and reuses the plan for every *y* it meets, a
+//! block of up to [`run_block_columns`](gnet_simd::run_block_columns) *y*
+//! genes per pass; [`joint_counts`] and [`joint_counts_permuted`] build a
+//! one-off plan per call. Dense rows and grids are cache-line-aligned
+//! [`Row16`]s. Wider layouts fall back to a per-sample row loop. The
+//! public functions here run on the process's resolved table
+//! ([`dispatch::table`]); the scan path runs on the table its `MiScratch`
+//! carries.
 
-use crate::entropy::entropy_from_counts;
+use crate::entropy::entropy_from_counts_on;
 use gnet_bspline::{DenseWeights, SparseWeights};
-use gnet_simd::slice_ops::{accumulate_runs, axpy};
+use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::{F32x16, Row16, RunPlan};
 
 /// Most *y* columns one call of the planned block kernel takes.
@@ -109,15 +112,16 @@ pub(crate) fn plan_runs(x: &SparseWeights, permutations: usize, plan: &mut RunPl
 }
 
 /// Accumulate the unnormalized joint grids of a planned `x` against a
-/// block of dense *y* genes, one grid each: the identity pairing for
-/// `perm == None`, the planned permutation `p` for `Some(p)`. Every `y`
-/// must have the one-register-row layout ([`fits_run_kernel`]).
+/// block of dense *y* genes on `kernels`, one grid each: the identity
+/// pairing for `perm == None`, the planned permutation `p` for `Some(p)`.
+/// Every `y` must have the one-register-row layout ([`fits_run_kernel`]).
 ///
 /// # Panics
 /// Panics if the block is wider than [`MAX_BLOCK`], `ys` and `grids`
 /// differ in length, the plan's shapes disagree with a `y` or its grid,
 /// or `perm` names a permutation whose list is not composed.
 fn joint_counts_planned(
+    kernels: &KernelTable,
     plan: &RunPlan,
     perm: Option<usize>,
     ys: &[DenseWeights],
@@ -136,7 +140,7 @@ fn joint_counts_planned(
         (*yr, *gr) = (y.rows16(), &mut grid.data);
     }
     let n = ys.len();
-    accumulate_runs(plan, perm, &y_rows[..n], &mut grid_rows[..n]);
+    (kernels.accumulate_runs)(plan, perm, &y_rows[..n], &mut grid_rows[..n]);
 }
 
 /// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`.
@@ -144,28 +148,7 @@ fn joint_counts_planned(
 /// # Panics
 /// Panics on shape disagreements between `x`, `y`, and `grid`.
 pub fn joint_counts(x: &SparseWeights, y: &DenseWeights, grid: &mut VectorGrid) {
-    check_pair(x, y);
-    if fits_run_kernel(y) {
-        let mut plan = RunPlan::new();
-        plan_runs(x, 0, &mut plan);
-        joint_counts_planned(
-            &plan,
-            None,
-            core::slice::from_ref(y),
-            core::slice::from_mut(grid),
-        );
-        return;
-    }
-    grid.reset(y);
-    for s in 0..x.samples() {
-        let fx = x.first_bin(s);
-        let wx = x.sample_weights(s);
-        let y_row = y.row(s);
-        for (i, &wxi) in wx.iter().enumerate() {
-            // Row-wide FMA: one padded row of y scaled by one x weight.
-            axpy(wxi, y_row, grid.row_mut(fx + i));
-        }
-    }
+    joint_counts_on(dispatch::table(), x, y, None, grid);
 }
 
 /// As [`joint_counts`] but pairing sample `s` of `x` with sample `perm[s]`
@@ -179,23 +162,43 @@ pub fn joint_counts_permuted(
     perm: &[u32],
     grid: &mut VectorGrid,
 ) {
+    joint_counts_on(dispatch::table(), x, y, Some(perm), grid);
+}
+
+/// The joint grid of `x` against `y` on `kernels`, pairing sample `s` of
+/// `x` with sample `perm[s]` of `y` when `perm` is given: a one-off plan
+/// on the one-register-row layout, the per-sample row loop on wider ones.
+///
+/// # Panics
+/// As [`joint_counts_permuted`].
+fn joint_counts_on(
+    kernels: &KernelTable,
+    x: &SparseWeights,
+    y: &DenseWeights,
+    perm: Option<&[u32]>,
+    grid: &mut VectorGrid,
+) {
     check_pair(x, y);
-    assert_eq!(perm.len(), x.samples(), "permutation length mismatch");
+    if let Some(perm) = perm {
+        assert_eq!(perm.len(), x.samples(), "permutation length mismatch");
+    }
     if fits_run_kernel(y) {
         let mut plan = RunPlan::new();
-        plan_runs(x, 1, &mut plan);
-        plan.compose(0, perm);
+        plan_runs(x, usize::from(perm.is_some()), &mut plan);
+        if let Some(perm) = perm {
+            plan.compose(0, perm);
+        }
         let (ys, grids) = (core::slice::from_ref(y), core::slice::from_mut(grid));
-        joint_counts_planned(&plan, Some(0), ys, grids);
+        joint_counts_planned(kernels, &plan, perm.map(|_| 0), ys, grids);
         return;
     }
     grid.reset(y);
-    for (s, &p) in perm.iter().enumerate() {
+    for s in 0..x.samples() {
         let fx = x.first_bin(s);
-        let wx = x.sample_weights(s);
-        let y_row = y.row(p as usize); // cast-ok: u32 to usize widens losslessly
-        for (i, &wxi) in wx.iter().enumerate() {
-            axpy(wxi, y_row, grid.row_mut(fx + i));
+        let y_row = y.row(perm.map_or(s, |p| p[s] as usize)); // cast-ok: u32 to usize widens losslessly
+        for (i, &wxi) in x.sample_weights(s).iter().enumerate() {
+            // Row-wide FMA: one padded row of y scaled by one x weight.
+            (kernels.axpy)(wxi, y_row, grid.row_mut(fx + i));
         }
     }
 }
@@ -203,10 +206,7 @@ pub fn joint_counts_permuted(
 /// Mutual information (nats) via the vector kernel, given precomputed
 /// marginal entropies.
 pub fn mi(x: &SparseWeights, y: &DenseWeights, hx: f64, hy: f64, grid: &mut VectorGrid) -> f64 {
-    joint_counts(x, y, grid);
-    // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-    let hxy = entropy_from_counts(grid.as_slice(), x.samples() as f64);
-    hx + hy - hxy
+    mi_on(dispatch::table(), x, y, None, hx, hy, grid)
 }
 
 /// Mutual information (nats) of `x` against permuted `y` via the vector
@@ -219,19 +219,34 @@ pub fn mi_permuted(
     hy: f64,
     grid: &mut VectorGrid,
 ) -> f64 {
-    joint_counts_permuted(x, y, perm, grid);
+    mi_on(dispatch::table(), x, y, Some(perm), hx, hy, grid)
+}
+
+/// [`mi`] on `kernels`, against `y` paired through `perm` when given
+/// ([`mi_permuted`]).
+pub(crate) fn mi_on(
+    kernels: &KernelTable,
+    x: &SparseWeights,
+    y: &DenseWeights,
+    perm: Option<&[u32]>,
+    hx: f64,
+    hy: f64,
+    grid: &mut VectorGrid,
+) -> f64 {
+    joint_counts_on(kernels, x, y, perm, grid);
     // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-    let hxy = entropy_from_counts(grid.as_slice(), x.samples() as f64);
+    let hxy = entropy_from_counts_on(kernels, grid.as_slice(), x.samples() as f64);
     hx + hy - hxy
 }
 
-/// Joint entropies (nats) of a planned `x` against a block of *y* genes,
-/// into `hxy` — the identity pairing for `perm == None`, the planned
-/// permutation `p` for `Some(p)`. One grid per column.
+/// Joint entropies (nats) of a planned `x` against a block of *y* genes
+/// on `kernels`, into `hxy` — the identity pairing for `perm == None`,
+/// the planned permutation `p` for `Some(p)`. One grid per column.
 ///
 /// # Panics
 /// As [`joint_counts_planned`], plus if `hxy` is not one per column.
 pub(crate) fn joint_entropies_planned(
+    kernels: &KernelTable,
     plan: &RunPlan,
     perm: Option<usize>,
     ys: &[DenseWeights],
@@ -239,10 +254,10 @@ pub(crate) fn joint_entropies_planned(
     hxy: &mut [f64],
 ) {
     assert_eq!(hxy.len(), ys.len(), "one joint entropy per y column");
-    joint_counts_planned(plan, perm, ys, grids);
+    joint_counts_planned(kernels, plan, perm, ys, grids);
     for (h, grid) in hxy.iter_mut().zip(grids.iter()) {
         // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-        *h = entropy_from_counts(grid.as_slice(), plan.samples() as f64);
+        *h = entropy_from_counts_on(kernels, grid.as_slice(), plan.samples() as f64);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Seeded fixed-shape benchmark suite with a statistical regression gate.
 //!
 //! `gnet bench` runs a small, deterministic-shape suite — the scalar and
-//! vector MI kernels (the latter also re-timed with each supported SIMD
-//! backend forced), the four scheduler policies, 2/4-rank in-process
+//! vector MI kernels (the latter also re-timed on each supported SIMD
+//! backend's kernel table), the four scheduler policies, 2/4-rank in-process
 //! ring runs, and a gene-append incremental update — with min-of-k
 //! repetitions, and summarizes each series as `(min, median, MAD)`. The
 //! *minimum* is the estimator (the least-noise observation of the true
@@ -41,7 +41,7 @@ use gnet_mi::mutation::{KernelMutation, MutatedVectorKernel};
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch};
 use gnet_parallel::SchedulerPolicy;
 use gnet_permute::PermutationSet;
-use gnet_simd::dispatch::{with_forced, Backend};
+use gnet_simd::dispatch::{self, Backend, KernelTable};
 use serde::Content;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -209,7 +209,12 @@ fn kernel_pairs(quick: bool) -> usize {
     }
 }
 
-fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
+fn kernel_bench(
+    id: &str,
+    kernel: MiKernel,
+    kernels: &'static KernelTable,
+    opts: &BenchOptions,
+) -> BenchEntry {
     let quick = opts.quick;
     let (genes, samples, q) = if quick { (12, 64, 4) } else { (16, 128, 8) };
     let basis = BsplineBasis::tinge_default();
@@ -222,7 +227,7 @@ fn kernel_bench(id: &str, kernel: MiKernel, opts: &BenchOptions) -> BenchEntry {
         .map(gnet_mi::PreparedGene::to_dense)
         .collect();
     let perms = PermutationSet::generate(samples, q, 7);
-    let mut scratch = MiScratch::for_basis(&basis);
+    let mut scratch = MiScratch::with_kernels(&basis, kernels);
     let pairs = kernel_pairs(quick);
     let mut mutated = MutatedVectorKernel::new(KernelMutation::DroppedPaddingZeroing);
     // The mutated pass runs the same row-FMA loop as the real kernel
@@ -394,22 +399,24 @@ fn telemetry_bench(opts: &BenchOptions) -> BenchEntry {
 /// Run the full suite.
 ///
 /// Besides the dispatched `kernel.vector` series, the suite re-times the
-/// vector kernel with each supported SIMD backend forced in turn
+/// vector kernel on each supported SIMD backend's kernel table in turn
 /// (`kernel.vector.avx512` / `kernel.vector.avx2` /
 /// `kernel.vector.emulated`), so one artifact records both what the
 /// dispatcher picked *and* what each backend costs on this machine —
 /// the evidence that the dispatch order is the fastest-first order.
 #[must_use]
 pub fn run_suite(opts: &BenchOptions) -> BenchSuite {
+    let resolved = dispatch::table();
     let mut entries = vec![
-        kernel_bench("kernel.scalar", MiKernel::ScalarSparse, opts),
-        kernel_bench("kernel.vector", MiKernel::VectorDense, opts),
+        kernel_bench("kernel.scalar", MiKernel::ScalarSparse, resolved, opts),
+        kernel_bench("kernel.vector", MiKernel::VectorDense, resolved, opts),
     ];
-    for backend in Backend::supported() {
-        let id = format!("kernel.vector.{backend}");
-        let entry = with_forced(backend, || kernel_bench(&id, MiKernel::VectorDense, opts))
-            .unwrap_or_else(|e| unreachable!("supported backend must force cleanly: {e}"));
-        entries.push(entry);
+    for kernels in Backend::ALL
+        .into_iter()
+        .filter_map(KernelTable::for_backend)
+    {
+        let id = format!("kernel.vector.{}", kernels.backend);
+        entries.push(kernel_bench(&id, MiKernel::VectorDense, kernels, opts));
     }
     for policy in SchedulerPolicy::ALL {
         entries.push(scheduler_bench(policy, opts));

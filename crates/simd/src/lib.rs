@@ -10,18 +10,18 @@
 //!   Portable plain-array code expressing the paper's *algorithmic*
 //!   vectorization (dense, gather-free FMA streams over restructured
 //!   data).
-//! * Slice kernels — [`slice_ops`] — the whole-slice primitives the MI
-//!   estimators are built from (`sum`, `dot`, `axpy`, `xlogx_sum`,
-//!   `scale`, and the run-blocked joint accumulator `accumulate_runs`
-//!   driven by a validated [`RunPlan`] over a block of cache-line-aligned
-//!   [`Row16`] *y* genes and grids), each in a portable `_emulated`
-//!   laned form (most also in a `_scalar` reference form) and a
-//!   dispatched public form that
-//!   runs real `std::arch` intrinsics — AVX-512F (one 512-bit FMA per
-//!   16-lane row, the paper's KNC shape) or AVX2+FMA (two 256-bit
-//!   registers per row) — selected once at runtime by [`dispatch`] from
-//!   `is_x86_feature_detected!`, with `GNET_SIMD_FORCE` / API overrides
-//!   for testing and benchmarking every path.
+//! * Slice kernels — the whole-slice primitives the MI estimators are
+//!   built from (`axpy`, `xlogx_sum`, and the run-blocked joint
+//!   accumulator `accumulate_runs` driven by a validated [`RunPlan`] over
+//!   a block of cache-line-aligned [`Row16`] *y* genes and grids). Each
+//!   backend exposes them as one immutable
+//!   [`KernelTable`](dispatch::KernelTable): portable
+//!   `_emulated` laned forms ([`slice_ops`], which also holds `_scalar`
+//!   references), or real `std::arch` intrinsics — AVX-512F (one 512-bit
+//!   FMA per 16-lane row, the paper's KNC shape) or AVX2+FMA (two 256-bit
+//!   registers per row). [`dispatch`] resolves the process's table once
+//!   from `is_x86_feature_detected!` (or `GNET_SIMD_FORCE`); code that
+//!   compares backends runs on each backend's table instead.
 //!
 //! The [`VectorModel`] descriptor exports the lane geometry to the
 //! `gnet-phi` machine model so simulated platforms can be given the vector

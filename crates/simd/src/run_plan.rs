@@ -4,8 +4,9 @@
 //! `w_s[i] · y_row` into grid row `first_bin[s] + i` (`i < k`). A
 //! [`RunPlan`] counting-sorts *x*'s samples by first bin, so all samples
 //! of one *run* (same first bin `r`) update the same `k` rows
-//! `r..r + k`. The kernel ([`crate::slice_ops::accumulate_runs`]) can
-//! then keep those rows in registers for the whole run and touch the
+//! `r..r + k`. The kernel
+//! ([`KernelTable::accumulate_runs`](crate::dispatch::KernelTable::accumulate_runs))
+//! can then keep those rows in registers for the whole run and touch the
 //! grid once per run instead of once per sample. It runs a *block* of up
 //! to [`run_block_columns`] *y* genes per pass over the plan, so the
 //! block's columns share the run bounds, index loads and weight

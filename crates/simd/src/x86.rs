@@ -1,9 +1,10 @@
 //! Hardware slice-kernel backends for x86-64: AVX-512F and AVX2+FMA.
 //!
-//! Each backend implements the same six primitives as the emulated laned
-//! kernels in [`crate::slice_ops`], with the same arithmetic *shape*:
+//! Each backend implements the same three kernels as the emulated laned
+//! ones in [`crate::slice_ops`] (`axpy`, `xlogx_sum` and
+//! `accumulate_runs`), with the same arithmetic *shape*:
 //!
-//! * lanewise accumulation chunk-by-chunk in slice order,
+//! * lanewise work chunk-by-chunk in slice order,
 //! * zero-padded tail handling (tails are staged through a zeroed stack
 //!   buffer, exactly like `F32x16::from_slice_padded`),
 //! * the deterministic pairwise-tree horizontal reduction
@@ -16,9 +17,8 @@
 //!   registers, 12 of them one column's accumulators at k = 3) runs one.
 //!
 //! Because a hardware FMA computes the same correctly-rounded fused result
-//! as `f32::mul_add`, `sum`/`dot`/`axpy`/`scale`/`accumulate_runs` are
-//! *bitwise* identical to
-//! the emulated backend. `xlogx_sum` is the one exception: it vectorizes
+//! as `f32::mul_add`, `axpy` and `accumulate_runs` are *bitwise* identical
+//! to the emulated backend. `xlogx_sum` is the one exception: it vectorizes
 //! `ln` with an exponent/mantissa split and an atanh polynomial instead of
 //! calling libm per lane, so it agrees to a few ULP rather than bitwise
 //! (see `DESIGN.md` §14 for the equivalence-grade table).
@@ -92,20 +92,6 @@ pub(crate) mod avx512 {
 
     // ---- safe entry points (these are what the dispatch table holds) ----
 
-    pub(crate) fn sum(x: &[f32]) -> f32 {
-        // SAFETY: the dispatch table only selects this backend after
-        // `is_x86_feature_detected!("avx512f")` returned true; the inner fn
-        // reads only within `x` (chunked loads + padded tail buffer).
-        unsafe { sum_impl(x) }
-    }
-
-    pub(crate) fn dot(x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        // SAFETY: avx512f verified at dispatch-table selection; equal
-        // lengths asserted above bound every load of `y` by `x`'s chunks.
-        unsafe { dot_impl(x, y) }
-    }
-
     pub(crate) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), y.len(), "axpy: length mismatch");
         // SAFETY: avx512f verified at dispatch-table selection; equal
@@ -117,12 +103,6 @@ pub(crate) mod avx512 {
         // SAFETY: avx512f verified at dispatch-table selection; the inner
         // fn reads only within `x` (chunked loads + padded tail buffer).
         unsafe { xlogx_sum_impl(x) }
-    }
-
-    pub(crate) fn scale(a: f32, x: &mut [f32]) {
-        // SAFETY: avx512f verified at dispatch-table selection; stores stay
-        // within `x`'s full chunks, the tail is handled by safe scalar code.
-        unsafe { scale_impl(a, x) }
     }
 
     pub(crate) fn accumulate_runs(
@@ -179,47 +159,6 @@ pub(crate) mod avx512 {
     }
 
     #[target_feature(enable = "avx512f")]
-    fn sum_impl(x: &[f32]) -> f32 {
-        let mut acc = _mm512_setzero_ps();
-        let chunks = x.len() / W;
-        let p = x.as_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks ⇒ the 16 floats at c*16 are inside `x`.
-            let v = unsafe { _mm512_loadu_ps(p.add(c * W)) };
-            acc = _mm512_add_ps(acc, v);
-        }
-        let tail = &x[chunks * W..];
-        if !tail.is_empty() {
-            acc = _mm512_add_ps(acc, load_padded(tail));
-        }
-        reduce_add_tree(acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    fn dot_impl(x: &[f32], y: &[f32]) -> f32 {
-        let mut acc = _mm512_setzero_ps();
-        let chunks = x.len() / W;
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks and x.len() == y.len() (entry wrapper) ⇒
-            // both 16-float loads at c*16 are in bounds.
-            let (xv, yv) = unsafe {
-                (
-                    _mm512_loadu_ps(xp.add(c * W)),
-                    _mm512_loadu_ps(yp.add(c * W)),
-                )
-            };
-            acc = _mm512_fmadd_ps(xv, yv, acc);
-        }
-        let t = chunks * W;
-        if t < x.len() {
-            acc = _mm512_fmadd_ps(load_padded(&x[t..]), load_padded(&y[t..]), acc);
-        }
-        reduce_add_tree(acc)
-    }
-
-    #[target_feature(enable = "avx512f")]
     fn axpy_impl(a: f32, x: &[f32], y: &mut [f32]) {
         let av = _mm512_set1_ps(a);
         let chunks = x.len() / W;
@@ -236,24 +175,6 @@ pub(crate) mod avx512 {
         }
         for i in chunks * W..x.len() {
             y[i] = x[i].mul_add(a, y[i]);
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    fn scale_impl(a: f32, x: &mut [f32]) {
-        let av = _mm512_set1_ps(a);
-        let chunks = x.len() / W;
-        let p = x.as_mut_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks ⇒ the 16-float load/store window at c*16
-            // is inside `x`.
-            unsafe {
-                let v = _mm512_loadu_ps(p.add(c * W));
-                _mm512_storeu_ps(p.add(c * W), _mm512_mul_ps(v, av));
-            }
-        }
-        for v in &mut x[chunks * W..] {
-            *v *= a;
         }
     }
 
@@ -391,20 +312,6 @@ pub(crate) mod avx2 {
 
     // ---- safe entry points (these are what the dispatch table holds) ----
 
-    pub(crate) fn sum(x: &[f32]) -> f32 {
-        // SAFETY: the dispatch table only selects this backend after
-        // `is_x86_feature_detected!` confirmed avx2+fma; the inner fn reads
-        // only within `x` (chunked loads + padded tail buffer).
-        unsafe { sum_impl(x) }
-    }
-
-    pub(crate) fn dot(x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        // SAFETY: avx2+fma verified at dispatch-table selection; equal
-        // lengths asserted above bound every load of `y` by `x`'s chunks.
-        unsafe { dot_impl(x, y) }
-    }
-
     pub(crate) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), y.len(), "axpy: length mismatch");
         // SAFETY: avx2+fma verified at dispatch-table selection; equal
@@ -416,12 +323,6 @@ pub(crate) mod avx2 {
         // SAFETY: avx2+fma verified at dispatch-table selection; the inner
         // fn reads only within `x` (chunked loads + padded tail buffer).
         unsafe { xlogx_sum_impl(x) }
-    }
-
-    pub(crate) fn scale(a: f32, x: &mut [f32]) {
-        // SAFETY: avx2+fma verified at dispatch-table selection; stores
-        // stay within `x`'s full chunks, the tail is safe scalar code.
-        unsafe { scale_impl(a, x) }
     }
 
     pub(crate) fn accumulate_runs(
@@ -474,61 +375,6 @@ pub(crate) mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn sum_impl(x: &[f32]) -> f32 {
-        let mut lo = _mm256_setzero_ps();
-        let mut hi = _mm256_setzero_ps();
-        let chunks = x.len() / W;
-        let p = x.as_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks ⇒ the 16 floats at c*16 are inside `x`.
-            unsafe {
-                lo = _mm256_add_ps(lo, _mm256_loadu_ps(p.add(c * W)));
-                hi = _mm256_add_ps(hi, _mm256_loadu_ps(p.add(c * W + 8)));
-            }
-        }
-        let tail = &x[chunks * W..];
-        if !tail.is_empty() {
-            let (tlo, thi) = load_padded(tail);
-            lo = _mm256_add_ps(lo, tlo);
-            hi = _mm256_add_ps(hi, thi);
-        }
-        reduce_add_tree(lo, hi)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    fn dot_impl(x: &[f32], y: &[f32]) -> f32 {
-        let mut lo = _mm256_setzero_ps();
-        let mut hi = _mm256_setzero_ps();
-        let chunks = x.len() / W;
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks and x.len() == y.len() (entry wrapper) ⇒
-            // both 16-float loads at c*16 are in bounds.
-            unsafe {
-                lo = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(xp.add(c * W)),
-                    _mm256_loadu_ps(yp.add(c * W)),
-                    lo,
-                );
-                hi = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(xp.add(c * W + 8)),
-                    _mm256_loadu_ps(yp.add(c * W + 8)),
-                    hi,
-                );
-            }
-        }
-        let t = chunks * W;
-        if t < x.len() {
-            let (xlo, xhi) = load_padded(&x[t..]);
-            let (ylo, yhi) = load_padded(&y[t..]);
-            lo = _mm256_fmadd_ps(xlo, ylo, lo);
-            hi = _mm256_fmadd_ps(xhi, yhi, hi);
-        }
-        reduce_add_tree(lo, hi)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     fn axpy_impl(a: f32, x: &[f32], y: &mut [f32]) {
         let av = _mm256_set1_ps(a);
         let chunks = x.len() / W;
@@ -554,26 +400,6 @@ pub(crate) mod avx2 {
         }
         for i in chunks * W..x.len() {
             y[i] = x[i].mul_add(a, y[i]);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    fn scale_impl(a: f32, x: &mut [f32]) {
-        let av = _mm256_set1_ps(a);
-        let chunks = x.len() / W;
-        let p = x.as_mut_ptr();
-        for c in 0..chunks {
-            // SAFETY: c < chunks ⇒ the 16-float load/store window at c*16
-            // is inside `x`.
-            unsafe {
-                let r0 = _mm256_mul_ps(_mm256_loadu_ps(p.add(c * W)), av);
-                let r1 = _mm256_mul_ps(_mm256_loadu_ps(p.add(c * W + 8)), av);
-                _mm256_storeu_ps(p.add(c * W), r0);
-                _mm256_storeu_ps(p.add(c * W + 8), r1);
-            }
-        }
-        for v in &mut x[chunks * W..] {
-            *v *= a;
         }
     }
 
