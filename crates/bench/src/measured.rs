@@ -366,7 +366,9 @@ pub fn cluster_rows(
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|ranks| {
-            let r = gnet_cluster::infer_network_distributed(&ds.matrix, &cfg, ranks);
+            let run = gnet_cluster::RankRun::new(ranks);
+            let r = gnet_cluster::infer_network_distributed(&ds.matrix, &cfg, &run)
+                .unwrap_or_else(|e| unreachable!("a fault-free channel ring completes: {e}"));
             let max_pairs = r.rank_stats.iter().map(|s| s.pairs).max().unwrap_or(0);
             let min_pairs = r.rank_stats.iter().map(|s| s.pairs).min().unwrap_or(0);
             let bytes: u64 = r.rank_stats.iter().map(|s| s.bytes_sent).sum();

@@ -2,9 +2,7 @@
 
 use crate::args::{ArgError, ArgMap};
 use gnet_cluster::{
-    infer_network_distributed_faulty, infer_network_distributed_live,
-    infer_network_distributed_traced, run_worker, serve_coordinator, TelemetryPlane, TelemetrySpec,
-    DEFAULT_PEER_TIMEOUT,
+    infer_network_distributed, run_worker, RankRun, TelemetryPlane, TelemetrySpec, Wire,
 };
 use gnet_core::config::NullStrategy;
 use gnet_core::{
@@ -267,7 +265,8 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
 /// Incremental: `--save-state DIR` scans the pair space on `--threads`
 /// and persists an updatable state bundle alongside the edge list, so
 /// later appends go through `gnet update` instead of a rebuild.
-/// Incompatible with `--ranks`, `--checkpoint-dir`, and `--early-exit`.
+/// Incompatible with `--ranks`, `--checkpoint-dir`, `--early-exit`, and
+/// the `--trace`/`--metrics`/`--progress` instruments.
 pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.require("input")?.to_string();
     let output = args.require("output")?.to_string();
@@ -314,9 +313,6 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     if status_interval_ms == 0 {
         return fail("--status-interval-ms must be at least 1");
     }
-    if telemetry && trace_dir.is_some() && listen.is_none() {
-        return fail("--status-* with --trace-dir needs the multi-process path (--listen); the in-process driver wires one or the other");
-    }
     let checkpoint_dir = args.get("checkpoint-dir").map(str::to_string);
     let checkpoint_every = args.get_or("checkpoint-every", 8usize)?;
     let resume = args.flag("resume");
@@ -332,6 +328,9 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let save_state = args.get("save-state").map(str::to_string);
     if save_state.is_some() && ranks.is_some() {
         return fail("--save-state builds the state bundle in shared memory and cannot be combined with --ranks");
+    }
+    if save_state.is_some() && (trace_path.is_some() || metrics_path.is_some() || progress) {
+        return fail("--trace/--metrics/--progress instrument the inference pipeline and cannot be combined with --save-state, whose state build records nothing");
     }
     if save_state.is_some() && checkpoint_dir.is_some() {
         return fail("--save-state is itself durable; drop --checkpoint-dir");
@@ -452,58 +451,31 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 
     let (mut network, summary) = match ranks {
         Some(p) => {
-            let r = if let Some(addr) = &listen {
-                let listener = std::net::TcpListener::bind(addr.as_str())
-                    .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
-                let local = listener
-                    .local_addr()
-                    .map_err(|e| CliError(format!("cannot resolve bound address: {e}")))?;
-                // Announced before the accept loop blocks, and flushed so
-                // a launcher reading this pipe can start the workers.
-                writeln!(out, "listening on {local}")?;
-                out.flush()?;
-                serve_coordinator(
-                    &listener,
-                    &matrix,
-                    &cfg,
-                    p,
-                    fault_plan.as_ref(),
-                    &rec,
-                    DEFAULT_PEER_TIMEOUT,
-                    trace_dir.as_deref().map(std::path::Path::new),
-                    plane.as_ref(),
-                )
-            } else {
-                match (&trace_dir, &plane) {
-                    (Some(dir), _) => infer_network_distributed_traced(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                        std::path::Path::new(dir),
-                    ),
-                    (None, Some(live)) => infer_network_distributed_live(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                        live,
-                    ),
-                    (None, None) => infer_network_distributed_faulty(
-                        &matrix,
-                        &cfg,
-                        p,
-                        &injector,
-                        &rec,
-                        DEFAULT_PEER_TIMEOUT,
-                    ),
+            let listener = match &listen {
+                Some(addr) => {
+                    let listener = std::net::TcpListener::bind(addr.as_str())
+                        .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
+                    let local = listener
+                        .local_addr()
+                        .map_err(|e| CliError(format!("cannot resolve bound address: {e}")))?;
+                    // Announced before the accept loop blocks, and flushed so
+                    // a launcher reading this pipe can start the workers.
+                    writeln!(out, "listening on {local}")?;
+                    out.flush()?;
+                    Some(listener)
                 }
-            }
-            .map_err(|e| CliError(e.to_string()))?;
+                None => None,
+            };
+            let run = RankRun {
+                wire: listener.as_ref().map_or(Wire::Channels, Wire::Processes),
+                faults: injector.clone(),
+                recorder: rec.clone(),
+                trace_dir: trace_dir.as_deref().map(std::path::Path::new),
+                plane: plane.as_ref(),
+                ..RankRun::new(p)
+            };
+            let r = infer_network_distributed(&matrix, &cfg, &run)
+                .map_err(|e| CliError(e.to_string()))?;
             if let Some(dir) = &trace_dir {
                 writeln!(out, "wrote {p} per-rank trace streams + manifest to {dir}")?;
             }
@@ -2768,6 +2740,9 @@ mod tests {
             (&["--dpi", "-1"], "--dpi"),
             (&["--dpi", "1"], "--dpi"),
             (&["--dpi", "nan"], "--dpi"),
+            (&["--save-state", "s", "--trace", "t.ndjson"], "--trace"),
+            (&["--save-state", "s", "--metrics", "m.json"], "--metrics"),
+            (&["--save-state", "s", "--progress"], "--progress"),
         ] {
             let run = std::panic::catch_unwind(|| infer_error("bad_option", &matrix, extra));
             let err = run.unwrap_or_else(|_| panic!("gnet infer {extra:?} panicked"));
@@ -2979,6 +2954,72 @@ mod tests {
         let text = String::from_utf8(status_out).unwrap();
         assert!(text.contains("gnet-status/1: done"), "{text}");
         assert!(text.lines().count() >= 5, "per-rank table present: {text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-process ring writes per-rank traces and live status in one
+    /// run, and its edges are a plain ring's bytes.
+    #[test]
+    fn in_process_ring_writes_traces_and_status_together() {
+        let dir = tmpdir("trace_and_status");
+        let matrix = dir.join("m.tsv");
+        let traces = dir.join("traces");
+        let status = dir.join("status.json");
+        let mut sink = Vec::new();
+        cmd_generate(
+            &argmap(&[
+                "--genes",
+                "20",
+                "--samples",
+                "100",
+                "--out",
+                matrix.to_str().unwrap(),
+            ]),
+            &mut sink,
+        )
+        .unwrap();
+        let infer = |edges: &std::path::Path, extra: &[&str]| {
+            let mut args = vec![
+                "--input",
+                matrix.to_str().unwrap(),
+                "--output",
+                edges.to_str().unwrap(),
+                "--q",
+                "8",
+                "--ranks",
+                "2",
+            ];
+            args.extend_from_slice(extra);
+            cmd_infer(&argmap(&args), &mut Vec::new()).unwrap();
+            std::fs::read(edges).unwrap()
+        };
+        let plain = infer(&dir.join("plain.tsv"), &[]);
+        let both = infer(
+            &dir.join("both.tsv"),
+            &[
+                "--trace-dir",
+                traces.to_str().unwrap(),
+                "--status-file",
+                status.to_str().unwrap(),
+                "--status-interval-ms",
+                "5",
+            ],
+        );
+        assert_eq!(both, plain, "traces and telemetry never perturb the edges");
+        let manifest = std::fs::read_to_string(traces.join("manifest.json")).unwrap();
+        for r in 0..2 {
+            assert!(manifest.contains(&format!("rank-{r}.ndjson")), "{manifest}");
+            assert!(traces.join(format!("rank-{r}.ndjson")).exists());
+        }
+        let mut status_out = Vec::new();
+        cmd_status(
+            &argmap(&["--target", status.to_str().unwrap()]),
+            &mut status_out,
+        )
+        .unwrap();
+        let text = String::from_utf8(status_out).unwrap();
+        assert!(text.contains("gnet-status/1: done"), "{text}");
+        assert!(text.contains("190/190 (100.0%)"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,8 +17,12 @@
 //! statistics, to the bit, as the shared-memory pipeline.
 //!
 //! This is the structure of the original TINGe MPI implementation (the
-//! cluster baseline the paper compares against), realized over the
-//! in-process fabric of [`crate::comm`].
+//! cluster baseline the paper compares against). One entry point,
+//! [`infer_network_distributed`], runs it over any [`Wire`]: the
+//! in-process fabric of [`crate::comm`], a loopback TCP mesh of
+//! in-process ranks, or worker processes ([`crate::process`]). A
+//! [`RankRun`] names the wire and everything else a run injects or
+//! records.
 //!
 //! ## Failure awareness
 //!
@@ -51,7 +55,10 @@
 
 use crate::codec::{decode_block, encode_block, GeneBlock};
 use crate::comm::{run_ranks_on, Fabric, RecvTimeoutError};
-use crate::live::{live_mark_dead, live_tick, BeatState, LiveDuty, TelemetryPlane};
+use crate::live::{
+    live_final_fold, live_mark_dead, live_tick, BeatState, LiveDuty, TelemetryPlane,
+};
+use crate::process::serve_coordinator;
 use crate::protocol::{
     block_range, Effect, Event as ProtoEvent, Frame as ProtoFrame, Mutation, Phase, RankMachine,
     Wait,
@@ -70,6 +77,8 @@ use gnet_permute::PermutationSet;
 use gnet_trace::{MetricsSink, Recorder, Span, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::net::TcpListener;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,40 +194,171 @@ pub struct DistributedResult {
     pub crashed_ranks: Vec<usize>,
 }
 
-/// Run the full inference distributed over `ranks` simulated cluster
-/// ranks (fault-free fabric).
+/// How the ranks of a ring run reach each other.
+#[derive(Clone, Copy, Debug)]
+pub enum Wire<'a> {
+    /// Every rank is a thread of this process; frames travel over
+    /// in-memory channels ([`crate::comm`]).
+    Channels,
+    /// Every rank is a thread of this process; frames travel over a
+    /// loopback TCP mesh ([`crate::tcp`]). Wire faults
+    /// (`refuse`/`cut`/`stall`/`trunc`) act on the real sockets, rank
+    /// crashes reach survivors as FINs, and each traced rank's stream
+    /// carries its `tcp.*` transport counters.
+    Loopback,
+    /// Rank 0 runs in this process; ranks `1..P` are worker processes
+    /// ([`crate::run_worker`]) that dial this listener and receive
+    /// everything they need in their WELCOME frame ([`crate::process`]).
+    Processes(&'a TcpListener),
+}
+
+/// One ring run: how many ranks, over which wire, and what the run
+/// injects and records. [`RankRun::new`] is the fault-free, untraced
+/// run over channels; set the other fields with struct update syntax,
+/// e.g. `RankRun { wire: Wire::Loopback, ..RankRun::new(4) }`.
+pub struct RankRun<'a> {
+    /// Number of ranks `P`: at least 1 (2 on [`Wire::Processes`]) and at
+    /// most the gene count.
+    pub ranks: usize,
+    /// How the ranks talk.
+    pub wire: Wire<'a>,
+    /// Faults injected into the run: rank crashes, dropped or delayed
+    /// frames, and wire faults. On [`Wire::Processes`] the plan travels
+    /// to every worker, and rank 0 rebuilds its injector on its own
+    /// recorder, so fault events land in `rank-0.ndjson`.
+    pub faults: FaultInjector,
+    /// The driver's recorder: crash detection, ring healing and
+    /// redistribution events.
+    pub recorder: Recorder,
+    /// How long a rank waits on a peer before presuming it dead.
+    pub peer_timeout: Duration,
+    /// Per-rank trace capture: every rank records its spans, counters
+    /// and events into a private [`Recorder`] whose stream is written
+    /// to `trace_dir/rank-<r>.ndjson`, and rank 0 writes
+    /// `trace_dir/manifest.json` listing them. Before the first ring
+    /// round the ranks circulate a clock stamp 0 → 1 → … → P−1,
+    /// so each learns its trace-epoch offset from rank 0
+    /// ([`RankStats::clock_offset_us`], also the `clock_offset_us` of its
+    /// NDJSON meta line); a lost stamp degrades that rank's offset to
+    /// zero (`clock.sync` with `ok:false`), never the run.
+    pub trace_dir: Option<&'a Path>,
+    /// The live telemetry plane: every rank carries a metrics registry
+    /// (installed as its recorder's [`MetricsSink`]) and beats rank 0 on
+    /// the plane's cadence; rank 0 folds the beats, its own included,
+    /// into the plane's view.
+    pub plane: Option<&'a TelemetryPlane>,
+}
+
+impl RankRun<'_> {
+    /// A fault-free, untraced run of `ranks` ranks over channels.
+    #[must_use]
+    pub fn new(ranks: usize) -> Self {
+        Self {
+            ranks,
+            wire: Wire::Channels,
+            faults: FaultInjector::none(),
+            recorder: Recorder::disabled(),
+            peer_timeout: DEFAULT_PEER_TIMEOUT,
+            trace_dir: None,
+            plane: None,
+        }
+    }
+}
+
+/// Run the full inference as a TINGe ring of `run.ranks` ranks over
+/// `run.wire`.
+///
+/// On every wire, with or without tracing and telemetry, the edge list
+/// and `I*` are bit-identical to the shared-memory pipeline's. Any
+/// non-coordinator rank may crash and frames may be dropped, delayed or
+/// cut; the run still completes with the same edge list (wall time
+/// degrades, never the result).
+///
+/// # Errors
+/// [`ClusterError::CoordinatorCrash`] for plans that kill rank 0,
+/// [`ClusterError::Transport`] when the wire cannot be established (a
+/// loopback mesh that cannot bind, a failed worker bootstrap), and
+/// [`ClusterError::TraceIo`] when a trace file cannot be written.
 ///
 /// # Panics
-/// Panics if `ranks` is zero or exceeds the gene count, or if the config
-/// requests the early-exit strategy (the distributed path implements the
-/// paper-faithful exact test only).
+/// Panics if `run.ranks` is zero, below 2 on [`Wire::Processes`], or
+/// exceeds the gene count, or if the config requests the early-exit
+/// strategy (the ring implements the paper-faithful exact test only).
 pub fn infer_network_distributed(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
-    ranks: usize,
-) -> DistributedResult {
-    infer_network_distributed_faulty(
-        matrix,
-        config,
-        ranks,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        DEFAULT_PEER_TIMEOUT,
-    )
-    .expect("fault-free distributed run cannot fail")
+    run: &RankRun<'_>,
+) -> Result<DistributedResult, ClusterError> {
+    let ranks = run.ranks;
+    validate_run(matrix, config, ranks, &run.faults)?;
+    let rank_recs = run
+        .trace_dir
+        .map(|_| (0..ranks).map(|_| Recorder::enabled()).collect::<Vec<_>>());
+    let duties = run.plane.map(|p| LiveDuty::for_ranks(p, ranks));
+    // Rank `r`'s recorder: its own trace stream when traced, feeding its
+    // metrics registry when a plane is attached.
+    let rank_rec = |r: usize| {
+        let rec = rank_recs
+            .as_ref()
+            .map_or_else(Recorder::disabled, |recs| recs[r].clone());
+        match &duties {
+            Some(d) => rec.with_metrics(Arc::clone(&d[r].registry) as Arc<dyn MetricsSink>),
+            None => rec,
+        }
+    };
+    let run_rank = |tp: &dyn Transport| {
+        let rec = rank_rec(tp.rank());
+        let duty = duties.as_ref().map(|d| &d[tp.rank()]);
+        let out = rank_main(
+            tp,
+            matrix,
+            config,
+            &run.recorder,
+            &rec,
+            run.peer_timeout,
+            duty,
+        );
+        if let Some(d) = duty {
+            live_final_fold(d, tp, Some(run.peer_timeout));
+        }
+        (out, rec)
+    };
+    let outputs = match run.wire {
+        // `ep` stays owned by this closure frame: returning drops it,
+        // which closes this rank's channels — the death signal the
+        // survivors' bounded receives detect.
+        Wire::Channels => run_ranks_on(Fabric::with_faults(ranks, run.faults.clone()), |ep| {
+            run_rank(&ep).0
+        }),
+        Wire::Loopback => crate::tcp::run_ranks_tcp(ranks, &run.faults, |tp| {
+            let (out, rec) = run_rank(&tp);
+            // Drain-then-FIN before the counters are read: survivors see
+            // this rank's death (crash or completion) exactly when a
+            // channel-fabric rank would have dropped its endpoint.
+            tp.shutdown();
+            tp.counters().publish(&rec);
+            out
+        })
+        .map_err(|e| ClusterError::Transport {
+            message: e.to_string(),
+        })?,
+        Wire::Processes(listener) => {
+            let duty = duties.as_ref().map(|d| &d[0]);
+            return serve_coordinator(listener, matrix, config, run, rank_rec(0), duty);
+        }
+    };
+    assemble_result(outputs, run.trace_dir, rank_recs)
 }
 
-/// Run the distributed inference on a fabric armed with `faults`,
-/// recording recovery events on `rec`. With `FaultInjector::none()` this
-/// is exactly [`infer_network_distributed`], bit for bit.
+/// [`infer_network_distributed`] over channels with `faults` armed,
+/// recording recovery events on `rec`: the run
+/// `RankRun { faults, recorder: rec, peer_timeout, ..RankRun::new(ranks) }`.
 ///
-/// Any non-coordinator rank may crash, and messages may be dropped or
-/// delayed; the run still completes with the same edge set as the
-/// fault-free run (wall time degrades, never the result). Plans that
-/// kill rank 0 are rejected with [`ClusterError::CoordinatorCrash`].
+/// # Errors
+/// As [`infer_network_distributed`].
 ///
 /// # Panics
-/// Same validation panics as [`infer_network_distributed`].
+/// As [`infer_network_distributed`].
 pub fn infer_network_distributed_faulty(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
@@ -227,87 +367,17 @@ pub fn infer_network_distributed_faulty(
     rec: &Recorder,
     peer_timeout: Duration,
 ) -> Result<DistributedResult, ClusterError> {
-    run_distributed(matrix, config, ranks, faults, rec, peer_timeout, None, None)
-}
-
-/// [`infer_network_distributed_faulty`] with per-rank trace capture:
-/// every rank records its own spans/counters/events into a private
-/// [`Recorder`] whose stream is written to `trace_dir/rank-<r>.ndjson`
-/// after the run, and the driver (standing in for the coordinator's
-/// filesystem) writes `trace_dir/manifest.json` listing them.
-///
-/// Before the first ring round the ranks run a clock exchange — a
-/// [`TAG_CLOCK`] stamp circulated 0 → 1 → … → P−1 on the existing ring
-/// channels — so each rank learns its trace-epoch offset from rank 0
-/// ([`RankStats::clock_offset_us`], also stamped into its NDJSON meta
-/// line as `clock_offset_us`). Offline tooling subtracts the offset to
-/// align all streams on rank 0's timebase. A lost clock frame degrades
-/// the offset to zero for that rank (recorded as `clock.sync` with
-/// `ok:false`), never the run.
-///
-/// # Errors
-/// [`ClusterError::CoordinatorCrash`] for rank-0 crash plans, and
-/// [`ClusterError::TraceIo`] when a trace file cannot be written.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_traced(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: &std::path::Path,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
+    let run = RankRun {
+        faults: faults.clone(),
+        recorder: rec.clone(),
         peer_timeout,
-        Some(trace_dir),
-        None,
-    )
+        ..RankRun::new(ranks)
+    };
+    infer_network_distributed(matrix, config, &run)
 }
 
-/// [`infer_network_distributed_faulty`] with the live telemetry plane
-/// attached: every rank carries a metrics registry (installed as its
-/// recorder's [`MetricsSink`]) and beats rank 0 on the plane's cadence;
-/// rank 0 folds the beats — its own included — into `plane`'s cluster
-/// view. The edge set is byte-identical to the same run without the
-/// plane (pinned by the `live` test suite).
-///
-/// # Errors
-/// As [`infer_network_distributed_faulty`].
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_network_distributed_live(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    plane: &TelemetryPlane,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        None,
-        Some(plane),
-    )
-}
-
-/// Shared up-front validation of every distributed entry point.
-pub(crate) fn validate_run(
+/// Shared up-front validation of every wire.
+fn validate_run(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
     ranks: usize,
@@ -332,10 +402,10 @@ pub(crate) fn validate_run(
 }
 
 /// Fold the per-rank outputs into the run result and (on traced runs)
-/// write the per-rank streams plus manifest.
+/// write every rank's stream plus the manifest into `trace_dir`.
 fn assemble_result(
     outputs: Vec<RankOutput>,
-    trace_dir: Option<&std::path::Path>,
+    trace_dir: Option<&Path>,
     rank_recs: Option<Vec<Recorder>>,
 ) -> Result<DistributedResult, ClusterError> {
     let mut network = None;
@@ -357,195 +427,17 @@ fn assemble_result(
         crashed_ranks,
     };
     if let (Some(dir), Some(recs)) = (trace_dir, rank_recs) {
-        write_rank_traces(dir, &recs, &result)?;
+        let mut files = Vec::with_capacity(recs.len());
+        for (r, rank_rec) in recs.iter().enumerate() {
+            let offset = result.rank_stats[r].clock_offset_us;
+            files.push(write_one_rank_trace(dir, r, recs.len(), offset, rank_rec)?);
+        }
+        write_manifest(dir, recs.len(), &result.crashed_ranks, &files)?;
     }
     Ok(result)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_distributed(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: Option<&std::path::Path>,
-    live: Option<&TelemetryPlane>,
-) -> Result<DistributedResult, ClusterError> {
-    validate_run(matrix, config, ranks, faults)?;
-    let n = matrix.genes();
-    let fabric = Fabric::with_faults(ranks, faults.clone());
-    let rank_recs: Option<Vec<Recorder>> =
-        trace_dir.map(|_| (0..ranks).map(|_| Recorder::enabled()).collect());
-    let duties: Option<Vec<LiveDuty>> = live.map(|p| LiveDuty::for_ranks(p, ranks));
-    let outputs = run_ranks_on(fabric, |ep| {
-        let duty = duties.as_ref().map(|d| &d[ep.rank()]);
-        let mut rank_rec = rank_recs
-            .as_ref()
-            .map_or_else(Recorder::disabled, |recs| recs[ep.rank()].clone());
-        if let Some(d) = duty {
-            rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-        }
-        // `ep` stays owned by this closure frame: returning drops it,
-        // which closes this rank's channels — the death signal the
-        // survivors' bounded receives detect.
-        rank_main(&ep, matrix, config, n, rec, &rank_rec, peer_timeout, duty)
-    });
-    assemble_result(outputs, trace_dir, rank_recs)
-}
-
-/// Run the full inference distributed over `ranks` ranks talking TCP
-/// over loopback (fault-free). The result is byte-identical to
-/// [`infer_network_distributed`] — the conformance suite pins this.
-///
-/// # Errors
-/// [`ClusterError::Transport`] when the loopback mesh cannot be bound.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-) -> Result<DistributedResult, ClusterError> {
-    infer_network_distributed_tcp_faulty(
-        matrix,
-        config,
-        ranks,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        DEFAULT_PEER_TIMEOUT,
-    )
-}
-
-/// [`infer_network_distributed_tcp`] over a fault-armed mesh: wire
-/// faults (`refuse`/`cut`/`stall`/`trunc`) act on the real sockets, and
-/// rank crashes surface to survivors as TCP FINs instead of dropped
-/// channels — same recovery protocol, same edge set.
-///
-/// # Errors
-/// [`ClusterError::CoordinatorCrash`] for rank-0 crash plans and
-/// [`ClusterError::Transport`] for mesh establishment failures.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp_faulty(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(matrix, config, ranks, faults, rec, peer_timeout, None, None)
-}
-
-/// [`infer_network_distributed_tcp_faulty`] with per-rank trace capture
-/// (same layout as [`infer_network_distributed_traced`]); each rank's
-/// stream additionally carries its `tcp.*` transport counters, so
-/// offline reports can attribute network stalls.
-///
-/// # Errors
-/// As [`infer_network_distributed_tcp_faulty`], plus
-/// [`ClusterError::TraceIo`] when a trace file cannot be written.
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-pub fn infer_network_distributed_tcp_traced(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: &std::path::Path,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        Some(trace_dir),
-        None,
-    )
-}
-
-/// [`infer_network_distributed_tcp_faulty`] with the live telemetry
-/// plane attached — the TCP twin of
-/// [`infer_network_distributed_live`]. Heartbeats ride the loopback
-/// sockets as `TELEM` frames (diverted from the protocol stream by the
-/// reader threads), so wire-fault plans *can* target them; the edge set
-/// stays byte-identical to the plane-less run regardless.
-///
-/// # Errors
-/// As [`infer_network_distributed_tcp_faulty`].
-///
-/// # Panics
-/// Same validation panics as [`infer_network_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_network_distributed_tcp_live(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    plane: &TelemetryPlane,
-) -> Result<DistributedResult, ClusterError> {
-    run_distributed_tcp(
-        matrix,
-        config,
-        ranks,
-        faults,
-        rec,
-        peer_timeout,
-        None,
-        Some(plane),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_distributed_tcp(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    ranks: usize,
-    faults: &FaultInjector,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: Option<&std::path::Path>,
-    live: Option<&TelemetryPlane>,
-) -> Result<DistributedResult, ClusterError> {
-    validate_run(matrix, config, ranks, faults)?;
-    let n = matrix.genes();
-    let rank_recs: Option<Vec<Recorder>> =
-        trace_dir.map(|_| (0..ranks).map(|_| Recorder::enabled()).collect());
-    let duties: Option<Vec<LiveDuty>> = live.map(|p| LiveDuty::for_ranks(p, ranks));
-    let outputs = crate::tcp::run_ranks_tcp(ranks, faults, |tp| {
-        let duty = duties.as_ref().map(|d| &d[tp.rank()]);
-        let mut rank_rec = rank_recs
-            .as_ref()
-            .map_or_else(Recorder::disabled, |recs| recs[tp.rank()].clone());
-        if let Some(d) = duty {
-            rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-        }
-        let out = rank_main(&tp, matrix, config, n, rec, &rank_rec, peer_timeout, duty);
-        // Drain-then-FIN before the counters are read: survivors see
-        // this rank's death (crash or completion) exactly when a
-        // channel-fabric rank would have dropped its endpoint.
-        tp.shutdown();
-        tp.counters().publish(&rank_rec);
-        out
-    })
-    .map_err(|e| ClusterError::Transport {
-        message: e.to_string(),
-    })?;
-    assemble_result(outputs, trace_dir, rank_recs)
-}
-
-pub(crate) fn trace_io_err(path: &std::path::Path, e: &std::io::Error) -> ClusterError {
+pub(crate) fn trace_io_err(path: &Path, e: &std::io::Error) -> ClusterError {
     ClusterError::TraceIo {
         path: path.display().to_string(),
         message: e.to_string(),
@@ -553,11 +445,10 @@ pub(crate) fn trace_io_err(path: &std::path::Path, e: &std::io::Error) -> Cluste
 }
 
 /// Write one rank's NDJSON stream into `dir` (created if absent),
-/// returning the file name written. Shared between the in-process
-/// drivers (all ranks) and the multi-process launcher (each process
-/// writes its own rank's stream).
+/// returning the file name written. The in-process wires write every
+/// rank's stream; on [`Wire::Processes`] each process writes its own.
 pub(crate) fn write_one_rank_trace(
-    dir: &std::path::Path,
+    dir: &Path,
     rank: usize,
     ranks: usize,
     clock_offset_us: i64,
@@ -585,7 +476,7 @@ pub(crate) fn write_one_rank_trace(
 
 /// Write the coordinator manifest listing the rank streams in `files`.
 pub(crate) fn write_manifest(
-    dir: &std::path::Path,
+    dir: &Path,
     ranks: usize,
     crashed_ranks: &[usize],
     files: &[String],
@@ -611,26 +502,6 @@ pub(crate) fn write_manifest(
     manifest.push_str("]}\n");
     let path = dir.join("manifest.json");
     std::fs::write(&path, manifest).map_err(|e| trace_io_err(&path, &e))
-}
-
-/// Write every rank's NDJSON stream plus the coordinator manifest into
-/// `dir` (created if absent).
-fn write_rank_traces(
-    dir: &std::path::Path,
-    recs: &[Recorder],
-    result: &DistributedResult,
-) -> Result<(), ClusterError> {
-    let mut files = Vec::with_capacity(recs.len());
-    for (r, rank_rec) in recs.iter().enumerate() {
-        files.push(write_one_rank_trace(
-            dir,
-            r,
-            recs.len(),
-            result.rank_stats[r].clock_offset_us,
-            rank_rec,
-        )?);
-    }
-    write_manifest(dir, recs.len(), &result.crashed_ranks, &files)
 }
 
 pub(crate) struct RankOutput {
@@ -828,17 +699,16 @@ fn build_block(
 /// transport and must drop (or shut down) it after this returns — that
 /// drop is the rank-death signal survivors detect, both for the channel
 /// fabric (closed channels) and for TCP (FIN after drain).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     tp: &dyn Transport,
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
-    n: usize,
     rec: &Recorder,
     rank_rec: &Recorder,
     peer_timeout: Duration,
     live: Option<&LiveDuty>,
 ) -> RankOutput {
+    let n = matrix.genes();
     let p = tp.size();
     let r = tp.rank();
     let faults = tp.faults().clone();
@@ -1413,6 +1283,16 @@ mod tests {
         }
     }
 
+    /// The fault-free, untraced ring over channels.
+    fn ring(
+        matrix: &ExpressionMatrix,
+        config: &InferenceConfig,
+        ranks: usize,
+    ) -> DistributedResult {
+        infer_network_distributed(matrix, config, &RankRun::new(ranks))
+            .expect("a fault-free channel ring completes")
+    }
+
     #[test]
     fn block_ranges_partition_the_genes() {
         for (n, p) in [(10usize, 3usize), (7, 7), (100, 8), (5, 5), (16, 4)] {
@@ -1501,7 +1381,7 @@ mod tests {
                         ..threaded_cfg()
                     };
                     let at = format!("{ranks} ranks × {threads} threads, {}", scheduler.name());
-                    let dist = infer_network_distributed(&matrix, &config, ranks);
+                    let dist = ring(&matrix, &config, ranks);
                     assert_eq!(
                         edge_bytes(&dist.network),
                         shared_bytes,
@@ -1528,7 +1408,7 @@ mod tests {
         let (matrix, _) = coupled_pairs(12, 180, Coupling::Linear(0.35), 321);
         let shared = infer_network(&matrix, &cfg());
         for ranks in [2usize, 3, 5, 8] {
-            let dist = infer_network_distributed(&matrix, &cfg(), ranks);
+            let dist = ring(&matrix, &cfg(), ranks);
             let a: Vec<_> = dist.network.edges().iter().map(|e| e.key()).collect();
             let b: Vec<_> = shared.network.edges().iter().map(|e| e.key()).collect();
             assert_eq!(a, b, "{ranks} ranks flipped a knife-edge pair");
@@ -1552,7 +1432,7 @@ mod tests {
             5,
         );
         let shared = infer_network(&ds.matrix, &cfg());
-        let dist = infer_network_distributed(&ds.matrix, &cfg(), 5);
+        let dist = ring(&ds.matrix, &cfg(), 5);
         let a: Vec<_> = dist.network.edges().iter().map(|e| e.key()).collect();
         let b: Vec<_> = shared.network.edges().iter().map(|e| e.key()).collect();
         assert_eq!(a, b);
@@ -1561,7 +1441,7 @@ mod tests {
     #[test]
     fn communication_volume_scales_with_rounds_not_pairs() {
         let (matrix, _) = coupled_pairs(8, 100, Coupling::Linear(0.8), 3);
-        let dist = infer_network_distributed(&matrix, &cfg(), 4);
+        let dist = ring(&matrix, &cfg(), 4);
         for s in &dist.rank_stats {
             // Each rank ships its travelling block ⌊P/2⌋ times plus the
             // census/assignment traffic — single-digit message counts.
@@ -1583,7 +1463,7 @@ mod tests {
             ..cfg()
         };
         let shared = infer_network(&matrix, &scalar_cfg);
-        let dist = infer_network_distributed(&matrix, &scalar_cfg, 3);
+        let dist = ring(&matrix, &scalar_cfg, 3);
         let a: Vec<_> = dist.network.edges().iter().map(|e| e.key()).collect();
         let b: Vec<_> = shared.network.edges().iter().map(|e| e.key()).collect();
         assert_eq!(a, b);
@@ -1593,7 +1473,7 @@ mod tests {
     #[should_panic(expected = "more ranks than genes")]
     fn too_many_ranks_rejected() {
         let (matrix, _) = coupled_pairs(2, 50, Coupling::Linear(0.5), 1);
-        let _ = infer_network_distributed(&matrix, &cfg(), 10);
+        let _ = ring(&matrix, &cfg(), 10);
     }
 
     #[test]
@@ -1697,7 +1577,7 @@ mod tests {
     #[test]
     fn one_crashed_rank_yields_the_same_edge_set() {
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
+        let baseline = ring(&matrix, &cfg(), 4);
         let rec = Recorder::enabled();
         // Rank 2 dies at the first ring round, before sending anything;
         // the survivors rescan its block pairs on two workers each.
@@ -1741,7 +1621,7 @@ mod tests {
     #[test]
     fn crash_in_a_later_round_is_survivable_too() {
         let (matrix, _) = coupled_pairs(12, 120, Coupling::Linear(0.7), 5);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 6);
+        let baseline = ring(&matrix, &cfg(), 6);
         let rec = Recorder::enabled();
         // Rank 5 completes round 1, then dies entering round 2: survivors
         // must heal the ring mid-rotation and recover its finished and
@@ -1756,7 +1636,7 @@ mod tests {
     #[test]
     fn two_dead_ranks_still_converge() {
         let (matrix, _) = coupled_pairs(8, 140, Coupling::Linear(0.75), 11);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
+        let baseline = ring(&matrix, &cfg(), 4);
         let rec = Recorder::enabled();
         let dist = run_with_plan(
             &matrix,
@@ -1774,7 +1654,7 @@ mod tests {
     #[test]
     fn dropped_results_frame_degrades_to_recomputation_not_corruption() {
         let (matrix, _) = coupled_pairs(6, 160, Coupling::Linear(0.8), 23);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 3);
+        let baseline = ring(&matrix, &cfg(), 3);
         let rec = Recorder::enabled();
         // Rank 2's ring frame (its 1st message on the 2→0 edge) survives
         // but its RESULTS frame (the 2nd) is dropped — it is presumed
@@ -1807,17 +1687,13 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let dist = infer_network_distributed_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &dir,
-        )
-        .expect("traced fault-free run succeeds");
+        let baseline = ring(&matrix, &cfg(), 4);
+        let run = RankRun {
+            trace_dir: Some(&dir),
+            ..RankRun::new(4)
+        };
+        let dist = infer_network_distributed(&matrix, &cfg(), &run)
+            .expect("traced fault-free run succeeds");
         // Tracing must not perturb the result.
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
 
@@ -1856,18 +1732,17 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
+        let baseline = ring(&matrix, &cfg(), 4);
         let plan = FaultPlan::parse("seed=7;crash(rank=2,round=1)").expect("plan parses");
-        let dist = infer_network_distributed_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::enabled(),
-            faulty_timeout(),
-            &dir,
-        )
-        .expect("crash is survivable under tracing");
+        let run = RankRun {
+            faults: FaultInjector::from_plan(&plan),
+            recorder: Recorder::enabled(),
+            peer_timeout: faulty_timeout(),
+            trace_dir: Some(&dir),
+            ..RankRun::new(4)
+        };
+        let dist = infer_network_distributed(&matrix, &cfg(), &run)
+            .expect("crash is survivable under tracing");
         assert_eq!(dist.crashed_ranks, vec![2]);
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
         // The crashed rank still leaves a (partial) stream behind.
@@ -1883,42 +1758,25 @@ mod tests {
     // ---- TCP transport acceptance ----
 
     #[test]
-    fn tcp_run_matches_channel_run_byte_for_byte() {
-        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
-        for ranks in [2usize, 4] {
-            let channel = infer_network_distributed(&matrix, &threaded_cfg(), ranks);
-            let tcp = infer_network_distributed_tcp(&matrix, &threaded_cfg(), ranks)
-                .expect("loopback TCP mesh establishes");
-            assert_eq!(
-                edge_bytes(&tcp.network),
-                edge_bytes(&channel.network),
-                "{ranks} TCP ranks changed the edge list"
-            );
-            assert_eq!(tcp.threshold.to_bits(), channel.threshold.to_bits());
-            assert!(tcp.crashed_ranks.is_empty());
-        }
-    }
-
-    #[test]
     fn tcp_survives_the_acceptance_plan_crash_plus_midframe_cut() {
         // The PR's acceptance scenario: a 4-rank loopback-TCP run where
         // one rank is killed mid-round AND a first frame on the 3→0 edge
         // is cut mid-frame (truncated, connection severed) must still be
         // byte-identical to the fault-free run.
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
+        let baseline = ring(&matrix, &cfg(), 4);
         let plan = FaultPlan::parse("seed=7;crash(rank=2,round=1);cut(from=3,to=0,nth=1)")
             .expect("acceptance plan parses");
         let rec = Recorder::enabled();
-        let dist = infer_network_distributed_tcp_faulty(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::from_plan_traced(&plan, &rec),
-            &rec,
-            faulty_timeout(),
-        )
-        .expect("crash + mid-frame cut must be survivable over TCP");
+        let run = RankRun {
+            wire: Wire::Loopback,
+            faults: FaultInjector::from_plan_traced(&plan, &rec),
+            recorder: rec.clone(),
+            peer_timeout: faulty_timeout(),
+            ..RankRun::new(4)
+        };
+        let dist = infer_network_distributed(&matrix, &cfg(), &run)
+            .expect("crash + mid-frame cut must be survivable over TCP");
         // Rank 2 died; rank 3's severed edge makes the census presume it
         // dead too (its RESULTS can never reach rank 0).
         assert_eq!(dist.crashed_ranks, vec![2, 3]);
@@ -1944,17 +1802,14 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let dist = infer_network_distributed_tcp_traced(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &dir,
-        )
-        .expect("traced TCP run succeeds");
+        let baseline = ring(&matrix, &cfg(), 4);
+        let run = RankRun {
+            wire: Wire::Loopback,
+            trace_dir: Some(&dir),
+            ..RankRun::new(4)
+        };
+        let dist =
+            infer_network_distributed(&matrix, &cfg(), &run).expect("traced TCP run succeeds");
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
         for r in 0..4 {
             let text = std::fs::read_to_string(dir.join(format!("rank-{r}.ndjson")))
@@ -1972,7 +1827,7 @@ mod tests {
     #[test]
     fn unarmed_faulty_entry_point_is_bit_identical_to_plain() {
         let (matrix, _) = coupled_pairs(12, 180, Coupling::Linear(0.35), 321);
-        let plain = infer_network_distributed(&matrix, &cfg(), 4);
+        let plain = ring(&matrix, &cfg(), 4);
         let via_faulty = infer_network_distributed_faulty(
             &matrix,
             &cfg(),
@@ -1988,6 +1843,108 @@ mod tests {
         assert_eq!(a, b);
         for (x, y) in plain.network.edges().iter().zip(via_faulty.network.edges()) {
             assert_eq!(x.weight.to_bits(), y.weight.to_bits());
+        }
+    }
+
+    // ---- one entry point, every wire ----
+
+    /// One row of the wire table: a `ranks`-rank run over `wire` with
+    /// two workers per rank, traced into `dir` and/or beating into a
+    /// plane. On the process wire, `ranks − 1` in-thread workers dial
+    /// the coordinator's listener. Returns the result and, when a plane
+    /// was attached, its finished view.
+    fn run_row(
+        matrix: &ExpressionMatrix,
+        wire: &str,
+        ranks: usize,
+        dir: Option<&Path>,
+        live: bool,
+    ) -> (
+        DistributedResult,
+        Option<Arc<std::sync::Mutex<gnet_telemetry::ClusterView>>>,
+    ) {
+        let genes = matrix.genes() as u64;
+        let mut plane = live.then(|| {
+            let spec = crate::TelemetrySpec::with_interval(Duration::from_millis(5));
+            TelemetryPlane::start(&spec, ranks, genes * (genes - 1) / 2).expect("plane starts")
+        });
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("loopback bind succeeds");
+        let run = RankRun {
+            wire: match wire {
+                "channels" => Wire::Channels,
+                "loopback" => Wire::Loopback,
+                _ => Wire::Processes(&listener),
+            },
+            trace_dir: dir,
+            plane: plane.as_ref(),
+            ..RankRun::new(ranks)
+        };
+        let addr = listener.local_addr().expect("bound listener has an addr");
+        let result = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..ranks)
+                .filter(|_| matches!(run.wire, Wire::Processes(_)))
+                .map(|_| s.spawn(move || crate::run_worker(addr, None)))
+                .collect();
+            let result = infer_network_distributed(matrix, &threaded_cfg(), &run);
+            for w in workers {
+                w.join()
+                    .expect("worker thread completes")
+                    .expect("worker run succeeds");
+            }
+            result
+        });
+        let view = plane.as_mut().map(|p| {
+            p.finish().expect("no status file to fail on");
+            p.view()
+        });
+        (result.expect("fault-free run completes"), view)
+    }
+
+    #[test]
+    fn every_wire_and_instrument_writes_the_shared_memory_bytes() {
+        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
+        let shared = infer_network(&matrix, &threaded_cfg());
+        let shared_bytes = edge_bytes(&shared.network);
+        for wire in ["channels", "loopback", "processes"] {
+            for ranks in [3usize, 4] {
+                for (traced, live) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let at = format!("{wire}, {ranks} ranks, traced {traced}, plane {live}");
+                    let dir = std::env::temp_dir().join(format!(
+                        "gnet-cluster-wire-{}-{wire}-{ranks}-{traced}-{live}",
+                        std::process::id()
+                    ));
+                    let (dist, view) =
+                        run_row(&matrix, wire, ranks, traced.then_some(dir.as_path()), live);
+                    assert_eq!(edge_bytes(&dist.network), shared_bytes, "{at}: edge bytes");
+                    assert_eq!(
+                        dist.threshold.to_bits(),
+                        shared.stats.threshold.to_bits(),
+                        "{at}: I* bits"
+                    );
+                    assert!(dist.crashed_ranks.is_empty(), "{at}");
+                    if traced {
+                        let manifest = std::fs::read_to_string(dir.join("manifest.json"))
+                            .expect("manifest written");
+                        for r in 0..ranks {
+                            let name = format!("rank-{r}.ndjson");
+                            assert!(
+                                manifest.contains(&format!("\"{name}\"")),
+                                "{at}: {manifest}"
+                            );
+                            assert!(dir.join(&name).exists(), "{at}: {name} missing");
+                        }
+                        std::fs::remove_dir_all(&dir).ok();
+                    }
+                    if let Some(view) = view {
+                        let v = view.lock().expect("view lock is not poisoned");
+                        assert!(v.is_done(), "{at}: finish freezes the view");
+                        assert_eq!(v.pairs_done(), shared.stats.pairs, "{at}: pairs done");
+                        for r in v.ranks() {
+                            assert!(r.beats >= 1, "{at}: rank {} never beat", r.rank);
+                        }
+                    }
+                }
+            }
         }
     }
 }

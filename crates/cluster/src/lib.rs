@@ -17,6 +17,12 @@
 //!   computed by exactly one owner rank, mergeable pooled-null reduction
 //!   to rank 0, and a final gather of candidate edges.
 //!
+//! One entry point runs every ring: [`infer_network_distributed`] takes
+//! a [`RankRun`] naming the rank count, the [`Wire`] (in-process
+//! channels, a loopback TCP mesh, or worker processes — see [`process`]),
+//! the fault injector, the driver's recorder, the peer timeout, the
+//! per-rank trace directory and the live telemetry plane ([`live`]).
+//!
 //! The distributed result is bit-identical in edge structure to the
 //! shared-memory pipeline (asserted in tests across rank counts), which
 //! is the property that makes the paper's single-chip-vs-cluster
@@ -46,14 +52,11 @@ pub mod transport;
 pub use codec::CodecError;
 pub use comm::{run_ranks, run_ranks_on, CommStats, Endpoint, Fabric, RecvTimeoutError};
 pub use distributed::{
-    infer_network_distributed, infer_network_distributed_faulty, infer_network_distributed_live,
-    infer_network_distributed_tcp, infer_network_distributed_tcp_faulty,
-    infer_network_distributed_tcp_live, infer_network_distributed_tcp_traced,
-    infer_network_distributed_traced, ClusterError, DistributedResult, RankStats,
-    DEFAULT_PEER_TIMEOUT,
+    infer_network_distributed, infer_network_distributed_faulty, ClusterError, DistributedResult,
+    RankRun, RankStats, Wire, DEFAULT_PEER_TIMEOUT,
 };
 pub use live::{TelemetryPlane, TelemetrySpec};
-pub use process::{run_worker, serve_coordinator, WorkerReport};
+pub use process::{run_worker, WorkerReport};
 pub use protocol::{
     block_pair_owner, block_range, redistribute, Effect, Event, Frame, Mutation, Phase,
     RankMachine, Wait,

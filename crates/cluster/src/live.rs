@@ -28,6 +28,9 @@
 //!   beat is just a missed beat; nothing retries, nothing blocks.
 //! * The protocol loop ticks the beat clock between effects and
 //!   receives — telemetry adds no waits to the protocol's own schedule.
+//!   Rank 0 folds the other ranks' closing beats once more after its
+//!   protocol loop, when no rank can beat again, so a finished run's
+//!   view counts every pair.
 
 use crate::distributed::{frame, parse_frame, FRAME_HEADER};
 use crate::transport::Transport;
@@ -36,7 +39,7 @@ use gnet_telemetry::{
     MetricsRegistry, StatusDocs, StatusServer,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -99,15 +102,15 @@ pub struct TelemetryPlane {
     interval: Duration,
     status_file: Option<PathBuf>,
     server: Option<StatusServer>,
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     keeper: Option<JoinHandle<()>>,
 }
 
 impl TelemetryPlane {
     /// Start the plane for a `ranks`-rank run over `pairs_total` gene
     /// pairs: bind the HTTP listener (when requested), spawn the keeper
-    /// thread, and hand back the handle the `*_live` entry points fold
-    /// heartbeats into.
+    /// thread, and hand back the handle a ring run folds heartbeats into
+    /// (see [`crate::RankRun::plane`]).
     ///
     /// # Errors
     /// Binding the status listener or spawning the keeper failed. The
@@ -133,18 +136,15 @@ impl TelemetryPlane {
             }
             None => None,
         };
-        let stop = Arc::new(AtomicBool::new(false));
+        // Dropping `stop` wakes the keeper at once, mid-interval.
+        let (stop, stopped) = mpsc::channel::<()>();
         let keeper = {
             let view = Arc::clone(&view);
-            let stop = Arc::clone(&stop);
             let file = spec.status_file.clone();
             std::thread::Builder::new()
                 .name("gnet-status-keeper".into())
                 .spawn(move || {
-                    // ordering: advisory stop flag; the join in finish()
-                    // synchronizes everything that matters.
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(interval);
+                    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                         let now = Instant::now();
                         let doc = {
                             let mut v = lock_view(&view);
@@ -165,7 +165,7 @@ impl TelemetryPlane {
             interval,
             status_file: spec.status_file.clone(),
             server,
-            stop: Arc::clone(&stop),
+            stop: Some(stop),
             keeper: Some(keeper),
         })
     }
@@ -191,14 +191,14 @@ impl TelemetryPlane {
 
     /// Freeze the view (`state` flips to `done`, straggler flags stop
     /// moving), write the final status document, and stop the keeper
-    /// and the listener. Idempotent.
+    /// and the listener. Returns without waiting out the keeper's
+    /// interval. Idempotent.
     ///
     /// # Errors
     /// The final status-file write failed (the view is frozen and the
     /// threads are down regardless).
     pub fn finish(&mut self) -> std::io::Result<()> {
-        // ordering: advisory stop flag; the join below synchronizes.
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(keeper) = self.keeper.take() {
             let _ = keeper.join();
         }
@@ -226,7 +226,7 @@ impl Drop for TelemetryPlane {
 }
 
 /// One rank's live-telemetry assignment, handed into the protocol loop
-/// by the `*_live` entry points.
+/// by the ring driver.
 pub(crate) struct LiveDuty {
     /// This rank's metrics registry (also installed as the rank
     /// recorder's [`gnet_trace::MetricsSink`]).
@@ -317,16 +317,43 @@ pub(crate) fn live_tick(
         Some(view) => {
             let mut v = lock_view(view);
             v.fold(&hb);
-            for raw in tp.drain_telemetry() {
-                if let Some((TAG_TELEM, _, payload)) = parse_frame(raw) {
-                    if let Some(remote) = Heartbeat::decode(&payload) {
-                        v.fold(&remote);
-                    }
-                }
-            }
+            fold_queued_beats(&mut v, tp);
         }
         None => tp.send(0, frame(TAG_TELEM, 0, &hb.encode())),
     }
+}
+
+/// Fold every remote beat `tp` holds for rank 0 into `view`; a torn or
+/// undecodable beat is a missed beat.
+fn fold_queued_beats(view: &mut ClusterView, tp: &dyn Transport) {
+    for raw in tp.drain_telemetry() {
+        if let Some((TAG_TELEM, _, payload)) = parse_frame(raw) {
+            if let Some(remote) = Heartbeat::decode(&payload) {
+                view.fold(&remote);
+            }
+        }
+    }
+}
+
+/// Rank 0's last fold, after its protocol loop: a rank sends its closing
+/// `done` beat after its last protocol frame, so it may land after rank
+/// 0's final tick. With `hangup_timeout`, first wait (at most that long
+/// per rank) until every other rank has hung up, discarding leftover
+/// frames; without, the caller knows every final beat is queued.
+pub(crate) fn live_final_fold(
+    duty: &LiveDuty,
+    tp: &dyn Transport,
+    hangup_timeout: Option<Duration>,
+) {
+    let Some(view) = &duty.view else {
+        return;
+    };
+    if let Some(timeout) = hangup_timeout {
+        for r in 1..tp.size() {
+            while tp.recv_timeout(r, timeout).is_ok() {}
+        }
+    }
+    fold_queued_beats(&mut lock_view(view), tp);
 }
 
 /// Rank 0 presumed `rank` dead during the census: mark it in the live
@@ -340,15 +367,12 @@ pub(crate) fn live_mark_dead(duty: &LiveDuty, rank: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::{
-        infer_network_distributed, infer_network_distributed_live, infer_network_distributed_tcp,
-        infer_network_distributed_tcp_live, DEFAULT_PEER_TIMEOUT,
-    };
+    use crate::distributed::{infer_network_distributed, DistributedResult, RankRun, Wire};
     use gnet_core::InferenceConfig;
     use gnet_expr::synth::{coupled_pairs, Coupling};
+    use gnet_expr::ExpressionMatrix;
     use gnet_fault::{Fault, FaultInjector, FaultPlan};
     use gnet_graph::GeneNetwork;
-    use gnet_trace::Recorder;
     use std::io::{Read as _, Write as _};
 
     fn cfg() -> InferenceConfig {
@@ -371,6 +395,22 @@ mod tests {
         (genes as u64) * (genes as u64 - 1) / 2
     }
 
+    fn ring(
+        matrix: &ExpressionMatrix,
+        config: &InferenceConfig,
+        run: &RankRun,
+    ) -> DistributedResult {
+        infer_network_distributed(matrix, config, run).expect("the ring run completes")
+    }
+
+    /// A fault-free run of `ranks` ranks over the loopback TCP mesh.
+    fn loopback(ranks: usize) -> RankRun<'static> {
+        RankRun {
+            wire: Wire::Loopback,
+            ..RankRun::new(ranks)
+        }
+    }
+
     #[test]
     fn telem_frames_are_recognized_by_tag_and_length() {
         let beat = frame(TAG_TELEM, 0, b"beat");
@@ -388,41 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn live_plane_does_not_perturb_channel_results() {
-        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 77);
-        let baseline = infer_network_distributed(&matrix, &cfg(), 4);
-        let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
-        let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_live(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("live run completes");
-        assert_eq!(
-            edge_bits(&live.network),
-            edge_bits(&baseline.network),
-            "telemetry must never change the edge set"
-        );
-        assert_eq!(live.threshold.to_bits(), baseline.threshold.to_bits());
-        plane.finish().expect("no status file to fail on");
-        let view = plane.view();
-        let v = lock_view(&view);
-        assert!(v.is_done(), "finish freezes the view as done");
-        assert!(v.pairs_done() > 0, "beats carried pair progress");
-        for r in v.ranks() {
-            assert!(r.beats >= 1, "rank {} never beat", r.rank);
-        }
-    }
-
-    #[test]
     fn live_plane_does_not_perturb_tcp_results_and_serves_scrapes() {
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 78);
-        let baseline = infer_network_distributed_tcp(&matrix, &cfg(), 4).expect("baseline runs");
+        let baseline = ring(&matrix, &cfg(), &loopback(4));
         let spec = TelemetrySpec {
             status_addr: Some("127.0.0.1:0".to_string()),
             status_file: None,
@@ -430,16 +438,11 @@ mod tests {
         };
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
         let addr = plane.status_addr().expect("listener bound");
-        let live = infer_network_distributed_tcp_live(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("live run completes");
+        let run = RankRun {
+            plane: Some(&plane),
+            ..loopback(4)
+        };
+        let live = ring(&matrix, &cfg(), &run);
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -468,7 +471,7 @@ mod tests {
             permutations: 60,
             ..cfg()
         };
-        let baseline = infer_network_distributed_tcp(&matrix, &cfg, 4).expect("baseline runs");
+        let baseline = ring(&matrix, &cfg, &loopback(4));
         // Stall the second wire frame rank 1 writes toward rank 0 —
         // whichever beat or protocol frame that is, rank 1 has beaten
         // at least once and then goes silent for far longer than the
@@ -482,16 +485,12 @@ mod tests {
         });
         let spec = TelemetrySpec::with_interval(Duration::from_millis(1));
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_tcp_live(
-            &matrix,
-            &cfg,
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("stalled run still completes");
+        let run = RankRun {
+            faults: FaultInjector::from_plan(&plan),
+            plane: Some(&plane),
+            ..loopback(4)
+        };
+        let live = ring(&matrix, &cfg, &run);
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -508,9 +507,37 @@ mod tests {
     }
 
     #[test]
+    fn final_beats_that_land_after_rank_0_finishes_still_fold() {
+        // At a 60 s cadence rank 1 beats twice: after its first effect,
+        // and its final `done` beat after RESULTS and SUPPLEMENT — the
+        // fourth frame on its wire to rank 0. Stalling that frame lands
+        // it after rank 0's own last tick; only the final fold counts it.
+        let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 82);
+        let plan = FaultPlan::new(0).with(Fault::StallFrame {
+            from: 1,
+            to: 0,
+            nth: 3,
+            micros: 500_000,
+        });
+        let spec = TelemetrySpec::with_interval(Duration::from_secs(60));
+        let mut plane = TelemetryPlane::start(&spec, 3, pairs_total(12)).expect("plane starts");
+        let run = RankRun {
+            faults: FaultInjector::from_plan(&plan),
+            plane: Some(&plane),
+            ..loopback(3)
+        };
+        ring(&matrix, &cfg(), &run);
+        plane.finish().expect("no status file to fail on");
+        let view = plane.view();
+        let v = lock_view(&view);
+        assert!(v.ranks()[1].done, "rank 1's final beat was folded");
+        assert_eq!(v.pairs_done(), pairs_total(12));
+    }
+
+    #[test]
     fn severed_heartbeat_wire_degrades_view_without_wedging() {
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 80);
-        let baseline = infer_network_distributed_tcp(&matrix, &cfg(), 4).expect("baseline runs");
+        let baseline = ring(&matrix, &cfg(), &loopback(4));
         // Cut the very first frame rank 1 writes toward rank 0 (its
         // first heartbeat): the 1→0 wire dies, every later beat and the
         // results frame are lost, and the census presumes rank 1 dead —
@@ -523,16 +550,12 @@ mod tests {
         });
         let spec = TelemetrySpec::with_interval(Duration::from_millis(5));
         let mut plane = TelemetryPlane::start(&spec, 4, pairs_total(6)).expect("plane starts");
-        let live = infer_network_distributed_tcp_live(
-            &matrix,
-            &cfg(),
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("run completes despite the severed wire");
+        let run = RankRun {
+            faults: FaultInjector::from_plan(&plan),
+            plane: Some(&plane),
+            ..loopback(4)
+        };
+        let live = ring(&matrix, &cfg(), &run);
         assert_eq!(
             edge_bits(&live.network),
             edge_bits(&baseline.network),
@@ -561,20 +584,35 @@ mod tests {
             interval: Duration::from_millis(5),
         };
         let mut plane = TelemetryPlane::start(&spec, 3, pairs_total(6)).expect("plane starts");
-        infer_network_distributed_live(
-            &matrix,
-            &cfg(),
-            3,
-            &FaultInjector::none(),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .expect("live run completes");
+        let run = RankRun {
+            plane: Some(&plane),
+            ..RankRun::new(3)
+        };
+        ring(&matrix, &cfg(), &run);
         plane.finish().expect("final status write succeeds");
         let doc = std::fs::read_to_string(&path).expect("status file exists");
         assert!(doc.contains("\"state\":\"done\""), "{doc}");
         assert!(doc.contains("\"format\":\"gnet-status\""), "{doc}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn finish_wakes_the_keeper_instead_of_waiting_out_its_interval() {
+        let dir = std::env::temp_dir().join(format!("gnet-live-wake-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("status.json");
+        let spec = TelemetrySpec {
+            status_addr: None,
+            status_file: Some(path.clone()),
+            interval: Duration::from_secs(60),
+        };
+        let mut plane = TelemetryPlane::start(&spec, 2, pairs_total(4)).expect("plane starts");
+        let t0 = Instant::now();
+        plane.finish().expect("final status write succeeds");
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "finish took {took:?}");
+        let doc = std::fs::read_to_string(&path).expect("status file exists");
+        assert!(doc.contains("\"state\":\"done\""), "{doc}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,15 @@
 //! Multi-process cluster launch: a coordinator plus `P−1` worker
-//! processes over real TCP.
+//! processes over real TCP — the
+//! [`Wire::Processes`](crate::distributed::Wire::Processes) wire of
+//! [`crate::infer_network_distributed`], whose worker end is
+//! [`run_worker`].
 //!
-//! The in-process drivers ([`crate::distributed`]) share one address
-//! space, so the matrix, config, and fault plan are simply borrowed by
-//! every rank thread. Across processes everything must travel over the
-//! wire; this module is the bootstrap that gets `P` processes from
-//! "worker knows the coordinator's address" to "every rank holds a
-//! [`TcpTransport`] mesh and runs the unchanged protocol loop":
+//! On the in-process wires every rank thread shares one address space,
+//! so the matrix, config, and fault plan are simply borrowed. Across
+//! processes everything must travel over the wire; this module is the
+//! bootstrap that gets `P` processes from "worker knows the
+//! coordinator's address" to "every rank holds a [`TcpTransport`] mesh
+//! and runs the unchanged protocol loop":
 //!
 //! 1. **HELLO** — a worker binds an ephemeral listener, dials the
 //!    coordinator (bounded retries with backoff, so workers may start
@@ -17,9 +20,12 @@
 //!    inference config (hand-rolled little-endian codec; `f64` fields
 //!    travel as `to_le_bytes`, so the worker's arithmetic inputs are
 //!    bit-exact), the listen-address table of every worker, and the
-//!    `GNEX` snapshot of the expression matrix. Each process rebuilds
-//!    its own [`FaultInjector`] from the same plan string — correct
-//!    because every consultation (message faults, wire faults, connect
+//!    `GNEX` snapshot of the expression matrix. A worker checks what it
+//!    decodes (a valid config, the exact strategy, no more ranks than
+//!    genes, two samples or more to permute) and refuses a bad WELCOME
+//!    with [`ClusterError::Transport`]. Each process rebuilds its own
+//!    [`FaultInjector`] from the same plan string — correct because
+//!    every consultation (message faults, wire faults, connect
 //!    refusals, rank crashes) happens on the sending/dialing/crashing
 //!    side.
 //! 3. **Mesh** — the control connection doubles as the worker↔rank-0
@@ -41,8 +47,11 @@
 //!    after the rank loop returns), so the coordinator's protocol
 //!    receives never see it. Workers that report nothing — killed
 //!    processes and simulated crashes alike — get synthesized crashed
-//!    stats. The coordinator then writes the manifest listing every
-//!    rank stream that actually exists on its filesystem.
+//!    stats. Each STATS frame follows its worker's final heartbeat on
+//!    the same link, so once all are in, the coordinator folds the
+//!    queued beats one last time into the telemetry plane's view. It
+//!    then writes the manifest listing every rank stream that actually
+//!    exists on its filesystem.
 //!
 //! The wire config carries `threads`, so every worker process runs the
 //! coordinator's per-rank worker count (`None` resolves to each host's
@@ -52,10 +61,10 @@
 //! the bootstrap format.
 
 use crate::distributed::{
-    frame, parse_frame, rank_main, validate_run, write_manifest, write_one_rank_trace,
-    ClusterError, DistributedResult, RankStats, TAG_STATS,
+    frame, parse_frame, rank_main, write_manifest, write_one_rank_trace, ClusterError,
+    DistributedResult, RankRun, RankStats, TAG_STATS,
 };
-use crate::live::{LiveDuty, TelemetryPlane};
+use crate::live::{live_final_fold, LiveDuty};
 use crate::tcp::{accept_peer, dial, RetryPolicy, TcpCounters, TcpTransport};
 use crate::transport::Transport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -361,6 +370,11 @@ fn decode_welcome(mut bytes: Bytes) -> Result<Welcome, ClusterError> {
             "WELCOME rank/size bookkeeping is inconsistent",
         ));
     }
+    // Every entry starts with a 4-byte length: refuse a count the frame
+    // cannot hold before allocating for it.
+    if peer_count > bytes.remaining() / 4 {
+        return Err(transport_err("WELCOME peer table overruns the frame"));
+    }
     let mut peers = Vec::with_capacity(peer_count);
     for _ in 0..peer_count {
         let addr = get_str(&mut bytes)?;
@@ -378,6 +392,27 @@ fn decode_welcome(mut bytes: Bytes) -> Result<Welcome, ClusterError> {
     }
     let matrix = gnet_expr::io::from_snapshot(bytes)
         .map_err(|e| transport_err(format!("bad matrix snapshot: {e:?}")))?;
+    // The coordinator checked all of this before sending; a worker
+    // checks again, since the bytes came over the network.
+    config
+        .check()
+        .map_err(|e| transport_err(format!("bad config in WELCOME: {e}")))?;
+    if config.null_strategy != NullStrategy::ExactFull {
+        return Err(transport_err(
+            "WELCOME config asks for early exit; the ring runs the exact strategy only",
+        ));
+    }
+    if size > matrix.genes() {
+        return Err(transport_err(format!(
+            "WELCOME ring of {size} ranks exceeds its matrix's {} genes",
+            matrix.genes()
+        )));
+    }
+    if config.permutations > 0 && matrix.samples() < 2 {
+        return Err(transport_err(
+            "WELCOME matrix has fewer than 2 samples to permute",
+        ));
+    }
     Ok(Welcome {
         rank,
         size,
@@ -419,62 +454,42 @@ fn dial_control(addr: SocketAddr, policy: &RetryPolicy) -> std::io::Result<TcpSt
     Err(last)
 }
 
-/// Serve one distributed inference as the coordinator (rank 0) of a
-/// multi-process cluster: accept `ranks − 1` worker HELLOs on
-/// `listener`, ship each worker everything it needs (WELCOME), run
-/// rank 0's protocol loop over the control connections, collect worker
-/// STATS reports, and — when `trace_dir` is set — write rank 0's trace
-/// stream plus a manifest listing every rank stream present on this
-/// filesystem (workers write their own streams; on a shared filesystem
-/// the manifest covers all of them).
+/// Serve one ring run over
+/// [`Wire::Processes`](crate::distributed::Wire::Processes) as its
+/// coordinator (rank 0): accept `run.ranks − 1` worker HELLOs on `listener`, ship
+/// each worker everything it needs (WELCOME), run rank 0's protocol loop
+/// over the control connections on `rank_rec` (and `duty`, when a plane
+/// is attached), collect worker STATS reports, and — when
+/// `run.trace_dir` is set — write rank 0's trace stream plus a manifest
+/// listing every rank stream present on this filesystem (workers write
+/// their own streams; on a shared filesystem the manifest covers all of
+/// them).
 ///
 /// Workers that die mid-run (process kill included) surface as crashed
 /// ranks with synthesized stats; the run still completes with the
-/// byte-identical edge set, exactly like the in-process drivers.
-///
-/// # Errors
-/// [`ClusterError::CoordinatorCrash`] for plans that kill rank 0,
-/// [`ClusterError::Transport`] for bootstrap failures, and
-/// [`ClusterError::TraceIo`] when a trace file cannot be written.
+/// byte-identical edge set, exactly like the in-process wires.
 ///
 /// # Panics
-/// Panics if `ranks < 2`, plus the same validation panics as
-/// [`crate::distributed::infer_network_distributed`].
-///
-/// When `live` is set the WELCOME advertises its heartbeat cadence, so
-/// every worker streams TELEM frames back over its control connection
-/// and the plane's view covers the whole process cluster.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_coordinator(
+/// Panics if `run.ranks < 2`.
+pub(crate) fn serve_coordinator(
     listener: &TcpListener,
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
-    ranks: usize,
-    plan: Option<&FaultPlan>,
-    rec: &Recorder,
-    peer_timeout: Duration,
-    trace_dir: Option<&std::path::Path>,
-    live: Option<&TelemetryPlane>,
+    run: &RankRun<'_>,
+    rank_rec: Recorder,
+    duty: Option<&LiveDuty>,
 ) -> Result<DistributedResult, ClusterError> {
+    let ranks = run.ranks;
     assert!(ranks >= 2, "a multi-process run needs at least one worker");
-    let plan_string = plan.map(ToString::to_string).unwrap_or_default();
-    let traced = trace_dir.is_some();
-    let mut rank_rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let telem_interval_us = live.map_or(0, |p| p.interval().as_micros() as u64);
-    let duty = live.map(|p| LiveDuty {
-        registry: Arc::new(MetricsRegistry::new()),
-        interval: p.interval(),
-        view: Some(p.view()),
-    });
-    if let Some(d) = &duty {
-        rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-    }
+    let plan_string = run
+        .faults
+        .plan()
+        .map(ToString::to_string)
+        .unwrap_or_default();
+    // Rank 0's own injector records on its own recorder, so its fault
+    // events land in `rank-0.ndjson` like every worker's do in theirs.
     let faults = injector_from_plan(&plan_string, &rank_rec)?;
-    validate_run(matrix, config, ranks, &faults)?;
+    let telem_interval_us = run.plane.map_or(0, |p| p.interval().as_micros() as u64);
 
     // Phase 1: HELLO — ranks assigned in arrival order.
     let mut controls: Vec<TcpStream> = Vec::with_capacity(ranks - 1);
@@ -493,16 +508,17 @@ pub fn serve_coordinator(
     // Phase 2: WELCOME. Every worker listener exists by now, so the
     // worker mesh cannot race its dials past an unbound port.
     let snapshot = gnet_expr::io::to_snapshot(matrix);
-    let trace_dir_string = trace_dir
+    let trace_dir_string = run
+        .trace_dir
         .map(|d| d.display().to_string())
         .unwrap_or_default();
     for (idx, stream) in controls.iter_mut().enumerate() {
         let welcome = encode_welcome(
             idx + 1,
             ranks,
-            peer_timeout,
+            run.peer_timeout,
             telem_interval_us,
-            traced,
+            run.trace_dir.is_some(),
             &trace_dir_string,
             &plan_string,
             config,
@@ -522,11 +538,10 @@ pub fn serve_coordinator(
         &tp,
         matrix,
         config,
-        matrix.genes(),
-        rec,
+        &run.recorder,
         &rank_rec,
-        peer_timeout,
-        duty.as_ref(),
+        run.peer_timeout,
+        duty,
     );
 
     // Phase 5: collect worker STATS, synthesizing crashed stats for
@@ -537,6 +552,11 @@ pub fn serve_coordinator(
     rank_stats[0] = out.stats.clone();
     for (r, slot) in rank_stats.iter_mut().enumerate().skip(1) {
         *slot = collect_stats(&tp, r);
+    }
+    // A worker's STATS frame follows its final beat on the same link, so
+    // every surviving worker's `done` beat is queued by now.
+    if let Some(d) = duty {
+        live_final_fold(d, &tp, None);
     }
     tp.shutdown();
     counters.publish(&rank_rec);
@@ -549,7 +569,7 @@ pub fn serve_coordinator(
         rank_stats,
         crashed_ranks: out.dead,
     };
-    if let Some(dir) = trace_dir {
+    if let Some(dir) = run.trace_dir {
         write_one_rank_trace(dir, 0, ranks, 0, &rank_rec)?;
         let files: Vec<String> = (0..ranks)
             .map(|r| format!("rank-{r}.ndjson"))
@@ -639,7 +659,6 @@ pub fn run_worker(
         peers,
         matrix,
     } = decode_welcome(welcome_blob)?;
-    config.validate();
 
     let mut rank_rec = if traced {
         Recorder::enabled()
@@ -689,7 +708,6 @@ pub fn run_worker(
         &tp,
         &matrix,
         &config,
-        matrix.genes(),
         &rank_rec,
         &rank_rec,
         peer_timeout,
@@ -725,6 +743,8 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{infer_network_distributed, Wire};
+    use crate::live::{TelemetryPlane, TelemetrySpec};
     use gnet_expr::synth::{coupled_pairs, Coupling};
 
     fn test_config() -> InferenceConfig {
@@ -860,55 +880,129 @@ mod tests {
         ] {
             assert!(decode_welcome(bad).is_err(), "corrupt WELCOME must error");
         }
+        // Well-formed frames whose contents the ring cannot run: a config
+        // `validate()` would panic on, more ranks than genes, and one
+        // sample to permute.
+        let (matrix, _) = coupled_pairs(2, 20, Coupling::Linear(0.8), 5);
+        let (one_sample, _) = coupled_pairs(2, 1, Coupling::Linear(0.8), 5);
+        let peers: Vec<SocketAddr> = (0..4)
+            .map(|i| SocketAddr::from((Ipv4Addr::LOCALHOST, 5001 + i)))
+            .collect();
+        let one_bin = InferenceConfig {
+            bins: 1,
+            ..test_config()
+        };
+        for (what, size, config, matrix) in [
+            ("bins = 1", 2, one_bin, &matrix),
+            ("5 ranks over 4 genes", 5, test_config(), &matrix),
+            ("1 sample", 2, test_config(), &one_sample),
+        ] {
+            let snapshot = gnet_expr::io::to_snapshot(matrix);
+            let wire = encode_welcome(
+                1,
+                size,
+                Duration::from_millis(750),
+                0,
+                false,
+                "",
+                "",
+                &config,
+                &peers[..size - 1],
+                &snapshot,
+            );
+            let err = decode_welcome(wire).err();
+            assert!(
+                matches!(&err, Some(ClusterError::Transport { .. })),
+                "{what}: {err:?}"
+            );
+        }
+        // A ring size and peer count that agree but that the frame
+        // cannot hold: refused before the peer table is allocated.
+        let config_len = encode_config(&test_config()).len();
+        let mut wire = encode_welcome(
+            1,
+            2,
+            Duration::from_millis(750),
+            0,
+            false,
+            "",
+            "",
+            &test_config(),
+            &peers[..1],
+            &gnet_expr::io::to_snapshot(&matrix),
+        )
+        .to_vec();
+        // magic, version, rank, then the size; the peer count follows
+        // the fixed header, two empty strings and the config blob.
+        wire[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        let peer_count_at = 30 + 4 + 4 + 4 + config_len;
+        wire[peer_count_at..peer_count_at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        let err = decode_welcome(Bytes::from(wire)).err();
+        assert!(
+            matches!(&err, Some(ClusterError::Transport { message }) if message.contains("overruns")),
+            "{err:?}"
+        );
     }
 
     /// Full in-machine multi-process bootstrap, minus the process
     /// boundary: the coordinator serves on one thread while worker
-    /// entry points run on others, all over real loopback sockets.
+    /// entry points run on others, all over real loopback sockets. The
+    /// second run streams heartbeats into a plane, whose finished view
+    /// must count every pair: the coordinator folds the workers' final
+    /// beats, which may land after its own last tick.
     #[test]
     fn coordinator_and_workers_bootstrap_over_loopback() {
         let (matrix, _) = coupled_pairs(8, 60, Coupling::Linear(0.9), 11);
         let config = test_config();
-        let reference = crate::distributed::infer_network_distributed(&matrix, &config, 3);
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("loopback bind succeeds");
-        let addr = listener.local_addr().expect("bound listener has an addr");
-        let result = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..2)
-                .map(|_| s.spawn(move || run_worker(addr, None)))
-                .collect();
-            let served = serve_coordinator(
-                &listener,
-                &matrix,
-                &config,
-                3,
-                None,
-                &Recorder::disabled(),
-                crate::distributed::DEFAULT_PEER_TIMEOUT,
-                None,
-                None,
-            )
-            .expect("coordinator run succeeds");
-            for w in workers {
-                let report = w
-                    .join()
-                    .expect("worker thread completes")
-                    .expect("worker run succeeds");
-                assert_eq!(report.ranks, 3);
-                assert!(!report.crashed);
+        let reference = infer_network_distributed(&matrix, &config, &RankRun::new(3))
+            .expect("fault-free channel run completes");
+        let pairs = 16 * 15 / 2;
+        for live in [false, true] {
+            let spec = TelemetrySpec::with_interval(Duration::from_millis(25));
+            let mut plane =
+                live.then(|| TelemetryPlane::start(&spec, 3, pairs).expect("plane starts"));
+            let listener =
+                TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("loopback bind succeeds");
+            let addr = listener.local_addr().expect("bound listener has an addr");
+            let run = RankRun {
+                wire: Wire::Processes(&listener),
+                plane: plane.as_ref(),
+                ..RankRun::new(3)
+            };
+            let result = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| s.spawn(move || run_worker(addr, None)))
+                    .collect();
+                let served = infer_network_distributed(&matrix, &config, &run)
+                    .expect("coordinator run succeeds");
+                for w in workers {
+                    let report = w
+                        .join()
+                        .expect("worker thread completes")
+                        .expect("worker run succeeds");
+                    assert_eq!(report.ranks, 3);
+                    assert!(!report.crashed);
+                }
+                served
+            });
+            assert_eq!(result.crashed_ranks, Vec::<usize>::new());
+            assert_eq!(result.threshold.to_bits(), reference.threshold.to_bits());
+            assert_eq!(
+                result.network.edges().len(),
+                reference.network.edges().len()
+            );
+            for (x, y) in result.network.edges().iter().zip(reference.network.edges()) {
+                assert_eq!((x.a, x.b), (y.a, y.b));
+                assert_eq!(x.weight.to_bits(), y.weight.to_bits());
             }
-            served
-        });
-        assert_eq!(result.crashed_ranks, Vec::<usize>::new());
-        assert_eq!(result.threshold.to_bits(), reference.threshold.to_bits());
-        assert_eq!(
-            result.network.edges().len(),
-            reference.network.edges().len()
-        );
-        for (x, y) in result.network.edges().iter().zip(reference.network.edges()) {
-            assert_eq!((x.a, x.b), (y.a, y.b));
-            assert_eq!(x.weight.to_bits(), y.weight.to_bits());
+            assert!(result.rank_stats.iter().all(|s| !s.crashed));
+            assert!(result.rank_stats[1].pairs > 0, "worker stats were reported");
+            if let Some(plane) = plane.as_mut() {
+                plane.finish().expect("no status file to fail on");
+                let view = plane.view();
+                let v = view.lock().expect("view lock is not poisoned");
+                assert_eq!(v.pairs_done(), pairs, "the finished view counts every pair");
+            }
         }
-        assert!(result.rank_stats.iter().all(|s| !s.crashed));
-        assert!(result.rank_stats[1].pairs > 0, "worker stats were reported");
     }
 }

@@ -29,12 +29,10 @@
 use crate::corpus::DatasetSpec;
 use crate::TolerancePolicy;
 use gnet_bspline::{BsplineBasis, DenseWeights};
-use gnet_cluster::{
-    infer_network_distributed, infer_network_distributed_faulty, infer_network_distributed_tcp,
-    DistributedResult, DEFAULT_PEER_TIMEOUT,
-};
+use gnet_cluster::{infer_network_distributed, DistributedResult, RankRun, Wire};
 use gnet_core::checkpoint::infer_network_resumable;
 use gnet_core::{infer_network, InferenceConfig, InferenceResult};
+use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, FaultPlan};
 use gnet_graph::GeneNetwork;
 use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, prepare_matrix, MiKernel, MiScratch};
@@ -42,7 +40,6 @@ use gnet_mi::PreparedGene;
 use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
 use gnet_simd::dispatch::{Backend, KernelTable};
-use gnet_trace::Recorder;
 
 /// What one oracle found on one dataset.
 pub(crate) struct OracleOutcome {
@@ -283,34 +280,31 @@ pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> 
         threads: Some(threads),
         ..dist_config()
     };
-    let reference = infer_network_distributed(&matrix, &dist_config(), 1);
+    let reference = ring(&matrix, &dist_config(), &RankRun::new(1));
     let ref_bytes = edge_bytes(&reference.network);
     let mut checks = 0;
-    for threads in [1usize, 3] {
-        for ranks in [2usize, 4, 8] {
-            if ranks > matrix.genes() {
-                continue;
-            }
-            let run = infer_network_distributed(&matrix, &per_rank(threads), ranks);
-            checks += 1;
-            if let Some(diff) = diff_distributed(&reference, &run, &ref_bytes) {
-                return OracleOutcome::fail(
-                    checks,
-                    format!("{ranks} ranks × {threads} threads vs 1 rank × 1 thread: {diff}"),
-                );
-            }
-        }
-    }
-    for ranks in [2usize, 4] {
+    let channel_runs = [1usize, 3]
+        .into_iter()
+        .flat_map(|t| [2, 4, 8].map(|p| (Wire::Channels, t, p)));
+    let tcp_runs = [2usize, 4].map(|p| (Wire::Loopback, 2, p));
+    for (wire, threads, ranks) in channel_runs.chain(tcp_runs) {
         if ranks > matrix.genes() {
             continue;
         }
-        let run = match infer_network_distributed_tcp(&matrix, &per_rank(2), ranks) {
+        let what = match wire {
+            Wire::Loopback => "loopback-TCP ",
+            _ => "",
+        };
+        let rank_run = RankRun {
+            wire,
+            ..RankRun::new(ranks)
+        };
+        let run = match infer_network_distributed(&matrix, &per_rank(threads), &rank_run) {
             Ok(r) => r,
             Err(e) => {
                 return OracleOutcome::fail(
                     checks + 1,
-                    format!("{ranks}-rank loopback-TCP mesh failed to establish: {e}"),
+                    format!("{ranks}-rank {what}ring failed to run: {e}"),
                 )
             }
         };
@@ -318,7 +312,7 @@ pub(crate) fn distributed_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> 
         if let Some(diff) = diff_distributed(&reference, &run, &ref_bytes) {
             return OracleOutcome::fail(
                 checks,
-                format!("{ranks} TCP ranks × 2 threads vs 1 rank × 1 thread: {diff}"),
+                format!("{ranks} {what}ranks × {threads} threads vs 1 rank × 1 thread: {diff}"),
             );
         }
     }
@@ -374,17 +368,14 @@ pub(crate) fn recovery_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Ora
     // edge set (dead-rank pairs are redistributed deterministically).
     if matrix.genes() >= 4 {
         let dcfg = dist_config();
-        let clean_d = infer_network_distributed(&matrix, &dcfg, 4);
+        let clean_d = ring(&matrix, &dcfg, &RankRun::new(4));
         let plan = FaultPlan::parse("seed=1;crash(rank=2,round=1)")
             .unwrap_or_else(|e| unreachable!("static plan parses: {e}"));
-        let crashed = match infer_network_distributed_faulty(
-            &matrix,
-            &dcfg,
-            4,
-            &FaultInjector::from_plan(&plan),
-            &Recorder::disabled(),
-            DEFAULT_PEER_TIMEOUT,
-        ) {
+        let crash_run = RankRun {
+            faults: FaultInjector::from_plan(&plan),
+            ..RankRun::new(4)
+        };
+        let crashed = match infer_network_distributed(&matrix, &dcfg, &crash_run) {
             Ok(r) => r,
             Err(e) => {
                 return OracleOutcome::fail(
@@ -399,6 +390,16 @@ pub(crate) fn recovery_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> Ora
         }
     }
     OracleOutcome::clean(checks)
+}
+
+/// A fault-free channel ring, which cannot fail.
+pub(crate) fn ring(
+    matrix: &ExpressionMatrix,
+    config: &InferenceConfig,
+    run: &RankRun<'_>,
+) -> DistributedResult {
+    infer_network_distributed(matrix, config, run)
+        .unwrap_or_else(|e| unreachable!("a fault-free channel ring completes: {e}"))
 }
 
 fn dist_config() -> InferenceConfig {

@@ -26,9 +26,9 @@
 //! skipped frontier tile, unrefreshed null moments) is caught here.
 
 use crate::corpus::DatasetSpec;
-use crate::differential::{edge_bytes, OracleOutcome};
+use crate::differential::{edge_bytes, ring, OracleOutcome};
 use crate::TolerancePolicy;
-use gnet_cluster::infer_network_distributed;
+use gnet_cluster::RankRun;
 use gnet_core::{
     apply_update, apply_update_mutated, build_state, infer_network, InferenceConfig, NetworkState,
     UpdateMode, UpdateMutation,
@@ -241,7 +241,7 @@ fn incremental_with(spec: &DatasetSpec, mutation: Option<UpdateMutation>) -> Ora
         if ranks > matrix.genes() {
             continue;
         }
-        let run = infer_network_distributed(&matrix, &update_config(), ranks);
+        let run = ring(&matrix, &update_config(), &RankRun::new(ranks));
         checks += 1;
         if edge_bytes(&run.network) != updated_bytes {
             return OracleOutcome::fail(

@@ -12,18 +12,20 @@
 //! Only the exact (paper-faithful) null strategy is supported — the
 //! early-exit pre-pass would have to be re-estimated on resume, changing
 //! decisions mid-run.
+//!
+//! A checkpointed run goes through the same pipeline function as a
+//! plain one, so it records the same stages, run shape (`run.config`)
+//! and `mi.*` counters, plus one `checkpoint.chunk` event per chunk.
 
-use crate::config::{InferenceConfig, NullStrategy};
-use crate::pipeline::{finish_run, PreparedRun};
+use crate::config::InferenceConfig;
+use crate::pipeline::{run_pipeline, Chunking};
 use crate::result::InferenceResult;
 pub use crate::scan::Checkpoint;
-use crate::scan::NullScan;
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{prepare_gene, MiKernel};
 use gnet_parallel::TileSpace;
 use gnet_trace::Recorder;
-use std::time::Instant;
 
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -31,7 +33,7 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, tiles: usize) -> u64 {
+pub(crate) fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, tiles: usize) -> u64 {
     let mut h = 0xD16E_5700_0000_0001u64;
     h = mix(h, matrix.genes() as u64);
     h = mix(h, matrix.samples() as u64);
@@ -86,7 +88,8 @@ pub type ResumableOutcome = Result<InferenceResult, Checkpoint>;
 ///
 /// The final network and threshold are bit-identical to
 /// [`crate::infer_network`]'s at any thread count, scheduler and chunk
-/// size, interrupted or not.
+/// size, interrupted or not. [`crate::infer_network_durable`] is the
+/// same run with durable checkpoint files and a recorder.
 ///
 /// # Panics
 /// Panics on config/matrix violations, a digest mismatch, a non-exact
@@ -96,99 +99,20 @@ pub fn infer_network_resumable(
     config: &InferenceConfig,
     resume_from: Option<Checkpoint>,
     chunk_tiles: usize,
-    on_checkpoint: impl FnMut(&Checkpoint) -> bool,
+    mut on_checkpoint: impl FnMut(&Checkpoint) -> bool,
 ) -> ResumableOutcome {
-    infer_network_resumable_traced(
-        matrix,
-        config,
+    let chunking = Chunking {
         resume_from,
         chunk_tiles,
-        on_checkpoint,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`infer_network_resumable`] with an instrumentation hook: stage spans,
-/// the scheduler's per-tile/per-thread telemetry, and one
-/// `checkpoint.chunk` event per completed chunk (tiles done, total tiles,
-/// joints and candidates so far).
-pub fn infer_network_resumable_traced(
-    matrix: &ExpressionMatrix,
-    config: &InferenceConfig,
-    resume_from: Option<Checkpoint>,
-    chunk_tiles: usize,
-    mut on_checkpoint: impl FnMut(&Checkpoint) -> bool,
-    rec: &Recorder,
-) -> ResumableOutcome {
-    assert_eq!(
-        config.null_strategy,
-        NullStrategy::ExactFull,
-        "checkpointing supports the exact null strategy only"
-    );
-
-    let t0 = Instant::now();
-    let span_prep = rec.span("stage.prep");
-    let run = PreparedRun::new(matrix, config);
-    let total_tiles = run.space.tiles().len();
-    let digest = run_digest(config, matrix, total_tiles);
-    drop(span_prep);
-    let prep_time = t0.elapsed();
-
-    let mut progress = match resume_from {
-        Some(cp) => {
-            assert_eq!(cp.digest, digest, "checkpoint does not match this run");
-            assert!(cp.tiles_done <= total_tiles, "corrupt checkpoint prefix");
-            cp
-        }
-        None => Checkpoint {
-            digest,
-            tiles_done: 0,
-            scan: NullScan::default(),
-        },
+        on_checkpoint: &mut on_checkpoint,
     };
-
-    let t1 = Instant::now();
-    let span_mi = rec.span("stage.mi");
-    let scanned = run.scan(config).run(&mut progress, chunk_tiles, rec, |cp| {
-        if rec.is_enabled() {
-            rec.event(
-                "checkpoint.chunk",
-                &[
-                    ("tiles_done", (cp.tiles_done as u64).into()),
-                    ("total_tiles", (total_tiles as u64).into()),
-                    ("joints", cp.scan.joints.into()),
-                    ("candidates", (cp.scan.candidates.len() as u64).into()),
-                ],
-            );
-            rec.progress(cp.tiles_done, total_tiles);
-        }
-        if on_checkpoint(cp) {
-            Ok(())
-        } else {
-            Err(())
-        }
-    });
-    let Ok(execution) = scanned else {
-        return Err(progress);
-    };
-    drop(span_mi);
-    let mi_time = t1.elapsed();
-
-    let _span_finalize = rec.span("stage.finalize");
-    Ok(finish_run(
-        matrix,
-        config,
-        &run,
-        &progress.scan,
-        None,
-        [prep_time, mi_time],
-        execution,
-    ))
+    run_pipeline(matrix, config, &Recorder::disabled(), Some(chunking))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NullStrategy;
     use crate::infer_network;
     use gnet_expr::synth::{coupled_pairs, Coupling};
     use gnet_parallel::SchedulerPolicy;
@@ -387,12 +311,25 @@ mod tests {
         );
     }
 
+    /// A chunked run through the crate-private pipeline, recorded on `rec`.
+    fn chunked_traced(
+        matrix: &ExpressionMatrix,
+        chunk_tiles: usize,
+        rec: &Recorder,
+    ) -> InferenceResult {
+        let chunking = Chunking {
+            resume_from: None,
+            chunk_tiles,
+            on_checkpoint: &mut |_| true,
+        };
+        run_pipeline(matrix, &cfg(), rec, Some(chunking)).expect("finishes")
+    }
+
     #[test]
     fn traced_resumable_run_emits_chunk_events() {
         let (matrix, _) = coupled_pairs(5, 120, Coupling::Linear(0.85), 17);
         let rec = Recorder::enabled();
-        let r = infer_network_resumable_traced(&matrix, &cfg(), None, 1, |_| true, &rec)
-            .expect("finishes");
+        let r = chunked_traced(&matrix, 1, &rec);
         let tiles = r.stats.execution.total_tiles();
         assert_eq!(rec.event_count("checkpoint.chunk"), tiles); // chunk_tiles=1
         assert_eq!(
@@ -402,6 +339,29 @@ mod tests {
             tiles as u64
         );
         assert!(rec.span_count() >= 3);
+    }
+
+    #[test]
+    fn checkpointed_and_plain_runs_record_the_same_run_shape_and_counters() {
+        let (matrix, _) = coupled_pairs(5, 120, Coupling::Linear(0.85), 17);
+        let plain = Recorder::enabled();
+        crate::infer_network_traced(&matrix, &cfg(), &plain);
+        let chunked = Recorder::enabled();
+        chunked_traced(&matrix, 2, &chunked);
+        for rec in [&plain, &chunked] {
+            assert_eq!(rec.event_count("run.config"), 1);
+            assert_eq!(rec.event_count("pipeline.done"), 1);
+        }
+        for counter in ["mi.pairs", "mi.joints_evaluated", "mi.candidates"] {
+            assert!(plain.counter(counter).is_some(), "{counter} recorded");
+            assert_eq!(
+                chunked.counter(counter),
+                plain.counter(counter),
+                "{counter}"
+            );
+        }
+        assert_eq!(plain.event_count("checkpoint.chunk"), 0);
+        assert!(chunked.event_count("checkpoint.chunk") >= 2);
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! routed through a [`FaultInjector`], so the chaos suite can exercise
 //! torn writes and silent corruption deterministically.
 
-use crate::checkpoint::{infer_network_resumable_traced, run_digest_for, Checkpoint};
+use crate::checkpoint::{run_digest_for, Checkpoint};
 use crate::config::InferenceConfig;
+use crate::pipeline::{run_pipeline, Chunking};
 use crate::result::InferenceResult;
 use crate::scan::NullScan;
 use gnet_expr::ExpressionMatrix;
@@ -543,7 +544,9 @@ pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Run inference with durable checkpointing every `checkpoint_every`
-/// tiles, optionally resuming from the store's checkpoint.
+/// tiles, optionally resuming from the store's checkpoint. `rec`
+/// receives what [`crate::infer_network_traced`] records, plus one
+/// `checkpoint.chunk` event per chunk and the store's events.
 ///
 /// On a clean finish the checkpoint file is left in place: re-running
 /// with `resume` is idempotent (the completed prefix covers every tile,
@@ -560,7 +563,7 @@ pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
 ///
 /// # Panics
 /// Panics on config/matrix violations or `checkpoint_every == 0`, like
-/// [`infer_network_resumable_traced`].
+/// [`crate::infer_network_resumable`].
 pub fn infer_network_durable(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
@@ -590,24 +593,23 @@ pub fn infer_network_durable(
     let injector = store.injector.clone();
     let mut boundary = 0usize;
     let mut save_err: Option<CheckpointError> = None;
-    let outcome = infer_network_resumable_traced(
-        matrix,
-        config,
+    let mut on_checkpoint = |cp: &Checkpoint| {
+        if let Err(e) = store.save(cp) {
+            save_err = Some(e);
+            return false;
+        }
+        let b = boundary;
+        boundary += 1;
+        // Crash *after* the durable write: the checkpoint for this
+        // boundary survives the kill, which is what resume tests.
+        !injector.should_crash_at_chunk(b)
+    };
+    let chunking = Chunking {
         resume_from,
-        checkpoint_every,
-        |cp| {
-            if let Err(e) = store.save(cp) {
-                save_err = Some(e);
-                return false;
-            }
-            let b = boundary;
-            boundary += 1;
-            // Crash *after* the durable write: the checkpoint for this
-            // boundary survives the kill, which is what resume tests.
-            !injector.should_crash_at_chunk(b)
-        },
-        rec,
-    );
+        chunk_tiles: checkpoint_every,
+        on_checkpoint: &mut on_checkpoint,
+    };
+    let outcome = run_pipeline(matrix, config, rec, Some(chunking));
     if let Some(e) = save_err {
         return Err(e);
     }

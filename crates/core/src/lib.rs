@@ -41,9 +41,7 @@ pub mod result;
 pub mod scan;
 pub mod state;
 
-pub use checkpoint::{
-    infer_network_resumable, infer_network_resumable_traced, run_digest_for, Checkpoint,
-};
+pub use checkpoint::{infer_network_resumable, run_digest_for, Checkpoint};
 pub use config::{ConfigError, InferenceConfig, NullStrategy};
 pub use durable::{infer_network_durable, CheckpointError, CheckpointStore};
 pub use gnet_trace::Recorder;

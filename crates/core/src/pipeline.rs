@@ -1,8 +1,9 @@
 //! The tiled, multithreaded inference pipeline.
 
+use crate::checkpoint::{run_digest, ResumableOutcome};
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use crate::scan::{for_each_planned_block, tile_genes, NullScan, TileScan};
+use crate::scan::{for_each_planned_block, tile_genes, Checkpoint, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
@@ -221,10 +222,61 @@ pub fn infer_network_traced(
     config: &InferenceConfig,
     rec: &Recorder,
 ) -> InferenceResult {
+    run_pipeline(matrix, config, rec, None)
+        .unwrap_or_else(|_| unreachable!("a run without chunking has no checkpoint to stop at"))
+}
+
+/// How a checkpointed run scans its tiles: the progress to resume from,
+/// the tiles per chunk, and the callback that receives each chunk's
+/// cumulative progress and returns `false` to interrupt the run.
+pub(crate) struct Chunking<'c> {
+    pub(crate) resume_from: Option<Checkpoint>,
+    pub(crate) chunk_tiles: usize,
+    pub(crate) on_checkpoint: &'c mut dyn FnMut(&Checkpoint) -> bool,
+}
+
+/// The pipeline every shared-memory run goes through: prepare, scan,
+/// finalize, and record the same stages, run shape and counters. With
+/// `chunking` the scan runs in chunks of tiles, records one
+/// `checkpoint.chunk` event per chunk, and stops with the progress when
+/// the callback says so.
+///
+/// # Panics
+/// Panics on config/matrix violations; with `chunking`, also on a
+/// non-exact null strategy, a checkpoint of another run, or a zero
+/// chunk size.
+pub(crate) fn run_pipeline(
+    matrix: &ExpressionMatrix,
+    config: &InferenceConfig,
+    rec: &Recorder,
+    chunking: Option<Chunking<'_>>,
+) -> ResumableOutcome {
+    assert!(
+        chunking.is_none() || config.null_strategy == NullStrategy::ExactFull,
+        "checkpointing supports the exact null strategy only"
+    );
+
     // ---- Stage 1+2: preprocess and prepare every gene -------------------
     let t0 = Instant::now();
     let span_prep = rec.span("stage.prep");
     let run = PreparedRun::new(matrix, config);
+    let total_tiles = run.space.tiles().len();
+    let chunked = chunking.map(|c| {
+        let digest = run_digest(config, matrix, total_tiles);
+        let progress = match c.resume_from {
+            Some(cp) => {
+                assert_eq!(cp.digest, digest, "checkpoint does not match this run");
+                assert!(cp.tiles_done <= total_tiles, "corrupt checkpoint prefix");
+                cp
+            }
+            None => Checkpoint {
+                digest,
+                tiles_done: 0,
+                scan: NullScan::default(),
+            },
+        };
+        (progress, c.chunk_tiles, c.on_checkpoint)
+    });
     drop(span_prep);
     let prep_time = t0.elapsed();
 
@@ -252,14 +304,35 @@ pub fn infer_network_traced(
             ("scheduler", config.scheduler.name().into()),
         ],
     );
-    let (scan, early_threshold, execution) = match config.null_strategy {
-        NullStrategy::ExactFull => {
+    let (scan, early_threshold, execution) = match (config.null_strategy, chunked) {
+        (NullStrategy::EarlyExit, _) => {
+            let (scan, threshold, execution) = early_exit_scan(config, &run, rec);
+            (scan, Some(threshold), execution)
+        }
+        (NullStrategy::ExactFull, None) => {
             let (scan, execution) = run.scan(config).run_all(rec);
             (scan, None, execution)
         }
-        NullStrategy::EarlyExit => {
-            let (scan, threshold, execution) = early_exit_scan(config, &run, rec);
-            (scan, Some(threshold), execution)
+        (NullStrategy::ExactFull, Some((mut progress, chunk_tiles, on_checkpoint))) => {
+            let scanned = run.scan(config).run(&mut progress, chunk_tiles, rec, |cp| {
+                if rec.is_enabled() {
+                    rec.event(
+                        "checkpoint.chunk",
+                        &[
+                            ("tiles_done", (cp.tiles_done as u64).into()),
+                            ("total_tiles", (total_tiles as u64).into()),
+                            ("joints", cp.scan.joints.into()),
+                            ("candidates", (cp.scan.candidates.len() as u64).into()),
+                        ],
+                    );
+                    rec.progress(cp.tiles_done, total_tiles);
+                }
+                on_checkpoint(cp).then_some(()).ok_or(())
+            });
+            match scanned {
+                Ok(execution) => (progress.scan, None, execution),
+                Err(()) => return Err(progress),
+            }
         }
     };
     drop(span_mi);
@@ -295,7 +368,7 @@ pub fn infer_network_traced(
         );
     }
     drop(span_finalize);
-    result
+    Ok(result)
 }
 
 /// The early-exit strategy's MI stage: resolve the threshold first —

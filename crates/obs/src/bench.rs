@@ -33,9 +33,7 @@
 
 use crate::ingest::{self, IngestError, LineResult, Raw};
 use gnet_bspline::BsplineBasis;
-use gnet_cluster::{
-    infer_network_distributed, infer_network_distributed_live, TelemetryPlane, TelemetrySpec,
-};
+use gnet_cluster::{infer_network_distributed, RankRun, TelemetryPlane, TelemetrySpec};
 use gnet_core::{apply_update, build_state, infer_network, UpdateMode};
 use gnet_mi::mutation::{KernelMutation, MutatedVectorKernel};
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch};
@@ -352,12 +350,22 @@ fn update_bench(opts: &BenchOptions) -> BenchEntry {
     summarize("update.gene_append.pairs", "pairs", values)
 }
 
+/// A fault-free in-process ring run.
+fn ring(
+    matrix: &gnet_expr::ExpressionMatrix,
+    cfg: &gnet_core::InferenceConfig,
+    run: &RankRun<'_>,
+) -> gnet_cluster::DistributedResult {
+    infer_network_distributed(matrix, cfg, run)
+        .unwrap_or_else(|e| unreachable!("a fault-free in-process ring completes: {e}"))
+}
+
 fn ring_bench(ranks: usize, opts: &BenchOptions) -> BenchEntry {
     let (genes, samples, q) = if opts.quick { (32, 48, 2) } else { (64, 64, 4) };
     let matrix = gnet_bench::measured::perf_matrix(genes, samples);
     let cfg = gnet_bench::measured::perf_config(q, 1, 8, MiKernel::VectorDense);
     time_reps(&format!("ring.{ranks}"), opts.effective_reps(), || {
-        let r = infer_network_distributed(&matrix, &cfg, ranks);
+        let r = ring(&matrix, &cfg, &RankRun::new(ranks));
         assert!(r.rank_stats.iter().map(|s| s.pairs).sum::<u64>() > 0);
     })
 }
@@ -371,22 +379,17 @@ fn telemetry_bench(opts: &BenchOptions) -> BenchEntry {
     let (genes, samples, q) = if opts.quick { (32, 48, 2) } else { (64, 64, 4) };
     let matrix = gnet_bench::measured::perf_matrix(genes, samples);
     let cfg = gnet_bench::measured::perf_config(q, 1, 8, MiKernel::VectorDense);
-    let baseline = infer_network_distributed(&matrix, &cfg, 2);
+    let baseline = ring(&matrix, &cfg, &RankRun::new(2));
     let spec = TelemetrySpec::with_interval(std::time::Duration::from_millis(5));
     let pairs = (genes as u64) * (genes as u64 - 1) / 2;
     time_reps("telemetry.overhead", opts.effective_reps(), || {
         let mut plane = TelemetryPlane::start(&spec, 2, pairs)
             .unwrap_or_else(|e| unreachable!("fileless, addressless plane starts: {e}"));
-        let r = infer_network_distributed_live(
-            &matrix,
-            &cfg,
-            2,
-            &gnet_fault::FaultInjector::none(),
-            &gnet_trace::Recorder::disabled(),
-            gnet_cluster::DEFAULT_PEER_TIMEOUT,
-            &plane,
-        )
-        .unwrap_or_else(|e| unreachable!("fault-free live ring completes: {e}"));
+        let run = RankRun {
+            plane: Some(&plane),
+            ..RankRun::new(2)
+        };
+        let r = ring(&matrix, &cfg, &run);
         plane
             .finish()
             .unwrap_or_else(|e| unreachable!("fileless plane finish cannot fail: {e}"));

@@ -10,18 +10,15 @@
 //! * a ranks × threads run stamps its per-rank threads and sub-tile size,
 //!   and each rank's workers claim exactly that rank's sub-tiles.
 
-use gnet_cluster::{block_pair_owner, block_range, infer_network_distributed_traced};
+use gnet_cluster::{block_pair_owner, block_range, infer_network_distributed, RankRun};
 use gnet_core::InferenceConfig;
 use gnet_expr::synth::{coupled_pairs, Coupling};
-use gnet_fault::FaultInjector;
 use gnet_obs::ingest::parse_ndjson;
 use gnet_obs::model::{span_key, RunModel};
 use gnet_obs::report::{analyze, KernelModel, RunConfig};
 use gnet_parallel::TileSpace;
-use gnet_trace::Recorder;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn traced_run(tag: u32) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gnet-obs-report-{}-{tag}", std::process::id()));
@@ -32,16 +29,11 @@ fn traced_run(tag: u32) -> PathBuf {
         mi_threshold: Some(0.1),
         ..InferenceConfig::default()
     };
-    infer_network_distributed_traced(
-        &matrix,
-        &config,
-        4,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        Duration::from_secs(5),
-        &dir,
-    )
-    .expect("fault-free traced run succeeds");
+    let run = RankRun {
+        trace_dir: Some(&dir),
+        ..RankRun::new(4)
+    };
+    infer_network_distributed(&matrix, &config, &run).expect("fault-free traced run succeeds");
     dir
 }
 
@@ -208,16 +200,11 @@ fn ranks_times_threads_stamp_the_run_shape_and_claim_every_sub_tile() {
         mi_threshold: Some(0.1),
         ..InferenceConfig::default()
     };
-    infer_network_distributed_traced(
-        &matrix,
-        &config,
-        ranks,
-        &FaultInjector::none(),
-        &Recorder::disabled(),
-        Duration::from_secs(5),
-        &dir,
-    )
-    .expect("fault-free traced run succeeds");
+    let run = RankRun {
+        trace_dir: Some(&dir),
+        ..RankRun::new(ranks)
+    };
+    infer_network_distributed(&matrix, &config, &run).expect("fault-free traced run succeeds");
     let model = RunModel::from_dir(&dir).expect("trace dir loads");
     let shape = RunConfig::from_model(&model).expect("run.config stamped");
     assert_eq!(shape.threads, 2, "workers per rank");

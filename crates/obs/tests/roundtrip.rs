@@ -11,7 +11,7 @@
 //! * a fault-injected distributed run (driver-side `fault.*` /
 //!   `recovery.*` events plus the per-rank streams on disk).
 
-use gnet_cluster::infer_network_distributed_traced;
+use gnet_cluster::{infer_network_distributed, RankRun};
 use gnet_core::{infer_network_traced, InferenceConfig};
 use gnet_expr::synth::coupled_pairs;
 use gnet_expr::synth::Coupling;
@@ -180,16 +180,15 @@ fn fault_injected_distributed_run_round_trips_every_stream() {
         std::process::id(),
         line!()
     ));
-    let result = infer_network_distributed_traced(
-        &matrix,
-        &config,
-        4,
-        &injector,
-        &driver_rec,
-        Duration::from_millis(500),
-        &dir,
-    )
-    .expect("crash of a non-coordinator rank is recoverable");
+    let run = RankRun {
+        faults: injector,
+        recorder: driver_rec.clone(),
+        peer_timeout: Duration::from_millis(500),
+        trace_dir: Some(&dir),
+        ..RankRun::new(4)
+    };
+    let result = infer_network_distributed(&matrix, &config, &run)
+        .expect("crash of a non-coordinator rank is recoverable");
     assert_eq!(result.crashed_ranks, vec![2]);
 
     // Driver-side stream: fault.* / recovery.* events must round-trip.

@@ -10,7 +10,7 @@
 //! verifies the networks are identical while reporting the cluster's
 //! communication profile.
 
-use genome_net::cluster::infer_network_distributed;
+use genome_net::cluster::{infer_network_distributed, RankRun};
 use genome_net::core::{infer_network, InferenceConfig};
 use genome_net::grnsim::{GrnConfig, SyntheticDataset};
 
@@ -41,7 +41,8 @@ fn main() {
     );
 
     println!("distributed over {ranks} simulated ranks …");
-    let dist = infer_network_distributed(&dataset.matrix, &config, ranks);
+    let dist = infer_network_distributed(&dataset.matrix, &config, &RankRun::new(ranks))
+        .expect("a fault-free in-process ring completes");
     println!(
         "  {} edges, I* = {:.4}\n",
         dist.network.edge_count(),

@@ -3,7 +3,7 @@
 //! mechanistic data.
 
 use genome_net::cluster::comm::run_ranks;
-use genome_net::cluster::infer_network_distributed;
+use genome_net::cluster::{infer_network_distributed, RankRun};
 use genome_net::core::{infer_network, InferenceConfig};
 use genome_net::grnsim::{GrnConfig, SyntheticDataset};
 
@@ -28,7 +28,8 @@ fn distributed_grn_inference_matches_shared_memory() {
     );
     let shared = infer_network(&ds.matrix, &cfg());
     for ranks in [3usize, 6] {
-        let dist = infer_network_distributed(&ds.matrix, &cfg(), ranks);
+        let dist = infer_network_distributed(&ds.matrix, &cfg(), &RankRun::new(ranks))
+            .expect("fault-free ring completes");
         assert_eq!(
             dist.network
                 .edges()
@@ -85,7 +86,8 @@ fn rank_statistics_account_for_all_work() {
         },
         2,
     );
-    let dist = infer_network_distributed(&ds.matrix, &cfg(), 4);
+    let dist = infer_network_distributed(&ds.matrix, &cfg(), &RankRun::new(4))
+        .expect("fault-free ring completes");
     let total_pairs: u64 = dist.rank_stats.iter().map(|s| s.pairs).sum();
     assert_eq!(total_pairs, 24 * 23 / 2);
     // Ring rounds: every rank owns its diagonal plus ⌈(P−1)/2⌉-ish cross
