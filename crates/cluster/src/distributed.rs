@@ -74,12 +74,11 @@ use gnet_graph::GeneNetwork;
 use gnet_mi::{prepare_gene, MiKernel, PreparedGene};
 use gnet_parallel::TileSpace;
 use gnet_permute::PermutationSet;
-use gnet_trace::{MetricsSink, Recorder, Span, Value};
+use gnet_trace::{Recorder, Span, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a rank waits on a peer before presuming it dead. Generous
@@ -242,10 +241,10 @@ pub struct RankRun<'a> {
     /// NDJSON meta line); a lost stamp degrades that rank's offset to
     /// zero (`clock.sync` with `ok:false`), never the run.
     pub trace_dir: Option<&'a Path>,
-    /// The live telemetry plane: every rank carries a metrics registry
-    /// (installed as its recorder's [`MetricsSink`]) and beats rank 0 on
-    /// the plane's cadence; rank 0 folds the beats, its own included,
-    /// into the plane's view.
+    /// The live telemetry plane: on the plane's cadence every rank beats
+    /// rank 0 a snapshot of its own recorder's counters and histograms
+    /// (a counting recorder when the rank is not traced); rank 0 folds
+    /// the beats, its own included, into the plane's view.
     pub plane: Option<&'a TelemetryPlane>,
 }
 
@@ -291,63 +290,61 @@ pub fn infer_network_distributed(
 ) -> Result<DistributedResult, ClusterError> {
     let ranks = run.ranks;
     validate_run(matrix, config, ranks, &run.faults)?;
-    let rank_recs = run
-        .trace_dir
-        .map(|_| (0..ranks).map(|_| Recorder::enabled()).collect::<Vec<_>>());
-    let duties = run.plane.map(|p| LiveDuty::for_ranks(p, ranks));
-    // Rank `r`'s recorder: its own trace stream when traced, feeding its
-    // metrics registry when a plane is attached.
-    let rank_rec = |r: usize| {
-        let rec = rank_recs
-            .as_ref()
-            .map_or_else(Recorder::disabled, |recs| recs[r].clone());
-        match &duties {
-            Some(d) => rec.with_metrics(Arc::clone(&d[r].registry) as Arc<dyn MetricsSink>),
-            None => rec,
-        }
-    };
+    let rank_recs: Vec<Recorder> = (0..ranks)
+        .map(|_| rank_recorder(run.trace_dir.is_some(), run.plane.is_some()))
+        .collect();
+    let duty = |r: usize| run.plane.map(|p| LiveDuty::for_rank(p, r));
     let run_rank = |tp: &dyn Transport| {
-        let rec = rank_rec(tp.rank());
-        let duty = duties.as_ref().map(|d| &d[tp.rank()]);
+        let duty = duty(tp.rank());
         let out = rank_main(
             tp,
             matrix,
             config,
             &run.recorder,
-            &rec,
+            &rank_recs[tp.rank()],
             run.peer_timeout,
-            duty,
+            duty.as_ref(),
         );
-        if let Some(d) = duty {
+        if let Some(d) = &duty {
             live_final_fold(d, tp, Some(run.peer_timeout));
         }
-        (out, rec)
+        out
     };
     let outputs = match run.wire {
         // `ep` stays owned by this closure frame: returning drops it,
         // which closes this rank's channels — the death signal the
         // survivors' bounded receives detect.
         Wire::Channels => run_ranks_on(Fabric::with_faults(ranks, run.faults.clone()), |ep| {
-            run_rank(&ep).0
+            run_rank(&ep)
         }),
         Wire::Loopback => crate::tcp::run_ranks_tcp(ranks, &run.faults, |tp| {
-            let (out, rec) = run_rank(&tp);
+            let out = run_rank(&tp);
             // Drain-then-FIN before the counters are read: survivors see
             // this rank's death (crash or completion) exactly when a
             // channel-fabric rank would have dropped its endpoint.
             tp.shutdown();
-            tp.counters().publish(&rec);
+            tp.counters().publish(&rank_recs[tp.rank()]);
             out
         })
         .map_err(|e| ClusterError::Transport {
             message: e.to_string(),
         })?,
         Wire::Processes(listener) => {
-            let duty = duties.as_ref().map(|d| &d[0]);
-            return serve_coordinator(listener, matrix, config, run, rank_rec(0), duty);
+            let rec = rank_recs[0].clone();
+            return serve_coordinator(listener, matrix, config, run, rec, duty(0).as_ref());
         }
     };
-    assemble_result(outputs, run.trace_dir, rank_recs)
+    assemble_result(outputs, run.trace_dir, &rank_recs)
+}
+
+/// A rank's own recorder: enabled when the rank is traced, counting when
+/// only its live heartbeats read it, disabled otherwise.
+pub(crate) fn rank_recorder(traced: bool, live: bool) -> Recorder {
+    match (traced, live) {
+        (true, _) => Recorder::enabled(),
+        (false, true) => Recorder::counting(),
+        (false, false) => Recorder::disabled(),
+    }
 }
 
 /// [`infer_network_distributed`] over channels with `faults` armed,
@@ -406,7 +403,7 @@ fn validate_run(
 fn assemble_result(
     outputs: Vec<RankOutput>,
     trace_dir: Option<&Path>,
-    rank_recs: Option<Vec<Recorder>>,
+    recs: &[Recorder],
 ) -> Result<DistributedResult, ClusterError> {
     let mut network = None;
     let mut threshold = 0.0;
@@ -426,7 +423,7 @@ fn assemble_result(
         rank_stats,
         crashed_ranks,
     };
-    if let (Some(dir), Some(recs)) = (trace_dir, rank_recs) {
+    if let Some(dir) = trace_dir {
         let mut files = Vec::with_capacity(recs.len());
         for (r, rank_rec) in recs.iter().enumerate() {
             let offset = result.rank_stats[r].clock_offset_us;
@@ -832,7 +829,7 @@ pub(crate) fn rank_main(
     macro_rules! tick {
         ($done:expr) => {
             if let (Some(duty), Some(b)) = (live, beat.as_mut()) {
-                live_tick(duty, b, tp, cur_round as u32, $done, stats.pairs);
+                live_tick(duty, b, tp, rank_rec, cur_round as u32, $done, stats.pairs);
             }
         };
     }
@@ -1126,9 +1123,9 @@ pub(crate) fn rank_main(
         ],
     );
     // Final beat, forced: carries `done` and the rank's closing
-    // counters (the `rank.pairs` counter_add above reached the registry
-    // through the recorder's metrics sink). On rank 0 this also drains
-    // any last remote beats into the view.
+    // counters (it snapshots `rank_rec`, so `rank.pairs` above is in
+    // it). On rank 0 this also drains any last remote beats into the
+    // view.
     tick!(true);
 
     match output {
@@ -1273,6 +1270,8 @@ mod tests {
     use gnet_fault::FaultPlan;
     use gnet_grnsim::{GrnConfig, SyntheticDataset};
     use gnet_parallel::SchedulerPolicy;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn cfg() -> InferenceConfig {
         InferenceConfig {
@@ -1900,6 +1899,55 @@ mod tests {
         (result.expect("fault-free run completes"), view)
     }
 
+    /// The counters of one NDJSON rank stream, and each histogram's
+    /// `(count, sum_us)`, by name.
+    fn stream_metrics(stream: &str) -> (BTreeMap<String, u64>, BTreeMap<String, (u64, u64)>) {
+        let field = |line: &str, key: &str| -> u64 {
+            let at = line.find(key).expect("field present") + key.len();
+            let digits: String = line[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("field is a u64")
+        };
+        let name = |line: &str| -> String {
+            let at = line.find("\"name\":\"").expect("named record") + 8;
+            line[at..]
+                .split('"')
+                .next()
+                .expect("closed name")
+                .to_string()
+        };
+        let (mut counters, mut histograms) = (BTreeMap::new(), BTreeMap::new());
+        for line in stream.lines() {
+            if line.starts_with("{\"type\":\"counter\"") {
+                counters.insert(name(line), field(line, "\"value\":"));
+            } else if line.starts_with("{\"type\":\"histogram\"") {
+                let counts = (field(line, "\"count\":"), field(line, "\"sum_us\":"));
+                histograms.insert(name(line), counts);
+            }
+        }
+        (counters, histograms)
+    }
+
+    /// A rank's finished live view reports what its trace stream holds:
+    /// every counter equal, each histogram as `<h>.count` and
+    /// `<h>.sum_us`. Only the `tcp.*` counters, published after the
+    /// closing beat, may be missing from the view.
+    fn assert_view_matches_stream(view: &BTreeMap<String, u64>, stream: &str, at: &str) {
+        let (counters, histograms) = stream_metrics(stream);
+        let mut expected: BTreeMap<String, u64> = counters
+            .into_iter()
+            .filter(|(name, _)| !name.starts_with("tcp."))
+            .collect();
+        for (name, (count, sum_us)) in histograms {
+            expected.insert(format!("{name}.count"), count);
+            expected.insert(format!("{name}.sum_us"), sum_us);
+        }
+        assert!(!expected.is_empty(), "{at}: the stream records metrics");
+        assert_eq!(view, &expected, "{at}: view vs stream");
+    }
+
     #[test]
     fn every_wire_and_instrument_writes_the_shared_memory_bytes() {
         let (matrix, _) = coupled_pairs(6, 220, Coupling::Linear(0.8), 42);
@@ -1922,6 +1970,21 @@ mod tests {
                         "{at}: I* bits"
                     );
                     assert!(dist.crashed_ranks.is_empty(), "{at}");
+                    if let Some(view) = view {
+                        let v = view.lock().expect("view lock is not poisoned");
+                        assert!(v.is_done(), "{at}: finish freezes the view");
+                        assert_eq!(v.pairs_done(), shared.stats.pairs, "{at}: pairs done");
+                        for r in v.ranks() {
+                            assert!(r.beats >= 1, "{at}: rank {} never beat", r.rank);
+                            if traced && wire != "processes" {
+                                let stream = std::fs::read_to_string(
+                                    dir.join(format!("rank-{}.ndjson", r.rank)),
+                                )
+                                .expect("rank stream written");
+                                assert_view_matches_stream(&r.counters, &stream, &at);
+                            }
+                        }
+                    }
                     if traced {
                         let manifest = std::fs::read_to_string(dir.join("manifest.json"))
                             .expect("manifest written");
@@ -1934,14 +1997,6 @@ mod tests {
                             assert!(dir.join(&name).exists(), "{at}: {name} missing");
                         }
                         std::fs::remove_dir_all(&dir).ok();
-                    }
-                    if let Some(view) = view {
-                        let v = view.lock().expect("view lock is not poisoned");
-                        assert!(v.is_done(), "{at}: finish freezes the view");
-                        assert_eq!(v.pairs_done(), shared.stats.pairs, "{at}: pairs done");
-                        for r in v.ranks() {
-                            assert!(r.beats >= 1, "{at}: rank {} never beat", r.rank);
-                        }
                     }
                 }
             }

@@ -1,14 +1,16 @@
 //! Live telemetry plane: in-band heartbeats and the rank-0 cluster view.
 //!
 //! The trace stack (`gnet-trace` → `gnet-obs`) answers questions *after*
-//! a run; this module answers them *during* one. Each rank carries a
-//! [`gnet_telemetry::MetricsRegistry`] fed by its recorder and, on a
-//! cadence, encodes a [`gnet_telemetry::Heartbeat`] — round watermark,
-//! pair count, send-queue depth, registry snapshot — into a `TELEM`
-//! frame sent to rank 0 over the **existing** transport. Rank 0 folds
-//! the beats into a [`gnet_telemetry::ClusterView`] owned by a
-//! [`TelemetryPlane`], which exposes it through an atomically-rewritten
+//! a run; this module answers them *during* one. Each rank records into
+//! its own [`gnet_trace::Recorder`] — enabled when the rank is traced,
+//! counting otherwise — and, on a cadence, snapshots that recorder's
+//! counters and histograms into a [`gnet_telemetry::Heartbeat`] along
+//! with its round watermark, pair count and send-queue depth, encoded
+//! into a `TELEM` frame sent to rank 0 over the **existing** transport.
+//! Rank 0 folds the beats into a [`gnet_telemetry::ClusterView`] owned by
+//! a [`TelemetryPlane`], which exposes it through an atomically-rewritten
 //! status file and/or a std-only HTTP listener (`/status`, `/metrics`).
+//! So `--trace`, heartbeats, `/status` and `/metrics` all read one store.
 //!
 //! ## Telemetry never perturbs results
 //!
@@ -36,8 +38,9 @@ use crate::distributed::{frame, parse_frame, FRAME_HEADER};
 use crate::transport::Transport;
 use gnet_telemetry::{
     render_prometheus, render_status_json, write_status_file_atomic, ClusterView, Heartbeat,
-    MetricsRegistry, StatusDocs, StatusServer,
+    StatusDocs, StatusServer,
 };
+use gnet_trace::Recorder;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -226,11 +229,9 @@ impl Drop for TelemetryPlane {
 }
 
 /// One rank's live-telemetry assignment, handed into the protocol loop
-/// by the ring driver.
+/// by the ring driver. The beats themselves snapshot the rank's own
+/// recorder.
 pub(crate) struct LiveDuty {
-    /// This rank's metrics registry (also installed as the rank
-    /// recorder's [`gnet_trace::MetricsSink`]).
-    pub(crate) registry: Arc<MetricsRegistry>,
     /// Heartbeat cadence.
     pub(crate) interval: Duration,
     /// Rank 0 only: the plane's view, folded locally instead of sending
@@ -239,16 +240,13 @@ pub(crate) struct LiveDuty {
 }
 
 impl LiveDuty {
-    /// Duties for an in-process run: one registry per rank, the plane's
-    /// view attached to rank 0.
-    pub(crate) fn for_ranks(plane: &TelemetryPlane, ranks: usize) -> Vec<Self> {
-        (0..ranks)
-            .map(|r| Self {
-                registry: Arc::new(MetricsRegistry::new()),
-                interval: plane.interval(),
-                view: (r == 0).then(|| plane.view()),
-            })
-            .collect()
+    /// Rank `rank`'s duty in an in-process run: the plane's view goes to
+    /// rank 0.
+    pub(crate) fn for_rank(plane: &TelemetryPlane, rank: usize) -> Self {
+        Self {
+            interval: plane.interval(),
+            view: (rank == 0).then(|| plane.view()),
+        }
     }
 }
 
@@ -289,14 +287,15 @@ impl BeatState {
 }
 
 /// One telemetry tick from inside a rank's protocol loop: when a beat
-/// is due (or `done` forces a final one), snapshot the registry into a
-/// heartbeat and either send it to rank 0 as a `TELEM` frame or — on
-/// rank 0 itself — fold it, plus every remote beat the transport has
-/// diverted, straight into the plane's view.
+/// is due (or `done` forces a final one), snapshot the rank's recorder
+/// `rec` into a heartbeat and either send it to rank 0 as a `TELEM`
+/// frame or — on rank 0 itself — fold it, plus every remote beat the
+/// transport has diverted, straight into the plane's view.
 pub(crate) fn live_tick(
     duty: &LiveDuty,
     beat: &mut BeatState,
     tp: &dyn Transport,
+    rec: &Recorder,
     round: u32,
     done: bool,
     pairs: u64,
@@ -304,14 +303,14 @@ pub(crate) fn live_tick(
     if !beat.due() && !done {
         return;
     }
-    let hb = Heartbeat::from_snapshot(
+    let hb = Heartbeat::from_recorder(
         tp.rank() as u32,
         round,
         done,
         pairs,
         beat.elapsed_us(),
         tp.send_queue_depth(),
-        &duty.registry.snapshot(),
+        rec,
     );
     match &duty.view {
         Some(view) => {

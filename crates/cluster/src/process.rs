@@ -61,8 +61,8 @@
 //! the bootstrap format.
 
 use crate::distributed::{
-    frame, parse_frame, rank_main, write_manifest, write_one_rank_trace, ClusterError,
-    DistributedResult, RankRun, RankStats, TAG_STATS,
+    frame, parse_frame, rank_main, rank_recorder, write_manifest, write_one_rank_trace,
+    ClusterError, DistributedResult, RankRun, RankStats, TAG_STATS,
 };
 use crate::live::{live_final_fold, LiveDuty};
 use crate::tcp::{accept_peer, dial, RetryPolicy, TcpCounters, TcpTransport};
@@ -73,8 +73,6 @@ use gnet_core::InferenceConfig;
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, FaultPlan, SplitMix64};
 use gnet_mi::MiKernel;
-use gnet_telemetry::MetricsRegistry;
-use gnet_trace::MetricsSink;
 use gnet_trace::Recorder;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -660,20 +658,12 @@ pub fn run_worker(
         matrix,
     } = decode_welcome(welcome_blob)?;
 
-    let mut rank_rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
+    let rank_rec = rank_recorder(traced, telem_interval_us > 0);
     // Workers never hold the cluster view: beats go to rank 0 in-band.
     let duty = (telem_interval_us > 0).then(|| LiveDuty {
-        registry: Arc::new(MetricsRegistry::new()),
         interval: Duration::from_micros(telem_interval_us),
         view: None,
     });
-    if let Some(d) = &duty {
-        rank_rec = rank_rec.with_metrics(Arc::clone(&d.registry) as Arc<dyn MetricsSink>);
-    }
     // Each process rebuilds the injector from the shared plan string;
     // all consultations are local to the faulting side, so the plans
     // compose across processes exactly as they do in one process.

@@ -840,6 +840,105 @@ mod tests {
         );
     }
 
+    /// Small tiles, so a 12-gene run has 21 of them.
+    fn small_tiles() -> InferenceConfig {
+        InferenceConfig {
+            tile_size: Some(2),
+            ..cfg()
+        }
+    }
+
+    /// The `(done, total)` progress updates a durable run hands its sink,
+    /// in delivery order.
+    fn progress_of(store: &CheckpointStore, resume: bool) -> Vec<(usize, usize)> {
+        let (matrix, _) = coupled_pairs(6, 180, Coupling::Linear(0.85), 33);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&seen);
+        let rec = Recorder::enabled_with_progress(move |p| {
+            sink.lock().expect("sink lock").push((p.done, p.total));
+        });
+        infer_network_durable(&matrix, &small_tiles(), store, 3, resume, &rec)
+            .expect("the run finishes");
+        let updates = seen.lock().expect("sink lock").clone();
+        updates
+    }
+
+    /// Updates all report the run's tile count, `done` never goes back,
+    /// and exactly one update says the run is complete.
+    fn assert_run_wide(updates: &[(usize, usize)], tiles: usize) {
+        assert!(
+            updates.iter().all(|&(_, total)| total == tiles),
+            "{updates:?}"
+        );
+        assert!(updates.windows(2).all(|w| w[0].0 <= w[1].0), "{updates:?}");
+        let complete = updates.iter().filter(|&&(done, _)| done == tiles).count();
+        assert_eq!(complete, 1, "{updates:?}");
+    }
+
+    #[test]
+    fn checkpointed_progress_counts_the_whole_run_fresh_and_resumed() {
+        let tiles = gnet_parallel::TileSpace::new(12, 2).tiles().len();
+        assert_run_wide(
+            &progress_of(&CheckpointStore::new(tmpdir("progress")), false),
+            tiles,
+        );
+
+        // Crash after the second chunk (6 tiles), then resume.
+        let (matrix, _) = coupled_pairs(6, 180, Coupling::Linear(0.85), 33);
+        let dir = tmpdir("progress-resume");
+        let plan = FaultPlan::new(5).with(Fault::CrashAtChunk { boundary: 1 });
+        let rec = Recorder::disabled();
+        let crashing =
+            CheckpointStore::with_faults(&dir, FaultInjector::from_plan_traced(&plan, &rec), &rec);
+        infer_network_durable(&matrix, &small_tiles(), &crashing, 3, false, &rec)
+            .expect_err("injected crash interrupts");
+        let resumed = progress_of(&CheckpointStore::new(&dir), true);
+        assert_run_wide(&resumed, tiles);
+        assert!(resumed[0].0 > 6, "the resumed prefix counts: {resumed:?}");
+    }
+
+    #[test]
+    fn each_save_is_a_checkpoint_save_span_outside_stage_mi() {
+        let (matrix, _) = coupled_pairs(6, 180, Coupling::Linear(0.85), 33);
+        let rec = Recorder::enabled();
+        let store = CheckpointStore::new(tmpdir("save-spans"));
+        infer_network_durable(&matrix, &small_tiles(), &store, 3, false, &rec)
+            .expect("the run finishes");
+        let mut ndjson = Vec::new();
+        rec.write_ndjson(&mut ndjson).expect("vec sink cannot fail");
+        let spans = |name: &str| -> Vec<(u64, u64)> {
+            let prefix = format!("{{\"type\":\"span\",\"name\":\"{name}\",\"start_us\":");
+            String::from_utf8_lossy(&ndjson)
+                .lines()
+                .filter_map(|l| l.strip_prefix(&prefix))
+                .map(|rest| {
+                    let (start, dur) = rest
+                        .trim_end_matches('}')
+                        .split_once(",\"dur_us\":")
+                        .expect("span line has a duration");
+                    let start: u64 = start.parse().expect("start is a u64");
+                    (start, start + dur.parse::<u64>().expect("dur is a u64"))
+                })
+                .collect()
+        };
+        let (saves, mi) = (spans("checkpoint.save"), spans("stage.mi"));
+        assert_eq!(
+            saves.len(),
+            rec.event_count("checkpoint.chunk"),
+            "one span per save"
+        );
+        assert_eq!(saves.len(), 7, "21 tiles in chunks of 3");
+        assert_eq!(mi.len(), saves.len(), "one stage.mi span per chunk");
+        for &(s0, s1) in &saves {
+            for &(m0, m1) in &mi {
+                assert!(
+                    m1 <= s0 || s1 <= m0,
+                    "save [{s0}, {s1}) inside stage.mi [{m0}, {m1})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn resume_after_completion_is_idempotent() {
         let (matrix, _) = coupled_pairs(5, 150, Coupling::Linear(0.85), 9);

@@ -282,7 +282,7 @@ pub(crate) fn run_pipeline(
 
     // ---- Stage 3: tiled pairwise MI + permutation nulls ------------------
     let t1 = Instant::now();
-    let span_mi = rec.span("stage.mi");
+    let mut span_mi = Some(rec.span("stage.mi"));
     // Run-shape stamp: everything offline perf attribution needs to match
     // this run against a calibrated kernel model (see `gnet trace-report`).
     rec.event(
@@ -315,19 +315,27 @@ pub(crate) fn run_pipeline(
         }
         (NullStrategy::ExactFull, Some((mut progress, chunk_tiles, on_checkpoint))) => {
             let scanned = run.scan(config).run(&mut progress, chunk_tiles, rec, |cp| {
-                if rec.is_enabled() {
-                    rec.event(
-                        "checkpoint.chunk",
-                        &[
-                            ("tiles_done", (cp.tiles_done as u64).into()),
-                            ("total_tiles", (total_tiles as u64).into()),
-                            ("joints", cp.scan.joints.into()),
-                            ("candidates", (cp.scan.candidates.len() as u64).into()),
-                        ],
-                    );
-                    rec.progress(cp.tiles_done, total_tiles);
+                rec.event(
+                    "checkpoint.chunk",
+                    &[
+                        ("tiles_done", (cp.tiles_done as u64).into()),
+                        ("total_tiles", (total_tiles as u64).into()),
+                        ("joints", cp.scan.joints.into()),
+                        ("candidates", (cp.scan.candidates.len() as u64).into()),
+                    ],
+                );
+                // Saving is not MI work: `stage.mi` closes for the
+                // callback's `checkpoint.save` span and reopens for the
+                // next chunk, if any.
+                drop(span_mi.take());
+                let go_on = {
+                    let _save = rec.span("checkpoint.save");
+                    on_checkpoint(cp)
+                };
+                if go_on && cp.tiles_done < total_tiles {
+                    span_mi = Some(rec.span("stage.mi"));
                 }
-                on_checkpoint(cp).then_some(()).ok_or(())
+                go_on.then_some(()).ok_or(())
             });
             match scanned {
                 Ok(execution) => (progress.scan, None, execution),

@@ -328,8 +328,9 @@ impl TileScan<'_> {
     /// Scan the tiles after `progress.tiles_done` in chunks of
     /// `chunk_tiles` on the configured threads and scheduler, folding
     /// each chunk into `progress` and then calling `after_chunk`; an
-    /// `Err` from it stops the scan. Returns the execution report of
-    /// every chunk run.
+    /// `Err` from it stops the scan. Per-tile progress on `rec` counts
+    /// against the whole tile list, the resumed prefix included. Returns
+    /// the execution report of every chunk run.
     ///
     /// # Errors
     /// The first error `after_chunk` returns.
@@ -357,7 +358,7 @@ impl TileScan<'_> {
                 self.perms,
                 self.basis,
                 self.config,
-                rec,
+                &rec.for_chunk(progress.tiles_done, self.tiles.len()),
                 &mut progress.scan,
             );
             progress.tiles_done = end;

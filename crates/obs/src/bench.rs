@@ -371,7 +371,7 @@ fn ring_bench(ranks: usize, opts: &BenchOptions) -> BenchEntry {
 }
 
 /// The `ring.2` pass re-timed with the live telemetry plane attached
-/// (registry-fed recorder, heartbeats every 5 ms, status keeper
+/// (counting rank recorders, heartbeats every 5 ms, status keeper
 /// running). Gated against its own committed baseline, so the plane
 /// getting more expensive trips the same regression rule as a kernel
 /// slowdown; `ring.2` alongside it shows the absolute overhead.

@@ -207,10 +207,11 @@ fn interval_union_us(mut iv: Vec<(i64, i64)>) -> u64 {
 
 /// Greedy critical-path extraction over the aligned span set: start
 /// from the latest-ending span, repeatedly hop to the latest-ending
-/// span that ends at or before the current span's start, until no
-/// predecessor exists. Returned earliest-first. This is the classic
-/// last-finisher walk: on a barriered pipeline it recovers the chain of
-/// stages that bound the makespan.
+/// span that ends at or before the current span's start (and starts
+/// before it, so a zero-length span cannot be its own predecessor),
+/// until no predecessor exists. Returned earliest-first. This is the
+/// classic last-finisher walk: on a barriered pipeline it recovers the
+/// chain of stages that bound the makespan.
 #[must_use]
 pub fn critical_path(spans: &[AlignedSpan]) -> Vec<AlignedSpan> {
     let mut path: Vec<AlignedSpan> = Vec::new();
@@ -219,7 +220,7 @@ pub fn critical_path(spans: &[AlignedSpan]) -> Vec<AlignedSpan> {
         path.push(cur.clone());
         cursor = spans
             .iter()
-            .filter(|s| s.end_us() <= cur.start_us)
+            .filter(|s| s.end_us() <= cur.start_us && s.start_us < cur.start_us)
             .max_by_key(|s| (s.end_us(), s.dur_us));
     }
     path.reverse();
@@ -566,6 +567,19 @@ mod tests {
     }
 
     #[test]
+    fn critical_path_steps_over_zero_length_spans() {
+        // The last finisher is empty: it must not be its own predecessor.
+        let spans = vec![
+            span(0, "stage.prep", 0, 10),
+            span(0, "stage.mi", 10, 0),
+            span(0, "checkpoint.save", 10, 4),
+            span(0, "stage.mi", 15, 0),
+        ];
+        let names: Vec<_> = critical_path(&spans).into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["stage.prep", "checkpoint.save", "stage.mi"]);
+    }
+
+    #[test]
     fn critical_path_of_empty_span_set_is_empty() {
         assert!(critical_path(&[]).is_empty());
     }
@@ -656,6 +670,68 @@ mod tests {
         let text = analyze(&model, None).render_text();
         assert!(text.contains("-- transport"), "{text}");
         assert!(!text.contains("network stalls"), "{text}");
+    }
+
+    #[test]
+    fn checkpoint_saves_get_their_own_row_outside_stage_mi() {
+        use gnet_core::{infer_network_durable, CheckpointStore, InferenceConfig};
+        let (matrix, _) =
+            gnet_expr::synth::coupled_pairs(6, 120, gnet_expr::synth::Coupling::Linear(0.8), 4);
+        let cfg = InferenceConfig {
+            permutations: 8,
+            threads: Some(2),
+            tile_size: Some(2),
+            ..InferenceConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("gnet-obs-saves-{}", std::process::id()));
+        let rec = gnet_trace::Recorder::enabled();
+        let result =
+            infer_network_durable(&matrix, &cfg, &CheckpointStore::new(&dir), 3, false, &rec)
+                .expect("the run finishes");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut out = Vec::new();
+        rec.write_ndjson(&mut out).expect("vec sink cannot fail");
+        let trace = crate::ingest::parse_ndjson(&String::from_utf8(out).expect("utf-8"))
+            .expect("stream parses");
+        let span_total = |name: &str| -> u64 {
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.dur_us)
+                .sum()
+        };
+        let (mi_us, save_us) = (span_total("stage.mi"), span_total("checkpoint.save"));
+        let saves = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "checkpoint.save")
+            .count();
+        assert_eq!(saves, 7, "one save per 3-tile chunk of 21 tiles");
+        let report = analyze(
+            &RunModel::from_traces(vec![trace]).expect("model builds"),
+            None,
+        );
+        let row = |stage: &str| {
+            report
+                .attribution
+                .iter()
+                .find(|a| a.stage == stage)
+                .unwrap_or_else(|| panic!("{stage} row missing"))
+        };
+        assert_eq!(row("checkpoint.save").total_us, save_us);
+        let mi = row("stage.mi");
+        assert_eq!(mi.total_us, mi_us, "stage.mi sums its own spans only");
+        #[allow(clippy::cast_precision_loss)] // cast-ok: test arithmetic
+        let rate = result.stats.pairs as f64 / (mi_us as f64 * 1e-6);
+        let measured = mi.measured_pairs_per_s.expect("stage.mi has a rate");
+        assert!(
+            (measured - rate).abs() <= 1e-6 * rate,
+            "{measured} vs {rate}"
+        );
+        let shares: f64 = report.attribution.iter().map(|a| a.share).sum();
+        assert!((shares - 1.0).abs() < 1e-9, "shares sum to {shares}");
+        assert!(report.render_text().contains("checkpoint.save"));
     }
 
     #[test]

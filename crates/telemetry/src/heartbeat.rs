@@ -1,11 +1,11 @@
 //! Heartbeat codec: the payload each worker piggybacks onto the cluster
 //! transport inside a `TELEM` frame.
 //!
-//! Version-1 wire layout, all integers little-endian, std-only (no serde
+//! Version-2 wire layout, all integers little-endian, std-only (no serde
 //! — the codec sits below the crates that have it):
 //!
 //! ```text
-//! version   u8   (= 1)
+//! version   u8   (= 2)
 //! rank      u32
 //! round     u32  protocol round watermark
 //! done      u8   (0 | 1)
@@ -13,26 +13,26 @@
 //! elapsed_us u64 worker wall-clock since rank start
 //! queue_depth u64 outbound transport queue depth at send time
 //! n_counters u32, then n × (name_len u32, name bytes, value u64)
-//! n_gauges   u32, then n × (name_len u32, name bytes, value u64)
 //! ```
 //!
-//! Histograms are folded into two derived counters at encode time
+//! The counters are a snapshot of the sending rank's recorder. Its
+//! histograms are folded into two derived counters at encode time
 //! (`<name>.count`, `<name>.sum_us`) — the live view needs rates and
 //! totals, not bucket shapes, and this keeps heartbeats small and the
 //! schema closed.
 //!
 //! Decoding **degrades, never panics**: any truncation, over-limit entry
-//! count, oversized name, or unknown version yields `None`, and the
-//! receiver simply treats the frame as a lost heartbeat. Liveness
-//! tracking is designed around missed beats, so a corrupt one costs
-//! nothing.
+//! count, oversized name, or unknown version — version 1 included —
+//! yields `None`, and the receiver simply treats the frame as a lost
+//! heartbeat. Liveness tracking is designed around missed beats, so a
+//! corrupt one costs nothing.
 
-use crate::registry::MetricsSnapshot;
+use gnet_trace::Recorder;
 
 /// Highest heartbeat wire version this build encodes and decodes.
-pub const HEARTBEAT_VERSION: u8 = 1;
+pub const HEARTBEAT_VERSION: u8 = 2;
 
-/// Decode guard: maximum counter + gauge entries accepted per section.
+/// Decode guard: maximum counter entries accepted.
 const MAX_ENTRIES: u32 = 4096;
 
 /// Decode guard: maximum metric-name length in bytes.
@@ -56,8 +56,6 @@ pub struct Heartbeat {
     /// Counter snapshot (sorted by name; includes derived histogram
     /// `.count`/`.sum_us` entries).
     pub counters: Vec<(String, u64)>,
-    /// Gauge snapshot (sorted by name).
-    pub gauges: Vec<(String, u64)>,
 }
 
 fn put_entries(buf: &mut Vec<u8>, entries: &[(String, u64)]) {
@@ -117,28 +115,26 @@ fn get_entries(buf: &[u8], at: &mut usize) -> Option<Vec<(String, u64)>> {
 }
 
 impl Heartbeat {
-    /// Build a beat from a registry snapshot plus the sender's live
-    /// position. Histograms become derived `<name>.count` /
-    /// `<name>.sum_us` counters; metric names longer than the wire limit
-    /// are truncated at encode.
+    /// Build a beat from a snapshot of `rec`, the sending rank's
+    /// recorder, plus the sender's live position. Histograms become
+    /// derived `<name>.count` / `<name>.sum_us` counters; metric names
+    /// longer than the wire limit are truncated at encode.
     #[must_use]
-    pub fn from_snapshot(
+    pub fn from_recorder(
         rank: u32,
         round: u32,
         done: bool,
         pairs: u64,
         elapsed_us: u64,
         queue_depth: u64,
-        snap: &MetricsSnapshot,
+        rec: &Recorder,
     ) -> Self {
-        let mut counters: Vec<(String, u64)> =
-            snap.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        for (name, h) in &snap.histograms {
+        let mut counters = rec.counters();
+        for (name, h) in rec.histograms() {
             counters.push((format!("{name}.count"), h.count()));
-            counters.push((format!("{name}.sum_us"), h.sum_us));
+            counters.push((format!("{name}.sum_us"), h.sum_us()));
         }
         counters.sort();
-        let gauges = snap.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect();
         Self {
             rank,
             round,
@@ -147,14 +143,13 @@ impl Heartbeat {
             elapsed_us,
             queue_depth,
             counters,
-            gauges,
         }
     }
 
-    /// Serialize to the version-1 wire form.
+    /// Serialize to the version-2 wire form.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 32 * (self.counters.len() + self.gauges.len()));
+        let mut buf = Vec::with_capacity(64 + 32 * self.counters.len());
         buf.push(HEARTBEAT_VERSION);
         buf.extend_from_slice(&self.rank.to_le_bytes());
         buf.extend_from_slice(&self.round.to_le_bytes());
@@ -163,11 +158,10 @@ impl Heartbeat {
         buf.extend_from_slice(&self.elapsed_us.to_le_bytes());
         buf.extend_from_slice(&self.queue_depth.to_le_bytes());
         put_entries(&mut buf, &self.counters);
-        put_entries(&mut buf, &self.gauges);
         buf
     }
 
-    /// Parse a version-1 wire form; `None` on any malformation (see the
+    /// Parse a version-2 wire form; `None` on any malformation (see the
     /// module docs — a bad beat is just a missed beat).
     #[must_use]
     pub fn decode(buf: &[u8]) -> Option<Self> {
@@ -186,7 +180,6 @@ impl Heartbeat {
         let elapsed_us = get_u64(buf, &mut at)?;
         let queue_depth = get_u64(buf, &mut at)?;
         let counters = get_entries(buf, &mut at)?;
-        let gauges = get_entries(buf, &mut at)?;
         if at != buf.len() {
             // Trailing garbage: not a beat this version understands.
             return None;
@@ -199,7 +192,6 @@ impl Heartbeat {
             elapsed_us,
             queue_depth,
             counters,
-            gauges,
         })
     }
 }
@@ -207,16 +199,14 @@ impl Heartbeat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
 
     fn sample() -> Heartbeat {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("rank.pairs", 123);
-        reg.counter_add("tcp.frames_sent", 9);
-        reg.gauge_set("queue", 4);
-        reg.observe_us("tile_us", 100);
-        reg.observe_us("tile_us", 300);
-        Heartbeat::from_snapshot(2, 7, false, 123, 5_000_000, 4, &reg.snapshot())
+        let rec = Recorder::counting();
+        rec.counter_add("rank.pairs", 123);
+        rec.counter_add("tcp.frames_sent", 9);
+        rec.observe_us("tile_us", 100);
+        rec.observe_us("tile_us", 300);
+        Heartbeat::from_recorder(2, 7, false, 123, 5_000_000, 4, &rec)
     }
 
     #[test]
@@ -237,6 +227,34 @@ mod tests {
             .map(|&(_, v)| v);
         assert_eq!(count, Some(2));
         assert_eq!(sum, Some(400));
+    }
+
+    #[test]
+    fn a_counting_recorder_feeds_the_beat() {
+        let rec = Recorder::counting();
+        rec.counter_add("rank.pairs", 5);
+        rec.observe_us("scheduler.tile_us", 40);
+        rec.event("rank.done", &[]);
+        assert!(!rec.is_enabled(), "counting records no trace");
+        let hb = Heartbeat::from_recorder(1, 0, true, 5, 10, 0, &rec);
+        assert_eq!(
+            hb.counters,
+            [
+                ("rank.pairs".to_string(), 5),
+                ("scheduler.tile_us.count".to_string(), 1),
+                ("scheduler.tile_us.sum_us".to_string(), 40),
+            ]
+        );
+    }
+
+    #[test]
+    fn version_1_beats_are_missed_beats() {
+        // A version-1 beat: the same fields, plus an (empty) gauge
+        // section after the counters.
+        let mut v1 = sample().encode();
+        v1[0] = 1;
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(Heartbeat::decode(&v1), None);
     }
 
     #[test]
@@ -304,7 +322,6 @@ mod tests {
                     elapsed_us: elapsed,
                     queue_depth: queue,
                     counters,
-                    gauges: Vec::new(),
                 };
                 prop_assert_eq!(Heartbeat::decode(&hb.encode()).as_ref(), Some(&hb));
                 // Arbitrary bytes: decode returns, never panics.

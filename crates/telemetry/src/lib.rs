@@ -3,15 +3,15 @@
 //! Everything else in the observability stack (`gnet-trace` →
 //! `gnet-obs`) is post-hoc: traces are written during the run and
 //! analyzed after it. This crate is the *live* path — what a 4-rank
-//! whole-genome run looks like **while it is running** — built from four
-//! pieces that the cluster layer and the CLI wire together:
+//! whole-genome run looks like **while it is running** — built from
+//! three pieces that the cluster layer and the CLI wire together, over
+//! the one metric store each rank's `gnet_trace::Recorder` already keeps
+//! (a counting recorder when the rank is not traced):
 //!
-//! * [`MetricsRegistry`] — lock-light named counters/gauges/histograms
-//!   updated in place by workers (fed by `Recorder::with_metrics`) and
-//!   snapshotable at any instant without pausing anyone.
 //! * [`Heartbeat`] — the std-only codec for the periodic status beat
 //!   each worker piggybacks onto the cluster transport as a `TELEM`
-//!   frame: registry snapshot, round/pair watermarks, queue depth.
+//!   frame: a snapshot of the rank recorder's counters and histograms,
+//!   round/pair watermarks, queue depth.
 //! * [`ClusterView`] — rank 0's fold of those beats: per-rank liveness
 //!   (missed-beat detection), EWMA pair rates, and straggler flags with
 //!   a monotone "ever flagged" history.
@@ -31,13 +31,11 @@
 
 mod heartbeat;
 mod http;
-mod registry;
 mod status;
 mod view;
 
 pub use heartbeat::{Heartbeat, HEARTBEAT_VERSION};
 pub use http::{DocSource, StatusDocs, StatusServer};
-pub use registry::{AtomicHistogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use status::{
     render_prometheus, render_status_json, write_status_file_atomic, STATUS_FORMAT, STATUS_VERSION,
 };

@@ -63,8 +63,6 @@ pub struct RankView {
     pub gap_ewma: Option<f64>,
     /// Latest counter values (monotone max-merge per name).
     pub counters: BTreeMap<String, u64>,
-    /// Latest gauge values (from the newest non-stale beat).
-    pub gauges: BTreeMap<String, u64>,
 }
 
 impl RankView {
@@ -84,7 +82,6 @@ impl RankView {
             rate_ewma: None,
             gap_ewma: None,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
         }
     }
 
@@ -175,9 +172,6 @@ impl ClusterView {
         if !stale {
             r.elapsed_us = hb.elapsed_us;
             r.queue_depth = hb.queue_depth;
-            for (k, v) in &hb.gauges {
-                r.gauges.insert(k.clone(), *v);
-            }
         }
         for (k, v) in &hb.counters {
             let e = r.counters.entry(k.clone()).or_insert(0);
@@ -487,18 +481,16 @@ mod tests {
         let mut v = ClusterView::new(1, 1000, Duration::from_millis(100));
         let mut hb_new = beat(0, 5, 500, 500_000);
         hb_new.counters.push(("c".into(), 50));
-        hb_new.gauges.push(("g".into(), 9));
         v.fold_at(&hb_new, base + Duration::from_millis(500));
         // An older beat arrives late (reordered under faults).
         let mut hb_old = beat(0, 2, 200, 200_000);
         hb_old.counters.push(("c".into(), 20));
-        hb_old.gauges.push(("g".into(), 3));
         v.fold_at(&hb_old, base + Duration::from_millis(510));
         let r = &v.ranks()[0];
         assert_eq!(r.round, 5);
         assert_eq!(r.pairs, 500);
         assert_eq!(r.counters.get("c"), Some(&50));
-        assert_eq!(r.gauges.get("g"), Some(&9), "stale gauge ignored");
+        assert_eq!(r.elapsed_us, 500_000, "stale position ignored");
         assert_eq!(r.beats, 2, "stale beat still proves liveness");
         // A beat for a rank outside the mesh is ignored without panic.
         v.fold_at(&beat(17, 1, 1, 1), base);

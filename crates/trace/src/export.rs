@@ -6,7 +6,7 @@
 //! --metrics`, the `repro` harness, and the CI metrics artifact.
 
 use crate::histogram::Histogram;
-use crate::recorder::{EventRecord, Recorder, SpanRecord, Value};
+use crate::recorder::{lock, EventRecord, Recorder, SpanRecord, Value};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -152,32 +152,31 @@ impl Recorder {
         }
         line.push('}');
         writeln!(w, "{line}")?;
-        let Some(inner) = self.inner() else {
-            return Ok(());
-        };
-        for s in Self::lock_of(&inner.spans).iter() {
-            line.clear();
-            span_line(&mut line, s);
-            writeln!(w, "{line}")?;
+        if let Some(trace) = self.trace() {
+            for s in lock(&trace.spans).iter() {
+                line.clear();
+                span_line(&mut line, s);
+                writeln!(w, "{line}")?;
+            }
+            for e in lock(&trace.events).iter() {
+                line.clear();
+                event_line(&mut line, e);
+                writeln!(w, "{line}")?;
+            }
         }
-        for e in Self::lock_of(&inner.events).iter() {
-            line.clear();
-            event_line(&mut line, e);
-            writeln!(w, "{line}")?;
-        }
-        for (name, value) in Self::lock_of(&inner.counters).iter() {
+        for (name, value) in self.counters() {
             line.clear();
             line.push_str("{\"type\":\"counter\",\"name\":");
-            escape_json(&mut line, name);
+            escape_json(&mut line, &name);
             let _ = write!(line, ",\"value\":{value}}}");
             writeln!(w, "{line}")?;
         }
-        for (name, h) in Self::lock_of(&inner.histograms).iter() {
+        for (name, h) in self.histograms() {
             line.clear();
             line.push_str("{\"type\":\"histogram\",\"name\":");
-            escape_json(&mut line, name);
+            escape_json(&mut line, &name);
             line.push_str(",\"data\":");
-            histogram_body(&mut line, h);
+            histogram_body(&mut line, &h);
             line.push('}');
             writeln!(w, "{line}")?;
         }
@@ -191,8 +190,9 @@ impl Recorder {
     pub fn metrics_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"format\":\"gnet-trace-metrics\",\"version\":1,\"spans\":[");
-        if let Some(inner) = self.inner() {
-            for (i, s) in Self::lock_of(&inner.spans).iter().enumerate() {
+        let trace = self.trace();
+        if let Some(trace) = trace {
+            for (i, s) in lock(&trace.spans).iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -204,29 +204,26 @@ impl Recorder {
                     s.start_us, s.dur_us
                 );
             }
-            out.push_str("],\"counters\":{");
-            for (i, (name, value)) in Self::lock_of(&inner.counters).iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_json(&mut out, name);
-                let _ = write!(out, ":{value}");
-            }
-            out.push_str("},\"histograms\":{");
-            for (i, (name, h)) in Self::lock_of(&inner.histograms).iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_json(&mut out, name);
-                out.push(':');
-                histogram_body(&mut out, h);
-            }
-            out.push_str("},\"events\":");
-            let _ = write!(out, "{}", Self::lock_of(&inner.events).len());
-        } else {
-            out.push_str("],\"counters\":{},\"histograms\":{},\"events\":0");
         }
-        out.push('}');
+        out.push_str("],\"counters\":{");
+        for (i, (name, value)) in self.counters().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_json(&mut out, name);
+            let _ = write!(out, ":{value}");
+        }
+        out.push_str("},\"histograms\":{");
+        for (i, (name, h)) in self.histograms().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_json(&mut out, name);
+            out.push(':');
+            histogram_body(&mut out, h);
+        }
+        let events = trace.map_or(0, |t| lock(&t.events).len());
+        let _ = write!(out, "}},\"events\":{events}}}");
         out
     }
 
@@ -261,6 +258,49 @@ mod tests {
             ],
         );
         rec
+    }
+
+    /// The export bytes of a fixed sequence of counter and histogram
+    /// records — including a saturating sum and the overflow bucket —
+    /// pinned to the bytes the locked per-recorder maps wrote before the
+    /// store became atomic cells.
+    #[test]
+    fn counter_and_histogram_exports_are_byte_stable() {
+        let rec = Recorder::enabled();
+        rec.counter_add("mi.pairs", 28);
+        rec.counter_add("a.first", 1);
+        rec.counter_add("mi.pairs", 2);
+        rec.counter_add("z\"quoted", 7);
+        for v in [3u64, 0, 1, 2, 1024, 900, (1 << 25) + 1, 1 << 25] {
+            rec.observe_us("scheduler.tile_us", v);
+        }
+        rec.observe_us("sat", u64::MAX);
+        rec.observe_us("sat", 5);
+        rec.observe_us("one", 17);
+        let one = r#"{"count":1,"sum_us":17,"mean_us":17.000,"min_us":17,"max_us":17,"p50_us":17,"p95_us":17,"p99_us":17,"buckets":[{"le_us":32,"count":1}]}"#;
+        let sat = r#"{"count":2,"sum_us":18446744073709551615,"mean_us":9223372036854775808.000,"min_us":5,"max_us":18446744073709551615,"p50_us":8,"p95_us":18446744073709551615,"p99_us":18446744073709551615,"buckets":[{"le_us":8,"count":1},{"le_us":null,"count":1}]}"#;
+        let tile = r#"{"count":8,"sum_us":67110795,"mean_us":8388849.375,"min_us":0,"max_us":33554433,"p50_us":4,"p95_us":33554433,"p99_us":33554433,"buckets":[{"le_us":1,"count":2},{"le_us":2,"count":1},{"le_us":4,"count":1},{"le_us":1024,"count":2},{"le_us":33554432,"count":1},{"le_us":null,"count":1}]}"#;
+        let mut out = Vec::new();
+        rec.write_ndjson(&mut out).expect("vec sink cannot fail");
+        let text = String::from_utf8(out).expect("ndjson output is utf-8");
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"type":"counter","name":"a.first","value":1}"#.to_string(),
+                r#"{"type":"counter","name":"mi.pairs","value":30}"#.to_string(),
+                r#"{"type":"counter","name":"z\"quoted","value":7}"#.to_string(),
+                format!(r#"{{"type":"histogram","name":"one","data":{one}}}"#),
+                format!(r#"{{"type":"histogram","name":"sat","data":{sat}}}"#),
+                format!(r#"{{"type":"histogram","name":"scheduler.tile_us","data":{tile}}}"#),
+            ]
+        );
+        assert_eq!(
+            rec.metrics_json(),
+            format!(
+                r#"{{"format":"gnet-trace-metrics","version":1,"spans":[],"counters":{{"a.first":1,"mi.pairs":30,"z\"quoted":7}},"histograms":{{"one":{one},"sat":{sat},"scheduler.tile_us":{tile}}},"events":0}}"#
+            )
+        );
     }
 
     #[test]

@@ -1,46 +1,101 @@
-//! Fixed-bucket latency histogram.
+//! Fixed-bucket latency histograms.
 //!
 //! Buckets are powers of two in microseconds: bucket `i` counts
 //! observations with `value_us <= 2^i`, for `i` in `0..=25` (1 µs up to
-//! ~33.5 s), plus one overflow bucket. Power-of-two bounds make
-//! `observe` branch-free (a leading-zeros instruction) and keep the
-//! struct a fixed 28-word array — cheap to merge across threads and to
-//! snapshot under a lock.
+//! ~33.5 s), plus one overflow bucket. Power-of-two bounds make placement
+//! branch-free (one leading-zeros instruction, in [`bucket_of`]).
+//!
+//! Recorders observe into an [`AtomicHistogram`], whose buckets are
+//! independent atomics that any thread bumps without a lock. Its
+//! snapshot is a [`Histogram`]: the plain value the exporters, quantile
+//! queries and heartbeats read.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of bounded buckets (upper bounds `2^0 .. 2^25` µs).
 const BOUNDED: usize = 26;
 
-/// A fixed-bucket histogram of microsecond latencies.
+/// Bucket of `value_us`: the first power of two at or above it,
+/// `ceil(log2(v))`, or the overflow bucket past `2^25`.
+fn bucket_of(value_us: u64) -> usize {
+    if value_us <= 1 {
+        0
+    } else {
+        let ceil_log2 = 64 - (value_us - 1).leading_zeros() as usize;
+        ceil_log2.min(BOUNDED)
+    }
+}
+
+/// A histogram that any thread updates in place, without a lock.
+pub(crate) struct AtomicHistogram {
+    counts: [AtomicU64; Histogram::BUCKETS],
+    sum_us: AtomicU64,
+    min_us: AtomicU64,
+    max_us: AtomicU64,
+}
+
+impl Default for AtomicHistogram {
+    fn default() -> Self {
+        Self {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_us: AtomicU64::new(0),
+            min_us: AtomicU64::new(u64::MAX),
+            max_us: AtomicU64::new(0),
+        }
+    }
+}
+
+impl AtomicHistogram {
+    /// Record one observation of `value_us` microseconds.
+    pub(crate) fn observe_us(&self, value_us: u64) {
+        // ordering: min, max and sum are published by the Release bucket
+        // increment below, so a snapshot that counts this observation
+        // also sees them.
+        self.min_us.fetch_min(value_us, Ordering::Relaxed);
+        // ordering: as above.
+        self.max_us.fetch_max(value_us, Ordering::Relaxed);
+        let _ = self
+            .sum_us
+            // ordering: as above; the sum saturates instead of wrapping.
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(value_us))
+            });
+        // ordering: Release pairs with the snapshot's Acquire loads.
+        self.counts[bucket_of(value_us)].fetch_add(1, Ordering::Release);
+    }
+
+    /// A coherent copy taken without pausing writers: the count is the
+    /// sum of the bucket loads, and every counted observation is already
+    /// in `min`, `max` and `sum` (observations still in flight may show
+    /// there early).
+    pub(crate) fn snapshot(&self) -> Histogram {
+        // ordering: Acquire makes every counted observation's min, max
+        // and sum updates visible to the loads below.
+        let counts = std::array::from_fn(|i| self.counts[i].load(Ordering::Acquire));
+        Histogram {
+            counts,
+            // ordering: read after the Acquire bucket loads above.
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+            // ordering: as above.
+            min_us: self.min_us.load(Ordering::Relaxed),
+            // ordering: as above.
+            max_us: self.max_us.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A snapshot of a fixed-bucket histogram of microsecond latencies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; BOUNDED + 1],
-    count: u64,
     sum_us: u64,
     min_us: u64,
     max_us: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Histogram {
     /// Total number of buckets, including the overflow bucket.
     pub const BUCKETS: usize = BOUNDED + 1;
-
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            counts: [0; BOUNDED + 1],
-            count: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-        }
-    }
 
     /// Upper bound (inclusive, in µs) of bucket `i`, or `None` for the
     /// overflow bucket.
@@ -49,46 +104,13 @@ impl Histogram {
         (i < BOUNDED).then(|| 1u64 << i)
     }
 
-    /// Record one observation of `value_us` microseconds.
-    pub fn observe_us(&mut self, value_us: u64) {
-        let idx = if value_us <= 1 {
-            0
-        } else {
-            // Index of the first power of two >= value: ceil(log2(v)).
-            let ceil_log2 = 64 - (value_us - 1).leading_zeros() as usize;
-            ceil_log2.min(BOUNDED)
-        };
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(value_us);
-        self.min_us = self.min_us.min(value_us);
-        self.max_us = self.max_us.max(value_us);
-    }
-
-    /// Add every observation of `other` into `self`.
-    ///
-    /// Merging an empty histogram is the identity (in either direction):
-    /// the empty side contributes no counts, and its `min`/`max`
-    /// sentinels (`u64::MAX`/`0`) are absorbing under `min`/`max`. Bucket
-    /// and total counts saturate instead of overflowing, mirroring
-    /// [`observe_us`](Self::observe_us)'s saturating sum.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Number of observations.
+    /// Number of observations: the sum of the bucket counts.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts.iter().fold(0, |a, &c| a.saturating_add(c))
     }
 
-    /// Sum of all observations, µs.
+    /// Sum of all observations, µs (saturating).
     #[must_use]
     pub fn sum_us(&self) -> u64 {
         self.sum_us
@@ -97,22 +119,21 @@ impl Histogram {
     /// Smallest observation, µs (`None` when empty).
     #[must_use]
     pub fn min_us(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min_us)
+        (self.count() > 0).then_some(self.min_us)
     }
 
     /// Largest observation, µs (`None` when empty).
     #[must_use]
     pub fn max_us(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max_us)
+        (self.count() > 0).then_some(self.max_us)
     }
 
     /// Mean observation, µs (0 when empty).
     #[must_use]
     pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            count => self.sum_us as f64 / count as f64,
         }
     }
 
@@ -126,10 +147,11 @@ impl Histogram {
     #[must_use]
     #[allow(clippy::cast_possible_truncation)] // cast-ok: rank ≤ count, which fits u64
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return None;
         }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
         let mut cumulative = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             cumulative = cumulative.saturating_add(c);
@@ -151,14 +173,20 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    /// Snapshot of a histogram fed `values`, one observation each.
+    fn of(values: &[u64]) -> Histogram {
+        let h = AtomicHistogram::default();
+        for &v in values {
+            h.observe_us(v);
+        }
+        h.snapshot()
+    }
+
     #[test]
     fn observations_land_in_the_right_buckets() {
-        let mut h = Histogram::new();
-        h.observe_us(0); // bucket 0 (<= 1)
-        h.observe_us(1); // bucket 0
-        h.observe_us(2); // bucket 1 (<= 2)
-        h.observe_us(3); // bucket 2 (<= 4)
-        h.observe_us(1024); // bucket 10
+        // 0 and 1 → bucket 0 (<= 1), 2 → bucket 1, 3 → bucket 2 (<= 4),
+        // 1024 → bucket 10.
+        let h = of(&[0, 1, 2, 3, 1024]);
         assert_eq!(h.bucket_counts()[0], 2);
         assert_eq!(h.bucket_counts()[1], 1);
         assert_eq!(h.bucket_counts()[2], 1);
@@ -171,18 +199,21 @@ mod tests {
 
     #[test]
     fn huge_values_go_to_overflow() {
-        let mut h = Histogram::new();
-        h.observe_us(u64::MAX);
+        let h = of(&[u64::MAX]);
         assert_eq!(h.bucket_counts()[Histogram::BUCKETS - 1], 1);
         assert_eq!(h.quantile_us(0.5), Some(u64::MAX));
     }
 
     #[test]
+    fn sums_saturate_instead_of_wrapping() {
+        let h = of(&[u64::MAX, 5]);
+        assert_eq!(h.sum_us(), u64::MAX);
+        assert_eq!(h.count(), 2);
+    }
+
+    #[test]
     fn quantiles_are_upper_bounds() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 4, 8, 16, 32, 64, 128, 256, 1000] {
-            h.observe_us(v);
-        }
+        let h = of(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 1000]);
         // p50 over ten ordered values ranks at the 5th (= 16 → bucket
         // bound 16).
         assert_eq!(h.quantile_us(0.5), Some(16));
@@ -196,8 +227,7 @@ mod tests {
     #[test]
     fn single_sample_quantiles_are_exact() {
         for v in [0u64, 1, 3, 1000, 1 << 25, (1 << 25) + 1, u64::MAX] {
-            let mut h = Histogram::new();
-            h.observe_us(v);
+            let h = of(&[v]);
             for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
                 assert_eq!(h.quantile_us(q), Some(v), "v={v}, q={q}");
             }
@@ -208,68 +238,17 @@ mod tests {
     fn top_bucket_saturation_is_exact() {
         // 2^25 µs is the bound of the last bounded bucket; anything above
         // goes to overflow, whose quantile is the observed max.
-        let mut h = Histogram::new();
-        h.observe_us(1 << 25);
+        let h = of(&[1 << 25]);
         assert_eq!(h.bucket_counts()[BOUNDED - 1], 1);
         assert_eq!(h.quantile_us(1.0), Some(1 << 25));
-        h.observe_us((1 << 25) + 1);
+        let h = of(&[1 << 25, (1 << 25) + 1]);
         assert_eq!(h.bucket_counts()[BOUNDED], 1);
         assert_eq!(h.quantile_us(1.0), Some((1 << 25) + 1));
     }
 
     #[test]
-    fn merging_an_empty_histogram_is_the_identity() {
-        let mut h = Histogram::new();
-        h.observe_us(7);
-        h.observe_us(4096);
-        let reference = h.clone();
-        // Non-empty ← empty.
-        h.merge(&Histogram::new());
-        assert_eq!(h, reference);
-        // Empty ← non-empty.
-        let mut empty = Histogram::new();
-        empty.merge(&reference);
-        assert_eq!(empty, reference);
-        // Empty ← empty stays empty (min/max sentinels untouched).
-        let mut e2 = Histogram::new();
-        e2.merge(&Histogram::new());
-        assert_eq!(e2, Histogram::new());
-        assert_eq!(e2.quantile_us(0.5), None);
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_overflowing() {
-        let mut a = Histogram::new();
-        a.observe_us(1);
-        // Force the count fields near the ceiling.
-        a.count = u64::MAX - 1;
-        a.counts[0] = u64::MAX - 1;
-        a.sum_us = u64::MAX - 1;
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.count(), u64::MAX);
-        assert_eq!(a.bucket_counts()[0], u64::MAX);
-        assert_eq!(a.sum_us(), u64::MAX);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.observe_us(5);
-        a.observe_us(500);
-        b.observe_us(50);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum_us(), 555);
-        assert_eq!(merged.min_us(), Some(5));
-        assert_eq!(merged.max_us(), Some(500));
-    }
-
-    #[test]
     fn empty_histogram_reports_nothing() {
-        let h = Histogram::new();
+        let h = of(&[]);
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.5), None);
         assert_eq!(h.min_us(), None);
@@ -281,70 +260,14 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Histogram over a slice of observations, one `observe_us` each.
-        fn of(values: &[u64]) -> Histogram {
-            let mut h = Histogram::new();
-            for &v in values {
-                h.observe_us(v);
-            }
-            h
-        }
-
-        /// Deterministic Fisher–Yates driven by a SplitMix64 stream, so a
-        /// generated `seed` picks an arbitrary merge order.
-        fn shuffle<T>(items: &mut [T], mut seed: u64) {
-            let mut next = || {
-                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = seed;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for i in (1..items.len()).rev() {
-                #[allow(clippy::cast_possible_truncation)]
-                // cast-ok: the modulus is an in-bounds index
-                let j = (next() % (i as u64 + 1)) as usize;
-                items.swap(i, j);
-            }
-        }
-
         proptest! {
-            /// Merging per-chunk histograms in ANY order reproduces the
-            /// histogram of the concatenated observations exactly —
-            /// including when some chunks are empty.
-            #[test]
-            fn prop_merge_order_is_irrelevant(
-                chunks in proptest::collection::vec(
-                    proptest::collection::vec(0u64..=u64::MAX, 0..12),
-                    0..8,
-                ),
-                seed in any::<u64>(),
-            ) {
-                let all: Vec<u64> = chunks.iter().flatten().copied().collect();
-                let expected = of(&all);
-                let mut parts: Vec<Histogram> =
-                    chunks.iter().map(|c| of(c)).collect();
-                shuffle(&mut parts, seed);
-                let mut merged = Histogram::new();
-                for p in &parts {
-                    merged.merge(p);
-                }
-                prop_assert_eq!(&merged, &expected);
-                // Quantiles agree too (same representation ⇒ same answers).
-                for q in [0.0, 0.5, 0.95, 1.0] {
-                    prop_assert_eq!(merged.quantile_us(q), expected.quantile_us(q));
-                }
-            }
-
             /// A single observation answers every quantile exactly.
             #[test]
             fn prop_single_sample_quantiles_exact(
                 v in 0u64..=u64::MAX,
                 q in 0.0f64..=1.0,
             ) {
-                let mut h = Histogram::new();
-                h.observe_us(v);
-                prop_assert_eq!(h.quantile_us(q), Some(v));
+                prop_assert_eq!(of(&[v]).quantile_us(q), Some(v));
             }
 
             /// Quantiles never exceed the observed max and p100 hits it.

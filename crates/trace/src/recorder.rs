@@ -1,7 +1,7 @@
 //! The [`Recorder`] handle and its record types.
 
 use crate::histogram::Histogram;
-use std::collections::BTreeMap;
+use crate::store::Store;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -111,64 +111,60 @@ impl Progress {
 
 type ProgressSink = Box<dyn Fn(Progress) + Send + Sync>;
 
-/// A live sink for metric updates, fed *incrementally* as instrumented
-/// code records counters and latency observations.
-///
-/// The trace buffer inside an enabled [`Recorder`] is post-hoc: it is
-/// only read after the run, by the NDJSON/JSON exporters. A
-/// `MetricsSink` is the live counterpart — install one with
-/// [`Recorder::with_metrics`] and every
-/// [`counter_add`](Recorder::counter_add) /
-/// [`observe_us`](Recorder::observe_us) call is forwarded to it at
-/// record time, whether or not the recorder itself is enabled. The
-/// canonical implementation is `gnet-telemetry`'s `MetricsRegistry`
-/// (atomics all the way down), which makes the forwarding cheap enough
-/// for instrumented hot paths.
-///
-/// Implementations must tolerate concurrent calls from many threads.
-pub trait MetricsSink: Send + Sync {
-    /// Add `delta` to the named monotonic counter.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Record one microsecond observation into the named histogram.
-    fn observe_us(&self, name: &str, value_us: u64);
-}
-
-pub(crate) struct Inner {
+/// The trace buffers an [enabled](Recorder::enabled) recorder adds to
+/// its metric store: spans, events and the optional progress sink, all
+/// stamped against one epoch.
+pub(crate) struct Trace {
     pub(crate) epoch: Instant,
     pub(crate) spans: Mutex<Vec<SpanRecord>>,
     pub(crate) events: Mutex<Vec<EventRecord>>,
-    pub(crate) counters: Mutex<BTreeMap<String, u64>>,
-    pub(crate) histograms: Mutex<BTreeMap<String, Histogram>>,
-    progress: Option<ProgressSink>,
+    progress: Option<ProgressFeed>,
 }
 
-/// Cheap, cloneable handle to a trace buffer — or to nothing.
+/// A progress sink plus the last update it was handed. Workers finish
+/// items concurrently, so their updates can arrive out of order; only
+/// those that move `done` forward (or change `total`) reach the sink.
+struct ProgressFeed {
+    sink: ProgressSink,
+    last: Mutex<Option<(usize, usize)>>,
+}
+
+/// Cheap, cloneable handle to a metric store and trace buffers — or to
+/// nothing. A recorder is one of three kinds:
 ///
-/// The default/[`disabled`](Recorder::disabled) handle is inert: every
-/// record method returns after one branch, so instrumented code pays
-/// nothing when tracing is off. An [`enabled`](Recorder::enabled) handle
-/// shares one buffer across clones; recording is `&self` and thread-safe
-/// (mutex-protected, called at tile granularity — never per pair).
+/// * [`disabled`](Recorder::disabled) (the default) records nothing:
+///   every record method returns after one branch, so instrumented code
+///   pays nothing when tracing is off;
+/// * [`counting`](Recorder::counting) keeps counters and histograms in
+///   its store, and nothing else;
+/// * [`enabled`](Recorder::enabled) is counting plus the trace buffers:
+///   spans, events and progress.
+///
+/// Clones share one store and one set of buffers; recording is `&self`
+/// and thread-safe. Counters and histograms are atomic cells that need a
+/// lock only to add a new name; spans and events append under a mutex,
+/// at tile granularity — never per pair.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
-    /// Live metrics sink, orthogonal to the trace buffer: a disabled
-    /// recorder with a sink still forwards counters/observations.
-    metrics: Option<Arc<dyn MetricsSink>>,
+    metrics: Option<Arc<Store>>,
+    trace: Option<Arc<Trace>>,
+    /// Progress window set by [`Recorder::for_chunk`]: items done before
+    /// this handle's chunk, and the whole run's item count.
+    chunk: Option<(usize, usize)>,
 }
 
 /// RAII guard for a span: records `[creation, drop)` against the
-/// recorder it came from. Inert when the recorder is disabled.
+/// recorder it came from. Inert unless the recorder is enabled.
 pub struct Span {
-    ctx: Option<(Arc<Inner>, String, Instant)>,
+    ctx: Option<(Arc<Trace>, String, Instant)>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((inner, name, start)) = self.ctx.take() {
-            let start_us = duration_us(start.duration_since(inner.epoch));
+        if let Some((trace, name, start)) = self.ctx.take() {
+            let start_us = duration_us(start.duration_since(trace.epoch));
             let dur_us = duration_us(start.elapsed());
-            lock(&inner.spans).push(SpanRecord {
+            lock(&trace.spans).push(SpanRecord {
                 name,
                 start_us,
                 dur_us,
@@ -186,7 +182,7 @@ fn duration_us(d: Duration) -> u64 {
 /// Mutex acquisition that survives a poisoned lock: trace buffers hold
 /// plain data, so a panicked recording thread leaves them merely
 /// incomplete, never structurally invalid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -194,13 +190,25 @@ impl Recorder {
     /// The inert handle: records nothing, costs one branch per call.
     #[must_use]
     pub fn disabled() -> Self {
+        Self::default()
+    }
+
+    /// A recorder that keeps counters and histograms but no spans,
+    /// events or progress — what a ring rank with a live telemetry plane
+    /// and no trace records into, for its heartbeats to read.
+    /// [`is_enabled`](Self::is_enabled) stays `false`, so recording that
+    /// is guarded by it (the executor's tile latencies, the pipeline's
+    /// `mi.*` counters) stays off.
+    #[must_use]
+    pub fn counting() -> Self {
         Self {
-            inner: None,
-            metrics: None,
+            metrics: Some(Arc::default()),
+            ..Self::default()
         }
     }
 
-    /// A live recorder with a fresh buffer; its epoch is `now`.
+    /// A live recorder with a fresh store and trace buffers; its epoch is
+    /// `now`.
     #[must_use]
     pub fn enabled() -> Self {
         Self::build(None)
@@ -208,50 +216,54 @@ impl Recorder {
 
     /// A live recorder that additionally forwards [`Progress`] updates
     /// (tiles done / total / elapsed) to `sink`. The sink is called from
-    /// worker threads after every completed work item — it should be
-    /// cheap and rate-limit its own output.
+    /// worker threads after completed work items, with `done` only ever
+    /// moving forward — it should be cheap and rate-limit its own output.
     #[must_use]
     pub fn enabled_with_progress(sink: impl Fn(Progress) + Send + Sync + 'static) -> Self {
-        Self::build(Some(Box::new(sink)))
+        Self::build(Some(ProgressFeed {
+            sink: Box::new(sink),
+            last: Mutex::new(None),
+        }))
     }
 
-    fn build(progress: Option<ProgressSink>) -> Self {
+    fn build(progress: Option<ProgressFeed>) -> Self {
         Self {
-            inner: Some(Arc::new(Inner {
+            metrics: Some(Arc::default()),
+            trace: Some(Arc::new(Trace {
                 epoch: Instant::now(),
                 spans: Mutex::new(Vec::new()),
                 events: Mutex::new(Vec::new()),
-                counters: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
                 progress,
             })),
-            metrics: None,
+            chunk: None,
         }
     }
 
-    /// Attach a live [`MetricsSink`]: every subsequent
-    /// [`counter_add`](Self::counter_add) and
-    /// [`observe_us`](Self::observe_us) on this handle (and its clones)
-    /// is forwarded to `sink` at record time. Works on disabled handles
-    /// too — live telemetry does not require post-hoc tracing.
+    /// This recorder, for one chunk of a longer run: progress updates
+    /// count `done_before` items finished before the chunk and report the
+    /// run's `total` items, so a chunked scan's progress reads against
+    /// the whole run.
     #[must_use]
-    pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
-        self.metrics = Some(sink);
-        self
+    pub fn for_chunk(&self, done_before: usize, total: usize) -> Self {
+        Self {
+            chunk: Some((done_before, total)),
+            ..self.clone()
+        }
     }
 
-    /// Is this handle recording?
+    /// Does this handle keep trace buffers (spans, events, progress)?
+    /// `false` for disabled and counting recorders.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.trace.is_some()
     }
 
-    /// Wall time since the recorder's epoch (zero when disabled).
+    /// Wall time since the recorder's epoch (zero unless enabled).
     #[must_use]
     pub fn elapsed(&self) -> Duration {
-        self.inner
+        self.trace
             .as_ref()
-            .map_or(Duration::ZERO, |i| i.epoch.elapsed())
+            .map_or(Duration::ZERO, |t| t.epoch.elapsed())
     }
 
     /// Start a span; it records itself when the guard drops.
@@ -259,24 +271,24 @@ impl Recorder {
     pub fn span(&self, name: &str) -> Span {
         Span {
             ctx: self
-                .inner
+                .trace
                 .as_ref()
-                .map(|i| (Arc::clone(i), name.to_string(), Instant::now())),
+                .map(|t| (Arc::clone(t), name.to_string(), Instant::now())),
         }
     }
 
     /// Record a point event with typed fields, stamped on the real clock.
     pub fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        let Some(inner) = &self.inner else { return };
-        let t_us = duration_us(inner.epoch.elapsed());
+        let Some(trace) = &self.trace else { return };
+        let t_us = duration_us(trace.epoch.elapsed());
         self.event_at_us(name, t_us, fields);
     }
 
     /// Record a point event at an explicit timestamp (µs since epoch) —
     /// used by the simulator to emit *simulated-time* events.
     pub fn event_at_us(&self, name: &str, t_us: u64, fields: &[(&str, Value)]) {
-        let Some(inner) = &self.inner else { return };
-        lock(&inner.events).push(EventRecord {
+        let Some(trace) = &self.trace else { return };
+        lock(&trace.events).push(EventRecord {
             name: name.to_string(),
             t_us,
             fields: fields
@@ -288,11 +300,9 @@ impl Recorder {
 
     /// Add `delta` to the named monotonic counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        if let Some(sink) = &self.metrics {
-            sink.counter_add(name, delta);
+        if let Some(metrics) = &self.metrics {
+            metrics.counter_add(name, delta);
         }
-        let Some(inner) = &self.inner else { return };
-        *lock(&inner.counters).entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Record a latency observation into the named histogram.
@@ -302,62 +312,78 @@ impl Recorder {
 
     /// Record a raw microsecond observation into the named histogram.
     pub fn observe_us(&self, name: &str, value_us: u64) {
-        if let Some(sink) = &self.metrics {
-            sink.observe_us(name, value_us);
+        if let Some(metrics) = &self.metrics {
+            metrics.observe_us(name, value_us);
         }
-        let Some(inner) = &self.inner else { return };
-        lock(&inner.histograms)
-            .entry(name.to_string())
-            .or_default()
-            .observe_us(value_us);
     }
 
-    /// Forward a progress update to the installed sink, if any.
+    /// Forward a progress update to the installed sink, if any. Inside
+    /// [`for_chunk`](Self::for_chunk), `done` and `total` count within
+    /// the chunk and are reported against the whole run. An update that
+    /// does not move `done` past the last one delivered is dropped.
     pub fn progress(&self, done: usize, total: usize) {
-        let Some(inner) = &self.inner else { return };
-        if let Some(sink) = &inner.progress {
-            sink(Progress {
-                done,
-                total,
-                elapsed: inner.epoch.elapsed(),
-            });
+        let Some(trace) = &self.trace else { return };
+        let Some(feed) = &trace.progress else { return };
+        let (done, total) = self.chunk.map_or((done, total), |(before, run_total)| {
+            (before + done, run_total)
+        });
+        let mut last = lock(&feed.last);
+        if last.is_some_and(|(d, t)| t == total && d >= done) {
+            return;
         }
+        *last = Some((done, total));
+        (feed.sink)(Progress {
+            done,
+            total,
+            elapsed: trace.epoch.elapsed(),
+        });
     }
 
     /// Current value of a counter (`None` when disabled or never set).
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        lock(&inner.counters).get(name).copied()
+        self.metrics.as_ref()?.counter(name)
     }
 
     /// Snapshot of a histogram (`None` when disabled or never observed).
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.inner.as_ref()?;
-        lock(&inner.histograms).get(name).cloned()
+        self.metrics.as_ref()?.histogram(name)
     }
 
-    /// Number of completed spans so far (0 when disabled).
+    /// Every counter, in name order (empty when disabled).
+    #[must_use]
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.metrics
+            .as_ref()
+            .map_or_else(Vec::new, |m| m.counters())
+    }
+
+    /// A snapshot of every histogram, in name order (empty when
+    /// disabled).
+    #[must_use]
+    pub fn histograms(&self) -> Vec<(String, Histogram)> {
+        self.metrics
+            .as_ref()
+            .map_or_else(Vec::new, |m| m.histograms())
+    }
+
+    /// Number of completed spans so far (0 unless enabled).
     #[must_use]
     pub fn span_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| lock(&i.spans).len())
+        self.trace.as_ref().map_or(0, |t| lock(&t.spans).len())
     }
 
-    /// Number of recorded events with the given name (0 when disabled).
+    /// Number of recorded events with the given name (0 unless enabled).
     #[must_use]
     pub fn event_count(&self, name: &str) -> usize {
-        self.inner.as_ref().map_or(0, |i| {
-            lock(&i.events).iter().filter(|e| e.name == name).count()
+        self.trace.as_ref().map_or(0, |t| {
+            lock(&t.events).iter().filter(|e| e.name == name).count()
         })
     }
 
-    pub(crate) fn inner(&self) -> Option<&Arc<Inner>> {
-        self.inner.as_ref()
-    }
-
-    pub(crate) fn lock_of<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        lock(m)
+    pub(crate) fn trace(&self) -> Option<&Trace> {
+        self.trace.as_deref()
     }
 }
 
@@ -453,38 +479,66 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_is_fed_even_when_disabled() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        #[derive(Default)]
-        struct Tally {
-            counts: AtomicU64,
-            observed: AtomicU64,
-        }
-        impl MetricsSink for Tally {
-            fn counter_add(&self, _name: &str, delta: u64) {
-                // ordering: test tally, read after the calls return.
-                self.counts.fetch_add(delta, Ordering::Relaxed);
-            }
-            fn observe_us(&self, _name: &str, value_us: u64) {
-                // ordering: test tally, as above.
-                self.observed.fetch_add(value_us, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(Tally::default());
-        let rec = Recorder::disabled().with_metrics(Arc::clone(&sink) as Arc<dyn MetricsSink>);
-        assert!(!rec.is_enabled(), "metrics do not imply tracing");
+    fn counting_recorder_keeps_metrics_and_no_trace() {
+        let rec = Recorder::counting();
+        assert!(!rec.is_enabled(), "counting does not imply tracing");
         rec.counter_add("pairs", 3);
         rec.clone().counter_add("pairs", 4);
         rec.observe_us("lat", 250);
-        // ordering: reads after the single-threaded calls above.
-        assert_eq!(sink.counts.load(Ordering::Relaxed), 7);
-        assert_eq!(sink.observed.load(Ordering::Relaxed), 250);
-        // An enabled recorder feeds both the sink and its own buffer.
-        let both = Recorder::enabled().with_metrics(Arc::clone(&sink) as Arc<dyn MetricsSink>);
-        both.counter_add("pairs", 5);
-        assert_eq!(both.counter("pairs"), Some(5));
-        // ordering: as above.
-        assert_eq!(sink.counts.load(Ordering::Relaxed), 12);
+        rec.event("e", &[("k", Value::U64(1))]);
+        drop(rec.span("s"));
+        rec.progress(1, 2);
+        assert_eq!(rec.counter("pairs"), Some(7));
+        assert_eq!(rec.counters(), vec![("pairs".to_string(), 7)]);
+        let h = rec.histogram("lat").expect("histogram was observed");
+        assert_eq!((h.count(), h.sum_us()), (1, 250));
+        assert_eq!(rec.span_count(), 0);
+        assert_eq!(rec.event_count("e"), 0);
+        assert_eq!(rec.elapsed(), Duration::ZERO);
+        let mut out = Vec::new();
+        rec.write_ndjson(&mut out).expect("vec sink cannot fail");
+        let text = String::from_utf8(out).expect("ndjson output is utf-8");
+        assert!(!text.contains("\"type\":\"span\""), "{text}");
+        assert!(!text.contains("\"type\":\"event\""), "{text}");
+        let json = rec.metrics_json();
+        assert!(
+            json.contains("\"spans\":[]") && json.ends_with("\"events\":0}"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn progress_only_moves_forward() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let rec = Recorder::enabled_with_progress(move |p| {
+            lock(&sink).push((p.done, p.total));
+        });
+        for (done, total) in [(1, 4), (3, 4), (2, 4), (3, 4), (4, 4), (1, 9)] {
+            rec.progress(done, total);
+        }
+        // A stale or repeated `done` is dropped; a new total starts over.
+        assert_eq!(*lock(&seen), [(1, 4), (3, 4), (4, 4), (1, 9)]);
+    }
+
+    #[test]
+    fn chunk_progress_reports_against_the_whole_run() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let rec = Recorder::enabled_with_progress(move |p| {
+            lock(&sink).push((p.done, p.total));
+        });
+        let chunk = rec.for_chunk(6, 10);
+        chunk.progress(1, 4);
+        chunk.progress(4, 4);
+        rec.for_chunk(10, 10).progress(0, 0);
+        assert_eq!(*lock(&seen), [(7, 10), (10, 10)]);
+        chunk.counter_add("shared", 1);
+        assert_eq!(
+            rec.counter("shared"),
+            Some(1),
+            "a chunk handle shares the store"
+        );
     }
 
     #[test]
