@@ -7,7 +7,7 @@ use gnet_cluster::{
 use gnet_core::config::NullStrategy;
 use gnet_core::{
     build_state, infer_network_durable, infer_network_traced, update_durable, CheckpointStore,
-    InferenceConfig, StateError, StateStore, UpdateMode,
+    DurableError, InferenceConfig, StateStore, UpdateMode,
 };
 use gnet_expr::io as expr_io;
 use gnet_expr::{ExpressionMatrix, MissingPolicy};
@@ -333,7 +333,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         return fail("--trace/--metrics/--progress instrument the inference pipeline and cannot be combined with --save-state, whose state build records nothing");
     }
     if save_state.is_some() && checkpoint_dir.is_some() {
-        return fail("--save-state is itself durable; drop --checkpoint-dir");
+        return fail("--save-state does not checkpoint its state build (only the finished bundle is written, atomically); drop --checkpoint-dir");
     }
     let fault_plan = match args.get("fault-plan") {
         Some(raw) => Some(
@@ -449,6 +449,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         None
     };
 
+    let t0 = std::time::Instant::now();
     let (mut network, summary) = match ranks {
         Some(p) => {
             let listener = match &listen {
@@ -492,7 +493,6 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         }
         None if save_state.is_some() => {
             let dir = save_state.as_deref().expect("guarded by the match arm");
-            let t0 = std::time::Instant::now();
             let state = build_state(&matrix, &cfg);
             let store = StateStore::with_faults(dir, injector.clone(), &rec);
             store.save(&state).map_err(|e| CliError(e.to_string()))?;
@@ -509,7 +509,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                 let store = CheckpointStore::with_faults(dir, injector.clone(), &rec);
                 let r = infer_network_durable(&matrix, &cfg, &store, checkpoint_every, resume, &rec)
                     .map_err(|e| match e {
-                        gnet_core::CheckpointError::Interrupted { tiles_done } => CliError(format!(
+                        DurableError::Interrupted { tiles_done, .. } => CliError(format!(
                             "run interrupted after {tiles_done} tile(s); checkpoint saved in {dir} — rerun with --resume to continue"
                         )),
                         other => CliError(other.to_string()),
@@ -519,7 +519,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                     format!(
                         "{} pairs in {:?} ({:.0} pairs/s), I* = {:.4} [checkpointed every {checkpoint_every} tiles]",
                         r.stats.pairs,
-                        r.stats.total_time(),
+                        t0.elapsed(),
                         r.stats.pair_rate(),
                         r.stats.threshold
                     ),
@@ -635,7 +635,7 @@ pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
     let (state, stats) = update_durable(&store, &append, mode, checkpoint_every, resume, &rec)
         .map_err(|e| match e {
-            StateError::Interrupted { pairs_done } => CliError(format!(
+            DurableError::Interrupted { pairs_done, .. } => CliError(format!(
                 "update interrupted after {pairs_done} pair(s); progress saved in {state_dir} — rerun with --resume to continue"
             )),
             other => CliError(other.to_string()),
@@ -2607,7 +2607,7 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        let bundle = state_dir.join(gnet_core::state::STATE_FILE);
+        let bundle = state_dir.join(gnet_core::FileKind::State.file_name());
         let before = std::fs::read(&bundle).unwrap();
 
         let err = cmd_update(
@@ -2630,7 +2630,9 @@ mod tests {
         assert!(err.0.contains("after 32 pair(s)"), "{}", err.0);
         // The kill left the bundle untouched and the progress durable.
         assert_eq!(std::fs::read(&bundle).unwrap(), before);
-        assert!(state_dir.join(gnet_core::state::PROGRESS_FILE).exists());
+        assert!(state_dir
+            .join(gnet_core::FileKind::UpdateProgress.file_name())
+            .exists());
 
         cmd_update(
             &argmap(&[
@@ -2652,7 +2654,11 @@ mod tests {
         // the same bundle and edges.
         let clean_dir = dir.join("clean_state");
         std::fs::create_dir_all(&clean_dir).unwrap();
-        std::fs::write(clean_dir.join(gnet_core::state::STATE_FILE), &before).unwrap();
+        std::fs::write(
+            clean_dir.join(gnet_core::FileKind::State.file_name()),
+            &before,
+        )
+        .unwrap();
         cmd_update(
             &argmap(&[
                 "--state",
@@ -2671,7 +2677,7 @@ mod tests {
         );
         assert_eq!(
             std::fs::read(&bundle).unwrap(),
-            std::fs::read(clean_dir.join(gnet_core::state::STATE_FILE)).unwrap(),
+            std::fs::read(clean_dir.join(gnet_core::FileKind::State.file_name())).unwrap(),
             "resumed and clean bundles must be byte-identical"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,9 +2,11 @@
 //!
 //! `P` ranks communicate over reliable, ordered, typed-as-bytes channels —
 //! the semantics of MPI point-to-point with unbounded buffering (sends
-//! never block, receives block until a matching message arrives). One
-//! channel exists per ordered rank pair, so `recv(from)` is deterministic
-//! and messages from distinct senders cannot be confused.
+//! never block, receives wait for a matching message). One channel exists
+//! per ordered rank pair, so a receive from one rank is deterministic and
+//! messages from distinct senders cannot be confused. The ring driver
+//! reaches its peers only through [`crate::Transport`]'s `send` and
+//! `recv_timeout`.
 //!
 //! ## Failure awareness
 //!
@@ -32,8 +34,7 @@ use std::time::Duration;
 
 pub use crossbeam::channel::RecvTimeoutError;
 
-/// Cumulative traffic counters of one endpoint (shared with the fabric so
-/// totals survive the endpoint's move into its rank thread).
+/// Cumulative traffic counters of one endpoint.
 #[derive(Debug, Default)]
 pub struct CommStats {
     /// Messages sent.
@@ -66,7 +67,7 @@ pub struct Endpoint {
     tx: Vec<Sender<Bytes>>,
     /// `rx[from]` receives from rank `from`.
     rx: Vec<Receiver<Bytes>>,
-    stats: Arc<CommStats>,
+    stats: CommStats,
     /// Armed only on fabrics built with [`Fabric::with_faults`]; an
     /// unarmed injector is a zero-cost pass-through.
     faults: FaultInjector,
@@ -132,18 +133,6 @@ impl Endpoint {
         }
     }
 
-    /// Block until a message from `from` arrives.
-    ///
-    /// # Panics
-    /// Panics if `from` is out of range or the peer endpoint was dropped
-    /// without sending.
-    pub fn recv(&self, from: usize) -> Bytes {
-        assert!(from < self.size, "rank {from} out of range");
-        self.rx[from]
-            .recv()
-            .expect("peer endpoint dropped before sending")
-    }
-
     /// Wait at most `timeout` for a message from `from`.
     ///
     /// Returns [`RecvTimeoutError::Disconnected`] once the peer's
@@ -162,74 +151,6 @@ impl Endpoint {
     /// The fault injector this endpoint consults on every send.
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
-    }
-
-    /// Ring shift: send `payload` to `(rank + 1) % size`, receive from
-    /// `(rank + size − 1) % size`. The building block of the block
-    /// rotation.
-    pub fn ring_shift(&self, payload: Bytes) -> Bytes {
-        if self.size == 1 {
-            return payload;
-        }
-        let next = (self.rank + 1) % self.size;
-        let prev = (self.rank + self.size - 1) % self.size;
-        self.send(next, payload);
-        self.recv(prev)
-    }
-
-    /// Barrier: no rank leaves before every rank has entered.
-    /// Implemented as gather-to-0 + broadcast (2(P−1) messages).
-    pub fn barrier(&self) {
-        if self.size == 1 {
-            return;
-        }
-        if self.rank == 0 {
-            for from in 1..self.size {
-                let _ = self.recv(from);
-            }
-            for to in 1..self.size {
-                self.send(to, Bytes::new());
-            }
-        } else {
-            self.send(0, Bytes::new());
-            let _ = self.recv(0);
-        }
-    }
-
-    /// Broadcast from `root`: the root's payload is returned on every
-    /// rank.
-    pub fn broadcast(&self, root: usize, payload: Option<Bytes>) -> Bytes {
-        assert!(root < self.size, "root {root} out of range");
-        if self.rank == root {
-            let data = payload.expect("root must supply the broadcast payload");
-            for to in 0..self.size {
-                if to != root {
-                    self.send(to, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv(root)
-        }
-    }
-
-    /// Gather to `root`: returns `Some(vec)` (indexed by rank, including
-    /// the root's own contribution) on the root, `None` elsewhere.
-    pub fn gather(&self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
-        assert!(root < self.size, "root {root} out of range");
-        if self.rank == root {
-            let mut out = vec![Bytes::new(); self.size];
-            out[root] = payload;
-            for (from, slot) in out.iter_mut().enumerate() {
-                if from != root {
-                    *slot = self.recv(from);
-                }
-            }
-            Some(out)
-        } else {
-            self.send(root, payload);
-            None
-        }
     }
 
     /// Shared traffic counters of this endpoint.
@@ -283,7 +204,6 @@ impl crate::transport::Transport for Endpoint {
 /// Builder for a `P`-rank fabric.
 pub struct Fabric {
     endpoints: Vec<Endpoint>,
-    stats: Vec<Arc<CommStats>>,
 }
 
 impl Fabric {
@@ -318,8 +238,6 @@ impl Fabric {
                 receivers[to][from] = Some(rx);
             }
         }
-        let stats: Vec<Arc<CommStats>> =
-            (0..size).map(|_| Arc::new(CommStats::default())).collect();
         let telem: Vec<Arc<Mutex<VecDeque<Bytes>>>> = (0..size)
             .map(|_| Arc::new(Mutex::new(VecDeque::new())))
             .collect();
@@ -338,38 +256,23 @@ impl Fabric {
                     .into_iter()
                     .map(|r| r.expect("wiring loop fills every slot"))
                     .collect(),
-                stats: Arc::clone(&stats[rank]),
+                stats: CommStats::default(),
                 faults: faults.clone(),
                 telem: telem.clone(),
             })
             .collect();
-        Self { endpoints, stats }
+        Self { endpoints }
     }
 
     /// Take the endpoints (one per rank, in rank order).
     pub fn into_endpoints(self) -> Vec<Endpoint> {
         self.endpoints
     }
-
-    /// Shared traffic counters, indexed by rank (clone before
-    /// `into_endpoints` if totals are needed after the run).
-    pub fn stats_handles(&self) -> Vec<Arc<CommStats>> {
-        self.stats.clone()
-    }
 }
 
-/// Run `body` on `size` ranks (scoped threads), returning each rank's
-/// output in rank order. Panics in any rank propagate.
-pub fn run_ranks<T, F>(size: usize, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Endpoint) -> T + Sync,
-{
-    run_ranks_on(Fabric::new(size), body)
-}
-
-/// Like [`run_ranks`], but over a caller-built fabric (e.g. one armed
-/// with a [`FaultInjector`] via [`Fabric::with_faults`]).
+/// Run `body` on each rank of `fabric` (scoped threads; build the fabric
+/// with [`Fabric::with_faults`] to arm a [`FaultInjector`]), returning
+/// each rank's output in rank order. Panics in any rank propagate.
 pub fn run_ranks_on<T, F>(fabric: Fabric, body: F) -> Vec<T>
 where
     T: Send,
@@ -396,9 +299,11 @@ where
 mod tests {
     use super::*;
 
+    const WAIT: Duration = Duration::from_secs(5);
+
     #[test]
     fn point_to_point_is_ordered_and_addressed() {
-        let outputs = run_ranks(3, |ep| {
+        let outputs = run_ranks_on(Fabric::new(3), |ep| {
             // Every rank sends two tagged messages to every other rank.
             for to in 0..ep.size() {
                 if to != ep.rank() {
@@ -409,8 +314,8 @@ mod tests {
             let mut seen = Vec::new();
             for from in 0..ep.size() {
                 if from != ep.rank() {
-                    let a = ep.recv(from);
-                    let b = ep.recv(from);
+                    let a = ep.recv_timeout(from, WAIT).expect("first message");
+                    let b = ep.recv_timeout(from, WAIT).expect("second message");
                     assert_eq!(a[0] as usize, from, "message mis-addressed");
                     assert_eq!((a[1], b[1]), (1, 2), "ordering violated");
                     seen.push(from);
@@ -422,86 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn ring_shift_rotates_blocks() {
-        let outputs = run_ranks(4, |ep| {
-            let mut block = Bytes::from(vec![ep.rank() as u8]);
-            let mut seen = vec![block[0]];
-            for _ in 0..ep.size() - 1 {
-                block = ep.ring_shift(block);
-                seen.push(block[0]);
-            }
-            seen
-        });
-        for (rank, seen) in outputs.iter().enumerate() {
-            // Rank r sees blocks r, r-1, r-2, … (mod P).
-            for (d, &b) in seen.iter().enumerate() {
-                assert_eq!(b as usize, (rank + 4 - d) % 4, "rank {rank} round {d}");
-            }
-            let mut sorted = seen.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3], "rank {rank} must see every block");
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let outputs = run_ranks(5, |ep| {
-            let payload = if ep.rank() == 2 {
-                Some(Bytes::from_static(b"hello"))
-            } else {
-                None
-            };
-            ep.broadcast(2, payload)
-        });
-        for out in outputs {
-            assert_eq!(&out[..], b"hello");
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let outputs = run_ranks(4, |ep| {
-            ep.gather(0, Bytes::from(vec![ep.rank() as u8 * 10]))
-        });
-        let root = outputs[0].as_ref().expect("root gets the gather");
-        let values: Vec<u8> = root.iter().map(|b| b[0]).collect();
-        assert_eq!(values, vec![0, 10, 20, 30]);
-        assert!(outputs[1].is_none() && outputs[2].is_none() && outputs[3].is_none());
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let phase1 = AtomicUsize::new(0);
-        run_ranks(6, |ep| {
-            phase1.fetch_add(1, Ordering::SeqCst);
-            ep.barrier();
-            // After the barrier every rank must observe all six arrivals.
-            assert_eq!(phase1.load(Ordering::SeqCst), 6);
-        });
-    }
-
-    #[test]
-    fn single_rank_degenerates_gracefully() {
-        let out = run_ranks(1, |ep| {
-            ep.barrier();
-            let b = ep.ring_shift(Bytes::from_static(b"x"));
-            let g = ep.gather(0, b.clone()).unwrap();
-            assert_eq!(g.len(), 1);
-            ep.broadcast(0, Some(b)).len()
-        });
-        assert_eq!(out, vec![1]);
-    }
-
-    #[test]
     fn dead_peer_yields_timeout_error_not_a_hang() {
         // Rank 1 crashes (drops its endpoint) without sending; rank 0's
         // bounded receive must report the death instead of blocking
         // forever.
-        let outputs = run_ranks(2, |ep| {
+        let outputs = run_ranks_on(Fabric::new(2), |ep| {
             if ep.rank() == 0 {
                 let err = ep
-                    .recv_timeout(1, Duration::from_secs(5))
+                    .recv_timeout(1, WAIT)
                     .expect_err("dead peer must surface as an error");
                 // Dropping the endpoint closes the channel, so the error
                 // is Disconnected (near-instant), not a 5 s timeout.
@@ -541,9 +374,7 @@ mod tests {
         // First message on the 0→1 edge is dropped, second delivered.
         e0.send(1, Bytes::from_static(b"lost"));
         e0.send(1, Bytes::from_static(b"kept"));
-        let got = e1
-            .recv_timeout(0, Duration::from_secs(5))
-            .expect("second message survives");
+        let got = e1.recv_timeout(0, WAIT).expect("second message survives");
         assert_eq!(&got[..], b"kept");
         assert_eq!(injector.faults_fired(), 1);
         // Sends to a crashed peer are discarded, not a panic.
@@ -553,23 +384,14 @@ mod tests {
 
     #[test]
     fn traffic_is_accounted() {
-        let fabric = Fabric::new(2);
-        let stats = fabric.stats_handles();
-        let eps = fabric.into_endpoints();
-        crossbeam::thread::scope(|scope| {
-            let mut it = eps.into_iter();
-            let e0 = it.next().unwrap();
-            let e1 = it.next().unwrap();
-            scope.spawn(move |_| {
-                e0.send(1, Bytes::from(vec![0u8; 100]));
-            });
-            scope.spawn(move |_| {
-                let _ = e1.recv(0);
-            });
-        })
-        .unwrap();
-        assert_eq!(stats[0].messages(), 1);
-        assert_eq!(stats[0].bytes(), 100);
-        assert_eq!(stats[1].messages(), 0);
+        let counts = run_ranks_on(Fabric::new(2), |ep| {
+            if ep.rank() == 0 {
+                ep.send(1, Bytes::from(vec![0u8; 100]));
+            } else {
+                ep.recv_timeout(0, WAIT).expect("the message arrives");
+            }
+            (ep.stats().messages(), ep.stats().bytes())
+        });
+        assert_eq!(counts, vec![(1, 100), (0, 0)]);
     }
 }

@@ -1052,13 +1052,7 @@ pub(crate) fn rank_main(
                     for share in std::mem::take(&mut supplements).into_iter().flatten() {
                         merged.merge(share);
                     }
-                    let total_pairs = (n as u64) * (n as u64 - 1) / 2;
-                    let threshold = match config.mi_threshold {
-                        Some(t) => t,
-                        None => merged
-                            .pooled
-                            .global_threshold(config.alpha, total_pairs.max(1)),
-                    };
+                    let threshold = merged.threshold(config.mi_threshold, config.alpha, n);
                     let network = merged.network(matrix.gene_names(), threshold);
                     output = Some((network, threshold, dead));
                 }

@@ -8,8 +8,8 @@
 //!
 //! * [`comm`] — an in-process message-passing fabric: `P` ranks as
 //!   threads, reliable ordered point-to-point byte channels between every
-//!   pair, and the collectives the algorithm needs (barrier, broadcast,
-//!   gather, ring shift), with per-endpoint traffic accounting;
+//!   pair (the ring driver needs only `send` and a bounded receive), with
+//!   per-endpoint traffic accounting;
 //! * [`codec`] — a compact wire format for blocks of prepared genes
 //!   (the sparse B-spline weight matrices TINGe ships between ranks);
 //! * [`distributed`] — the TINGe-style algorithm: genes block-distributed
@@ -50,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use codec::CodecError;
-pub use comm::{run_ranks, run_ranks_on, CommStats, Endpoint, Fabric, RecvTimeoutError};
+pub use comm::{run_ranks_on, CommStats, Endpoint, Fabric, RecvTimeoutError};
 pub use distributed::{
     infer_network_distributed, infer_network_distributed_faulty, ClusterError, DistributedResult,
     RankRun, RankStats, Wire, DEFAULT_PEER_TIMEOUT,

@@ -674,7 +674,7 @@ fn writer_loop(
 /// # Panics
 /// Panics if `size == 0`, or if mesh establishment fails inside a rank
 /// thread (dial retries exhausted / preamble violation) — harness
-/// semantics, like a rank panic under [`crate::comm::run_ranks`].
+/// semantics, like a rank panic under [`crate::comm::run_ranks_on`].
 pub fn run_ranks_tcp<T, F>(size: usize, faults: &FaultInjector, body: F) -> std::io::Result<Vec<T>>
 where
     T: Send,

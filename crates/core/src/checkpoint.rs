@@ -16,11 +16,17 @@
 //! A checkpointed run goes through the same pipeline function as a
 //! plain one, so it records the same stages, run shape (`run.config`)
 //! and `mi.*` counters, plus one `checkpoint.chunk` event per chunk.
+//!
+//! This module is the in-memory side: the run digest and
+//! [`infer_network_resumable`], which writes no files. The files, the
+//! one store for checkpoints and update progress, and the one driver that
+//! resumes and saves both are in [`crate::durable`].
 
 use crate::config::InferenceConfig;
-use crate::pipeline::{run_pipeline, Chunking};
+use crate::pipeline::run_pipeline;
 use crate::result::InferenceResult;
 pub use crate::scan::Checkpoint;
+use crate::scan::Chunking;
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{prepare_gene, MiKernel};
@@ -60,21 +66,26 @@ pub(crate) fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, ti
 /// computed without running the pipeline.
 ///
 /// [`infer_network_resumable`] derives the same value internally; the
-/// durable store ([`crate::durable::CheckpointStore`]) uses this to
-/// reject stale or foreign checkpoints with a typed error *before* the
-/// run starts, instead of panicking mid-resume.
+/// durable driver ([`crate::infer_network_durable`]) uses it to reject
+/// stale or foreign checkpoints with a typed error *before* the run
+/// starts, instead of panicking mid-resume.
 ///
 /// # Panics
 /// Panics on config/matrix violations (fewer than two genes).
 #[must_use]
 pub fn run_digest_for(matrix: &ExpressionMatrix, config: &InferenceConfig) -> u64 {
+    run_digest(config, matrix, run_space(matrix, config).tiles().len())
+}
+
+/// The tiling a run of `config` over `matrix` scans, from one prepared
+/// probe gene rather than all of them.
+pub(crate) fn run_space(matrix: &ExpressionMatrix, config: &InferenceConfig) -> TileSpace {
     config.validate();
     assert!(matrix.genes() >= 2, "need at least two genes");
     let basis = BsplineBasis::new(config.spline_order, config.bins);
     let probe = prepare_gene(matrix.gene(0), &basis);
     let tile_size = config.resolved_tile_size(matrix.genes(), probe.heap_bytes());
-    let space = TileSpace::new(matrix.genes(), tile_size);
-    run_digest(config, matrix, space.tiles().len())
+    TileSpace::new(matrix.genes(), tile_size)
 }
 
 /// Outcome of a resumable run: finished, or interrupted with the progress
@@ -288,6 +299,26 @@ mod tests {
         );
         assert_eq!(r.stats.execution.total_tiles(), tiles);
         assert!(r.stats.execution.elapsed > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn mi_time_leaves_out_the_time_between_chunks() {
+        // A durable run saves between chunks; pairs/s must not count that.
+        let (matrix, _) = coupled_pairs(6, 150, Coupling::Linear(0.8), 5);
+        let pause = std::time::Duration::from_millis(30);
+        let mut chunks = 0u32;
+        let r = infer_network_resumable(&matrix, &cfg(), None, 1, |_| {
+            chunks += 1;
+            std::thread::sleep(pause);
+            true
+        })
+        .expect("finishes");
+        assert!(chunks >= 2, "the run must span several chunks");
+        assert!(
+            r.stats.mi_time < pause * chunks,
+            "mi_time {:?} counts the {chunks} pauses of {pause:?}",
+            r.stats.mi_time
+        );
     }
 
     #[test]

@@ -1,10 +1,22 @@
-//! Durable, integrity-checked checkpoint files and the resume driver.
+//! Durable progress: integrity-checked framed files and the one resume
+//! driver.
 //!
 //! [`crate::checkpoint`] made progress *mergeable*; this module makes it
-//! *survivable*. A [`CheckpointStore`] persists every chunk boundary as a
-//! single-file checkpoint written atomically (temp file + `fsync` +
+//! *survivable*. Three framed files share one codec, told apart by their
+//! [`FileKind`]: the GNETCKP checkpoint of `gnet infer --checkpoint-dir`,
+//! the GNETSTA state bundle of `gnet infer --save-state`
+//! ([`crate::state`]) and the GNETUPD progress file `gnet update` keeps
+//! next to its bundle. Every write is atomic (temp file + `fsync` +
 //! rename), so a kill at any instant leaves either the previous complete
-//! checkpoint or the new complete checkpoint on disk — never a torn one.
+//! file or the new one, never a torn one, and every failure is one
+//! [`DurableError`] that names the file's kind, path and cure.
+//!
+//! A checkpoint and an update progress file hold the same value, a
+//! [`Checkpoint`], and one [`CheckpointStore`] reads and writes both.
+//! One driver runs both durable scans, [`infer_network_durable`] and
+//! [`crate::update_durable`]: it loads and validates the progress a
+//! resume starts from, saves the progress after every chunk, and checks
+//! the fault plan's crash point after each save.
 //!
 //! ## File schema v3
 //!
@@ -12,61 +24,114 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  b"GNETCKP\x01"
+//! 0       8     magic  b"GNETCKP\x01" | b"GNETSTA\x01" | b"GNETUPD\x01"
 //! 8       4     version (= 3)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
 //! ```
 //!
-//! Payload (f64 values stored as raw IEEE-754 bits, so a resumed prefix
-//! is **bit-identical** to the in-memory one):
+//! The GNETCKP and GNETUPD payload (f64 values stored as raw IEEE-754
+//! bits, so a resumed prefix is **bit-identical** to the in-memory one;
+//! the GNETSTA payload is in [`crate::state`]):
 //!
 //! ```text
-//! u64  run digest (see [`crate::checkpoint::run_digest_for`])
+//! u64  digest (the run digest of [`crate::run_digest_for`], or an
+//!      update's [`crate::update_digest`])
 //! u64  tiles_done
 //! 48   pooled null ([`gnet_permute::PooledNull::to_bytes`])
 //! u64  joints
 //! u32  candidate count, then per candidate: u32 i, u32 j, u64 MI bits
 //! ```
 //!
-//! Every load re-verifies the FNV digest and the run digest: a corrupted
-//! or stale file yields a typed [`CheckpointError`], never a panic and
-//! never a silently wrong network.
+//! Every load re-verifies the FNV digest, and a resume also checks the
+//! progress digest and that the prefix fits the tile list: a corrupted,
+//! stale or forged file yields a typed [`DurableError`], never a panic
+//! and never a silently wrong network.
 //!
 //! Fault points (temp-file write, rename, read-back, payload bytes) are
 //! routed through a [`FaultInjector`], so the chaos suite can exercise
 //! torn writes and silent corruption deterministically.
 
-use crate::checkpoint::{run_digest_for, Checkpoint};
+use crate::checkpoint::{run_digest, run_space, Checkpoint};
 use crate::config::InferenceConfig;
-use crate::pipeline::{run_pipeline, Chunking};
+use crate::pipeline::run_pipeline;
 use crate::result::InferenceResult;
-use crate::scan::NullScan;
+use crate::scan::{Chunking, NullScan};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, FaultInjector, IoOp};
+use gnet_parallel::Tile;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC: [u8; 8] = *b"GNETCKP\x01";
 /// Version of every framed file (GNETCKP, GNETSTA, GNETUPD). v3: the
 /// pooled null as exact fixed-point sums. A v2 file carries Welford
 /// moments, which the exact accumulator cannot continue.
 pub(crate) const VERSION: u32 = 3;
 pub(crate) const HEADER_LEN: usize = 28;
 
-/// Name of the durable checkpoint file inside the store directory.
-pub const CHECKPOINT_FILE: &str = "gnet.ckpt";
-const TMP_FILE: &str = "gnet.ckpt.tmp";
+/// The three framed files. Each has its own magic, its own name inside
+/// its store directory, and its own cure when it cannot be used.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FileKind {
+    /// The GNETCKP checkpoint of `gnet infer --checkpoint-dir`.
+    Checkpoint,
+    /// The GNETSTA state bundle of `gnet infer --save-state`.
+    State,
+    /// The GNETUPD progress file of `gnet update`, next to its bundle.
+    UpdateProgress,
+}
 
-/// Why a durable checkpoint could not be saved, loaded, or resumed.
+impl FileKind {
+    /// The file's name inside its store directory.
+    #[must_use]
+    pub fn file_name(self) -> &'static str {
+        match self {
+            Self::Checkpoint => "gnet.ckpt",
+            Self::State => "gnet.state",
+            Self::UpdateProgress => "gnet.update.progress",
+        }
+    }
+
+    fn magic(self) -> &'static [u8; 8] {
+        match self {
+            Self::Checkpoint => b"GNETCKP\x01",
+            Self::State => b"GNETSTA\x01",
+            Self::UpdateProgress => b"GNETUPD\x01",
+        }
+    }
+
+    /// How messages name the file.
+    fn noun(self) -> &'static str {
+        match self {
+            Self::Checkpoint => "checkpoint",
+            Self::State => "state",
+            Self::UpdateProgress => "update progress",
+        }
+    }
+
+    /// What to do with a file of this kind that cannot be used.
+    fn cure(self) -> &'static str {
+        match self {
+            Self::Checkpoint => "delete it, or restart without --resume",
+            Self::State => "rebuild it with `gnet infer --save-state`",
+            Self::UpdateProgress => "delete it, or rerun without --resume",
+        }
+    }
+}
+
+/// Why a durable file could not be saved, loaded or resumed, or why a
+/// durable run or update stopped. Every file error names the file's kind
+/// and path, and its message says what to do about it.
 #[derive(Debug)]
-pub enum CheckpointError {
-    /// A filesystem operation failed; names the path and operation.
+pub enum DurableError {
+    /// A filesystem operation failed.
     Io {
+        /// Kind of the file the operation was for.
+        kind: FileKind,
         /// File or directory the operation targeted.
         path: PathBuf,
         /// What was being attempted (`"write"`, `"rename"`, …).
@@ -74,8 +139,11 @@ pub enum CheckpointError {
         /// The underlying error.
         source: io::Error,
     },
-    /// The file is structurally invalid (bad magic, truncated, …).
+    /// The file is structurally invalid (bad magic, truncated, bad
+    /// shapes, a prefix past the tile list, …).
     Corrupt {
+        /// Kind of the offending file.
+        kind: FileKind,
         /// Offending file.
         path: PathBuf,
         /// What exactly was malformed.
@@ -84,6 +152,8 @@ pub enum CheckpointError {
     /// The payload bytes do not match their integrity digest: the file
     /// was damaged after it was written.
     IntegrityMismatch {
+        /// Kind of the offending file.
+        kind: FileKind,
         /// Offending file.
         path: PathBuf,
         /// Digest recorded in the header.
@@ -91,78 +161,116 @@ pub enum CheckpointError {
         /// Digest of the bytes actually on disk.
         found: u64,
     },
-    /// The checkpoint is valid but belongs to a different run (other
-    /// matrix, config, or tiling).
-    StaleRun {
-        /// Offending file.
-        path: PathBuf,
-        /// Run digest of the current configuration.
-        expected: u64,
-        /// Run digest stored in the checkpoint.
-        found: u64,
-    },
-    /// No checkpoint file exists at the expected path.
+    /// No file exists at the expected path.
     Missing {
+        /// Kind of the file that was probed.
+        kind: FileKind,
         /// Path that was probed.
         path: PathBuf,
     },
-    /// The run was interrupted at a chunk boundary (an injected crash or
-    /// an external stop) *after* its checkpoint was durably written;
-    /// re-running with `resume` continues from `tiles_done`.
+    /// The progress is valid but belongs to another run (other matrix,
+    /// config or tiling) or another update (other state, appended data
+    /// or mode).
+    Stale {
+        /// Kind of the offending file.
+        kind: FileKind,
+        /// Offending file.
+        path: PathBuf,
+        /// Digest of the current run or update.
+        expected: u64,
+        /// Digest stored in the file.
+        found: u64,
+    },
+    /// The appended data is incompatible with the stored state.
+    Append {
+        /// What does not line up.
+        reason: String,
+    },
+    /// The run stopped at a chunk boundary (an injected crash or an
+    /// external stop) *after* that boundary's progress was durably saved;
+    /// re-running with `resume` continues from it.
     Interrupted {
-        /// Tiles completed and checkpointed before the interruption.
+        /// Tiles completed and saved before the interruption.
         tiles_done: usize,
+        /// Pairs in those tiles.
+        pairs_done: u64,
     },
 }
 
-impl fmt::Display for CheckpointError {
+impl fmt::Display for DurableError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io { path, op, source } => {
+            Self::Io {
+                kind,
+                path,
+                op,
+                source,
+            } => write!(
+                f,
+                "{} {op} failed for `{}`: {source}",
+                kind.noun(),
+                path.display()
+            ),
+            Self::Corrupt { kind, path, reason } => write!(
+                f,
+                "corrupt {} file `{}`: {reason} — {}",
+                kind.noun(),
+                path.display(),
+                kind.cure()
+            ),
+            Self::IntegrityMismatch {
+                kind,
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "{} file `{}` failed integrity check \
+                 (digest {expected:#018x} recorded, {found:#018x} on disk); \
+                 the file was corrupted after writing — {}",
+                kind.noun(),
+                path.display(),
+                kind.cure()
+            ),
+            Self::Missing { kind, path } => {
+                write!(f, "no {} file at `{}`", kind.noun(), path.display())
+            }
+            Self::Stale {
+                kind,
+                path,
+                expected,
+                found,
+            } => {
+                let (owner, inputs) = match kind {
+                    FileKind::UpdateProgress => ("update", "state, appended data or mode"),
+                    _ => ("run", "matrix, config or tiling"),
+                };
                 write!(
                     f,
-                    "checkpoint {op} failed for `{}`: {source}",
-                    path.display()
+                    "{} file `{}` belongs to a different {owner} \
+                     (digest {found:#018x}, this {owner} is {expected:#018x}); \
+                     {inputs} changed — {}",
+                    kind.noun(),
+                    path.display(),
+                    kind.cure()
                 )
             }
-            Self::Corrupt { path, reason } => {
-                write!(f, "corrupt checkpoint `{}`: {reason}", path.display())
+            Self::Append { reason } => {
+                write!(f, "appended data is incompatible with the state: {reason}")
             }
-            Self::IntegrityMismatch {
-                path,
-                expected,
-                found,
+            Self::Interrupted {
+                tiles_done,
+                pairs_done,
             } => write!(
                 f,
-                "checkpoint `{}` failed integrity check \
-                 (digest {expected:#018x} recorded, {found:#018x} on disk); \
-                 the file was corrupted after writing — delete it and restart",
-                path.display()
-            ),
-            Self::StaleRun {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "checkpoint `{}` belongs to a different run \
-                 (run digest {found:#018x}, current run is {expected:#018x}); \
-                 matrix, config, or tiling changed — delete it or restart without --resume",
-                path.display()
-            ),
-            Self::Missing { path } => {
-                write!(f, "no checkpoint at `{}`", path.display())
-            }
-            Self::Interrupted { tiles_done } => write!(
-                f,
-                "run interrupted at a chunk boundary with {tiles_done} tiles \
-                 checkpointed; re-run with resume to continue"
+                "interrupted at a chunk boundary with {tiles_done} tile(s) \
+                 ({pairs_done} pair(s)) saved; re-run with resume to continue"
             ),
         }
     }
 }
 
-impl std::error::Error for CheckpointError {
+impl std::error::Error for DurableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
@@ -180,7 +288,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-pub(crate) fn encode_payload(cp: &Checkpoint) -> Vec<u8> {
+fn encode_payload(cp: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(&cp.digest.to_le_bytes());
     out.extend_from_slice(&(cp.tiles_done as u64).to_le_bytes());
@@ -242,7 +350,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub(crate) fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
+fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut r = Reader::new(payload);
     let digest = r.u64("run digest")?;
     let tiles_done = r.u64("tiles_done")? as usize;
@@ -253,64 +361,223 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     })
 }
 
-/// A directory holding one durable checkpoint, written atomically.
-///
-/// The default store is fault-free; [`CheckpointStore::with_faults`]
-/// routes the write/rename/read fault points and payload bytes through a
-/// [`FaultInjector`] for chaos testing.
-pub struct CheckpointStore {
+/// One framed file of one kind inside a directory, with the injector its
+/// reads and writes consult and the recorder its store reports saves to.
+#[derive(Clone)]
+pub(crate) struct FramedFile {
     dir: PathBuf,
+    kind: FileKind,
     injector: FaultInjector,
-    rec: Recorder,
+    pub(crate) rec: Recorder,
 }
 
-impl CheckpointStore {
-    /// Store rooted at `dir` (created on first save).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self::with_faults(dir, FaultInjector::none(), &Recorder::disabled())
-    }
-
-    /// Store with fault injection and trace recording wired in.
-    pub fn with_faults(dir: impl Into<PathBuf>, injector: FaultInjector, rec: &Recorder) -> Self {
+impl FramedFile {
+    pub(crate) fn new(
+        dir: PathBuf,
+        kind: FileKind,
+        injector: FaultInjector,
+        rec: &Recorder,
+    ) -> Self {
         Self {
-            dir: dir.into(),
+            dir,
+            kind,
             injector,
             rec: rec.clone(),
         }
     }
 
-    /// The injector this store consults (shared with the resume driver).
-    #[must_use]
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
+    /// The same directory, injector and recorder, for a file of `kind`.
+    pub(crate) fn sibling(&self, kind: FileKind) -> Self {
+        Self {
+            kind,
+            ..self.clone()
+        }
     }
 
-    /// Path of the durable checkpoint file.
-    #[must_use]
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(CHECKPOINT_FILE)
+    pub(crate) fn path(&self) -> PathBuf {
+        self.dir.join(self.kind.file_name())
     }
 
     fn tmp_path(&self) -> PathBuf {
-        self.dir.join(TMP_FILE)
+        self.dir.join(format!("{}.tmp", self.kind.file_name()))
+    }
+
+    fn io_error(&self, path: &Path, op: &'static str, source: io::Error) -> DurableError {
+        DurableError::Io {
+            kind: self.kind,
+            path: path.to_path_buf(),
+            op,
+            source,
+        }
+    }
+
+    fn corrupt(&self, reason: String) -> DurableError {
+        DurableError::Corrupt {
+            kind: self.kind,
+            path: self.path(),
+            reason,
+        }
+    }
+
+    /// Atomically write `payload` framed by the module-level header
+    /// (magic, [`VERSION`], length, FNV-1a64 digest): write the temp
+    /// file, `fsync`, rename over the file, `fsync` the directory.
+    /// Returns the file's size. The injector's write/rename faults and
+    /// payload flips apply.
+    pub(crate) fn save(&self, mut payload: Vec<u8>) -> Result<usize, DurableError> {
+        fs::create_dir_all(&self.dir).map_err(|e| self.io_error(&self.dir, "create-dir", e))?;
+        // The integrity digest covers the *intended* bytes; injected flips
+        // happen after, modeling media corruption that a load must catch.
+        let integrity = fnv1a64(&payload);
+        self.injector.corrupt_checkpoint(&mut payload);
+
+        let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+        file_bytes.extend_from_slice(self.kind.magic());
+        file_bytes.extend_from_slice(&VERSION.to_le_bytes());
+        file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file_bytes.extend_from_slice(&integrity.to_le_bytes());
+        file_bytes.extend_from_slice(&payload);
+
+        let (tmp, dst) = (self.tmp_path(), self.path());
+        if let Some(e) = self.injector.on_io(IoOp::Write) {
+            return Err(self.io_error(&tmp, "write", e));
+        }
+        write_durably(&tmp, &file_bytes).map_err(|e| self.io_error(&tmp, "write", e))?;
+        if let Some(e) = self.injector.on_io(IoOp::Rename) {
+            return Err(self.io_error(&dst, "rename", e));
+        }
+        fs::rename(&tmp, &dst).map_err(|e| self.io_error(&dst, "rename", e))?;
+        // Durability of the rename itself. Some filesystems refuse directory
+        // handles; the rename is still atomic, so best-effort.
+        if let Ok(d) = File::open(&self.dir) {
+            let _ = d.sync_all();
+        }
+        Ok(file_bytes.len())
+    }
+
+    /// Read the file, verify its magic, version, length and integrity
+    /// digest, and decode the payload. The injector's read faults apply.
+    pub(crate) fn load<T>(
+        &self,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, DurableError> {
+        let path = self.path();
+        let bytes = match self
+            .injector
+            .on_io(IoOp::Read)
+            .map_or_else(|| fs::read(&path), Err)
+        {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(DurableError::Missing {
+                    kind: self.kind,
+                    path,
+                })
+            }
+            Err(source) => return Err(self.io_error(&path, "read", source)),
+        };
+        let what = self.kind.noun();
+        if bytes.len() < HEADER_LEN {
+            return Err(self.corrupt(format!(
+                "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
+                bytes.len()
+            )));
+        }
+        if bytes[..8] != self.kind.magic()[..] {
+            return Err(self.corrupt(format!("bad magic; not a gnet {what} file")));
+        }
+        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
+        let version = header.u32("version").map_err(|r| self.corrupt(r))?;
+        if version != VERSION {
+            return Err(self.corrupt(format!(
+                "unsupported {what} version {version} (this build reads v{VERSION})"
+            )));
+        }
+        let payload_len = header.u64("payload length").map_err(|r| self.corrupt(r))? as usize;
+        let expected = header
+            .u64("integrity digest")
+            .map_err(|r| self.corrupt(r))?;
+        let payload = &bytes[HEADER_LEN..];
+        if payload.len() != payload_len {
+            return Err(self.corrupt(format!(
+                "payload length mismatch: header declares {payload_len} bytes, \
+                 file holds {}",
+                payload.len()
+            )));
+        }
+        let found = fnv1a64(payload);
+        if found != expected {
+            return Err(DurableError::IntegrityMismatch {
+                kind: self.kind,
+                path,
+                expected,
+                found,
+            });
+        }
+        decode(payload).map_err(|r| self.corrupt(r))
+    }
+
+    /// Remove the file and any stray temp file, if present.
+    pub(crate) fn clear(&self) -> Result<(), DurableError> {
+        for path in [self.path(), self.tmp_path()] {
+            match fs::remove_file(&path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(source) => return Err(self.io_error(&path, "remove", source)),
+            }
+        }
+        Ok(())
+    }
+}
+
+fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_all()
+}
+
+/// A directory holding one durable progress file, written atomically: a
+/// GNETCKP checkpoint ([`CheckpointStore::new`]) or, handed out by
+/// [`crate::StateStore::progress`], the GNETUPD progress file of an
+/// update.
+///
+/// The default store is fault-free; [`CheckpointStore::with_faults`]
+/// routes the write/rename/read fault points and payload bytes through a
+/// [`FaultInjector`] for chaos testing.
+pub struct CheckpointStore {
+    pub(crate) file: FramedFile,
+}
+
+impl CheckpointStore {
+    /// Checkpoint store rooted at `dir` (created on first save).
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self::with_faults(dir, FaultInjector::none(), &Recorder::disabled())
+    }
+
+    /// Checkpoint store with fault injection and trace recording wired
+    /// in.
+    pub fn with_faults(dir: impl Into<PathBuf>, injector: FaultInjector, rec: &Recorder) -> Self {
+        Self {
+            file: FramedFile::new(dir.into(), FileKind::Checkpoint, injector, rec),
+        }
+    }
+
+    /// Path of the progress file.
+    #[must_use]
+    pub fn path(&self) -> PathBuf {
+        self.file.path()
     }
 
     /// Atomically persist `cp`: encode, write to a temp file, `fsync`,
-    /// rename over the durable name, and `fsync` the directory.
+    /// rename over the durable name, and `fsync` the directory. Records
+    /// one `checkpoint.saved` event.
     ///
     /// # Errors
-    /// [`CheckpointError::Io`] naming the path and operation that failed
+    /// [`DurableError::Io`] naming the path and operation that failed
     /// (including injected faults).
-    pub fn save(&self, cp: &Checkpoint) -> Result<(), CheckpointError> {
-        let bytes = save_framed(
-            &self.dir,
-            TMP_FILE,
-            CHECKPOINT_FILE,
-            &MAGIC,
-            encode_payload(cp),
-            &self.injector,
-        )?;
-        self.rec.event(
+    pub fn save(&self, cp: &Checkpoint) -> Result<(), DurableError> {
+        let bytes = self.file.save(encode_payload(cp))?;
+        self.file.rec.event(
             "checkpoint.saved",
             &[
                 ("tiles_done", Value::from(cp.tiles_done)),
@@ -320,249 +587,149 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Load and fully validate the durable checkpoint.
+    /// Load and fully validate the progress file.
     ///
     /// # Errors
-    /// [`CheckpointError::Missing`] when no file exists; `Io`, `Corrupt`,
-    /// or `IntegrityMismatch` when the file cannot be trusted.
-    pub fn load(&self) -> Result<Checkpoint, CheckpointError> {
-        Ok(load_framed(
-            self.path(),
-            &MAGIC,
-            "checkpoint",
-            &self.injector,
-            decode_payload,
-        )?)
+    /// [`DurableError::Missing`] when no file exists; `Io`, `Corrupt`, or
+    /// `IntegrityMismatch` when the file cannot be trusted.
+    pub fn load(&self) -> Result<Checkpoint, DurableError> {
+        self.file.load(decode_payload)
     }
 
-    /// [`Self::load`], additionally rejecting checkpoints whose run
-    /// digest differs from `expected_digest`.
+    /// Remove the progress file (and any stray temp file) if present.
     ///
     /// # Errors
-    /// Everything [`Self::load`] returns, plus
-    /// [`CheckpointError::StaleRun`] on a digest mismatch.
-    pub fn load_for_run(&self, expected_digest: u64) -> Result<Checkpoint, CheckpointError> {
-        let cp = self.load()?;
-        if cp.digest != expected_digest {
-            return Err(CheckpointError::StaleRun {
-                path: self.path(),
-                expected: expected_digest,
-                found: cp.digest,
-            });
-        }
-        Ok(cp)
+    /// [`DurableError::Io`] on a filesystem failure other than the files
+    /// already being absent.
+    pub fn clear(&self) -> Result<(), DurableError> {
+        self.file.clear()
     }
 
-    /// Remove the checkpoint (and any stray temp file) if present.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] on a filesystem failure other than the
-    /// files already being absent.
-    pub fn clear(&self) -> Result<(), CheckpointError> {
-        Ok(remove_files([self.path(), self.tmp_path()])?)
-    }
-}
-
-/// Why a framed file (a GNETCKP checkpoint, a GNETSTA state bundle or a
-/// GNETUPD progress file) could not be written or read; each store maps
-/// it onto its own typed error.
-#[derive(Debug)]
-pub(crate) enum FileFault {
-    Io {
-        path: PathBuf,
-        op: &'static str,
-        source: io::Error,
-    },
-    Corrupt {
-        path: PathBuf,
-        reason: String,
-    },
-    IntegrityMismatch {
-        path: PathBuf,
-        expected: u64,
-        found: u64,
-    },
-    Missing {
-        path: PathBuf,
-    },
-}
-
-impl From<FileFault> for CheckpointError {
-    fn from(f: FileFault) -> Self {
-        match f {
-            FileFault::Io { path, op, source } => Self::Io { path, op, source },
-            FileFault::Corrupt { path, reason } => Self::Corrupt { path, reason },
-            FileFault::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            } => Self::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            },
-            FileFault::Missing { path } => Self::Missing { path },
-        }
-    }
-}
-
-/// Atomically write `payload` as `dir/name`, framed by the header of the
-/// module-level schema (magic, [`VERSION`], length, FNV-1a64 digest):
-/// write `dir/tmp_name`, `fsync`, rename, `fsync` the directory. Returns
-/// the file's size. The injector's write/rename faults and payload flips
-/// apply.
-pub(crate) fn save_framed(
-    dir: &Path,
-    tmp_name: &str,
-    name: &str,
-    magic: &[u8; 8],
-    mut payload: Vec<u8>,
-    injector: &FaultInjector,
-) -> Result<usize, FileFault> {
-    let io_err = |path: &Path, op, source| FileFault::Io {
-        path: path.to_path_buf(),
-        op,
-        source,
-    };
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, "create-dir", e))?;
-    // The integrity digest covers the *intended* bytes; injected flips
-    // happen after, modeling media corruption that a load must catch.
-    let integrity = fnv1a64(&payload);
-    injector.corrupt_checkpoint(&mut payload);
-
-    let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    file_bytes.extend_from_slice(magic);
-    file_bytes.extend_from_slice(&VERSION.to_le_bytes());
-    file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file_bytes.extend_from_slice(&integrity.to_le_bytes());
-    file_bytes.extend_from_slice(&payload);
-
-    let (tmp, dst) = (dir.join(tmp_name), dir.join(name));
-    if let Some(e) = injector.on_io(IoOp::Write) {
-        return Err(io_err(&tmp, "write", e));
-    }
-    write_durably(&tmp, &file_bytes).map_err(|e| io_err(&tmp, "write", e))?;
-    if let Some(e) = injector.on_io(IoOp::Rename) {
-        return Err(io_err(&dst, "rename", e));
-    }
-    fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, "rename", e))?;
-    // Durability of the rename itself. Some filesystems refuse directory
-    // handles; the rename is still atomic, so best-effort.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(file_bytes.len())
-}
-
-/// Read the framed file at `path`, verify its magic, version, length and
-/// integrity digest, and decode the payload. `what` names the file kind
-/// in error reasons. The injector's read faults apply.
-pub(crate) fn load_framed<T>(
-    path: PathBuf,
-    magic: &[u8; 8],
-    what: &str,
-    injector: &FaultInjector,
-    decode: impl FnOnce(&[u8]) -> Result<T, String>,
-) -> Result<T, FileFault> {
-    let bytes = match injector
-        .on_io(IoOp::Read)
-        .map_or_else(|| fs::read(&path), Err)
-    {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(FileFault::Missing { path }),
-        Err(source) => {
-            return Err(FileFault::Io {
-                path,
-                op: "read",
-                source,
-            })
-        }
-    };
-    let corrupt = |reason: String| FileFault::Corrupt {
-        path: path.clone(),
-        reason,
-    };
-    if bytes.len() < HEADER_LEN {
-        return Err(corrupt(format!(
-            "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != magic[..] {
-        return Err(corrupt(format!("bad magic; not a gnet {what} file")));
-    }
-    let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-    let version = header.u32("version").map_err(&corrupt)?;
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "unsupported {what} version {version} (this build reads v{VERSION})"
-        )));
-    }
-    let payload_len = header.u64("payload length").map_err(&corrupt)? as usize;
-    let expected = header.u64("integrity digest").map_err(&corrupt)?;
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != payload_len {
-        return Err(corrupt(format!(
-            "payload length mismatch: header declares {payload_len} bytes, \
-             file holds {}",
-            payload.len()
-        )));
-    }
-    let found = fnv1a64(payload);
-    if found != expected {
-        return Err(FileFault::IntegrityMismatch {
-            path,
-            expected,
-            found,
-        });
-    }
-    decode(payload).map_err(corrupt)
-}
-
-/// Remove each of `paths` that exists.
-pub(crate) fn remove_files(paths: impl IntoIterator<Item = PathBuf>) -> Result<(), FileFault> {
-    for path in paths {
-        match fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(source) => {
-                return Err(FileFault::Io {
-                    path,
-                    op: "remove",
-                    source,
-                })
+    /// The one durable driver behind [`infer_network_durable`] and
+    /// [`crate::update_durable`]. With `resume`, the scan starts from
+    /// this store's progress for `digest`: a missing file starts afresh;
+    /// an unreadable, corrupt, stale one, or one whose prefix is longer
+    /// than `tiles`, is an error. `scan` then runs in chunks of
+    /// `chunk_tiles`; after every chunk, the last one included, the
+    /// progress is saved (a `checkpoint.save` span) and the fault plan's
+    /// crash point checked, which stops the scan as
+    /// [`DurableError::Interrupted`]. With `chunk_tiles == 0` the scan is
+    /// one chunk and nothing is saved.
+    pub(crate) fn scan_durably<T>(
+        &self,
+        digest: u64,
+        tiles: &[Tile],
+        chunk_tiles: usize,
+        resume: bool,
+        rec: &Recorder,
+        scan: impl FnOnce(Chunking<'_>) -> Result<T, Checkpoint>,
+    ) -> Result<T, DurableError> {
+        let pairs_in = |done: usize| -> u64 { tiles[..done].iter().map(Tile::pair_count).sum() };
+        let resume_from = if resume {
+            match self.load() {
+                Ok(cp) if cp.digest != digest => {
+                    return Err(DurableError::Stale {
+                        kind: self.file.kind,
+                        path: self.path(),
+                        expected: digest,
+                        found: cp.digest,
+                    })
+                }
+                Ok(cp) if cp.tiles_done > tiles.len() => {
+                    return Err(self.file.corrupt(format!(
+                        "progress covers {} tiles; this scan has {}",
+                        cp.tiles_done,
+                        tiles.len()
+                    )))
+                }
+                Ok(cp) => {
+                    rec.counter_add(names::CNT_RESUMES, 1);
+                    rec.event(
+                        names::EVT_RESUMED,
+                        &[
+                            ("tiles_done", Value::from(cp.tiles_done)),
+                            ("pairs_done", Value::from(pairs_in(cp.tiles_done))),
+                        ],
+                    );
+                    Some(cp)
+                }
+                Err(DurableError::Missing { .. }) => None,
+                Err(e) => return Err(e),
             }
+        } else {
+            None
+        };
+
+        let mut saves = 0usize;
+        let mut failed = None;
+        let mut on_checkpoint = |cp: &Checkpoint| {
+            if chunk_tiles == 0 {
+                return true;
+            }
+            let saved = {
+                let _save = rec.span("checkpoint.save");
+                self.save(cp)
+            };
+            if let Err(e) = saved {
+                failed = Some(e);
+                return false;
+            }
+            saves += 1;
+            // The crash comes *after* the durable write: the progress of
+            // this boundary survives the kill, which is what resume tests.
+            !self.crash_after(saves)
+        };
+        let outcome = scan(Chunking {
+            resume_from,
+            chunk_tiles: if chunk_tiles == 0 {
+                usize::MAX
+            } else {
+                chunk_tiles
+            },
+            on_checkpoint: &mut on_checkpoint,
+        });
+        outcome.map_err(|cp| {
+            failed.unwrap_or(DurableError::Interrupted {
+                tiles_done: cp.tiles_done,
+                pairs_done: pairs_in(cp.tiles_done),
+            })
+        })
+    }
+
+    /// Whether the fault plan kills the scan after its `saves`-th save:
+    /// `chunk-crash(boundary=B)` counts checkpoint saves from 0,
+    /// `update-crash(boundary=B)` counts update progress saves from 1.
+    fn crash_after(&self, saves: usize) -> bool {
+        let injector = &self.file.injector;
+        match self.file.kind {
+            FileKind::UpdateProgress => injector.should_crash_at_update_boundary(saves),
+            _ => injector.should_crash_at_chunk(saves - 1),
         }
     }
-    Ok(())
-}
-
-pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()
 }
 
 /// Run inference with durable checkpointing every `checkpoint_every`
 /// tiles, optionally resuming from the store's checkpoint. `rec`
 /// receives what [`crate::infer_network_traced`] records, plus one
-/// `checkpoint.chunk` event per chunk and the store's events.
+/// `checkpoint.chunk` event and one `checkpoint.save` span per chunk and
+/// the store's events.
 ///
 /// On a clean finish the checkpoint file is left in place: re-running
 /// with `resume` is idempotent (the completed prefix covers every tile,
-/// so the run finalizes immediately with the identical network). Stale
-/// or corrupt files are rejected up front with a typed error.
+/// so the run finalizes immediately with the identical network). Stale,
+/// corrupt or forged files are rejected up front with a typed error.
+/// `checkpoint_every == 0` runs without saving.
 ///
 /// If the store's [`FaultInjector`] schedules a chunk-boundary crash,
 /// the run stops *after* that boundary's checkpoint is durably written
-/// and reports [`CheckpointError::Interrupted`] — the simulated kill the
+/// and reports [`DurableError::Interrupted`] — the simulated kill the
 /// chaos suite resumes from.
 ///
 /// # Errors
-/// Any [`CheckpointError`] from validating, saving, or resuming.
+/// Any [`DurableError`] from validating, saving, or resuming.
 ///
 /// # Panics
-/// Panics on config/matrix violations or `checkpoint_every == 0`, like
+/// Panics on config/matrix violations, like
 /// [`crate::infer_network_resumable`].
 pub fn infer_network_durable(
     matrix: &ExpressionMatrix,
@@ -571,54 +738,17 @@ pub fn infer_network_durable(
     checkpoint_every: usize,
     resume: bool,
     rec: &Recorder,
-) -> Result<InferenceResult, CheckpointError> {
-    let digest = run_digest_for(matrix, config);
-    let resume_from = if resume {
-        match store.load_for_run(digest) {
-            Ok(cp) => {
-                rec.counter_add(names::CNT_RESUMES, 1);
-                rec.event(
-                    names::EVT_RESUMED,
-                    &[("tiles_done", Value::from(cp.tiles_done))],
-                );
-                Some(cp)
-            }
-            Err(CheckpointError::Missing { .. }) => None,
-            Err(e) => return Err(e),
-        }
-    } else {
-        None
-    };
-
-    let injector = store.injector.clone();
-    let mut boundary = 0usize;
-    let mut save_err: Option<CheckpointError> = None;
-    let mut on_checkpoint = |cp: &Checkpoint| {
-        if let Err(e) = store.save(cp) {
-            save_err = Some(e);
-            return false;
-        }
-        let b = boundary;
-        boundary += 1;
-        // Crash *after* the durable write: the checkpoint for this
-        // boundary survives the kill, which is what resume tests.
-        !injector.should_crash_at_chunk(b)
-    };
-    let chunking = Chunking {
-        resume_from,
-        chunk_tiles: checkpoint_every,
-        on_checkpoint: &mut on_checkpoint,
-    };
-    let outcome = run_pipeline(matrix, config, rec, Some(chunking));
-    if let Some(e) = save_err {
-        return Err(e);
-    }
-    match outcome {
-        Ok(result) => Ok(result),
-        Err(cp) => Err(CheckpointError::Interrupted {
-            tiles_done: cp.tiles_done,
-        }),
-    }
+) -> Result<InferenceResult, DurableError> {
+    let space = run_space(matrix, config);
+    let digest = run_digest(config, matrix, space.tiles().len());
+    store.scan_durably(
+        digest,
+        space.tiles(),
+        checkpoint_every,
+        resume,
+        rec,
+        |chunking| run_pipeline(matrix, config, rec, Some(chunking)),
+    )
 }
 
 #[cfg(test)]
@@ -665,13 +795,13 @@ mod tests {
         // Bit-level equality of the pooled null, not just PartialEq.
         assert_eq!(back.scan.pooled.to_bytes(), cp.scan.pooled.to_bytes());
         // Atomic write leaves no temp file behind.
-        assert!(!store.tmp_path().exists());
+        assert!(!store.file.tmp_path().exists());
     }
 
     #[test]
     fn missing_file_is_a_typed_error() {
         let store = CheckpointStore::new(tmpdir("missing"));
-        assert!(matches!(store.load(), Err(CheckpointError::Missing { .. })));
+        assert!(matches!(store.load(), Err(DurableError::Missing { .. })));
     }
 
     #[test]
@@ -687,7 +817,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Corrupt { .. } | CheckpointError::IntegrityMismatch { .. }
+                    DurableError::Corrupt { .. } | DurableError::IntegrityMismatch { .. }
                 ),
                 "cut at {cut}: {err}"
             );
@@ -695,7 +825,7 @@ mod tests {
         // Garbage with the right length but wrong magic.
         fs::write(store.path(), vec![0xAB; full.len()]).expect("rewrite");
         let err = store.load().expect_err("garbage rejected");
-        assert!(matches!(err, CheckpointError::Corrupt { reason, .. } if reason.contains("magic")));
+        assert!(matches!(err, DurableError::Corrupt { reason, .. } if reason.contains("magic")));
     }
 
     #[test]
@@ -709,7 +839,7 @@ mod tests {
         fs::write(store.path(), &bytes).expect("rewrite");
         assert!(matches!(
             store.load(),
-            Err(CheckpointError::IntegrityMismatch { .. })
+            Err(DurableError::IntegrityMismatch { .. })
         ));
     }
 
@@ -722,9 +852,7 @@ mod tests {
         bytes[8] = 9; // version field
         fs::write(store.path(), &bytes).expect("rewrite");
         let err = store.load().expect_err("future version rejected");
-        assert!(
-            matches!(err, CheckpointError::Corrupt { reason, .. } if reason.contains("version"))
-        );
+        assert!(matches!(err, DurableError::Corrupt { reason, .. } if reason.contains("version")));
     }
 
     #[test]
@@ -738,7 +866,7 @@ mod tests {
             fs::write(store.path(), &bytes).expect("rewrite");
             let err = store.load().expect_err("an old prefix must not resume");
             assert!(
-                matches!(&err, CheckpointError::Corrupt { reason, .. }
+                matches!(&err, DurableError::Corrupt { reason, .. }
                     if reason.contains(&format!("unsupported checkpoint version {old}"))),
                 "{err}"
             );
@@ -751,9 +879,20 @@ mod tests {
         let store = CheckpointStore::new(tmpdir("stale"));
         store.save(&cp).expect("save succeeds");
         let err = store
-            .load_for_run(cp.digest ^ 1)
+            .scan_durably(cp.digest ^ 1, &[], 1, true, &Recorder::disabled(), |_| {
+                Ok::<(), Checkpoint>(())
+            })
             .expect_err("foreign digest rejected");
-        assert!(matches!(err, CheckpointError::StaleRun { .. }));
+        assert!(
+            matches!(
+                err,
+                DurableError::Stale {
+                    kind: FileKind::Checkpoint,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -771,7 +910,7 @@ mod tests {
         let err = store.save(&cp).expect_err("injected write fault");
         let text = err.to_string();
         assert!(text.contains("write failed"), "{text}");
-        assert!(text.contains(TMP_FILE), "{text}");
+        assert!(text.contains("gnet.ckpt.tmp"), "{text}");
         // The next save (nth=1) succeeds.
         store.save(&cp).expect("second save unaffected");
     }
@@ -792,7 +931,7 @@ mod tests {
         store.save(&cp).expect("save itself succeeds");
         assert!(matches!(
             store.load(),
-            Err(CheckpointError::IntegrityMismatch { .. })
+            Err(DurableError::IntegrityMismatch { .. })
         ));
     }
 
@@ -816,7 +955,7 @@ mod tests {
             CheckpointStore::with_faults(&dir, FaultInjector::from_plan_traced(&plan, &rec), &rec);
         let err = infer_network_durable(&matrix, &cfg(), &store, 2, false, &rec)
             .expect_err("injected crash interrupts");
-        assert!(matches!(err, CheckpointError::Interrupted { tiles_done } if tiles_done > 0));
+        assert!(matches!(err, DurableError::Interrupted { tiles_done, .. } if tiles_done > 0));
         assert_eq!(rec.event_count(gnet_fault::names::EVT_CHUNK_CRASH), 1);
 
         // "Restart the process": a fresh fault-free store on the same dir.
@@ -964,7 +1103,7 @@ mod tests {
         assert!(store.path().exists());
         store.clear().expect("clear succeeds");
         assert!(!store.path().exists());
-        assert!(matches!(store.load(), Err(CheckpointError::Missing { .. })));
+        assert!(matches!(store.load(), Err(DurableError::Missing { .. })));
         store.clear().expect("clear is idempotent");
     }
 }

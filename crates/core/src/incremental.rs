@@ -25,19 +25,20 @@
 //! kept sorted, so the resulting [`NetworkState`] — candidates, pooled
 //! null, threshold, edges — is `assert_eq!`-equal at any thread count.
 //!
-//! [`update_durable`] adds crash durability: progress is checkpointed
-//! every `chunk_tiles` frontier tiles as a tile prefix, and a kill at a
-//! progress boundary ([`gnet_fault::Fault::UpdateCrash`]) resumes
-//! bit-identically.
+//! [`update_durable`] adds crash durability through the same driver as
+//! a checkpointed `gnet infer` ([`crate::durable`]): progress is saved
+//! every `chunk_tiles` tiles as a tile prefix in the state directory's
+//! update progress file, and a kill at a progress boundary
+//! ([`gnet_fault::Fault::UpdateCrash`]) resumes bit-identically.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{InferenceConfig, NullStrategy};
-use crate::scan::{NullScan, TileScan};
-use crate::state::{GeneState, NetworkState, StateError, StateStore};
+use crate::durable::DurableError;
+use crate::scan::{Chunking, NullScan, TileScan};
+use crate::state::{GeneState, NetworkState, StateStore};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::normalize::{rank_from_order, rank_sort_order};
 use gnet_expr::ExpressionMatrix;
-use gnet_fault::names;
 use gnet_mi::PreparedGene;
 use gnet_parallel::TileSpace;
 use gnet_permute::PermutationSet;
@@ -180,19 +181,19 @@ pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Netwo
 /// ambiguous and incompatible shapes with a typed error.
 ///
 /// # Errors
-/// [`StateError::Append`] when the shape fits neither dimension, or fits
-/// both (the caller must then say which it means).
+/// [`DurableError::Append`] when the shape fits neither dimension, or
+/// fits both (the caller must then say which it means).
 pub fn detect_mode(
     state: &NetworkState,
     append: &ExpressionMatrix,
-) -> Result<UpdateMode, StateError> {
+) -> Result<UpdateMode, DurableError> {
     let gene_shaped = append.samples() == state.samples;
     let sample_shaped =
         append.genes() == state.gene_count() && append.gene_names() == &state.names[..];
     match (gene_shaped, sample_shaped) {
         (true, false) => Ok(UpdateMode::Genes),
         (false, true) => Ok(UpdateMode::Samples),
-        (true, true) => Err(StateError::Append {
+        (true, true) => Err(DurableError::Append {
             reason: format!(
                 "append shape {}×{} fits both a gene append and a sample \
                  append of this state; pass the mode explicitly",
@@ -200,7 +201,7 @@ pub fn detect_mode(
                 append.samples()
             ),
         }),
-        (false, false) => Err(StateError::Append {
+        (false, false) => Err(DurableError::Append {
             reason: format!(
                 "append shape {}×{} matches neither a gene append \
                  ({} samples required) nor a sample append ({} genes named \
@@ -279,6 +280,8 @@ impl UpdateFlaws {
 /// Everything a tile scan needs, derived from the state + append before
 /// any MI is evaluated.
 struct PreparedUpdate {
+    mode: UpdateMode,
+    flaws: UpdateFlaws,
     names: Vec<String>,
     samples: usize,
     genes: Vec<GeneState>,
@@ -290,6 +293,17 @@ struct PreparedUpdate {
     /// Evidence the scan extends: the state's own for a gene append,
     /// nothing for a sample append.
     base: NullScan,
+    basis: BsplineBasis,
+    perms: PermutationSet,
+    config: InferenceConfig,
+}
+
+impl PreparedUpdate {
+    /// The tiles of the pairs the update scans: those with `j ≥
+    /// first_new`, tiled by the state's cache rule.
+    fn space(&self) -> TileSpace {
+        tiles_for(&self.config, &self.prepared, self.first_new)
+    }
 }
 
 /// Merge a gene's stored sort order with the sorted order of an appended
@@ -330,12 +344,12 @@ fn prepare_update(
     append: &ExpressionMatrix,
     mode: UpdateMode,
     flaws: UpdateFlaws,
-    basis: &BsplineBasis,
-) -> Result<PreparedUpdate, StateError> {
-    match mode {
+) -> Result<PreparedUpdate, DurableError> {
+    let basis = BsplineBasis::new(state.spline_order, state.bins);
+    let (names, samples, genes, first_new, appended, base) = match mode {
         UpdateMode::Genes => {
             if append.samples() != state.samples {
-                return Err(StateError::Append {
+                return Err(DurableError::Append {
                     reason: format!(
                         "gene append has {} samples, state has {}",
                         append.samples(),
@@ -344,7 +358,7 @@ fn prepare_update(
                 });
             }
             if let Some(dup) = append.gene_names().iter().find(|n| state.names.contains(n)) {
-                return Err(StateError::Append {
+                return Err(DurableError::Append {
                     reason: format!("appended gene `{dup}` already exists in the state"),
                 });
             }
@@ -352,22 +366,21 @@ fn prepare_update(
             names.extend(append.gene_names().iter().cloned());
             let mut genes = state.genes.clone();
             genes.extend(
-                (0..append.genes()).map(|g| gene_state_for(append.gene(g).to_vec(), basis)),
+                (0..append.genes()).map(|g| gene_state_for(append.gene(g).to_vec(), &basis)),
             );
-            let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
-            Ok(PreparedUpdate {
+            let base = state.scan.clone();
+            (
                 names,
-                samples: state.samples,
-                prepared,
+                state.samples,
                 genes,
-                first_new: state.gene_count(),
-                appended: append.genes(),
-                base: state.scan.clone(),
-            })
+                state.gene_count(),
+                append.genes(),
+                base,
+            )
         }
         UpdateMode::Samples => {
             if append.genes() != state.gene_count() {
-                return Err(StateError::Append {
+                return Err(DurableError::Append {
                     reason: format!(
                         "sample append has {} genes, state has {}",
                         append.genes(),
@@ -376,7 +389,7 @@ fn prepare_update(
                 });
             }
             if append.gene_names() != &state.names[..] {
-                return Err(StateError::Append {
+                return Err(DurableError::Append {
                     reason: "sample append gene names differ from the state's \
                              (same genes, same order required)"
                         .into(),
@@ -406,7 +419,7 @@ fn prepare_update(
                     };
                     let ranks = rank_from_order(&profile, &order);
                     let PreparedGene { sparse, h_marginal } =
-                        PreparedGene::from_normalized(&ranks, basis);
+                        PreparedGene::from_normalized(&ranks, &basis);
                     GeneState {
                         profile,
                         order,
@@ -415,86 +428,70 @@ fn prepare_update(
                     }
                 })
                 .collect();
-            let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
-            Ok(PreparedUpdate {
-                names: state.names.clone(),
-                samples: m_old + append.samples(),
-                prepared,
+            let samples = m_old + append.samples();
+            let names = state.names.clone();
+            (
+                names,
+                samples,
                 genes,
-                first_new: 0,
-                appended: append.samples(),
-                base: NullScan::default(),
-            })
+                0,
+                append.samples(),
+                NullScan::default(),
+            )
         }
-    }
+    };
+    Ok(PreparedUpdate {
+        mode,
+        flaws,
+        prepared: genes.iter().map(prepared_of).collect(),
+        perms: PermutationSet::generate(samples, state.permutations, state.seed),
+        config: state.config(),
+        names,
+        samples,
+        genes,
+        first_new,
+        appended,
+        base,
+        basis,
+    })
 }
 
-/// Run an update's tile scan from `resume_from` (or from the update's
-/// base evidence, as progress bound to `digest`) in chunks of
-/// `chunk_tiles`, calling `after_chunk` with the progress and the pairs it
-/// covers after each chunk short of the last, then assemble the updated
-/// state.
-#[allow(clippy::too_many_arguments)]
+/// Scan the update's tiles under `chunking` — from its resume point, or
+/// from the update's base evidence as progress bound to `digest` — and
+/// assemble the updated state. `space` is [`PreparedUpdate::space`].
+/// Stops with the progress when the chunking's callback says so.
 fn run_update(
     state: &NetworkState,
-    append: &ExpressionMatrix,
-    mode: UpdateMode,
-    flaws: UpdateFlaws,
+    mut pu: PreparedUpdate,
+    space: &TileSpace,
     digest: u64,
-    resume_from: Option<Checkpoint>,
-    chunk_tiles: usize,
+    chunking: Chunking<'_>,
     rec: &Recorder,
-    mut after_chunk: impl FnMut(&Checkpoint, u64) -> Result<(), StateError>,
-) -> Result<(NetworkState, UpdateStats), StateError> {
-    let basis = BsplineBasis::new(state.spline_order, state.bins);
-    let pu = prepare_update(state, append, mode, flaws, &basis)?;
-    let perms = PermutationSet::generate(pu.samples, state.permutations, state.seed);
-    let config = state.config();
-    let space = tiles_for(&config, &pu.prepared, pu.first_new);
+) -> Result<(NetworkState, UpdateStats), Checkpoint> {
     let mut tiles = space.tiles();
-    if flaws.skip_last_tile {
+    if pu.flaws.skip_last_tile {
         tiles = &tiles[..tiles.len() - 1];
     }
+    let mut progress = chunking.resume_from.unwrap_or(Checkpoint {
+        digest,
+        tiles_done: 0,
+        scan: std::mem::take(&mut pu.base),
+    });
     let scan = TileScan {
         tiles,
         prepared: &pu.prepared,
-        perms: &perms,
-        basis: &basis,
-        config: &config,
+        perms: &pu.perms,
+        basis: &pu.basis,
+        config: &pu.config,
     };
-    let resuming = resume_from.is_some();
-    let mut progress = resume_from.unwrap_or(Checkpoint {
-        digest,
-        tiles_done: 0,
-        scan: pu.base,
-    });
-    if progress.tiles_done > tiles.len() {
-        return Err(StateError::Append {
-            reason: format!(
-                "progress covers {} tiles; this update has {}",
-                progress.tiles_done,
-                tiles.len()
-            ),
-        });
-    }
     let resumed = scan.pairs_in(progress.tiles_done);
-    if resuming {
-        rec.event(
-            names::EVT_RESUMED,
-            &[
-                ("pairs_done", Value::from(resumed)),
-                ("mode", Value::from(mode.name())),
-            ],
-        );
-        rec.counter_add(names::CNT_RESUMES, 1);
+    let (chunk_tiles, on_checkpoint) = (chunking.chunk_tiles, chunking.on_checkpoint);
+    if scan
+        .run(&mut progress, chunk_tiles, rec, on_checkpoint)
+        .is_none()
+    {
+        return Err(progress);
     }
-    scan.run(&mut progress, chunk_tiles, rec, |cp| {
-        if cp.tiles_done < tiles.len() {
-            after_chunk(cp, scan.pairs_in(cp.tiles_done))
-        } else {
-            Ok(())
-        }
-    })?;
     let scanned = scan.pairs_in(tiles.len()) - resumed;
 
     let next = NetworkState {
@@ -508,7 +505,7 @@ fn run_update(
         names: pu.names,
         samples: pu.samples,
         genes: pu.genes,
-        scan: if flaws.keep_stale_pooled {
+        scan: if pu.flaws.keep_stale_pooled {
             NullScan {
                 pooled: state.scan.pooled,
                 ..progress.scan
@@ -526,7 +523,7 @@ fn run_update(
         f64::NAN
     };
     let stats = UpdateStats {
-        mode,
+        mode: pu.mode,
         appended: pu.appended,
         pairs_scanned: scanned,
         pairs_resumed: resumed,
@@ -541,17 +538,17 @@ fn apply_update_flawed(
     append: &ExpressionMatrix,
     mode: UpdateMode,
     flaws: UpdateFlaws,
-) -> Result<(NetworkState, UpdateStats), StateError> {
-    run_update(
-        state,
-        append,
-        mode,
-        flaws,
-        0,
-        None,
-        usize::MAX,
-        &Recorder::disabled(),
-        |_, _| Ok(()),
+) -> Result<(NetworkState, UpdateStats), DurableError> {
+    let pu = prepare_update(state, append, mode, flaws)?;
+    let space = pu.space();
+    let whole = Chunking {
+        resume_from: None,
+        chunk_tiles: usize::MAX,
+        on_checkpoint: &mut |_| true,
+    };
+    Ok(
+        run_update(state, pu, &space, 0, whole, &Recorder::disabled())
+            .unwrap_or_else(|_| unreachable!("a scan that never stops finishes")),
     )
 }
 
@@ -560,12 +557,12 @@ fn apply_update_flawed(
 /// concatenated dataset — the property conformance family 6 enforces.
 ///
 /// # Errors
-/// [`StateError::Append`] when the append does not fit the state.
+/// [`DurableError::Append`] when the append does not fit the state.
 pub fn apply_update(
     state: &NetworkState,
     append: &ExpressionMatrix,
     mode: UpdateMode,
-) -> Result<(NetworkState, UpdateStats), StateError> {
+) -> Result<(NetworkState, UpdateStats), DurableError> {
     apply_update_flawed(state, append, mode, UpdateFlaws::default())
 }
 
@@ -580,7 +577,7 @@ pub fn apply_update_mutated(
     append: &ExpressionMatrix,
     mode: UpdateMode,
     mutation: UpdateMutation,
-) -> Result<(NetworkState, UpdateStats), StateError> {
+) -> Result<(NetworkState, UpdateStats), DurableError> {
     apply_update_flawed(state, append, mode, UpdateFlaws::from_mutation(mutation))
 }
 
@@ -607,18 +604,19 @@ pub fn update_digest(state: &NetworkState, append: &ExpressionMatrix, mode: Upda
 }
 
 /// Durable `gnet update`: load the bundle from `store`, apply the append
-/// with progress checkpointed every `chunk_tiles` scanned tiles, save the
-/// updated bundle, and clear the progress file.
+/// with progress saved to the store's update progress file
+/// ([`StateStore::progress`]) every `chunk_tiles` scanned tiles, the
+/// last chunk included, save the updated bundle, and clear the progress
+/// file. It runs on the same driver as [`crate::infer_network_durable`].
 ///
 /// With `resume`, a progress file matching this exact update (state +
 /// append + mode, via [`update_digest`]) restores the scanned tile prefix
 /// bit-exactly; a progress file for a *different* update is rejected as
-/// [`StateError::StaleProgress`]. `chunk_tiles == 0` disables
-/// intermediate progress.
+/// [`DurableError::Stale`]. `chunk_tiles == 0` writes no progress file.
 ///
 /// # Errors
-/// State/progress I-O and decode errors; [`StateError::Append`] on shape
-/// mismatch; [`StateError::Interrupted`] when an injected
+/// State/progress I-O and decode errors; [`DurableError::Append`] on
+/// shape mismatch; [`DurableError::Interrupted`] when an injected
 /// [`gnet_fault::Fault::UpdateCrash`] kills the run at a progress
 /// boundary (the boundary's progress file is already durable — re-run
 /// with `resume`).
@@ -629,53 +627,26 @@ pub fn update_durable(
     chunk_tiles: usize,
     resume: bool,
     rec: &Recorder,
-) -> Result<(NetworkState, UpdateStats), StateError> {
+) -> Result<(NetworkState, UpdateStats), DurableError> {
     let state = store.load()?;
     let mode = match mode {
         Some(m) => m,
         None => detect_mode(&state, append)?,
     };
     let digest = update_digest(&state, append, mode);
-    let progress = if resume {
-        match store.load_progress_for(digest) {
-            Ok(p) => Some(p),
-            Err(StateError::Missing { .. }) => None,
-            Err(e) => return Err(e),
-        }
-    } else {
-        None
-    };
-
-    let injector = store.injector().clone();
-    let mut boundary = 0usize;
-    let (next, stats) = run_update(
-        &state,
-        append,
-        mode,
-        UpdateFlaws::default(),
+    let pu = prepare_update(&state, append, mode, UpdateFlaws::default())?;
+    let space = pu.space();
+    let progress = store.progress();
+    let (next, stats) = progress.scan_durably(
         digest,
-        progress,
-        if chunk_tiles == 0 {
-            usize::MAX
-        } else {
-            chunk_tiles
-        },
+        space.tiles(),
+        chunk_tiles,
+        resume,
         rec,
-        |cp, pairs_done| {
-            store.save_progress(cp)?;
-            rec.event(
-                "update.progress_saved",
-                &[("pairs_done", Value::from(pairs_done))],
-            );
-            boundary += 1;
-            if injector.should_crash_at_update_boundary(boundary) {
-                return Err(StateError::Interrupted { pairs_done });
-            }
-            Ok(())
-        },
+        |chunking| run_update(&state, pu, &space, digest, chunking, rec),
     )?;
     store.save(&next)?;
-    store.clear_progress()?;
+    progress.clear()?;
     rec.event(
         "update.applied",
         &[
@@ -693,6 +664,7 @@ mod tests {
     use crate::infer_network;
     use gnet_expr::synth::{coupled_pairs, Coupling};
     use gnet_expr::MissingPolicy;
+    use gnet_fault::names;
     use gnet_fault::{FaultInjector, FaultPlan};
     use gnet_parallel::SchedulerPolicy;
     use std::path::PathBuf;
@@ -855,12 +827,12 @@ mod tests {
         let misfit = coupled_pairs(2, 17, Coupling::Linear(0.5), 1).0;
         assert!(matches!(
             detect_mode(&state, &misfit),
-            Err(StateError::Append { .. })
+            Err(DurableError::Append { .. })
         ));
         // A duplicate gene name cannot be appended as a new gene.
         assert!(matches!(
             apply_update(&state, &old, UpdateMode::Genes),
-            Err(StateError::Append { .. })
+            Err(DurableError::Append { .. })
         ));
         // Same shape, different names: rejected as a sample append.
         let mut renamed = sample_append.clone();
@@ -869,7 +841,7 @@ mod tests {
             .expect("three names");
         assert!(matches!(
             apply_update(&state, &renamed, UpdateMode::Samples),
-            Err(StateError::Append { .. })
+            Err(DurableError::Append { .. })
         ));
     }
 
@@ -916,10 +888,16 @@ mod tests {
             update_durable(&store, &append, None, 1, false, &rec).expect_err("injected kill fires");
         // Two of the three frontier tiles (24 + 8 pairs) were persisted.
         assert!(
-            matches!(err, StateError::Interrupted { pairs_done: 32 }),
+            matches!(
+                err,
+                DurableError::Interrupted {
+                    tiles_done: 2,
+                    pairs_done: 32
+                }
+            ),
             "{err}"
         );
-        assert_eq!(rec.event_count("update.progress_saved"), 2);
+        assert_eq!(rec.event_count("checkpoint.saved"), 2);
 
         // Resume in a fresh process: disarmed injector, same directory.
         let rec2 = Recorder::enabled();
@@ -930,11 +908,13 @@ mod tests {
         assert_eq!(stats.pairs_resumed, 32);
         assert_eq!(stats.pairs_scanned, 38 - 32);
         assert_eq!(rec2.counter(names::CNT_RESUMES), Some(1));
+        // The last tile's progress is saved too, before the bundle.
+        assert_eq!(rec2.event_count("checkpoint.saved"), 1);
         // The landed bundle reloads to the same bits, and progress is gone.
         assert_eq!(store2.load().expect("bundle reloads"), reference);
         assert!(matches!(
-            store2.load_progress_for(update_digest(&state, &append, UpdateMode::Genes)),
-            Err(StateError::Missing { .. })
+            store2.progress().load(),
+            Err(DurableError::Missing { .. })
         ));
     }
 
@@ -955,7 +935,7 @@ mod tests {
         let store2 = StateStore::new(&dir);
         assert!(matches!(
             update_durable(&store2, &other, None, 1, true, &Recorder::disabled()),
-            Err(StateError::StaleProgress { .. })
+            Err(DurableError::Stale { .. })
         ));
         // Restarting without resume ignores it and lands the update.
         let (fresh, stats) =
@@ -964,6 +944,61 @@ mod tests {
         assert_eq!(stats.pairs_resumed, 0);
         let (reference, _) = apply_update(&state, &append, UpdateMode::Genes).expect("reference");
         assert_eq!(fresh, reference);
+    }
+
+    /// A saved 4-gene state, the 2 genes appended to it, and its store.
+    fn saved_small_append(
+        tag: &str,
+        rec: &Recorder,
+    ) -> (NetworkState, ExpressionMatrix, StateStore) {
+        let (full, _) = coupled_pairs(3, 60, Coupling::Linear(0.9), 5);
+        let state = build_state(&full.select_genes(&[0, 1, 2, 3]), &cfg());
+        let store = StateStore::with_faults(tmpdir(tag), FaultInjector::none(), rec);
+        store.save(&state).expect("state saves");
+        (state, full.select_genes(&[4, 5]), store)
+    }
+
+    #[test]
+    fn a_corrupt_progress_file_is_blamed_not_the_bundle() {
+        let (state, append, store) = saved_small_append("corrupt-progress", &Recorder::disabled());
+        let progress = store.progress();
+        progress
+            .save(&Checkpoint {
+                digest: update_digest(&state, &append, UpdateMode::Genes),
+                tiles_done: 0,
+                scan: state.scan.clone(),
+            })
+            .expect("progress saves");
+        let mut bytes = std::fs::read(progress.path()).expect("file readable");
+        bytes[40] ^= 0xFF;
+        std::fs::write(progress.path(), &bytes).expect("rewrite");
+        let err = update_durable(&store, &append, None, 1, true, &Recorder::disabled())
+            .expect_err("a damaged progress file must not resume");
+        let text = err.to_string();
+        assert!(
+            text.contains(&progress.path().display().to_string()),
+            "{text}"
+        );
+        assert!(!text.contains("--save-state"), "{text}");
+        assert!(text.contains("without --resume"), "{text}");
+    }
+
+    #[test]
+    fn an_unchunked_update_saves_only_the_bundle() {
+        let rec = Recorder::enabled();
+        let (_, append, store) = saved_small_append("unchunked", &rec);
+        update_durable(&store, &append, None, 0, false, &rec).expect("update lands");
+        let mut ndjson = Vec::new();
+        rec.write_ndjson(&mut ndjson).expect("vec sink cannot fail");
+        let ndjson = String::from_utf8(ndjson).expect("utf-8");
+        assert_eq!(rec.event_count("checkpoint.saved"), 0);
+        assert!(!ndjson.contains("checkpoint.save"), "{ndjson}");
+        let dir = store.path().parent().expect("a directory").to_path_buf();
+        let files: Vec<String> = std::fs::read_dir(dir)
+            .expect("directory readable")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, ["gnet.state"]);
     }
 
     #[test]

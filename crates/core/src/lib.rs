@@ -43,7 +43,7 @@ pub mod state;
 
 pub use checkpoint::{infer_network_resumable, run_digest_for, Checkpoint};
 pub use config::{ConfigError, InferenceConfig, NullStrategy};
-pub use durable::{infer_network_durable, CheckpointError, CheckpointStore};
+pub use durable::{infer_network_durable, CheckpointStore, DurableError, FileKind};
 pub use gnet_trace::Recorder;
 pub use incremental::{
     apply_update, apply_update_mutated, build_state, detect_mode, update_digest, update_durable,
@@ -54,4 +54,4 @@ pub use pipeline::{infer_network, infer_network_traced};
 pub use plan::MemoryPlan;
 pub use result::{InferenceResult, RunStats};
 pub use scan::{scan_tile, scan_tiles, NullScan};
-pub use state::{GeneState, NetworkState, StateError, StateStore};
+pub use state::{GeneState, NetworkState, StateStore};

@@ -3,7 +3,7 @@
 use crate::checkpoint::{run_digest, ResumableOutcome};
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use crate::scan::{for_each_planned_block, tile_genes, Checkpoint, NullScan, TileScan};
+use crate::scan::{for_each_planned_block, tile_genes, Checkpoint, Chunking, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
 use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
@@ -75,9 +75,11 @@ pub(crate) fn finish_run(
 ) -> InferenceResult {
     let t0 = Instant::now();
     let pairs = run.space.total_pairs();
-    let threshold = threshold
-        .or(config.mi_threshold)
-        .unwrap_or_else(|| scan.pooled.global_threshold(config.alpha, pairs.max(1)));
+    let threshold = scan.threshold(
+        threshold.or(config.mi_threshold),
+        config.alpha,
+        matrix.genes(),
+    );
     let network = scan.network(matrix.gene_names(), threshold);
     let stats = RunStats {
         prep_time: stage_times[0],
@@ -226,25 +228,17 @@ pub fn infer_network_traced(
         .unwrap_or_else(|_| unreachable!("a run without chunking has no checkpoint to stop at"))
 }
 
-/// How a checkpointed run scans its tiles: the progress to resume from,
-/// the tiles per chunk, and the callback that receives each chunk's
-/// cumulative progress and returns `false` to interrupt the run.
-pub(crate) struct Chunking<'c> {
-    pub(crate) resume_from: Option<Checkpoint>,
-    pub(crate) chunk_tiles: usize,
-    pub(crate) on_checkpoint: &'c mut dyn FnMut(&Checkpoint) -> bool,
-}
-
 /// The pipeline every shared-memory run goes through: prepare, scan,
 /// finalize, and record the same stages, run shape and counters. With
 /// `chunking` the scan runs in chunks of tiles, records one
 /// `checkpoint.chunk` event per chunk, and stops with the progress when
-/// the callback says so.
+/// the callback says so. `stage.mi` and `RunStats::mi_time` leave the
+/// callbacks out: they cover the scan only.
 ///
 /// # Panics
 /// Panics on config/matrix violations; with `chunking`, also on a
-/// non-exact null strategy, a checkpoint of another run, or a zero
-/// chunk size.
+/// non-exact null strategy, a checkpoint of another run or past the tile
+/// list, or a zero chunk size.
 pub(crate) fn run_pipeline(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
@@ -266,7 +260,6 @@ pub(crate) fn run_pipeline(
         let progress = match c.resume_from {
             Some(cp) => {
                 assert_eq!(cp.digest, digest, "checkpoint does not match this run");
-                assert!(cp.tiles_done <= total_tiles, "corrupt checkpoint prefix");
                 cp
             }
             None => Checkpoint {
@@ -282,6 +275,7 @@ pub(crate) fn run_pipeline(
 
     // ---- Stage 3: tiled pairwise MI + permutation nulls ------------------
     let t1 = Instant::now();
+    let mut between_chunks = Duration::ZERO;
     let mut span_mi = Some(rec.span("stage.mi"));
     // Run-shape stamp: everything offline perf attribution needs to match
     // this run against a calibrated kernel model (see `gnet trace-report`).
@@ -324,27 +318,26 @@ pub(crate) fn run_pipeline(
                         ("candidates", (cp.scan.candidates.len() as u64).into()),
                     ],
                 );
-                // Saving is not MI work: `stage.mi` closes for the
-                // callback's `checkpoint.save` span and reopens for the
-                // next chunk, if any.
+                // The callback (a durable run's save) is not MI work:
+                // `stage.mi` closes around it and reopens for the next
+                // chunk, if any, and `mi_time` leaves it out.
                 drop(span_mi.take());
-                let go_on = {
-                    let _save = rec.span("checkpoint.save");
-                    on_checkpoint(cp)
-                };
+                let t = Instant::now();
+                let go_on = on_checkpoint(cp);
+                between_chunks += t.elapsed();
                 if go_on && cp.tiles_done < total_tiles {
                     span_mi = Some(rec.span("stage.mi"));
                 }
-                go_on.then_some(()).ok_or(())
+                go_on
             });
             match scanned {
-                Ok(execution) => (progress.scan, None, execution),
-                Err(()) => return Err(progress),
+                Some(execution) => (progress.scan, None, execution),
+                None => return Err(progress),
             }
         }
     };
     drop(span_mi);
-    let mi_time = t1.elapsed();
+    let mi_time = t1.elapsed().saturating_sub(between_chunks);
 
     // ---- Stage 4: pooled threshold + candidate filtering -----------------
     let span_finalize = rec.span("stage.finalize");

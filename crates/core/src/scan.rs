@@ -64,6 +64,17 @@ impl NullScan {
         }
     }
 
+    /// The global threshold `I*` over `genes` genes: `explicit` when
+    /// set, otherwise the pooled null's Bonferroni-corrected threshold at
+    /// `alpha` over the `n(n−1)/2` pair tests.
+    pub fn threshold(&self, explicit: Option<f64>, alpha: f64, genes: usize) -> f64 {
+        let n = genes as u64;
+        explicit.unwrap_or_else(|| {
+            self.pooled
+                .global_threshold(alpha, (n * n.saturating_sub(1) / 2).max(1))
+        })
+    }
+
     /// The network of the candidates above `threshold`, over one gene per
     /// name.
     pub fn network(&self, names: &[String], threshold: f64) -> GeneNetwork {
@@ -279,7 +290,8 @@ pub fn scan_tiles<'g>(
 
 /// Resumable progress over a tile list: tiles `0..tiles_done` are
 /// accounted for in `scan`. The same value is a GNETCKP checkpoint of
-/// `gnet infer` and a GNETUPD progress file of `gnet update`.
+/// `gnet infer` and a GNETUPD progress file of `gnet update`, and one
+/// [`crate::CheckpointStore`] reads and writes both.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// Digest binding the progress to its run (the run digest of
@@ -291,6 +303,15 @@ pub struct Checkpoint {
     /// Evidence over the completed prefix (for an update, including the
     /// state's own evidence it extends).
     pub scan: NullScan,
+}
+
+/// How a chunked scan runs: the progress it resumes from, the tiles per
+/// chunk, and the callback that receives each chunk's cumulative progress
+/// and returns `false` to stop the scan.
+pub(crate) struct Chunking<'c> {
+    pub(crate) resume_from: Option<Checkpoint>,
+    pub(crate) chunk_tiles: usize,
+    pub(crate) on_checkpoint: &'c mut dyn FnMut(&Checkpoint) -> bool,
 }
 
 /// A shared-memory scan: a tile list over prepared genes, evaluated under
@@ -318,29 +339,25 @@ impl TileScan<'_> {
             scan: NullScan::default(),
         };
         let execution = self
-            .run(&mut progress, usize::MAX, rec, |_| {
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .unwrap_or_else(|never| match never {});
+            .run(&mut progress, usize::MAX, rec, |_| true)
+            .expect("a scan that never stops finishes");
         (progress.scan, execution)
     }
 
     /// Scan the tiles after `progress.tiles_done` in chunks of
     /// `chunk_tiles` on the configured threads and scheduler, folding
-    /// each chunk into `progress` and then calling `after_chunk`; an
-    /// `Err` from it stops the scan. Per-tile progress on `rec` counts
-    /// against the whole tile list, the resumed prefix included. Returns
-    /// the execution report of every chunk run.
-    ///
-    /// # Errors
-    /// The first error `after_chunk` returns.
-    pub(crate) fn run<E>(
+    /// each chunk into `progress` and then calling `after_chunk`, which
+    /// returns `false` to stop the scan. Per-tile progress on `rec`
+    /// counts against the whole tile list, the resumed prefix included.
+    /// Returns the execution report of every chunk run, or `None` when
+    /// `after_chunk` stopped the scan.
+    pub(crate) fn run(
         &self,
         progress: &mut Checkpoint,
         chunk_tiles: usize,
         rec: &Recorder,
-        mut after_chunk: impl FnMut(&Checkpoint) -> Result<(), E>,
-    ) -> Result<ExecutionReport, E> {
+        mut after_chunk: impl FnMut(&Checkpoint) -> bool,
+    ) -> Option<ExecutionReport> {
         assert!(chunk_tiles >= 1, "chunk size must be positive");
         assert!(
             progress.tiles_done <= self.tiles.len(),
@@ -363,9 +380,11 @@ impl TileScan<'_> {
             );
             progress.tiles_done = end;
             execution.absorb(&report);
-            after_chunk(progress)?;
+            if !after_chunk(progress) {
+                return None;
+            }
         }
-        Ok(execution)
+        Some(execution)
     }
 }
 

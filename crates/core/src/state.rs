@@ -5,10 +5,11 @@
 //! reuses ([`crate::incremental`]): the raw expression snapshot, each
 //! gene's `(value, index)` sort order and B-spline weight matrix, the
 //! candidate set with exact MI values, and the pooled null. This
-//! module persists all of that as a single `GNETSTA` bundle following the
-//! GNETCKP codec conventions from [`crate::durable`] — schema tag +
-//! version, FNV-1a64 integrity digest, bounds-checked decoding with typed
-//! errors, atomic temp-file + `fsync` + rename writes.
+//! module persists all of that as a single `GNETSTA` bundle through the
+//! framed-file codec of [`crate::durable`] that GNETCKP checkpoints use —
+//! schema tag + version, FNV-1a64 integrity digest, bounds-checked
+//! decoding with typed [`crate::DurableError`]s, atomic temp-file +
+//! `fsync` + rename writes.
 //!
 //! ## File schema v3
 //!
@@ -42,18 +43,16 @@
 //!     u32 i, u32 j, u64 MI bits
 //! ```
 //!
-//! The sibling progress file (`gnet.update.progress`, magic `GNETUPD`,
-//! same header) captures a *partially applied* update so a chunk-boundary
-//! kill during `gnet update` resumes bit-identically. Its payload is a
-//! GNETCKP payload ([`crate::durable`]) whose digest is the update's
-//! [`crate::update_digest`] and whose prefix counts frontier tiles.
+//! During an update the same directory holds its progress file
+//! (`gnet.update.progress`, magic `GNETUPD`, same header), which
+//! captures a *partially applied* update so a chunk-boundary kill during
+//! `gnet update` resumes bit-identically. It is a checkpoint: the
+//! [`crate::CheckpointStore`] that [`StateStore::progress`] hands out
+//! reads and writes it, and its digest is the update's
+//! [`crate::update_digest`] and its prefix counts the update's tiles.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::InferenceConfig;
-use crate::durable::{
-    decode_payload, encode_payload, fnv1a64, load_framed, remove_files, save_framed, FileFault,
-    Reader,
-};
+use crate::durable::{fnv1a64, CheckpointStore, DurableError, FileKind, FramedFile, Reader};
 use crate::scan::NullScan;
 use gnet_bspline::SparseWeights;
 use gnet_expr::ExpressionMatrix;
@@ -61,19 +60,7 @@ use gnet_fault::FaultInjector;
 use gnet_graph::GeneNetwork;
 use gnet_mi::MiKernel;
 use gnet_trace::{Recorder, Value};
-use std::fmt;
-use std::io;
 use std::path::PathBuf;
-
-const MAGIC: [u8; 8] = *b"GNETSTA\x01";
-const PROGRESS_MAGIC: [u8; 8] = *b"GNETUPD\x01";
-
-/// Name of the state bundle inside the store directory.
-pub const STATE_FILE: &str = "gnet.state";
-const STATE_TMP: &str = "gnet.state.tmp";
-/// Name of the in-flight update progress file inside the store directory.
-pub const PROGRESS_FILE: &str = "gnet.update.progress";
-const PROGRESS_TMP: &str = "gnet.update.progress.tmp";
 
 /// Everything the incremental engine keeps per gene.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,13 +143,8 @@ impl NetworkState {
     /// corrected pooled-null threshold over [`Self::total_pairs`] tests.
     #[must_use]
     pub fn threshold(&self) -> f64 {
-        match self.mi_threshold {
-            Some(t) => t,
-            None => self
-                .scan
-                .pooled
-                .global_threshold(self.alpha, self.total_pairs().max(1)),
-        }
+        self.scan
+            .threshold(self.mi_threshold, self.alpha, self.genes.len())
     }
 
     /// Assemble the significant-edge network from the candidate set —
@@ -211,121 +193,6 @@ impl NetworkState {
         m.set_gene_names(self.names.clone())
             .expect("one stored name per gene");
         m
-    }
-}
-
-/// Why a network state bundle or update progress file could not be
-/// saved, loaded, or applied.
-#[derive(Debug)]
-pub enum StateError {
-    /// A filesystem operation failed; names the path and operation.
-    Io {
-        /// File or directory the operation targeted.
-        path: PathBuf,
-        /// What was being attempted.
-        op: &'static str,
-        /// The underlying error.
-        source: io::Error,
-    },
-    /// The file is structurally invalid (bad magic, truncated, bad
-    /// shapes, …).
-    Corrupt {
-        /// Offending file.
-        path: PathBuf,
-        /// What exactly was malformed.
-        reason: String,
-    },
-    /// The payload bytes do not match their integrity digest.
-    IntegrityMismatch {
-        /// Offending file.
-        path: PathBuf,
-        /// Digest recorded in the header.
-        expected: u64,
-        /// Digest of the bytes actually on disk.
-        found: u64,
-    },
-    /// No file exists at the expected path.
-    Missing {
-        /// Path that was probed.
-        path: PathBuf,
-    },
-    /// The progress file is valid but belongs to a different update
-    /// (other state, appended data, or mode).
-    StaleProgress {
-        /// Offending file.
-        path: PathBuf,
-        /// Update digest of the current invocation.
-        expected: u64,
-        /// Update digest stored in the file.
-        found: u64,
-    },
-    /// The appended data is incompatible with the stored state.
-    Append {
-        /// What does not line up.
-        reason: String,
-    },
-    /// The update was interrupted at a progress boundary (an injected
-    /// crash) *after* that boundary's progress file was durably written;
-    /// re-running with `resume` continues after the persisted tiles.
-    Interrupted {
-        /// Pairs in the tiles completed and persisted before the
-        /// interruption.
-        pairs_done: u64,
-    },
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io { path, op, source } => {
-                write!(f, "state {op} failed for `{}`: {source}", path.display())
-            }
-            Self::Corrupt { path, reason } => {
-                write!(f, "corrupt state file `{}`: {reason}", path.display())
-            }
-            Self::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "state file `{}` failed integrity check \
-                 (digest {expected:#018x} recorded, {found:#018x} on disk); \
-                 the file was corrupted after writing — rebuild it with \
-                 `gnet infer --save-state`",
-                path.display()
-            ),
-            Self::Missing { path } => write!(f, "no state file at `{}`", path.display()),
-            Self::StaleProgress {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "update progress `{}` belongs to a different update \
-                 (digest {found:#018x}, current update is {expected:#018x}); \
-                 state or appended data changed — delete it or restart \
-                 without --resume",
-                path.display()
-            ),
-            Self::Append { reason } => {
-                write!(f, "appended data is incompatible with the state: {reason}")
-            }
-            Self::Interrupted { pairs_done } => write!(
-                f,
-                "update interrupted at a progress boundary with {pairs_done} \
-                 pairs persisted; re-run with resume to continue"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StateError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io { source, .. } => Some(source),
-            _ => None,
-        }
     }
 }
 
@@ -490,12 +357,10 @@ fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
     })
 }
 
-/// A directory holding one network state bundle (and, during an update,
-/// its progress file), both written atomically.
+/// A directory holding one network state bundle, written atomically,
+/// and during an update that update's progress file.
 pub struct StateStore {
-    dir: PathBuf,
-    injector: FaultInjector,
-    rec: Recorder,
+    file: FramedFile,
 }
 
 impl StateStore {
@@ -507,44 +372,32 @@ impl StateStore {
     /// Store with fault injection and trace recording wired in.
     pub fn with_faults(dir: impl Into<PathBuf>, injector: FaultInjector, rec: &Recorder) -> Self {
         Self {
-            dir: dir.into(),
-            injector,
-            rec: rec.clone(),
+            file: FramedFile::new(dir.into(), FileKind::State, injector, rec),
         }
-    }
-
-    /// The injector this store consults (shared with the update driver).
-    #[must_use]
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// Path of the state bundle.
     #[must_use]
     pub fn path(&self) -> PathBuf {
-        self.dir.join(STATE_FILE)
+        self.file.path()
     }
 
-    /// Path of the in-flight update progress file.
+    /// The store of this directory's update progress file, on this
+    /// store's injector and recorder.
     #[must_use]
-    pub fn progress_path(&self) -> PathBuf {
-        self.dir.join(PROGRESS_FILE)
+    pub fn progress(&self) -> CheckpointStore {
+        CheckpointStore {
+            file: self.file.sibling(FileKind::UpdateProgress),
+        }
     }
 
     /// Atomically persist the state bundle.
     ///
     /// # Errors
-    /// [`StateError::Io`] naming the path and operation that failed.
-    pub fn save(&self, state: &NetworkState) -> Result<(), StateError> {
-        save_framed(
-            &self.dir,
-            STATE_TMP,
-            STATE_FILE,
-            &MAGIC,
-            encode_state(state),
-            &self.injector,
-        )?;
-        self.rec.event(
+    /// [`DurableError::Io`] naming the path and operation that failed.
+    pub fn save(&self, state: &NetworkState) -> Result<(), DurableError> {
+        self.file.save(encode_state(state))?;
+        self.file.rec.event(
             "state.saved",
             &[
                 ("genes", Value::from(state.genes.len())),
@@ -557,94 +410,17 @@ impl StateStore {
     /// Load and fully validate the state bundle.
     ///
     /// # Errors
-    /// [`StateError::Missing`] when no file exists; `Io`, `Corrupt`, or
+    /// [`DurableError::Missing`] when no file exists; `Io`, `Corrupt`, or
     /// `IntegrityMismatch` when the file cannot be trusted.
-    pub fn load(&self) -> Result<NetworkState, StateError> {
-        Ok(load_framed(
-            self.path(),
-            &MAGIC,
-            "state",
-            &self.injector,
-            decode_state,
-        )?)
-    }
-
-    /// Atomically persist the in-flight update progress.
-    ///
-    /// # Errors
-    /// [`StateError::Io`] naming the path and operation that failed.
-    pub fn save_progress(&self, progress: &Checkpoint) -> Result<(), StateError> {
-        save_framed(
-            &self.dir,
-            PROGRESS_TMP,
-            PROGRESS_FILE,
-            &PROGRESS_MAGIC,
-            encode_payload(progress),
-            &self.injector,
-        )?;
-        Ok(())
-    }
-
-    /// Load the progress file, additionally rejecting progress whose
-    /// update digest differs from `expected_digest`.
-    ///
-    /// # Errors
-    /// Everything [`Self::load`] maps for the progress file, plus
-    /// [`StateError::StaleProgress`] on a digest mismatch.
-    pub fn load_progress_for(&self, expected_digest: u64) -> Result<Checkpoint, StateError> {
-        let p = load_framed(
-            self.progress_path(),
-            &PROGRESS_MAGIC,
-            "update progress",
-            &self.injector,
-            decode_payload,
-        )?;
-        if p.digest != expected_digest {
-            return Err(StateError::StaleProgress {
-                path: self.progress_path(),
-                expected: expected_digest,
-                found: p.digest,
-            });
-        }
-        Ok(p)
-    }
-
-    /// Remove the progress file (and any stray temp file) if present —
-    /// called after an update lands in the state bundle.
-    ///
-    /// # Errors
-    /// [`StateError::Io`] on a filesystem failure other than the files
-    /// already being absent.
-    pub fn clear_progress(&self) -> Result<(), StateError> {
-        Ok(remove_files([
-            self.progress_path(),
-            self.dir.join(PROGRESS_TMP),
-        ])?)
-    }
-}
-
-impl From<FileFault> for StateError {
-    fn from(f: FileFault) -> Self {
-        match f {
-            FileFault::Io { path, op, source } => Self::Io { path, op, source },
-            FileFault::Corrupt { path, reason } => Self::Corrupt { path, reason },
-            FileFault::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            } => Self::IntegrityMismatch {
-                path,
-                expected,
-                found,
-            },
-            FileFault::Missing { path } => Self::Missing { path },
-        }
+    pub fn load(&self) -> Result<NetworkState, DurableError> {
+        self.file.load(decode_state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::durable::VERSION;
     use crate::incremental::build_state;
     use gnet_expr::synth::{coupled_pairs, Coupling};
@@ -685,10 +461,19 @@ mod tests {
     #[test]
     fn missing_file_is_a_typed_error() {
         let store = StateStore::new(tmpdir("missing"));
-        assert!(matches!(store.load(), Err(StateError::Missing { .. })));
         assert!(matches!(
-            store.load_progress_for(7),
-            Err(StateError::Missing { .. })
+            store.load(),
+            Err(DurableError::Missing {
+                kind: FileKind::State,
+                ..
+            })
+        ));
+        assert!(matches!(
+            store.progress().load(),
+            Err(DurableError::Missing {
+                kind: FileKind::UpdateProgress,
+                ..
+            })
         ));
     }
 
@@ -704,7 +489,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    StateError::Corrupt { .. } | StateError::IntegrityMismatch { .. }
+                    DurableError::Corrupt { .. } | DurableError::IntegrityMismatch { .. }
                 ),
                 "cut at {cut}: {err}"
             );
@@ -722,7 +507,7 @@ mod tests {
         fs::write(store.path(), &bytes).expect("rewrite");
         assert!(matches!(
             store.load(),
-            Err(StateError::IntegrityMismatch { .. })
+            Err(DurableError::IntegrityMismatch { .. })
         ));
     }
 
@@ -737,13 +522,13 @@ mod tests {
         bad[0] ^= 0xFF;
         fs::write(store.path(), &bad).expect("rewrite");
         let err = store.load().expect_err("bad magic rejected");
-        assert!(matches!(err, StateError::Corrupt { reason, .. } if reason.contains("magic")));
+        assert!(matches!(err, DurableError::Corrupt { reason, .. } if reason.contains("magic")));
 
         let mut future = good;
         future[8] = 9; // version field
         fs::write(store.path(), &future).expect("rewrite");
         let err = store.load().expect_err("future version rejected");
-        assert!(matches!(err, StateError::Corrupt { reason, .. } if reason.contains("version")));
+        assert!(matches!(err, DurableError::Corrupt { reason, .. } if reason.contains("version")));
     }
 
     #[test]
@@ -757,23 +542,24 @@ mod tests {
         };
         for old in [1u32, 2] {
             store.save(&state).expect("save succeeds");
-            store.save_progress(&progress).expect("save succeeds");
-            for path in [store.path(), store.progress_path()] {
+            store.progress().save(&progress).expect("save succeeds");
+            for path in [store.path(), store.progress().path()] {
                 let mut bytes = fs::read(&path).expect("file readable");
                 bytes[8..12].copy_from_slice(&old.to_le_bytes());
                 fs::write(&path, &bytes).expect("rewrite");
             }
             let err = store.load().expect_err("an old state must not be updated");
             assert!(
-                matches!(&err, StateError::Corrupt { reason, .. }
+                matches!(&err, DurableError::Corrupt { reason, .. }
                     if reason.contains(&format!("unsupported state version {old}"))),
                 "{err}"
             );
             let err = store
-                .load_progress_for(7)
+                .progress()
+                .load()
                 .expect_err("old progress must not resume");
             assert!(
-                matches!(&err, StateError::Corrupt { reason, .. }
+                matches!(&err, DurableError::Corrupt { reason, .. }
                     if reason.contains(&format!("unsupported update progress version {old}"))),
                 "{err}"
             );
@@ -798,7 +584,7 @@ mod tests {
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // samples
 
         let mut file = Vec::new();
-        file.extend_from_slice(&MAGIC);
+        file.extend_from_slice(b"GNETSTA\x01");
         file.extend_from_slice(&VERSION.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
@@ -809,7 +595,7 @@ mod tests {
         fs::write(store.path(), &file).expect("write forged file");
         let err = store.load().expect_err("oversized counts rejected");
         assert!(
-            matches!(err, StateError::Corrupt { .. }),
+            matches!(err, DurableError::Corrupt { .. }),
             "expected Corrupt, got {err}"
         );
     }
@@ -828,21 +614,31 @@ mod tests {
                 joints: 119,
             },
         };
-        store.save_progress(&p).expect("save succeeds");
-        let back = store
-            .load_progress_for(0xDEAD_BEEF)
-            .expect("matching digest loads");
-        assert_eq!(back, p);
-        assert!(matches!(
-            store.load_progress_for(1),
-            Err(StateError::StaleProgress { .. })
-        ));
-        store.clear_progress().expect("clear succeeds");
-        assert!(matches!(
-            store.load_progress_for(0xDEAD_BEEF),
-            Err(StateError::Missing { .. })
-        ));
-        store.clear_progress().expect("clear is idempotent");
+        let progress = store.progress();
+        progress.save(&p).expect("save succeeds");
+        assert_eq!(
+            progress.path(),
+            store.path().with_file_name("gnet.update.progress")
+        );
+        assert_eq!(progress.load().expect("progress loads"), p);
+        let stale = progress
+            .scan_durably(1, &[], 1, true, &Recorder::disabled(), |_| {
+                Ok::<(), Checkpoint>(())
+            })
+            .expect_err("another update's progress must not resume");
+        assert!(
+            matches!(
+                stale,
+                DurableError::Stale {
+                    kind: FileKind::UpdateProgress,
+                    ..
+                }
+            ),
+            "{stale}"
+        );
+        progress.clear().expect("clear succeeds");
+        assert!(matches!(progress.load(), Err(DurableError::Missing { .. })));
+        progress.clear().expect("clear is idempotent");
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! inference to learn the reference network and how many checkpoint
 //! boundaries the tiling produces. It then replays the run once per
 //! boundary with an injected [`gnet_fault::Fault::CrashAtChunk`], checks
-//! the kill surfaces as a typed [`CheckpointError::Interrupted`] (never a
+//! the kill surfaces as a typed [`DurableError::Interrupted`] (never a
 //! panic), resumes from the durable file in a fresh fault-free store, and
 //! asserts the recovered result is **bit-identical** to the reference:
 //! same edge keys, same edge weights, same pooled-null moments and
 //! threshold down to the last mantissa bit.
 
 use gnet_core::{
-    infer_network_durable, CheckpointError, CheckpointStore, InferenceConfig, InferenceResult,
+    infer_network_durable, CheckpointStore, DurableError, InferenceConfig, InferenceResult,
 };
 use gnet_expr::synth::{coupled_pairs, Coupling};
 use gnet_expr::ExpressionMatrix;
@@ -111,7 +111,7 @@ fn kill_at_every_chunk_boundary_resumes_bit_identically() {
             CheckpointStore::with_faults(&dir, FaultInjector::from_plan_traced(&plan, &rec), &rec);
         let err = infer_network_durable(&matrix, &config, &store, CHECKPOINT_EVERY, false, &rec)
             .expect_err("injected kill at boundary {b} must interrupt the run");
-        let CheckpointError::Interrupted { tiles_done } = err else {
+        let DurableError::Interrupted { tiles_done, .. } = err else {
             panic!("boundary {b}: expected Interrupted, got {err}");
         };
         assert!(
@@ -185,7 +185,7 @@ fn corrupted_checkpoint_is_rejected_on_resume_not_resumed_wrongly() {
         &Recorder::disabled(),
     )
     .expect_err("injected kill interrupts");
-    assert!(matches!(err, CheckpointError::Interrupted { .. }));
+    assert!(matches!(err, DurableError::Interrupted { .. }));
 
     let path = store.path();
     let mut bytes = std::fs::read(&path).expect("checkpoint readable");
@@ -204,7 +204,7 @@ fn corrupted_checkpoint_is_rejected_on_resume_not_resumed_wrongly() {
     )
     .expect_err("damaged checkpoint must be rejected");
     assert!(
-        matches!(err, CheckpointError::IntegrityMismatch { .. }),
+        matches!(err, DurableError::IntegrityMismatch { .. }),
         "expected a typed integrity error, got {err}"
     );
     store2.clear().expect("cleanup");
@@ -246,7 +246,7 @@ fn checkpoint_from_a_different_run_is_rejected_on_resume() {
     )
     .expect_err("stale checkpoint must be rejected");
     assert!(
-        matches!(err, CheckpointError::StaleRun { .. }),
+        matches!(err, DurableError::Stale { .. }),
         "expected a typed stale-run error, got {err}"
     );
     store2.clear().expect("cleanup");

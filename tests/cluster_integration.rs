@@ -1,8 +1,6 @@
-//! Facade-level integration of the simulated cluster: fabric collectives
-//! composed into a user-style workflow, and the distributed pipeline on
-//! mechanistic data.
+//! Facade-level integration of the simulated cluster: the distributed
+//! pipeline on mechanistic data.
 
-use genome_net::cluster::comm::run_ranks;
 use genome_net::cluster::{infer_network_distributed, RankRun};
 use genome_net::core::{infer_network, InferenceConfig};
 use genome_net::grnsim::{GrnConfig, SyntheticDataset};
@@ -53,27 +51,6 @@ fn distributed_grn_inference_matches_shared_memory() {
             shared.stats.threshold
         );
     }
-}
-
-#[test]
-fn fabric_composes_into_a_reduction_tree() {
-    // A user-style collective built from the primitives: global sum via
-    // gather + broadcast.
-    let outputs = run_ranks(5, |ep| {
-        let local = (ep.rank() as u64 + 1) * 10;
-        let gathered = ep.gather(0, bytes::Bytes::copy_from_slice(&local.to_le_bytes()));
-        let total = if let Some(parts) = gathered {
-            let sum: u64 = parts
-                .iter()
-                .map(|b| u64::from_le_bytes(b[..8].try_into().expect("8-byte payload")))
-                .sum();
-            ep.broadcast(0, Some(bytes::Bytes::copy_from_slice(&sum.to_le_bytes())))
-        } else {
-            ep.broadcast(0, None)
-        };
-        u64::from_le_bytes(total[..8].try_into().expect("8-byte payload"))
-    });
-    assert_eq!(outputs, vec![150, 150, 150, 150, 150]);
 }
 
 #[test]
