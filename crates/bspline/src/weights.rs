@@ -16,7 +16,7 @@
 //!   tail handling, and stored as cache-line-aligned [`Row16`]s so no row
 //!   load straddles two cache lines.
 
-use crate::basis::{BsplineBasis, MAX_ORDER};
+use crate::basis::BsplineBasis;
 use gnet_simd::lanes::F32x16;
 use gnet_simd::Row16;
 
@@ -303,13 +303,6 @@ impl DenseWeights {
         &self.data
     }
 
-    /// Column `u` gathered into a contiguous vector (samples-long). The
-    /// vectorized joint kernel uses column views to stream over samples.
-    pub fn column(&self, u: usize) -> Vec<f32> {
-        assert!(u < self.bins, "column {u} out of range");
-        (0..self.samples).map(|s| self.row(s)[u]).collect()
-    }
-
     /// Marginal bin distribution `p[u] = (1/m) Σ_s row_s[u]`.
     pub fn marginal(&self) -> Vec<f32> {
         let mut p = vec![0.0f32; self.bins];
@@ -343,90 +336,10 @@ impl DenseWeights {
         Self { data, ..*self }
     }
 
-    /// Column-major transpose of the padded matrix: `stride` rows of
-    /// `samples_padded` entries, samples padded to a lane multiple. This is
-    /// the layout the batched pair kernel streams over (lanes run across
-    /// samples).
-    pub fn transposed_columns(&self) -> TransposedWeights {
-        let lanes = F32x16::LANES;
-        let spad = self.samples.div_ceil(lanes) * lanes;
-        let mut data = vec![0.0f32; self.bins * spad];
-        for s in 0..self.samples {
-            let row = self.row(s);
-            for u in 0..self.bins {
-                data[u * spad + s] = row[u];
-            }
-        }
-        TransposedWeights {
-            bins: self.bins,
-            samples: self.samples,
-            samples_padded: spad,
-            data,
-        }
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<Row16>()
     }
-}
-
-/// Column-major (bin-major) weight matrix: for each bin `u`, a contiguous,
-/// zero-padded vector of that bin's weight across all samples.
-///
-/// `P[u][v] = Σ_s X.col(u)[s] · Y.col(v)[s]` becomes a plain lane dot
-/// product of two contiguous streams — the exact shape of the paper's
-/// vectorized inner loop.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TransposedWeights {
-    bins: usize,
-    samples: usize,
-    samples_padded: usize,
-    /// `bins × samples_padded`, bin-major.
-    data: Vec<f32>,
-}
-
-impl TransposedWeights {
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// Number of live samples (excluding padding).
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Padded sample count (a lane multiple).
-    pub fn samples_padded(&self) -> usize {
-        self.samples_padded
-    }
-
-    /// The zero-padded sample stream of bin `u`.
-    #[inline(always)]
-    pub fn bin_stream(&self, u: usize) -> &[f32] {
-        &self.data[u * self.samples_padded..(u + 1) * self.samples_padded]
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * core::mem::size_of::<f32>()
-    }
-}
-
-/// Scratch-reusing batch conversion: weight matrices for many genes at once
-/// from a row-major `genes × samples` matrix of normalized values.
-pub fn sparse_weights_for_genes(
-    normalized: &[f32],
-    genes: usize,
-    samples: usize,
-    basis: &BsplineBasis,
-) -> Vec<SparseWeights> {
-    assert_eq!(normalized.len(), genes * samples, "matrix shape mismatch");
-    let _ = MAX_ORDER; // layout invariant documented in `basis`
-    (0..genes)
-        .map(|g| SparseWeights::from_normalized(&normalized[g * samples..(g + 1) * samples], basis))
-        .collect()
 }
 
 #[cfg(test)]
@@ -534,32 +447,6 @@ mod tests {
         let basis = BsplineBasis::tinge_default();
         let w = SparseWeights::from_normalized(&demo_values(), &basis);
         let _ = w.permuted(&[0, 1, 2]);
-    }
-
-    #[test]
-    fn transposed_columns_match_column_views() {
-        let basis = BsplineBasis::new(3, 10);
-        let d = SparseWeights::from_normalized(&demo_values(), &basis).to_dense();
-        let t = d.transposed_columns();
-        assert_eq!(t.samples_padded() % F32x16::LANES, 0);
-        for u in 0..d.bins() {
-            let col = d.column(u);
-            let stream = t.bin_stream(u);
-            assert_eq!(&stream[..col.len()], &col[..]);
-            assert!(stream[col.len()..].iter().all(|&v| v == 0.0));
-        }
-    }
-
-    #[test]
-    fn batch_conversion_matches_individual() {
-        let basis = BsplineBasis::tinge_default();
-        let g0: Vec<f32> = (0..20).map(|i| i as f32 / 19.0).collect();
-        let g1: Vec<f32> = (0..20).map(|i| ((i * i) % 20) as f32 / 19.0).collect();
-        let mut flat = g0.clone();
-        flat.extend_from_slice(&g1);
-        let batch = sparse_weights_for_genes(&flat, 2, 20, &basis);
-        assert_eq!(batch[0], SparseWeights::from_normalized(&g0, &basis));
-        assert_eq!(batch[1], SparseWeights::from_normalized(&g1, &basis));
     }
 
     #[test]

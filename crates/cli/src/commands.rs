@@ -1,6 +1,8 @@
-//! The five `gnet` subcommands.
+//! The fourteen `gnet` subcommands: [`COMMANDS`] holds each one's option
+//! table, which the dispatcher, the parser and the usage text read, and
+//! the `cmd_*` functions below run them.
 
-use crate::args::{ArgError, ArgMap};
+use crate::args::{commands, ArgError, ArgMap, Command};
 use gnet_cluster::{
     infer_network_distributed, run_worker, RankRun, TelemetryPlane, TelemetrySpec, Wire,
 };
@@ -16,12 +18,14 @@ use gnet_graph::io as graph_io;
 use gnet_graph::{recovery_score, Edge, GeneNetwork};
 use gnet_grnsim::{GrnConfig, SyntheticDataset, TopologyKind};
 use gnet_mi::MiKernel;
+use gnet_obs::bench::BenchSuite;
 use gnet_parallel::SchedulerPolicy;
 use gnet_phi::scenarios;
 use gnet_trace::{diag_chunk, EwmaEta, Progress, Recorder};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::num::{NonZeroU64, NonZeroUsize};
 
 /// Any failure a command can produce, rendered for the terminal.
 #[derive(Debug)]
@@ -37,7 +41,8 @@ impl std::error::Error for CliError {}
 
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
-        Self(e.0)
+        let (ArgError::Syntax(msg) | ArgError::Invalid(msg)) = e;
+        Self(msg)
     }
 }
 
@@ -51,39 +56,207 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// Every `gnet` subcommand and its option table, in usage order.
+pub const COMMANDS: &[Command] = commands! {
+    "generate" => cmd_generate: "synthesize a ground-truth GRN expression matrix" {
+        value "genes" "N" = "200": "genes (at least two)";
+        value "samples" "M" = "300": "samples (at least one)";
+        value "seed" "S" = "42": "generator seed";
+        value "avg-degree" "D" = "3": "target mean degree of the true network";
+        value "topology" "scale-free|erdos-renyi" = "scale-free": "topology family";
+        value "batches" "N" = "1": "contiguous measurement batches";
+        value "batch-sd" "SD" = "0": "standard deviation of each batch's log shift";
+        required "out" "FILE": "matrix TSV to write";
+        optional "truth" "FILE": "ground-truth edge list to write";
+    };
+    "infer" => cmd_infer: "infer a network from a TSV matrix" {
+        required "input" "FILE": "expression matrix TSV: a header line, then one gene per line";
+        required "output" "FILE": "edge list to write";
+        value "q" "N" = "30": "shared permutations per pair (0 needs --threshold)"
+            => permutations;
+        value "alpha" "A" = "0.01": "family-wise significance level of the pooled threshold"
+            => alpha;
+        value "bins" "B" = "10": "B-spline histogram bins" => bins;
+        value "order" "K" = "3": "B-spline order" => spline_order;
+        value "seed" "S" = "1900963653": "permutation seed" => seed;
+        optional "threshold" "T": "explicit MI threshold in nats, in place of the pooled I*"
+            => mi_threshold;
+        optional "threads" "T": "workers (per rank with --ranks); the host's cores when left out"
+            => threads;
+        optional "tile" "T": "tile edge; the cache-blocking size when left out" => tile_size;
+        value "kernel" "vector|scalar" = "vector": "MI kernel" => kernel;
+        value "scheduler" "dynamic|static-block|static-cyclic" = "dynamic":
+            "tile scheduling policy" => scheduler;
+        flag "early-exit": "skip the nulls of pairs below a pre-pass threshold"
+            => null_strategy;
+        optional "dpi" "EPS": "prune the network by the data-processing inequality, EPS in [0, 1)";
+        flag "quantile-normalize": "quantile-normalize the samples first";
+        optional "center-batches" "N": "center N contiguous equal sample batches first";
+        optional "ranks" "P":
+            "run P ring ranks, each on --threads workers, in place of shared memory";
+        optional "listen" "ADDR":
+            "with --ranks P >= 2: TCP coordinator that waits for P-1 `gnet worker`s";
+        optional "trace-dir" "DIR": "with --ranks: one NDJSON stream per rank plus a manifest";
+        optional "status-addr" "ADDR": "with --ranks: live /status and /metrics HTTP listener";
+        optional "status-file" "FILE": "with --ranks: gnet-status/1 JSON, rewritten atomically";
+        value "status-interval-ms" "N" = "250": "heartbeat cadence of the status plane";
+        optional "trace" "FILE": "NDJSON event stream of the shared-memory pipeline";
+        optional "metrics" "FILE": "metrics summary JSON of the shared-memory pipeline";
+        flag "progress": "live stderr progress line with an ETA";
+        optional "checkpoint-dir" "DIR": "durable checkpoints of the shared-memory pipeline";
+        value "checkpoint-every" "N" = "8": "tiles between checkpoints";
+        flag "resume": "continue from the checkpoint in --checkpoint-dir";
+        optional "fault-plan" "PLAN": "inject a replayable fault plan (see gnet-fault)";
+        optional "save-state" "DIR":
+            "also save the updatable state bundle `gnet update` appends to";
+    } rules {
+        Excludes ["ranks"] ["trace", "metrics", "progress"]:
+            "--trace/--metrics/--progress instrument the shared-memory pipeline and cannot be \
+             combined with --ranks";
+        Requires ["trace-dir"] ["ranks"]:
+            "--trace-dir writes one stream per rank and needs --ranks; use --trace FILE for the \
+             shared-memory pipeline";
+        Requires ["listen"] ["ranks"]: LISTEN_NEEDS_RING;
+        Requires ["status-addr", "status-file"] ["ranks"]:
+            "--status-addr/--status-file stream live telemetry from the distributed path and \
+             need --ranks";
+        Requires ["status-interval-ms"] ["status-addr", "status-file"]:
+            "--status-interval-ms needs --status-addr or --status-file";
+        Requires ["resume", "checkpoint-every"] ["checkpoint-dir"]:
+            "--resume/--checkpoint-every need --checkpoint-dir";
+        Excludes ["ranks"] ["checkpoint-dir"]:
+            "checkpoints (--checkpoint-dir) cover the shared-memory pipeline; the distributed \
+             path (--ranks) recovers via rank failover instead";
+        Excludes ["save-state"] ["ranks"]:
+            "--save-state builds the state bundle in shared memory and cannot be combined with \
+             --ranks";
+        Excludes ["save-state"] ["trace", "metrics", "progress"]:
+            "--trace/--metrics/--progress instrument the inference pipeline and cannot be \
+             combined with --save-state, whose state build records nothing";
+        Excludes ["save-state"] ["checkpoint-dir"]:
+            "--save-state does not checkpoint its state build (only the finished bundle is \
+             written, atomically); drop --checkpoint-dir";
+        Excludes ["ranks"] ["early-exit"]:
+            "--early-exit needs the shared-memory pipeline's threshold pre-pass and cannot be \
+             combined with --ranks";
+        Excludes ["save-state"] ["early-exit"]:
+            "--save-state needs the exact-full pooled null (drop --early-exit): an updatable \
+             state must keep the pooled moments";
+    };
+    "update" => cmd_update: "incrementally append genes or samples to a saved state" {
+        required "state" "DIR": "state bundle written by `gnet infer --save-state`";
+        required "append" "FILE": "TSV of the appended genes or samples";
+        required "output" "FILE": "updated edge list to write";
+        optional "mode" "genes|samples": "what the append adds; told from its shape when left out";
+        value "checkpoint-every" "N" = "8": "scanned tiles between progress saves";
+        flag "resume": "continue an interrupted update from its progress file";
+        optional "fault-plan" "PLAN":
+            "inject a replayable fault plan, e.g. update-crash(boundary=B)";
+    };
+    "worker" => cmd_worker: "join a multi-process run started by `gnet infer --listen`" {
+        required "connect" "IP:PORT": "the address the coordinator printed";
+        optional "trace-dir" "DIR": "this machine's trace directory, in place of the coordinator's";
+    };
+    "status" => cmd_status: "one-screen live summary of a running inference" {
+        required "target" "TARGET":
+            "IP:PORT of a status listener, or a --status-file; may come first, bare";
+        flag "metrics": "print the listener's Prometheus exposition instead";
+        flag "json": "print the raw gnet-status/1 document";
+    } rules {
+        Excludes ["metrics"] ["json"]: "--metrics is the Prometheus text form; drop --json";
+    };
+    "trace-report" => cmd_trace_report: "offline analysis of recorded traces" {
+        optional "trace" "FILE": "single-process NDJSON stream";
+        optional "trace-dir" "DIR":
+            "per-rank streams and manifest of `gnet infer --ranks P --trace-dir`";
+        optional "chrome" "FILE": "also write Chrome trace-event JSON (Perfetto, chrome://tracing)";
+        optional "flame" "FILE": "also write folded flamegraph stacks";
+        flag "no-calibrate": "skip the live kernel measurement behind the % model column";
+    } rules {
+        Requires [] ["trace", "trace-dir"]: ONE_TRACE_SOURCE;
+        Excludes ["trace"] ["trace-dir"]: ONE_TRACE_SOURCE;
+    };
+    "bench" => cmd_bench: "seeded benchmark suite and regression gate" {
+        flag "quick": "smaller shapes and 3 reps: the CI mode";
+        optional "reps" "K": "repetitions per series, in place of the mode's";
+        value "out" "FILE" = "BENCH_14.json": "artifact to write";
+        optional "baseline" "FILE": "exit nonzero on significant regressions against this artifact";
+        flag "update-baseline": "overwrite --baseline with this run instead of gating against it";
+        value "inject-slowdown" "F" = "1":
+            "slow the vector kernel F-fold, F in [1, 64]: the gate's self-test";
+    } rules {
+        Requires ["update-baseline"] ["baseline"]:
+            "--update-baseline needs --baseline FILE (the artifact to refresh)";
+    };
+    "simd" => cmd_simd: "report the SIMD backend the kernel dispatcher picked" {
+        flag "verify": "exit nonzero on an unhealthy dispatch";
+    };
+    "score" => cmd_score: "score an edge list against a ground truth" {
+        required "edges" "FILE": "inferred edge list";
+        required "truth" "FILE": "ground-truth edge list";
+        required "matrix" "FILE": "the matrix both lists name genes of";
+    };
+    "topology" => cmd_topology: "topology report of an edge list" {
+        required "edges" "FILE": "edge list";
+        required "matrix" "FILE": "the matrix the list names genes of";
+        value "hubs" "N" = "10": "hubs to list";
+    };
+    "analyze" => cmd_analyze:
+        "static analysis, scheduler race checker and ring-protocol model checker" {
+        value "root" "DIR" = ".": "workspace root";
+        optional "allowlist" "FILE": "vetted lint exceptions";
+        flag "json": "print the gnet-analyze/2 JSON document";
+        flag "deny": "exit nonzero on any lint violation";
+        flag "deny-stale": "exit nonzero on stale allowlist entries";
+        flag "unsafe-audit": "report only the unsafe-audit lints";
+        flag "concurrency": "run the deterministic scheduler interleaving checker";
+        value "runs" "N" = "25": "seeded runs of --concurrency";
+        flag "protocol": "explore the unmutated ring protocol";
+        flag "self-check": "prove the checker catches three injected protocol mutations";
+        flag "full": "nightly-depth protocol bounds";
+        optional "max-ranks" "N": "drop ring sizes above N from the bounds";
+        optional "replay" "SPEC": "re-execute one protocol schedule and exit";
+    };
+    "conformance" => cmd_conformance: "differential and metamorphic conformance harness" {
+        value "level" "quick|full" = "quick": "corpus depth";
+        value "seed" "S" = "1668247142": "corpus seed";
+        flag "json": "print the JSON report";
+        optional "report" "FILE": "also write the JSON report, pass or fail";
+        flag "self-check": "prove the harness catches injected mutations";
+        optional "replay" "SPEC": "re-run one dataset spec";
+    } rules {
+        Excludes ["self-check"] ["replay"]: "--self-check and --replay are mutually exclusive";
+    };
+    "stats" => cmd_stats: "summarize a TSV matrix" {
+        required "input" "FILE": "expression matrix TSV";
+    };
+    "predict" => cmd_predict: "modeled platform runtimes" {
+        value "genes" "N" = "15575": "genes (at least two)";
+        value "samples" "M" = "3137": "samples";
+        value "q" "N" = "30": "permutations per pair";
+    };
+};
+
 /// Create an output file, naming the path in the error — a bare
 /// "permission denied" with no path is useless in a pipeline log.
 fn create_file(path: &str) -> Result<File, CliError> {
     File::create(path).map_err(|e| CliError(format!("cannot create {path}: {e}")))
 }
 
-/// `gnet generate` — synthesize a ground-truth GRN dataset.
-///
-/// Options: `--genes` `--samples` `--seed` `--avg-degree`
-/// `--topology scale-free|erdos-renyi` `--out FILE` `--truth FILE`.
-pub fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let genes = args.get_or("genes", 200usize)?;
-    let samples = args.get_or("samples", 300usize)?;
-    let seed = args.get_or("seed", 42u64)?;
-    let avg_degree = args.get_or("avg-degree", 3.0f64)?;
-    let topology = match args.get("topology").unwrap_or("scale-free") {
-        "scale-free" => TopologyKind::ScaleFree,
-        "erdos-renyi" => TopologyKind::ErdosRenyi,
-        other => return fail(format!("unknown topology {other:?}")),
+/// `gnet generate` — synthesize a ground-truth GRN dataset. Options:
+/// [`COMMANDS`].
+fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let genes = genes(args)?;
+    let samples = args.value::<NonZeroUsize>("samples")?.get();
+    let seed = args.value("seed")?;
+    let avg_degree: f64 = args.value("avg-degree")?;
+    let topology = match args.get("topology") {
+        Some("erdos-renyi") => TopologyKind::ErdosRenyi,
+        _ => TopologyKind::ScaleFree,
     };
-    let batches = args.get_or("batches", 1usize)?;
-    let batch_sd = args.get_or("batch-sd", 0.0f32)?;
-    let matrix_path = args.require("out")?.to_string();
-    let truth_path = args.get("truth").map(str::to_string);
-    args.reject_unknown()?;
-    if genes < 2 {
-        return fail(format!(
-            "bad --genes {genes}: a network needs at least two genes"
-        ));
-    }
-    if samples < 1 {
-        return fail("bad --samples 0: a matrix needs at least one sample");
-    }
+    let batches = args.value("batches")?;
+    let batch_sd = args.value("batch-sd")?;
+    let matrix_path: String = args.value("out")?;
     if !(avg_degree.is_finite() && avg_degree > 0.0) {
         return fail(format!(
             "bad --avg-degree {avg_degree}: must be finite and positive"
@@ -106,7 +279,7 @@ pub fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> 
         .map_err(|e| CliError(format!("cannot write {matrix_path}: {e}")))?;
     writeln!(out, "wrote {genes}×{samples} matrix to {matrix_path}")?;
 
-    if let Some(path) = truth_path {
+    if let Some(path) = args.get("truth") {
         let truth_net = GeneNetwork::from_edges(
             genes,
             ds.matrix.gene_names().to_vec(),
@@ -114,7 +287,7 @@ pub fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> 
                 .into_iter()
                 .map(|(a, b)| Edge::new(a, b, 1.0)),
         );
-        graph_io::write_edge_list(&truth_net, BufWriter::new(create_file(&path)?))
+        graph_io::write_edge_list(&truth_net, BufWriter::new(create_file(path)?))
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         writeln!(
             out,
@@ -125,60 +298,50 @@ pub fn cmd_generate(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
+/// `--genes`, which must be at least two: a network needs a pair.
+fn genes(args: &ArgMap) -> Result<usize, CliError> {
+    match args.value("genes")? {
+        genes if genes < 2 => fail(format!(
+            "bad --genes {genes}: a network needs at least two genes"
+        )),
+        genes => Ok(genes),
+    }
+}
+
 fn load_matrix(path: &str) -> Result<ExpressionMatrix, CliError> {
     let file = File::open(path).map_err(|e| CliError(format!("cannot open {path}: {e}")))?;
     expr_io::read_tsv(file, true, MissingPolicy::MeanImpute)
         .map_err(|e| CliError(format!("cannot read {path}: {e}")))
 }
 
+/// The `InferenceConfig` the `gnet infer` rows that name a field fill; a
+/// value `InferenceConfig::check` refuses is an error naming its option.
 fn config_from_args(args: &ArgMap) -> Result<InferenceConfig, CliError> {
-    let mut cfg = InferenceConfig {
-        bins: args.get_or("bins", 10usize)?,
-        spline_order: args.get_or("order", 3usize)?,
-        permutations: args.get_or("q", 30usize)?,
-        alpha: args.get_or("alpha", 0.01f64)?,
-        seed: args.get_or("seed", InferenceConfig::default().seed)?,
+    let cfg = InferenceConfig {
+        bins: args.value("bins")?,
+        spline_order: args.value("order")?,
+        permutations: args.value("q")?,
+        alpha: args.value("alpha")?,
+        mi_threshold: args.parsed("threshold")?,
+        seed: args.value("seed")?,
+        kernel: match args.get("kernel") {
+            Some("scalar") => MiKernel::ScalarSparse,
+            _ => MiKernel::VectorDense,
+        },
+        tile_size: args.parsed("tile")?,
+        threads: args.parsed("threads")?,
+        scheduler: args
+            .get("scheduler")
+            .and_then(SchedulerPolicy::from_slug)
+            .expect("the --scheduler metavar lists policy slugs"),
+        null_strategy: match args.flag("early-exit") {
+            true => NullStrategy::EarlyExit,
+            false => NullStrategy::ExactFull,
+        },
         ..InferenceConfig::default()
     };
-    if let Some(t) = args.get("threshold") {
-        cfg.mi_threshold = Some(
-            t.parse()
-                .map_err(|_| CliError(format!("bad --threshold {t:?}")))?,
-        );
-    }
-    if let Some(t) = args.get("threads") {
-        cfg.threads = Some(
-            t.parse()
-                .map_err(|_| CliError(format!("bad --threads {t:?}")))?,
-        );
-    }
-    if let Some(t) = args.get("tile") {
-        cfg.tile_size = Some(
-            t.parse()
-                .map_err(|_| CliError(format!("bad --tile {t:?}")))?,
-        );
-    }
-    cfg.kernel = match args.get("kernel").unwrap_or("vector") {
-        "vector" => MiKernel::VectorDense,
-        "scalar" => MiKernel::ScalarSparse,
-        other => return fail(format!("unknown kernel {other:?} (vector|scalar)")),
-    };
-    let slug = args.get("scheduler").unwrap_or("dynamic");
-    cfg.scheduler = SchedulerPolicy::from_slug(slug)
-        .ok_or_else(|| CliError(format!("unknown scheduler {slug:?}")))?;
-    if args.flag("early-exit") {
-        cfg.null_strategy = NullStrategy::EarlyExit;
-    }
-    cfg.check().map_err(|e| {
-        let flag = match e.field {
-            "spline_order" => "order",
-            "permutations" => "q",
-            "mi_threshold" => "threshold",
-            "tile_size" => "tile",
-            other => other,
-        };
-        CliError(format!("bad --{flag}: {}", e.reason))
-    })?;
+    cfg.check()
+        .map_err(|e| CliError(format!("bad --{}: {}", args.option_for(e.field), e.reason)))?;
     Ok(cfg)
 }
 
@@ -227,142 +390,45 @@ fn progress_sink() -> impl Fn(Progress) + Send + Sync + 'static {
     }
 }
 
-/// `gnet infer` — run the pipeline on a TSV matrix.
-///
-/// Options: `--input FILE` `--output FILE` plus the config options of
-/// [`config_from_args`] (each bad value is an error naming its flag),
-/// `--dpi EPS` for post-pruning, `--ranks P` to run over the simulated
-/// cluster instead of shared memory — each of the `P` ranks scans its
-/// block pairs on `--threads T` workers, so the run uses `P × T`
-/// workers (`--early-exit` is a shared-memory strategy and is rejected
-/// with `--ranks`) — and the observability options `--trace FILE`
-/// (NDJSON event stream), `--metrics FILE` (metrics summary JSON),
-/// `--progress` (live stderr status line with an EWMA-smoothed ETA).
-/// With `--ranks`,
-/// `--trace-dir DIR` writes one NDJSON stream per rank plus a
-/// `manifest.json` (analyse with `gnet trace-report --trace-dir DIR`).
-///
-/// Fault tolerance: `--checkpoint-dir DIR` enables durable checkpoints
-/// every `--checkpoint-every N` tiles (shared-memory path), `--resume`
-/// continues from the checkpoint in that directory, and
-/// `--fault-plan PLAN` injects a deterministic, replayable fault plan
-/// (see `gnet_fault`) into either execution path.
-///
-/// Multi-process: `--listen ADDR` (with `--ranks P`, `P ≥ 2`) binds a
-/// TCP coordinator instead of running all ranks in-process; it prints
-/// `listening on IP:PORT`, waits for `P − 1` `gnet worker --connect`
-/// processes, and produces the byte-identical edge set.
-///
-/// Live telemetry (with `--ranks`, in-process or `--listen`):
-/// `--status-addr ADDR` serves `/status` (gnet-status/1 JSON) and
-/// `/metrics` (Prometheus text) over HTTP and prints
-/// `status listening on IP:PORT`; `--status-file FILE` atomically
-/// rewrites the same JSON document on every heartbeat interval;
-/// `--status-interval-ms N` tunes the heartbeat cadence (default 250).
-/// Read either surface with `gnet status`. Telemetry is observational
-/// only: the edge set is byte-identical with it on or off.
-///
-/// Incremental: `--save-state DIR` scans the pair space on `--threads`
-/// and persists an updatable state bundle alongside the edge list, so
-/// later appends go through `gnet update` instead of a rebuild.
-/// Incompatible with `--ranks`, `--checkpoint-dir`, `--early-exit`, and
-/// the `--trace`/`--metrics`/`--progress` instruments.
-pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let input = args.require("input")?.to_string();
-    let output = args.require("output")?.to_string();
-    let dpi: Option<f32> = match args.get("dpi") {
-        Some(raw) => Some(
-            raw.parse()
-                .ok()
-                .filter(|eps| (0.0..1.0).contains(eps))
-                .ok_or_else(|| CliError(format!("bad --dpi {raw:?}: must lie in [0, 1)")))?,
-        ),
-        None => None,
-    };
-    let ranks: Option<usize> = match args.get("ranks") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| CliError(format!("bad --ranks {raw:?}")))?,
-        ),
-        None => None,
-    };
-    let trace_path = args.get("trace").map(str::to_string);
-    let metrics_path = args.get("metrics").map(str::to_string);
-    let progress = args.flag("progress");
-    if ranks.is_some() && (trace_path.is_some() || metrics_path.is_some() || progress) {
-        return fail("--trace/--metrics/--progress instrument the shared-memory pipeline and cannot be combined with --ranks");
+/// `--listen`'s rule row and value check: a coordinator needs a ring.
+const LISTEN_NEEDS_RING: &str =
+    "--listen starts a multi-process coordinator and needs --ranks P with P >= 2";
+
+/// `--fault-plan`; a plan that does not parse is an error naming it.
+fn fault_plan(args: &ArgMap) -> Result<Option<gnet_fault::FaultPlan>, CliError> {
+    let plan = args.get("fault-plan").map(gnet_fault::FaultPlan::parse);
+    plan.transpose()
+        .map_err(|e| CliError(format!("bad --fault-plan: {e}")))
+}
+
+/// The injector of a `--fault-plan`, reporting to `rec`; none without one.
+fn injector(plan: Option<&gnet_fault::FaultPlan>, rec: &Recorder) -> gnet_fault::FaultInjector {
+    plan.map_or_else(gnet_fault::FaultInjector::none, |plan| {
+        gnet_fault::FaultInjector::from_plan_traced(plan, rec)
+    })
+}
+
+/// `gnet infer` — run the pipeline on a TSV matrix: in shared memory,
+/// checkpointed, over `P` ring ranks (in-process or with `gnet worker`
+/// processes over TCP), or building the state bundle `gnet update`
+/// appends to. Every path writes the same edge bytes; the instruments
+/// (trace, metrics, progress, status plane) only observe. Options:
+/// [`COMMANDS`].
+fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let input: String = args.value("input")?;
+    let dpi: Option<f32> = args.parsed("dpi")?;
+    if let Some(eps) = dpi.filter(|eps| !(0.0..1.0).contains(eps)) {
+        return fail(format!("bad --dpi {eps}: must lie in [0, 1)"));
     }
-    let trace_dir = args.get("trace-dir").map(str::to_string);
-    if trace_dir.is_some() && ranks.is_none() {
-        return fail("--trace-dir writes one stream per rank and needs --ranks; use --trace FILE for the shared-memory pipeline");
+    let ranks: Option<usize> = args.parsed("ranks")?;
+    if args.get("listen").is_some() && ranks.is_none_or(|p| p < 2) {
+        return fail(LISTEN_NEEDS_RING);
     }
-    let listen = args.get("listen").map(str::to_string);
-    if listen.is_some() && ranks.is_none_or(|p| p < 2) {
-        return fail("--listen starts a multi-process coordinator and needs --ranks P with P >= 2");
-    }
-    let status_addr = args.get("status-addr").map(str::to_string);
-    let status_file = args.get("status-file").map(str::to_string);
-    let status_interval_ms = args.get_or("status-interval-ms", 250u64)?;
-    let telemetry = status_addr.is_some() || status_file.is_some();
-    if telemetry && ranks.is_none() {
-        return fail("--status-addr/--status-file stream live telemetry from the distributed path and need --ranks");
-    }
-    if args.get("status-interval-ms").is_some() && !telemetry {
-        return fail("--status-interval-ms needs --status-addr or --status-file");
-    }
-    if status_interval_ms == 0 {
-        return fail("--status-interval-ms must be at least 1");
-    }
-    let checkpoint_dir = args.get("checkpoint-dir").map(str::to_string);
-    let checkpoint_every = args.get_or("checkpoint-every", 8usize)?;
-    let resume = args.flag("resume");
-    if checkpoint_every == 0 {
-        return fail("--checkpoint-every must be at least 1 tile");
-    }
-    if (resume || args.get("checkpoint-every").is_some()) && checkpoint_dir.is_none() {
-        return fail("--resume/--checkpoint-every need --checkpoint-dir");
-    }
-    if ranks.is_some() && checkpoint_dir.is_some() {
-        return fail("checkpoints cover the shared-memory pipeline; the distributed path (--ranks) recovers via rank failover instead");
-    }
-    let save_state = args.get("save-state").map(str::to_string);
-    if save_state.is_some() && ranks.is_some() {
-        return fail("--save-state builds the state bundle in shared memory and cannot be combined with --ranks");
-    }
-    if save_state.is_some() && (trace_path.is_some() || metrics_path.is_some() || progress) {
-        return fail("--trace/--metrics/--progress instrument the inference pipeline and cannot be combined with --save-state, whose state build records nothing");
-    }
-    if save_state.is_some() && checkpoint_dir.is_some() {
-        return fail("--save-state does not checkpoint its state build (only the finished bundle is written, atomically); drop --checkpoint-dir");
-    }
-    let fault_plan = match args.get("fault-plan") {
-        Some(raw) => Some(
-            gnet_fault::FaultPlan::parse(raw)
-                .map_err(|e| CliError(format!("bad --fault-plan: {e}")))?,
-        ),
-        None => None,
-    };
-    let quantile = args.flag("quantile-normalize");
-    let center_batches: Option<usize> = match args.get("center-batches") {
-        Some(raw) => {
-            let b: usize = raw
-                .parse()
-                .map_err(|_| CliError(format!("bad --center-batches {raw:?}")))?;
-            if b < 1 {
-                return fail("--center-batches needs at least one batch");
-            }
-            Some(b)
-        }
-        None => None,
-    };
+    let status_interval_ms = args.value::<NonZeroU64>("status-interval-ms")?.get();
+    let checkpoint_every = args.value::<NonZeroUsize>("checkpoint-every")?.get();
+    let fault_plan = fault_plan(args)?;
+    let center_batches = args.parsed::<NonZeroUsize>("center-batches")?;
     let cfg = config_from_args(args)?;
-    if ranks.is_some() && cfg.null_strategy == NullStrategy::EarlyExit {
-        return fail("--early-exit needs the shared-memory pipeline's threshold pre-pass and cannot be combined with --ranks");
-    }
-    if save_state.is_some() && !matches!(cfg.null_strategy, NullStrategy::ExactFull) {
-        return fail("--save-state needs the exact-full pooled null (drop --early-exit): an updatable state must keep the pooled moments");
-    }
-    args.reject_unknown()?;
 
     let mut matrix = load_matrix(&input)?;
     writeln!(
@@ -390,14 +456,24 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
 
-    if quantile {
+    if args.flag("quantile-normalize") {
         matrix = gnet_expr::normalize::quantile_normalize(&matrix);
         writeln!(out, "quantile-normalized {} samples", matrix.samples())?;
     }
-    if let Some(batches) = center_batches {
-        // Contiguous equal batches, matching `gnet generate`'s layout.
-        let per = matrix.samples().div_ceil(batches);
-        let labels: Vec<u32> = (0..matrix.samples())
+    if let Some(batches) = center_batches.map(NonZeroUsize::get) {
+        // Contiguous equal batches, matching `gnet generate`'s layout. The
+        // last holds the remainder, so it is the smallest, and a batch of
+        // one sample would be centered to nothing.
+        let m = matrix.samples();
+        let per = m.div_ceil(batches);
+        let last = m.saturating_sub((batches - 1).saturating_mul(per));
+        if last < 2 {
+            return fail(format!(
+                "--center-batches {batches} leaves a batch of {last} of the {m} samples; \
+                 each needs at least two"
+            ));
+        }
+        let labels: Vec<u32> = (0..m)
             .map(|s| {
                 u32::try_from((s / per).min(batches - 1)).expect("batch count fits the u32 label")
             })
@@ -408,29 +484,25 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 
     // One recorder serves all three observability options; without any of
     // them it is the inert handle and the run is uninstrumented.
-    let rec = if trace_path.is_some() || metrics_path.is_some() || progress {
-        if progress {
-            Recorder::enabled_with_progress(progress_sink())
-        } else {
-            Recorder::enabled()
-        }
+    let rec = if args.flag("progress") {
+        Recorder::enabled_with_progress(progress_sink())
+    } else if args.get("trace").is_some() || args.get("metrics").is_some() {
+        Recorder::enabled()
     } else {
         Recorder::disabled()
     };
 
-    let injector = match &fault_plan {
-        Some(plan) => gnet_fault::FaultInjector::from_plan_traced(plan, &rec),
-        None => gnet_fault::FaultInjector::none(),
-    };
+    let injector = injector(fault_plan.as_ref(), &rec);
 
-    // The live telemetry plane (ISSUE 10): a `--status-file` JSON
-    // document and/or a `/status` + `/metrics` HTTP listener, fed by
-    // in-band worker heartbeats. Purely observational — the edge set is
-    // byte-identical with or without it.
-    let mut plane = if telemetry {
+    // The live telemetry plane: a `--status-file` JSON document and/or a
+    // `/status` + `/metrics` HTTP listener, fed by in-band worker
+    // heartbeats. Purely observational — the edge set is byte-identical
+    // with or without it.
+    let (status_addr, status_file) = (args.get("status-addr"), args.get("status-file"));
+    let mut plane = if status_addr.is_some() || status_file.is_some() {
         let spec = TelemetrySpec {
-            status_addr: status_addr.clone(),
-            status_file: status_file.as_ref().map(std::path::PathBuf::from),
+            status_addr: status_addr.map(str::to_string),
+            status_file: status_file.map(std::path::PathBuf::from),
             interval: std::time::Duration::from_millis(status_interval_ms),
         };
         let genes = matrix.genes() as u64;
@@ -450,11 +522,12 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     let t0 = std::time::Instant::now();
-    let (mut network, summary) = match ranks {
-        Some(p) => {
-            let listener = match &listen {
+    let trace_dir = args.get("trace-dir");
+    let (mut network, summary) = match (ranks, args.get("save-state")) {
+        (Some(p), _) => {
+            let listener = match args.get("listen") {
                 Some(addr) => {
-                    let listener = std::net::TcpListener::bind(addr.as_str())
+                    let listener = std::net::TcpListener::bind(addr)
                         .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
                     let local = listener
                         .local_addr()
@@ -471,13 +544,13 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                 wire: listener.as_ref().map_or(Wire::Channels, Wire::Processes),
                 faults: injector.clone(),
                 recorder: rec.clone(),
-                trace_dir: trace_dir.as_deref().map(std::path::Path::new),
+                trace_dir: trace_dir.map(std::path::Path::new),
                 plane: plane.as_ref(),
                 ..RankRun::new(p)
             };
             let r = infer_network_distributed(&matrix, &cfg, &run)
                 .map_err(|e| CliError(e.to_string()))?;
-            if let Some(dir) = &trace_dir {
+            if let Some(dir) = trace_dir {
                 writeln!(out, "wrote {p} per-rank trace streams + manifest to {dir}")?;
             }
             let pairs: u64 = r.rank_stats.iter().map(|s| s.pairs).sum();
@@ -491,8 +564,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             }
             (r.network, summary)
         }
-        None if save_state.is_some() => {
-            let dir = save_state.as_deref().expect("guarded by the match arm");
+        (None, Some(dir)) => {
             let state = build_state(&matrix, &cfg);
             let store = StateStore::with_faults(dir, injector.clone(), &rec);
             store.save(&state).map_err(|e| CliError(e.to_string()))?;
@@ -504,59 +576,50 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             );
             (state.network(), summary)
         }
-        None => match &checkpoint_dir {
-            Some(dir) => {
-                let store = CheckpointStore::with_faults(dir, injector.clone(), &rec);
-                let r = infer_network_durable(&matrix, &cfg, &store, checkpoint_every, resume, &rec)
-                    .map_err(|e| match e {
-                        DurableError::Interrupted { tiles_done, .. } => CliError(format!(
-                            "run interrupted after {tiles_done} tile(s); checkpoint saved in {dir} — rerun with --resume to continue"
-                        )),
-                        other => CliError(other.to_string()),
-                    })?;
-                (
-                    r.network,
-                    format!(
-                        "{} pairs in {:?} ({:.0} pairs/s), I* = {:.4} [checkpointed every {checkpoint_every} tiles]",
-                        r.stats.pairs,
-                        t0.elapsed(),
-                        r.stats.pair_rate(),
-                        r.stats.threshold
-                    ),
-                )
-            }
-            None => {
-                let r = infer_network_traced(&matrix, &cfg, &rec);
-                (
-                    r.network,
-                    format!(
-                        "{} pairs in {:?} ({:.0} pairs/s), I* = {:.4}",
-                        r.stats.pairs,
-                        r.stats.total_time(),
-                        r.stats.pair_rate(),
-                        r.stats.threshold
-                    ),
-                )
-            }
-        },
+        (None, None) => {
+            let (r, time, note) = match args.get("checkpoint-dir") {
+                Some(dir) => {
+                    let store = CheckpointStore::with_faults(dir, injector.clone(), &rec);
+                    let resume = args.flag("resume");
+                    let r = infer_network_durable(&matrix, &cfg, &store, checkpoint_every, resume, &rec)
+                        .map_err(|e| match e {
+                            DurableError::Interrupted { tiles_done, .. } => CliError(format!(
+                                "run interrupted after {tiles_done} tile(s); checkpoint saved in {dir} — rerun with --resume to continue"
+                            )),
+                            other => CliError(other.to_string()),
+                        })?;
+                    let note = format!(" [checkpointed every {checkpoint_every} tiles]");
+                    (r, t0.elapsed(), note)
+                }
+                None => {
+                    let r = infer_network_traced(&matrix, &cfg, &rec);
+                    let time = r.stats.total_time();
+                    (r, time, String::new())
+                }
+            };
+            let (pairs, rate, threshold) = (r.stats.pairs, r.stats.pair_rate(), r.stats.threshold);
+            let summary =
+                format!("{pairs} pairs in {time:?} ({rate:.0} pairs/s), I* = {threshold:.4}{note}");
+            (r.network, summary)
+        }
     };
     writeln!(out, "{summary}")?;
 
     if let Some(mut live) = plane.take() {
         live.finish()
             .map_err(|e| CliError(format!("cannot finalize the status plane: {e}")))?;
-        if let Some(path) = &status_file {
+        if let Some(path) = status_file {
             writeln!(out, "final status snapshot in {path}")?;
         }
     }
 
-    if let Some(path) = &trace_path {
+    if let Some(path) = args.get("trace") {
         let mut w = BufWriter::new(create_file(path)?);
         rec.write_ndjson(&mut w)?;
         w.flush()?;
         writeln!(out, "wrote trace events to {path}")?;
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = args.get("metrics") {
         let mut w = BufWriter::new(create_file(path)?);
         rec.write_metrics_json(&mut w)?;
         w.flush()?;
@@ -573,6 +636,7 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         )?;
     }
 
+    let output: String = args.value("output")?;
     graph_io::write_edge_list(&network, BufWriter::new(create_file(&output)?))
         .map_err(|e| CliError(format!("cannot write {output}: {e}")))?;
     writeln!(out, "wrote {} edges to {output}", network.edge_count())?;
@@ -580,43 +644,21 @@ pub fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `gnet update` — apply an incremental append to a saved state bundle.
-///
-/// Options: `--state DIR` (bundle written by `gnet infer --save-state`),
-/// `--append FILE` (TSV holding the appended genes or samples),
-/// `--output FILE` (updated edge list), `--mode genes|samples`
-/// (auto-detected from the append's shape when unambiguous),
-/// `--checkpoint-every N` (durable progress every N scanned tiles,
-/// default 8), `--resume` (continue an interrupted update from its
-/// progress file), and `--fault-plan PLAN` (deterministic fault
-/// injection, e.g. `update-crash(boundary=B)`).
+/// Options: [`COMMANDS`].
 ///
 /// The updated bundle and edge list are byte-identical to a from-scratch
 /// `gnet infer --save-state` over the concatenated dataset — the
 /// batch-equivalence contract pinned by conformance family 6 — but a
 /// gene append scans only the `g·(N−g) + g·(g−1)/2` new-pair frontier.
-pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let state_dir = args.require("state")?.to_string();
-    let append_path = args.require("append")?.to_string();
-    let output = args.require("output")?.to_string();
-    let mode = match args.get("mode") {
-        None => None,
-        Some("genes") => Some(UpdateMode::Genes),
-        Some("samples") => Some(UpdateMode::Samples),
-        Some(other) => return fail(format!("unknown --mode {other:?} (genes|samples)")),
-    };
-    let checkpoint_every = args.get_or("checkpoint-every", 8usize)?;
-    if checkpoint_every == 0 {
-        return fail("--checkpoint-every must be at least 1 tile");
-    }
-    let resume = args.flag("resume");
-    let fault_plan = match args.get("fault-plan") {
-        Some(raw) => Some(
-            gnet_fault::FaultPlan::parse(raw)
-                .map_err(|e| CliError(format!("bad --fault-plan: {e}")))?,
-        ),
-        None => None,
-    };
-    args.reject_unknown()?;
+fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let state_dir: String = args.value("state")?;
+    let append_path: String = args.value("append")?;
+    let mode = args.get("mode").map(|m| match m {
+        "genes" => UpdateMode::Genes,
+        _ => UpdateMode::Samples,
+    });
+    let checkpoint_every = args.value::<NonZeroUsize>("checkpoint-every")?.get();
+    let fault_plan = fault_plan(args)?;
 
     let append = load_matrix(&append_path)?;
     writeln!(
@@ -627,17 +669,17 @@ pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     )?;
 
     let rec = Recorder::disabled();
-    let injector = match &fault_plan {
-        Some(plan) => gnet_fault::FaultInjector::from_plan_traced(plan, &rec),
-        None => gnet_fault::FaultInjector::none(),
-    };
-    let store = StateStore::with_faults(&state_dir, injector, &rec);
+    let store = StateStore::with_faults(&state_dir, injector(fault_plan.as_ref(), &rec), &rec);
     let t0 = std::time::Instant::now();
+    let resume = args.flag("resume");
     let (state, stats) = update_durable(&store, &append, mode, checkpoint_every, resume, &rec)
         .map_err(|e| match e {
             DurableError::Interrupted { pairs_done, .. } => CliError(format!(
                 "update interrupted after {pairs_done} pair(s); progress saved in {state_dir} — rerun with --resume to continue"
             )),
+            e @ DurableError::Append { .. } => {
+                CliError(format!("cannot append {append_path}: {e}"))
+            }
             other => CliError(other.to_string()),
         })?;
     let resumed_note = if stats.pairs_resumed > 0 {
@@ -661,6 +703,7 @@ pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     )?;
 
     let network = state.network();
+    let output: String = args.value("output")?;
     graph_io::write_edge_list(&network, BufWriter::new(create_file(&output)?))
         .map_err(|e| CliError(format!("cannot write {output}: {e}")))?;
     writeln!(out, "wrote {} edges to {output}", network.edge_count())?;
@@ -668,20 +711,11 @@ pub fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `gnet worker` — join a multi-process distributed run as one rank.
-///
-/// Options: `--connect ADDR` (the `IP:PORT` printed by
-/// `gnet infer --listen`) and `--trace-dir DIR` to override the
-/// coordinator-announced trace directory on this machine. Everything
-/// else — rank, matrix, config, fault plan — arrives from the
-/// coordinator over the wire.
-pub fn cmd_worker(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let addr_raw = args.require("connect")?.to_string();
-    let trace_dir = args.get("trace-dir").map(str::to_string);
-    args.reject_unknown()?;
-    let addr: std::net::SocketAddr = addr_raw
-        .parse()
-        .map_err(|_| CliError(format!("bad --connect address {addr_raw:?} (need IP:PORT)")))?;
-    let report = run_worker(addr, trace_dir.as_deref().map(std::path::Path::new))
+/// Options: [`COMMANDS`]. Everything else — rank, matrix, config, fault
+/// plan — arrives from the coordinator over the wire.
+fn cmd_worker(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let addr = args.value("connect")?;
+    let report = run_worker(addr, args.get("trace-dir").map(std::path::Path::new))
         .map_err(|e| CliError(e.to_string()))?;
     if report.crashed {
         writeln!(
@@ -785,23 +819,16 @@ fn render_status_summary(s: &gnet_obs::StatusSummary, out: &mut dyn Write) -> Re
 }
 
 /// `gnet status` — render a running (or finished) inference's live
-/// telemetry as a one-screen summary.
+/// telemetry as a one-screen summary. Options: [`COMMANDS`].
 ///
 /// The target is either the `IP:PORT` a coordinator announced with
 /// `status listening on …` (scraped over HTTP) or the path of a
-/// `--status-file` JSON document. Options: `--metrics` fetches the
-/// Prometheus exposition instead of the status document (listener
-/// targets only), `--json` prints the raw `gnet-status/1` document.
-/// Every fetched document is validated against the pinned closed-world
-/// schema first, so a drifted producer fails loudly here and in CI.
-pub fn cmd_status(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let target = args.require("target")?.to_string();
+/// `--status-file` JSON document. Every fetched document is validated
+/// against the pinned closed-world schema first, so a drifted producer
+/// fails loudly here and in CI.
+fn cmd_status(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let target: String = args.value("target")?;
     let metrics = args.flag("metrics");
-    let json = args.flag("json");
-    args.reject_unknown()?;
-    if metrics && json {
-        return fail("--metrics is the Prometheus text form; drop --json");
-    }
     let is_addr = target.parse::<std::net::SocketAddr>().is_ok();
     if metrics && !is_addr {
         return fail(
@@ -822,7 +849,7 @@ pub fn cmd_status(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|e| CliError(format!("cannot read {target}: {e}")))?
     };
     let summary = gnet_obs::validate_status_json(&body).map_err(|e| CliError(e.to_string()))?;
-    if json {
+    if args.flag("json") {
         writeln!(out, "{body}")?;
     } else {
         render_status_summary(&summary, out)?;
@@ -830,27 +857,19 @@ pub fn cmd_status(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn load_edges(path: &str, genes: usize, names: Vec<String>) -> Result<GeneNetwork, CliError> {
+/// The edge list at `path`, over the genes of `matrix`.
+fn load_edges(path: &str, matrix: &ExpressionMatrix) -> Result<GeneNetwork, CliError> {
     let file = File::open(path).map_err(|e| CliError(format!("cannot open {path}: {e}")))?;
-    graph_io::read_edge_list(file, genes, names)
+    graph_io::read_edge_list(file, matrix.genes(), matrix.gene_names().to_vec())
         .map_err(|e| CliError(format!("cannot read {path}: {e}")))
 }
 
 /// `gnet score` — precision/recall of an inferred edge list against a
-/// ground-truth edge list.
-///
-/// Options: `--edges FILE` `--truth FILE` `--matrix FILE` (for gene names
-/// and count).
-pub fn cmd_score(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let edges_path = args.require("edges")?.to_string();
-    let truth_path = args.require("truth")?.to_string();
-    let matrix_path = args.require("matrix")?.to_string();
-    args.reject_unknown()?;
-
-    let matrix = load_matrix(&matrix_path)?;
-    let names = matrix.gene_names().to_vec();
-    let inferred = load_edges(&edges_path, matrix.genes(), names.clone())?;
-    let truth_net = load_edges(&truth_path, matrix.genes(), names)?;
+/// ground-truth edge list. Options: [`COMMANDS`].
+fn cmd_score(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let matrix = load_matrix(&args.value::<String>("matrix")?)?;
+    let inferred = load_edges(&args.value::<String>("edges")?, &matrix)?;
+    let truth_net = load_edges(&args.value::<String>("truth")?, &matrix)?;
     let truth: Vec<(u32, u32)> = truth_net.edges().iter().map(|e| e.key()).collect();
 
     let score = recovery_score(&inferred, &truth);
@@ -862,11 +881,9 @@ pub fn cmd_score(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `gnet stats` — summary of an expression matrix.
-pub fn cmd_stats(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let input = args.require("input")?.to_string();
-    args.reject_unknown()?;
-    let matrix = load_matrix(&input)?;
+/// `gnet stats` — summary of an expression matrix. Options: [`COMMANDS`].
+fn cmd_stats(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let matrix = load_matrix(&args.value::<String>("input")?)?;
     writeln!(out, "genes    {}", matrix.genes())?;
     writeln!(out, "samples  {}", matrix.samples())?;
     writeln!(out, "bytes    {}", matrix.heap_bytes())?;
@@ -882,19 +899,13 @@ pub fn cmd_stats(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `gnet topology` — topology report of an inferred network.
-///
-/// Options: `--edges FILE` `--matrix FILE` (for gene names/count)
-/// `[--hubs N]`.
-pub fn cmd_topology(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+/// `gnet topology` — topology report of an inferred network. Options:
+/// [`COMMANDS`].
+fn cmd_topology(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_graph::{analysis, connected_components};
-    let edges_path = args.require("edges")?.to_string();
-    let matrix_path = args.require("matrix")?.to_string();
-    let hub_count = args.get_or("hubs", 10usize)?;
-    args.reject_unknown()?;
-
-    let matrix = load_matrix(&matrix_path)?;
-    let net = load_edges(&edges_path, matrix.genes(), matrix.gene_names().to_vec())?;
+    let hub_count = args.value("hubs")?;
+    let matrix = load_matrix(&args.value::<String>("matrix")?)?;
+    let net = load_edges(&args.value::<String>("edges")?, &matrix)?;
 
     writeln!(out, "genes            {}", net.genes())?;
     writeln!(out, "edges            {}", net.edge_count())?;
@@ -922,54 +933,28 @@ pub fn cmd_topology(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
-/// The lint names making up the unsafe-audit family, for
-/// `gnet analyze --unsafe-audit` scoping.
-const UNSAFE_AUDIT_LINTS: [&str; 3] = ["unsafe-justified", "send-sync-audit", "atomic-ordering"];
-
 /// `gnet analyze` — workspace static analysis, the scheduler race
-/// checker, and the ring-protocol model checker.
-///
-/// Options: `--root DIR` (workspace root, default `.`),
-/// `--allowlist FILE` (vetted exceptions), `--json` (versioned
-/// machine-readable document, schema `gnet-analyze/2`), `--deny` (exit
-/// non-zero on any lint violation), `--deny-stale` (exit non-zero on
-/// stale allowlist entries), `--unsafe-audit` (restrict lint findings
-/// to the unsafe-audit family), `--concurrency` (deterministic
-/// interleaving checker) with `--runs N` (default 25), `--protocol`
-/// (explore the unmutated ring protocol), `--self-check` (prove the
-/// checker catches three injected protocol mutations), `--full`
-/// (nightly-depth protocol bounds instead of the quick PR bounds),
-/// `--max-ranks N` (drop ring sizes above N from the bounds),
-/// `--replay SPEC` (re-execute one schedule string and exit).
-pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+/// checker, and the ring-protocol model checker. Options: [`COMMANDS`].
+fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_analysis::report::{AnalyzeDocument, ConcurrencySection};
     use gnet_analysis::{check_determinism, protocol, run_lints, Allowlist, InterleaveConfig};
 
-    let root = std::path::PathBuf::from(args.get("root").unwrap_or("."));
+    let root: std::path::PathBuf = args.value("root")?;
     let allowlist = match args.get("allowlist") {
         Some(path) => Allowlist::load(std::path::Path::new(path)).map_err(CliError)?,
         None => Allowlist::default(),
     };
-    let json = args.flag("json");
-    let deny = args.flag("deny");
-    let deny_stale = args.flag("deny-stale");
-    let unsafe_audit = args.flag("unsafe-audit");
     let concurrency = args.flag("concurrency");
-    let runs = args.get_or("runs", 25usize)?;
-    let do_protocol = args.flag("protocol");
-    let do_self_check = args.flag("self-check");
-    let full = args.flag("full");
-    let max_ranks = args.get("max-ranks").map(str::to_string);
-    let replay_spec = args.get("replay").map(str::to_string);
+    let runs = args.value("runs")?;
+    let max_ranks: Option<usize> = args.parsed("max-ranks")?;
     if concurrency && runs == 0 {
         return fail("--runs must be at least 1: zero runs would verify nothing");
     }
-    args.reject_unknown()?;
 
     // Replay is a standalone mode: parse the spec, re-execute it
     // deterministically, report what it exhibits.
-    if let Some(spec) = replay_spec {
-        let schedule = protocol::Schedule::parse(&spec).map_err(CliError)?;
+    if let Some(spec) = args.get("replay") {
+        let schedule = protocol::Schedule::parse(spec).map_err(CliError)?;
         match protocol::replay(&schedule).map_err(CliError)? {
             Some(v) => writeln!(out, "replay: reproduced {} — {}", v.kind(), v.render())?,
             None => writeln!(out, "replay: schedule ran clean (no violation)")?,
@@ -985,7 +970,9 @@ pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             root.display()
         ));
     }
-    if unsafe_audit {
+    if args.flag("unsafe-audit") {
+        const UNSAFE_AUDIT_LINTS: [&str; 3] =
+            ["unsafe-justified", "send-sync-audit", "atomic-ordering"];
         report
             .diagnostics
             .retain(|d| UNSAFE_AUDIT_LINTS.contains(&d.lint.as_str()));
@@ -1004,24 +991,25 @@ pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         None
     };
 
-    let mut bounds = if full {
+    let mut bounds = if args.flag("full") {
         protocol::Bounds::full()
     } else {
         protocol::Bounds::quick()
     };
     if let Some(cap) = max_ranks {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| CliError(format!("bad --max-ranks {cap:?}")))?;
         bounds.ranks.retain(|&r| r <= cap);
         if bounds.ranks.is_empty() {
             return fail(format!("--max-ranks {cap} leaves no ring sizes to explore"));
         }
     }
-    let protocol_report = do_protocol.then(|| protocol::check_protocol(&bounds));
-    let self_check_report = do_self_check.then(|| protocol::self_check(&bounds));
+    let protocol_report = args
+        .flag("protocol")
+        .then(|| protocol::check_protocol(&bounds));
+    let self_check_report = args
+        .flag("self-check")
+        .then(|| protocol::self_check(&bounds));
 
-    if json {
+    if args.flag("json") {
         let document = AnalyzeDocument {
             lints: report.clone(),
             concurrency: interleave.as_ref().map(|r| match r {
@@ -1088,24 +1076,20 @@ pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(Err(e)) = interleave {
         return fail(e.to_string());
     }
-    if let Some(p) = &protocol_report {
-        if !p.ok {
-            return fail("protocol model checker found a violation (replay spec above)");
-        }
+    if protocol_report.is_some_and(|p| !p.ok) {
+        return fail("protocol model checker found a violation (replay spec above)");
     }
-    if let Some(s) = &self_check_report {
-        if !s.ok {
-            return fail("protocol self-check failed: a known mutation went undetected");
-        }
+    if self_check_report.is_some_and(|s| !s.ok) {
+        return fail("protocol self-check failed: a known mutation went undetected");
     }
-    if deny_stale && !report.stale.is_empty() {
+    if args.flag("deny-stale") && !report.stale.is_empty() {
         return fail(format!(
             "{} stale allowlist entr{} (--deny-stale)",
             report.stale.len(),
             if report.stale.len() == 1 { "y" } else { "ies" }
         ));
     }
-    if deny && !report.is_clean() {
+    if args.flag("deny") && !report.is_clean() {
         return fail(format!(
             "{} static-analysis violation(s)",
             report.diagnostics.len()
@@ -1115,51 +1099,39 @@ pub fn cmd_analyze(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `gnet conformance` — differential & metamorphic conformance harness.
-///
-/// Options: `--level quick|full` `--seed S` `--json` `--report FILE`
-/// `--self-check` `--replay SPEC`.
+/// Options: [`COMMANDS`].
 ///
 /// Exit is nonzero whenever the report's overall `pass` verdict is
 /// false, so CI can gate on the command directly; `--report` always
 /// writes the JSON document first, pass or fail.
-pub fn cmd_conformance(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_conformance(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_conformance::{
         run_conformance, run_replay, run_self_check, ConformanceOptions, DatasetSpec, Level,
     };
 
     let opts = ConformanceOptions {
-        seed: args.get_or("seed", ConformanceOptions::default().seed)?,
-        level: match args.get("level") {
-            None => Level::Quick,
-            Some(s) => Level::from_slug(s)
-                .ok_or_else(|| CliError(format!("unknown --level {s:?} (quick|full)")))?,
-        },
+        seed: args.value("seed")?,
+        level: args
+            .get("level")
+            .and_then(Level::from_slug)
+            .expect("the --level metavar lists the level slugs"),
         ..ConformanceOptions::default()
     };
-    let json = args.flag("json");
-    let self_check = args.flag("self-check");
-    let replay = args.get("replay").map(str::to_owned);
-    let report_path = args.get("report").map(str::to_owned);
-    args.reject_unknown()?;
-    if self_check && replay.is_some() {
-        return fail("--self-check and --replay are mutually exclusive");
-    }
-
-    let report = match replay {
+    let report = match args.get("replay") {
         Some(spec_text) => {
-            let spec = DatasetSpec::parse(&spec_text)
+            let spec = DatasetSpec::parse(spec_text)
                 .map_err(|e| CliError(format!("bad --replay: {e}")))?;
             run_replay(&opts, spec)
         }
-        None if self_check => run_self_check(&opts),
+        None if args.flag("self-check") => run_self_check(&opts),
         None => run_conformance(&opts),
     };
 
-    if let Some(path) = report_path {
-        std::fs::write(&path, report.render_json())
+    if let Some(path) = args.get("report") {
+        std::fs::write(path, report.render_json())
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
-    if json {
+    if args.flag("json") {
         writeln!(out, "{}", report.render_json())?;
     } else {
         write!(out, "{}", report.render_text())?;
@@ -1171,18 +1143,11 @@ pub fn cmd_conformance(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// `gnet predict` — modeled platform runtimes for a problem size.
-///
-/// Options: `--genes` `--samples` `--q`.
-pub fn cmd_predict(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let genes = args.get_or("genes", 15_575usize)?;
-    let samples = args.get_or("samples", 3_137usize)?;
-    let q = args.get_or("q", 30usize)?;
-    args.reject_unknown()?;
-    if genes < 2 {
-        return fail(format!(
-            "bad --genes {genes}: a network needs at least two genes"
-        ));
-    }
+/// Options: [`COMMANDS`].
+fn cmd_predict(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+    let genes = genes(args)?;
+    let samples = args.value("samples")?;
+    let q = args.value("q")?;
 
     let workload = gnet_phi::WorkloadModel {
         genes,
@@ -1223,36 +1188,23 @@ pub fn cmd_predict(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The rule rows of `gnet trace-report`: exactly one source.
+const ONE_TRACE_SOURCE: &str = "pass exactly one of --trace FILE or --trace-dir DIR";
+
 /// `gnet trace-report` — offline analysis of recorded trace streams.
-///
-/// Options: exactly one of `--trace FILE` (single-process NDJSON
-/// stream) or `--trace-dir DIR` (per-rank streams + manifest from a
-/// distributed `gnet infer --ranks P --trace-dir DIR` run); `--chrome
-/// FILE` additionally writes Chrome trace-event JSON (load in Perfetto
-/// or `chrome://tracing`); `--flame FILE` writes folded flamegraph
-/// stacks (`flamegraph.pl` / speedscope); `--no-calibrate` skips the
-/// short live kernel measurement that fills the percent-of-modeled-peak
-/// column.
-pub fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+/// Options: [`COMMANDS`].
+fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_obs::model::RunModel;
     use gnet_obs::report;
 
-    let trace = args.get("trace").map(str::to_string);
-    let dir = args.get("trace-dir").map(str::to_string);
-    let chrome_path = args.get("chrome").map(str::to_string);
-    let flame_path = args.get("flame").map(str::to_string);
-    let no_calibrate = args.flag("no-calibrate");
-    args.reject_unknown()?;
-
-    let model = match (&trace, &dir) {
-        (Some(f), None) => RunModel::from_file(std::path::Path::new(f)),
-        (None, Some(d)) => RunModel::from_dir(std::path::Path::new(d)),
-        _ => return fail("pass exactly one of --trace FILE or --trace-dir DIR"),
+    let model = match (args.get("trace"), args.get("trace-dir")) {
+        (Some(f), _) => RunModel::from_file(std::path::Path::new(f)),
+        (_, d) => RunModel::from_dir(std::path::Path::new(d.expect("a rule requires a source"))),
     }
     .map_err(|e| CliError(e.to_string()))?;
 
     let config = report::RunConfig::from_model(&model);
-    let kernel_model = if no_calibrate {
+    let kernel_model = if args.flag("no-calibrate") {
         None
     } else {
         config.as_ref().map(report::calibrate_model)
@@ -1260,13 +1212,13 @@ pub fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliErr
     let rep = report::analyze(&model, kernel_model);
     write!(out, "{}", rep.render_text())?;
 
-    if let Some(path) = chrome_path {
-        std::fs::write(&path, gnet_obs::chrome::to_chrome_json(&model))
+    if let Some(path) = args.get("chrome") {
+        std::fs::write(path, gnet_obs::chrome::to_chrome_json(&model))
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         writeln!(out, "wrote Chrome trace-event JSON to {path}")?;
     }
-    if let Some(path) = flame_path {
-        std::fs::write(&path, gnet_obs::flame::to_folded(&model))
+    if let Some(path) = args.get("flame") {
+        std::fs::write(path, gnet_obs::flame::to_folded(&model))
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         writeln!(out, "wrote folded flamegraph stacks to {path}")?;
     }
@@ -1274,17 +1226,7 @@ pub fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliErr
 }
 
 /// `gnet bench` — the seeded fixed-shape benchmark suite and its
-/// regression gate.
-///
-/// Options: `--quick` (smaller shapes, 3 reps — the PR-CI mode),
-/// `--reps K` (override repetitions), `--out FILE` (artifact path,
-/// default `BENCH_14.json`), `--baseline FILE` (compare against a
-/// committed artifact and exit nonzero on statistically significant
-/// regressions), `--update-baseline` (with `--baseline`: overwrite the
-/// baseline file with this run instead of gating against it — the
-/// re-baselining path after a real speedup or a suite change),
-/// `--inject-slowdown F` (artificially slow the vector kernel by F× —
-/// the gate's self-test hook).
+/// regression gate. Options: [`COMMANDS`].
 ///
 /// When a candidate minimum undercuts the baseline by more than the
 /// stale gate (`min < base × 0.5`), the command prints a warning: the
@@ -1293,28 +1235,18 @@ pub fn cmd_trace_report(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliErr
 /// fails the gate (it could never be gated otherwise) unless
 /// `--update-baseline` is given; a baseline id the suite no longer runs
 /// only warns.
-pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     use gnet_obs::bench;
 
     let quick = args.flag("quick");
-    let reps: Option<usize> = match args.get("reps") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| CliError(format!("bad --reps {raw:?}")))?,
-        ),
-        None => None,
-    };
-    let out_path = args.get("out").unwrap_or("BENCH_14.json").to_string();
-    let baseline_path = args.get("baseline").map(str::to_string);
-    let update_baseline = args.flag("update-baseline");
-    let slowdown = args.get_or("inject-slowdown", 1.0f64)?;
+    let reps = args.parsed("reps")?;
+    let out_path: String = args.value("out")?;
+    let slowdown = args.value("inject-slowdown")?;
     if !(1.0..=64.0).contains(&slowdown) {
         return fail("--inject-slowdown must be in [1, 64]");
     }
-    if update_baseline && baseline_path.is_none() {
-        return fail("--update-baseline needs --baseline FILE (the artifact to refresh)");
-    }
-    args.reject_unknown()?;
+    // Read before anything is written: --out may name the baseline.
+    let baseline = read_baseline(args)?;
 
     let opts = bench::BenchOptions {
         quick,
@@ -1348,36 +1280,56 @@ pub fn cmd_bench(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
     writeln!(out, "wrote {out_path}")?;
 
-    match baseline_path {
-        Some(bp) => gate_on_baseline(&suite, &bp, update_baseline, out),
+    match baseline {
+        Some((bp, base)) => gate_on_baseline(&suite, &base, bp, args.flag("update-baseline"), out),
         None => Ok(()),
     }
 }
 
-/// `gnet bench`'s gate: compare `suite` with the baseline artifact at
+/// The `--baseline` artifact of the `gnet bench` run `args`, if any;
+/// refused when it is the run's `--out` (the run would overwrite what it
+/// is gated against) unless `--update-baseline`, or of another mode.
+fn read_baseline(args: &ArgMap) -> Result<Option<(&str, BenchSuite)>, CliError> {
+    let Some(bp) = args.get("baseline") else {
+        return Ok(None);
+    };
+    let (out, quick) = (args.value::<String>("out")?, args.flag("quick"));
+    let canonical = |path: &str| std::fs::canonicalize(path).ok();
+    let same = canonical(&out).is_some_and(|o| canonical(bp) == Some(o));
+    if same && !args.flag("update-baseline") {
+        return fail(format!(
+            "--out {out} is the baseline {bp}: the run would overwrite it before the gate reads it"
+        ));
+    }
+    let text = std::fs::read_to_string(bp)
+        .map_err(|e| CliError(format!("cannot read baseline {bp}: {e}")))?;
+    let base = gnet_obs::bench::parse_suite(&text).map_err(|e| CliError(format!("{bp}: {e}")))?;
+    if base.quick != quick {
+        // Quick and full shapes share ids but not workloads; a
+        // quick candidate would "pass" against a full baseline by
+        // construction.
+        let mode = |quick| if quick { "quick" } else { "full" };
+        return fail(format!(
+            "baseline {bp} is a {} suite but this run is {} — modes must match",
+            mode(base.quick),
+            mode(quick),
+        ));
+    }
+    Ok(Some((bp, base)))
+}
+
+/// `gnet bench`'s gate: compare `suite` with `base`, the artifact at
 /// `bp` — or, with `update_baseline`, overwrite `bp` with `suite`.
 fn gate_on_baseline(
-    suite: &gnet_obs::bench::BenchSuite,
+    suite: &BenchSuite,
+    base: &BenchSuite,
     bp: &str,
     update_baseline: bool,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     use gnet_obs::bench;
 
-    let text = std::fs::read_to_string(bp)
-        .map_err(|e| CliError(format!("cannot read baseline {bp}: {e}")))?;
-    let base = bench::parse_suite(&text).map_err(|e| CliError(format!("{bp}: {e}")))?;
-    if base.quick != suite.quick {
-        // Quick and full shapes share ids but not workloads; a
-        // quick candidate would "pass" against a full baseline by
-        // construction.
-        return fail(format!(
-            "baseline {bp} is a {} suite but this run is {} — modes must match",
-            if base.quick { "quick" } else { "full" },
-            if suite.quick { "quick" } else { "full" },
-        ));
-    }
-    for w in bench::improvements(&base, suite) {
+    for w in bench::improvements(base, suite) {
         writeln!(
             out,
             "WARNING {:<20} {:.1} us -> {:.1} us ({:.2}x faster): baseline is stale \
@@ -1385,7 +1337,7 @@ fn gate_on_baseline(
             w.id, w.base_min_us, w.cand_min_us, w.speedup
         )?;
     }
-    let drift = bench::id_drift(&base, suite);
+    let drift = bench::id_drift(base, suite);
     for id in &drift.retired {
         writeln!(
             out,
@@ -1407,7 +1359,7 @@ fn gate_on_baseline(
             drift.new.join(", ")
         ));
     }
-    let regressions = bench::compare(&base, suite);
+    let regressions = bench::compare(base, suite);
     if regressions.is_empty() {
         writeln!(out, "no significant regressions vs {bp}")?;
         return Ok(());
@@ -1426,20 +1378,15 @@ fn gate_on_baseline(
 }
 
 /// `gnet simd` — report which SIMD backend the kernel dispatcher picked.
+/// Options: [`COMMANDS`].
 ///
 /// Prints the detected-best backend, the active backend, every backend
 /// this host supports, and — when `GNET_SIMD_FORCE` was set — whether
-/// the request was honored.
-///
-/// Options: `--verify` — exit nonzero unless the dispatch is healthy:
-/// an env force must have been honored, and without one the active
-/// backend must be the detected best (a host that claims AVX-512 but
-/// dispatches a fallback is exactly the silent inversion this command
-/// exists to catch).
-pub fn cmd_simd(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
-    let verify = args.flag("verify");
-    args.reject_unknown()?;
-
+/// the request was honored. The dispatch is healthy when an env force
+/// was honored, and without one when the active backend is the detected
+/// best (a host that claims AVX-512 but dispatches a fallback is exactly
+/// the silent inversion this command exists to catch).
+fn cmd_simd(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let report = gnet_simd::dispatch_report();
     writeln!(out, "detected  {}", report.detected)?;
     writeln!(out, "active    {}", report.active)?;
@@ -1463,7 +1410,7 @@ pub fn cmd_simd(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         None => writeln!(out, "forced    (GNET_SIMD_FORCE unset)")?,
     }
 
-    if verify {
+    if args.flag("verify") {
         if !report.env_honored {
             return fail(format!(
                 "GNET_SIMD_FORCE={} was not honored — active backend is {}",
@@ -1485,10 +1432,194 @@ pub fn cmd_simd(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::ArgMap;
+    use crate::args::{usage, Kind, Rule};
 
-    fn argmap(tokens: &[&str]) -> ArgMap {
-        ArgMap::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    fn parse(command_name: &str, tokens: &[&str]) -> Result<ArgMap, ArgError> {
+        let tokens = tokens.iter().map(|t| t.to_string()).collect();
+        ArgMap::parse(command(command_name), tokens)
+    }
+
+    /// `gnet <command> <tokens…>` as the binary runs it, less the exit.
+    fn run(command_name: &str, tokens: &[&str], out: &mut Vec<u8>) -> Result<(), CliError> {
+        let args = parse(command_name, tokens)?;
+        (command(command_name).run)(&args, out)
+    }
+
+    /// Does `text` name the option `--flag` (and not just a longer one)?
+    fn names(text: &str, flag: &str) -> bool {
+        let needle = format!("--{flag}");
+        text.match_indices(&needle).any(|(i, _)| {
+            !text[i + needle.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    /// Every `--option` `text` names.
+    fn named_options(text: &str) -> Vec<&str> {
+        text.match_indices("--")
+            .map(|(i, _)| {
+                let rest = &text[i + 2..];
+                let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+                &rest[..end.unwrap_or(rest.len())]
+            })
+            .filter(|name| !name.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn the_option_surface_is_pinned() {
+        let surface: Vec<String> = COMMANDS
+            .iter()
+            .map(|c| {
+                let mut names: Vec<&str> = c.opts.iter().map(|o| o.name).collect();
+                names.sort_unstable();
+                format!("{}: {}", c.name, names.join(" "))
+            })
+            .collect();
+        assert_eq!(
+            surface,
+            [
+                "generate: avg-degree batch-sd batches genes out samples seed topology truth",
+                "infer: alpha bins center-batches checkpoint-dir checkpoint-every dpi early-exit \
+                 fault-plan input kernel listen metrics order output progress q quantile-normalize \
+                 ranks resume save-state scheduler seed status-addr status-file status-interval-ms \
+                 threads threshold tile trace trace-dir",
+                "update: append checkpoint-every fault-plan mode output resume state",
+                "worker: connect trace-dir",
+                "status: json metrics target",
+                "trace-report: chrome flame no-calibrate trace trace-dir",
+                "bench: baseline inject-slowdown out quick reps update-baseline",
+                "simd: verify",
+                "score: edges matrix truth",
+                "topology: edges hubs matrix",
+                "analyze: allowlist concurrency deny deny-stale full json max-ranks protocol \
+                 replay root runs self-check unsafe-audit",
+                "conformance: json level replay report seed self-check",
+                "stats: input",
+                "predict: genes q samples",
+            ]
+        );
+        assert_eq!(COMMANDS.iter().map(|c| c.opts.len()).sum::<usize>(), 92);
+    }
+
+    #[test]
+    fn the_tables_are_consistent() {
+        for cmd in COMMANDS {
+            let declared = |name: &str| cmd.opts.iter().any(|o| o.name == name);
+            for (i, opt) in cmd.opts.iter().enumerate() {
+                assert!(
+                    !cmd.opts[..i].iter().any(|o| o.name == opt.name),
+                    "{}",
+                    opt.name
+                );
+                if let Kind::Value(metavar, Some(default)) = opt.kind {
+                    let choices = metavar.contains('|').then(|| metavar.split('|'));
+                    assert!(
+                        choices.is_none_or(|mut c| c.any(|c| c == default)),
+                        "{}",
+                        opt.name
+                    );
+                }
+            }
+            for rule in cmd.rules {
+                for name in named_options(rule.reason()) {
+                    assert!(
+                        declared(name),
+                        "gnet {}: {:?} names --{name}",
+                        cmd.name,
+                        rule
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_rule_row_has_a_case_whose_error_names_its_flags() {
+        for cmd in COMMANDS {
+            for rule in cmd.rules {
+                let (Rule::Requires(when, others, _) | Rule::Excludes(when, others, _)) = *rule;
+                let mut tokens: Vec<String> = Vec::new();
+                let mut give = |name: &str| {
+                    tokens.push(format!("--{name}"));
+                    let row = cmd.opts.iter().find(|o| o.name == name).unwrap();
+                    if row.kind != Kind::Flag {
+                        tokens.push("x".to_string());
+                    }
+                };
+                for opt in cmd
+                    .opts
+                    .iter()
+                    .filter(|o| matches!(o.kind, Kind::Required(_)))
+                {
+                    give(opt.name);
+                }
+                when.first().into_iter().for_each(|name| give(name));
+                if matches!(rule, Rule::Excludes(..)) {
+                    give(others[0]);
+                }
+                let err = ArgMap::parse(cmd, tokens.clone()).unwrap_err();
+                let reason = rule.reason().to_string();
+                assert_eq!(
+                    err,
+                    ArgError::Invalid(reason),
+                    "gnet {} {tokens:?}",
+                    cmd.name
+                );
+                for flag in when.iter().chain(others) {
+                    assert!(names(rule.reason(), flag), "{:?} must name --{flag}", rule);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_command_option_default_and_rule() {
+        let text = usage(COMMANDS);
+        for cmd in COMMANDS {
+            let start = text
+                .find(&format!("\n{}  {}\n", cmd.name, cmd.about))
+                .unwrap();
+            let section = text[start + 1..].split("\n\n").next().unwrap();
+            for opt in cmd.opts {
+                let head = match opt.kind {
+                    Kind::Flag => format!("--{} ", opt.name),
+                    Kind::Required(m) | Kind::Value(m, _) => format!("--{} {m} ", opt.name),
+                };
+                let line = section.lines().find(|l| l.trim_start().starts_with(&head));
+                let line = line.unwrap_or_else(|| panic!("{head:?} missing from the usage"));
+                assert!(line.contains(opt.help), "{line}");
+                if let Kind::Value(_, Some(default)) = opt.kind {
+                    assert!(line.ends_with(&format!("[default: {default}]")), "{line}");
+                }
+            }
+            for rule in cmd.rules {
+                assert!(
+                    section.contains(&format!("rule: {}", rule.reason())),
+                    "{rule:?}"
+                );
+            }
+        }
+        for name in named_options(&text) {
+            assert!(
+                COMMANDS
+                    .iter()
+                    .any(|c| c.opts.iter().any(|o| o.name == name)),
+                "--{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn defaults_in_the_tables_are_the_library_defaults() {
+        let args = parse("infer", &["--input", "m.tsv", "--output", "e.tsv"]).unwrap();
+        assert_eq!(config_from_args(&args).unwrap(), InferenceConfig::default());
+        let args = parse("conformance", &[]).unwrap();
+        let seed = gnet_conformance::ConformanceOptions::default().seed;
+        assert_eq!(args.value::<u64>("seed").unwrap(), seed);
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -1505,8 +1636,9 @@ mod tests {
         let edges = dir.join("e.tsv");
         let mut sink = Vec::new();
 
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "40",
                 "--samples",
@@ -1517,14 +1649,15 @@ mod tests {
                 matrix.to_str().unwrap(),
                 "--truth",
                 truth.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         assert!(matrix.exists() && truth.exists());
 
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -1535,22 +1668,23 @@ mod tests {
                 "2",
                 "--dpi",
                 "0.05",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         assert!(edges.exists());
 
         let mut score_out = Vec::new();
-        cmd_score(
-            &argmap(&[
+        run(
+            "score",
+            &[
                 "--edges",
                 edges.to_str().unwrap(),
                 "--truth",
                 truth.to_str().unwrap(),
                 "--matrix",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut score_out,
         )
         .unwrap();
@@ -1574,20 +1708,22 @@ mod tests {
         let matrix = dir.join("m.tsv");
         let edges = dir.join("e.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "18",
                 "--samples",
                 "120",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -1596,7 +1732,7 @@ mod tests {
                 "8",
                 "--ranks",
                 "3",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -1611,40 +1747,43 @@ mod tests {
         let matrix = dir.join("m.tsv");
         let edges = dir.join("e.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "30",
                 "--samples",
                 "200",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
                 edges.to_str().unwrap(),
                 "--q",
                 "10",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         let mut report = Vec::new();
-        cmd_topology(
-            &argmap(&[
+        run(
+            "topology",
+            &[
                 "--edges",
                 edges.to_str().unwrap(),
                 "--matrix",
                 matrix.to_str().unwrap(),
                 "--hubs",
                 "3",
-            ]),
+            ],
             &mut report,
         )
         .unwrap();
@@ -1666,8 +1805,9 @@ mod tests {
     #[test]
     fn analyze_scans_the_workspace() {
         let mut out = Vec::new();
-        cmd_analyze(
-            &argmap(&["--root", workspace_root().to_str().unwrap(), "--deny"]),
+        run(
+            "analyze",
+            &["--root", workspace_root().to_str().unwrap(), "--deny"],
             &mut out,
         )
         .unwrap();
@@ -1679,8 +1819,9 @@ mod tests {
     #[test]
     fn analyze_json_is_machine_readable_and_schema_pinned() {
         let mut out = Vec::new();
-        cmd_analyze(
-            &argmap(&["--root", workspace_root().to_str().unwrap(), "--json"]),
+        run(
+            "analyze",
+            &["--root", workspace_root().to_str().unwrap(), "--json"],
             &mut out,
         )
         .unwrap();
@@ -1695,14 +1836,15 @@ mod tests {
     #[test]
     fn analyze_unsafe_audit_and_deny_stale_run_clean_on_the_workspace() {
         let mut out = Vec::new();
-        cmd_analyze(
-            &argmap(&[
+        run(
+            "analyze",
+            &[
                 "--root",
                 workspace_root().to_str().unwrap(),
                 "--unsafe-audit",
                 "--deny",
                 "--deny-stale",
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -1714,14 +1856,15 @@ mod tests {
     #[test]
     fn analyze_protocol_explores_a_small_ring_clean() {
         let mut out = Vec::new();
-        cmd_analyze(
-            &argmap(&[
+        run(
+            "analyze",
+            &[
                 "--root",
                 workspace_root().to_str().unwrap(),
                 "--protocol",
                 "--max-ranks",
                 "3",
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -1734,15 +1877,16 @@ mod tests {
     #[test]
     fn analyze_protocol_json_emits_the_protocol_section() {
         let mut out = Vec::new();
-        cmd_analyze(
-            &argmap(&[
+        run(
+            "analyze",
+            &[
                 "--root",
                 workspace_root().to_str().unwrap(),
                 "--protocol",
                 "--max-ranks",
                 "2",
                 "--json",
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -1754,26 +1898,27 @@ mod tests {
     #[test]
     fn analyze_replay_rejects_malformed_and_impossible_specs() {
         let mut out = Vec::new();
-        let err = cmd_analyze(&argmap(&["--replay", "not-a-spec"]), &mut out).unwrap_err();
+        let err = run("analyze", &["--replay", "not-a-spec"], &mut out).unwrap_err();
         assert!(err.0.contains("key=value"), "{}", err.0);
         // Well-formed but impossible: rank 1 cannot deliver before
         // anything was sent.
         let spec = "ranks=2;crashes=0;timeouts=0;drops=0;dups=0;mutation=none;trace=d1";
-        let err = cmd_analyze(&argmap(&["--replay", spec]), &mut out).unwrap_err();
+        let err = run("analyze", &["--replay", spec], &mut out).unwrap_err();
         assert!(err.0.contains("not enabled"), "{}", err.0);
     }
 
     #[test]
     fn analyze_max_ranks_cannot_empty_the_bounds() {
         let mut out = Vec::new();
-        let err = cmd_analyze(
-            &argmap(&[
+        let err = run(
+            "analyze",
+            &[
                 "--root",
                 workspace_root().to_str().unwrap(),
                 "--protocol",
                 "--max-ranks",
                 "1",
-            ]),
+            ],
             &mut out,
         )
         .unwrap_err();
@@ -1784,7 +1929,7 @@ mod tests {
     fn analyze_rejects_a_rootless_directory() {
         let dir = tmpdir("analyze_empty");
         let mut out = Vec::new();
-        let err = cmd_analyze(&argmap(&["--root", dir.to_str().unwrap()]), &mut out).unwrap_err();
+        let err = run("analyze", &["--root", dir.to_str().unwrap()], &mut out).unwrap_err();
         assert!(
             err.0.contains("cannot scan") || err.0.contains("no sources"),
             "{}",
@@ -1799,8 +1944,9 @@ mod tests {
         let matrix = dir.join("m.tsv");
         let edges = dir.join("e.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "24",
                 "--samples",
@@ -1811,12 +1957,13 @@ mod tests {
                 "1.5",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -1826,7 +1973,7 @@ mod tests {
                 "--quantile-normalize",
                 "--center-batches",
                 "4",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -1841,20 +1988,21 @@ mod tests {
         let dir = tmpdir("stats");
         let matrix = dir.join("m.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "12",
                 "--samples",
                 "30",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         let mut out = Vec::new();
-        cmd_stats(&argmap(&["--input", matrix.to_str().unwrap()]), &mut out).unwrap();
+        run("stats", &["--input", matrix.to_str().unwrap()], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("genes    12"), "{text}");
         assert!(text.contains("samples  30"), "{text}");
@@ -1864,8 +2012,9 @@ mod tests {
     #[test]
     fn predict_prints_every_platform() {
         let mut out = Vec::new();
-        cmd_predict(
-            &argmap(&["--genes", "2048", "--samples", "1024", "--q", "10"]),
+        run(
+            "predict",
+            &["--genes", "2048", "--samples", "1024", "--q", "10"],
             &mut out,
         )
         .unwrap();
@@ -1878,7 +2027,7 @@ mod tests {
     #[test]
     fn unknown_option_is_an_error() {
         let mut out = Vec::new();
-        let err = cmd_predict(&argmap(&["--bogus", "7"]), &mut out).unwrap_err();
+        let err = run("predict", &["--bogus", "7"], &mut out).unwrap_err();
         assert!(err.0.contains("--bogus"));
     }
 
@@ -1887,7 +2036,7 @@ mod tests {
         // No GNET_SIMD_FORCE in the test environment, so active must be
         // the detected best and --verify must pass.
         let mut out = Vec::new();
-        cmd_simd(&argmap(&["--verify"]), &mut out).unwrap();
+        run("simd", &["--verify"], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("detected"), "{text}");
         assert!(text.contains("active"), "{text}");
@@ -1924,8 +2073,9 @@ mod tests {
         let candidate = suite(&["kernel.vector", "telemetry.overhead"]);
         // A suite id the baseline lacks fails the gate; a retired one
         // only warns.
+        let base = gnet_obs::bench::parse_suite(&std::fs::read_to_string(bp).unwrap()).unwrap();
         let mut out = Vec::new();
-        let err = gate_on_baseline(&candidate, bp, false, &mut out).unwrap_err();
+        let err = gate_on_baseline(&candidate, &base, bp, false, &mut out).unwrap_err();
         assert!(
             err.0.contains("telemetry.overhead") && err.0.contains("missing from baseline"),
             "{}",
@@ -1935,26 +2085,57 @@ mod tests {
         assert!(text.contains("WARNING retired.bench"), "{text}");
         // Refreshing accepts the new id and drops the retired one.
         let mut out = Vec::new();
-        gate_on_baseline(&candidate, bp, true, &mut out).expect("refreshing accepts new ids");
+        gate_on_baseline(&candidate, &base, bp, true, &mut out)
+            .expect("refreshing accepts new ids");
         let refreshed = std::fs::read_to_string(&baseline).unwrap();
         assert!(refreshed.contains("telemetry.overhead") && !refreshed.contains("retired.bench"));
+        let base = gnet_obs::bench::parse_suite(&std::fs::read_to_string(bp).unwrap()).unwrap();
         let mut out = Vec::new();
-        gate_on_baseline(&candidate, bp, false, &mut out).expect("the refreshed baseline gates");
+        gate_on_baseline(&candidate, &base, bp, false, &mut out)
+            .expect("the refreshed baseline gates");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bench_refuses_an_out_that_would_overwrite_its_baseline() {
+        let dir = tmpdir("bench_same_file");
+        let baseline = dir.join("BENCH_14.json");
+        let text = "{\n  \"format\": \"gnet-bench\",\n  \"version\": 1,\n  \"issue\": 5,\n  \
+                    \"quick\": true,\n  \"entries\": []\n}";
+        std::fs::write(&baseline, text).unwrap();
+        // The same file under another spelling is still the baseline.
+        let out = dir.join(".").join("BENCH_14.json");
+        let err = run(
+            "bench",
+            &[
+                "--quick",
+                "--reps",
+                "1",
+                "--baseline",
+                baseline.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ],
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(err.0.contains("--out"), "{}", err.0);
+        assert_eq!(std::fs::read_to_string(&baseline).unwrap(), text);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bench_update_baseline_needs_a_baseline() {
         let mut out = Vec::new();
-        let err = cmd_bench(&argmap(&["--update-baseline", "--quick"]), &mut out).unwrap_err();
+        let err = run("bench", &["--update-baseline", "--quick"], &mut out).unwrap_err();
         assert!(err.0.contains("--baseline"), "{}", err.0);
     }
 
     #[test]
     fn bad_kernel_name_rejected() {
-        let args = argmap(&["--input", "x", "--output", "y", "--kernel", "gpu"]);
+        let args = ["--input", "x", "--output", "y", "--kernel", "gpu"];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("gpu"));
     }
 
@@ -1966,20 +2147,22 @@ mod tests {
         let trace = dir.join("run.ndjson");
         let metrics = dir.join("run.metrics.json");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "20",
                 "--samples",
                 "150",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -1994,7 +2177,7 @@ mod tests {
                 trace.to_str().unwrap(),
                 "--metrics",
                 metrics.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2019,7 +2202,7 @@ mod tests {
 
     #[test]
     fn trace_flags_rejected_with_ranks() {
-        let args = argmap(&[
+        let args = [
             "--input",
             "x",
             "--output",
@@ -2027,9 +2210,9 @@ mod tests {
             "--ranks",
             "2",
             "--progress",
-        ]);
+        ];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("--ranks"), "{}", err.0);
     }
 
@@ -2040,15 +2223,16 @@ mod tests {
         let edges = dir.join("e.tsv");
         let ckpt = dir.join("ckpt");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "24",
                 "--samples",
                 "120",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2070,14 +2254,14 @@ mod tests {
         let reference = dir.join("ref.tsv");
         let mut ref_args: Vec<&str> = common.to_vec();
         ref_args.extend(["--output", reference.to_str().unwrap(), "--threads", "2"]);
-        cmd_infer(&argmap(&ref_args), &mut sink).unwrap();
+        run("infer", &ref_args, &mut sink).unwrap();
         std::fs::remove_dir_all(&ckpt).unwrap();
 
         let mut crash_args: Vec<&str> = common.to_vec();
         crash_args.extend(["--output", edges.to_str().unwrap()]);
         crash_args.extend(["--threads", "2", "--scheduler", "dynamic"]);
         crash_args.extend(["--fault-plan", "seed=1;chunk-crash(boundary=2)"]);
-        let err = cmd_infer(&argmap(&crash_args), &mut sink).unwrap_err();
+        let err = run("infer", &crash_args, &mut sink).unwrap_err();
         assert!(err.0.contains("--resume"), "{}", err.0);
         assert!(ckpt.join("gnet.ckpt").exists(), "checkpoint must survive");
 
@@ -2085,7 +2269,7 @@ mod tests {
         resume_args.extend(["--output", edges.to_str().unwrap()]);
         resume_args.extend(["--threads", "1", "--scheduler", "static-block", "--resume"]);
         let mut out = Vec::new();
-        cmd_infer(&argmap(&resume_args), &mut out).unwrap();
+        run("infer", &resume_args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("checkpointed every 2 tiles"), "{text}");
         assert_eq!(
@@ -2098,15 +2282,15 @@ mod tests {
 
     #[test]
     fn checkpoint_flags_need_a_directory() {
-        let args = argmap(&["--input", "x", "--output", "y", "--resume"]);
+        let args = ["--input", "x", "--output", "y", "--resume"];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("--checkpoint-dir"), "{}", err.0);
     }
 
     #[test]
     fn checkpoints_rejected_with_ranks() {
-        let args = argmap(&[
+        let args = [
             "--input",
             "x",
             "--output",
@@ -2115,17 +2299,17 @@ mod tests {
             "2",
             "--checkpoint-dir",
             "d",
-        ]);
+        ];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("--ranks"), "{}", err.0);
     }
 
     #[test]
     fn bad_fault_plan_is_a_typed_cli_error() {
-        let args = argmap(&["--input", "x", "--output", "y", "--fault-plan", "nonsense"]);
+        let args = ["--input", "x", "--output", "y", "--fault-plan", "nonsense"];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("--fault-plan"), "{}", err.0);
     }
 
@@ -2136,20 +2320,22 @@ mod tests {
         let edges = dir.join("e.tsv");
         let edges_ok = dir.join("e_ok.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "16",
                 "--samples",
                 "120",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -2158,13 +2344,14 @@ mod tests {
                 "8",
                 "--ranks",
                 "4",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         let mut out = Vec::new();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -2175,7 +2362,7 @@ mod tests {
                 "4",
                 "--fault-plan",
                 "seed=1;crash(rank=2,round=1)",
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -2192,20 +2379,22 @@ mod tests {
         let dir = tmpdir("rank0_crash");
         let matrix = dir.join("m.tsv");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "12",
                 "--samples",
                 "100",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        let err = cmd_infer(
-            &argmap(&[
+        let err = run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -2216,7 +2405,7 @@ mod tests {
                 "3",
                 "--fault-plan",
                 "seed=1;crash(rank=0,round=1)",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap_err();
@@ -2226,9 +2415,9 @@ mod tests {
 
     #[test]
     fn trace_dir_requires_ranks() {
-        let args = argmap(&["--input", "x", "--output", "y", "--trace-dir", "d"]);
+        let args = ["--input", "x", "--output", "y", "--trace-dir", "d"];
         let mut out = Vec::new();
-        let err = cmd_infer(&args, &mut out).unwrap_err();
+        let err = run("infer", &args, &mut out).unwrap_err();
         assert!(err.0.contains("--ranks"), "{}", err.0);
     }
 
@@ -2241,20 +2430,22 @@ mod tests {
         let chrome = dir.join("run.chrome.json");
         let flame = dir.join("run.folded");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "16",
                 "--samples",
                 "120",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -2265,7 +2456,7 @@ mod tests {
                 "4",
                 "--trace-dir",
                 traces.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2275,8 +2466,9 @@ mod tests {
         assert!(traces.join("rank-3.ndjson").exists());
 
         let mut report = Vec::new();
-        cmd_trace_report(
-            &argmap(&[
+        run(
+            "trace-report",
+            &[
                 "--trace-dir",
                 traces.to_str().unwrap(),
                 "--chrome",
@@ -2284,7 +2476,7 @@ mod tests {
                 "--flame",
                 flame.to_str().unwrap(),
                 "--no-calibrate",
-            ]),
+            ],
             &mut report,
         )
         .unwrap();
@@ -2308,20 +2500,22 @@ mod tests {
         let edges = dir.join("e.tsv");
         let trace = dir.join("run.ndjson");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "14",
                 "--samples",
                 "100",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 matrix.to_str().unwrap(),
                 "--output",
@@ -2330,13 +2524,14 @@ mod tests {
                 "6",
                 "--trace",
                 trace.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         let mut report = Vec::new();
-        cmd_trace_report(
-            &argmap(&["--trace", trace.to_str().unwrap(), "--no-calibrate"]),
+        run(
+            "trace-report",
+            &["--trace", trace.to_str().unwrap(), "--no-calibrate"],
             &mut report,
         )
         .unwrap();
@@ -2349,10 +2544,14 @@ mod tests {
     #[test]
     fn trace_report_needs_exactly_one_source() {
         let mut out = Vec::new();
-        let err = cmd_trace_report(&argmap(&[]), &mut out).unwrap_err();
+        let err = run("trace-report", &[], &mut out).unwrap_err();
         assert!(err.0.contains("exactly one"), "{}", err.0);
-        let err =
-            cmd_trace_report(&argmap(&["--trace", "a", "--trace-dir", "b"]), &mut out).unwrap_err();
+        let err = run(
+            "trace-report",
+            &["--trace", "a", "--trace-dir", "b"],
+            &mut out,
+        )
+        .unwrap_err();
         assert!(err.0.contains("exactly one"), "{}", err.0);
     }
 
@@ -2362,14 +2561,15 @@ mod tests {
         let artifact = dir.join("BENCH_14.json");
         let candidate = dir.join("BENCH_14.cand.json");
         let mut out = Vec::new();
-        cmd_bench(
-            &argmap(&[
+        run(
+            "bench",
+            &[
                 "--quick",
                 "--reps",
                 "2",
                 "--out",
                 artifact.to_str().unwrap(),
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -2380,8 +2580,9 @@ mod tests {
 
         // Unchanged tree vs its own baseline: the gate passes.
         let mut out = Vec::new();
-        cmd_bench(
-            &argmap(&[
+        run(
+            "bench",
+            &[
                 "--quick",
                 "--reps",
                 "2",
@@ -2389,7 +2590,7 @@ mod tests {
                 candidate.to_str().unwrap(),
                 "--baseline",
                 artifact.to_str().unwrap(),
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
@@ -2404,20 +2605,22 @@ mod tests {
         let artifact = dir.join("BENCH_14.json");
         let candidate = dir.join("BENCH_14.cand.json");
         let mut out = Vec::new();
-        cmd_bench(
-            &argmap(&[
+        run(
+            "bench",
+            &[
                 "--quick",
                 "--reps",
                 "1",
                 "--out",
                 artifact.to_str().unwrap(),
-            ]),
+            ],
             &mut out,
         )
         .unwrap();
         let mut out = Vec::new();
-        let err = cmd_bench(
-            &argmap(&[
+        let err = run(
+            "bench",
+            &[
                 "--quick",
                 "--reps",
                 "1",
@@ -2427,7 +2630,7 @@ mod tests {
                 artifact.to_str().unwrap(),
                 "--inject-slowdown",
                 "3",
-            ]),
+            ],
             &mut out,
         )
         .unwrap_err();
@@ -2456,8 +2659,9 @@ mod tests {
         )
         .unwrap();
         let mut out = Vec::new();
-        let err = cmd_bench(
-            &argmap(&[
+        let err = run(
+            "bench",
+            &[
                 "--quick",
                 "--reps",
                 "1",
@@ -2465,7 +2669,7 @@ mod tests {
                 dir.join("cand.json").to_str().unwrap(),
                 "--baseline",
                 baseline.to_str().unwrap(),
-            ]),
+            ],
             &mut out,
         )
         .unwrap_err();
@@ -2476,13 +2680,15 @@ mod tests {
     #[test]
     fn bench_rejects_bad_slowdown() {
         let mut out = Vec::new();
-        let err = cmd_bench(&argmap(&["--inject-slowdown", "0.5"]), &mut out).unwrap_err();
+        let err = run("bench", &["--inject-slowdown", "0.5"], &mut out).unwrap_err();
         assert!(err.0.contains("inject-slowdown"), "{}", err.0);
     }
 
     #[test]
     fn early_exit_flag_switches_strategy() {
-        let args = argmap(&["--early-exit", "--q", "5"]);
+        let tokens = ["--input", "x", "--output", "y", "--early-exit", "--q", "5"];
+        let infer = COMMANDS.iter().find(|c| c.name == "infer").unwrap();
+        let args = ArgMap::parse(infer, tokens.map(String::from).to_vec()).unwrap();
         let cfg = config_from_args(&args).unwrap();
         assert_eq!(cfg.null_strategy, NullStrategy::EarlyExit);
         assert_eq!(cfg.permutations, 5);
@@ -2540,17 +2746,18 @@ mod tests {
             state_dir.to_str().unwrap(),
         ];
         infer_args.extend_from_slice(&base);
-        cmd_infer(&argmap(&infer_args), &mut sink).unwrap();
+        run("infer", &infer_args, &mut sink).unwrap();
 
-        cmd_update(
-            &argmap(&[
+        run(
+            "update",
+            &[
                 "--state",
                 state_dir.to_str().unwrap(),
                 "--append",
                 append_tsv.to_str().unwrap(),
                 "--output",
                 dir.join("updated_edges.tsv").to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2569,7 +2776,7 @@ mod tests {
             batch_state.to_str().unwrap(),
         ];
         batch_args.extend_from_slice(&base);
-        cmd_infer(&argmap(&batch_args), &mut sink).unwrap();
+        run("infer", &batch_args, &mut sink).unwrap();
 
         let updated = std::fs::read(dir.join("updated_edges.tsv")).unwrap();
         let batch = std::fs::read(dir.join("batch_edges.tsv")).unwrap();
@@ -2591,8 +2798,9 @@ mod tests {
         let state_dir = dir.join("state");
         let mut sink = Vec::new();
 
-        cmd_infer(
-            &argmap(&[
+        run(
+            "infer",
+            &[
                 "--input",
                 old_tsv.to_str().unwrap(),
                 "--output",
@@ -2603,15 +2811,16 @@ mod tests {
                 "8",
                 "--threads",
                 "1",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
         let bundle = state_dir.join(gnet_core::FileKind::State.file_name());
         let before = std::fs::read(&bundle).unwrap();
 
-        let err = cmd_update(
-            &argmap(&[
+        let err = run(
+            "update",
+            &[
                 "--state",
                 state_dir.to_str().unwrap(),
                 "--append",
@@ -2622,7 +2831,7 @@ mod tests {
                 "1",
                 "--fault-plan",
                 "seed=1;update-crash(boundary=2)",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap_err();
@@ -2634,8 +2843,9 @@ mod tests {
             .join(gnet_core::FileKind::UpdateProgress.file_name())
             .exists());
 
-        cmd_update(
-            &argmap(&[
+        run(
+            "update",
+            &[
                 "--state",
                 state_dir.to_str().unwrap(),
                 "--append",
@@ -2645,7 +2855,7 @@ mod tests {
                 "--checkpoint-every",
                 "1",
                 "--resume",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2659,15 +2869,16 @@ mod tests {
             &before,
         )
         .unwrap();
-        cmd_update(
-            &argmap(&[
+        run(
+            "update",
+            &[
                 "--state",
                 clean_dir.to_str().unwrap(),
                 "--append",
                 append_tsv.to_str().unwrap(),
                 "--output",
                 dir.join("clean_edges.tsv").to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2700,7 +2911,7 @@ mod tests {
                 s_dir.to_str().unwrap(),
             ];
             args.extend_from_slice(extra);
-            let err = cmd_infer(&argmap(&args), &mut sink).unwrap_err();
+            let err = run("infer", &args, &mut sink).unwrap_err();
             assert!(err.0.contains("--save-state"), "{}", err.0);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -2719,7 +2930,7 @@ mod tests {
             out_tsv.to_str().unwrap(),
         ];
         args.extend_from_slice(extra);
-        let err = cmd_infer(&argmap(&args), &mut Vec::new()).unwrap_err();
+        let err = run("infer", &args, &mut Vec::new()).unwrap_err();
         assert!(!out_tsv.exists(), "a rejected run writes no edges");
         let _ = std::fs::remove_dir_all(&dir);
         err
@@ -2774,8 +2985,8 @@ mod tests {
             let run = std::panic::catch_unwind(|| {
                 let mut sink = Vec::new();
                 match command {
-                    "generate" => cmd_generate(&argmap(&[flag, value, "--out", out]), &mut sink),
-                    _ => cmd_predict(&argmap(&[flag, value]), &mut sink),
+                    "generate" => run("generate", &[flag, value, "--out", out], &mut sink),
+                    _ => run("predict", &[flag, value], &mut sink),
                 }
             });
             let result = run.unwrap_or_else(|_| panic!("gnet {command} {flag} {value} panicked"));
@@ -2791,20 +3002,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_rejects_a_one_gene_matrix() {
-        let matrix = gnet_expr::synth::independent_uniform(1, 40, 3);
-        let err = infer_error("one_gene", &matrix, &[]);
-        assert!(err.0.contains("1 gene(s)"), "{}", err.0);
-    }
-
-    #[test]
-    fn infer_rejects_a_one_sample_matrix_with_permutations() {
-        let matrix = gnet_expr::synth::independent_uniform(4, 1, 3);
-        let err = infer_error("one_sample", &matrix, &["--q", "5"]);
-        assert!(err.0.contains("1 sample(s)"), "{}", err.0);
-    }
-
-    #[test]
     fn infer_rejects_more_ranks_than_genes() {
         let matrix = gnet_expr::synth::independent_uniform(3, 40, 3);
         let err = infer_error("too_many_ranks", &matrix, &["--ranks", "4", "--q", "4"]);
@@ -2812,87 +3009,296 @@ mod tests {
     }
 
     #[test]
-    fn update_rejects_bad_mode_and_shape() {
-        let dir = tmpdir("update_reject");
+    fn bad_inputs_are_errors_naming_the_input_or_flag() {
+        let dir = tmpdir("bad_inputs");
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        for (name, text) in [
+            ("empty.tsv", "gene\tS0\tS1\n"),
+            ("zero.tsv", ""),
+            ("ragged.tsv", "gene\tS0\tS1\ng1\t1\t2\ng2\t3\n"),
+            ("inf.tsv", "gene\tS0\tS1\tS2\ng1\t1\tinf\t2\ng2\t3\t4\t5\n"),
+            (
+                "dup.tsv",
+                "gene\tS0\tS1\tS2\ng1\t1\t2\t3\ng2\t2\t3\t1\ng1\t3\t1\t2\n",
+            ),
+        ] {
+            std::fs::write(at(name), text).unwrap();
+        }
+        let uniform = gnet_expr::synth::independent_uniform;
+        write_matrix(&uniform(4, 1, 3), &dir.join("one_sample.tsv"));
+        write_matrix(&uniform(1, 40, 3), &dir.join("one_gene.tsv"));
+        write_matrix(&uniform(6, 40, 3), &dir.join("m.tsv"));
+        write_matrix(&uniform(2, 10, 4), &dir.join("ten_samples.tsv"));
         let (old_tsv, append_tsv) = update_fixture(&dir);
-        let state_dir = dir.join("state");
-        let mut sink = Vec::new();
-        cmd_infer(
-            &argmap(&[
-                "--input",
-                old_tsv.to_str().unwrap(),
-                "--output",
-                dir.join("e.tsv").to_str().unwrap(),
-                "--save-state",
-                state_dir.to_str().unwrap(),
-                "--q",
-                "6",
-            ]),
-            &mut sink,
+        let (state, append) = (at("state"), append_tsv.to_str().unwrap().to_string());
+        let infer = ["--input", old_tsv.to_str().unwrap(), "--save-state", &state];
+        run(
+            "infer",
+            &[&infer[..], &["--output", &at("old.edges.tsv"), "--q", "6"]].concat(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let bundle = std::fs::read(
+            dir.join("state")
+                .join(gnet_core::FileKind::State.file_name()),
         )
         .unwrap();
 
-        let err = cmd_update(
-            &argmap(&[
-                "--state",
-                state_dir.to_str().unwrap(),
-                "--append",
-                append_tsv.to_str().unwrap(),
-                "--output",
-                dir.join("u.tsv").to_str().unwrap(),
-                "--mode",
-                "sideways",
-            ]),
-            &mut sink,
-        )
-        .unwrap_err();
-        assert!(err.0.contains("genes|samples"), "{}", err.0);
+        let (e, ckpt) = (at("e.tsv"), at("ckpt"));
+        let infer = |input: &str| {
+            vec![
+                "--input".to_string(),
+                at(input),
+                "--output".into(),
+                e.clone(),
+            ]
+        };
+        let update = |state: &str, append: &str| {
+            let mut args = vec!["--state".to_string(), state.to_string(), "--append".into()];
+            args.extend([append.to_string(), "--output".into(), e.clone()]);
+            args
+        };
+        let with = |mut args: Vec<String>, extra: &[&str]| {
+            args.extend(extra.iter().map(|t| t.to_string()));
+            args
+        };
+        // Each row: the command, its tokens, and what the error must name:
+        // the input or the flag, and why it was refused.
+        let (empty, ragged) = (
+            "at least one gene and one sample",
+            "expected 2 values, found 1",
+        );
+        let non_finite = "non-finite value at gene 0, sample 1";
+        for (command_name, args, needles) in [
+            ("infer", infer("empty.tsv"), [at("empty.tsv"), empty.into()]),
+            ("infer", infer("zero.tsv"), [at("zero.tsv"), empty.into()]),
+            (
+                "infer",
+                infer("ragged.tsv"),
+                [at("ragged.tsv"), ragged.into()],
+            ),
+            (
+                "infer",
+                infer("inf.tsv"),
+                [at("inf.tsv"), non_finite.into()],
+            ),
+            (
+                "infer",
+                with(infer("one_sample.tsv"), &["--q", "5"]),
+                [at("one_sample.tsv"), "1 sample(s)".into()],
+            ),
+            (
+                "infer",
+                infer("one_gene.tsv"),
+                [at("one_gene.tsv"), "1 gene(s)".into()],
+            ),
+            (
+                "infer",
+                infer("dup.tsv"),
+                [
+                    at("dup.tsv"),
+                    "line 4: gene \"g1\" repeats the name on line 2".into(),
+                ],
+            ),
+            (
+                "infer",
+                with(
+                    infer("m.tsv"),
+                    &["--checkpoint-dir", &ckpt, "--checkpoint-every", "0"],
+                ),
+                ["--checkpoint-every".into(), "must be at least 1".into()],
+            ),
+            (
+                "infer",
+                with(infer("m.tsv"), &["--center-batches", "100"]),
+                ["--center-batches 100".into(), "of the 40 samples".into()],
+            ),
+            (
+                "infer",
+                with(infer("m.tsv"), &["--center-batches", "30"]),
+                ["--center-batches 30".into(), "of the 40 samples".into()],
+            ),
+            (
+                "update",
+                with(update(&state, &append), &["--checkpoint-every", "0"]),
+                ["--checkpoint-every".into(), "must be at least 1".into()],
+            ),
+            (
+                "update",
+                update(&state, &at("ten_samples.tsv")),
+                [at("ten_samples.tsv"), "60 samples required".into()],
+            ),
+            (
+                "update",
+                with(update(&state, &append), &["--mode", "samples"]),
+                [append.clone(), "sample append has 2 genes".into()],
+            ),
+            (
+                "update",
+                with(update(&state, &append), &["--mode", "sideways"]),
+                ["--mode".into(), "expected genes|samples".into()],
+            ),
+            (
+                "update",
+                update(&at("no_state"), &append),
+                [at("no_state"), "no state file".into()],
+            ),
+            (
+                "update",
+                update(&state, &at("inf.tsv")),
+                [at("inf.tsv"), non_finite.into()],
+            ),
+            (
+                "update",
+                update(&state, &at("ragged.tsv")),
+                [at("ragged.tsv"), ragged.into()],
+            ),
+            (
+                "update",
+                update(&state, &at("empty.tsv")),
+                [at("empty.tsv"), empty.into()],
+            ),
+        ] {
+            let tokens: Vec<&str> = args.iter().map(String::as_str).collect();
+            let attempt = std::panic::catch_unwind(|| run(command_name, &tokens, &mut Vec::new()));
+            let result =
+                attempt.unwrap_or_else(|_| panic!("gnet {command_name} {tokens:?} panicked"));
+            let err = result.expect_err("a bad input is refused");
+            for needle in &needles {
+                assert!(
+                    err.0.contains(needle.as_str()),
+                    "gnet {command_name} {tokens:?}: {needle:?} missing from {}",
+                    err.0
+                );
+            }
+            assert!(
+                !dir.join("e.tsv").exists(),
+                "gnet {command_name} {tokens:?} wrote edges"
+            );
+        }
+        let after = std::fs::read(
+            dir.join("state")
+                .join(gnet_core::FileKind::State.file_name()),
+        );
+        assert_eq!(
+            after.unwrap(),
+            bundle,
+            "a refused update leaves the bundle as it was"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // A gene-shaped append forced into sample mode is a shape error.
-        let err = cmd_update(
-            &argmap(&[
-                "--state",
-                state_dir.to_str().unwrap(),
-                "--append",
-                append_tsv.to_str().unwrap(),
-                "--output",
-                dir.join("u.tsv").to_str().unwrap(),
-                "--mode",
-                "samples",
-            ]),
+    #[test]
+    fn kind_mismatches_are_refusals_naming_the_flag_and_write_nothing() {
+        let dir = tmpdir("kind_mismatch");
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (m, e, ckpt) = (at("m.tsv"), at("e.tsv"), at("ckpt"));
+        let mut sink = Vec::new();
+        run(
+            "generate",
+            &["--genes", "24", "--samples", "120", "--out", &m],
             &mut sink,
         )
-        .unwrap_err();
-        assert!(err.0.contains("genes"), "{}", err.0);
+        .unwrap();
+        let common = ["--input", &m, "--output", &e];
+        let checkpointed = [
+            &common[..],
+            &["--q", "8", "--tile", "5", "--checkpoint-dir", &ckpt],
+            &["--checkpoint-every", "2"],
+        ]
+        .concat();
+        let crash = ["--fault-plan", "seed=1;chunk-crash(boundary=2)"];
+        let err = run("infer", &[&checkpointed[..], &crash].concat(), &mut sink).unwrap_err();
+        assert!(err.0.contains("--resume"), "{}", err.0);
+        let checkpoint = dir
+            .join("ckpt")
+            .join(gnet_core::FileKind::Checkpoint.file_name());
+        let before = std::fs::read(&checkpoint).unwrap();
+        std::fs::remove_file(&e).ok();
+
+        for (command_name, tokens, flag) in [
+            (
+                "infer",
+                [&checkpointed[..], &["--resume", "yes"]].concat(),
+                "--resume",
+            ),
+            (
+                "infer",
+                [&common[..], &["--save-state"]].concat(),
+                "--save-state",
+            ),
+            (
+                "infer",
+                [&common[..], &["--ranks", "2", "--trace-dir"]].concat(),
+                "--trace-dir",
+            ),
+            (
+                "infer",
+                [&common[..], &["--fault-plan", "--q", "4"]].concat(),
+                "--fault-plan",
+            ),
+            (
+                "infer",
+                [&common[..], &["--threads", "--q", "4"]].concat(),
+                "--threads",
+            ),
+            ("bench", vec!["--quick", "1"], "--quick"),
+            (
+                "infer",
+                [&common[..], &["--progress", "--progress"]].concat(),
+                "--progress",
+            ),
+        ] {
+            match parse(command_name, &tokens) {
+                Err(ArgError::Invalid(msg)) => assert!(msg.contains(flag), "{tokens:?}: {msg}"),
+                other => {
+                    panic!("gnet {command_name} {tokens:?}: expected a refusal, got {other:?}")
+                }
+            }
+            assert!(run(command_name, &tokens, &mut sink).is_err());
+        }
+        assert_eq!(
+            std::fs::read(&checkpoint).unwrap(),
+            before,
+            "the checkpoint is untouched"
+        );
+        assert!(!dir.join("e.tsv").exists(), "no edges were written");
+        let entries = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(
+            entries, 2,
+            "only the matrix and the checkpoint directory remain"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn status_flags_need_the_distributed_path() {
         let mut sink = Vec::new();
-        let err = cmd_infer(
-            &argmap(&[
+        let err = run(
+            "infer",
+            &[
                 "--input",
                 "m.tsv",
                 "--output",
                 "e.tsv",
                 "--status-addr",
                 "127.0.0.1:0",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap_err();
         assert!(err.0.contains("--ranks"), "{}", err.0);
 
-        let err = cmd_infer(
-            &argmap(&[
+        let err = run(
+            "infer",
+            &[
                 "--input",
                 "m.tsv",
                 "--output",
                 "e.tsv",
                 "--status-interval-ms",
                 "50",
-            ]),
+            ],
             &mut sink,
         )
         .unwrap_err();
@@ -2910,8 +3316,9 @@ mod tests {
         let edges_off = dir.join("off.tsv");
         let status = dir.join("status.json");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "24",
                 "--samples",
@@ -2920,7 +3327,7 @@ mod tests {
                 "3",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2943,7 +3350,8 @@ mod tests {
                     "5".to_string(),
                 ]);
             }
-            cmd_infer(&ArgMap::parse(tokens).unwrap(), &mut sink).unwrap();
+            let tokens: Vec<&str> = tokens.iter().map(String::as_str).collect();
+            run("infer", &tokens, &mut sink).unwrap();
         }
         assert_eq!(
             std::fs::read(&edges_live).unwrap(),
@@ -2952,8 +3360,9 @@ mod tests {
         );
 
         let mut status_out = Vec::new();
-        cmd_status(
-            &argmap(&["--target", status.to_str().unwrap()]),
+        run(
+            "status",
+            &["--target", status.to_str().unwrap()],
             &mut status_out,
         )
         .unwrap();
@@ -2972,15 +3381,16 @@ mod tests {
         let traces = dir.join("traces");
         let status = dir.join("status.json");
         let mut sink = Vec::new();
-        cmd_generate(
-            &argmap(&[
+        run(
+            "generate",
+            &[
                 "--genes",
                 "20",
                 "--samples",
                 "100",
                 "--out",
                 matrix.to_str().unwrap(),
-            ]),
+            ],
             &mut sink,
         )
         .unwrap();
@@ -2996,7 +3406,7 @@ mod tests {
                 "2",
             ];
             args.extend_from_slice(extra);
-            cmd_infer(&argmap(&args), &mut Vec::new()).unwrap();
+            run("infer", &args, &mut Vec::new()).unwrap();
             std::fs::read(edges).unwrap()
         };
         let plain = infer(&dir.join("plain.tsv"), &[]);
@@ -3018,8 +3428,9 @@ mod tests {
             assert!(traces.join(format!("rank-{r}.ndjson")).exists());
         }
         let mut status_out = Vec::new();
-        cmd_status(
-            &argmap(&["--target", status.to_str().unwrap()]),
+        run(
+            "status",
+            &["--target", status.to_str().unwrap()],
             &mut status_out,
         )
         .unwrap();

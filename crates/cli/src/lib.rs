@@ -1,17 +1,16 @@
 //! Command implementations behind the `gnet` binary.
 //!
 //! Everything lives in the library so the commands are unit-testable; the
-//! binary (`src/bin/gnet.rs`) only parses `std::env::args` into an
-//! [`args::ArgMap`] and dispatches.
+//! binary (`src/bin/gnet.rs`) only picks a [`Command`] from [`COMMANDS`],
+//! parses `std::env::args` against its option table into an [`ArgMap`]
+//! and runs it. Each subcommand declares its options once, in that table
+//! ([`args`]); the parser, the presence rules, the usage text and the
+//! `ConfigError` field-to-flag lookup all read it.
 
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod commands;
 
-pub use args::ArgMap;
-pub use commands::{
-    cmd_analyze, cmd_bench, cmd_conformance, cmd_generate, cmd_infer, cmd_predict, cmd_score,
-    cmd_simd, cmd_stats, cmd_status, cmd_topology, cmd_trace_report, cmd_update, cmd_worker,
-    CliError,
-};
+pub use args::{usage, ArgError, ArgMap, Command};
+pub use commands::{CliError, COMMANDS};

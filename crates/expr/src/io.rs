@@ -80,6 +80,7 @@ pub fn read_tsv<R: Read>(
     let mut rows: Vec<f32> = Vec::new();
     let mut samples: Option<usize> = None;
     let mut genes = 0usize;
+    let mut first_line = std::collections::HashMap::new();
 
     for (idx, line) in buf.lines().enumerate() {
         let line = line?;
@@ -95,6 +96,14 @@ pub fn read_tsv<R: Read>(
             line: lineno,
             message: "empty line".into(),
         })?;
+        // A repeated name would make two genes indistinguishable in the
+        // edge list, and readers of that list would merge them.
+        if let Some(first) = first_line.insert(name.to_string(), lineno) {
+            return Err(IoError::Parse {
+                line: lineno,
+                message: format!("gene {name:?} repeats the name on line {first}"),
+            });
+        }
         let mut count = 0usize;
         for field in fields {
             rows.push(parse_field(field, lineno)?);
@@ -269,6 +278,21 @@ mod tests {
         let text = "g1\t1.0\t2.0\ng2\t3.0\n";
         match read_tsv(text.as_bytes(), false, MissingPolicy::Error) {
             Err(IoError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tsv_repeated_gene_name_names_both_lines() {
+        let text = "g1\t1.0\ng2\t2.0\ng1\t3.0\n";
+        match read_tsv(text.as_bytes(), false, MissingPolicy::Error) {
+            Err(IoError::Parse { line, message }) => {
+                assert_eq!(line, 3);
+                assert!(
+                    message.contains("\"g1\"") && message.contains("line 1"),
+                    "{message}"
+                );
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }

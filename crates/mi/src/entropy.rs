@@ -43,11 +43,6 @@ pub fn nats_to_bits(nats: f64) -> f64 {
     nats / std::f64::consts::LN_2
 }
 
-/// Convert bits to nats.
-pub fn bits_to_nats(bits: f64) -> f64 {
-    bits * std::f64::consts::LN_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,9 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn unit_conversions_roundtrip() {
-        let h = 1.234;
-        assert!((bits_to_nats(nats_to_bits(h)) - h).abs() < 1e-12);
+    fn nats_to_bits_divides_by_ln_2() {
         assert!((nats_to_bits(std::f64::consts::LN_2) - 1.0).abs() < 1e-12);
     }
 }

@@ -84,17 +84,6 @@ impl FieldValue {
         }
     }
 
-    /// The value as f64 if numeric.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Self::U64(v) => Some(*v as f64),
-            Self::I64(v) => Some(*v as f64),
-            Self::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice if it is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

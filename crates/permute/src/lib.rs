@@ -25,4 +25,4 @@ pub mod permutation;
 pub mod significance;
 
 pub use permutation::PermutationSet;
-pub use significance::{empirical_p_value, EdgeTest, PooledNull};
+pub use significance::{empirical_p_value, PooledNull};

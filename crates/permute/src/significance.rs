@@ -1,7 +1,6 @@
 //! Edge significance: per-pair exceedance plus the pooled global threshold.
 
 use crate::normal::inverse_cdf;
-use serde::{Deserialize, Serialize};
 
 /// Empirical permutation p-value with the add-one correction:
 /// `(1 + #{null ≥ observed}) / (q + 1)`. Ties count against the observed
@@ -230,46 +229,6 @@ impl PooledNull {
     }
 }
 
-/// The complete TINGe edge criterion.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EdgeTest {
-    /// Family-wise significance level α (e.g. 0.01).
-    pub alpha: f64,
-    /// Total number of pair tests for the multiple-testing correction
-    /// (usually `n(n−1)/2`).
-    pub tests: u64,
-    /// Pooled-null threshold `I*` (nats), computed once after the MI pass.
-    pub threshold: f64,
-}
-
-impl EdgeTest {
-    /// Build the test from a finished pooled-null accumulator.
-    pub fn from_pooled(pooled: &PooledNull, alpha: f64, tests: u64) -> Self {
-        Self {
-            alpha,
-            tests,
-            threshold: pooled.global_threshold(alpha, tests),
-        }
-    }
-
-    /// A test with an explicit MI threshold and no permutation component —
-    /// the "fixed threshold" mode used for kernel benchmarks where
-    /// statistics are irrelevant.
-    pub fn fixed(threshold: f64) -> Self {
-        Self {
-            alpha: 1.0 - f64::EPSILON,
-            tests: 1,
-            threshold,
-        }
-    }
-
-    /// TINGe keeps an edge iff the observed MI beats every one of its own
-    /// `q` permutation nulls *and* clears the pooled global threshold.
-    pub fn keeps(&self, observed: f64, null: &[f64]) -> bool {
-        observed > self.threshold && null.iter().all(|&v| v < observed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,26 +374,6 @@ mod tests {
     fn threshold_requires_data() {
         let p = PooledNull::new();
         let _ = p.global_threshold(0.05, 10);
-    }
-
-    #[test]
-    fn edge_test_requires_both_conditions() {
-        let t = EdgeTest {
-            alpha: 0.05,
-            tests: 100,
-            threshold: 0.4,
-        };
-        assert!(t.keeps(0.5, &[0.1, 0.2]));
-        assert!(!t.keeps(0.35, &[0.1, 0.2]), "below global threshold");
-        assert!(!t.keeps(0.5, &[0.1, 0.6]), "loses to one of its own nulls");
-        assert!(!t.keeps(0.5, &[0.5]), "tie with a null rejects");
-    }
-
-    #[test]
-    fn fixed_edge_test_only_checks_threshold() {
-        let t = EdgeTest::fixed(0.25);
-        assert!(t.keeps(0.3, &[]));
-        assert!(!t.keeps(0.2, &[]));
     }
 
     proptest! {

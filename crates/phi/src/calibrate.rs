@@ -130,18 +130,6 @@ pub fn measure_kernel(
     }
 }
 
-/// Measured host vectorization ratio (scalar ns over vector ns) at the
-/// given problem shape — the host row of experiment R4.
-pub fn host_vectorization_ratio(
-    samples: usize,
-    q: usize,
-    pairs: usize,
-) -> (KernelRate, KernelRate) {
-    let scalar = measure_kernel(KernelClass::ScalarSparse, samples, q, 16, pairs);
-    let vector = measure_kernel(KernelClass::VectorDense, samples, q, 16, pairs);
-    (scalar, vector)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

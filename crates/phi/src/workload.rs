@@ -133,21 +133,6 @@ impl WorkloadModel {
             / 10.0
     }
 
-    /// Approximate DRAM traffic per pair in bytes (both weight matrices
-    /// streamed once — the upper bound; tiling reduces it by the tile
-    /// reuse factor). Used for the roofline check.
-    pub fn pair_bytes_upper(&self, machine: &MachineModel) -> f64 {
-        match self.kernel {
-            KernelClass::ScalarSparse => {
-                2.0 * self.samples as f64 * (self.order as f64 * 4.0 + 2.0)
-            }
-            KernelClass::VectorDense => {
-                self.samples as f64
-                    * ((self.order as f64 * 4.0 + 2.0) + self.bins_padded(machine) as f64 * 4.0)
-            }
-        }
-    }
-
     /// Vectorization speedup predicted for `machine`: scalar over vector
     /// per-pair cycles (experiment R4's modeled series).
     pub fn vectorization_speedup(&self, machine: &MachineModel) -> f64 {

@@ -156,34 +156,6 @@ fn runs_emulated<const K: usize>(
     }
 }
 
-/// Rank-4 outer-product accumulation used by the B-spline joint histogram:
-/// for one sample with row weights `wx[0..k]` at bin `bx` and column weights
-/// `wy[0..k]` at bin `by`, add `wx[i] * wy[j]` into the dense `b × b` grid.
-///
-/// `k` is the spline order (≤ 8 supported) and `stride` the row length of
-/// `grid`. This is the scalar-per-sample form; the vectorized estimator in
-/// `gnet-mi` instead restructures the loop so that lanes run across samples.
-///
-/// # Panics
-/// Panics (in debug builds) on out-of-bounds bin indices.
-#[inline]
-pub fn outer_accumulate(
-    grid: &mut [f32],
-    stride: usize,
-    bx: usize,
-    wx: &[f32],
-    by: usize,
-    wy: &[f32],
-) {
-    for (i, &wxi) in wx.iter().enumerate() {
-        let row = (bx + i) * stride + by;
-        let dst = &mut grid[row..row + wy.len()];
-        for (j, &wyj) in wy.iter().enumerate() {
-            dst[j] = wxi.mul_add(wyj, dst[j]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,19 +198,6 @@ mod tests {
             2.0 * 0.5 * 0.5f32.ln(),
             1e-6
         ));
-    }
-
-    #[test]
-    fn outer_accumulate_places_weights() {
-        let b = 6;
-        let mut grid = vec![0.0f32; b * b];
-        outer_accumulate(&mut grid, b, 1, &[0.25, 0.5, 0.25], 2, &[0.5, 0.5, 0.0]);
-        assert_eq!(grid[b + 2], 0.125);
-        assert_eq!(grid[2 * b + 3], 0.25);
-        assert_eq!(grid[3 * b + 2], 0.125);
-        // Total mass added = (Σwx)(Σwy) = 1.0 * 1.0.
-        let total: f32 = grid.iter().sum();
-        assert!((total - 1.0).abs() < 1e-6);
     }
 
     proptest! {
