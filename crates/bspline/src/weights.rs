@@ -101,28 +101,6 @@ impl SparseWeights {
         p
     }
 
-    /// Reorder samples by a permutation: sample `s` of the result is sample
-    /// `perm[s]` of `self`. Used by the permutation-testing null.
-    ///
-    /// # Panics
-    /// Panics if `perm.len() != samples` or an index is out of range.
-    pub fn permuted(&self, perm: &[u32]) -> Self {
-        assert_eq!(perm.len(), self.samples, "permutation length mismatch");
-        let k = self.order;
-        let mut first_bin = Vec::with_capacity(self.samples);
-        let mut weights = Vec::with_capacity(self.samples * k);
-        for &src in perm {
-            let s = src as usize; // cast-ok: u32 to usize widens losslessly
-            first_bin.push(self.first_bin[s]);
-            weights.extend_from_slice(self.sample_weights(s));
-        }
-        Self {
-            first_bin,
-            weights,
-            ..*self
-        }
-    }
-
     /// Expand into the dense, lane-padded layout.
     pub fn to_dense(&self) -> DenseWeights {
         let mut dense = DenseWeights::zeroed(0, self.bins);
@@ -320,22 +298,6 @@ impl DenseWeights {
         p
     }
 
-    /// Reorder rows by a permutation: row `s` of the result is row
-    /// `perm[s]` of `self`.
-    ///
-    /// # Panics
-    /// Panics if `perm.len() != samples`.
-    pub fn permuted(&self, perm: &[u32]) -> Self {
-        assert_eq!(perm.len(), self.samples, "permutation length mismatch");
-        let per_sample = self.stride / F32x16::LANES;
-        let mut data = Vec::with_capacity(self.data.len());
-        for &src in perm {
-            let s = src as usize; // cast-ok: u32 to usize widens losslessly
-            data.extend_from_slice(&self.data[s * per_sample..(s + 1) * per_sample]);
-        }
-        Self { data, ..*self }
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<Row16>()
@@ -390,10 +352,8 @@ mod tests {
     fn dense_rows_start_on_cache_lines_through_every_copy() {
         let basis = BsplineBasis::tinge_default();
         let w = SparseWeights::from_normalized(&demo_values(), &basis);
-        let m = u32::try_from(w.samples()).expect("test sample count fits u32");
-        let perm: Vec<u32> = (0..m).rev().collect();
         let d = w.to_dense();
-        for copy in [&d, &d.clone(), &d.permuted(&perm)] {
+        for copy in [&d, &d.clone()] {
             for s in 0..copy.samples() {
                 assert!(
                     (copy.row(s).as_ptr() as usize).is_multiple_of(64),
@@ -412,41 +372,6 @@ mod tests {
             SparseWeights::from_normalized(&[0.5; 50], &BsplineBasis::new(2, 20)).to_dense();
         w.expand_into(&mut reused);
         assert_eq!(reused, w.to_dense());
-    }
-
-    #[test]
-    fn identity_permutation_is_noop() {
-        let basis = BsplineBasis::tinge_default();
-        let w = SparseWeights::from_normalized(&demo_values(), &basis);
-        let m = u32::try_from(w.samples()).expect("test sample count fits u32");
-        let id: Vec<u32> = (0..m).collect();
-        assert_eq!(w.permuted(&id), w);
-        let d = w.to_dense();
-        assert_eq!(d.permuted(&id), d);
-    }
-
-    #[test]
-    fn permutation_preserves_marginal() {
-        let basis = BsplineBasis::tinge_default();
-        let w = SparseWeights::from_normalized(&demo_values(), &basis);
-        let m = u32::try_from(w.samples()).expect("test sample count fits u32");
-        let perm: Vec<u32> = (0..m).map(|i| (i * 7 + 3) % m).collect(); // 37 prime ⇒ bijection
-        let p0 = w.marginal();
-        let p1 = w.permuted(&perm).marginal();
-        for (a, b) in p0.iter().zip(&p1) {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "marginal must be permutation-invariant"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation length mismatch")]
-    fn wrong_permutation_length_panics() {
-        let basis = BsplineBasis::tinge_default();
-        let w = SparseWeights::from_normalized(&demo_values(), &basis);
-        let _ = w.permuted(&[0, 1, 2]);
     }
 
     #[test]

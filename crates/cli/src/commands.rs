@@ -8,8 +8,8 @@ use gnet_cluster::{
 };
 use gnet_core::config::NullStrategy;
 use gnet_core::{
-    build_state, infer_network_durable, infer_network_traced, update_durable, CheckpointStore,
-    DurableError, InferenceConfig, StateStore, UpdateMode,
+    infer_network_durable, infer_network_traced, update_durable, CheckpointStore, DurableError,
+    InferenceConfig, NetworkState, StateStore, UpdateMode,
 };
 use gnet_expr::io as expr_io;
 use gnet_expr::{ExpressionMatrix, MissingPolicy};
@@ -127,15 +127,9 @@ pub const COMMANDS: &[Command] = commands! {
         Excludes ["ranks"] ["checkpoint-dir"]:
             "checkpoints (--checkpoint-dir) cover the shared-memory pipeline; the distributed \
              path (--ranks) recovers via rank failover instead";
-        Excludes ["save-state"] ["ranks"]:
-            "--save-state builds the state bundle in shared memory and cannot be combined with \
-             --ranks";
-        Excludes ["save-state"] ["trace", "metrics", "progress"]:
-            "--trace/--metrics/--progress instrument the inference pipeline and cannot be \
-             combined with --save-state, whose state build records nothing";
-        Excludes ["save-state"] ["checkpoint-dir"]:
-            "--save-state does not checkpoint its state build (only the finished bundle is \
-             written, atomically); drop --checkpoint-dir";
+        Excludes ["checkpoint-dir"] ["early-exit"]:
+            "a checkpoint (--checkpoint-dir) holds the exact pooled null, which --early-exit \
+             does not compute; drop one of them";
         Excludes ["ranks"] ["early-exit"]:
             "--early-exit needs the shared-memory pipeline's threshold pre-pass and cannot be \
              combined with --ranks";
@@ -409,11 +403,11 @@ fn injector(plan: Option<&gnet_fault::FaultPlan>, rec: &Recorder) -> gnet_fault:
 }
 
 /// `gnet infer` — run the pipeline on a TSV matrix: in shared memory,
-/// checkpointed, over `P` ring ranks (in-process or with `gnet worker`
-/// processes over TCP), or building the state bundle `gnet update`
-/// appends to. Every path writes the same edge bytes; the instruments
-/// (trace, metrics, progress, status plane) only observe. Options:
-/// [`COMMANDS`].
+/// checkpointed, or over `P` ring ranks (in-process or with `gnet worker`
+/// processes over TCP). Every path writes the same edge bytes and ends
+/// with the same evidence, which `--save-state` saves as the bundle
+/// `gnet update` appends to; the instruments (trace, metrics, progress,
+/// status plane) only observe. Options: [`COMMANDS`].
 fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     let input: String = args.value("input")?;
     let dpi: Option<f32> = args.parsed("dpi")?;
@@ -523,8 +517,8 @@ fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
 
     let t0 = std::time::Instant::now();
     let trace_dir = args.get("trace-dir");
-    let (mut network, summary) = match (ranks, args.get("save-state")) {
-        (Some(p), _) => {
+    let (mut network, summary, scan) = match ranks {
+        Some(p) => {
             let listener = match args.get("listen") {
                 Some(addr) => {
                     let listener = std::net::TcpListener::bind(addr)
@@ -562,21 +556,9 @@ fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
                     r.crashed_ranks
                 ));
             }
-            (r.network, summary)
+            (r.network, summary, r.scan)
         }
-        (None, Some(dir)) => {
-            let state = build_state(&matrix, &cfg);
-            let store = StateStore::with_faults(dir, injector.clone(), &rec);
-            store.save(&state).map_err(|e| CliError(e.to_string()))?;
-            let summary = format!(
-                "{} pairs in {:?}, I* = {:.4} [updatable state saved to {dir}]",
-                state.total_pairs(),
-                t0.elapsed(),
-                state.threshold()
-            );
-            (state.network(), summary)
-        }
-        (None, None) => {
+        None => {
             let (r, time, note) = match args.get("checkpoint-dir") {
                 Some(dir) => {
                     let store = CheckpointStore::with_faults(dir, injector.clone(), &rec);
@@ -600,10 +582,16 @@ fn cmd_infer(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
             let (pairs, rate, threshold) = (r.stats.pairs, r.stats.pair_rate(), r.stats.threshold);
             let summary =
                 format!("{pairs} pairs in {time:?} ({rate:.0} pairs/s), I* = {threshold:.4}{note}");
-            (r.network, summary)
+            (r.network, summary, r.scan)
         }
     };
     writeln!(out, "{summary}")?;
+    if let Some(dir) = args.get("save-state") {
+        let state = NetworkState::new(&cfg, matrix, scan);
+        let store = StateStore::with_faults(dir, injector.clone(), &rec);
+        store.save(&state).map_err(|e| CliError(e.to_string()))?;
+        writeln!(out, "saved the updatable state to {dir}")?;
+    }
 
     if let Some(mut live) = plane.take() {
         live.finish()
@@ -698,7 +686,7 @@ fn cmd_update(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
         stats.pairs_scanned,
         t0.elapsed(),
         state.gene_count(),
-        state.samples,
+        state.matrix.samples(),
         stats.threshold
     )?;
 
@@ -2782,6 +2770,12 @@ mod tests {
         let batch = std::fs::read(dir.join("batch_edges.tsv")).unwrap();
         assert!(!updated.is_empty());
         assert_eq!(updated, batch, "incremental and batch edge lists differ");
+        let file = gnet_core::FileKind::State.file_name();
+        assert_eq!(
+            std::fs::read(state_dir.join(file)).unwrap(),
+            std::fs::read(batch_state.join(file)).unwrap(),
+            "the updated bundle is the batch bundle"
+        );
 
         let text = String::from_utf8(sink).unwrap();
         assert!(text.contains("appended 2 gene(s)"), "{text}");
@@ -2895,25 +2889,74 @@ mod tests {
     }
 
     #[test]
-    fn save_state_rejects_incompatible_modes() {
-        let dir = tmpdir("save_state_reject");
-        let (old_tsv, _) = update_fixture(&dir);
-        let mut sink = Vec::new();
-        let out_tsv = dir.join("e.tsv");
-        let s_dir = dir.join("s");
-        for extra in [&["--early-exit"][..], &["--ranks", "2"][..]] {
-            let mut args = vec![
-                "--input",
-                old_tsv.to_str().unwrap(),
-                "--output",
-                out_tsv.to_str().unwrap(),
-                "--save-state",
-                s_dir.to_str().unwrap(),
-            ];
-            args.extend_from_slice(extra);
-            let err = run("infer", &args, &mut sink).unwrap_err();
-            assert!(err.0.contains("--save-state"), "{}", err.0);
+    fn save_state_writes_one_bundle_from_every_run_path() {
+        let dir = tmpdir("save_state_paths");
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (m, e) = (at("m.tsv"), at("e.tsv"));
+        run(
+            "generate",
+            &[
+                "--genes",
+                "24",
+                "--samples",
+                "120",
+                "--seed",
+                "3",
+                "--out",
+                &m,
+            ],
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let bundle = |name: &str, extra: &[&str]| {
+            let state = at(name);
+            let args = [
+                &["--input", &m, "--output", &e, "--q", "8", "--tile", "5"][..],
+                &["--save-state", &state],
+                extra,
+            ]
+            .concat();
+            run("infer", &args, &mut Vec::new()).map(|()| {
+                std::fs::read(dir.join(name).join(gnet_core::FileKind::State.file_name())).unwrap()
+            })
+        };
+        let plain = bundle("plain", &["--threads", "1"]).unwrap();
+        let (ckpt, trace, metrics) = (at("ckpt"), at("t.ndjson"), at("m.json"));
+        let crash = ["--checkpoint-dir", &ckpt, "--checkpoint-every", "2"];
+        let crashed = bundle(
+            "crashed",
+            &[
+                &crash[..],
+                &["--fault-plan", "seed=1;chunk-crash(boundary=2)"],
+            ]
+            .concat(),
+        );
+        assert!(crashed.unwrap_err().0.contains("--resume"));
+        assert!(
+            !dir.join("crashed").exists(),
+            "an interrupted run saves no state"
+        );
+        for (name, extra) in [
+            ("threads", vec!["--threads", "2"]),
+            ("ranks", vec!["--ranks", "4"]),
+            ("ranks-threads", vec!["--ranks", "3", "--threads", "2"]),
+            ("resumed", [&crash[..], &["--resume"]].concat()),
+            ("checkpointed", vec!["--checkpoint-dir", &at("fresh")]),
+            (
+                "traced",
+                vec!["--trace", &trace, "--metrics", &metrics, "--progress"],
+            ),
+        ] {
+            assert_eq!(bundle(name, &extra).unwrap(), plain, "{name}: {extra:?}");
         }
+        let events = std::fs::read_to_string(&trace).unwrap();
+        assert!(
+            events.contains("\"state.saved\""),
+            "the trace records the save"
+        );
+        assert!(std::fs::read_to_string(&metrics)
+            .unwrap()
+            .contains("mi.pairs"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2939,6 +2982,8 @@ mod tests {
     #[test]
     fn bad_infer_options_are_errors_naming_their_flag() {
         let matrix = gnet_expr::synth::independent_uniform(6, 40, 3);
+        let ckpt = tmpdir("bad_option_ckpt").join("D");
+        let ckpt = ckpt.to_str().unwrap();
         for (extra, flag) in [
             (&["--ranks", "2", "--early-exit"][..], "--early-exit"),
             (&["--threads", "0"], "--threads"),
@@ -2957,13 +3002,26 @@ mod tests {
             (&["--dpi", "-1"], "--dpi"),
             (&["--dpi", "1"], "--dpi"),
             (&["--dpi", "nan"], "--dpi"),
-            (&["--save-state", "s", "--trace", "t.ndjson"], "--trace"),
-            (&["--save-state", "s", "--metrics", "m.json"], "--metrics"),
-            (&["--save-state", "s", "--progress"], "--progress"),
+            (&["--checkpoint-dir", ckpt, "--early-exit"], "--early-exit"),
+            (
+                &[
+                    "--checkpoint-dir",
+                    ckpt,
+                    "--early-exit",
+                    "--threshold",
+                    "0.1",
+                ],
+                "--checkpoint-dir",
+            ),
+            (&["--save-state", ckpt, "--early-exit"], "--save-state"),
         ] {
             let run = std::panic::catch_unwind(|| infer_error("bad_option", &matrix, extra));
             let err = run.unwrap_or_else(|_| panic!("gnet infer {extra:?} panicked"));
             assert!(err.0.contains(flag), "{extra:?}: {}", err.0);
+            assert!(
+                !std::path::Path::new(&ckpt).exists(),
+                "{extra:?} made {ckpt}"
+            );
         }
     }
 

@@ -67,11 +67,11 @@ use crate::transport::Transport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gnet_bspline::BsplineBasis;
 use gnet_core::config::NullStrategy;
-use gnet_core::{scan_tiles, InferenceConfig, NullScan};
+use gnet_core::{prepare_genes, scan_tiles, InferenceConfig, NullScan};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, Fault, FaultInjector};
 use gnet_graph::GeneNetwork;
-use gnet_mi::{prepare_gene, MiKernel, PreparedGene};
+use gnet_mi::{MiKernel, PreparedGene};
 use gnet_parallel::TileSpace;
 use gnet_permute::PermutationSet;
 use gnet_trace::{Recorder, Span, Value};
@@ -191,6 +191,9 @@ pub struct DistributedResult {
     /// Ranks rank 0 presumed dead during the census (crashed, or their
     /// results frame was lost). Empty on a fault-free run.
     pub crashed_ranks: Vec<usize>,
+    /// The merged evidence rank 0 finalized from: the shared-memory run's
+    /// pooled null, joint count and candidates, bit for bit.
+    pub scan: NullScan,
 }
 
 /// How the ranks of a ring run reach each other.
@@ -408,12 +411,14 @@ fn assemble_result(
     let mut network = None;
     let mut threshold = 0.0;
     let mut crashed_ranks = Vec::new();
+    let mut scan = NullScan::default();
     let mut rank_stats = Vec::with_capacity(outputs.len());
     for out in outputs {
         if let Some(net) = out.network {
             network = Some(net);
             threshold = out.threshold;
             crashed_ranks = out.dead;
+            scan = out.scan;
         }
         rank_stats.push(out.stats);
     }
@@ -422,6 +427,7 @@ fn assemble_result(
         threshold,
         rank_stats,
         crashed_ranks,
+        scan,
     };
     if let Some(dir) = trace_dir {
         let mut files = Vec::with_capacity(recs.len());
@@ -503,6 +509,8 @@ pub(crate) fn write_manifest(
 
 pub(crate) struct RankOutput {
     pub(crate) network: Option<GeneNetwork>,
+    /// The merged evidence behind `network` (rank 0 only).
+    pub(crate) scan: NullScan,
     pub(crate) threshold: f64,
     pub(crate) stats: RankStats,
     /// Ranks presumed dead by the census (rank 0 only).
@@ -674,21 +682,19 @@ fn exchange_clock(
 }
 
 /// Prepare block `idx` of the `p`-way partition directly from the shared
-/// expression matrix — the reconstruction primitive behind ring healing
-/// and redistribution.
+/// expression matrix, on the rank's workers — a rank's own block, and
+/// the reconstruction primitive behind ring healing and redistribution.
 fn build_block(
     matrix: &ExpressionMatrix,
+    config: &InferenceConfig,
     basis: &BsplineBasis,
-    n: usize,
     p: usize,
     idx: usize,
 ) -> GeneBlock {
-    let (s, e) = block_range(n, p, idx);
+    let (s, e) = block_range(matrix.genes(), p, idx);
     GeneBlock {
         indices: (s as u32..e as u32).collect(),
-        genes: (s..e)
-            .map(|g| prepare_gene(matrix.gene(g), basis))
-            .collect(),
+        genes: prepare_genes(matrix, s..e, basis, config.resolved_threads()),
     }
 }
 
@@ -709,7 +715,6 @@ pub(crate) fn rank_main(
     let p = tp.size();
     let r = tp.rank();
     let faults = tp.faults().clone();
-    let (start, end) = block_range(n, p, r);
     let basis = BsplineBasis::new(config.spline_order, config.bins);
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
     let mut stats = RankStats {
@@ -736,6 +741,7 @@ pub(crate) fn rank_main(
             // survivors detect the death.
             return RankOutput {
                 network: None,
+                scan: NullScan::default(),
                 threshold: 0.0,
                 stats,
                 dead: Vec::new(),
@@ -760,12 +766,7 @@ pub(crate) fn rank_main(
     let t0 = Instant::now();
     let own = {
         let _prep_span = rank_rec.span("rank.prep");
-        GeneBlock {
-            indices: (start as u32..end as u32).collect(),
-            genes: (start..end)
-                .map(|g| prepare_gene(matrix.gene(g), &basis))
-                .collect(),
-        }
+        build_block(matrix, config, &basis, p, r)
     };
     busy += t0.elapsed();
     let scan = BlockScan {
@@ -838,7 +839,7 @@ pub(crate) fn rank_main(
     let mut cache: HashMap<usize, GeneBlock> = HashMap::new();
     // Evidence over the block pairs reassigned to this rank.
     let mut sup_scan = NullScan::default();
-    let mut output: Option<(GeneNetwork, f64, Vec<usize>)> = None;
+    let mut output: Option<(GeneNetwork, NullScan, f64, Vec<usize>)> = None;
     let mut ring_span: Option<Span> = None;
     let mut finalize_span: Option<Span> = None;
 
@@ -913,7 +914,7 @@ pub(crate) fn rank_main(
                             ("reason", Value::from(fail_reason)),
                         ],
                     );
-                    let b = build_block(matrix, &basis, n, p, block);
+                    let b = build_block(matrix, config, &basis, p, block);
                     travelling = encode_block(&b);
                     rebuilt = Some(b);
                     let latency = t.elapsed();
@@ -936,7 +937,7 @@ pub(crate) fn rank_main(
                                 // — rebuild from the source matrix and
                                 // forward the good copy.
                                 rec.counter_add(names::CNT_CRASHES_DETECTED, 1);
-                                let b = build_block(matrix, &basis, n, p, block);
+                                let b = build_block(matrix, config, &basis, p, block);
                                 travelling = encode_block(&b);
                                 rec.event(
                                     names::EVT_RING_HEALED,
@@ -1054,7 +1055,7 @@ pub(crate) fn rank_main(
                     }
                     let threshold = merged.threshold(config.mi_threshold, config.alpha, n);
                     let network = merged.network(matrix.gene_names(), threshold);
-                    output = Some((network, threshold, dead));
+                    output = Some((network, merged, threshold, dead));
                 }
             }
             tick!(false);
@@ -1123,14 +1124,16 @@ pub(crate) fn rank_main(
     tick!(true);
 
     match output {
-        Some((network, threshold, dead)) => RankOutput {
+        Some((network, scan, threshold, dead)) => RankOutput {
             network: Some(network),
+            scan,
             threshold,
             stats,
             dead,
         },
         None => RankOutput {
             network: None,
+            scan: NullScan::default(),
             threshold: 0.0,
             stats,
             dead: Vec::new(),
@@ -1155,7 +1158,7 @@ impl BlockScan<'_> {
     /// size, or the shared-memory run's cache rule.
     fn tile_size(&self, cols: &GeneBlock) -> usize {
         self.config
-            .resolved_tile_size(cols.genes.len(), cols.genes[0].heap_bytes())
+            .resolved_tile_size(cols.genes.len(), cols.genes[0].samples())
     }
 
     /// Scan block pair `(x, y)` — rows from `x` and columns from `y` (the
@@ -1203,7 +1206,7 @@ impl BlockScan<'_> {
         for idx in [lo, hi] {
             cache
                 .entry(idx)
-                .or_insert_with(|| build_block(matrix, self.basis, matrix.genes(), p, idx));
+                .or_insert_with(|| build_block(matrix, self.config, self.basis, p, idx));
         }
         let x = cache.get(&lo).expect("block cached just above");
         let y = (lo != hi).then(|| cache.get(&hi).expect("block cached just above"));
@@ -1385,6 +1388,7 @@ mod tests {
                         shared.stats.threshold.to_bits(),
                         "{at}: I* must be bitwise the shared-memory one"
                     );
+                    assert_eq!(dist.scan, shared.scan, "{at}: the merged evidence");
                     let total_pairs: u64 = dist.rank_stats.iter().map(|s| s.pairs).sum();
                     assert_eq!(total_pairs, shared.stats.pairs, "{at}: pair coverage");
                     assert!(dist.crashed_ranks.is_empty());

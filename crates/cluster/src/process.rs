@@ -566,6 +566,7 @@ pub(crate) fn serve_coordinator(
         threshold: out.threshold,
         rank_stats,
         crashed_ranks: out.dead,
+        scan: out.scan,
     };
     if let Some(dir) = run.trace_dir {
         write_one_rank_trace(dir, 0, ranks, 0, &rank_rec)?;

@@ -13,8 +13,8 @@
 //!    that the update scanned exactly the frontier,
 //!    `g·(N−g) + g·(g−1)/2` pairs, never the full `N(N−1)/2`.
 //! 2. **Sample leg** (datasets with ≥ 3 samples): same contract for a
-//!    sample-block append, whose rank merge must reproduce a full
-//!    re-sort exactly (the pair scan legitimately covers all pairs).
+//!    sample-block append, which re-prepares every gene of the
+//!    concatenated matrix (the pair scan legitimately covers all pairs).
 //! 3. **Cross-executor**: the updated state's edge list must match the
 //!    tiled parallel pipeline under every scheduler policy and the
 //!    `{2,4}`-rank ring byte for byte, with a bit-identical pooled
@@ -22,8 +22,8 @@
 //!
 //! [`mutated_incremental_oracle`] swaps in
 //! [`gnet_core::apply_update_mutated`] — the `--self-check` path that
-//! proves each seeded incremental-engine defect (stale rank cache,
-//! skipped frontier tile, unrefreshed null moments) is caught here.
+//! proves each seeded incremental-engine defect (skipped frontier tile,
+//! unrefreshed null moments) is caught here.
 
 use crate::corpus::DatasetSpec;
 use crate::differential::{edge_bytes, ring, OracleOutcome};

@@ -20,7 +20,7 @@
 //! Failures shrink to a minimal dataset ([`shrink`]) and the report
 //! carries the replay seed that rebuilds it. [`run_self_check`] closes
 //! the loop: it injects the four kernel mutations from
-//! [`gnet_mi::mutation`] and the three incremental-update mutations from
+//! [`gnet_mi::mutation`] and the two incremental-update mutations from
 //! [`gnet_core::UpdateMutation`], asserting the matching oracle catches
 //! each one — a harness that cannot detect a sabotaged implementation is
 //! itself broken.

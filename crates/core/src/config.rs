@@ -207,12 +207,14 @@ impl InferenceConfig {
         })
     }
 
-    /// Resolved tile size for `genes` genes with `bytes_per_gene` working
-    /// set, following the L2 blocking rule with a 512 KiB default share.
-    pub fn resolved_tile_size(&self, genes: usize, bytes_per_gene: usize) -> usize {
+    /// Resolved tile size for `genes` genes of `samples` samples: the L2
+    /// blocking rule with a 512 KiB default share, over the bytes of one
+    /// prepared gene of this spline order, `m·(2 + 4k) + 8` (a first bin
+    /// and `k` weights per sample, and the marginal entropy).
+    pub fn resolved_tile_size(&self, genes: usize, samples: usize) -> usize {
         self.tile_size.unwrap_or_else(|| {
-            gnet_parallel::TileSpace::tile_size_for_cache(genes, bytes_per_gene, 512 * 1024)
-                .min(genes)
+            let gene_bytes = samples * (2 + 4 * self.spline_order) + 8;
+            gnet_parallel::TileSpace::tile_size_for_cache(genes, gene_bytes, 512 * 1024).min(genes)
         })
     }
 }
@@ -310,7 +312,38 @@ mod tests {
         assert_eq!(c.resolved_tile_size(100, 1), 7);
         let auto = InferenceConfig::default();
         assert!(auto.resolved_threads() >= 1);
-        let t = auto.resolved_tile_size(1000, 44_000);
+        let t = auto.resolved_tile_size(1000, 3_137);
         assert!((4..=1000).contains(&t));
+    }
+
+    #[test]
+    fn the_cache_rule_sizes_tiles_as_a_prepared_gene_does() {
+        // (genes, samples, order) → tile edge: the rule over a prepared
+        // gene's own byte count, `gnet_mi::PreparedGene::heap_bytes`.
+        let basis = |k| gnet_bspline::BsplineBasis::new(k, 10);
+        for (genes, samples, order, tile) in [
+            (2, 20, 3, 2),
+            (12, 3_000, 3, 6),
+            (40, 120, 3, 40),
+            (128, 3_137, 3, 5),
+            (256, 3_137, 3, 5),
+            (2_048, 64, 3, 289),
+            (15_575, 3_137, 3, 5),
+            (500, 300, 1, 144),
+            (500, 300, 8, 25),
+        ] {
+            let config = InferenceConfig {
+                spline_order: order,
+                ..InferenceConfig::default()
+            };
+            let profile: Vec<f32> = (0..samples).map(|s| (s * 7 % 13) as f32).collect();
+            let gene = gnet_mi::prepare_gene(&profile, &basis(order));
+            let by_gene =
+                gnet_parallel::TileSpace::tile_size_for_cache(genes, gene.heap_bytes(), 512 * 1024)
+                    .min(genes);
+            let at = format!("{genes} genes × {samples} samples, order {order}");
+            assert_eq!(config.resolved_tile_size(genes, samples), by_gene, "{at}");
+            assert_eq!(by_gene, tile, "{at}");
+        }
     }
 }

@@ -18,14 +18,14 @@
 //! resume starts from, saves the progress after every chunk, and checks
 //! the fault plan's crash point after each save.
 //!
-//! ## File schema v3
+//! ## File schema
 //!
 //! All integers little-endian:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETCKP\x01" | b"GNETSTA\x01" | b"GNETUPD\x01"
-//! 8       4     version (= 3)
+//! 8       4     version (GNETCKP and GNETUPD 3, GNETSTA 4)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
@@ -67,10 +67,6 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Version of every framed file (GNETCKP, GNETSTA, GNETUPD). v3: the
-/// pooled null as exact fixed-point sums. A v2 file carries Welford
-/// moments, which the exact accumulator cannot continue.
-pub(crate) const VERSION: u32 = 3;
 pub(crate) const HEADER_LEN: usize = 28;
 
 /// The three framed files. Each has its own magic, its own name inside
@@ -101,6 +97,18 @@ impl FileKind {
             Self::Checkpoint => b"GNETCKP\x01",
             Self::State => b"GNETSTA\x01",
             Self::UpdateProgress => b"GNETUPD\x01",
+        }
+    }
+
+    /// The one version of this kind a build reads and writes. Version 3
+    /// keeps the pooled null as exact fixed-point sums (a v2 file carries
+    /// Welford moments, which the exact accumulator cannot continue); a
+    /// v4 state keeps the matrix and the evidence and nothing derived
+    /// from a profile.
+    pub(crate) fn version(self) -> u32 {
+        match self {
+            Self::Checkpoint | Self::UpdateProgress => 3,
+            Self::State => 4,
         }
     }
 
@@ -420,7 +428,7 @@ impl FramedFile {
     }
 
     /// Atomically write `payload` framed by the module-level header
-    /// (magic, [`VERSION`], length, FNV-1a64 digest): write the temp
+    /// (magic, version, length, FNV-1a64 digest): write the temp
     /// file, `fsync`, rename over the file, `fsync` the directory.
     /// Returns the file's size. The injector's write/rename faults and
     /// payload flips apply.
@@ -433,7 +441,7 @@ impl FramedFile {
 
         let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         file_bytes.extend_from_slice(self.kind.magic());
-        file_bytes.extend_from_slice(&VERSION.to_le_bytes());
+        file_bytes.extend_from_slice(&self.kind.version().to_le_bytes());
         file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         file_bytes.extend_from_slice(&integrity.to_le_bytes());
         file_bytes.extend_from_slice(&payload);
@@ -488,9 +496,10 @@ impl FramedFile {
         }
         let mut header = Reader::new(&bytes[8..HEADER_LEN]);
         let version = header.u32("version").map_err(|r| self.corrupt(r))?;
-        if version != VERSION {
+        let current = self.kind.version();
+        if version != current {
             return Err(self.corrupt(format!(
-                "unsupported {what} version {version} (this build reads v{VERSION})"
+                "unsupported {what} version {version} (this build reads v{current})"
             )));
         }
         let payload_len = header.u64("payload length").map_err(|r| self.corrupt(r))? as usize;
@@ -739,7 +748,7 @@ pub fn infer_network_durable(
     resume: bool,
     rec: &Recorder,
 ) -> Result<InferenceResult, DurableError> {
-    let space = run_space(matrix, config);
+    let space = run_space(matrix, config, 0);
     let digest = run_digest(config, matrix, space.tiles().len());
     store.scan_durably(
         digest,

@@ -3,27 +3,27 @@
 //! A whole-genome compendium grows two ways — new genes (probes added to
 //! the platform) and new samples (new experiments) — and a from-scratch
 //! rebuild repeats `n(n−1)/2` pair evaluations to learn what one append
-//! changed. This module recomputes only what the append invalidates:
+//! changed. An update appends to the state's matrix, prepares every gene
+//! through the function every run uses ([`crate::prepare_genes`]) and
+//! rescans only the pairs the append invalidates:
 //!
-//! * **Gene append** keeps every stored per-gene artifact and every
-//!   already-evaluated pair, and scans only the *frontier* — pairs with at
-//!   least one new endpoint: `g·(N−g) + g·(g−1)/2` pairs for `g` appended
-//!   genes out of `N` total, versus `N(N−1)/2` for a rebuild. The frontier
-//!   is tiled by [`TileSpace::frontier`] and scanned by the same tile
+//! * **Gene append** keeps every already-evaluated pair and scans only
+//!   the *frontier* — pairs with at least one new endpoint: `g·(N−g) +
+//!   g·(g−1)/2` pairs for `g` appended genes out of `N` total, versus
+//!   `N(N−1)/2` for a rebuild. The frontier is tiled by
+//!   [`gnet_parallel::TileSpace::frontier`] and scanned by the same tile
 //!   engine as a batch run ([`crate::scan`]).
-//! * **Sample append** merge-updates each gene's stored `(value, index)`
-//!   sort order with the newly sorted appended block (two-pointer merge,
-//!   no re-sort of the old samples), re-derives ranks and B-spline
-//!   weights from the merged order, then rescans every tile (every pair's
-//!   MI depends on every sample, so the pair scan cannot shrink — the
-//!   preprocessing can).
+//! * **Sample append** concatenates each gene's samples and rescans
+//!   every tile: every pair's MI depends on every sample.
 //!
 //! Both paths are pinned by conformance oracle family 6 to be
 //! **bit-identical** to a batch [`build_state`] over the concatenated
-//! dataset. Nothing about that depends on scan order: per-pair MI is the
-//! same in any tile, the pooled null sums exactly, and candidates are
-//! kept sorted, so the resulting [`NetworkState`] — candidates, pooled
-//! null, threshold, edges — is `assert_eq!`-equal at any thread count.
+//! dataset, and that holds by construction: the updated state is the
+//! concatenated matrix, its genes are prepared as a batch run prepares
+//! them, per-pair MI is the same in any tile, the pooled null sums
+//! exactly, and candidates are kept sorted. So the resulting
+//! [`NetworkState`] — matrix, candidates, pooled null, threshold, edges
+//! — is `assert_eq!`-equal at any thread count.
 //!
 //! [`update_durable`] adds crash durability through the same driver as
 //! a checkpointed `gnet infer` ([`crate::durable`]): progress is saved
@@ -32,16 +32,13 @@
 //! ([`gnet_fault::Fault::UpdateCrash`]) resumes bit-identically.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{InferenceConfig, NullStrategy};
+use crate::config::InferenceConfig;
 use crate::durable::DurableError;
-use crate::scan::{Chunking, NullScan, TileScan};
-use crate::state::{GeneState, NetworkState, StateStore};
-use gnet_bspline::BsplineBasis;
-use gnet_expr::normalize::{rank_from_order, rank_sort_order};
-use gnet_expr::ExpressionMatrix;
-use gnet_mi::PreparedGene;
-use gnet_parallel::TileSpace;
-use gnet_permute::PermutationSet;
+use crate::pipeline::PreparedRun;
+use crate::scan::{Chunking, NullScan};
+use crate::state::{NetworkState, StateStore};
+use gnet_expr::{ExpressionMatrix, MissingPolicy};
+use gnet_permute::PooledNull;
 use gnet_trace::{Recorder, Value};
 use std::fmt;
 
@@ -100,81 +97,19 @@ pub struct UpdateStats {
     pub threshold: f64,
 }
 
-fn gene_state_for(profile: Vec<f32>, basis: &BsplineBasis) -> GeneState {
-    let order = rank_sort_order(&profile);
-    let ranks = rank_from_order(&profile, &order);
-    let PreparedGene { sparse, h_marginal } = PreparedGene::from_normalized(&ranks, basis);
-    GeneState {
-        profile,
-        order,
-        sparse,
-        h_marginal,
-    }
-}
-
-fn prepared_of(g: &GeneState) -> PreparedGene {
-    PreparedGene {
-        sparse: g.sparse.clone(),
-        h_marginal: g.h_marginal,
-    }
-}
-
-/// The tiles of the pairs `(i, j)` with `j ≥ first_new` over `genes`,
-/// tiled by the configuration's cache rule.
-fn tiles_for(config: &InferenceConfig, genes: &[PreparedGene], first_new: usize) -> TileSpace {
-    let tile_size = config.resolved_tile_size(genes.len(), genes[0].heap_bytes());
-    TileSpace::frontier(genes.len(), first_new, tile_size)
-}
-
 /// Build an updatable [`NetworkState`] from scratch — the batch side of
-/// the batch-equivalence contract, and what `gnet infer --save-state`
-/// runs. It scans the tiles on `config.threads` under `config.scheduler`
-/// like [`crate::infer_network`], and its threshold and edges are
-/// bit-identical to that run's.
+/// the batch-equivalence contract: an [`crate::infer_network`] run over
+/// `matrix` and the state of its evidence. Its threshold and edges are
+/// that run's.
 ///
 /// # Panics
 /// Panics on invalid configuration, fewer than two genes, or a
-/// non-[`NullStrategy::ExactFull`] null strategy (early exit discards the
-/// pooled null an updatable state must keep).
+/// non-[`crate::NullStrategy::ExactFull`] null strategy (early exit
+/// discards the pooled null an updatable state must keep).
 #[must_use]
 pub fn build_state(matrix: &ExpressionMatrix, config: &InferenceConfig) -> NetworkState {
-    config.validate();
-    assert!(
-        matrix.genes() >= 2,
-        "need at least two genes to build a network state"
-    );
-    assert!(
-        matches!(config.null_strategy, NullStrategy::ExactFull),
-        "updatable state requires the exact-full null strategy"
-    );
-    let basis = BsplineBasis::new(config.spline_order, config.bins);
-    let genes: Vec<GeneState> = (0..matrix.genes())
-        .map(|g| gene_state_for(matrix.gene(g).to_vec(), &basis))
-        .collect();
-    let prepared: Vec<PreparedGene> = genes.iter().map(prepared_of).collect();
-    let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
-    let space = tiles_for(config, &prepared, 0);
-    let (scan, _) = TileScan {
-        tiles: space.tiles(),
-        prepared: &prepared,
-        perms: &perms,
-        basis: &basis,
-        config,
-    }
-    .run_all(&Recorder::disabled());
-    NetworkState {
-        bins: config.bins,
-        spline_order: config.spline_order,
-        permutations: config.permutations,
-        seed: config.seed,
-        alpha: config.alpha,
-        mi_threshold: config.mi_threshold,
-        kernel: config.kernel,
-        names: matrix.gene_names().to_vec(),
-        samples: matrix.samples(),
-        genes,
-        scan,
-    }
+    let scan = crate::infer_network(matrix, config).scan;
+    NetworkState::new(config, matrix.clone(), scan)
 }
 
 /// Infer the update mode from the append matrix's shape, rejecting
@@ -187,9 +122,9 @@ pub fn detect_mode(
     state: &NetworkState,
     append: &ExpressionMatrix,
 ) -> Result<UpdateMode, DurableError> {
-    let gene_shaped = append.samples() == state.samples;
-    let sample_shaped =
-        append.genes() == state.gene_count() && append.gene_names() == &state.names[..];
+    let (genes, samples) = (state.gene_count(), state.matrix.samples());
+    let gene_shaped = append.samples() == samples;
+    let sample_shaped = append.genes() == genes && append.gene_names() == state.matrix.gene_names();
     match (gene_shaped, sample_shaped) {
         (true, false) => Ok(UpdateMode::Genes),
         (false, true) => Ok(UpdateMode::Samples),
@@ -204,12 +139,10 @@ pub fn detect_mode(
         (false, false) => Err(DurableError::Append {
             reason: format!(
                 "append shape {}×{} matches neither a gene append \
-                 ({} samples required) nor a sample append ({} genes named \
+                 ({samples} samples required) nor a sample append ({genes} genes named \
                  as in the state required)",
                 append.genes(),
                 append.samples(),
-                state.samples,
-                state.gene_count()
             ),
         }),
     }
@@ -220,10 +153,6 @@ pub fn detect_mode(
 /// catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateMutation {
-    /// Sample append concatenates the old and new sort orders instead of
-    /// merging them — the cached ranks go stale across the append
-    /// boundary.
-    StaleRankCache,
     /// The scan silently drops the last frontier tile — a fencepost bug
     /// in frontier enumeration.
     SkippedFrontierTile,
@@ -234,45 +163,14 @@ pub enum UpdateMutation {
 
 impl UpdateMutation {
     /// Every mutation, for exhaustive self-check loops.
-    pub const ALL: [Self; 3] = [
-        Self::StaleRankCache,
-        Self::SkippedFrontierTile,
-        Self::UnrefreshedNullMoments,
-    ];
+    pub const ALL: [Self; 2] = [Self::SkippedFrontierTile, Self::UnrefreshedNullMoments];
 
     /// Stable identifier used in self-check reports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::StaleRankCache => "stale-rank-cache",
             Self::SkippedFrontierTile => "skipped-frontier-tile",
             Self::UnrefreshedNullMoments => "unrefreshed-null-moments",
-        }
-    }
-}
-
-#[derive(Clone, Copy, Default)]
-struct UpdateFlaws {
-    stale_rank_cache: bool,
-    skip_last_tile: bool,
-    keep_stale_pooled: bool,
-}
-
-impl UpdateFlaws {
-    fn from_mutation(m: UpdateMutation) -> Self {
-        match m {
-            UpdateMutation::StaleRankCache => Self {
-                stale_rank_cache: true,
-                ..Self::default()
-            },
-            UpdateMutation::SkippedFrontierTile => Self {
-                skip_last_tile: true,
-                ..Self::default()
-            },
-            UpdateMutation::UnrefreshedNullMoments => Self {
-                keep_stale_pooled: true,
-                ..Self::default()
-            },
         }
     }
 }
@@ -281,209 +179,134 @@ impl UpdateFlaws {
 /// any MI is evaluated.
 struct PreparedUpdate {
     mode: UpdateMode,
-    flaws: UpdateFlaws,
-    names: Vec<String>,
-    samples: usize,
-    genes: Vec<GeneState>,
-    prepared: Vec<PreparedGene>,
-    /// First gene whose pairs are rescanned: the old gene count for a
-    /// gene append, 0 for a sample append.
-    first_new: usize,
+    /// The defect a mutated update runs with, if any.
+    mutation: Option<UpdateMutation>,
     appended: usize,
-    /// Evidence the scan extends: the state's own for a gene append,
-    /// nothing for a sample append.
-    base: NullScan,
-    basis: BsplineBasis,
-    perms: PermutationSet,
-    config: InferenceConfig,
+    /// The state's pooled null before the append, which the
+    /// [`UpdateMutation::UnrefreshedNullMoments`] defect keeps.
+    stale_pooled: PooledNull,
+    /// The concatenated matrix's genes, prepared, and the tiles of the
+    /// pairs the update scans: those with `j ≥` the old gene count for a
+    /// gene append, every pair for a sample append.
+    run: PreparedRun,
 }
 
-impl PreparedUpdate {
-    /// The tiles of the pairs the update scans: those with `j ≥
-    /// first_new`, tiled by the state's cache rule.
-    fn space(&self) -> TileSpace {
-        tiles_for(&self.config, &self.prepared, self.first_new)
-    }
+/// `matrix`'s genes followed by `append`'s, names included.
+fn with_genes(matrix: ExpressionMatrix, append: &ExpressionMatrix) -> ExpressionMatrix {
+    let mut names = matrix.gene_names().to_vec();
+    names.extend_from_slice(append.gene_names());
+    let (genes, samples) = (matrix.genes() + append.genes(), matrix.samples());
+    let mut flat = matrix.into_flat();
+    flat.extend_from_slice(append.as_flat());
+    matrix_of(genes, samples, flat, names)
 }
 
-/// Merge a gene's stored sort order with the sorted order of an appended
-/// sample block. Old merged indices are `0..m_old` and new ones
-/// `m_old..m_total`, so taking the old element on ties reproduces the
-/// `(value, index)` comparator of a full re-sort exactly.
-fn merge_orders(old: &GeneState, new_values: &[f32], merged_profile: &[f32]) -> Vec<u32> {
-    let m_old = old.profile.len();
-    let new_order = rank_sort_order(new_values);
-    let mut merged = Vec::with_capacity(merged_profile.len());
-    let (mut a, mut b) = (0, 0);
-    while a < old.order.len() && b < new_order.len() {
-        let old_idx = old.order[a];
-        let new_idx = new_order[b] + m_old as u32;
-        let old_v = merged_profile[old_idx as usize];
-        let new_v = merged_profile[new_idx as usize];
-        // Expression values are finite by matrix construction, so the
-        // comparator's NaN fallback never fires here.
-        if old_v
-            .partial_cmp(&new_v)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            != std::cmp::Ordering::Greater
-        {
-            merged.push(old_idx);
-            a += 1;
-        } else {
-            merged.push(new_idx);
-            b += 1;
-        }
-    }
-    merged.extend_from_slice(&old.order[a..]);
-    merged.extend(new_order[b..].iter().map(|&i| i + m_old as u32));
-    merged
+/// Each gene of `matrix` followed by its samples in `append`.
+fn with_samples(matrix: &ExpressionMatrix, append: &ExpressionMatrix) -> ExpressionMatrix {
+    let flat = (0..matrix.genes())
+        .flat_map(|g| matrix.gene(g).iter().chain(append.gene(g)))
+        .copied()
+        .collect();
+    let samples = matrix.samples() + append.samples();
+    matrix_of(matrix.genes(), samples, flat, matrix.gene_names().to_vec())
 }
 
+fn matrix_of(genes: usize, samples: usize, flat: Vec<f32>, names: Vec<String>) -> ExpressionMatrix {
+    let mut matrix = ExpressionMatrix::from_flat(genes, samples, flat, MissingPolicy::Error)
+        .expect("two finite matrices concatenate into a finite one");
+    matrix
+        .set_gene_names(names)
+        .expect("one name per concatenated gene");
+    matrix
+}
+
+/// The updated state before its scan — the concatenated matrix, holding
+/// the evidence the scan extends (the state's own for a gene append,
+/// none for a sample append) — and the scan's inputs.
 fn prepare_update(
-    state: &NetworkState,
+    state: NetworkState,
     append: &ExpressionMatrix,
     mode: UpdateMode,
-    flaws: UpdateFlaws,
-) -> Result<PreparedUpdate, DurableError> {
-    let basis = BsplineBasis::new(state.spline_order, state.bins);
-    let (names, samples, genes, first_new, appended, base) = match mode {
+    mutation: Option<UpdateMutation>,
+) -> Result<(NetworkState, PreparedUpdate), DurableError> {
+    let (genes, samples) = (state.gene_count(), state.matrix.samples());
+    let misfit = |reason: String| Err(DurableError::Append { reason });
+    match mode {
+        UpdateMode::Genes if append.samples() != samples => {
+            return misfit(format!(
+                "gene append has {} samples, state has {samples}",
+                append.samples()
+            ))
+        }
         UpdateMode::Genes => {
-            if append.samples() != state.samples {
-                return Err(DurableError::Append {
-                    reason: format!(
-                        "gene append has {} samples, state has {}",
-                        append.samples(),
-                        state.samples
-                    ),
-                });
+            let names = state.matrix.gene_names();
+            if let Some(dup) = append.gene_names().iter().find(|n| names.contains(n)) {
+                return misfit(format!("appended gene `{dup}` already exists in the state"));
             }
-            if let Some(dup) = append.gene_names().iter().find(|n| state.names.contains(n)) {
-                return Err(DurableError::Append {
-                    reason: format!("appended gene `{dup}` already exists in the state"),
-                });
-            }
-            let mut names = state.names.clone();
-            names.extend(append.gene_names().iter().cloned());
-            let mut genes = state.genes.clone();
-            genes.extend(
-                (0..append.genes()).map(|g| gene_state_for(append.gene(g).to_vec(), &basis)),
-            );
-            let base = state.scan.clone();
-            (
-                names,
-                state.samples,
-                genes,
-                state.gene_count(),
-                append.genes(),
-                base,
+        }
+        UpdateMode::Samples if append.genes() != genes => {
+            return misfit(format!(
+                "sample append has {} genes, state has {genes}",
+                append.genes()
+            ))
+        }
+        UpdateMode::Samples if append.gene_names() != state.matrix.gene_names() => {
+            return misfit(
+                "sample append gene names differ from the state's \
+                 (same genes, same order required)"
+                    .into(),
             )
         }
-        UpdateMode::Samples => {
-            if append.genes() != state.gene_count() {
-                return Err(DurableError::Append {
-                    reason: format!(
-                        "sample append has {} genes, state has {}",
-                        append.genes(),
-                        state.gene_count()
-                    ),
-                });
-            }
-            if append.gene_names() != &state.names[..] {
-                return Err(DurableError::Append {
-                    reason: "sample append gene names differ from the state's \
-                             (same genes, same order required)"
-                        .into(),
-                });
-            }
-            let m_old = state.samples;
-            let genes: Vec<GeneState> = state
-                .genes
-                .iter()
-                .enumerate()
-                .map(|(g, old)| {
-                    let new_values = append.gene(g);
-                    let mut profile = old.profile.clone();
-                    profile.extend_from_slice(new_values);
-                    let order = if flaws.stale_rank_cache {
-                        // Mutation: trust the cached order layout and just
-                        // append the new block's order after it.
-                        let mut o = old.order.clone();
-                        o.extend(
-                            rank_sort_order(new_values)
-                                .iter()
-                                .map(|&i| i + m_old as u32),
-                        );
-                        o
-                    } else {
-                        merge_orders(old, new_values, &profile)
-                    };
-                    let ranks = rank_from_order(&profile, &order);
-                    let PreparedGene { sparse, h_marginal } =
-                        PreparedGene::from_normalized(&ranks, &basis);
-                    GeneState {
-                        profile,
-                        order,
-                        sparse,
-                        h_marginal,
-                    }
-                })
-                .collect();
-            let samples = m_old + append.samples();
-            let names = state.names.clone();
-            (
-                names,
-                samples,
-                genes,
-                0,
-                append.samples(),
-                NullScan::default(),
-            )
-        }
+        UpdateMode::Samples => {}
+    }
+    let config = state.config();
+    let stale_pooled = state.scan.pooled;
+    let (matrix, first_new, appended, base) = match mode {
+        UpdateMode::Genes => (
+            with_genes(state.matrix, append),
+            genes,
+            append.genes(),
+            state.scan,
+        ),
+        UpdateMode::Samples => (
+            with_samples(&state.matrix, append),
+            0,
+            append.samples(),
+            NullScan::default(),
+        ),
     };
-    Ok(PreparedUpdate {
+    let run = PreparedRun::new(&matrix, &config, first_new);
+    let next = NetworkState::new(&config, matrix, base);
+    let pu = PreparedUpdate {
         mode,
-        flaws,
-        prepared: genes.iter().map(prepared_of).collect(),
-        perms: PermutationSet::generate(samples, state.permutations, state.seed),
-        config: state.config(),
-        names,
-        samples,
-        genes,
-        first_new,
+        mutation,
         appended,
-        base,
-        basis,
-    })
+        stale_pooled,
+        run,
+    };
+    Ok((next, pu))
 }
 
 /// Scan the update's tiles under `chunking` — from its resume point, or
-/// from the update's base evidence as progress bound to `digest` — and
-/// assemble the updated state. `space` is [`PreparedUpdate::space`].
-/// Stops with the progress when the chunking's callback says so.
+/// from `next`'s base evidence as progress bound to `digest` — into
+/// `next`. Stops with the progress when the chunking's callback says so.
 fn run_update(
-    state: &NetworkState,
-    mut pu: PreparedUpdate,
-    space: &TileSpace,
+    mut next: NetworkState,
+    pu: &PreparedUpdate,
     digest: u64,
     chunking: Chunking<'_>,
     rec: &Recorder,
 ) -> Result<(NetworkState, UpdateStats), Checkpoint> {
-    let mut tiles = space.tiles();
-    if pu.flaws.skip_last_tile {
-        tiles = &tiles[..tiles.len() - 1];
+    let config = next.config();
+    let mut scan = pu.run.scan(&config);
+    if pu.mutation == Some(UpdateMutation::SkippedFrontierTile) {
+        scan.tiles = &scan.tiles[..scan.tiles.len() - 1];
     }
     let mut progress = chunking.resume_from.unwrap_or(Checkpoint {
         digest,
         tiles_done: 0,
-        scan: std::mem::take(&mut pu.base),
+        scan: std::mem::take(&mut next.scan),
     });
-    let scan = TileScan {
-        tiles,
-        prepared: &pu.prepared,
-        perms: &pu.perms,
-        basis: &pu.basis,
-        config: &pu.config,
-    };
     let resumed = scan.pairs_in(progress.tiles_done);
     let (chunk_tiles, on_checkpoint) = (chunking.chunk_tiles, chunking.on_checkpoint);
     if scan
@@ -492,28 +315,11 @@ fn run_update(
     {
         return Err(progress);
     }
-    let scanned = scan.pairs_in(tiles.len()) - resumed;
-
-    let next = NetworkState {
-        bins: state.bins,
-        spline_order: state.spline_order,
-        permutations: state.permutations,
-        seed: state.seed,
-        alpha: state.alpha,
-        mi_threshold: state.mi_threshold,
-        kernel: state.kernel,
-        names: pu.names,
-        samples: pu.samples,
-        genes: pu.genes,
-        scan: if pu.flaws.keep_stale_pooled {
-            NullScan {
-                pooled: state.scan.pooled,
-                ..progress.scan
-            }
-        } else {
-            progress.scan
-        },
-    };
+    let scanned = scan.pairs_in(scan.tiles.len()) - resumed;
+    next.scan = progress.scan;
+    if pu.mutation == Some(UpdateMutation::UnrefreshedNullMoments) {
+        next.scan.pooled = pu.stale_pooled;
+    }
     // A mutated engine can drop the only frontier tile and leave no
     // pooled evidence to derive a threshold from; report NaN instead of
     // panicking so the conformance oracle can still diff the states.
@@ -533,23 +339,20 @@ fn run_update(
     Ok((next, stats))
 }
 
-fn apply_update_flawed(
+fn apply_update_with(
     state: &NetworkState,
     append: &ExpressionMatrix,
     mode: UpdateMode,
-    flaws: UpdateFlaws,
+    mutation: Option<UpdateMutation>,
 ) -> Result<(NetworkState, UpdateStats), DurableError> {
-    let pu = prepare_update(state, append, mode, flaws)?;
-    let space = pu.space();
+    let (next, pu) = prepare_update(state.clone(), append, mode, mutation)?;
     let whole = Chunking {
         resume_from: None,
         chunk_tiles: usize::MAX,
         on_checkpoint: &mut |_| true,
     };
-    Ok(
-        run_update(state, pu, &space, 0, whole, &Recorder::disabled())
-            .unwrap_or_else(|_| unreachable!("a scan that never stops finishes")),
-    )
+    Ok(run_update(next, &pu, 0, whole, &Recorder::disabled())
+        .unwrap_or_else(|_| unreachable!("a scan that never stops finishes")))
 }
 
 /// Apply an append in memory, producing the updated state and what it
@@ -563,7 +366,7 @@ pub fn apply_update(
     append: &ExpressionMatrix,
     mode: UpdateMode,
 ) -> Result<(NetworkState, UpdateStats), DurableError> {
-    apply_update_flawed(state, append, mode, UpdateFlaws::default())
+    apply_update_with(state, append, mode, None)
 }
 
 /// [`apply_update`] with one deliberate defect injected — the mutated
@@ -578,7 +381,7 @@ pub fn apply_update_mutated(
     mode: UpdateMode,
     mutation: UpdateMutation,
 ) -> Result<(NetworkState, UpdateStats), DurableError> {
-    apply_update_flawed(state, append, mode, UpdateFlaws::from_mutation(mutation))
+    apply_update_with(state, append, mode, Some(mutation))
 }
 
 /// Digest binding an update invocation to (state snapshot, appended
@@ -634,16 +437,15 @@ pub fn update_durable(
         None => detect_mode(&state, append)?,
     };
     let digest = update_digest(&state, append, mode);
-    let pu = prepare_update(&state, append, mode, UpdateFlaws::default())?;
-    let space = pu.space();
+    let (next, pu) = prepare_update(state, append, mode, None)?;
     let progress = store.progress();
     let (next, stats) = progress.scan_durably(
         digest,
-        space.tiles(),
+        pu.run.space.tiles(),
         chunk_tiles,
         resume,
         rec,
-        |chunking| run_update(&state, pu, &space, digest, chunking, rec),
+        |chunking| run_update(next, &pu, digest, chunking, rec),
     )?;
     store.save(&next)?;
     progress.clear()?;
@@ -1002,9 +804,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_append_merge_handles_ties_and_duplicates() {
-        // Constant genes and heavy ties exercise the merge comparator's
-        // tie arm; equality with the batch rebuild is the oracle.
+    fn sample_append_handles_ties_and_duplicates() {
+        // Heavy ties across the append boundary: the appended samples
+        // tie old ones, so their ranks depend on the sort's index
+        // tie-break; equality with the batch rebuild is the oracle.
         let data_old = vec![
             1.0f32, 1.0, 2.0, 2.0, //
             5.0, 4.0, 3.0, 2.0, //

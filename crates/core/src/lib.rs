@@ -50,8 +50,8 @@ pub use incremental::{
     UpdateMode, UpdateMutation, UpdateStats,
 };
 pub use mi_matrix::{compute_mi_matrix, MiMatrix};
-pub use pipeline::{infer_network, infer_network_traced};
+pub use pipeline::{infer_network, infer_network_traced, prepare_genes};
 pub use plan::MemoryPlan;
 pub use result::{InferenceResult, RunStats};
 pub use scan::{scan_tile, scan_tiles, NullScan};
-pub use state::{GeneState, NetworkState, StateStore};
+pub use state::{NetworkState, StateStore};

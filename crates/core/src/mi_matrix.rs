@@ -7,12 +7,14 @@
 //! pipeline uses, packed into the upper-triangular layout of
 //! [`gnet_parallel::pair_index`].
 
+use crate::checkpoint::run_space;
 use crate::config::InferenceConfig;
+use crate::pipeline::prepare_genes;
 use crate::scan::{for_each_planned_block, tile_genes};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
-use gnet_mi::{prepare_gene, MiScratch, PreparedGene};
-use gnet_parallel::{execute_tiles, pair_index, SchedulerPolicy, TileSpace};
+use gnet_mi::MiScratch;
+use gnet_parallel::{execute_tiles, pair_index, SchedulerPolicy};
 
 /// A symmetric MI matrix in packed upper-triangular storage.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,14 +74,10 @@ impl MiMatrix {
 /// inference pipeline, each tile expands its column genes once, plans
 /// each row gene once and meets the row's column genes in blocks.
 pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) -> MiMatrix {
-    config.validate();
-    assert!(matrix.genes() >= 2, "need at least two genes");
-    let basis = BsplineBasis::new(config.spline_order, config.bins);
-    let prepared: Vec<PreparedGene> = (0..matrix.genes())
-        .map(|g| prepare_gene(matrix.gene(g), &basis))
-        .collect();
+    let space = run_space(matrix, config, 0);
     let n = matrix.genes();
-    let space = TileSpace::new(n, config.resolved_tile_size(n, prepared[0].heap_bytes()));
+    let basis = BsplineBasis::new(config.spline_order, config.bins);
+    let prepared = prepare_genes(matrix, 0..n, &basis, config.resolved_threads());
     let kernel = config.kernel;
 
     // Each worker collects its tiles' values; they are scattered into the
@@ -120,7 +118,7 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
 mod tests {
     use super::*;
     use gnet_expr::synth::{coupled_pairs, Coupling};
-    use gnet_mi::mi_scalar;
+    use gnet_mi::{mi_scalar, prepare_gene};
 
     fn cfg() -> InferenceConfig {
         InferenceConfig {

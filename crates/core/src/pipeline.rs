@@ -1,6 +1,6 @@
 //! The tiled, multithreaded inference pipeline.
 
-use crate::checkpoint::{run_digest, ResumableOutcome};
+use crate::checkpoint::{run_digest, run_space, ResumableOutcome};
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
 use crate::scan::{for_each_planned_block, tile_genes, Checkpoint, Chunking, NullScan, TileScan};
@@ -10,7 +10,40 @@ use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile, TileSpace};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::Recorder;
+use std::ops::Range;
 use std::time::{Duration, Instant};
+
+/// Prepare genes `genes` of `matrix` — rank transform, B-spline weights
+/// and marginal entropy ([`prepare_gene`]) — on up to `threads` scoped
+/// workers, one contiguous share each, in gene order. Every run prepares
+/// its genes here: shared-memory runs, the MI matrix, state builds and
+/// updates, and the ring's blocks. A prepared gene is a function of its
+/// profile alone, so the result is the same at any thread count.
+pub fn prepare_genes(
+    matrix: &ExpressionMatrix,
+    genes: Range<usize>,
+    basis: &BsplineBasis,
+    threads: usize,
+) -> Vec<PreparedGene> {
+    let share = genes.len().div_ceil(threads.max(1)).max(1);
+    let prepare = |g: Range<usize>| -> Vec<PreparedGene> {
+        g.map(|g| prepare_gene(matrix.gene(g), basis)).collect()
+    };
+    if share >= genes.len() {
+        return prepare(genes);
+    }
+    let end = genes.end;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = genes
+            .step_by(share)
+            .map(|start| s.spawn(move || prepare(start..(start + share).min(end))))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("preparing a finite profile does not panic"))
+            .collect()
+    })
+}
 
 /// Everything a shared-memory run derives from the matrix before any pair
 /// is evaluated: the B-spline basis, every prepared gene, the shared
@@ -23,23 +56,21 @@ pub(crate) struct PreparedRun {
 }
 
 impl PreparedRun {
-    /// Prepare every gene of `matrix` and tile its pair space.
+    /// Prepare every gene of `matrix` on the configured threads and tile
+    /// the pairs `(i, j)` with `j ≥ first_new` (every pair at 0).
     ///
     /// # Panics
-    /// Panics on an invalid configuration or fewer than two genes.
-    pub(crate) fn new(matrix: &ExpressionMatrix, config: &InferenceConfig) -> Self {
-        config.validate();
-        assert!(
-            matrix.genes() >= 2,
-            "need at least two genes to infer a network"
-        );
+    /// Panics on an invalid configuration, fewer than two genes, or
+    /// `first_new` past the last gene.
+    pub(crate) fn new(
+        matrix: &ExpressionMatrix,
+        config: &InferenceConfig,
+        first_new: usize,
+    ) -> Self {
+        let space = run_space(matrix, config, first_new);
         let basis = BsplineBasis::new(config.spline_order, config.bins);
-        let genes: Vec<PreparedGene> = (0..matrix.genes())
-            .map(|g| prepare_gene(matrix.gene(g), &basis))
-            .collect();
+        let genes = prepare_genes(matrix, 0..matrix.genes(), &basis, config.resolved_threads());
         let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
-        let tile_size = config.resolved_tile_size(matrix.genes(), genes[0].heap_bytes());
-        let space = TileSpace::new(matrix.genes(), tile_size);
         Self {
             basis,
             genes,
@@ -62,13 +93,14 @@ impl PreparedRun {
 
 /// Finalize a run: resolve `I*` (`threshold` when given, else the
 /// explicit threshold, else the pooled one), apply it, and assemble the
-/// statistics. `stage_times` holds the prep and MI stage durations; the
-/// finalize stage is timed here.
+/// statistics and the result, which keeps the evidence. `stage_times`
+/// holds the prep and MI stage durations; the finalize stage is timed
+/// here.
 pub(crate) fn finish_run(
     matrix: &ExpressionMatrix,
     config: &InferenceConfig,
     run: &PreparedRun,
-    scan: &NullScan,
+    scan: NullScan,
     threshold: Option<f64>,
     stage_times: [Duration; 2],
     execution: ExecutionReport,
@@ -95,7 +127,11 @@ pub(crate) fn finish_run(
         threads: config.resolved_threads(),
         execution,
     };
-    InferenceResult { network, stats }
+    InferenceResult {
+        network,
+        stats,
+        scan,
+    }
 }
 
 /// SplitMix64 — a tiny seeded generator for the threshold pre-pass pair
@@ -253,7 +289,7 @@ pub(crate) fn run_pipeline(
     // ---- Stage 1+2: preprocess and prepare every gene -------------------
     let t0 = Instant::now();
     let span_prep = rec.span("stage.prep");
-    let run = PreparedRun::new(matrix, config);
+    let run = PreparedRun::new(matrix, config, 0);
     let total_tiles = run.space.tiles().len();
     let chunked = chunking.map(|c| {
         let digest = run_digest(config, matrix, total_tiles);
@@ -345,7 +381,7 @@ pub(crate) fn run_pipeline(
         matrix,
         config,
         &run,
-        &scan,
+        scan,
         early_threshold,
         [prep_time, mi_time],
         execution,

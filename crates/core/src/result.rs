@@ -1,5 +1,6 @@
 //! Pipeline output types.
 
+use crate::scan::NullScan;
 use gnet_graph::GeneNetwork;
 use gnet_parallel::ExecutionReport;
 use serde::{Deserialize, Serialize};
@@ -53,12 +54,17 @@ impl RunStats {
 }
 
 /// The pipeline's complete output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferenceResult {
     /// The inferred significant-MI network.
     pub network: GeneNetwork,
     /// Run statistics.
     pub stats: RunStats,
+    /// The evidence the network was drawn from: the pooled null, joint
+    /// count and `(i, j)`-sorted candidates over every pair. An exact run's
+    /// evidence is what a [`crate::NetworkState`] keeps; under early exit
+    /// it holds the pre-pass's pooled null and the surviving pairs only.
+    pub scan: NullScan,
 }
 
 #[cfg(test)]

@@ -1,17 +1,23 @@
 //! The versioned on-disk network state bundle behind `gnet update`.
 //!
 //! A batch run discards everything but the edge list; an *updatable*
-//! network must keep the intermediate artifacts the incremental engine
-//! reuses ([`crate::incremental`]): the raw expression snapshot, each
-//! gene's `(value, index)` sort order and B-spline weight matrix, the
-//! candidate set with exact MI values, and the pooled null. This
-//! module persists all of that as a single `GNETSTA` bundle through the
+//! network keeps what an append cannot recompute: the run's
+//! result-binding settings, its expression matrix (gene names and
+//! profiles) and its evidence — the pooled null, joint count and
+//! candidates over every pair ([`NullScan`]). Nothing derived from a
+//! profile is kept: after the rank transform a gene's B-spline weights
+//! and marginal entropy are a function of its profile alone, so an update
+//! prepares every gene again through the function every run uses
+//! ([`crate::prepare_genes`]). Every exact run holds its evidence, so
+//! `gnet infer --save-state` saves after whichever run it did.
+//!
+//! This module persists a state as a single `GNETSTA` bundle through the
 //! framed-file codec of [`crate::durable`] that GNETCKP checkpoints use —
 //! schema tag + version, FNV-1a64 integrity digest, bounds-checked
 //! decoding with typed [`crate::DurableError`]s, atomic temp-file +
 //! `fsync` + rename writes.
 //!
-//! ## File schema v3
+//! ## File schema v4
 //!
 //! All integers little-endian; f64/f32 stored as raw IEEE-754 bits so a
 //! reloaded state is **bit-identical** to the in-memory one:
@@ -19,7 +25,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNETSTA\x01"
-//! 8       4     version (= 3)
+//! 8       4     version (= 4)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 digest of the payload bytes
 //! 28      …     payload
@@ -33,52 +39,39 @@
 //! u8 kernel (0 = scalar, 1 = vector)
 //! u32 genes  u32 samples
 //! per gene:  u32 name length, name bytes (UTF-8)
-//! per gene:  profile (m × f32 bits), sort order (m × u32),
-//!            u32 weight order k, u32 weight bins,
-//!            first-bin (m × u16), weights (m·k × f32 bits),
-//!            u64 marginal-entropy bits
+//! per gene:  profile (m × f32 bits)
 //! 48  pooled null ([`gnet_permute::PooledNull::to_bytes`])
 //! u64 joints
 //! u32 candidate count, then per (i, j)-sorted candidate:
 //!     u32 i, u32 j, u64 MI bits
 //! ```
 //!
+//! That is 4 bytes per gene-sample. A version-3 bundle, which also kept
+//! each gene's sort order, weights and entropy, is refused as corrupt
+//! with the cure to rebuild it. The decoder checks the settings
+//! ([`InferenceConfig::check`]), the shape, that every profile value is
+//! finite, the names and the candidate pairs.
+//!
 //! During an update the same directory holds its progress file
-//! (`gnet.update.progress`, magic `GNETUPD`, same header), which
-//! captures a *partially applied* update so a chunk-boundary kill during
+//! (`gnet.update.progress`, magic `GNETUPD`, version 3), which captures
+//! a *partially applied* update so a chunk-boundary kill during
 //! `gnet update` resumes bit-identically. It is a checkpoint: the
 //! [`crate::CheckpointStore`] that [`StateStore::progress`] hands out
 //! reads and writes it, and its digest is the update's
 //! [`crate::update_digest`] and its prefix counts the update's tiles.
 
-use crate::config::InferenceConfig;
+use crate::config::{InferenceConfig, NullStrategy};
 use crate::durable::{fnv1a64, CheckpointStore, DurableError, FileKind, FramedFile, Reader};
 use crate::scan::NullScan;
-use gnet_bspline::SparseWeights;
-use gnet_expr::ExpressionMatrix;
+use gnet_expr::{ExpressionMatrix, MissingPolicy};
 use gnet_fault::FaultInjector;
 use gnet_graph::GeneNetwork;
 use gnet_mi::MiKernel;
 use gnet_trace::{Recorder, Value};
 use std::path::PathBuf;
 
-/// Everything the incremental engine keeps per gene.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GeneState {
-    /// Raw expression profile (`m` samples), exactly as ingested.
-    pub profile: Vec<f32>,
-    /// The `(value, index)` sort permutation of `profile`
-    /// ([`gnet_expr::normalize::rank_sort_order`]): the artifact a
-    /// sample-append merges instead of re-sorting.
-    pub order: Vec<u32>,
-    /// B-spline weight matrix of the rank-transformed profile.
-    pub sparse: SparseWeights,
-    /// Marginal entropy `H(g)` in nats.
-    pub h_marginal: f64,
-}
-
-/// The complete updatable network state: result-binding configuration,
-/// per-gene artifacts, and the exact-null evidence over every pair.
+/// The complete updatable network state: the result-binding settings,
+/// the expression matrix and the exact-null evidence over every pair.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetworkState {
     /// Histogram bins of the B-spline estimator.
@@ -95,28 +88,52 @@ pub struct NetworkState {
     pub mi_threshold: Option<f64>,
     /// MI kernel the pair scan dispatches to.
     pub kernel: MiKernel,
-    /// Gene names, in matrix order.
-    pub names: Vec<String>,
-    /// Samples per gene.
-    pub samples: usize,
-    /// Per-gene artifacts, in matrix order.
-    pub genes: Vec<GeneState>,
+    /// The matrix the evidence was scanned over: gene names and profiles,
+    /// exactly as the run read them.
+    pub matrix: ExpressionMatrix,
     /// Pooled null, joint count and `(i, j)`-sorted candidates over every
     /// pair.
     pub scan: NullScan,
 }
 
 impl NetworkState {
+    /// The state of an exact run of `config` over `matrix` whose evidence
+    /// is `scan` ([`crate::InferenceResult::scan`], or a ring's merged
+    /// scan).
+    ///
+    /// # Panics
+    /// Panics on a non-[`NullStrategy::ExactFull`] configuration: early
+    /// exit keeps only a pre-pass's pooled null, and an update extends
+    /// the exact one.
+    #[must_use]
+    pub fn new(config: &InferenceConfig, matrix: ExpressionMatrix, scan: NullScan) -> Self {
+        assert!(
+            config.null_strategy == NullStrategy::ExactFull,
+            "updatable state requires the exact-full null strategy"
+        );
+        Self {
+            bins: config.bins,
+            spline_order: config.spline_order,
+            permutations: config.permutations,
+            seed: config.seed,
+            alpha: config.alpha,
+            mi_threshold: config.mi_threshold,
+            kernel: config.kernel,
+            matrix,
+            scan,
+        }
+    }
+
     /// Number of genes.
     #[must_use]
     pub fn gene_count(&self) -> usize {
-        self.genes.len()
+        self.matrix.genes()
     }
 
     /// Total unordered pairs over the current gene set.
     #[must_use]
     pub fn total_pairs(&self) -> u64 {
-        let n = self.genes.len() as u64;
+        let n = self.gene_count() as u64;
         n * n.saturating_sub(1) / 2
     }
 
@@ -125,13 +142,14 @@ impl NetworkState {
     /// progress files are bound to.
     #[must_use]
     pub fn snapshot_digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(16 + self.genes.len() * (self.samples * 4 + 8));
-        bytes.extend_from_slice(&(self.genes.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.samples as u64).to_le_bytes());
-        for (name, g) in self.names.iter().zip(&self.genes) {
+        let m = &self.matrix;
+        let mut bytes = Vec::with_capacity(16 + m.genes() * (m.samples() * 4 + 8));
+        bytes.extend_from_slice(&(m.genes() as u64).to_le_bytes());
+        bytes.extend_from_slice(&(m.samples() as u64).to_le_bytes());
+        for (g, name) in m.gene_names().iter().enumerate() {
             bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
             bytes.extend_from_slice(name.as_bytes());
-            for v in &g.profile {
+            for v in m.gene(g) {
                 bytes.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
@@ -144,14 +162,15 @@ impl NetworkState {
     #[must_use]
     pub fn threshold(&self) -> f64 {
         self.scan
-            .threshold(self.mi_threshold, self.alpha, self.genes.len())
+            .threshold(self.mi_threshold, self.alpha, self.gene_count())
     }
 
     /// Assemble the significant-edge network from the candidate set —
     /// exactly the finalize stage of [`crate::infer_network`].
     #[must_use]
     pub fn network(&self) -> GeneNetwork {
-        self.scan.network(&self.names, self.threshold())
+        self.scan
+            .network(self.matrix.gene_names(), self.threshold())
     }
 
     /// The result-binding [`InferenceConfig`] this state was built under
@@ -170,30 +189,6 @@ impl NetworkState {
             ..InferenceConfig::default()
         }
     }
-
-    /// The expression snapshot as a matrix (profiles are stored raw, so
-    /// this is the exact matrix the state was built from).
-    ///
-    /// # Panics
-    /// Panics if the stored profiles are inconsistent — impossible for a
-    /// decoded state, which validates shapes.
-    #[must_use]
-    pub fn matrix(&self) -> ExpressionMatrix {
-        let mut flat = Vec::with_capacity(self.genes.len() * self.samples);
-        for g in &self.genes {
-            flat.extend_from_slice(&g.profile);
-        }
-        let mut m = ExpressionMatrix::from_flat(
-            self.genes.len(),
-            self.samples,
-            flat,
-            gnet_expr::MissingPolicy::Error,
-        )
-        .expect("stored profiles form a valid matrix");
-        m.set_gene_names(self.names.clone())
-            .expect("one stored name per gene");
-        m
-    }
 }
 
 fn kernel_tag(kernel: MiKernel) -> u8 {
@@ -204,9 +199,9 @@ fn kernel_tag(kernel: MiKernel) -> u8 {
 }
 
 fn encode_state(state: &NetworkState) -> Vec<u8> {
-    let m = state.samples;
-    let per_gene = m * 4 + m * 4 + 8 + m * 2 + m * state.spline_order * 4 + 8 + 16;
-    let mut out = Vec::with_capacity(64 + state.genes.len() * per_gene);
+    let m = &state.matrix;
+    let names: usize = m.gene_names().iter().map(|n| 4 + n.len()).sum();
+    let mut out = Vec::with_capacity(64 + names + m.as_flat().len() * 4);
     out.extend_from_slice(&(state.bins as u32).to_le_bytes());
     out.extend_from_slice(&(state.spline_order as u32).to_le_bytes());
     out.extend_from_slice(&(state.permutations as u32).to_le_bytes());
@@ -215,57 +210,17 @@ fn encode_state(state: &NetworkState) -> Vec<u8> {
     out.push(u8::from(state.mi_threshold.is_some()));
     out.extend_from_slice(&state.mi_threshold.unwrap_or(0.0).to_bits().to_le_bytes());
     out.push(kernel_tag(state.kernel));
-    out.extend_from_slice(&(state.genes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    for name in &state.names {
+    out.extend_from_slice(&(m.genes() as u32).to_le_bytes());
+    out.extend_from_slice(&(m.samples() as u32).to_le_bytes());
+    for name in m.gene_names() {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    for g in &state.genes {
-        for v in &g.profile {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &o in &g.order {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        out.extend_from_slice(&(g.sparse.order() as u32).to_le_bytes());
-        out.extend_from_slice(&(g.sparse.bins() as u32).to_le_bytes());
-        for &fb in g.sparse.first_bins_flat() {
-            out.extend_from_slice(&fb.to_le_bytes());
-        }
-        for &w in g.sparse.weights_flat() {
-            out.extend_from_slice(&w.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&g.h_marginal.to_bits().to_le_bytes());
+    for v in m.as_flat() {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     state.scan.encode(&mut out);
     out
-}
-
-/// Bulk-array element count × size, rejected before any allocation when
-/// the remaining bytes cannot hold it.
-fn take_array<'a>(
-    r: &mut Reader<'a>,
-    count: usize,
-    elem: usize,
-    what: &str,
-) -> Result<&'a [u8], String> {
-    let n = count
-        .checked_mul(elem)
-        .ok_or_else(|| format!("{what}: length overflows ({count} × {elem})"))?;
-    r.take(n, what)
-}
-
-fn u16_at(b: &[u8], idx: usize) -> u16 {
-    u16::from_le_bytes([b[idx * 2], b[idx * 2 + 1]])
-}
-
-fn u32_at(b: &[u8], idx: usize) -> u32 {
-    u32::from_le_bytes([b[idx * 4], b[idx * 4 + 1], b[idx * 4 + 2], b[idx * 4 + 3]])
-}
-
-fn f32_at(b: &[u8], idx: usize) -> f32 {
-    f32::from_bits(u32_at(b, idx))
 }
 
 fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
@@ -286,6 +241,17 @@ fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
         1 => MiKernel::VectorDense,
         other => return Err(format!("bad kernel tag {other} (0|1)")),
     };
+    let config = InferenceConfig {
+        bins,
+        spline_order,
+        permutations,
+        seed,
+        alpha,
+        mi_threshold,
+        kernel,
+        ..InferenceConfig::default()
+    };
+    config.check().map_err(|e| format!("bad settings: {e}"))?;
     let genes = r.u32("gene count")? as usize;
     let samples = r.u32("sample count")? as usize;
     if genes < 2 {
@@ -302,59 +268,23 @@ fn decode_state(payload: &[u8]) -> Result<NetworkState, String> {
             std::str::from_utf8(bytes).map_err(|_| format!("gene {g} name is not valid UTF-8"))?;
         names.push(name.to_owned());
     }
-    let mut gene_states = Vec::with_capacity(genes.min(payload.len()));
-    for g in 0..genes {
-        let profile_bytes = take_array(&mut r, samples, 4, "profile")?;
-        let profile: Vec<f32> = (0..samples).map(|s| f32_at(profile_bytes, s)).collect();
-        let order_bytes = take_array(&mut r, samples, 4, "sort order")?;
-        let order: Vec<u32> = (0..samples).map(|s| u32_at(order_bytes, s)).collect();
-        let mut seen = vec![false; samples];
-        for &o in &order {
-            let slot = seen
-                .get_mut(o as usize)
-                .ok_or_else(|| format!("gene {g}: order entry {o} out of range"))?;
-            if *slot {
-                return Err(format!("gene {g}: order entry {o} repeated"));
-            }
-            *slot = true;
-        }
-        let w_order = r.u32("weight order")? as usize;
-        let w_bins = r.u32("weight bins")? as usize;
-        if w_order != spline_order || w_bins != bins {
-            return Err(format!(
-                "gene {g}: weight shape ({w_order}, {w_bins}) disagrees with \
-                 the configured ({spline_order}, {bins})"
-            ));
-        }
-        let fb_bytes = take_array(&mut r, samples, 2, "first-bin indices")?;
-        let first_bin: Vec<u16> = (0..samples).map(|s| u16_at(fb_bytes, s)).collect();
-        let w_bytes = take_array(&mut r, samples * w_order, 4, "weights")?;
-        let weights: Vec<f32> = (0..samples * w_order).map(|s| f32_at(w_bytes, s)).collect();
-        let sparse =
-            SparseWeights::try_from_raw_parts(w_order, w_bins, samples, first_bin, weights)
-                .map_err(|reason| format!("gene {g}: {reason}"))?;
-        let h_marginal = r.f64("marginal entropy")?;
-        gene_states.push(GeneState {
-            profile,
-            order,
-            sparse,
-            h_marginal,
-        });
-    }
+    let len = genes
+        .checked_mul(samples)
+        .and_then(|values| values.checked_mul(4))
+        .ok_or_else(|| format!("{genes} × {samples} profiles overflow"))?;
+    // `take` rejects a length the payload cannot hold before allocating.
+    let profile_bytes = r.take(len, "profiles")?;
+    let flat = profile_bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    let mut matrix = ExpressionMatrix::from_flat(genes, samples, flat, MissingPolicy::Error)
+        .map_err(|e| format!("profiles: {e}"))?;
+    matrix
+        .set_gene_names(names)
+        .map_err(|e| format!("names: {e}"))?;
     let scan = NullScan::decode(r.rest(), genes as u32)?;
-    Ok(NetworkState {
-        bins,
-        spline_order,
-        permutations,
-        seed,
-        alpha,
-        mi_threshold,
-        kernel,
-        names,
-        samples,
-        genes: gene_states,
-        scan,
-    })
+    Ok(NetworkState::new(&config, matrix, scan))
 }
 
 /// A directory holding one network state bundle, written atomically,
@@ -400,7 +330,7 @@ impl StateStore {
         self.file.rec.event(
             "state.saved",
             &[
-                ("genes", Value::from(state.genes.len())),
+                ("genes", Value::from(state.gene_count())),
                 ("candidates", Value::from(state.scan.candidates.len())),
             ],
         );
@@ -421,7 +351,6 @@ impl StateStore {
 mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
-    use crate::durable::VERSION;
     use crate::incremental::build_state;
     use gnet_expr::synth::{coupled_pairs, Coupling};
     use std::fs;
@@ -540,20 +469,26 @@ mod tests {
             tiles_done: 1,
             scan: state.scan.clone(),
         };
-        for old in [1u32, 2] {
+        let set_version = |path: PathBuf, version: u32| {
+            let mut bytes = fs::read(&path).expect("file readable");
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).expect("rewrite");
+        };
+        // A v3 state kept each gene's derived data; v4 keeps the matrix.
+        for old in [1u32, 2, 3] {
             store.save(&state).expect("save succeeds");
-            store.progress().save(&progress).expect("save succeeds");
-            for path in [store.path(), store.progress().path()] {
-                let mut bytes = fs::read(&path).expect("file readable");
-                bytes[8..12].copy_from_slice(&old.to_le_bytes());
-                fs::write(&path, &bytes).expect("rewrite");
-            }
+            set_version(store.path(), old);
             let err = store.load().expect_err("an old state must not be updated");
             assert!(
                 matches!(&err, DurableError::Corrupt { reason, .. }
                     if reason.contains(&format!("unsupported state version {old}"))),
                 "{err}"
             );
+            assert!(err.to_string().contains("gnet infer --save-state"), "{err}");
+        }
+        for old in [1u32, 2] {
+            store.progress().save(&progress).expect("save succeeds");
+            set_version(store.progress().path(), old);
             let err = store
                 .progress()
                 .load()
@@ -562,6 +497,60 @@ mod tests {
                 matches!(&err, DurableError::Corrupt { reason, .. }
                     if reason.contains(&format!("unsupported update progress version {old}"))),
                 "{err}"
+            );
+        }
+    }
+
+    /// A framed GNETSTA file around `payload`, with a true digest.
+    fn forged(payload: &[u8]) -> Vec<u8> {
+        let mut file = Vec::new();
+        file.extend_from_slice(b"GNETSTA\x01");
+        file.extend_from_slice(&FileKind::State.version().to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    #[test]
+    fn a_bundle_is_the_settings_the_matrix_and_the_evidence() {
+        let state = small_state();
+        let store = StateStore::new(tmpdir("size"));
+        store.save(&state).expect("save succeeds");
+        let bytes = fs::read(store.path()).expect("file readable");
+        let (genes, samples) = (state.gene_count(), state.matrix.samples());
+        let names: usize = state.matrix.gene_names().iter().map(|n| 4 + n.len()).sum();
+        let mut evidence = Vec::new();
+        state.scan.encode(&mut evidence);
+        // Header, 46 bytes of settings and shape, the names, 4 bytes per
+        // gene-sample, and the evidence: nothing else.
+        assert_eq!(
+            bytes.len(),
+            28 + 46 + names + genes * samples * 4 + evidence.len()
+        );
+    }
+
+    #[test]
+    fn forged_profiles_and_settings_are_rejected() {
+        let state = small_state();
+        let good = encode_state(&state);
+        let store = StateStore::new(tmpdir("forged"));
+        fs::create_dir_all(store.path().parent().unwrap()).unwrap();
+        let names: usize = state.matrix.gene_names().iter().map(|n| 4 + n.len()).sum();
+        let first_profile = 46 + names;
+        for (at, bytes, needle) in [
+            (first_profile, f32::INFINITY.to_bits(), "non-finite"),
+            (first_profile + 4, f32::NAN.to_bits(), "missing value"),
+            (0, 1u32, "bins"),
+            (4, 0u32, "spline_order"),
+        ] {
+            let mut payload = good.clone();
+            payload[at..at + 4].copy_from_slice(&bytes.to_le_bytes());
+            fs::write(store.path(), forged(&payload)).expect("write forged file");
+            let err = store.load().expect_err("a forged bundle is refused");
+            assert!(
+                matches!(&err, DurableError::Corrupt { reason, .. } if reason.contains(needle)),
+                "{needle}: {err}"
             );
         }
     }
@@ -583,16 +572,9 @@ mod tests {
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // genes
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // samples
 
-        let mut file = Vec::new();
-        file.extend_from_slice(b"GNETSTA\x01");
-        file.extend_from_slice(&VERSION.to_le_bytes());
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-
         let store = StateStore::new(tmpdir("oversized"));
         fs::create_dir_all(store.path().parent().unwrap()).unwrap();
-        fs::write(store.path(), &file).expect("write forged file");
+        fs::write(store.path(), forged(&payload)).expect("write forged file");
         let err = store.load().expect_err("oversized counts rejected");
         assert!(
             matches!(err, DurableError::Corrupt { .. }),
@@ -659,6 +641,6 @@ mod tests {
             assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
         assert_eq!(state.threshold().to_bits(), batch.stats.threshold.to_bits());
-        assert_eq!(state.matrix(), matrix);
+        assert_eq!(state.matrix, matrix);
     }
 }

@@ -15,44 +15,19 @@ use crate::matrix::ExpressionMatrix;
 /// A constant profile (all values tied) maps to all `0.5`, and a
 /// single-sample profile maps to `[0.5]`.
 pub fn rank_transform_profile(values: &[f32]) -> Vec<f32> {
-    rank_from_order(values, &rank_sort_order(values))
-}
-
-/// The sort permutation the rank transform is built on: sample indices
-/// ordered by `(value, index)`. NaNs compare `Equal` (rejected upstream, but
-/// ordered deterministically by index anyway). Exposed separately from
-/// [`rank_from_order`] so an incremental update can *merge* a stored order
-/// with the order of newly appended samples instead of re-sorting — since
-/// appended indices are all larger than stored ones, a stable old-first
-/// merge reproduces this function's output exactly.
-pub fn rank_sort_order(values: &[f32]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    let m = values.len();
+    if m <= 1 {
+        return vec![0.5; m];
+    }
+    // Sample indices ordered by `(value, index)`. NaNs compare `Equal`
+    // (rejected upstream, but ordered deterministically by index anyway).
+    let mut order: Vec<u32> = (0..m as u32).collect();
     order.sort_by(|&a, &b| {
         values[a as usize]
             .partial_cmp(&values[b as usize])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    order
-}
-
-/// Finish the rank transform given the `(value, index)` sort permutation of
-/// `values` (from [`rank_sort_order`] or an incremental merge): tie groups
-/// receive the average of their 1-based ranks, then ranks are mapped onto
-/// `[0, 1]`. `rank_from_order(v, &rank_sort_order(v))` is bitwise-identical
-/// to [`rank_transform_profile`].
-///
-/// # Panics
-/// Panics if `order.len() != values.len()`.
-pub fn rank_from_order(values: &[f32], order: &[u32]) -> Vec<f32> {
-    let m = values.len();
-    assert_eq!(order.len(), m, "one order entry per sample");
-    if m == 0 {
-        return Vec::new();
-    }
-    if m == 1 {
-        return vec![0.5];
-    }
     let mut ranks = vec![0.0f64; m];
     let mut i = 0;
     while i < m {
@@ -257,29 +232,6 @@ mod tests {
     fn degenerate_lengths() {
         assert!(rank_transform_profile(&[]).is_empty());
         assert_eq!(rank_transform_profile(&[42.0]), vec![0.5]);
-        assert!(rank_sort_order(&[]).is_empty());
-        assert_eq!(rank_from_order(&[42.0], &[0]), vec![0.5]);
-    }
-
-    #[test]
-    fn rank_from_order_composes_to_rank_transform() {
-        // The decomposition exists for incremental updates; its composition
-        // must stay bitwise-identical to the one-shot transform.
-        let profiles: [&[f32]; 4] = [
-            &[30.0, 10.0, 20.0],
-            &[5.0, 5.0, 1.0, 9.0],
-            &[7.0; 5],
-            &[0.3, -1.2, 5.5, 2.0, 0.0, 7.7, -1.2, 0.3],
-        ];
-        for values in profiles {
-            let order = rank_sort_order(values);
-            let composed = rank_from_order(values, &order);
-            let direct = rank_transform_profile(values);
-            assert_eq!(
-                composed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]

@@ -358,8 +358,10 @@ mod tests {
         let mut g1 = VectorGrid::for_dense(&yd);
         let via_index = mi_permuted(&x, &yd, &perm, hx, hy, &mut g1);
 
-        // Materialized: y_perm[s] = y[perm[s]] pairs x[s] with y[perm[s]].
-        let yd_mat = yd.permuted(&perm);
+        // Materialized: the profile permuted before preparation, so
+        // y_perm[s] = y[perm[s]] pairs x[s] with y[perm[s]].
+        let b_perm: Vec<f32> = perm.iter().map(|&s| b[s as usize]).collect();
+        let yd_mat = prep(&b_perm, &basis).to_dense();
         let mut g2 = VectorGrid::for_dense(&yd_mat);
         let via_copy = mi(&x, &yd_mat, hx, hy, &mut g2);
 

@@ -1,327 +1,292 @@
-//! Fixed-width lane value types.
+//! The fixed-width lane value type.
 //!
-//! Each type wraps a `[T; N]` with `#[repr(transparent)]` and implements the
-//! elementwise operations the MI kernels need. All loops over lanes are over
-//! a compile-time constant `N`, so the optimizer unrolls and vectorizes them;
-//! none of the operations branch per lane.
+//! [`F32x16`] wraps a `[f32; 16]` with `#[repr(transparent)]` and implements
+//! the elementwise operations the MI kernels need. All loops over lanes are
+//! over the compile-time constant 16, so the optimizer unrolls and vectorizes
+//! them; none of the operations branch per lane.
 //!
 //! Horizontal reductions use a fixed pairwise tree so their floating-point
 //! result is deterministic and independent of the host's SIMD width — this
 //! is what lets the test-suite assert exact equality between runs and tight
 //! (1e-6 relative) agreement with the scalar reference kernels.
 
+// Every lane loop indexes up to three `[f32; 16]` arrays in lockstep over
+// the constant 16: the form the optimizer unrolls and vectorizes.
+#![allow(clippy::needless_range_loop)]
+
 use core::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, MulAssign, Neg, Sub};
 
-/// Number of lanes in the widest single-precision type, matching the Xeon
-/// Phi's 512-bit vector unit (16 × f32).
-pub const PHI_F32_LANES: usize = 16;
+/// Sixteen single-precision lanes (512-bit IMCI geometry, the Xeon Phi
+/// vector width the paper targets).
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(transparent)]
+pub struct F32x16(pub [f32; 16]);
 
-/// Number of lanes in a 256-bit AVX single-precision vector (Xeon baseline).
-pub const AVX_F32_LANES: usize = 8;
-
-/// Trait carrying the lane count of a vector type at the type level.
-pub trait LaneCount {
+impl F32x16 {
     /// Number of scalar lanes.
-    const LANES: usize;
+    pub const LANES: usize = 16;
+
+    /// All lanes zero.
+    #[inline(always)]
+    pub fn zero() -> Self {
+        Self([0.0; 16])
+    }
+
+    /// All lanes set to `v`.
+    #[inline(always)]
+    pub fn splat(v: f32) -> Self {
+        Self([v; 16])
+    }
+
+    /// Load 16 consecutive elements from `slice` starting at 0.
+    ///
+    /// # Panics
+    /// Panics if `slice.len() < 16`.
+    #[inline(always)]
+    pub fn from_slice(slice: &[f32]) -> Self {
+        let mut out = [0.0; 16];
+        out.copy_from_slice(&slice[..16]);
+        Self(out)
+    }
+
+    /// Load up to 16 elements from `slice`, filling the remaining
+    /// lanes with zero. This is the masked tail load used at the end
+    /// of a sample stream whose length is not a lane multiple.
+    #[inline(always)]
+    pub fn from_slice_padded(slice: &[f32]) -> Self {
+        let mut out = [0.0; 16];
+        let k = slice.len().min(16);
+        out[..k].copy_from_slice(&slice[..k]);
+        Self(out)
+    }
+
+    /// Store all lanes into the first 16 elements of `slice`.
+    ///
+    /// # Panics
+    /// Panics if `slice.len() < 16`.
+    #[inline(always)]
+    pub fn write_to_slice(self, slice: &mut [f32]) {
+        slice[..16].copy_from_slice(&self.0);
+    }
+
+    /// Lanewise fused multiply-add: `self * a + b`.
+    ///
+    /// Uses `mul_add` so the host emits a real FMA when available;
+    /// the scalar reference kernels use the same contraction so
+    /// results agree bit-for-bit on FMA hardware.
+    #[inline(always)]
+    pub fn mul_add(self, a: Self, b: Self) -> Self {
+        let mut out = [0.0; 16];
+        let mut i = 0;
+        while i < 16 {
+            out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
+            i += 1;
+        }
+        Self(out)
+    }
+
+    /// Lanewise minimum.
+    #[inline(always)]
+    pub fn min(self, other: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i].min(other.0[i]);
+        }
+        Self(out)
+    }
+
+    /// Lanewise maximum.
+    #[inline(always)]
+    pub fn max(self, other: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i].max(other.0[i]);
+        }
+        Self(out)
+    }
+
+    /// Lanewise absolute value.
+    #[inline(always)]
+    pub fn abs(self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i].abs();
+        }
+        Self(out)
+    }
+
+    /// Lanewise `x * ln(x)` with the entropy convention `0 ln 0 = 0`.
+    ///
+    /// Negative inputs (which can only arise from accumulated
+    /// rounding noise in a probability vector) are clamped to zero
+    /// rather than producing a NaN.
+    #[inline(always)]
+    pub fn xlogx(self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            let x = self.0[i];
+            out[i] = if x > 0.0 { x * x.ln() } else { 0.0 };
+        }
+        Self(out)
+    }
+
+    /// Deterministic horizontal sum using a pairwise tree reduction.
+    #[inline(always)]
+    pub fn reduce_add(self) -> f32 {
+        let mut buf = self.0;
+        let mut width = 16;
+        while width > 1 {
+            width /= 2;
+            for i in 0..width {
+                buf[i] += buf[i + width];
+            }
+        }
+        buf[0]
+    }
+
+    /// Horizontal maximum over all lanes.
+    #[inline(always)]
+    pub fn reduce_max(self) -> f32 {
+        let mut m = self.0[0];
+        for i in 1..16 {
+            m = m.max(self.0[i]);
+        }
+        m
+    }
+
+    /// Horizontal minimum over all lanes.
+    #[inline(always)]
+    pub fn reduce_min(self) -> f32 {
+        let mut m = self.0[0];
+        for i in 1..16 {
+            m = m.min(self.0[i]);
+        }
+        m
+    }
+
+    /// Borrow the lanes as a slice.
+    #[inline(always)]
+    pub fn as_slice(&self) -> &[f32] {
+        &self.0
+    }
 }
 
-macro_rules! define_lane_type {
-    ($(#[$meta:meta])* $name:ident, $elem:ty, $n:expr) => {
-        $(#[$meta])*
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        #[repr(transparent)]
-        pub struct $name(pub [$elem; $n]);
-
-        impl LaneCount for $name {
-            const LANES: usize = $n;
-        }
-
-        impl $name {
-            /// Number of scalar lanes.
-            pub const LANES: usize = $n;
-
-            /// All lanes zero.
-            #[inline(always)]
-            pub fn zero() -> Self {
-                Self([0.0; $n])
-            }
-
-            /// All lanes set to `v`.
-            #[inline(always)]
-            pub fn splat(v: $elem) -> Self {
-                Self([v; $n])
-            }
-
-            /// Load `N` consecutive elements from `slice` starting at 0.
-            ///
-            /// # Panics
-            /// Panics if `slice.len() < N`.
-            #[inline(always)]
-            pub fn from_slice(slice: &[$elem]) -> Self {
-                let mut out = [0.0; $n];
-                out.copy_from_slice(&slice[..$n]);
-                Self(out)
-            }
-
-            /// Load up to `N` elements from `slice`, filling the remaining
-            /// lanes with zero. This is the masked tail load used at the end
-            /// of a sample stream whose length is not a lane multiple.
-            #[inline(always)]
-            pub fn from_slice_padded(slice: &[$elem]) -> Self {
-                let mut out = [0.0; $n];
-                let k = slice.len().min($n);
-                out[..k].copy_from_slice(&slice[..k]);
-                Self(out)
-            }
-
-            /// Store all lanes into the first `N` elements of `slice`.
-            ///
-            /// # Panics
-            /// Panics if `slice.len() < N`.
-            #[inline(always)]
-            pub fn write_to_slice(self, slice: &mut [$elem]) {
-                slice[..$n].copy_from_slice(&self.0);
-            }
-
-            /// Lanewise fused multiply-add: `self * a + b`.
-            ///
-            /// Uses `mul_add` so the host emits a real FMA when available;
-            /// the scalar reference kernels use the same contraction so
-            /// results agree bit-for-bit on FMA hardware.
-            #[inline(always)]
-            pub fn mul_add(self, a: Self, b: Self) -> Self {
-                let mut out = [0.0; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
-                    i += 1;
-                }
-                Self(out)
-            }
-
-            /// Lanewise minimum.
-            #[inline(always)]
-            pub fn min(self, other: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i].min(other.0[i]);
-                }
-                Self(out)
-            }
-
-            /// Lanewise maximum.
-            #[inline(always)]
-            pub fn max(self, other: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i].max(other.0[i]);
-                }
-                Self(out)
-            }
-
-            /// Lanewise absolute value.
-            #[inline(always)]
-            pub fn abs(self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i].abs();
-                }
-                Self(out)
-            }
-
-            /// Lanewise `x * ln(x)` with the entropy convention `0 ln 0 = 0`.
-            ///
-            /// Negative inputs (which can only arise from accumulated
-            /// rounding noise in a probability vector) are clamped to zero
-            /// rather than producing a NaN.
-            #[inline(always)]
-            pub fn xlogx(self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    let x = self.0[i];
-                    out[i] = if x > 0.0 { x * x.ln() } else { 0.0 };
-                }
-                Self(out)
-            }
-
-            /// Deterministic horizontal sum using a pairwise tree reduction.
-            #[inline(always)]
-            pub fn reduce_add(self) -> $elem {
-                let mut buf = self.0;
-                let mut width = $n;
-                while width > 1 {
-                    width /= 2;
-                    for i in 0..width {
-                        buf[i] += buf[i + width];
-                    }
-                }
-                buf[0]
-            }
-
-            /// Horizontal maximum over all lanes.
-            #[inline(always)]
-            pub fn reduce_max(self) -> $elem {
-                let mut m = self.0[0];
-                for i in 1..$n {
-                    m = m.max(self.0[i]);
-                }
-                m
-            }
-
-            /// Horizontal minimum over all lanes.
-            #[inline(always)]
-            pub fn reduce_min(self) -> $elem {
-                let mut m = self.0[0];
-                for i in 1..$n {
-                    m = m.min(self.0[i]);
-                }
-                m
-            }
-
-            /// Borrow the lanes as a slice.
-            #[inline(always)]
-            pub fn as_slice(&self) -> &[$elem] {
-                &self.0
-            }
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                Self::zero()
-            }
-        }
-
-        impl Add for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn add(self, rhs: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] + rhs.0[i];
-                }
-                Self(out)
-            }
-        }
-
-        impl AddAssign for $name {
-            #[inline(always)]
-            fn add_assign(&mut self, rhs: Self) {
-                for i in 0..$n {
-                    self.0[i] += rhs.0[i];
-                }
-            }
-        }
-
-        impl Sub for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn sub(self, rhs: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] - rhs.0[i];
-                }
-                Self(out)
-            }
-        }
-
-        impl Mul for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn mul(self, rhs: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] * rhs.0[i];
-                }
-                Self(out)
-            }
-        }
-
-        impl MulAssign for $name {
-            #[inline(always)]
-            fn mul_assign(&mut self, rhs: Self) {
-                for i in 0..$n {
-                    self.0[i] *= rhs.0[i];
-                }
-            }
-        }
-
-        impl Div for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn div(self, rhs: Self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] / rhs.0[i];
-                }
-                Self(out)
-            }
-        }
-
-        impl Neg for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn neg(self) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = -self.0[i];
-                }
-                Self(out)
-            }
-        }
-
-        impl Mul<$elem> for $name {
-            type Output = Self;
-            #[inline(always)]
-            fn mul(self, rhs: $elem) -> Self {
-                let mut out = [0.0; $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] * rhs;
-                }
-                Self(out)
-            }
-        }
-
-        impl Index<usize> for $name {
-            type Output = $elem;
-            #[inline(always)]
-            fn index(&self, i: usize) -> &$elem {
-                &self.0[i]
-            }
-        }
-
-        impl IndexMut<usize> for $name {
-            #[inline(always)]
-            fn index_mut(&mut self, i: usize) -> &mut $elem {
-                &mut self.0[i]
-            }
-        }
-
-        impl From<[$elem; $n]> for $name {
-            fn from(a: [$elem; $n]) -> Self {
-                Self(a)
-            }
-        }
-    };
+impl Default for F32x16 {
+    fn default() -> Self {
+        Self::zero()
+    }
 }
 
-define_lane_type!(
-    /// Eight single-precision lanes (256-bit AVX geometry, the paper's Xeon
-    /// baseline width).
-    F32x8, f32, 8
-);
-define_lane_type!(
-    /// Sixteen single-precision lanes (512-bit IMCI geometry, the Xeon Phi
-    /// vector width the paper targets).
-    F32x16, f32, 16
-);
-define_lane_type!(
-    /// Four double-precision lanes (256-bit AVX geometry).
-    F64x4, f64, 4
-);
-define_lane_type!(
-    /// Eight double-precision lanes (512-bit geometry).
-    F64x8, f64, 8
-);
+impl Add for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i] + rhs.0[i];
+        }
+        Self(out)
+    }
+}
+
+impl AddAssign for F32x16 {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: Self) {
+        for i in 0..16 {
+            self.0[i] += rhs.0[i];
+        }
+    }
+}
+
+impl Sub for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i] - rhs.0[i];
+        }
+        Self(out)
+    }
+}
+
+impl Mul for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i] * rhs.0[i];
+        }
+        Self(out)
+    }
+}
+
+impl MulAssign for F32x16 {
+    #[inline(always)]
+    fn mul_assign(&mut self, rhs: Self) {
+        for i in 0..16 {
+            self.0[i] *= rhs.0[i];
+        }
+    }
+}
+
+impl Div for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i] / rhs.0[i];
+        }
+        Self(out)
+    }
+}
+
+impl Neg for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = -self.0[i];
+        }
+        Self(out)
+    }
+}
+
+impl Mul<f32> for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, rhs: f32) -> Self {
+        let mut out = [0.0; 16];
+        for i in 0..16 {
+            out[i] = self.0[i] * rhs;
+        }
+        Self(out)
+    }
+}
+
+impl Index<usize> for F32x16 {
+    type Output = f32;
+    #[inline(always)]
+    fn index(&self, i: usize) -> &f32 {
+        &self.0[i]
+    }
+}
+
+impl IndexMut<usize> for F32x16 {
+    #[inline(always)]
+    fn index_mut(&mut self, i: usize) -> &mut f32 {
+        &mut self.0[i]
+    }
+}
+
+impl From<[f32; 16]> for F32x16 {
+    fn from(a: [f32; 16]) -> Self {
+        Self(a)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -339,8 +304,6 @@ mod tests {
     fn splat_sets_all_lanes() {
         let v = F32x16::splat(3.5);
         assert!(v.as_slice().iter().all(|&x| x == 3.5));
-        let w = F64x8::splat(-1.25);
-        assert!(w.as_slice().iter().all(|&x| x == -1.25));
     }
 
     #[test]
@@ -355,27 +318,28 @@ mod tests {
     #[test]
     fn padded_load_zero_fills_tail() {
         let data = [1.0f32, 2.0, 3.0];
-        let v = F32x8::from_slice_padded(&data);
-        assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let v = F32x16::from_slice_padded(&data);
+        assert_eq!(&v.as_slice()[..3], &data);
+        assert!(v.as_slice()[3..].iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn padded_load_truncates_long_input() {
         let data: Vec<f32> = (0..20).map(|i| i as f32).collect();
-        let v = F32x8::from_slice_padded(&data);
-        assert_eq!(v.as_slice(), &data[..8]);
+        let v = F32x16::from_slice_padded(&data);
+        assert_eq!(v.as_slice(), &data[..16]);
     }
 
     #[test]
     fn elementwise_arithmetic() {
-        let a = F32x8::splat(2.0);
-        let b = F32x8::splat(3.0);
-        assert_eq!((a + b), F32x8::splat(5.0));
-        assert_eq!((a - b), F32x8::splat(-1.0));
-        assert_eq!((a * b), F32x8::splat(6.0));
-        assert_eq!((b / a), F32x8::splat(1.5));
-        assert_eq!((-a), F32x8::splat(-2.0));
-        assert_eq!((a * 4.0), F32x8::splat(8.0));
+        let a = F32x16::splat(2.0);
+        let b = F32x16::splat(3.0);
+        assert_eq!((a + b), F32x16::splat(5.0));
+        assert_eq!((a - b), F32x16::splat(-1.0));
+        assert_eq!((a * b), F32x16::splat(6.0));
+        assert_eq!((b / a), F32x16::splat(1.5));
+        assert_eq!((-a), F32x16::splat(-2.0));
+        assert_eq!((a * 4.0), F32x16::splat(8.0));
     }
 
     #[test]
@@ -397,10 +361,11 @@ mod tests {
 
     #[test]
     fn reduce_add_pairwise_tree_order() {
-        // The tree reduction of [a,b,c,d] is (a+c)+(b+d).
-        let v = F64x4([1e16, 1.0, -1e16, 1.0]);
-        // tree: (1e16 + -1e16) + (1.0 + 1.0) = 2.0 — a naive left fold
-        // would lose the 1.0 against 1e16 and produce 1.0.
+        // The tree first adds lane i to lane i + 8, then halves again.
+        let mut v = F32x16::zero();
+        (v[0], v[1], v[8], v[9]) = (1e8, 1.0, -1e8, 1.0);
+        // tree: (1e8 + -1e8) + (1.0 + 1.0) = 2.0 — a naive left fold
+        // would lose the 1.0 against 1e8 and produce 1.0.
         assert_eq!(v.reduce_add(), 2.0);
     }
 
@@ -415,7 +380,7 @@ mod tests {
 
     #[test]
     fn xlogx_entropy_convention() {
-        let v = F32x8([0.0, 1.0, 0.5, 0.25, -0.1, 2.0, 0.0, 1.0]);
+        let v = F32x16::from_slice_padded(&[0.0, 1.0, 0.5, 0.25, -0.1, 2.0]);
         let r = v.xlogx();
         assert_eq!(r[0], 0.0, "0 ln 0 must be 0");
         assert_eq!(r[1], 0.0, "1 ln 1 must be 0");
@@ -426,27 +391,18 @@ mod tests {
 
     #[test]
     fn add_assign_and_mul_assign() {
-        let mut a = F32x8::splat(1.0);
-        a += F32x8::splat(2.0);
-        assert_eq!(a, F32x8::splat(3.0));
-        a *= F32x8::splat(2.0);
-        assert_eq!(a, F32x8::splat(6.0));
+        let mut a = F32x16::splat(1.0);
+        a += F32x16::splat(2.0);
+        assert_eq!(a, F32x16::splat(3.0));
+        a *= F32x16::splat(2.0);
+        assert_eq!(a, F32x16::splat(6.0));
     }
 
     #[test]
     fn indexing() {
-        let mut v = F32x8::zero();
+        let mut v = F32x16::zero();
         v[3] = 7.0;
         assert_eq!(v[3], 7.0);
         assert_eq!(v[0], 0.0);
-    }
-
-    #[test]
-    fn lane_count_constants() {
-        assert_eq!(F32x16::LANES, 16);
-        assert_eq!(F32x8::LANES, 8);
-        assert_eq!(F64x8::LANES, 8);
-        assert_eq!(F64x4::LANES, 4);
-        assert_eq!(<F32x16 as LaneCount>::LANES, 16);
     }
 }

@@ -5,8 +5,8 @@
 //! with the Xeon Phi's 512-bit IMCI instruction set (16 × f32 lanes). This
 //! crate provides both halves of that story:
 //!
-//! * Lane value types — [`F32x8`], [`F32x16`], [`F64x4`], [`F64x8`] — with
-//!   arithmetic operators, FMA, and deterministic horizontal reductions.
+//! * The lane value type [`F32x16`] — with arithmetic operators, FMA, and
+//!   deterministic horizontal reductions.
 //!   Portable plain-array code expressing the paper's *algorithmic*
 //!   vectorization (dense, gather-free FMA streams over restructured
 //!   data).
@@ -48,7 +48,7 @@ pub mod slice_ops;
 pub(crate) mod x86;
 
 pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
-pub use lanes::{F32x16, F32x8, F64x4, F64x8, LaneCount};
+pub use lanes::F32x16;
 pub use model::VectorModel;
 pub use row::Row16;
 pub use run_plan::{run_block_columns, RunPlan};

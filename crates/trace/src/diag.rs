@@ -13,10 +13,10 @@
 //! [`diag_chunk`] writes the text exactly as given (carriage-return progress
 //! bars that repaint in place).
 //!
-//! Both are best-effort: stderr write errors are ignored, matching the
-//! behaviour of `eprintln!` on a closed descriptor, and a poisoned lock is
-//! recovered rather than propagated — losing a diagnostic must never take the
-//! computation down with it.
+//! Both are best-effort: stderr write errors are dropped — unlike
+//! `eprintln!`, which panics when stderr is closed (`gnet … 2>&1 | head -1`)
+//! — and a poisoned lock is recovered rather than propagated: losing a
+//! diagnostic must never take the computation down with it.
 
 use std::io::Write;
 use std::sync::{Mutex, PoisonError};
