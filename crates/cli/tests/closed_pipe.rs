@@ -1,7 +1,8 @@
 //! The real `gnet` binary with stdout and stderr on a pipe whose read end
 //! is already closed, as in `gnet … 2>&1 | head -1` once `head` has its
 //! line: every write fails, and the process must still exit with its own
-//! status — never 101, the status of a panic.
+//! status — never 101, the status of a panic — and a command that
+//! succeeds must still write its output files.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,8 +42,8 @@ fn a_closed_pipe_ends_gnet_with_its_own_status() {
         (vec![], 2),
         (vec!["infer", "--input", &m, "stray"], 2),
         (vec!["infer", "--input", &m], 1),
-        // The first progress line fails to write: a failed command.
-        (vec!["infer", "--input", &m, "--output", &e, "--q", "8"], 1),
+        // The report lines go nowhere, and the run still writes its result.
+        (vec!["infer", "--input", &m, "--output", &e, "--q", "8"], 0),
     ] {
         assert_eq!(
             status_into_closed_pipe(&args),
@@ -50,5 +51,17 @@ fn a_closed_pipe_ends_gnet_with_its_own_status() {
             "gnet {args:?}"
         );
     }
+    let open = at("e.open.tsv");
+    let inferred = Command::new(env!("CARGO_BIN_EXE_gnet"))
+        .args(["infer", "--input", &m, "--output", &open, "--q", "8"])
+        .output()
+        .expect("run gnet infer");
+    assert!(inferred.status.success());
+    let read = |path: &str| std::fs::read(path).expect("edge file written");
+    assert_eq!(
+        read(&e),
+        read(&open),
+        "a closed stdout changed the edge file"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

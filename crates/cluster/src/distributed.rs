@@ -548,16 +548,21 @@ fn block_identity(from: usize, rd: u32, p: usize) -> usize {
 /// event. Delayed clock stamps are consumed here (harmless at any
 /// protocol point); everything else — including stale ring blocks,
 /// which the [`RankMachine`] discards by round stamp — is surfaced to
-/// the machine. Failures (timeout, disconnect, unparseable frame)
-/// become [`ProtoEvent::Timeout`] with `fail_reason` set for the
-/// recovery trace events.
+/// the machine. RESULTS and SUPPLEMENT payloads are decoded here into
+/// `pending_scan` (evidence over `genes` genes), and ASSIGN payloads
+/// into the event, so bytes from another process never reach an
+/// `expect`. Failures (timeout, disconnect, an unparseable or
+/// undecodable frame) become [`ProtoEvent::Timeout`], a lost frame, with
+/// `fail_reason` set for the recovery trace events.
+#[allow(clippy::too_many_arguments)]
 fn recv_event(
     tp: &dyn Transport,
     from: usize,
     timeout: Duration,
     in_ring: bool,
+    genes: usize,
     block_payload: &mut Option<Bytes>,
-    pending_payload: &mut Option<Bytes>,
+    pending_scan: &mut Option<NullScan>,
     fail_reason: &mut &'static str,
 ) -> ProtoEvent {
     let unexpected = if in_ring {
@@ -565,52 +570,52 @@ fn recv_event(
     } else {
         "unexpected frame"
     };
+    let undecodable = (ProtoEvent::Timeout, "undecodable frame");
     loop {
-        return match tp.recv_timeout(from, timeout) {
-            Ok(raw) => match parse_frame(raw) {
-                Some((TAG_CLOCK, _, _)) => continue, // delayed clock stamp: harmless
-                // Defensive only: transports divert TELEM frames before
-                // they reach a protocol queue; tolerate a stray one the
-                // same way rather than mistaking it for a protocol error.
-                Some((crate::live::TAG_TELEM, _, _)) => continue,
-                Some((TAG_BLOCK, rd, payload)) => {
-                    *block_payload = Some(payload);
-                    *fail_reason = unexpected;
-                    ProtoEvent::Frame(ProtoFrame::Block {
-                        round: rd,
-                        block: block_identity(from, rd, tp.size()),
-                    })
-                }
-                Some((TAG_RESULTS, _, payload)) => {
-                    *pending_payload = Some(payload);
-                    *fail_reason = unexpected;
-                    ProtoEvent::Frame(ProtoFrame::Results)
-                }
-                Some((TAG_ASSIGN, _, payload)) => {
-                    *fail_reason = unexpected;
-                    ProtoEvent::Frame(ProtoFrame::Assign {
-                        pairs: decode_assignment(&payload),
-                    })
-                }
-                Some((TAG_SUPPLEMENT, _, payload)) => {
-                    *pending_payload = Some(payload);
-                    *fail_reason = unexpected;
-                    ProtoEvent::Frame(ProtoFrame::Supplement)
-                }
-                _ => {
-                    *fail_reason = unexpected;
-                    ProtoEvent::Timeout
-                }
-            },
+        let raw = match tp.recv_timeout(from, timeout) {
+            Ok(raw) => raw,
             Err(RecvTimeoutError::Timeout) => {
                 *fail_reason = "peer timed out";
-                ProtoEvent::Timeout
+                return ProtoEvent::Timeout;
             }
             Err(RecvTimeoutError::Disconnected) => {
                 *fail_reason = "peer disconnected";
-                ProtoEvent::Timeout
+                return ProtoEvent::Timeout;
             }
         };
+        let (event, reason) = match parse_frame(raw) {
+            // A delayed clock stamp is harmless. Transports divert TELEM
+            // frames before they reach a protocol queue; a stray one is
+            // tolerated the same way, not taken for a protocol error.
+            Some((TAG_CLOCK | crate::live::TAG_TELEM, _, _)) => continue,
+            Some((TAG_BLOCK, rd, payload)) => {
+                *block_payload = Some(payload);
+                let block = block_identity(from, rd, tp.size());
+                let frame = ProtoFrame::Block { round: rd, block };
+                (ProtoEvent::Frame(frame), unexpected)
+            }
+            Some((tag @ (TAG_RESULTS | TAG_SUPPLEMENT), _, payload)) => {
+                match NullScan::decode(&payload, genes as u32) {
+                    Ok(scan) => {
+                        *pending_scan = Some(scan);
+                        let frame = if tag == TAG_RESULTS {
+                            ProtoFrame::Results
+                        } else {
+                            ProtoFrame::Supplement
+                        };
+                        (ProtoEvent::Frame(frame), unexpected)
+                    }
+                    Err(_) => undecodable,
+                }
+            }
+            Some((TAG_ASSIGN, _, payload)) => match decode_assignment(&payload, tp.size()) {
+                Some(pairs) => (ProtoEvent::Frame(ProtoFrame::Assign { pairs }), unexpected),
+                None => undecodable,
+            },
+            _ => (ProtoEvent::Timeout, unexpected),
+        };
+        *fail_reason = reason;
+        return event;
     }
 }
 
@@ -814,9 +819,10 @@ pub(crate) fn rank_main(
     let mut own = Some(own);
     let prev = (r + p - 1) % p;
     // Payload of the last-delivered BLOCK frame (adopted on AcceptBlock)
-    // and of the last RESULTS/SUPPLEMENT frame (consumed on accept).
+    // and the evidence of the last RESULTS/SUPPLEMENT frame (consumed on
+    // accept).
     let mut block_payload: Option<Bytes> = None;
-    let mut pending_payload: Option<Bytes> = None;
+    let mut pending_scan: Option<NullScan> = None;
     // Low-level cause of the last receive failure, for recovery events.
     let mut fail_reason: &'static str = "peer timed out";
     // A healed block, decoded once and reused by the compute effect.
@@ -834,7 +840,7 @@ pub(crate) fn rank_main(
             }
         };
     }
-    let mut parts: Vec<Option<Bytes>> = vec![None; p];
+    let mut parts: Vec<Option<NullScan>> = vec![None; p];
     let mut supplements: Vec<Option<NullScan>> = vec![None; p];
     let mut cache: HashMap<usize, GeneBlock> = HashMap::new();
     // Evidence over the block pairs reassigned to this rank.
@@ -964,9 +970,9 @@ pub(crate) fn rank_main(
                 }
                 Effect::AcceptResults { from } => {
                     parts[from] = Some(
-                        pending_payload
+                        pending_scan
                             .take()
-                            .expect("accepted RESULTS frame has a payload"),
+                            .expect("accepted RESULTS frame was decoded"),
                     );
                 }
                 Effect::PresumeDead { rank } => {
@@ -1016,12 +1022,11 @@ pub(crate) fn rank_main(
                     busy += t.elapsed();
                 }
                 Effect::AcceptSupplement { from } => {
-                    supplements[from] = Some(decode_scan(
-                        &pending_payload
+                    supplements[from] = Some(
+                        pending_scan
                             .take()
-                            .expect("accepted SUPPLEMENT frame has a payload"),
-                        n,
-                    ));
+                            .expect("accepted SUPPLEMENT frame was decoded"),
+                    );
                 }
                 Effect::RecomputeShare { from, pairs } => {
                     // Survivor went silent after the census — recompute
@@ -1048,7 +1053,7 @@ pub(crate) fn rank_main(
                     let mut merged = NullScan::default();
                     merged.merge(std::mem::take(&mut own_scan));
                     for part in std::mem::take(&mut parts).into_iter().flatten() {
-                        merged.merge(decode_scan(&part, n));
+                        merged.merge(part);
                     }
                     for share in std::mem::take(&mut supplements).into_iter().flatten() {
                         merged.merge(share);
@@ -1090,8 +1095,9 @@ pub(crate) fn rank_main(
                 from,
                 peer_timeout,
                 in_ring,
+                n,
                 &mut block_payload,
-                &mut pending_payload,
+                &mut pending_scan,
                 &mut fail_reason,
             ),
         };
@@ -1236,14 +1242,18 @@ fn encode_assignment(pairs: &[(usize, usize)]) -> Bytes {
     buf.freeze()
 }
 
-fn decode_assignment(bytes: &Bytes) -> Vec<(usize, usize)> {
+/// The block pairs of an ASSIGN payload, or `None` unless it is a `u32`
+/// count and exactly that many pairs of block indices below `p`.
+fn decode_assignment(bytes: &Bytes, p: usize) -> Option<Vec<(usize, usize)>> {
     let mut bytes = bytes.clone();
-    assert!(bytes.remaining() >= 4, "assignment frame too short");
-    let c = bytes.get_u32_le() as usize;
-    assert_eq!(bytes.remaining(), c * 8, "assignment frame length mismatch");
-    (0..c)
+    let c = (bytes.remaining() >= 4).then(|| bytes.get_u32_le() as usize)?;
+    if bytes.remaining() != c * 8 {
+        return None;
+    }
+    let pairs: Vec<(usize, usize)> = (0..c)
         .map(|_| (bytes.get_u32_le() as usize, bytes.get_u32_le() as usize))
-        .collect()
+        .collect();
+    pairs.iter().all(|&(a, b)| a < p && b < p).then_some(pairs)
 }
 
 /// A RESULTS or SUPPLEMENT payload: the sender's merged evidence in
@@ -1252,10 +1262,6 @@ fn encode_scan(scan: &NullScan) -> Vec<u8> {
     let mut out = Vec::new();
     scan.encode(&mut out);
     out
-}
-
-fn decode_scan(payload: &Bytes, genes: usize) -> NullScan {
-    NullScan::decode(payload, genes as u32).expect("rank results frame decodes")
 }
 
 #[cfg(test)]
@@ -1498,7 +1504,7 @@ mod tests {
             assert_eq!(wait, Wait::Recv { from: 0 });
 
             let mut block_payload = None;
-            let mut pending_payload = None;
+            let mut pending_scan = None;
             let mut reason = "";
             let timeout = Duration::from_secs(5);
             // First receive surfaces the stale frame; the machine must
@@ -1508,8 +1514,9 @@ mod tests {
                 0,
                 timeout,
                 true,
+                4,
                 &mut block_payload,
-                &mut pending_payload,
+                &mut pending_scan,
                 &mut reason,
             );
             assert_eq!(
@@ -1525,8 +1532,9 @@ mod tests {
                 0,
                 timeout,
                 true,
+                4,
                 &mut block_payload,
-                &mut pending_payload,
+                &mut pending_scan,
                 &mut reason,
             );
             // (Identity derives from the round stamp and the *fabric*
@@ -1661,6 +1669,78 @@ mod tests {
         assert_eq!(dist.crashed_ranks, vec![2]);
         assert!(!dist.rank_stats[2].crashed, "rank 2 never actually died");
         assert_eq!(edge_keys(&dist.network), edge_keys(&baseline.network));
+    }
+
+    /// A channel endpoint whose RESULTS frames lose their last byte on
+    /// the way out.
+    struct TruncatingResults(crate::comm::Endpoint);
+
+    impl Transport for TruncatingResults {
+        fn rank(&self) -> usize {
+            self.0.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.0.size()
+        }
+
+        fn send(&self, to: usize, payload: Bytes) {
+            let cut = usize::from(payload.first() == Some(&TAG_RESULTS));
+            self.0.send(to, payload.slice(..payload.len() - cut));
+        }
+
+        fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Bytes, RecvTimeoutError> {
+            self.0.recv_timeout(from, timeout)
+        }
+
+        fn faults(&self) -> &FaultInjector {
+            self.0.faults()
+        }
+
+        fn messages_sent(&self) -> u64 {
+            Transport::messages_sent(&self.0)
+        }
+
+        fn bytes_sent(&self) -> u64 {
+            Transport::bytes_sent(&self.0)
+        }
+    }
+
+    #[test]
+    fn an_undecodable_results_frame_is_a_lost_frame() {
+        let (matrix, _) = coupled_pairs(6, 160, Coupling::Linear(0.8), 23);
+        let shared = infer_network(&matrix, &cfg());
+        let recs = [Recorder::disabled(), Recorder::disabled()];
+        // An armed (empty) plan: a send to a finished rank is dropped.
+        let fabric = Fabric::with_faults(2, FaultInjector::from_plan(&FaultPlan::new(7)));
+        let outputs = run_ranks_on(fabric, |ep| {
+            let run = |tp: &dyn Transport| {
+                let rank_rec = &recs[tp.rank()];
+                let rec = Recorder::disabled();
+                rank_main(tp, &matrix, &cfg(), &rec, rank_rec, faulty_timeout(), None)
+            };
+            match ep.rank() {
+                1 => run(&TruncatingResults(ep)),
+                _ => run(&ep),
+            }
+        });
+        let dist = assemble_result(outputs, None, &recs).expect("no trace to write");
+        // Rank 1 is presumed dead at the census and its block pairs are
+        // rescanned by rank 0.
+        assert_eq!(dist.crashed_ranks, vec![1]);
+        assert!(!dist.rank_stats[1].crashed, "rank 1 never actually died");
+        assert_eq!(edge_bytes(&dist.network), edge_bytes(&shared.network));
+        assert_eq!(dist.threshold.to_bits(), shared.stats.threshold.to_bits());
+    }
+
+    #[test]
+    fn undecodable_assignments_are_refused() {
+        let pairs = [(0, 1), (2, 2)];
+        let bytes = encode_assignment(&pairs);
+        assert_eq!(decode_assignment(&bytes, 3), Some(pairs.to_vec()));
+        assert_eq!(decode_assignment(&bytes, 2), None, "block 2 of 2");
+        assert_eq!(decode_assignment(&bytes.slice(..bytes.len() - 1), 3), None);
+        assert_eq!(decode_assignment(&bytes.slice(..3), 3), None);
     }
 
     #[test]

@@ -31,11 +31,11 @@ use crate::TolerancePolicy;
 use gnet_bspline::{BsplineBasis, DenseWeights};
 use gnet_cluster::{infer_network_distributed, DistributedResult, RankRun, Wire};
 use gnet_core::checkpoint::infer_network_resumable;
-use gnet_core::{infer_network, InferenceConfig, InferenceResult};
+use gnet_core::{infer_network, prepare_genes, InferenceConfig, InferenceResult};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, FaultPlan};
 use gnet_graph::GeneNetwork;
-use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, prepare_matrix, MiKernel, MiScratch};
+use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, MiKernel, MiScratch};
 use gnet_mi::PreparedGene;
 use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
@@ -81,7 +81,7 @@ where
     F: FnMut(&PreparedGene, &PreparedGene, &DenseWeights) -> f64,
 {
     let matrix = spec.build();
-    let prepared = prepare_matrix(&matrix, &basis());
+    let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis(), 1);
     let mut scratch = MiScratch::for_basis(&basis());
     let mut checks = 0;
     for j in 1..prepared.len() {
@@ -144,7 +144,7 @@ fn kernel_oracle_one_backend(
 
     // Permuted path: both kernels must agree null-by-null.
     let matrix = spec.build();
-    let prepared = prepare_matrix(&matrix, &basis());
+    let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis(), 1);
     let perms = PermutationSet::generate(matrix.samples(), 2, spec.seed ^ 0x7065_726D); // "perm"
     let mut scratch = MiScratch::with_kernels(&basis(), kernels);
     let mut checks = observed.checks;
@@ -210,7 +210,7 @@ fn serial_packed(prepared: &[PreparedGene], dense: &[DenseWeights]) -> Vec<f32> 
 pub(crate) fn scheduler_oracle(spec: &DatasetSpec, _tol: &TolerancePolicy) -> OracleOutcome {
     let matrix = spec.build();
     let n = matrix.genes();
-    let prepared = prepare_matrix(&matrix, &basis());
+    let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis(), 1);
     let dense: Vec<DenseWeights> = prepared.iter().map(PreparedGene::to_dense).collect();
     let reference = serial_packed(&prepared, &dense);
     let mut checks = 0;

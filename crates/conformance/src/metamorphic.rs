@@ -34,8 +34,9 @@ use crate::corpus::{DatasetClass, DatasetSpec};
 use crate::differential::OracleOutcome;
 use crate::TolerancePolicy;
 use gnet_bspline::BsplineBasis;
+use gnet_core::prepare_genes;
 use gnet_expr::normalize::rank_transform_profile;
-use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, prepare_matrix, MiKernel, MiScratch};
+use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, MiKernel, MiScratch};
 use gnet_mi::PreparedGene;
 use gnet_permute::PermutationSet;
 
@@ -48,7 +49,7 @@ pub(crate) fn metamorphic_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> O
     let matrix = spec.build();
     let n = matrix.genes();
     let m = matrix.samples();
-    let prepared = prepare_matrix(&matrix, &basis());
+    let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis(), 1);
     let dense: Vec<_> = prepared.iter().map(PreparedGene::to_dense).collect();
     let mut scratch = MiScratch::for_basis(&basis());
     let mut checks = 0;

@@ -99,7 +99,7 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
                 scratch,
                 |row, i, j0, ys, dense| {
                     values.resize(ys.len(), 0.0);
-                    row.mi_block(ys, dense, &mut values);
+                    row.mi_block(ys, dense, None, &mut values);
                     out.extend((j0..).zip(&values).map(|(j, &v)| (i, j, v as f32)));
                 },
             );

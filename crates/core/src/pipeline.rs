@@ -1,14 +1,19 @@
-//! The tiled, multithreaded inference pipeline.
+//! The tiled, multithreaded inference pipeline: prepare every gene, scan
+//! the pairs, finalize. Every null strategy's MI stage is
+//! [`crate::scan::scan_tiles`] calls: the exact test scans the tile list
+//! (in chunks when checkpointed); early exit first scans its threshold
+//! pre-pass's sampled pairs as 1 × 1 tiles under the exact test, then
+//! the tile list under the resolved threshold.
 
 use crate::checkpoint::{run_digest, run_space, ResumableOutcome};
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
-use crate::scan::{for_each_planned_block, tile_genes, Checkpoint, Chunking, NullScan, TileScan};
+use crate::scan::{Checkpoint, Chunking, NullScan, TileScan};
 use gnet_bspline::BsplineBasis;
 use gnet_expr::ExpressionMatrix;
-use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PreparedGene};
-use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile, TileSpace};
-use gnet_permute::{PermutationSet, PooledNull};
+use gnet_mi::{prepare_gene, MiKernel, PreparedGene};
+use gnet_parallel::{ExecutionReport, Tile, TileSpace};
+use gnet_permute::PermutationSet;
 use gnet_trace::Recorder;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -191,37 +196,46 @@ pub(crate) fn sample_unique_pairs(rng: &mut SplitMix64, n: u64, want: usize) -> 
     out
 }
 
-/// Estimate the pooled-null threshold from `sample_pairs` randomly drawn
-/// pairs with full nulls — the pre-pass of the early-exit strategy. Valid
+/// The early-exit strategy's threshold pre-pass: the exact test over
+/// `config.null_sample_pairs` distinct sampled pairs (at least two, at
+/// most every pair), scanned as 1 × 1 tiles on the run's threads. Valid
 /// because the rank transform gives every gene the same marginal, so the
-/// null MI distribution is pair-independent.
-fn estimate_threshold(
-    run: &PreparedRun,
-    config: &InferenceConfig,
-    sample_pairs: usize,
-) -> (f64, PooledNull) {
-    let prepared = &run.genes;
+/// null MI distribution is pair-independent. The evidence keeps the
+/// pooled null and the joints read; its candidates are dropped. The scan
+/// records nothing on `rec` but `mi.prepass_pairs`, so the executor's
+/// instruments describe the main scan.
+fn threshold_prepass(run: &PreparedRun, config: &InferenceConfig, rec: &Recorder) -> NullScan {
+    // `.max(2)` must come *before* `.min(total_pairs)`: the other order
+    // could force `sample > total_pairs` on a 2-gene matrix, which the
+    // deduplicating sampler could never satisfy.
+    let sample = config
+        .null_sample_pairs
+        .max(2)
+        .min(run.space.total_pairs() as usize);
+    rec.counter_add("mi.prepass_pairs", sample as u64);
     let mut rng = SplitMix64(config.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-    let mut scratch = MiScratch::for_basis(&run.basis);
-    let mut pooled = PooledNull::new();
-    for (i, j) in sample_unique_pairs(&mut rng, prepared.len() as u64, sample_pairs) {
-        let (i, j) = (i as usize, j as usize);
-        let dense = match config.kernel {
-            MiKernel::VectorDense => Some(prepared[j].to_dense()),
-            MiKernel::ScalarSparse => None,
-        };
-        let res = mi_with_nulls(
-            config.kernel,
-            &prepared[i],
-            &prepared[j],
-            dense.as_ref(),
-            run.perms.as_vecs(),
-            &mut scratch,
-        );
-        pooled.extend(&res.null);
+    let tiles: Vec<Tile> = sample_unique_pairs(&mut rng, run.genes.len() as u64, sample)
+        .into_iter()
+        .map(|(i, j)| Tile {
+            row_start: i,
+            row_end: i + 1,
+            col_start: j,
+            col_end: j + 1,
+        })
+        .collect();
+    let exact = InferenceConfig {
+        null_strategy: NullStrategy::ExactFull,
+        ..*config
+    };
+    let scan = TileScan {
+        tiles: &tiles,
+        ..run.scan(&exact)
+    };
+    let (prepass, _) = scan.run_all(&Recorder::disabled());
+    NullScan {
+        candidates: Vec::new(),
+        ..prepass
     }
-    let tests = run.space.total_pairs().max(1);
-    (pooled.global_threshold(config.alpha, tests), pooled)
 }
 
 /// Run the full pipeline over an expression matrix.
@@ -336,7 +350,18 @@ pub(crate) fn run_pipeline(
     );
     let (scan, early_threshold, execution) = match (config.null_strategy, chunked) {
         (NullStrategy::EarlyExit, _) => {
-            let (scan, threshold, execution) = early_exit_scan(config, &run, rec);
+            // The threshold first: explicit, or the pre-pass's pooled I*.
+            let prepass = match config.mi_threshold {
+                Some(_) => NullScan::default(),
+                None => threshold_prepass(&run, config, rec),
+            };
+            let threshold = prepass.threshold(config.mi_threshold, config.alpha, matrix.genes());
+            let resolved = InferenceConfig {
+                mi_threshold: Some(threshold),
+                ..*config
+            };
+            let (mut scan, execution) = run.scan(&resolved).run_all(rec);
+            scan.merge(prepass);
             (scan, Some(threshold), execution)
         }
         (NullStrategy::ExactFull, None) => {
@@ -408,100 +433,15 @@ pub(crate) fn run_pipeline(
     Ok(result)
 }
 
-/// The early-exit strategy's MI stage: resolve the threshold first —
-/// explicit, or estimated by a full-null pre-pass over sampled pairs —
-/// then scan every tile with nulls skipped below it and abandoned at the
-/// first exceedance. The returned evidence holds the pre-pass's pooled
-/// null (empty with an explicit threshold).
-fn early_exit_scan(
-    config: &InferenceConfig,
-    run: &PreparedRun,
-    rec: &Recorder,
-) -> (NullScan, f64, ExecutionReport) {
-    let (threshold, pooled) = match config.mi_threshold {
-        Some(t) => (t, PooledNull::new()),
-        None => {
-            // `.max(2)` must come *before* `.min(total_pairs)`: the old
-            // order could force `sample > total_pairs` on a 2-gene matrix,
-            // which the deduplicating sampler could never satisfy.
-            let sample = config
-                .null_sample_pairs
-                .max(2)
-                .min(run.space.total_pairs() as usize);
-            rec.counter_add("mi.prepass_pairs", sample as u64);
-            estimate_threshold(run, config, sample)
-        }
-    };
-    let (states, execution) = execute_tiles_traced(
-        run.space.tiles(),
-        config.resolved_threads(),
-        config.scheduler,
-        |_tid| (MiScratch::for_basis(&run.basis), NullScan::default()),
-        |(scratch, acc), tile| {
-            process_tile_early_exit(
-                tile,
-                &run.genes,
-                &run.perms,
-                config.kernel,
-                threshold,
-                scratch,
-                acc,
-            );
-        },
-        rec,
-    );
-    let mut scan = NullScan {
-        pooled,
-        ..NullScan::default()
-    };
-    for (_, acc) in states {
-        scan.merge(acc);
-    }
-    (scan, threshold, execution)
-}
-
-/// Early-exit tile processing: nulls are skipped below the global
-/// threshold and abandoned at the first exceedance, so each row composes
-/// only the null lists its pairs reach. No pooled-null accumulation
-/// happens here — the threshold was resolved up front.
-fn process_tile_early_exit(
-    tile: &Tile,
-    prepared: &[PreparedGene],
-    perms: &PermutationSet,
-    kernel: MiKernel,
-    threshold: f64,
-    scratch: &mut MiScratch,
-    acc: &mut NullScan,
-) {
-    let (rows, cols) = tile_genes(tile, prepared);
-    for_each_planned_block(
-        tile,
-        rows,
-        cols,
-        perms.as_vecs(),
-        kernel,
-        scratch,
-        |row, i, j0, ys, dense| {
-            // Each pair stops at its own first beating null, so the block's
-            // pairs are tested one at a time.
-            for (c, (j, y)) in (j0..).zip(ys).enumerate() {
-                let res = row.mi_with_nulls_early_exit(y, dense.get(c), threshold);
-                acc.joints += u64::from(res.joints_evaluated);
-                if res.survived {
-                    acc.candidates.push((i, j, res.observed));
-                }
-            }
-        },
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gnet_expr::synth::{self, Coupling};
     use gnet_graph::recovery_score;
     use gnet_grnsim::{GrnConfig, SyntheticDataset};
+    use gnet_mi::{mi_with_nulls, MiScratch};
     use gnet_parallel::SchedulerPolicy;
+    use gnet_permute::PooledNull;
 
     fn fast_config() -> InferenceConfig {
         InferenceConfig {
@@ -509,6 +449,22 @@ mod tests {
             threads: Some(2),
             tile_size: Some(8),
             ..InferenceConfig::default()
+        }
+    }
+
+    #[test]
+    fn prepare_genes_prepares_every_gene_at_any_thread_count() {
+        let matrix = synth::independent_uniform(5, 40, 1);
+        let basis = BsplineBasis::tinge_default();
+        for threads in [1, 2, 3, 8] {
+            let prepared = prepare_genes(&matrix, 1..5, &basis, threads);
+            assert_eq!(prepared.len(), 4, "{threads} threads");
+            for (g, p) in (1..5).zip(&prepared) {
+                let one = prepare_gene(matrix.gene(g), &basis);
+                assert_eq!(p.samples(), 40);
+                assert!(p.h_marginal > 0.0);
+                assert_eq!(p.h_marginal.to_bits(), one.h_marginal.to_bits());
+            }
         }
     }
 
@@ -729,6 +685,110 @@ mod tests {
             a.stats.joints_evaluated
         );
         assert_eq!(a.stats.joints_evaluated, a.stats.pairs * 13); // q=12 → 13 joints
+    }
+
+    /// A 12-gene early-exit config whose threshold pre-pass samples 25
+    /// of the 66 pairs.
+    fn early_exit_config() -> InferenceConfig {
+        InferenceConfig {
+            null_strategy: NullStrategy::EarlyExit,
+            null_sample_pairs: 25,
+            ..fast_config()
+        }
+    }
+
+    #[test]
+    fn early_exit_is_bitwise_across_threads_schedulers_and_tiles() {
+        let (matrix, _) = synth::coupled_pairs(6, 200, Coupling::Linear(0.8), 31);
+        let run = |threads, scheduler, tile_size| {
+            let cfg = InferenceConfig {
+                threads: Some(threads),
+                scheduler,
+                tile_size,
+                ..early_exit_config()
+            };
+            let r = infer_network(&matrix, &cfg);
+            let mut bytes = Vec::new();
+            gnet_graph::io::write_edge_list(&r.network, &mut bytes).expect("in-memory write");
+            let threshold = r.stats.threshold.to_bits();
+            (
+                threshold,
+                r.scan.candidates,
+                r.stats.joints_evaluated,
+                bytes,
+            )
+        };
+        let reference = run(1, SchedulerPolicy::DynamicCounter, Some(1));
+        assert!(!reference.3.is_empty());
+        for threads in [1, 2, 4] {
+            for scheduler in SchedulerPolicy::ALL {
+                for tile_size in [Some(1), Some(3), None] {
+                    assert_eq!(
+                        run(threads, scheduler, tile_size),
+                        reference,
+                        "{threads} threads, {}, tile {tile_size:?}",
+                        scheduler.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_prepass_threshold_is_the_per_call_reference() {
+        let (matrix, _) = synth::coupled_pairs(6, 200, Coupling::Linear(0.8), 37);
+        for kernel in [MiKernel::VectorDense, MiKernel::ScalarSparse] {
+            let cfg = InferenceConfig {
+                kernel,
+                ..early_exit_config()
+            };
+            let r = infer_network(&matrix, &cfg);
+            // Per-call evaluation of the same sampled pairs.
+            let run = PreparedRun::new(&matrix, &cfg, 0);
+            let mut rng = SplitMix64(cfg.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
+            let mut scratch = MiScratch::for_basis(&run.basis);
+            let mut pooled = PooledNull::new();
+            for (i, j) in sample_unique_pairs(&mut rng, 12, 25) {
+                let (x, y) = (&run.genes[i as usize], &run.genes[j as usize]);
+                let dense = (kernel == MiKernel::VectorDense).then(|| y.to_dense());
+                let perms = run.perms.as_vecs();
+                let pair = mi_with_nulls(kernel, x, y, dense.as_ref(), perms, &mut scratch);
+                pooled.extend(&pair.null);
+            }
+            let threshold = pooled.global_threshold(cfg.alpha, 66);
+            assert_eq!(
+                r.stats.threshold.to_bits(),
+                threshold.to_bits(),
+                "{kernel:?}"
+            );
+            assert_eq!(r.scan.pooled, pooled, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn early_exit_counts_its_prepass_joints() {
+        let (matrix, _) = synth::coupled_pairs(6, 200, Coupling::Linear(0.8), 37);
+        let rec = Recorder::enabled();
+        let estimated = infer_network_traced(&matrix, &early_exit_config(), &rec);
+        let given = infer_network(
+            &matrix,
+            &InferenceConfig {
+                mi_threshold: Some(estimated.stats.threshold),
+                ..early_exit_config()
+            },
+        );
+        assert_eq!(estimated.network, given.network);
+        // 25 sampled pairs × (q + 1) joints, then the main scan's.
+        let joints = estimated.stats.joints_evaluated;
+        assert_eq!(joints, 25 * 13 + given.stats.joints_evaluated);
+        assert_eq!(rec.counter("mi.joints_evaluated"), Some(joints));
+        assert_eq!(rec.counter("mi.prepass_pairs"), Some(25));
+        // The executor's instruments describe the main scan only.
+        let tiles = rec
+            .histogram(gnet_parallel::HIST_TILE_US)
+            .map(|h| h.count());
+        assert_eq!(tiles, Some(estimated.stats.execution.total_tiles() as u64));
+        assert_eq!(estimated.stats.execution.total_pairs(), 66);
     }
 
     #[test]

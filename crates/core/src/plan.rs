@@ -178,7 +178,10 @@ mod tests {
         let dense = scratch.expand_columns(&prepared[genes - tile..]);
         let mut row = scratch.plan_row(MiKernel::VectorDense, &prepared[0], &perms);
         let width = row.block_columns();
-        let _ = row.mi_with_nulls_block(&prepared[genes - tile..][..width], &dense[..width]);
+        let (ys, mut out) = (&prepared[genes - tile..][..width], vec![0.0; width]);
+        for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
+            row.mi_block(ys, &dense[..width], pairing, &mut out);
+        }
         scratch.reuse_columns(dense);
         assert_eq!(
             plan.per_thread_tile_bytes(tile),

@@ -19,8 +19,9 @@ pub struct RunStats {
     pub pairs: u64,
     /// Pairs that beat all of their own permutation nulls (candidates).
     pub candidates: u64,
-    /// Joint-entropy evaluations performed in the MI stage (the exact
-    /// strategy does `pairs × (q + 1)`; early exit does far fewer).
+    /// Joint-entropy evaluations performed in the MI stage. The exact
+    /// strategy does `pairs × (q + 1)`; early exit counts its threshold
+    /// pre-pass (`sampled pairs × (q + 1)`) and then far fewer per pair.
     pub joints_evaluated: u64,
     /// The global threshold `I*` applied (nats).
     pub threshold: f64,

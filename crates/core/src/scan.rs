@@ -1,21 +1,26 @@
-//! The exact-null tile-scan engine.
+//! The null-test tile-scan engine.
 //!
-//! Every scan that evaluates pairs with their full permutation nulls —
-//! the in-memory and checkpointed runs, state builds, incremental
-//! updates and the ring's block pairs — runs a tile list through
-//! [`scan_tiles`], which schedules the tiles on the executor, evaluates
-//! each with [`scan_tile`] and merges the workers' evidence.
-//! Shared-memory scans go through [`TileScan::run`], which calls it once
+//! Every scan that tests pairs against their permutation nulls — the
+//! in-memory and checkpointed runs, state builds, incremental updates,
+//! the ring's block pairs, early exit and early exit's threshold
+//! pre-pass — runs a tile list through [`scan_tiles`], which schedules
+//! the tiles on the executor, evaluates each with [`scan_tile`] and
+//! merges the workers' evidence. [`scan_tile`] is the one place a null
+//! test lives: it asks each planned row for MI one pairing at a time and
+//! runs the exact test or early exit over the answers. Shared-memory
+//! scans go through [`TileScan::run`], which calls [`scan_tiles`] once
 //! per chunk of tiles and records progress as a tile prefix; a ring rank
-//! calls it once per block pair.
+//! calls it once per block pair; the pre-pass scans its sampled pairs as
+//! 1 × 1 tiles.
 //!
 //! The result cannot depend on how the pair space is divided: per-pair
 //! MI does not depend on the tile shape (each row gene is planned the
-//! same way in any tile), the pooled null merges as integer sums, and
-//! candidates are kept sorted by `(i, j)`. So threads, schedulers,
-//! chunk sizes, resumes, appends and ranks all reach the same bits.
+//! same way in any tile, and a block's values are those of one-gene
+//! blocks), the pooled null merges as integer sums, and candidates are
+//! kept sorted by `(i, j)`. So threads, schedulers, chunk sizes,
+//! resumes, appends and ranks all reach the same bits.
 
-use crate::config::InferenceConfig;
+use crate::config::{InferenceConfig, NullStrategy};
 use crate::durable::Reader;
 use gnet_bspline::{BsplineBasis, DenseWeights};
 use gnet_graph::{Edge, GeneNetwork};
@@ -210,43 +215,91 @@ pub(crate) fn for_each_planned_block(
     scratch.reuse_columns(dense);
 }
 
-/// Evaluate every pair of `tile` with its full nulls into `acc`: every
-/// null feeds the pooled null, and a pair that beats all of its own nulls
-/// (and `threshold`, when given) becomes a candidate. Each block of
-/// column genes is evaluated in one pass per joint over the row's plan
-/// and folded in column order. `rows` and `cols` are the tile's row and
-/// column genes, as in [`for_each_planned_block`].
-#[allow(clippy::too_many_arguments)]
+/// Evaluate every pair of `tile` under `config`'s null test into `acc`.
+/// Each block of column genes asks its planned row for one pairing at a
+/// time ([`PlannedRow::mi_block`]), the observed pairing first, for the
+/// whole block.
+///
+/// - The exact test ([`NullStrategy::ExactFull`]) reads every null for
+///   the whole block and folds each joint straight into the pooled null.
+///   A pair that beats all of its own nulls (and `config.mi_threshold`,
+///   when set) becomes a candidate.
+/// - Early exit ([`NullStrategy::EarlyExit`]) reads `config.mi_threshold`
+///   as the resolved threshold. A pair at or below it reads no null; any
+///   other pair reads its nulls one at a time and stops at the first that
+///   ties or beats it. A pair that outlasts every null becomes a
+///   candidate, and no null feeds the pooled null.
+///
+/// At the same threshold both tests keep the same candidates;
+/// `acc.joints` counts the joints read. `rows` and `cols` are the tile's
+/// row and column genes, as in [`for_each_planned_block`].
+///
+/// # Panics
+/// Panics under early exit without `config.mi_threshold`.
 pub fn scan_tile(
     tile: &Tile,
     rows: &[PreparedGene],
     cols: &[PreparedGene],
     perms: &PermutationSet,
-    kernel: MiKernel,
-    threshold: Option<f64>,
+    config: &InferenceConfig,
     scratch: &mut MiScratch,
     acc: &mut NullScan,
 ) {
+    let early_exit = config.null_strategy == NullStrategy::EarlyExit;
+    assert!(
+        !early_exit || config.mi_threshold.is_some(),
+        "early exit scans under a resolved threshold"
+    );
+    let q = perms.len();
+    let (mut observed, mut null, mut beaten) = (Vec::new(), Vec::new(), Vec::new());
     for_each_planned_block(
         tile,
         rows,
         cols,
         perms.as_vecs(),
-        kernel,
+        config.kernel,
         scratch,
         |row, i, j0, ys, dense| {
-            for (j, res) in (j0..).zip(row.mi_with_nulls_block(ys, dense)) {
-                acc.joints += 1 + res.null.len() as u64;
-                acc.pooled.extend(&res.null);
-                if res.exceed_count() == 0 && threshold.is_none_or(|t| res.observed > t) {
-                    acc.candidates.push((i, j, res.observed));
+            let n = ys.len();
+            observed.resize(n, 0.0);
+            row.mi_block(ys, dense, None, &mut observed);
+            acc.joints += n as u64;
+            beaten.clear();
+            beaten.resize(n, false);
+            if !early_exit {
+                null.resize(n, 0.0);
+                for p in 0..q {
+                    row.mi_block(ys, dense, Some(p), &mut null);
+                    acc.pooled.extend(&null);
+                    for ((b, v), o) in beaten.iter_mut().zip(&null).zip(&observed) {
+                        *b |= v >= o;
+                    }
+                }
+                acc.joints += (n * q) as u64;
+            }
+            for (c, (j, &o)) in (j0..).zip(&observed).enumerate() {
+                if beaten[c] || !config.mi_threshold.is_none_or(|t| o > t) {
+                    continue;
+                }
+                // Early exit reads this pair's nulls now, up to the first
+                // that ties or beats it.
+                let (y, yd) = (&ys[c..=c], dense.get(c..=c).unwrap_or(&[]));
+                let mut v = [0.0];
+                let beaten_late = early_exit
+                    && (0..q).any(|p| {
+                        row.mi_block(y, yd, Some(p), &mut v);
+                        acc.joints += 1;
+                        v[0] >= o
+                    });
+                if !beaten_late {
+                    acc.candidates.push((i, j, o));
                 }
             }
         },
     );
 }
 
-/// Scan `tiles` on the configured threads and scheduler into `acc`:
+/// Scan `tiles` under `config` into `acc`, on its threads and scheduler:
 /// each worker evaluates its tiles through [`scan_tile`] into its own
 /// scratch and evidence, and every worker's evidence is then merged into
 /// `acc`, which must itself be merged evidence (see [`NullScan::merge`]).
@@ -269,16 +322,7 @@ pub fn scan_tiles<'g>(
         |_tid| (MiScratch::for_basis(basis), NullScan::default()),
         |(scratch, part), tile| {
             let (rows, cols) = genes(tile);
-            scan_tile(
-                tile,
-                rows,
-                cols,
-                perms,
-                config.kernel,
-                config.mi_threshold,
-                scratch,
-                part,
-            );
+            scan_tile(tile, rows, cols, perms, config, scratch, part);
         },
         rec,
     );
@@ -391,6 +435,125 @@ impl TileScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnet_expr::synth::{coupled_pairs, Coupling};
+    use gnet_mi::{mi_with_nulls, prepare_gene};
+
+    /// Twelve prepared genes (six coupled pairs, 250 samples), twelve
+    /// shared permutations and the tile of all their pairs.
+    fn coupled_genes() -> (Vec<PreparedGene>, PermutationSet, Tile) {
+        let (matrix, _) = coupled_pairs(6, 250, Coupling::Linear(0.7), 23);
+        let basis = BsplineBasis::tinge_default();
+        let genes = (0..12)
+            .map(|g| prepare_gene(matrix.gene(g), &basis))
+            .collect();
+        let tile = Tile {
+            row_start: 0,
+            row_end: 12,
+            col_start: 0,
+            col_end: 12,
+        };
+        (genes, PermutationSet::generate(250, 12, 5), tile)
+    }
+
+    /// One tile's evidence under `strategy` at `threshold`.
+    fn scan_one(
+        genes: &[PreparedGene],
+        perms: &PermutationSet,
+        tile: &Tile,
+        kernel: MiKernel,
+        null_strategy: NullStrategy,
+        threshold: f64,
+    ) -> NullScan {
+        let config = InferenceConfig {
+            kernel,
+            null_strategy,
+            mi_threshold: Some(threshold),
+            ..InferenceConfig::default()
+        };
+        let mut scratch = MiScratch::for_basis(&BsplineBasis::tinge_default());
+        let mut acc = NullScan::default();
+        let (rows, cols) = tile_genes(tile, genes);
+        scan_tile(tile, rows, cols, perms, &config, &mut scratch, &mut acc);
+        acc
+    }
+
+    #[test]
+    fn early_exit_keeps_the_exact_tests_candidates() {
+        let (genes, perms, tile) = coupled_genes();
+        for kernel in [MiKernel::VectorDense, MiKernel::ScalarSparse] {
+            let scan = |strategy| scan_one(&genes, &perms, &tile, kernel, strategy, 0.05);
+            let (exact, early) = (scan(NullStrategy::ExactFull), scan(NullStrategy::EarlyExit));
+            assert!(!exact.candidates.is_empty());
+            assert_eq!(early.candidates, exact.candidates, "{kernel:?}");
+            assert_eq!(exact.joints, 66 * 13);
+            assert!(
+                early.joints * 2 < exact.joints,
+                "early exit must at least halve the joints: {} vs {}",
+                early.joints,
+                exact.joints
+            );
+            assert_eq!(early.pooled.count(), 0, "early exit feeds no pooled null");
+        }
+    }
+
+    #[test]
+    fn early_exit_reads_no_null_below_its_threshold() {
+        let (genes, perms, tile) = coupled_genes();
+        let early = |t| {
+            scan_one(
+                &genes,
+                &perms,
+                &tile,
+                MiKernel::VectorDense,
+                NullStrategy::EarlyExit,
+                t,
+            )
+        };
+        let none = early(f64::INFINITY);
+        assert_eq!(none.joints, 66, "one observed joint per pair");
+        assert!(none.candidates.is_empty());
+    }
+
+    #[test]
+    fn early_exit_stops_at_the_first_null_that_ties_or_beats() {
+        let (genes, perms, tile) = coupled_genes();
+        let mut scratch = MiScratch::for_basis(&BsplineBasis::tinge_default());
+        for threshold in [f64::NEG_INFINITY, 0.05] {
+            // The rule, read off each pair's full per-call null.
+            let (mut joints, mut candidates) = (0u64, Vec::new());
+            for (i, j) in tile.pairs() {
+                let (x, y) = (&genes[i as usize], &genes[j as usize]);
+                let yd = y.to_dense();
+                let pair = mi_with_nulls(
+                    MiKernel::VectorDense,
+                    x,
+                    y,
+                    Some(&yd),
+                    perms.as_vecs(),
+                    &mut scratch,
+                );
+                let read = match pair.null.iter().position(|&v| v >= pair.observed) {
+                    _ if pair.observed <= threshold => 0,
+                    Some(p) => p + 1,
+                    None => {
+                        candidates.push((i, j, pair.observed));
+                        pair.null.len()
+                    }
+                };
+                joints += 1 + read as u64;
+            }
+            let early = scan_one(
+                &genes,
+                &perms,
+                &tile,
+                MiKernel::VectorDense,
+                NullStrategy::EarlyExit,
+                threshold,
+            );
+            assert_eq!(early.joints, joints, "threshold {threshold}");
+            assert_eq!(early.candidates, candidates, "threshold {threshold}");
+        }
+    }
 
     fn part(candidates: Vec<(u32, u32, f64)>, nulls: &[f64]) -> NullScan {
         let mut pooled = PooledNull::new();

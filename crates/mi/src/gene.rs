@@ -9,15 +9,18 @@
 //! the paper bounds the working set to the L2 cache. Symmetrically, the
 //! vector kernel's run plan of a row gene is built once per tile row
 //! ([`MiScratch::plan_row`]) and shared by every pair in the row, whose
-//! column genes it meets in blocks ([`PlannedRow::mi_with_nulls_block`]).
-//! Each scratch carries the SIMD [`KernelTable`] its joints run on.
+//! column genes it meets in blocks. A planned row has one evaluation
+//! method, [`PlannedRow::mi_block`]: one pairing (the observed one or one
+//! null) for a whole block; the null tests that read it live in the tile
+//! scan. [`mi_vector`] and [`mi_with_nulls`] are one-column blocks over a
+//! plan built per call, for oracles and benchmarks. Each scratch carries
+//! the SIMD [`KernelTable`] its joints run on.
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
 use crate::vector_kernel::{self, VectorGrid};
 use gnet_bspline::{BsplineBasis, DenseWeights, SparseWeights};
 use gnet_expr::normalize::rank_transform_profile;
-use gnet_expr::ExpressionMatrix;
 use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::{F32x16, RunPlan};
 
@@ -77,14 +80,6 @@ impl PreparedGene {
 /// pipeline.
 pub fn prepare_gene(values: &[f32], basis: &BsplineBasis) -> PreparedGene {
     PreparedGene::from_raw(values, basis)
-}
-
-/// Prepare every gene of a matrix (the pipeline's preprocessing +
-/// weight-computation stages fused).
-pub fn prepare_matrix(matrix: &ExpressionMatrix, basis: &BsplineBasis) -> Vec<PreparedGene> {
-    (0..matrix.genes())
-        .map(|g| prepare_gene(matrix.gene(g), basis))
-        .collect()
 }
 
 /// Reusable per-thread scratch covering both kernels.
@@ -205,8 +200,8 @@ fn vector_grids_for<'g>(
 /// permutations the row was planned with, and only this row reads it, so
 /// no pair can meet another gene's plan.
 ///
-/// Each null permutation's list is composed the first time a pair reads
-/// it: the full test composes all `q` on the row's first pair, the
+/// Each null permutation's list is composed the first time a block reads
+/// it: the full test composes all `q` on the row's first block, the
 /// early-exit test only the few nulls it reaches.
 #[derive(Debug)]
 pub struct PlannedRow<'a> {
@@ -225,123 +220,24 @@ impl PlannedRow<'_> {
         gnet_simd::run_block_columns(self.x.sparse.order())
     }
 
-    /// MI (nats) of the row gene against `y`. The dense expansion of `y`
-    /// is only touched (and required to be `Some`) for the vector kernel.
+    /// MI (nats) of the row gene against each gene of the block `ys`
+    /// under one pairing, into `out`: the observed pairing for `None`,
+    /// null permutation `p` for `Some(p)`. The joint runs for the whole
+    /// block in one pass over the row's plan, and each gene's value is
+    /// that of a one-gene block. `dense` holds the dense expansions of
+    /// `ys`, one each, for the vector kernel, and may be empty for the
+    /// scalar one.
     ///
     /// # Panics
-    /// Panics if the kernel is [`MiKernel::VectorDense`] and `y_dense` is
-    /// `None`, or on a shape mismatch between the genes.
-    pub fn mi(&mut self, y: &PreparedGene, y_dense: Option<&DenseWeights>) -> f64 {
-        let mut mi = [0.0];
-        self.mi_block(core::slice::from_ref(y), dense_block(y_dense), &mut mi);
-        mi[0]
-    }
-
-    /// MI (nats) of the row gene against each gene of the block `ys`,
-    /// into `out`. `dense` holds the dense expansions of `ys`, one each,
-    /// for the vector kernel, and may be empty for the scalar one.
-    ///
-    /// # Panics
-    /// As [`Self::mi`], plus if `out` is not one per gene.
-    pub fn mi_block(&mut self, ys: &[PreparedGene], dense: &[DenseWeights], out: &mut [f64]) {
-        self.joint_block(ys, dense, None, out);
-    }
-
-    /// The row gene against `y` and under each of the row's null
-    /// permutations.
-    ///
-    /// # Panics
-    /// As [`Self::mi`], plus if a permutation has the wrong length or an
-    /// out-of-range index.
-    pub fn mi_with_nulls(&mut self, y: &PreparedGene, y_dense: Option<&DenseWeights>) -> PairMi {
-        let mut pairs = self.mi_with_nulls_block(core::slice::from_ref(y), dense_block(y_dense));
-        pairs.pop().expect("a one-gene block has one pair")
-    }
-
-    /// The row gene against each gene of the block `ys` and under each of
-    /// the row's null permutations — the unit of work the tile executor
-    /// schedules. Each joint (the observed pairing, then each null in
-    /// turn) runs for the whole block in one pass over the row's plan;
-    /// every pair's values are those of a one-gene block. `dense` is as
-    /// in [`Self::mi_block`].
-    ///
-    /// # Panics
-    /// As [`Self::mi_with_nulls`].
-    pub fn mi_with_nulls_block(
+    /// Panics if `out` is not one per gene, if the kernel is
+    /// [`MiKernel::VectorDense`] and `dense` is not one per gene, on a
+    /// shape mismatch between the genes, or if permutation `p` has the
+    /// wrong length or an out-of-range index.
+    pub fn mi_block(
         &mut self,
         ys: &[PreparedGene],
         dense: &[DenseWeights],
-    ) -> Vec<PairMi> {
-        let q = self.perms.len();
-        let mut pairs: Vec<PairMi> = ys
-            .iter()
-            .map(|_| PairMi {
-                observed: 0.0,
-                null: vec![0.0; q],
-            })
-            .collect();
-        let mut values = vec![0.0; ys.len()];
-        self.joint_block(ys, dense, None, &mut values);
-        for (pair, &v) in pairs.iter_mut().zip(&values) {
-            pair.observed = v;
-        }
-        for p in 0..q {
-            self.joint_block(ys, dense, Some(p), &mut values);
-            for (pair, &v) in pairs.iter_mut().zip(&values) {
-                pair.null[p] = v;
-            }
-        }
-        pairs
-    }
-
-    /// The early-exit test of the row gene against `y`; see
-    /// [`mi_with_nulls_early_exit`].
-    ///
-    /// # Panics
-    /// As [`Self::mi_with_nulls`].
-    pub fn mi_with_nulls_early_exit(
-        &mut self,
-        y: &PreparedGene,
-        y_dense: Option<&DenseWeights>,
-        threshold: f64,
-    ) -> EarlyExitMi {
-        let (ys, dense) = (core::slice::from_ref(y), dense_block(y_dense));
-        let mut value = [0.0];
-        self.joint_block(ys, dense, None, &mut value);
-        let observed = value[0];
-        let mut joints = 1u32;
-        if observed <= threshold {
-            return EarlyExitMi {
-                observed,
-                survived: false,
-                joints_evaluated: joints,
-            };
-        }
-        for p in 0..self.perms.len() {
-            self.joint_block(ys, dense, Some(p), &mut value);
-            joints += 1;
-            if value[0] >= observed {
-                return EarlyExitMi {
-                    observed,
-                    survived: false,
-                    joints_evaluated: joints,
-                };
-            }
-        }
-        EarlyExitMi {
-            observed,
-            survived: true,
-            joints_evaluated: joints,
-        }
-    }
-
-    /// One joint MI per gene of the block into `out`: the identity pairing
-    /// for `perm == None`, null permutation `p` for `Some(p)`.
-    fn joint_block(
-        &mut self,
-        ys: &[PreparedGene],
-        dense: &[DenseWeights],
-        perm: Option<usize>,
+        pairing: Option<usize>,
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), ys.len(), "one MI per column gene");
@@ -357,7 +253,7 @@ impl PlannedRow<'_> {
         if self.kernel == MiKernel::ScalarSparse {
             for (y, mi) in ys.iter().zip(out.iter_mut()) {
                 let hy = y.h_marginal;
-                *mi = match perm {
+                *mi = match pairing {
                     None => sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, scalar_grid),
                     Some(p) => sparse_kernel::mi_permuted(
                         &x.sparse,
@@ -381,10 +277,10 @@ impl PlannedRow<'_> {
         };
         let grids = vector_grids_for(vector_grids, first, ys.len().min(vector_kernel::MAX_BLOCK));
         if !vector_kernel::fits_run_kernel(first) {
-            let pairing = perm.map(|p| perms[p].as_slice());
+            let perm = pairing.map(|p| perms[p].as_slice());
             for ((y, yd), mi) in ys.iter().zip(dense).zip(out.iter_mut()) {
                 let (hy, grid) = (y.h_marginal, &mut grids[0]);
-                *mi = vector_kernel::mi_on(kernels, &x.sparse, yd, pairing, hx, hy, grid);
+                *mi = vector_kernel::mi_on(kernels, &x.sparse, yd, perm, hx, hy, grid);
             }
             return;
         }
@@ -393,7 +289,7 @@ impl PlannedRow<'_> {
             first.bins(),
             "genes must share the bin count"
         );
-        if let Some(p) = perm {
+        if let Some(p) = pairing {
             if !plan.is_composed(p) {
                 plan.compose(p, &perms[p]);
             }
@@ -403,18 +299,13 @@ impl PlannedRow<'_> {
             .zip(dense.chunks(vector_kernel::MAX_BLOCK));
         for ((ys, dense), out) in chunks.zip(out.chunks_mut(vector_kernel::MAX_BLOCK)) {
             let grids = &mut grids[..ys.len()];
-            vector_kernel::joint_entropies_planned(kernels, plan, perm, dense, grids, out);
+            vector_kernel::joint_entropies_planned(kernels, plan, pairing, dense, grids, out);
             for (mi, y) in out.iter_mut().zip(ys) {
                 let hxy = *mi;
                 *mi = hx + y.h_marginal - hxy;
             }
         }
     }
-}
-
-/// A single gene's dense expansion as a block (empty for `None`).
-fn dense_block(y_dense: Option<&DenseWeights>) -> &[DenseWeights] {
-    y_dense.map_or(&[], core::slice::from_ref)
 }
 
 /// MI (nats) of a prepared pair with the scalar kernel.
@@ -439,9 +330,14 @@ pub fn mi_vector(
     y_dense: &DenseWeights,
     scratch: &mut MiScratch,
 ) -> f64 {
-    scratch
-        .plan_row(MiKernel::VectorDense, x, &[])
-        .mi(y, Some(y_dense))
+    let mut mi = [0.0];
+    scratch.plan_row(MiKernel::VectorDense, x, &[]).mi_block(
+        core::slice::from_ref(y),
+        core::slice::from_ref(y_dense),
+        None,
+        &mut mi,
+    );
+    mi[0]
 }
 
 /// Result of evaluating one pair together with its permutation null.
@@ -463,11 +359,11 @@ impl PairMi {
     }
 }
 
-/// Evaluate a pair and its `q` permutation nulls in one batched call.
-/// Dispatches on `kernel`; the dense expansion of `y` is only touched (and
-/// required to be `Some`) for the vector kernel. Plans `x` per call;
-/// executors that meet one `x` many times plan it once with
-/// [`MiScratch::plan_row`].
+/// Evaluate a pair and its `q` permutation nulls: the observed pairing,
+/// then each null, as one-column blocks of one planned row. Dispatches on
+/// `kernel`; the dense expansion of `y` is only touched (and required to
+/// be `Some`) for the vector kernel. Plans `x` per call; executors that
+/// meet one `x` many times plan it once with [`MiScratch::plan_row`].
 ///
 /// # Panics
 /// Panics if `kernel` is [`MiKernel::VectorDense`] and `y_dense` is `None`,
@@ -480,53 +376,20 @@ pub fn mi_with_nulls(
     perms: &[Vec<u32>],
     scratch: &mut MiScratch,
 ) -> PairMi {
-    scratch.plan_row(kernel, x, perms).mi_with_nulls(y, y_dense)
-}
-
-/// Result of the early-exit evaluation of one pair.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EarlyExitMi {
-    /// MI (nats) of the observed pair.
-    pub observed: f64,
-    /// True iff the observed value beat every null that was evaluated
-    /// *and* evaluation ran to completion (i.e. the pair is a candidate).
-    pub survived: bool,
-    /// Joint-entropy evaluations actually performed (1 for the observed
-    /// value plus however many nulls ran before the exit).
-    pub joints_evaluated: u32,
-}
-
-/// Early-exit variant of [`mi_with_nulls`]: evaluation of the permutation
-/// null stops at the **first** null that reaches the observed MI (the pair
-/// can no longer become an edge), and is skipped entirely when the
-/// observed MI does not clear `threshold` (a pair below the global
-/// threshold is rejected regardless of its nulls).
-///
-/// This is the adaptive optimization DESIGN.md §7 lists: it changes *no
-/// decision* relative to the exact test with the same threshold, only the
-/// amount of work — the expected null evaluations per null pair is ≈ 2
-/// instead of `q`. It does not feed a pooled-null accumulator (it never
-/// sees most nulls), so the caller must obtain the global threshold
-/// elsewhere (fixed, or estimated from a sampled pre-pass).
-///
-/// Plans `x` per call, composing only the null lists it reaches; to
-/// evaluate one `x` against many genes, plan it once with
-/// [`MiScratch::plan_row`].
-///
-/// # Panics
-/// As [`mi_with_nulls`].
-pub fn mi_with_nulls_early_exit(
-    kernel: MiKernel,
-    x: &PreparedGene,
-    y: &PreparedGene,
-    y_dense: Option<&DenseWeights>,
-    perms: &[Vec<u32>],
-    threshold: f64,
-    scratch: &mut MiScratch,
-) -> EarlyExitMi {
-    scratch
-        .plan_row(kernel, x, perms)
-        .mi_with_nulls_early_exit(y, y_dense, threshold)
+    let (ys, dense) = (
+        core::slice::from_ref(y),
+        y_dense.map_or(&[][..], core::slice::from_ref),
+    );
+    let mut row = scratch.plan_row(kernel, x, perms);
+    let mut mi = |pairing| {
+        let mut value = [0.0];
+        row.mi_block(ys, dense, pairing, &mut value);
+        value[0]
+    };
+    PairMi {
+        observed: mi(None),
+        null: (0..perms.len()).map(|p| mi(Some(p))).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -547,15 +410,11 @@ mod tests {
         )
     }
 
-    #[test]
-    fn prepare_matrix_prepares_every_gene() {
-        let m = synth::independent_uniform(5, 40, 1);
-        let prepared = prepare_matrix(&m, &basis());
-        assert_eq!(prepared.len(), 5);
-        for p in &prepared {
-            assert_eq!(p.samples(), 40);
-            assert!(p.h_marginal > 0.0);
-        }
+    /// `q` distinct null permutations of `m` samples.
+    fn strided_perms(q: u32, m: u32) -> Vec<Vec<u32>> {
+        (1..=q)
+            .map(|r| (0..m).map(|i| (i * (2 * r + 1) + r) % m).collect())
+            .collect()
     }
 
     #[test]
@@ -600,16 +459,13 @@ mod tests {
         let matrix = synth::independent_gaussian(4, 97, 12);
         let b = basis();
         let genes: Vec<_> = (0..4).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
-        let m = 97u32;
-        let perms: Vec<Vec<u32>> = (1..6)
-            .map(|r| (0..m).map(|i| (i * (2 * r + 1) + r) % m).collect())
-            .collect();
+        let perms = strided_perms(5, 97);
         let dense: Vec<_> = genes.iter().map(PreparedGene::to_dense).collect();
         let mut row_scratch = MiScratch::for_basis(&b);
         let mut row = row_scratch.plan_row(MiKernel::VectorDense, &genes[0], &perms);
         let mut scratch = MiScratch::for_basis(&b);
         for (y, yd) in genes.iter().zip(&dense).skip(1) {
-            let planned = row.mi_with_nulls(y, Some(yd));
+            let (ys, ds) = (core::slice::from_ref(y), core::slice::from_ref(yd));
             let per_call = mi_with_nulls(
                 MiKernel::VectorDense,
                 &genes[0],
@@ -618,59 +474,63 @@ mod tests {
                 &perms,
                 &mut scratch,
             );
-            assert_eq!(planned.observed.to_bits(), per_call.observed.to_bits());
-            for (a, b) in planned.null.iter().zip(&per_call.null) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            let mut planned = [0.0];
+            row.mi_block(ys, ds, None, &mut planned);
+            assert_eq!(planned[0].to_bits(), per_call.observed.to_bits());
+            assert_eq!(
+                mi_vector(&genes[0], y, yd, &mut scratch).to_bits(),
+                per_call.observed.to_bits()
+            );
+            for (p, null) in per_call.null.iter().enumerate() {
+                row.mi_block(ys, ds, Some(p), &mut planned);
+                assert_eq!(planned[0].to_bits(), null.to_bits(), "null {p}");
             }
-            // The one-off entry points agree with the plan too.
-            let observed = mi_vector(&genes[0], y, yd, &mut scratch);
-            assert_eq!(observed.to_bits(), planned.observed.to_bits());
-            assert_eq!(row.mi(y, Some(yd)).to_bits(), observed.to_bits());
+            // The one-off joint (a plan of its own) agrees with the row's.
             let mut grid = VectorGrid::for_dense(yd);
-            let null0 = vector_kernel::mi_permuted(
+            let null0 = vector_kernel::mi_on(
+                dispatch::table(),
                 &genes[0].sparse,
                 yd,
-                &perms[0],
+                Some(&perms[0]),
                 genes[0].h_marginal,
                 y.h_marginal,
                 &mut grid,
             );
-            assert_eq!(null0.to_bits(), planned.null[0].to_bits());
+            assert_eq!(null0.to_bits(), per_call.null[0].to_bits());
         }
     }
 
     #[test]
     fn blocks_reproduce_one_gene_blocks_bitwise() {
         let matrix = synth::independent_gaussian(6, 211, 31);
-        let m = 211u32;
-        let perms: Vec<Vec<u32>> = (1..5)
-            .map(|r| (0..m).map(|i| (i * (2 * r + 3) + r) % m).collect())
-            .collect();
+        let perms = strided_perms(4, 211);
         for order in [1, 3, 4, 6] {
             let b = BsplineBasis::new(order, 10);
             let genes: Vec<_> = (0..6).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
             let mut scratch = MiScratch::for_basis(&b);
             let dense = scratch.expand_columns(&genes[1..]);
             let mut single = MiScratch::for_basis(&b);
+            let one: Vec<PairMi> = genes[1..]
+                .iter()
+                .zip(&dense)
+                .map(|(y, yd)| {
+                    let x = &genes[0];
+                    mi_with_nulls(MiKernel::VectorDense, x, y, Some(yd), &perms, &mut single)
+                })
+                .collect();
             let mut row = scratch.plan_row(MiKernel::VectorDense, &genes[0], &perms);
             for width in 1..=row.block_columns() {
                 let (ys, ds) = (&genes[1..=width], &dense[..width]);
-                let block = row.mi_with_nulls_block(ys, ds);
-                let mut observed = vec![0.0; width];
-                row.mi_block(ys, ds, &mut observed);
-                for ((y, yd), (pair, obs)) in ys.iter().zip(ds).zip(block.iter().zip(&observed)) {
-                    let one = mi_with_nulls(
-                        MiKernel::VectorDense,
-                        &genes[0],
-                        y,
-                        Some(yd),
-                        &perms,
-                        &mut single,
-                    );
-                    assert_eq!(pair.observed.to_bits(), one.observed.to_bits(), "k {order}");
-                    assert_eq!(obs.to_bits(), one.observed.to_bits(), "k {order}");
-                    for (a, b) in pair.null.iter().zip(&one.null) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "k {order}, width {width}");
+                let mut block = vec![0.0; width];
+                for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
+                    row.mi_block(ys, ds, pairing, &mut block);
+                    for (v, pair) in block.iter().zip(&one) {
+                        let expected = pairing.map_or(pair.observed, |p| pair.null[p]);
+                        assert_eq!(
+                            v.to_bits(),
+                            expected.to_bits(),
+                            "k {order}, width {width}, pairing {pairing:?}"
+                        );
                     }
                 }
             }
@@ -678,22 +538,19 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_composes_only_the_nulls_it_reaches() {
+    fn a_null_pairing_composes_only_its_list() {
         let (x, y) = prepared_pair(4, 64);
-        let yd = y.to_dense();
-        let perms: Vec<Vec<u32>> = vec![(0..64u32).collect(); 5];
+        let (ys, ds) = (core::slice::from_ref(&y), [y.to_dense()]);
+        let perms = strided_perms(5, 64);
         let mut scratch = MiScratch::for_basis(&basis());
-        // The identity permutation ties the observed MI: the first null
-        // ends the test.
-        let res = scratch
-            .plan_row(MiKernel::VectorDense, &x, &perms)
-            .mi_with_nulls_early_exit(&y, Some(&yd), f64::NEG_INFINITY);
-        assert_eq!(res.joints_evaluated, 2);
-        assert!(scratch.plan.is_composed(0));
-        assert!((1..5).all(|p| !scratch.plan.is_composed(p)));
+        let mut row = scratch.plan_row(MiKernel::VectorDense, &x, &perms);
+        row.mi_block(ys, &ds, None, &mut [0.0]);
+        row.mi_block(ys, &ds, Some(2), &mut [0.0]);
+        let composed: Vec<bool> = (0..5).map(|p| scratch.plan.is_composed(p)).collect();
+        assert_eq!(composed, [false, false, true, false, false]);
         // A new row starts with no list composed.
         let _ = scratch.plan_row(MiKernel::VectorDense, &y, &perms);
-        assert!(!scratch.plan.is_composed(0));
+        assert!((0..5).all(|p| !scratch.plan.is_composed(p)));
     }
 
     #[test]
@@ -744,75 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_agrees_with_exact_test() {
-        let (matrix, _) = synth::coupled_pairs(6, 250, gnet_expr::synth::Coupling::Linear(0.7), 23);
-        let b = basis();
-        let prepared: Vec<_> = (0..matrix.genes())
-            .map(|g| prepare_gene(matrix.gene(g), &b))
-            .collect();
-        let m = matrix.samples() as u32;
-        let perms: Vec<Vec<u32>> = (0..12)
-            .map(|r| (0..m).map(|i| (i * 7 + r * 11 + 3) % m).collect())
-            .collect();
-        let mut scratch = MiScratch::for_basis(&b);
-        let mut row_scratch = MiScratch::for_basis(&b);
-        let threshold = 0.05;
-
-        let mut exact_joints = 0u64;
-        let mut early_joints = 0u64;
-        for i in 0..matrix.genes() {
-            let mut row = row_scratch.plan_row(MiKernel::VectorDense, &prepared[i], &perms);
-            for j in i + 1..matrix.genes() {
-                let yd = prepared[j].to_dense();
-                let exact = mi_with_nulls(
-                    MiKernel::VectorDense,
-                    &prepared[i],
-                    &prepared[j],
-                    Some(&yd),
-                    &perms,
-                    &mut scratch,
-                );
-                let exact_keeps = exact.observed > threshold && exact.exceed_count() == 0;
-                exact_joints += 1 + perms.len() as u64;
-
-                let early = row.mi_with_nulls_early_exit(&prepared[j], Some(&yd), threshold);
-                early_joints += early.joints_evaluated as u64;
-                assert_eq!(
-                    early.survived, exact_keeps,
-                    "pair ({i},{j}): early-exit decision diverged"
-                );
-                assert!((early.observed - exact.observed).abs() < 1e-9);
-            }
-        }
-        assert!(
-            early_joints * 2 < exact_joints,
-            "early exit must at least halve the joint evaluations: {early_joints} vs {exact_joints}"
-        );
-    }
-
-    #[test]
-    fn early_exit_skips_nulls_below_threshold() {
-        let (x, y) = prepared_pair(40, 64);
-        let mut scratch = MiScratch::for_basis(&basis());
-        let perms: Vec<Vec<u32>> = vec![(0..64u32).rev().collect(); 10];
-        let yd = y.to_dense();
-        let res = mi_with_nulls_early_exit(
-            MiKernel::VectorDense,
-            &x,
-            &y,
-            Some(&yd),
-            &perms,
-            f64::INFINITY,
-            &mut scratch,
-        );
-        assert!(!res.survived);
-        assert_eq!(
-            res.joints_evaluated, 1,
-            "below-threshold pair must not touch nulls"
-        );
-    }
-
-    #[test]
     fn scratch_adapts_to_different_layouts() {
         let b10 = BsplineBasis::tinge_default();
         // Order 1 so the I(X,X) = H(X) identity is exact (hard histogram).
@@ -821,17 +609,9 @@ mod tests {
         let x10 = prepare_gene(g.gene(0), &b10);
         let x20 = prepare_gene(g.gene(0), &b20);
         let mut scratch = MiScratch::for_basis(&b10);
-        let d10 = x10.to_dense();
-        let _ = mi_vector(&x10, &x10, &d10, &mut scratch);
+        let _ = mi_vector(&x10, &x10, &x10.to_dense(), &mut scratch);
         // Switching to a wider layout must transparently reallocate.
-        let d20 = x20.to_dense();
-        let v = vector_kernel::mi(
-            &x20.sparse,
-            &d20,
-            x20.h_marginal,
-            x20.h_marginal,
-            &mut vector_grids_for(&mut scratch.vector_grids, &d20, 1)[0],
-        );
+        let v = mi_vector(&x20, &x20, &x20.to_dense(), &mut scratch);
         assert!((v - x20.h_marginal).abs() < 1e-3, "I(X,X)=H(X)");
     }
 }

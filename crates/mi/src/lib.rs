@@ -44,7 +44,7 @@ pub mod vector_kernel;
 
 pub use entropy::{entropy_nats, nats_to_bits};
 pub use gene::{
-    mi_scalar, mi_vector, mi_with_nulls, mi_with_nulls_early_exit, prepare_gene, prepare_matrix,
-    EarlyExitMi, MiKernel, MiScratch, PairMi, PlannedRow, PreparedGene,
+    mi_scalar, mi_vector, mi_with_nulls, prepare_gene, MiKernel, MiScratch, PairMi, PlannedRow,
+    PreparedGene,
 };
 pub use ksg::KsgEstimator;

@@ -203,27 +203,10 @@ fn joint_counts_on(
     }
 }
 
-/// Mutual information (nats) via the vector kernel, given precomputed
-/// marginal entropies.
-pub fn mi(x: &SparseWeights, y: &DenseWeights, hx: f64, hy: f64, grid: &mut VectorGrid) -> f64 {
-    mi_on(dispatch::table(), x, y, None, hx, hy, grid)
-}
-
-/// Mutual information (nats) of `x` against permuted `y` via the vector
-/// kernel. `hy` is the unpermuted marginal entropy (permutation invariant).
-pub fn mi_permuted(
-    x: &SparseWeights,
-    y: &DenseWeights,
-    perm: &[u32],
-    hx: f64,
-    hy: f64,
-    grid: &mut VectorGrid,
-) -> f64 {
-    mi_on(dispatch::table(), x, y, Some(perm), hx, hy, grid)
-}
-
-/// [`mi`] on `kernels`, against `y` paired through `perm` when given
-/// ([`mi_permuted`]).
+/// Mutual information (nats) of `x` against `y` on `kernels`, given
+/// precomputed marginal entropies, pairing sample `s` of `x` with sample
+/// `perm[s]` of `y` when `perm` is given (`hy` is the unpermuted marginal
+/// entropy, which a permutation leaves unchanged).
 pub(crate) fn mi_on(
     kernels: &KernelTable,
     x: &SparseWeights,
@@ -286,6 +269,18 @@ mod tests {
         SparseWeights::from_normalized(&rank_transform_profile(values), basis)
     }
 
+    /// The vector kernel's MI on the process's table.
+    fn vector_mi(
+        x: &SparseWeights,
+        y: &DenseWeights,
+        perm: Option<&[u32]>,
+        hx: f64,
+        hy: f64,
+        grid: &mut VectorGrid,
+    ) -> f64 {
+        mi_on(dispatch::table(), x, y, perm, hx, hy, grid)
+    }
+
     fn random_profiles(seed: u64, m: usize) -> (Vec<f32>, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m).map(|_| rng.gen::<f32>()).collect();
@@ -308,7 +303,7 @@ mod tests {
 
             let yd = y.to_dense();
             let mut vgrid = VectorGrid::for_dense(&yd);
-            let vector = mi(&x, &yd, hx, hy, &mut vgrid);
+            let vector = vector_mi(&x, &yd, None, hx, hy, &mut vgrid);
 
             assert!(
                 (scalar - vector).abs() < 1e-4,
@@ -333,7 +328,7 @@ mod tests {
 
         let yd = y.to_dense();
         let mut vgrid = VectorGrid::for_dense(&yd);
-        let vector = mi_permuted(&x, &yd, &perm, hx, hy, &mut vgrid);
+        let vector = vector_mi(&x, &yd, Some(&perm), hx, hy, &mut vgrid);
 
         assert!(
             (scalar - vector).abs() < 1e-4,
@@ -356,14 +351,14 @@ mod tests {
 
         let yd = y.to_dense();
         let mut g1 = VectorGrid::for_dense(&yd);
-        let via_index = mi_permuted(&x, &yd, &perm, hx, hy, &mut g1);
+        let via_index = vector_mi(&x, &yd, Some(&perm), hx, hy, &mut g1);
 
         // Materialized: the profile permuted before preparation, so
         // y_perm[s] = y[perm[s]] pairs x[s] with y[perm[s]].
         let b_perm: Vec<f32> = perm.iter().map(|&s| b[s as usize]).collect();
         let yd_mat = prep(&b_perm, &basis).to_dense();
         let mut g2 = VectorGrid::for_dense(&yd_mat);
-        let via_copy = mi(&x, &yd_mat, hx, hy, &mut g2);
+        let via_copy = vector_mi(&x, &yd_mat, None, hx, hy, &mut g2);
 
         assert!((via_index - via_copy).abs() < 1e-6);
     }
@@ -427,11 +422,11 @@ mod tests {
         let yd = y.to_dense();
         let zd = z.to_dense();
         let mut reused = VectorGrid::for_dense(&yd);
-        let _ = mi(&x, &yd, hx, hy, &mut reused);
-        let second = mi(&x, &zd, hx, hz, &mut reused);
+        let _ = vector_mi(&x, &yd, None, hx, hy, &mut reused);
+        let second = vector_mi(&x, &zd, None, hx, hz, &mut reused);
 
         let mut fresh = VectorGrid::for_dense(&zd);
-        let direct = mi(&x, &zd, hx, hz, &mut fresh);
+        let direct = vector_mi(&x, &zd, None, hx, hz, &mut fresh);
         assert_eq!(second, direct);
     }
 
@@ -462,7 +457,7 @@ mod tests {
             let scalar = sparse_kernel::mi(&x, &y, hx, hy, &mut sgrid);
             let yd = y.to_dense();
             let mut vgrid = VectorGrid::for_dense(&yd);
-            let vector = mi(&x, &yd, hx, hy, &mut vgrid);
+            let vector = vector_mi(&x, &yd, None, hx, hy, &mut vgrid);
             prop_assert!((scalar - vector).abs() < 2e-4,
                 "scalar {} vs vector {}", scalar, vector);
         }
@@ -510,7 +505,7 @@ mod tests {
             let hx = entropy_nats(&x.marginal());
             let hy = entropy_nats(&yd.marginal());
             let mut grid = VectorGrid::for_dense(&yd);
-            let v = mi(&x, &yd, hx, hy, &mut grid);
+            let v = vector_mi(&x, &yd, None, hx, hy, &mut grid);
             // Plug-in MI with marginals equal to the joint's own marginals
             // is a KL divergence ⇒ non-negative up to float rounding.
             prop_assert!(v > -1e-3, "MI {} went negative", v);
