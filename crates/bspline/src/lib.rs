@@ -13,8 +13,12 @@
 //!
 //! * [`BsplineBasis`] — the open uniform knot vector over `b` bins, Cox–de
 //!   Boor evaluation, and the `[0,1] → knot domain` sample mapping;
-//! * [`SparseWeights`] — the per-gene `m × k` weight matrix (plus first-bin
-//!   indices), the compact layout the scalar MI kernel consumes;
+//! * [`WeightTable`] — the first bin and `k` weights of each of a set of
+//!   normalized values; after the rank transform one table of the `2m − 1`
+//!   rank-grid values ([`WeightTable::for_ranks`]) serves a whole run;
+//! * [`SparseWeights`] — one gene as a code per sample into a shared
+//!   table ([`SampleCodes`]), the compact layout the scalar MI kernel and
+//!   the vector kernel's run plans consume;
 //! * [`DenseWeights`] — the per-gene `m × b` zero-padded layout whose
 //!   columns make the joint-histogram accumulation a dense, lane-friendly
 //!   `Bᵀ·B` product, which is exactly the restructuring the paper uses to
@@ -29,4 +33,4 @@ pub mod basis;
 pub mod weights;
 
 pub use basis::{BsplineBasis, MAX_ORDER};
-pub use weights::{DenseWeights, SparseWeights};
+pub use weights::{DenseWeights, SampleCodes, SparseWeights, WeightTable};

@@ -4,10 +4,15 @@
 //! weights of every sample. The paper's central data-layout insight is that
 //! the *same* information stored two ways has very different kernels:
 //!
-//! * [`SparseWeights`] — `m × k` weights plus a first-bin index per sample.
-//!   Minimal memory and flops; the joint-histogram update is a `k × k`
-//!   scatter per sample, which does not vectorize (gather/scatter on KNC is
-//!   slow). This is the layout behind the scalar baseline kernel.
+//! * [`SparseWeights`] — one code per sample into a shared
+//!   [`WeightTable`], whose entry holds the `k` weights and first bin of
+//!   one normalized value. After the rank transform every value is one of
+//!   the `2m − 1` points of the rank grid, so one table per run
+//!   ([`WeightTable::for_ranks`]) serves every gene, and a gene is `m`
+//!   two-byte codes. Minimal memory and flops; the joint-histogram update
+//!   is a `k × k` scatter per sample, which does not vectorize
+//!   (gather/scatter on KNC is slow). This is the layout behind the scalar
+//!   baseline kernel and the run plans of the vector kernel.
 //! * [`DenseWeights`] — `m × b` with zeros outside the `k`-wide window,
 //!   stored row-major (sample-major). The joint histogram for a pair is
 //!   then `P = Xᵀ·Y / m`, a small dense GEMM whose inner loop streams over
@@ -17,44 +22,118 @@
 //!   load straddles two cache lines.
 
 use crate::basis::BsplineBasis;
+use gnet_expr::normalize::rank_code_value;
 use gnet_simd::lanes::F32x16;
-use gnet_simd::Row16;
+use gnet_simd::{EntryCode, Row16};
+use std::sync::Arc;
 
-/// Compact per-gene weight matrix: `k` weights + first-bin index per sample.
+/// The B-spline weights of a set of normalized values: entry `e` holds the
+/// first bin and the `k` weights of one value, each computed as
+/// `basis.eval_nonzero(basis.sample_to_domain(v))`. Genes share a table
+/// behind an [`Arc`] and name its entries by code ([`SparseWeights`]).
 #[derive(Clone, Debug, PartialEq)]
-pub struct SparseWeights {
-    /// Spline order `k` (weights per sample).
+pub struct WeightTable {
+    /// Spline order `k` (weights per entry).
     order: usize,
-    /// Number of bins `b` (bound for `first_bin[s] + k`).
+    /// Number of bins `b` (bound for `first_bin + k`).
     bins: usize,
-    /// Number of samples `m`.
-    samples: usize,
-    /// `m` first-bin indices.
-    first_bin: Vec<u16>,
-    /// `m × k` weights, sample-major.
+    /// One first-bin index per entry.
+    first_bins: Vec<u16>,
+    /// `k` weights per entry, entry-major.
     weights: Vec<f32>,
 }
 
-impl SparseWeights {
-    /// Compute the weight matrix of one gene from its normalized samples
-    /// (each in `[0, 1]`; rank transformation upstream guarantees this).
-    pub fn from_normalized(values: &[f32], basis: &BsplineBasis) -> Self {
+impl WeightTable {
+    /// The table of the rank grid of `samples` samples: entry `c` holds
+    /// the weights of rank code `c`'s value
+    /// ([`rank_code_value`](gnet_expr::normalize::rank_code_value)), for
+    /// each of the [`Self::rank_entries`] codes a rank-transformed profile
+    /// of `samples` samples can hold.
+    pub fn for_ranks(samples: usize, basis: &BsplineBasis) -> Self {
+        let codes = 0..u32::try_from(Self::rank_entries(samples)).expect("rank codes fit u32");
+        Self::from_values(codes.map(|c| rank_code_value(c, samples)), basis)
+    }
+
+    /// The table of `values`, one entry each, in order.
+    fn from_values(values: impl ExactSizeIterator<Item = f32>, basis: &BsplineBasis) -> Self {
         let k = basis.order();
-        let mut first_bin = Vec::with_capacity(values.len());
+        let mut first_bins = Vec::with_capacity(values.len());
         let mut weights = Vec::with_capacity(values.len() * k);
-        for &x in values {
-            let z = basis.sample_to_domain(x);
-            let (first, w) = basis.eval_nonzero(z);
-            first_bin.push(u16::try_from(first).expect("first + order <= bins <= 64 fits u16"));
+        for v in values {
+            let (first, w) = basis.eval_nonzero(basis.sample_to_domain(v));
+            first_bins.push(u16::try_from(first).expect("first + order <= bins <= 64 fits u16"));
             weights.extend_from_slice(&w[..k]);
         }
         Self {
             order: k,
             bins: basis.bins(),
-            samples: values.len(),
-            first_bin,
+            first_bins,
             weights,
         }
+    }
+
+    /// Reassemble a table from its first bins and weights, validating
+    /// every entry: codecs map a corrupt table to a typed error instead of
+    /// panicking.
+    ///
+    /// # Errors
+    /// Returns a description of the first shape or range violation: an
+    /// order outside `1..=MAX_ORDER`, fewer bins than the order or more
+    /// than 64, a weight count other than `k` per entry, a first bin whose
+    /// window overruns the grid, or a non-finite weight.
+    pub fn try_from_parts(
+        order: usize,
+        bins: usize,
+        first_bins: Vec<u16>,
+        weights: Vec<f32>,
+    ) -> Result<Self, String> {
+        if !(1..=crate::basis::MAX_ORDER).contains(&order) {
+            return Err(format!("bad order {order}"));
+        }
+        if bins < order || bins > 64 {
+            return Err(format!("{bins} bins at order {order}"));
+        }
+        if weights.len() != first_bins.len() * order {
+            return Err(format!(
+                "k weights per entry: got {} for {} entries at order {order}",
+                weights.len(),
+                first_bins.len()
+            ));
+        }
+        if let Some(fb) = first_bins
+            .iter()
+            .find(|&&fb| usize::from(fb) + order > bins)
+        {
+            return Err(format!(
+                "first bin {fb} overruns the {bins}-bin grid at order {order}"
+            ));
+        }
+        if let Some(w) = weights.iter().find(|w| !w.is_finite()) {
+            return Err(format!("non-finite weight {w}"));
+        }
+        Ok(Self {
+            order,
+            bins,
+            first_bins,
+            weights,
+        })
+    }
+
+    /// Entries of the rank grid of `samples` samples: one per rank code,
+    /// `2m − 1` (one for a single sample, none for none).
+    pub fn rank_entries(samples: usize) -> usize {
+        (2 * samples).saturating_sub(1)
+    }
+
+    /// Heap bytes of a table of `entries` entries at spline order
+    /// `order`: a first bin and `k` weights per entry.
+    pub fn bytes_for(entries: usize, order: usize) -> usize {
+        entries * (core::mem::size_of::<u16>() + order * core::mem::size_of::<f32>())
+    }
+
+    /// Number of entries.
+    pub fn entries(&self) -> usize {
+        self.first_bins.len()
     }
 
     /// Spline order `k`.
@@ -67,34 +146,205 @@ impl SparseWeights {
         self.bins
     }
 
+    /// Every entry's first bin.
+    pub fn first_bins(&self) -> &[u16] {
+        &self.first_bins
+    }
+
+    /// Every entry's `k` weights, entry-major.
+    pub fn weights(&self) -> &[f32] {
+        &self.weights
+    }
+
+    /// First bin and `k` weights of entry `e`.
+    #[inline(always)]
+    pub(crate) fn entry(&self, e: usize) -> (usize, &[f32]) {
+        let k = self.order;
+        (
+            usize::from(self.first_bins[e]),
+            &self.weights[e * k..(e + 1) * k],
+        )
+    }
+
+    /// Heap bytes of the table.
+    pub fn heap_bytes(&self) -> usize {
+        Self::bytes_for(self.entries(), self.order)
+    }
+}
+
+/// One gene's codes into its [`WeightTable`], one per sample, two bytes
+/// wide while every code fits, four above.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SampleCodes {
+    /// Codes of a table of at most 65,536 entries.
+    Narrow(Vec<u16>),
+    /// Codes of a larger table.
+    Wide(Vec<u32>),
+}
+
+/// `$body` with `$c` bound to the code slice of `$codes`, at either width.
+macro_rules! with_codes {
+    ($codes:expr, $c:ident => $body:expr) => {
+        match $codes {
+            SampleCodes::Narrow($c) => $body,
+            SampleCodes::Wide($c) => $body,
+        }
+    };
+}
+
+impl SampleCodes {
+    /// `codes` at the width a table of `entries` entries needs.
+    ///
+    /// # Panics
+    /// Panics if a narrow width is chosen and a code does not fit it
+    /// (a code at or past `entries`).
+    pub fn for_entries(codes: Vec<u32>, entries: usize) -> Self {
+        if Self::width(entries) == 2 {
+            let narrow = codes
+                .iter()
+                .map(|&c| u16::try_from(c).expect("a code below 65,536 entries fits u16"));
+            Self::Narrow(narrow.collect())
+        } else {
+            Self::Wide(codes)
+        }
+    }
+
+    /// Bytes one code takes against a table of `entries` entries.
+    pub fn width(entries: usize) -> usize {
+        if entries <= 1 << 16 {
+            2
+        } else {
+            4
+        }
+    }
+
+    /// Number of codes (samples).
+    pub fn len(&self) -> usize {
+        with_codes!(self, c => c.len())
+    }
+
+    /// No samples?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Code of sample `s`.
+    #[inline(always)]
+    pub fn get(&self, s: usize) -> usize {
+        with_codes!(self, c => c[s].index())
+    }
+
+    /// The largest code, if any.
+    fn max(&self) -> Option<usize> {
+        with_codes!(self, c => c.iter().map(|c| c.index()).max())
+    }
+
+    /// Heap bytes of the codes.
+    fn heap_bytes(&self) -> usize {
+        with_codes!(self, c => core::mem::size_of_val(c.as_slice()))
+    }
+}
+
+/// One gene's weight matrix: a code per sample into a shared
+/// [`WeightTable`]. Sample `s` has the first bin and `k` weights of entry
+/// `codes[s]`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SparseWeights {
+    table: Arc<WeightTable>,
+    codes: SampleCodes,
+}
+
+impl SparseWeights {
+    /// Compute the weight matrix of one gene from its normalized samples
+    /// (each in `[0, 1]`), over a table of the gene's own distinct values:
+    /// every sample gets the weights of its own value's evaluation. A
+    /// rank-transformed gene is better coded against the run's rank table
+    /// ([`WeightTable::for_ranks`], [`Self::new`]).
+    pub fn from_normalized(values: &[f32], basis: &BsplineBasis) -> Self {
+        let mut keyed: Vec<(u32, u32)> = values.iter().map(|v| v.to_bits()).zip(0..).collect();
+        keyed.sort_unstable();
+        let mut distinct = Vec::new();
+        let mut codes = vec![0u32; values.len()];
+        for (bits, s) in keyed {
+            if distinct.last() != Some(&bits) {
+                distinct.push(bits);
+            }
+            let code = u32::try_from(distinct.len() - 1).expect("sample indices fit u32");
+            codes[s as usize] = code; // cast-ok: u32 to usize widens losslessly
+        }
+        let table = WeightTable::from_values(distinct.into_iter().map(f32::from_bits), basis);
+        let codes = SampleCodes::for_entries(codes, table.entries());
+        Self {
+            table: Arc::new(table),
+            codes,
+        }
+    }
+
+    /// The gene whose sample `s` has entry `codes[s]` of `table`.
+    ///
+    /// # Errors
+    /// Returns a description of the first code that names no entry.
+    pub fn new(table: Arc<WeightTable>, codes: SampleCodes) -> Result<Self, String> {
+        match codes.max() {
+            Some(top) if top >= table.entries() => Err(format!(
+                "code {top} past the {}-entry weight table",
+                table.entries()
+            )),
+            _ => Ok(Self { table, codes }),
+        }
+    }
+
+    /// The shared table the codes index.
+    pub fn table(&self) -> &Arc<WeightTable> {
+        &self.table
+    }
+
+    /// The per-sample codes.
+    pub fn codes(&self) -> &SampleCodes {
+        &self.codes
+    }
+
+    /// Spline order `k`.
+    pub fn order(&self) -> usize {
+        self.table.order
+    }
+
+    /// Number of bins `b`.
+    pub fn bins(&self) -> usize {
+        self.table.bins
+    }
+
     /// Number of samples `m`.
     pub fn samples(&self) -> usize {
-        self.samples
+        self.codes.len()
     }
 
     /// First-bin index of sample `s`.
     #[inline(always)]
     pub fn first_bin(&self, s: usize) -> usize {
-        self.first_bin[s] as usize // cast-ok: u16 to usize widens losslessly
+        self.table.entry(self.codes.get(s)).0
     }
 
     /// The `k` weights of sample `s`.
     #[inline(always)]
     pub fn sample_weights(&self, s: usize) -> &[f32] {
-        &self.weights[s * self.order..(s + 1) * self.order]
+        self.table.entry(self.codes.get(s)).1
     }
 
-    /// Marginal bin distribution `p[u] = (1/m) Σ_s w_s[u]`.
+    /// Marginal bin distribution `p[u] = (1/m) Σ_s w_s[u]`, summed in
+    /// sample order.
     pub fn marginal(&self) -> Vec<f32> {
-        let mut p = vec![0.0f32; self.bins];
-        for s in 0..self.samples {
-            let fb = self.first_bin(s);
-            for (j, &w) in self.sample_weights(s).iter().enumerate() {
-                p[fb + j] += w;
+        let mut p = vec![0.0f32; self.bins()];
+        with_codes!(&self.codes, codes => {
+            for c in codes {
+                let (fb, w) = self.table.entry(c.index());
+                for (acc, &w) in p[fb..].iter_mut().zip(w) {
+                    *acc += w;
+                }
             }
-        }
+        });
         // cast-ok: sample counts are far below f32's 2^24 exact-integer range
-        let inv_m = 1.0 / self.samples as f32;
+        let inv_m = 1.0 / self.samples() as f32;
         for v in &mut p {
             *v *= inv_m;
         }
@@ -103,105 +353,22 @@ impl SparseWeights {
 
     /// Expand into the dense, lane-padded layout.
     pub fn to_dense(&self) -> DenseWeights {
-        let mut dense = DenseWeights::zeroed(0, self.bins);
+        let mut dense = DenseWeights::zeroed(0, self.bins());
         self.expand_into(&mut dense);
         dense
     }
 
     /// Expand into the dense layout in `dense`, reusing its rows'
-    /// allocation; the result equals [`Self::to_dense`].
+    /// allocation and writing each row once (no separate zeroing pass);
+    /// the result equals [`Self::to_dense`].
     pub fn expand_into(&self, dense: &mut DenseWeights) {
-        dense.reset_zeroed(self.samples, self.bins);
-        for s in 0..self.samples {
-            let fb = self.first_bin(s);
-            let row = dense.row_mut(s);
-            for (j, &w) in self.sample_weights(s).iter().enumerate() {
-                row[fb + j] = w;
-            }
-        }
+        with_codes!(&self.codes, codes => dense.fill(codes, &self.table));
     }
 
-    /// Approximate heap footprint in bytes (used by the tile-size planner).
+    /// Heap bytes of the gene's own codes; the shared table is counted
+    /// once per run ([`WeightTable::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.first_bin.len() * core::mem::size_of::<u16>()
-            + self.weights.len() * core::mem::size_of::<f32>()
-    }
-
-    /// The flat first-bin index array (`m` entries) — for wire codecs.
-    pub fn first_bins_flat(&self) -> &[u16] {
-        &self.first_bin
-    }
-
-    /// The flat weight array (`m × k` entries, sample-major) — for wire
-    /// codecs.
-    pub fn weights_flat(&self) -> &[f32] {
-        &self.weights
-    }
-
-    /// Reassemble from raw parts (the inverse of the flat accessors),
-    /// validating every invariant. Used by the cluster substrate to
-    /// deserialize shipped weight matrices.
-    ///
-    /// # Panics
-    /// Panics on any shape or range violation.
-    pub fn from_raw_parts(
-        order: usize,
-        bins: usize,
-        samples: usize,
-        first_bin: Vec<u16>,
-        weights: Vec<f32>,
-    ) -> Self {
-        match Self::try_from_raw_parts(order, bins, samples, first_bin, weights) {
-            Ok(w) => w,
-            Err(reason) => panic!("{reason}"),
-        }
-    }
-
-    /// Fallible [`Self::from_raw_parts`] for codecs that must map corrupt
-    /// on-disk weight sections to typed decode errors instead of panicking.
-    ///
-    /// # Errors
-    /// Returns a description of the first shape or range violation.
-    pub fn try_from_raw_parts(
-        order: usize,
-        bins: usize,
-        samples: usize,
-        first_bin: Vec<u16>,
-        weights: Vec<f32>,
-    ) -> Result<Self, String> {
-        if !(1..=crate::basis::MAX_ORDER).contains(&order) {
-            return Err(format!("bad order {order}"));
-        }
-        if bins < order {
-            return Err(format!("bins {bins} below order {order}"));
-        }
-        if first_bin.len() != samples {
-            return Err(format!(
-                "one first-bin index per sample: got {} for {samples} samples",
-                first_bin.len()
-            ));
-        }
-        if weights.len() != samples * order {
-            return Err(format!(
-                "k weights per sample: got {} for {samples} samples at order {order}",
-                weights.len()
-            ));
-        }
-        for &fb in &first_bin {
-            // cast-ok: u16 to usize widens losslessly
-            if fb as usize + order > bins {
-                return Err(format!(
-                    "first bin {fb} overruns the {bins}-bin grid at order {order}"
-                ));
-            }
-        }
-        Ok(Self {
-            order,
-            bins,
-            samples,
-            first_bin,
-            weights,
-        })
+        self.codes.heap_bytes()
     }
 }
 
@@ -222,24 +389,40 @@ pub struct DenseWeights {
 impl DenseWeights {
     /// All-zero matrix with lane-padded rows.
     pub fn zeroed(samples: usize, bins: usize) -> Self {
-        let mut dense = Self {
-            samples: 0,
-            bins: 0,
-            stride: 0,
-            data: Vec::new(),
-        };
-        dense.reset_zeroed(samples, bins);
-        dense
+        let stride = Self::stride_for(bins);
+        Self {
+            samples,
+            bins,
+            stride,
+            data: vec![Row16::ZERO; samples * stride / F32x16::LANES],
+        }
     }
 
-    /// Make `self` the all-zero `samples × bins` matrix, reusing its
-    /// allocation.
-    fn reset_zeroed(&mut self, samples: usize, bins: usize) {
-        let lanes = F32x16::LANES;
-        let stride = bins.div_ceil(lanes) * lanes;
-        (self.samples, self.bins, self.stride) = (samples, bins, stride);
+    /// Lane-padded row stride of `bins` bins.
+    fn stride_for(bins: usize) -> usize {
+        bins.div_ceil(F32x16::LANES) * F32x16::LANES
+    }
+
+    /// Make `self` the dense expansion of the gene `codes` into `table`,
+    /// reusing its allocation: each sample's rows are appended zeroed and
+    /// given their `k` weights while in L1, so each row is written once.
+    fn fill(&mut self, codes: &[impl EntryCode], table: &WeightTable) {
+        let stride = Self::stride_for(table.bins);
+        let per_sample = stride / F32x16::LANES;
+        (self.samples, self.bins, self.stride) = (codes.len(), table.bins, stride);
         self.data.clear();
-        self.data.resize(samples * stride / lanes, Row16::ZERO);
+        self.data.reserve(codes.len() * per_sample);
+        for c in codes {
+            let (fb, w) = table.entry(c.index());
+            let start = self.data.len();
+            for _ in 0..per_sample {
+                self.data.push(Row16::ZERO);
+            }
+            let line = Row16::flatten_mut(&mut self.data[start..]);
+            for (cell, &w) in line[fb..].iter_mut().zip(w) {
+                *cell = w;
+            }
+        }
     }
 
     /// Number of samples `m` (rows).
@@ -378,9 +561,76 @@ mod tests {
     fn heap_bytes_are_sane() {
         let basis = BsplineBasis::tinge_default();
         let w = SparseWeights::from_normalized(&demo_values(), &basis);
-        assert_eq!(w.heap_bytes(), 37 * 2 + 37 * 3 * 4);
+        // 37 two-byte codes; the table (37 distinct values) is shared.
+        assert_eq!(w.heap_bytes(), 37 * 2);
+        assert_eq!(w.table().heap_bytes(), 37 * (2 + 3 * 4));
+        assert_eq!(WeightTable::bytes_for(37, 3), w.table().heap_bytes());
         let d = w.to_dense();
         assert_eq!(d.heap_bytes(), 37 * d.stride() * 4);
+    }
+
+    #[test]
+    fn every_rank_entry_is_its_values_own_evaluation() {
+        for order in [1, 3, 4, 8] {
+            let basis = BsplineBasis::new(order, 10);
+            for m in [0usize, 1, 2, 3, 64, 3_137] {
+                let table = WeightTable::for_ranks(m, &basis);
+                assert_eq!(table.entries(), WeightTable::rank_entries(m));
+                let values: Vec<f32> = (0..table.entries())
+                    .map(|c| gnet_expr::normalize::rank_code_value(u32::try_from(c).unwrap(), m))
+                    .collect();
+                let own = SparseWeights::from_normalized(&values, &basis);
+                for (e, _) in values.iter().enumerate() {
+                    let (fb, w) = table.entry(e);
+                    assert_eq!(fb, own.first_bin(e), "m {m}, k {order}, entry {e}");
+                    let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(w), bits(own.sample_weights(e)), "m {m}, entry {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn codes_are_narrow_up_to_65536_entries() {
+        assert_eq!(SampleCodes::width(WeightTable::rank_entries(32_768)), 2);
+        assert_eq!(SampleCodes::width(WeightTable::rank_entries(32_769)), 4);
+        let table = Arc::new(WeightTable::for_ranks(3, &BsplineBasis::tinge_default()));
+        let w = SparseWeights::new(table.clone(), SampleCodes::for_entries(vec![4, 0, 2], 5));
+        assert_eq!(w.expect("codes below 5 entries").heap_bytes(), 6);
+        let past = SparseWeights::new(table, SampleCodes::Wide(vec![0, 5, 1]));
+        assert!(past.expect_err("code 5 of 5 entries").contains("code 5"));
+    }
+
+    #[test]
+    fn a_coded_gene_expands_as_its_samples_evaluated_one_by_one() {
+        // Wide layouts (b > 16) take the multi-row path of the expansion.
+        for basis in [BsplineBasis::tinge_default(), BsplineBasis::new(4, 40)] {
+            let values: Vec<f32> = (0..50).map(|i| ((i * 7) % 11) as f32 / 10.0).collect();
+            let dense = SparseWeights::from_normalized(&values, &basis).to_dense();
+            for (s, &v) in values.iter().enumerate() {
+                let (first, w) = basis.eval_nonzero(basis.sample_to_domain(v));
+                let mut row = vec![0.0f32; dense.stride()];
+                row[first..first + basis.order()].copy_from_slice(&w[..basis.order()]);
+                let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(dense.row(s)), bits(&row), "sample {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_table_parts_are_errors() {
+        let ok = WeightTable::try_from_parts(2, 4, vec![0, 2], vec![0.5, 0.5, 1.0, 0.0]);
+        assert_eq!(ok.expect("valid parts").entries(), 2);
+        for (first_bins, weights, what) in [
+            (vec![0u16, 3], vec![0.5f32, 0.5, 1.0, 0.0], "overruns"),
+            (vec![0, 2], vec![0.5, f32::NAN, 1.0, 0.0], "non-finite"),
+            (vec![0, 2], vec![0.5, 0.5, 1.0], "k weights per entry"),
+        ] {
+            let err = WeightTable::try_from_parts(2, 4, first_bins, weights).expect_err(what);
+            assert!(err.contains(what), "{err}");
+        }
+        assert!(WeightTable::try_from_parts(0, 4, vec![], vec![]).is_err());
+        assert!(WeightTable::try_from_parts(3, 2, vec![], vec![]).is_err());
     }
 
     proptest! {

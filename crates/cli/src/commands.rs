@@ -9,7 +9,7 @@ use gnet_cluster::{
 use gnet_core::config::NullStrategy;
 use gnet_core::{
     infer_network_durable, infer_network_traced, update_durable, CheckpointStore, DurableError,
-    InferenceConfig, NetworkState, StateStore, UpdateMode,
+    InferenceConfig, MemoryPlan, NetworkState, StateStore, UpdateMode,
 };
 use gnet_expr::io as expr_io;
 use gnet_expr::{ExpressionMatrix, MissingPolicy};
@@ -884,6 +884,14 @@ fn cmd_stats(args: &ArgMap, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "range    [{:.4}, {:.4}]", grand.min, grand.max)?;
     let low_var = gnet_expr::stats::low_variance_genes(&matrix, 1e-9).len();
     writeln!(out, "constant genes (var < 1e-9): {low_var}")?;
+    let config = InferenceConfig::default();
+    let (genes, samples) = (matrix.genes(), matrix.samples());
+    let (threads, tile) = (
+        config.resolved_threads(),
+        config.resolved_tile_size(genes, samples),
+    );
+    let plan = MemoryPlan::new(&config, genes, samples);
+    writeln!(out, "memory   {}", plan.summary(tile, threads))?;
     Ok(())
 }
 
@@ -1994,6 +2002,19 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("genes    12"), "{text}");
         assert!(text.contains("samples  30"), "{text}");
+        // The memory plan's genes term is what preparing them holds: the
+        // codes of every gene plus the one table they share.
+        let m = load_matrix(matrix.to_str().unwrap()).unwrap();
+        let basis = gnet_bspline::BsplineBasis::new(3, 10);
+        let prepared = gnet_core::prepare_genes(&m, 0..12, &basis, 1);
+        let held = prepared.iter().map(|g| g.heap_bytes()).sum::<usize>()
+            + prepared[0].sparse.table().heap_bytes();
+        let memory = text
+            .lines()
+            .find(|l| l.starts_with("memory"))
+            .expect("a memory line");
+        assert!(memory.contains(&format!(" + genes {held} B (")), "{memory}");
+        assert!(memory.contains("peak"), "{memory}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -85,10 +85,11 @@ const HELLO_MAGIC: u32 = 0x474E_574B;
 const WELCOME_MAGIC: u32 = 0x474E_5743;
 /// Bootstrap wire-format version. v2 added `telem_interval_us` to the
 /// WELCOME header (0 = live telemetry off); v3 workers send RESULTS and
-/// SUPPLEMENT frames carrying the exact fixed-point pooled null. The
+/// SUPPLEMENT frames carrying the exact fixed-point pooled null; v4
+/// ships gene blocks as rank codes into one weight table per frame. The
 /// codec is closed-world, so an older peer is rejected rather than
 /// mis-parsed.
-const BOOTSTRAP_VERSION: u8 = 3;
+const BOOTSTRAP_VERSION: u8 = 4;
 /// Upper bound on a control blob. The dominant term is the matrix
 /// snapshot; whole-genome matrices are hundreds of MiB at most.
 const MAX_BLOB: usize = 1024 * 1024 * 1024;
@@ -850,7 +851,7 @@ mod tests {
             &[],
             &gnet_expr::io::to_snapshot(&matrix),
         );
-        for old in [1u8, 2] {
+        for old in [1u8, 2, 3] {
             let mut bytes = wire.to_vec();
             bytes[4] = old; // the version byte follows the u32 magic
             let err = decode_welcome(Bytes::from(bytes)).err();

@@ -37,7 +37,7 @@ use gnet_bspline::BsplineBasis;
 use gnet_core::prepare_genes;
 use gnet_expr::normalize::rank_transform_profile;
 use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, MiKernel, MiScratch};
-use gnet_mi::PreparedGene;
+use gnet_mi::{prepare_gene, PreparedGene};
 use gnet_permute::PermutationSet;
 
 fn basis() -> BsplineBasis {
@@ -92,7 +92,7 @@ pub(crate) fn metamorphic_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> O
     let transformed: Vec<PreparedGene> = (0..n)
         .map(|g| {
             let scaled: Vec<f32> = matrix.gene(g).iter().map(|v| v * 4.0).collect();
-            PreparedGene::from_raw(&scaled, &basis())
+            prepare_gene(&scaled, &basis())
         })
         .collect();
     for j in 1..n {
@@ -120,7 +120,7 @@ pub(crate) fn metamorphic_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> O
             let src = matrix.gene(g);
             // cast-ok: permutation entries index the sample range
             let reordered: Vec<f32> = pi.iter().map(|&s| src[s as usize]).collect();
-            PreparedGene::from_raw(&reordered, &basis())
+            prepare_gene(&reordered, &basis())
         })
         .collect();
     for j in 1..n {

@@ -18,7 +18,7 @@ use gnet_expr::stats::pearson;
 use gnet_expr::ExpressionMatrix;
 use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::histogram::HistogramEstimator;
-use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch};
+use gnet_mi::{mi_with_nulls, MiKernel, MiScratch};
 use gnet_permute::{PermutationSet, PooledNull};
 
 /// Deliberately simple reference implementation of the full statistical
@@ -27,9 +27,7 @@ use gnet_permute::{PermutationSet, PooledNull};
 pub fn sequential_reference(matrix: &ExpressionMatrix, config: &InferenceConfig) -> GeneNetwork {
     config.validate();
     let basis = BsplineBasis::new(config.spline_order, config.bins);
-    let prepared: Vec<_> = (0..matrix.genes())
-        .map(|g| prepare_gene(matrix.gene(g), &basis))
-        .collect();
+    let prepared = crate::prepare_genes(matrix, 0..matrix.genes(), &basis, 1);
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
     let mut scratch = MiScratch::for_basis(&basis);
 

@@ -3,36 +3,44 @@
 //! [`crate::scan::scan_tiles`] calls: the exact test scans the tile list
 //! (in chunks when checkpointed); early exit first scans its threshold
 //! pre-pass's sampled pairs as 1 × 1 tiles under the exact test, then
-//! the tile list under the resolved threshold.
+//! the tile list under the resolved threshold. A pre-pass that would
+//! sample every pair is the exact test, so then early exit scans the tile
+//! list under the exact test once and finishes from it.
 
 use crate::checkpoint::{run_digest, run_space, ResumableOutcome};
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::result::{InferenceResult, RunStats};
 use crate::scan::{Checkpoint, Chunking, NullScan, TileScan};
-use gnet_bspline::BsplineBasis;
+use gnet_bspline::{BsplineBasis, WeightTable};
 use gnet_expr::ExpressionMatrix;
-use gnet_mi::{prepare_gene, MiKernel, PreparedGene};
+use gnet_mi::{MiKernel, PreparedGene};
 use gnet_parallel::{ExecutionReport, Tile, TileSpace};
 use gnet_permute::PermutationSet;
 use gnet_trace::Recorder;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Prepare genes `genes` of `matrix` — rank transform, B-spline weights
-/// and marginal entropy ([`prepare_gene`]) — on up to `threads` scoped
-/// workers, one contiguous share each, in gene order. Every run prepares
-/// its genes here: shared-memory runs, the MI matrix, state builds and
-/// updates, and the ring's blocks. A prepared gene is a function of its
-/// profile alone, so the result is the same at any thread count.
+/// Prepare genes `genes` of `matrix` — rank codes into one B-spline
+/// weight table of the matrix's rank grid, shared by every gene of the
+/// call, and the marginal entropy ([`PreparedGene::coded`]) — on up to
+/// `threads` scoped workers, one contiguous share each, in gene order.
+/// Every run prepares its genes here: shared-memory runs, the MI matrix,
+/// state builds and updates, and the ring's blocks. A prepared gene is a
+/// function of its profile alone, so the result is the same at any thread
+/// count, and each sample's first bin and weights are those
+/// [`gnet_mi::prepare_gene`] gives it.
 pub fn prepare_genes(
     matrix: &ExpressionMatrix,
     genes: Range<usize>,
     basis: &BsplineBasis,
     threads: usize,
 ) -> Vec<PreparedGene> {
+    let table = Arc::new(WeightTable::for_ranks(matrix.samples(), basis));
     let share = genes.len().div_ceil(threads.max(1)).max(1);
     let prepare = |g: Range<usize>| -> Vec<PreparedGene> {
-        g.map(|g| prepare_gene(matrix.gene(g), basis)).collect()
+        g.map(|g| PreparedGene::coded(matrix.gene(g), &table))
+            .collect()
     };
     if share >= genes.len() {
         return prepare(genes);
@@ -205,13 +213,7 @@ pub(crate) fn sample_unique_pairs(rng: &mut SplitMix64, n: u64, want: usize) -> 
 /// records nothing on `rec` but `mi.prepass_pairs`, so the executor's
 /// instruments describe the main scan.
 fn threshold_prepass(run: &PreparedRun, config: &InferenceConfig, rec: &Recorder) -> NullScan {
-    // `.max(2)` must come *before* `.min(total_pairs)`: the other order
-    // could force `sample > total_pairs` on a 2-gene matrix, which the
-    // deduplicating sampler could never satisfy.
-    let sample = config
-        .null_sample_pairs
-        .max(2)
-        .min(run.space.total_pairs() as usize);
+    let sample = prepass_pairs(run, config);
     rec.counter_add("mi.prepass_pairs", sample as u64);
     let mut rng = SplitMix64(config.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
     let tiles: Vec<Tile> = sample_unique_pairs(&mut rng, run.genes.len() as u64, sample)
@@ -236,6 +238,18 @@ fn threshold_prepass(run: &PreparedRun, config: &InferenceConfig, rec: &Recorder
         candidates: Vec::new(),
         ..prepass
     }
+}
+
+/// Pairs the threshold pre-pass samples: `null_sample_pairs`, at least
+/// two and at most every pair.
+fn prepass_pairs(run: &PreparedRun, config: &InferenceConfig) -> usize {
+    // `.max(2)` must come *before* `.min(total_pairs)`: the other order
+    // could force `sample > total_pairs` on a 2-gene matrix, which the
+    // deduplicating sampler could never satisfy.
+    config
+        .null_sample_pairs
+        .max(2)
+        .min(run.space.total_pairs() as usize)
 }
 
 /// Run the full pipeline over an expression matrix.
@@ -348,7 +362,20 @@ pub(crate) fn run_pipeline(
             ("scheduler", config.scheduler.name().into()),
         ],
     );
+    let prepass_is_exact = config.mi_threshold.is_none()
+        && prepass_pairs(&run, config) as u64 >= run.space.total_pairs();
     let (scan, early_threshold, execution) = match (config.null_strategy, chunked) {
+        (NullStrategy::EarlyExit, _) if prepass_is_exact => {
+            // A pre-pass over every pair is the exact test: finish from
+            // the exact scan, which has its I* and its network, and skip
+            // the main scan.
+            let exact = InferenceConfig {
+                null_strategy: NullStrategy::ExactFull,
+                ..*config
+            };
+            let (scan, execution) = run.scan(&exact).run_all(rec);
+            (scan, None, execution)
+        }
         (NullStrategy::EarlyExit, _) => {
             // The threshold first: explicit, or the pre-pass's pooled I*.
             let prepass = match config.mi_threshold {
@@ -454,15 +481,35 @@ mod tests {
 
     #[test]
     fn prepare_genes_prepares_every_gene_at_any_thread_count() {
-        let matrix = synth::independent_uniform(5, 40, 1);
+        use gnet_bspline::SparseWeights;
+        use gnet_expr::normalize::rank_transform_profile;
+        // Rounded profiles, so tie groups meet the rank codes.
+        let mut matrix = synth::independent_uniform(5, 40, 1);
+        for g in 0..5 {
+            for v in matrix.gene_mut(g) {
+                *v = (*v * 8.0).round();
+            }
+        }
         let basis = BsplineBasis::tinge_default();
+        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for threads in [1, 2, 3, 8] {
             let prepared = prepare_genes(&matrix, 1..5, &basis, threads);
             assert_eq!(prepared.len(), 4, "{threads} threads");
             for (g, p) in (1..5).zip(&prepared) {
-                let one = prepare_gene(matrix.gene(g), &basis);
+                let table = prepared[0].sparse.table();
+                assert!(Arc::ptr_eq(p.sparse.table(), table), "one table per call");
+                let normalized = rank_transform_profile(matrix.gene(g));
+                let per_sample = SparseWeights::from_normalized(&normalized, &basis);
                 assert_eq!(p.samples(), 40);
+                for s in 0..40 {
+                    assert_eq!(p.sparse.first_bin(s), per_sample.first_bin(s), "gene {g}");
+                    let (got, want) = (p.sparse.sample_weights(s), per_sample.sample_weights(s));
+                    assert_eq!(bits(got), bits(want), "gene {g}, sample {s}");
+                }
+                let h = gnet_mi::entropy_nats(&per_sample.marginal());
                 assert!(p.h_marginal > 0.0);
+                assert_eq!(p.h_marginal.to_bits(), h.to_bits());
+                let one = gnet_mi::prepare_gene(matrix.gene(g), &basis);
                 assert_eq!(p.h_marginal.to_bits(), one.h_marginal.to_bits());
             }
         }
@@ -695,6 +742,52 @@ mod tests {
             null_sample_pairs: 25,
             ..fast_config()
         }
+    }
+
+    #[test]
+    fn early_exit_over_every_pair_is_the_exact_test() {
+        // 12 genes: the default pre-pass (1,000 pairs) would sample all 66.
+        let (matrix, _) = synth::coupled_pairs(6, 200, Coupling::Linear(0.8), 43);
+        let edge_bytes = |r: &InferenceResult| {
+            let mut bytes = Vec::new();
+            gnet_graph::io::write_edge_list(&r.network, &mut bytes).expect("in-memory write");
+            bytes
+        };
+        let exact = infer_network(&matrix, &fast_config());
+        for sample in [66, InferenceConfig::default().null_sample_pairs] {
+            let rec = Recorder::enabled();
+            let cfg = InferenceConfig {
+                null_sample_pairs: sample,
+                ..early_exit_config()
+            };
+            let early = infer_network_traced(&matrix, &cfg, &rec);
+            let at = format!("{sample} sampled pairs");
+            assert_eq!(
+                early.stats.joints_evaluated, exact.stats.joints_evaluated,
+                "{at}"
+            );
+            assert_eq!(early.stats.candidates, exact.stats.candidates, "{at}");
+            assert_eq!(
+                early.stats.threshold.to_bits(),
+                exact.stats.threshold.to_bits()
+            );
+            assert_eq!(edge_bytes(&early), edge_bytes(&exact), "{at}");
+            assert_eq!(rec.counter("mi.joints_evaluated"), Some(66 * 13), "{at}");
+            assert_eq!(
+                rec.counter("mi.prepass_pairs"),
+                None,
+                "{at}: no pre-pass ran"
+            );
+        }
+        // One pair short of every pair, the pre-pass samples and the main
+        // scan runs after it.
+        let cfg = InferenceConfig {
+            null_sample_pairs: 65,
+            ..early_exit_config()
+        };
+        let sampled = infer_network(&matrix, &cfg);
+        assert!(sampled.stats.joints_evaluated > 65 * 13);
+        assert_eq!(edge_bytes(&sampled), edge_bytes(&exact));
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! The Xeon Phi the paper targets has 8 GB of on-card GDDR5, and the
 //! whole-genome problem is sized uncomfortably close to it: the raw
-//! matrix is ~195 MB, the per-gene sparse weight matrices ~684 MB, and
-//! every worker thread additionally materializes the dense lane-padded
+//! matrix is ~195 MB, and the prepared genes ~98 MB — two-byte rank codes
+//! per gene-sample into one shared B-spline weight table (88 KB), where
+//! per-sample weights took ~684 MB. Every worker thread additionally
+//! materializes the dense lane-padded
 //! expansions of its current tile's column genes, the run plan of its
 //! current row gene and one joint grid per column of a block. This module
 //! makes those footprints explicit so callers can pick a tile size that
 //! fits a memory budget *before* starting a multi-hour run.
 
 use crate::config::InferenceConfig;
+use gnet_bspline::{SampleCodes, WeightTable};
 use gnet_simd::run_block_columns;
 use serde::{Deserialize, Serialize};
 
@@ -50,10 +53,13 @@ impl MemoryPlan {
         self.genes * self.samples * 4
     }
 
-    /// All sparse weight matrices (`n × m × (4k + 2)`), resident for the
-    /// whole run.
+    /// Every prepared gene's rank codes (`n × m` codes of
+    /// [`SampleCodes::width`] bytes) plus the one rank table they share
+    /// ([`WeightTable::for_ranks`]), resident for the whole run.
     pub fn prepared_bytes(&self) -> usize {
-        self.genes * self.samples * (4 * self.order + 2)
+        let entries = WeightTable::rank_entries(self.samples);
+        self.genes * self.samples * SampleCodes::width(entries)
+            + WeightTable::bytes_for(entries, self.order)
     }
 
     /// Shared permutation set (`q × m × 4`).
@@ -106,18 +112,16 @@ impl MemoryPlan {
         Some((spare / (threads * per_gene)).min(self.genes).max(1))
     }
 
-    /// Human-readable footprint summary.
+    /// Footprint summary: each term in bytes and MiB.
     pub fn summary(&self, tile: usize, threads: usize) -> String {
-        let gb = |b: usize| b as f64 / (1024.0 * 1024.0 * 1024.0);
+        let bytes = |b: usize| format!("{b} B ({:.2} MiB)", b as f64 / (1024.0 * 1024.0));
         format!(
-            "matrix {:.2} GiB + weights {:.2} GiB + perms {:.3} GiB + {} threads × tile {} ({:.2} GiB) = peak {:.2} GiB",
-            gb(self.matrix_bytes()),
-            gb(self.prepared_bytes()),
-            gb(self.permutations_bytes()),
-            threads,
-            tile,
-            gb(threads * self.per_thread_tile_bytes(tile)),
-            gb(self.peak_bytes(tile, threads)),
+            "matrix {} + genes {} + perms {} + {threads} threads × tile {tile} ({}) = peak {}",
+            bytes(self.matrix_bytes()),
+            bytes(self.prepared_bytes()),
+            bytes(self.permutations_bytes()),
+            bytes(threads * self.per_thread_tile_bytes(tile)),
+            bytes(self.peak_bytes(tile, threads)),
         )
     }
 }
@@ -134,7 +138,8 @@ mod tests {
     fn headline_footprints_match_hand_arithmetic() {
         let p = headline_plan();
         assert_eq!(p.matrix_bytes(), 15_575 * 3_137 * 4); // ≈ 195 MB
-        assert_eq!(p.prepared_bytes(), 15_575 * 3_137 * 14); // ≈ 684 MB
+        let (codes, table) = (15_575 * 3_137 * 2, 6_273 * (2 + 3 * 4));
+        assert_eq!(p.prepared_bytes(), codes + table); // ≈ 98 MB
         assert_eq!(p.permutations_bytes(), 30 * 3_137 * 4);
         assert_eq!(p.bins_padded, 16);
         // The row plan: 3,137 × (12 + 4 + 120) bytes ≈ 0.41 MiB, plus 9
@@ -150,6 +155,29 @@ mod tests {
             p.per_thread_tile_bytes(5),
             5 * 3_137 * 64 + p.per_thread_fixed_bytes()
         );
+    }
+
+    #[test]
+    fn prepared_bytes_equal_what_prepare_genes_holds() {
+        use gnet_bspline::BsplineBasis;
+        for (genes, m, order) in [
+            (6usize, 40usize, 3usize),
+            (3, 3_137, 3),
+            (4, 7, 5),
+            (2, 1, 3),
+        ] {
+            let config = InferenceConfig {
+                spline_order: order,
+                ..InferenceConfig::default()
+            };
+            let matrix = gnet_expr::synth::independent_gaussian(genes, m, 5);
+            let basis = BsplineBasis::new(order, config.bins);
+            let prepared = crate::prepare_genes(&matrix, 0..genes, &basis, 2);
+            let held: usize = prepared.iter().map(|g| g.heap_bytes()).sum::<usize>()
+                + prepared[0].sparse.table().heap_bytes();
+            let plan = MemoryPlan::new(&config, genes, m);
+            assert_eq!(plan.prepared_bytes(), held, "{genes} × {m}, k {order}");
+        }
     }
 
     #[test]
@@ -193,8 +221,8 @@ mod tests {
     fn headline_fits_the_phis_8_gb_at_the_paper_operating_point() {
         let p = headline_plan();
         let budget = 8usize * 1024 * 1024 * 1024;
-        // 244 threads with the cache-rule tile (T=5 for 44 KB genes in a
-        // 512 KB L2 share) sits far inside the card.
+        // 244 threads with the cache-rule tile (T=5 at 3,137 samples)
+        // sits far inside the card.
         assert!(p.peak_bytes(5, 244) < budget);
         // And the planner can tell how far tiles could grow.
         let max_tile = p.max_tile_for_budget(budget, 244).unwrap();
@@ -244,6 +272,6 @@ mod tests {
     fn summary_mentions_all_components() {
         let p = headline_plan();
         let s = p.summary(64, 244);
-        assert!(s.contains("matrix") && s.contains("weights") && s.contains("peak"));
+        assert!(s.contains("matrix") && s.contains("genes") && s.contains("peak"));
     }
 }

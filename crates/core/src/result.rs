@@ -18,10 +18,14 @@ pub struct RunStats {
     /// Total pairs evaluated.
     pub pairs: u64,
     /// Pairs that beat all of their own permutation nulls (candidates).
+    /// Under early exit, the pairs above the threshold that did; when its
+    /// pre-pass would sample every pair, early exit runs the exact test
+    /// and this is the exact test's count.
     pub candidates: u64,
     /// Joint-entropy evaluations performed in the MI stage. The exact
     /// strategy does `pairs × (q + 1)`; early exit counts its threshold
-    /// pre-pass (`sampled pairs × (q + 1)`) and then far fewer per pair.
+    /// pre-pass (`sampled pairs × (q + 1)`) and then far fewer per pair,
+    /// or, when the pre-pass would sample every pair, the exact test's.
     pub joints_evaluated: u64,
     /// The global threshold `I*` applied (nats).
     pub threshold: f64,
@@ -64,7 +68,9 @@ pub struct InferenceResult {
     /// The evidence the network was drawn from: the pooled null, joint
     /// count and `(i, j)`-sorted candidates over every pair. An exact run's
     /// evidence is what a [`crate::NetworkState`] keeps; under early exit
-    /// it holds the pre-pass's pooled null and the surviving pairs only.
+    /// it holds the pre-pass's pooled null and the surviving pairs only
+    /// (the exact test's evidence when the pre-pass would sample every
+    /// pair).
     pub scan: NullScan,
 }
 

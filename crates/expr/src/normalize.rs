@@ -9,45 +9,77 @@
 
 use crate::matrix::ExpressionMatrix;
 
+/// Rank codes of one profile: sample `s`'s code is `2(r_s − 1)` for its
+/// 1-based average rank `r_s` (ties share the average of their ranks), an
+/// integer below `2m − 1`. Every normalized value the rank transform
+/// produces is a function of its code and `m` alone ([`rank_code_value`]),
+/// so a code stands for the value exactly.
+///
+/// One sort of packed `(total-order key, index)` words: `−0.0` ties
+/// `+0.0`, equal keys tie, and a NaN sorts by its bits (rejected upstream).
+pub fn rank_codes(values: &[f32]) -> Vec<u32> {
+    let m = values.len();
+    assert!(
+        u32::try_from(m).is_ok(),
+        "profiles are indexed by u32 samples"
+    );
+    let mut keyed: Vec<u64> = values
+        .iter()
+        .zip(0u32..)
+        .map(|(&v, s)| (u64::from(order_key(v)) << 32) | u64::from(s))
+        .collect();
+    keyed.sort_unstable();
+    let mut codes = vec![0u32; m];
+    let mut i = 0;
+    while i < m {
+        // Extend over the tie group [i, j).
+        let key = keyed[i] >> 32;
+        let j = i + keyed[i..].iter().take_while(|&&w| w >> 32 == key).count();
+        // 2(r − 1) for the group's average rank r = (i + 1 + j) / 2.
+        let code = (i + j - 1) as u32;
+        for &w in &keyed[i..j] {
+            codes[(w & u64::from(u32::MAX)) as usize] = code;
+        }
+        i = j;
+    }
+    codes
+}
+
+/// `v`'s position in an order where `−0.0` equals `+0.0` and every other
+/// pair of non-NaN values compares as `f32`'s `<` does.
+fn order_key(v: f32) -> u32 {
+    // ±0.0 differ in the sign bit alone; both key as +0.0.
+    let bits = match v.to_bits() {
+        b if b << 1 == 0 => 0,
+        b => b,
+    };
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
+/// The normalized value `(r − 1)/(m − 1) ∈ [0, 1]` of rank code `code`
+/// ([`rank_codes`]) in a profile of `m` samples; `0.5` when `m ≤ 1`.
+pub fn rank_code_value(code: u32, m: usize) -> f32 {
+    if m <= 1 {
+        return 0.5;
+    }
+    ((f64::from(code) / 2.0) / (m - 1) as f64) as f32
+}
+
 /// Rank-transform one profile in place of a fresh vector: value `v` becomes
-/// `(rank(v) - 1) / (m - 1) ∈ [0, 1]`, average-ranked over ties.
+/// `(rank(v) - 1) / (m - 1) ∈ [0, 1]`, average-ranked over ties: the value
+/// of its rank code ([`rank_codes`], [`rank_code_value`]).
 ///
 /// A constant profile (all values tied) maps to all `0.5`, and a
 /// single-sample profile maps to `[0.5]`.
 pub fn rank_transform_profile(values: &[f32]) -> Vec<f32> {
     let m = values.len();
-    if m <= 1 {
-        return vec![0.5; m];
-    }
-    // Sample indices ordered by `(value, index)`. NaNs compare `Equal`
-    // (rejected upstream, but ordered deterministically by index anyway).
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_by(|&a, &b| {
-        values[a as usize]
-            .partial_cmp(&values[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut ranks = vec![0.0f64; m];
-    let mut i = 0;
-    while i < m {
-        // Extend over the tie group [i, j).
-        let mut j = i + 1;
-        while j < m && values[order[j] as usize] == values[order[i] as usize] {
-            j += 1;
-        }
-        // Average rank of the group, 1-based.
-        let avg_rank = (i + 1 + j) as f64 / 2.0;
-        for &idx in &order[i..j] {
-            ranks[idx as usize] = avg_rank;
-        }
-        i = j;
-    }
-
-    let denom = (m - 1) as f64;
-    ranks
-        .iter()
-        .map(|&r| (((r - 1.0) / denom) as f32).clamp(0.0, 1.0))
+    rank_codes(values)
+        .into_iter()
+        .map(|c| rank_code_value(c, m))
         .collect()
 }
 
@@ -232,6 +264,89 @@ mod tests {
     fn degenerate_lengths() {
         assert!(rank_transform_profile(&[]).is_empty());
         assert_eq!(rank_transform_profile(&[42.0]), vec![0.5]);
+    }
+
+    /// The comparator-sort ranking `rank_transform_profile` used before
+    /// rank codes: indices sorted by `(value, index)`, tie groups of
+    /// `==` values average their 1-based ranks in f64.
+    fn comparator_ranking(values: &[f32]) -> Vec<f32> {
+        let m = values.len();
+        if m <= 1 {
+            return vec![0.5; m];
+        }
+        let mut order: Vec<u32> = (0..m as u32).collect();
+        order.sort_by(|&a, &b| {
+            values[a as usize]
+                .partial_cmp(&values[b as usize])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let mut ranks = vec![0.0f64; m];
+        let mut i = 0;
+        while i < m {
+            let mut j = i + 1;
+            while j < m && values[order[j] as usize] == values[order[i] as usize] {
+                j += 1;
+            }
+            for &idx in &order[i..j] {
+                ranks[idx as usize] = (i + 1 + j) as f64 / 2.0;
+            }
+            i = j;
+        }
+        let denom = (m - 1) as f64;
+        ranks
+            .iter()
+            .map(|&r| (((r - 1.0) / denom) as f32).clamp(0.0, 1.0))
+            .collect()
+    }
+
+    #[test]
+    fn rank_codes_are_twice_the_average_rank_less_two() {
+        // Values [5, 5, 1, 9]: ranks (2.5, 2.5, 1, 4).
+        assert_eq!(rank_codes(&[5.0, 5.0, 1.0, 9.0]), [3, 3, 0, 6]);
+        assert_eq!(rank_codes(&[-0.0, 0.0, -1.0]), [3, 3, 0]);
+        assert_eq!(rank_codes(&[7.0]), [0]);
+        assert!(rank_codes(&[]).is_empty());
+        assert_eq!(rank_code_value(0, 1), 0.5);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_rank_codes_reproduce_the_comparator_ranking_bitwise(
+            shape in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            // Profiles drawn from a small palette, so ties, ±0.0 and ±inf
+            // meet; shape 5 is a constant profile.
+            const PALETTE: [f32; 9] =
+                [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5, -1.5, 2.0, 1e-30, -3e5];
+            let m = [1, 2, 3, 64, 3_137, 40][shape];
+            let mut state = seed | 1;
+            let values: Vec<f32> = (0..m)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if shape == 5 {
+                        PALETTE[(seed % 9) as usize]
+                    } else if state % 4 == 0 {
+                        (state >> 40) as f32 / 7.0
+                    } else {
+                        PALETTE[(state >> 8) as usize % PALETTE.len()]
+                    }
+                })
+                .collect();
+            let expected = comparator_ranking(&values);
+            let codes = rank_codes(&values);
+            prop_assert!(codes.iter().all(|&c| (c as usize) < (2 * m).max(2) - 1));
+            for (s, (&c, e)) in codes.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(rank_code_value(c, m).to_bits(), e.to_bits(), "sample {}", s);
+            }
+            let transformed: Vec<u32> =
+                rank_transform_profile(&values).iter().map(|v| v.to_bits()).collect();
+            let reference: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(transformed, reference);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Per-gene preparation and the kernel-dispatch layer the pipeline uses.
 //!
-//! Preparation happens once per gene (B-spline weights + marginal entropy)
-//! and is reused for all `n−1` pairs the gene participates in — the
-//! amortization that makes whole-genome runs feasible and that the tiling
-//! layer is built around. Gene contexts keep only the *sparse* weight
-//! matrix; the dense expansion the vector kernel needs is materialized per
+//! Preparation happens once per gene (rank codes into a B-spline weight
+//! table the run's genes share, plus the marginal entropy) and is reused
+//! for all `n−1` pairs the gene participates in — the amortization that
+//! makes whole-genome runs feasible and that the tiling layer is built
+//! around. Gene contexts keep only the coded *sparse* form; the dense
+//! expansion the vector kernel needs is materialized per
 //! tile by the executor ([`PreparedGene::to_dense`]), which is exactly how
 //! the paper bounds the working set to the L2 cache. Symmetrically, the
 //! vector kernel's run plan of a row gene is built once per tile row
@@ -19,10 +20,11 @@
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
 use crate::vector_kernel::{self, VectorGrid};
-use gnet_bspline::{BsplineBasis, DenseWeights, SparseWeights};
-use gnet_expr::normalize::rank_transform_profile;
+use gnet_bspline::{BsplineBasis, DenseWeights, SampleCodes, SparseWeights, WeightTable};
+use gnet_expr::normalize::rank_codes;
 use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::{F32x16, RunPlan};
+use std::sync::Arc;
 
 /// Which B-spline kernel the pipeline dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -35,21 +37,36 @@ pub enum MiKernel {
     VectorDense,
 }
 
-/// One gene, prepared for pairwise MI: rank-transformed, B-spline weighted,
-/// marginal entropy cached.
+/// One gene, prepared for pairwise MI: rank-coded into a shared B-spline
+/// weight table, marginal entropy cached.
 #[derive(Clone, Debug)]
 pub struct PreparedGene {
-    /// Sparse `m × k` weight matrix.
+    /// The gene's weights: a code per sample into a shared table.
     pub sparse: SparseWeights,
     /// Marginal entropy `H(g)` in nats.
     pub h_marginal: f64,
 }
 
 impl PreparedGene {
-    /// Prepare from a **raw** expression profile (rank transform applied
-    /// internally).
-    pub fn from_raw(values: &[f32], basis: &BsplineBasis) -> Self {
-        Self::from_normalized(&rank_transform_profile(values), basis)
+    /// Prepare a **raw** expression profile as rank codes into `table`,
+    /// the rank table of its sample count
+    /// ([`WeightTable::for_ranks`]), which the genes of a run share: one
+    /// sort, then the marginal summed through the table in sample order.
+    ///
+    /// # Panics
+    /// Panics if `table` does not have one entry per rank code of the
+    /// profile's sample count.
+    pub fn coded(values: &[f32], table: &Arc<WeightTable>) -> Self {
+        assert_eq!(
+            table.entries(),
+            WeightTable::rank_entries(values.len()),
+            "a rank table of the profile's sample count"
+        );
+        let codes = SampleCodes::for_entries(rank_codes(values), table.entries());
+        let sparse =
+            SparseWeights::new(Arc::clone(table), codes).expect("rank codes lie below 2m − 1");
+        let h_marginal = entropy_nats(&sparse.marginal());
+        Self { sparse, h_marginal }
     }
 
     /// Prepare from an already `[0, 1]`-normalized profile.
@@ -70,16 +87,21 @@ impl PreparedGene {
         self.sparse.to_dense()
     }
 
-    /// Approximate heap footprint in bytes (sparse form).
+    /// Heap bytes of the gene's own codes; the table it shares is counted
+    /// once per run.
     pub fn heap_bytes(&self) -> usize {
-        self.sparse.heap_bytes() + core::mem::size_of::<f64>()
+        self.sparse.heap_bytes()
     }
 }
 
-/// Prepare from a raw expression profile — free-function alias used by the
-/// pipeline.
+/// Prepare one raw expression profile: a batch of one, with a rank table
+/// of its own. Runs prepare their genes against one shared table
+/// ([`PreparedGene::coded`]); oracles and benchmarks call this.
 pub fn prepare_gene(values: &[f32], basis: &BsplineBasis) -> PreparedGene {
-    PreparedGene::from_raw(values, basis)
+    PreparedGene::coded(
+        values,
+        &Arc::new(WeightTable::for_ranks(values.len(), basis)),
+    )
 }
 
 /// Reusable per-thread scratch covering both kernels.

@@ -33,7 +33,7 @@
 //! carries.
 
 use crate::entropy::entropy_from_counts_on;
-use gnet_bspline::{DenseWeights, SparseWeights};
+use gnet_bspline::{DenseWeights, SampleCodes, SparseWeights};
 use gnet_simd::dispatch::{self, KernelTable};
 use gnet_simd::{F32x16, Row16, RunPlan};
 
@@ -102,13 +102,12 @@ pub(crate) fn fits_run_kernel(y: &DenseWeights) -> bool {
 /// Plan `x` for the run-blocked kernel with room for `permutations` null
 /// lists (composed later, [`RunPlan::compose`]), reusing `plan`'s buffers.
 pub(crate) fn plan_runs(x: &SparseWeights, permutations: usize, plan: &mut RunPlan) {
-    plan.rebuild(
-        x.first_bins_flat(),
-        x.weights_flat(),
-        x.order(),
-        x.bins(),
-        permutations,
-    );
+    let (table, k, b) = (x.table(), x.order(), x.bins());
+    let (first_bins, weights) = (table.first_bins(), table.weights());
+    match x.codes() {
+        SampleCodes::Narrow(c) => plan.rebuild(c, first_bins, weights, k, b, permutations),
+        SampleCodes::Wide(c) => plan.rebuild(c, first_bins, weights, k, b, permutations),
+    }
 }
 
 /// Accumulate the unnormalized joint grids of a planned `x` against a

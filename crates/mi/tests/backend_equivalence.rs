@@ -10,7 +10,7 @@
 
 use gnet_bspline::BsplineBasis;
 use gnet_mi::vector_kernel::{joint_counts, VectorGrid};
-use gnet_mi::{mi_with_nulls, MiKernel, MiScratch, PairMi, PreparedGene};
+use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch, PairMi, PreparedGene};
 use gnet_simd::dispatch::{Backend, KernelTable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,8 +55,8 @@ fn pair_on(
 fn mi_all_backends(seed: u64, m: usize, order: usize) -> (Vec<f64>, Vec<(Backend, Vec<f64>)>) {
     let basis = BsplineBasis::new(order, 10);
     let mut rng = StdRng::seed_from_u64(seed);
-    let x = PreparedGene::from_raw(&profile(&mut rng, m), &basis);
-    let y = PreparedGene::from_raw(&profile(&mut rng, m), &basis);
+    let x = prepare_gene(&profile(&mut rng, m), &basis);
+    let y = prepare_gene(&profile(&mut rng, m), &basis);
     let perms = [(0..u32::try_from(m).expect("m fits u32")).rev().collect()];
     let values = |pair: PairMi| [vec![pair.observed], pair.null].concat();
     let resolved = gnet_simd::dispatch::table();
@@ -125,7 +125,7 @@ fn scratches_keep_their_tables(basis: &BsplineBasis) {
     let m = 200u32;
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let genes: Vec<PreparedGene> = (0..5)
-        .map(|_| PreparedGene::from_raw(&profile(&mut rng, m as usize), basis))
+        .map(|_| prepare_gene(&profile(&mut rng, m as usize), basis))
         .collect();
     let dense: Vec<_> = genes.iter().map(PreparedGene::to_dense).collect();
     // Six nulls: strides coprime to m.

@@ -36,7 +36,7 @@ use gnet_bspline::BsplineBasis;
 use gnet_cluster::{infer_network_distributed, RankRun, TelemetryPlane, TelemetrySpec};
 use gnet_core::{apply_update, build_state, infer_network, UpdateMode};
 use gnet_mi::mutation::{KernelMutation, MutatedVectorKernel};
-use gnet_mi::{mi_with_nulls, prepare_gene, MiKernel, MiScratch};
+use gnet_mi::{mi_with_nulls, MiKernel, MiScratch};
 use gnet_parallel::SchedulerPolicy;
 use gnet_permute::PermutationSet;
 use gnet_simd::dispatch::{self, Backend, KernelTable};
@@ -217,9 +217,7 @@ fn kernel_bench(
     let (genes, samples, q) = if quick { (12, 64, 4) } else { (16, 128, 8) };
     let basis = BsplineBasis::tinge_default();
     let matrix = gnet_expr::synth::independent_gaussian(genes, samples, 0x00BE_7C11);
-    let prepared: Vec<_> = (0..genes)
-        .map(|g| prepare_gene(matrix.gene(g), &basis))
-        .collect();
+    let prepared = gnet_core::prepare_genes(&matrix, 0..genes, &basis, 1);
     let dense: Vec<_> = prepared
         .iter()
         .map(gnet_mi::PreparedGene::to_dense)

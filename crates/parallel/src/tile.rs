@@ -378,7 +378,8 @@ mod tests {
 
     #[test]
     fn cache_blocking_rule() {
-        // 44 KB per gene (3137 samples × 14 B sparse) in a 512 KB L2 share
+        // 44 KB per gene (the cache rule's charge at 3,137 samples, k = 3)
+        // in a 512 KB L2 share
         // ⇒ T ≈ 5... clamped up to 4 minimum; with 256 KB per-core share of
         // a big L2 and small genes, T grows.
         let t = TileSpace::tile_size_for_cache(15_575, 44_000, 512 * 1024);

@@ -51,4 +51,4 @@ pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
 pub use lanes::F32x16;
 pub use model::VectorModel;
 pub use row::Row16;
-pub use run_plan::{run_block_columns, RunPlan};
+pub use run_plan::{run_block_columns, EntryCode, RunPlan};

@@ -22,7 +22,8 @@
 //!   `π_p[order[t]]`. Sample `s` of *x* meets row `π_p[s]` of *y*, exactly
 //!   as an unsorted per-sample loop would pair them.
 //!
-//! [`RunPlan::rebuild`] sorts the samples and builds the identity list;
+//! [`RunPlan::rebuild`] reads *x* as one code per sample into a table of
+//! first bins and weights, sorts the samples and builds the identity list;
 //! each permutation's list is composed separately ([`RunPlan::compose`]),
 //! so a caller that may stop after a few nulls (the early-exit test)
 //! composes only the lists it reads. Every range check the kernel's
@@ -85,18 +86,20 @@ impl RunPlan {
         Self::default()
     }
 
-    /// Re-plan for an *x* gene given as `first_bins` (one per sample) and
-    /// sample-major `weights` (`order` per sample) over a grid of `rows`
+    /// Re-plan for an *x* gene given as `codes`, one per sample, into a
+    /// table whose entry `e` has first bin `first_bins[e]` and the `order`
+    /// weights `weights[e·order..(e + 1)·order]`, over a grid of `rows`
     /// rows, with room for `permutations` null lists, none of them
     /// composed yet. Buffers are reused.
     ///
     /// # Panics
     /// Panics — leaving the plan empty — if `order` is outside
     /// `1..=MAX_RUN_ORDER`, `rows < order`, the weight count is not
-    /// `first_bins.len() · order`, or any `first_bin + order` exceeds
-    /// `rows`.
-    pub fn rebuild(
+    /// `first_bins.len() · order`, a code names no entry, or a sample's
+    /// `first_bin + order` exceeds `rows`.
+    pub fn rebuild<C: EntryCode>(
         &mut self,
+        codes: &[C],
         first_bins: &[u16],
         weights: &[f32],
         order: usize,
@@ -106,7 +109,7 @@ impl RunPlan {
         // Empty until every check below has passed: a rebuild that panics
         // leaves a plan every kernel rejects.
         (self.order, self.rows, self.samples) = (0, 0, 0);
-        let m = first_bins.len();
+        let m = codes.len();
         assert!(
             (1..=MAX_RUN_ORDER).contains(&order),
             "run plan: order {order} outside 1..={MAX_RUN_ORDER}"
@@ -115,23 +118,33 @@ impl RunPlan {
             rows >= order,
             "run plan: {rows} grid rows below order {order}"
         );
-        assert_eq!(weights.len(), m * order, "run plan: weights shape");
-        u32::try_from(m).expect("run plan: sample count fits u32");
-        let top = first_bins.iter().copied().max().map_or(0, usize::from);
-        assert!(
-            m == 0 || top + order <= rows,
-            "run plan: bin row out of range"
+        assert_eq!(
+            weights.len(),
+            first_bins.len() * order,
+            "run plan: weights shape"
         );
+        u32::try_from(m).expect("run plan: sample count fits u32");
 
         // Counting sort (stable). Counts go to `offsets[fb + 2]`; after the
         // prefix sum `offsets[fb + 1]` is run fb's start, used as its
         // cursor, which leaves it at the run's end = the next run's start.
+        // A count slot exists exactly for the first bins with
+        // `fb + order ≤ rows`, so counting checks every sample's bin.
         let runs = rows - order + 1;
         self.offsets.clear();
         self.offsets.resize(runs + 2, 0);
-        for &fb in first_bins {
-            self.offsets[usize::from(fb) + 2] += 1;
+        let (mut codes_ok, mut bins_ok) = (true, true);
+        for c in codes {
+            match first_bins.get(c.index()) {
+                Some(&fb) => match self.offsets.get_mut(usize::from(fb) + 2) {
+                    Some(count) => *count += 1,
+                    None => bins_ok = false,
+                },
+                None => codes_ok = false,
+            }
         }
+        assert!(codes_ok, "run plan: code out of range");
+        assert!(bins_ok, "run plan: bin row out of range");
         for r in 1..self.offsets.len() {
             self.offsets[r] += self.offsets[r - 1];
         }
@@ -142,6 +155,7 @@ impl RunPlan {
         with_order!(
             order,
             scatter(
+                codes,
                 first_bins,
                 weights,
                 &mut self.offsets,
@@ -275,25 +289,48 @@ impl RunPlan {
     }
 }
 
-/// The counting sort's scatter pass at spline order `K`: sample `s` moves
-/// to its run's cursor `t`, which records `order[t] = s` and the sample's
-/// `K` weights in sorted position.
+/// The counting sort's scatter pass at spline order `K`: sample `s`, of
+/// entry `codes[s]`, moves to its run's cursor `t`, which records
+/// `order[t] = s` and the entry's `K` weights in sorted position.
 fn scatter<const K: usize>(
+    codes: &[impl EntryCode],
     first_bins: &[u16],
     weights: &[f32],
     cursors: &mut [u32],
     order: &mut [u32],
     sorted: &mut [f32],
 ) {
-    for ((s, &fb), w) in (0u32..).zip(first_bins).zip(weights.chunks_exact(K)) {
-        let cursor = &mut cursors[usize::from(fb) + 1];
+    for (s, c) in (0u32..).zip(codes) {
+        let e = c.index();
+        let cursor = &mut cursors[usize::from(first_bins[e]) + 1];
         let t = *cursor as usize; // cast-ok: u32 to usize widens losslessly
         *cursor += 1;
         order[t] = s;
         let dst: &mut [f32; K] = (&mut sorted[t * K..t * K + K])
             .try_into()
             .expect("a K-wide window is K long");
-        dst.copy_from_slice(w);
+        dst.copy_from_slice(&weights[e * K..e * K + K]);
+    }
+}
+
+/// A sample's code: its entry in a table of first bins and weights
+/// ([`RunPlan::rebuild`]), two bytes wide or four.
+pub trait EntryCode: Copy {
+    /// The entry the code names.
+    fn index(self) -> usize;
+}
+
+impl EntryCode for u16 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl EntryCode for u32 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize // cast-ok: u32 to usize widens losslessly
     }
 }
 
@@ -318,15 +355,68 @@ macro_rules! with_order {
 pub(crate) use with_order;
 
 #[cfg(test)]
+impl RunPlan {
+    /// [`Self::rebuild`] over a table of one entry per sample, in order.
+    pub(crate) fn rebuild_per_sample(
+        &mut self,
+        first_bins: &[u16],
+        weights: &[f32],
+        order: usize,
+        rows: usize,
+        permutations: usize,
+    ) {
+        let codes: Vec<u32> = (0..u32::try_from(first_bins.len()).unwrap()).collect();
+        self.rebuild(&codes, first_bins, weights, order, rows, permutations);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_coded_gene_plans_as_its_per_sample_expansion() {
+        // Three entries; five samples name them by u16 and by u32 codes.
+        let (first_bins, weights) = ([2u16, 0, 1], [0.5f32, 0.5, 1.0, 0.0, 0.25, 0.75]);
+        let codes = [0u16, 1, 0, 2, 1];
+        let mut per_sample = RunPlan::new();
+        let expanded: Vec<u16> = codes.iter().map(|&c| first_bins[usize::from(c)]).collect();
+        let expanded_weights: Vec<f32> = codes
+            .iter()
+            .flat_map(|&c| weights[usize::from(c) * 2..][..2].to_vec())
+            .collect();
+        per_sample.rebuild_per_sample(&expanded, &expanded_weights, 2, 4, 0);
+        let wide: Vec<u32> = codes.iter().map(|&c| u32::from(c)).collect();
+        for plan in [
+            {
+                let mut p = RunPlan::new();
+                p.rebuild(&codes, &first_bins, &weights, 2, 4, 0);
+                p
+            },
+            {
+                let mut p = RunPlan::new();
+                p.rebuild(&wide, &first_bins, &weights, 2, 4, 0);
+                p
+            },
+        ] {
+            assert_eq!(plan.offsets(), per_sample.offsets());
+            assert_eq!(plan.y_rows(None), per_sample.y_rows(None));
+            assert_eq!(plan.sorted_weights(), per_sample.sorted_weights());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code out of range")]
+    fn rejects_a_code_past_the_table() {
+        RunPlan::new().rebuild(&[0u16, 2], &[0, 1], &[1.0, 1.0], 1, 4, 0);
+    }
 
     #[test]
     fn sorts_by_first_bin_stably_and_composes_permutations() {
         let first_bins = [2u16, 0, 2, 1, 0];
         let weights: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let mut plan = RunPlan::new();
-        plan.rebuild(&first_bins, &weights, 2, 4, 1);
+        plan.rebuild_per_sample(&first_bins, &weights, 2, 4, 1);
         assert_eq!(plan.offsets(), &[0, 2, 3, 5]);
         assert_eq!(plan.y_rows(None), &[1, 4, 3, 0, 2]);
         assert!(!plan.is_composed(0));
@@ -341,10 +431,10 @@ mod tests {
     #[test]
     fn a_rebuild_uncomposes_every_list() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 1], &[1.0, 1.0], 1, 4, 2);
+        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 2);
         plan.compose(1, &[1, 0]);
         assert!(plan.is_composed(1) && !plan.is_composed(0));
-        plan.rebuild(&[1, 0], &[1.0, 1.0], 1, 4, 2);
+        plan.rebuild_per_sample(&[1, 0], &[1.0, 1.0], 1, 4, 2);
         assert!(!plan.is_composed(0) && !plan.is_composed(1));
     }
 
@@ -352,32 +442,32 @@ mod tests {
     #[should_panic(expected = "not composed")]
     fn an_uncomposed_list_is_rejected() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 0], &[1.0, 1.0], 1, 2, 1);
+        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2, 1);
         let _ = plan.check(&[&[Row16::ZERO; 2]], &[&mut [Row16::ZERO; 2]], Some(0));
     }
 
     #[test]
     #[should_panic(expected = "bin row out of range")]
     fn rejects_overflowing_bin() {
-        RunPlan::new().rebuild(&[3], &[1.0, 1.0], 2, 4, 0);
+        RunPlan::new().rebuild_per_sample(&[3], &[1.0, 1.0], 2, 4, 0);
     }
 
     #[test]
     #[should_panic(expected = "perm index out of range")]
     fn rejects_bad_perm() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0], &[1.0], 1, 4, 1);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 1);
         plan.compose(0, &[5]);
     }
 
     #[test]
     fn a_failed_rebuild_leaves_an_empty_plan() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 1], &[1.0, 1.0], 1, 4, 1);
+        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 1);
         plan.compose(0, &[1, 0]);
         assert_eq!(plan.order(), 1);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.rebuild(&[0, 9], &[1.0, 1.0], 1, 4, 1);
+            plan.rebuild_per_sample(&[0, 9], &[1.0, 1.0], 1, 4, 1);
         }));
         assert!(failed.is_err());
         assert_eq!(plan.order(), 0, "a rejected plan must not stay usable");
@@ -387,7 +477,7 @@ mod tests {
     #[test]
     fn a_failed_compose_leaves_its_list_uncomposed() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 1], &[1.0, 1.0], 1, 4, 1);
+        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 1);
         plan.compose(0, &[1, 0]);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             plan.compose(0, &[0, 9]);
@@ -406,7 +496,7 @@ mod tests {
     #[should_panic(expected = "y row count")]
     fn check_rejects_a_short_y() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 0], &[1.0, 1.0], 1, 2, 0);
+        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2, 0);
         let _ = plan.check(&[&[Row16::ZERO; 1]], &[&mut [Row16::ZERO; 2]], None);
     }
 
@@ -414,7 +504,7 @@ mod tests {
     #[should_panic(expected = "one grid per y column")]
     fn check_rejects_a_missing_grid() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0], &[1.0], 1, 2, 0);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 2, 0);
         let y = [Row16::ZERO; 1];
         let _ = plan.check(&[&y, &y], &[&mut [Row16::ZERO; 2]], None);
     }
@@ -432,7 +522,7 @@ mod tests {
     fn heap_bytes_count_every_buffer_of_a_composed_plan() {
         let (m, k, b, q) = (5usize, 3usize, 10usize, 2usize);
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0, 1, 2, 3, 7], &[0.25; 15], k, b, q);
+        plan.rebuild_per_sample(&[0, 1, 2, 3, 7], &[0.25; 15], k, b, q);
         plan.compose(0, &[4, 3, 2, 1, 0]);
         plan.compose(1, &[0, 1, 2, 3, 4]);
         assert_eq!(

@@ -312,7 +312,7 @@ mod tests {
             .collect();
         let perm: Vec<u32> = (0..37u32).map(|s| (s * 11) % 37).collect();
         let mut plan = RunPlan::new();
-        plan.rebuild(&first_bins, &weights, k, rows, 1);
+        plan.rebuild_per_sample(&first_bins, &weights, k, rows, 1);
         plan.compose(0, &perm);
         for (p, naive_perm) in [(None, None), (Some(0), Some(&perm[..]))] {
             let grids = run_block(table().accumulate_runs, &plan, p, &ys);
@@ -335,7 +335,7 @@ mod tests {
     #[should_panic(expected = "grid row count")]
     fn accumulate_runs_rejects_a_grid_of_another_shape() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0], &[1.0], 1, 4, 0);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 0);
         (table().accumulate_runs)(&plan, None, &[&[Row16::ZERO]], &mut [&mut [Row16::ZERO; 3]]);
     }
 
@@ -343,7 +343,7 @@ mod tests {
     #[should_panic(expected = "not composed")]
     fn accumulate_runs_rejects_an_unplanned_permutation() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0], &[1.0], 1, 4, 0);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 0);
         (table().accumulate_runs)(
             &plan,
             Some(0),
@@ -356,7 +356,7 @@ mod tests {
     #[should_panic(expected = "not composed")]
     fn accumulate_runs_rejects_an_uncomposed_permutation() {
         let mut plan = RunPlan::new();
-        plan.rebuild(&[0], &[1.0], 1, 4, 1);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 1);
         (table().accumulate_runs)(
             &plan,
             Some(0),
@@ -443,7 +443,7 @@ mod tests {
                 (0..m32).map(|s| (s * 7 + 3) % m32.max(1)).collect(),
             ];
             let mut plan = RunPlan::new();
-            plan.rebuild(&first_bins, &weights, k, rows, perms.len());
+            plan.rebuild_per_sample(&first_bins, &weights, k, rows, perms.len());
             for (p, perm) in perms.iter().enumerate() {
                 plan.compose(p, perm);
             }
