@@ -2290,6 +2290,51 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_of_another_tile_list_is_refused() {
+        // 100 genes tile into 6 tiles at edge 34 and at edge 40, so only
+        // the edge tells the two lists apart: a prefix of the first names
+        // other pairs in the second.
+        let dir = tmpdir("tile_list");
+        let (matrix, ckpt) = (dir.join("m.tsv"), dir.join("ck"));
+        let mut sink = Vec::new();
+        let m = matrix.to_str().unwrap();
+        let generate = [
+            "--genes",
+            "100",
+            "--samples",
+            "200",
+            "--seed",
+            "7",
+            "--out",
+            m,
+        ];
+        run("generate", &generate, &mut sink).unwrap();
+        let infer = |tile: &'static str, extra: &[&str]| {
+            let out = dir.join(format!("e{tile}.tsv"));
+            let mut args = vec!["--input", m, "--q", "8", "--threads", "1", "--tile", tile];
+            args.extend([
+                "--checkpoint-dir",
+                ckpt.to_str().unwrap(),
+                "--checkpoint-every",
+                "1",
+            ]);
+            args.extend(["--output", out.to_str().unwrap()]);
+            args.extend(extra);
+            run("infer", &args, &mut Vec::new())
+        };
+        let crash = ["--fault-plan", "seed=1;chunk-crash(boundary=2)"];
+        let err = infer("34", &crash).unwrap_err();
+        assert!(err.0.contains("--resume"), "{}", err.0);
+        let err = infer("40", &["--resume"]).unwrap_err();
+        assert!(err.0.contains("gnet.ckpt"), "{}", err.0);
+        assert!(
+            !dir.join("e40.tsv").exists(),
+            "a refused resume writes no edges"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_flags_need_a_directory() {
         let args = ["--input", "x", "--output", "y", "--resume"];
         let mut out = Vec::new();
@@ -2807,9 +2852,10 @@ mod tests {
     #[test]
     fn update_boundary_kill_resumes_to_the_same_bytes() {
         let dir = tmpdir("update_kill");
-        // 8 + 4 genes at m = 3,000: the cache rule tiles them 6 wide, so
-        // the frontier has three tiles and boundary 2 falls mid-scan.
-        let (old_tsv, append_tsv) = split_fixture(&dir, 6, 3_000, 8);
+        // 8 + 4 genes: the cache rule tiles them 4 wide, so the frontier
+        // has three tiles (16, 16 and 6 pairs) and boundary 2 falls
+        // mid-scan.
+        let (old_tsv, append_tsv) = split_fixture(&dir, 6, 300, 8);
         let state_dir = dir.join("state");
         let mut sink = Vec::new();
 

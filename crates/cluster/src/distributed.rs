@@ -71,7 +71,7 @@ use gnet_core::{prepare_genes, scan_tiles, InferenceConfig, NullScan};
 use gnet_expr::ExpressionMatrix;
 use gnet_fault::{names, Fault, FaultInjector};
 use gnet_graph::GeneNetwork;
-use gnet_mi::{MiKernel, PreparedGene};
+use gnet_mi::{MiKernel, Pairing, PreparedGene};
 use gnet_parallel::TileSpace;
 use gnet_permute::PermutationSet;
 use gnet_trace::{Recorder, Span, Value};
@@ -722,6 +722,7 @@ pub(crate) fn rank_main(
     let faults = tp.faults().clone();
     let basis = BsplineBasis::new(config.spline_order, config.bins);
     let perms = PermutationSet::generate(matrix.samples(), config.permutations, config.seed);
+    let pairings = Pairing::all(perms.as_vecs(), perms.samples());
     let mut stats = RankStats {
         rank: r,
         ..Default::default()
@@ -777,7 +778,7 @@ pub(crate) fn rank_main(
     let scan = BlockScan {
         config,
         basis: &basis,
-        perms: &perms,
+        pairings: &pairings,
         rec: rank_rec,
     };
     if r == 0 {
@@ -1149,13 +1150,13 @@ pub(crate) fn rank_main(
 
 /// How a rank scans its block pairs: the run configuration (whose
 /// `threads` are the rank's workers and whose scheduler hands them
-/// sub-tiles), the shared basis and permutations, and the rank's
-/// recorder, which receives the executor's per-tile latencies and
-/// per-thread claim counts.
+/// sub-tiles), the shared basis, the shared permutations validated once
+/// as null pairings, and the rank's recorder, which receives the
+/// executor's per-tile latencies and per-thread claim counts.
 struct BlockScan<'a> {
     config: &'a InferenceConfig,
     basis: &'a BsplineBasis,
-    perms: &'a PermutationSet,
+    pairings: &'a [Pairing<'a>],
     rec: &'a Recorder,
 }
 
@@ -1170,9 +1171,9 @@ impl BlockScan<'_> {
     /// Scan block pair `(x, y)` — rows from `x` and columns from `y` (the
     /// diagonal block of `x` when `y` is `None`) — into `acc` on the
     /// rank's workers, in the shared-memory run's cache-rule sub-tiles:
-    /// each worker holds one sub-tile's dense columns at a time, not a
-    /// whole block's. `acc` grows only by merging the workers' evidence.
-    /// Returns the pairs evaluated.
+    /// each worker holds one sub-tile's row plans and one block of its
+    /// dense columns at a time, not a whole block's. `acc` grows only by
+    /// merging the workers' evidence. Returns the pairs evaluated.
     fn block_pair(&self, x: &GeneBlock, y: Option<&GeneBlock>, acc: &mut NullScan) -> u64 {
         let cols = y.unwrap_or(x);
         let space = TileSpace::block_pair(gene_range(x), gene_range(cols), self.tile_size(cols));
@@ -1184,7 +1185,7 @@ impl BlockScan<'_> {
                     block_genes(cols, t.col_start..t.col_end),
                 )
             },
-            self.perms,
+            self.pairings,
             self.basis,
             self.config,
             self.rec,

@@ -38,11 +38,20 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-pub(crate) fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, tiles: usize) -> u64 {
+/// The digest binding checkpoints to `(config, matrix shape, tiling)`.
+/// A checkpoint's prefix counts tiles of one list, so the tiling is the
+/// tile count and the tile edge: two lists of the same length name other
+/// pairs at another edge.
+pub(crate) fn run_digest(
+    config: &InferenceConfig,
+    matrix: &ExpressionMatrix,
+    space: &TileSpace,
+) -> u64 {
     let mut h = 0xD16E_5700_0000_0001u64;
     h = mix(h, matrix.genes() as u64);
     h = mix(h, matrix.samples() as u64);
-    h = mix(h, tiles as u64);
+    h = mix(h, space.tiles().len() as u64);
+    h = mix(h, space.tile_size() as u64);
     h = mix(h, config.bins as u64);
     h = mix(h, config.spline_order as u64);
     h = mix(h, config.permutations as u64);
@@ -73,7 +82,7 @@ pub(crate) fn run_digest(config: &InferenceConfig, matrix: &ExpressionMatrix, ti
 /// Panics on config/matrix violations (fewer than two genes).
 #[must_use]
 pub fn run_digest_for(matrix: &ExpressionMatrix, config: &InferenceConfig) -> u64 {
-    run_digest(config, matrix, run_space(matrix, config, 0).tiles().len())
+    run_digest(config, matrix, &run_space(matrix, config, 0))
 }
 
 /// The tiles of the pairs `(i, j)` with `j ≥ first_new` (every pair at

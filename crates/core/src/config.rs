@@ -1,8 +1,10 @@
 //! Pipeline configuration.
 
+use crate::plan::MemoryPlan;
 use gnet_bspline::MAX_ORDER;
 use gnet_mi::MiKernel;
 use gnet_parallel::SchedulerPolicy;
+use gnet_simd::run_block_columns;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -207,27 +209,33 @@ impl InferenceConfig {
         })
     }
 
-    /// Resolved tile size for `genes` genes of `samples` samples: the L2
-    /// blocking rule with a 512 KiB default share, over the calibrated
-    /// per-gene charge [`tile_gene_charge`] at this spline order.
+    /// Resolved tile size for `genes` genes of `samples` samples: the
+    /// configured edge, or the cache rule. The rule takes the largest
+    /// multiple of the run kernel's block width `C`
+    /// ([`run_block_columns`]) whose worker — `T` row plans, one block of
+    /// `C` dense genes and `C` grids, as [`MemoryPlan`] counts them —
+    /// fits [`TILE_WORKER_BYTES`], at most `⌈genes/8⌉` (so the matrix has
+    /// at least eight bands), then at least `C` and at most `genes`. It
+    /// reads no thread count: the tile list binds checkpoints.
     pub fn resolved_tile_size(&self, genes: usize, samples: usize) -> usize {
         self.tile_size.unwrap_or_else(|| {
-            let charge = tile_gene_charge(samples, self.spline_order);
-            gnet_parallel::TileSpace::tile_size_for_cache(genes, charge, 512 * 1024).min(genes)
+            let c = run_block_columns(self.spline_order);
+            let worker = MemoryPlan::shape(self, genes, samples);
+            let t = worker
+                .max_tile_for_worker(TILE_WORKER_BYTES)
+                .min(genes.div_ceil(8));
+            (t / c * c).max(c).min(genes)
         })
     }
 }
 
-/// The bytes the tile cache rule charges one gene of `samples` samples at
-/// spline order `order`: `m·(2 + 4k) + 8`, two tiles of which fill a
-/// 512 KiB L2 share. A calibration, not a buffer's size: it was a
-/// prepared gene's bytes when genes held a first bin and `k` weights per
-/// sample, and the edges it gives (T = 5 at 3,137 samples, k = 3) are the
-/// ones the tile sweep (EXPERIMENTS.md R8) measured. Genes are two-byte
-/// rank codes now; re-deriving the rule is ROADMAP item 3's kernel step.
-const fn tile_gene_charge(samples: usize, order: usize) -> usize {
-    samples * (2 + 4 * order) + 8
-}
+/// The bytes one worker's tile may hold under the tile cache rule:
+/// 1.375 MiB, about what a paper-shape worker held at the old rule's
+/// T = 5 (1,433,098 B, a whole tile's dense columns plus 30 composed null
+/// lists). At 3,137 samples and k = 3 it admits T = 12 (1,408,368 B),
+/// which the tile sweep (EXPERIMENTS.md R8) measured near the top of the
+/// block-outer scan's speed without raising peak memory.
+pub const TILE_WORKER_BYTES: usize = 11 << 17;
 
 #[cfg(test)]
 mod tests {
@@ -328,17 +336,23 @@ mod tests {
 
     #[test]
     fn the_cache_rule_keeps_its_tile_edges() {
-        // (genes, samples, order) → tile edge under the calibrated charge.
+        // (genes, samples, order) → tile edge: a multiple of the block
+        // width that fits the worker budget, at most ⌈genes/8⌉, at least
+        // one block, at most every gene.
         for (genes, samples, order, tile) in [
             (2, 20, 3, 2),
-            (12, 3_000, 3, 6),
-            (40, 120, 3, 40),
-            (128, 3_137, 3, 5),
-            (256, 3_137, 3, 5),
-            (2_048, 64, 3, 289),
-            (15_575, 3_137, 3, 5),
-            (500, 300, 1, 144),
-            (500, 300, 8, 25),
+            (12, 3_000, 3, 4),
+            (40, 120, 3, 4),
+            (64, 3_137, 3, 8),
+            (128, 3_137, 3, 12),
+            (160, 3_137, 3, 12),
+            (256, 3_137, 3, 12),
+            (2_048, 64, 3, 256),
+            (15_575, 3_137, 3, 12),
+            (15_575, 20_000, 3, 4),
+            (500, 300, 1, 60),
+            (500, 300, 4, 63),
+            (500, 300, 8, 63),
         ] {
             let config = InferenceConfig {
                 spline_order: order,
@@ -346,6 +360,26 @@ mod tests {
             };
             let at = format!("{genes} genes × {samples} samples, order {order}");
             assert_eq!(config.resolved_tile_size(genes, samples), tile, "{at}");
+        }
+    }
+
+    #[test]
+    fn the_cache_rule_fits_its_worker_budget() {
+        let config = InferenceConfig::default();
+        // Up to about 4,000 samples at k = 3; above that one block of
+        // four dense genes alone outgrows the budget and the rule keeps
+        // one block.
+        for samples in [64, 1_000, 3_137] {
+            let plan = MemoryPlan::new(&config, 100_000, samples);
+            let tile = config.resolved_tile_size(100_000, samples);
+            assert!(
+                plan.per_thread_tile_bytes(tile) <= TILE_WORKER_BYTES,
+                "{samples}"
+            );
+            assert!(
+                plan.per_thread_tile_bytes(tile + 4) > TILE_WORKER_BYTES,
+                "{samples}: the largest multiple of 4"
+            );
         }
     }
 }

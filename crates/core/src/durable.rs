@@ -177,8 +177,8 @@ pub enum DurableError {
         path: PathBuf,
     },
     /// The progress is valid but belongs to another run (other matrix,
-    /// config or tiling) or another update (other state, appended data
-    /// or mode).
+    /// config or tiling) or another update (other state, appended data,
+    /// mode or tiling).
     Stale {
         /// Kind of the offending file.
         kind: FileKind,
@@ -250,7 +250,7 @@ impl fmt::Display for DurableError {
                 found,
             } => {
                 let (owner, inputs) = match kind {
-                    FileKind::UpdateProgress => ("update", "state, appended data or mode"),
+                    FileKind::UpdateProgress => ("update", "state, appended data, mode or tiling"),
                     _ => ("run", "matrix, config or tiling"),
                 };
                 write!(
@@ -749,7 +749,7 @@ pub fn infer_network_durable(
     rec: &Recorder,
 ) -> Result<InferenceResult, DurableError> {
     let space = run_space(matrix, config, 0);
-    let digest = run_digest(config, matrix, space.tiles().len());
+    let digest = run_digest(config, matrix, &space);
     store.scan_durably(
         digest,
         space.tiles(),

@@ -385,14 +385,38 @@ pub fn apply_update_mutated(
 }
 
 /// Digest binding an update invocation to (state snapshot, appended
-/// data, mode) — the progress file's compatibility key. The chunk size is
-/// deliberately excluded: resuming with a different `--checkpoint-every`
-/// is legitimate.
+/// data, mode, tiling) — the progress file's compatibility key. The
+/// tiling is the tile edge and the first new gene: the progress counts
+/// tiles of the update's list, and another edge names other pairs. The
+/// chunk size is deliberately excluded: resuming with a different
+/// `--checkpoint-every` is legitimate.
 #[must_use]
 pub fn update_digest(state: &NetworkState, append: &ExpressionMatrix, mode: UpdateMode) -> u64 {
-    let mut bytes = Vec::with_capacity(32 + append.genes() * (append.samples() * 4 + 8));
+    let (genes, samples) = (state.gene_count(), state.matrix.samples());
+    let (genes, samples) = match mode {
+        UpdateMode::Genes => (genes + append.genes(), samples),
+        UpdateMode::Samples => (genes, samples + append.samples()),
+    };
+    let tile = state.config().resolved_tile_size(genes, samples);
+    update_digest_at(state, append, mode, tile)
+}
+
+/// [`update_digest`] of the update's frontier tiled `tile` wide.
+fn update_digest_at(
+    state: &NetworkState,
+    append: &ExpressionMatrix,
+    mode: UpdateMode,
+    tile: usize,
+) -> u64 {
+    let first_new = match mode {
+        UpdateMode::Genes => state.gene_count(),
+        UpdateMode::Samples => 0,
+    };
+    let mut bytes = Vec::with_capacity(48 + append.genes() * (append.samples() * 4 + 8));
     bytes.extend_from_slice(&state.snapshot_digest().to_le_bytes());
     bytes.push(mode.tag());
+    bytes.extend_from_slice(&(tile as u64).to_le_bytes());
+    bytes.extend_from_slice(&(first_new as u64).to_le_bytes());
     bytes.extend_from_slice(&(append.genes() as u64).to_le_bytes());
     bytes.extend_from_slice(&(append.samples() as u64).to_le_bytes());
     for g in 0..append.genes() {
@@ -489,11 +513,11 @@ mod tests {
         }
     }
 
-    /// 12 genes at m = 3,000: the cache rule tiles them 6 wide, so an
-    /// append of the last 4 onto the first 8 has three frontier tiles
-    /// (24, 8 and 6 pairs).
+    /// 12 genes: the cache rule tiles them 4 wide, so an append of the
+    /// last 4 onto the first 8 has three frontier tiles (16, 16 and 6
+    /// pairs).
     fn multi_tile_append(seed: u64) -> (ExpressionMatrix, NetworkState, ExpressionMatrix) {
-        let (full, _) = coupled_pairs(6, 3_000, Coupling::Linear(0.9), seed);
+        let (full, _) = coupled_pairs(6, 300, Coupling::Linear(0.9), seed);
         let old = full.select_genes(&(0..8).collect::<Vec<_>>());
         let append = full.select_genes(&(8..12).collect::<Vec<_>>());
         let state = build_state(&old, &cfg());
@@ -688,7 +712,7 @@ mod tests {
         store.save(&state).expect("seed state saved");
         let err =
             update_durable(&store, &append, None, 1, false, &rec).expect_err("injected kill fires");
-        // Two of the three frontier tiles (24 + 8 pairs) were persisted.
+        // Two of the three frontier tiles (16 + 16 pairs) were persisted.
         assert!(
             matches!(
                 err,
@@ -718,6 +742,38 @@ mod tests {
             store2.progress().load(),
             Err(DurableError::Missing { .. })
         ));
+    }
+
+    #[test]
+    fn an_update_progress_of_another_tile_list_is_refused() {
+        let (_, state, append) = multi_tile_append(41);
+        let store = StateStore::new(tmpdir("tiling"));
+        store.save(&state).expect("seed state saved");
+        let tile = state.config().resolved_tile_size(12, 300);
+        assert_eq!(tile, 4);
+        // One tile of a 6-wide frontier list: 24 pairs, not the 16 of
+        // the 4-wide list's first tile.
+        let progress = store.progress();
+        let other = update_digest_at(&state, &append, UpdateMode::Genes, 6);
+        let mut scan = state.scan.clone();
+        scan.joints += 24;
+        progress
+            .save(&Checkpoint {
+                digest: other,
+                tiles_done: 1,
+                scan,
+            })
+            .expect("progress saves");
+        let err = update_durable(&store, &append, None, 1, true, &Recorder::disabled())
+            .expect_err("a prefix of another tile list must not resume");
+        assert!(matches!(err, DurableError::Stale { .. }), "{err}");
+        assert!(err
+            .to_string()
+            .contains(&progress.path().display().to_string()));
+        assert_eq!(
+            update_digest(&state, &append, UpdateMode::Genes),
+            update_digest_at(&state, &append, UpdateMode::Genes, tile)
+        );
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl MiMatrix {
 /// Compute the full MI matrix of a raw expression matrix, in parallel.
 /// Uses the config's estimator settings, kernel, thread count, and
 /// scheduler; permutation/threshold settings are ignored. Like the
-/// inference pipeline, each tile expands its column genes once, plans
-/// each row gene once and meets the row's column genes in blocks.
+/// inference pipeline, each tile plans each row gene once and expands its
+/// column genes one block at a time, once each.
 pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) -> MiMatrix {
     let space = run_space(matrix, config, 0);
     let n = matrix.genes();

@@ -320,7 +320,7 @@ pub(crate) fn run_pipeline(
     let run = PreparedRun::new(matrix, config, 0);
     let total_tiles = run.space.tiles().len();
     let chunked = chunking.map(|c| {
-        let digest = run_digest(config, matrix, total_tiles);
+        let digest = run_digest(config, matrix, &run.space);
         let progress = match c.resume_from {
             Some(cp) => {
                 assert_eq!(cp.digest, digest, "checkpoint does not match this run");

@@ -5,11 +5,13 @@
 //! matrix is ~195 MB, and the prepared genes ~98 MB — two-byte rank codes
 //! per gene-sample into one shared B-spline weight table (88 KB), where
 //! per-sample weights took ~684 MB. Every worker thread additionally
-//! materializes the dense lane-padded
-//! expansions of its current tile's column genes, the run plan of its
-//! current row gene and one joint grid per column of a block. This module
-//! makes those footprints explicit so callers can pick a tile size that
-//! fits a memory budget *before* starting a multi-hour run.
+//! holds the run plans of its current tile's row genes, the dense
+//! lane-padded expansions of one block of column genes and one joint grid
+//! per column of the block. This module makes those footprints explicit
+//! so callers can pick a tile size that fits a memory budget *before*
+//! starting a multi-hour run, and the tile cache rule
+//! ([`InferenceConfig::resolved_tile_size`]) reads a worker's bytes from
+//! it.
 
 use crate::config::InferenceConfig;
 use gnet_bspline::{SampleCodes, WeightTable};
@@ -35,8 +37,16 @@ pub struct MemoryPlan {
 
 impl MemoryPlan {
     /// Build a plan from a config and matrix shape.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration ([`InferenceConfig::validate`]).
     pub fn new(config: &InferenceConfig, genes: usize, samples: usize) -> Self {
         config.validate();
+        Self::shape(config, genes, samples)
+    }
+
+    /// [`Self::new`] without validating the configuration.
+    pub(crate) fn shape(config: &InferenceConfig, genes: usize, samples: usize) -> Self {
         let lanes = 16; // F32x16 padding of the dense layout
         Self {
             genes,
@@ -67,27 +77,33 @@ impl MemoryPlan {
         self.permutations * self.samples * 4
     }
 
-    /// One thread's fixed buffers, whatever the tile: the run plan of its
-    /// row gene, fully composed — `m × k` sorted weights, the identity
-    /// list and `q` composed lists of `m` row indices each, `b − k + 2`
-    /// run bounds and `q` composed flags — plus one `b × bins_padded`
-    /// joint grid per column of a block.
+    /// One row gene's run plan: `m × k` sorted weights and the `m`-long
+    /// sample order, four bytes each, plus `b − k + 2` run bounds.
+    pub fn row_plan_bytes(&self) -> usize {
+        let (m, k, b) = (self.samples, self.order, self.bins);
+        m * (4 * k + 4) + 4 * (b + 2).saturating_sub(k)
+    }
+
+    /// One thread's fixed buffers, whatever the tile: one block of
+    /// [`run_block_columns`]`(k)` column genes' dense expansions
+    /// (`m × bins_padded × 4` each) and one `b × bins_padded` joint grid
+    /// per column of the block.
     pub fn per_thread_fixed_bytes(&self) -> usize {
-        let (m, k, b, q) = (self.samples, self.order, self.bins, self.permutations);
-        let plan = m * (4 * k + 4 + 4 * q) + 4 * (b - k + 2) + q;
-        plan + run_block_columns(k) * b * self.bins_padded * 4
+        let grid = self.bins * self.bins_padded * 4;
+        run_block_columns(self.order) * (self.samples * self.bins_padded * 4 + grid)
     }
 
-    /// Bytes of one gene's dense expansion (`m × bins_padded × 4`).
-    fn dense_gene_bytes(&self) -> usize {
-        self.samples * self.bins_padded * 4
-    }
-
-    /// One thread's dense expansion of a tile's column genes
-    /// (`tile × m × bins_padded × 4`) plus its fixed buffers
-    /// ([`Self::per_thread_fixed_bytes`]).
+    /// One thread's buffers at tile edge `tile`: the run plans of the
+    /// tile's row genes ([`Self::row_plan_bytes`] each) plus its fixed
+    /// buffers ([`Self::per_thread_fixed_bytes`]).
     pub fn per_thread_tile_bytes(&self, tile: usize) -> usize {
-        tile * self.dense_gene_bytes() + self.per_thread_fixed_bytes()
+        tile * self.row_plan_bytes() + self.per_thread_fixed_bytes()
+    }
+
+    /// Largest tile edge whose worker ([`Self::per_thread_tile_bytes`])
+    /// fits `worker_bytes`; 0 when not even the fixed buffers fit.
+    pub fn max_tile_for_worker(&self, worker_bytes: usize) -> usize {
+        worker_bytes.saturating_sub(self.per_thread_fixed_bytes()) / self.row_plan_bytes().max(1)
     }
 
     /// Peak resident bytes with `threads` workers at tile size `tile`.
@@ -104,12 +120,12 @@ impl MemoryPlan {
     pub fn max_tile_for_budget(&self, budget_bytes: usize, threads: usize) -> Option<usize> {
         let fixed = self.matrix_bytes() + self.prepared_bytes() + self.permutations_bytes();
         let per_thread_fixed = threads * self.per_thread_fixed_bytes();
-        let per_gene = self.dense_gene_bytes();
-        if fixed + per_thread_fixed + threads * per_gene > budget_bytes {
+        let per_row = self.row_plan_bytes();
+        if fixed + per_thread_fixed + threads * per_row > budget_bytes {
             return None;
         }
         let spare = budget_bytes - fixed - per_thread_fixed;
-        Some((spare / (threads * per_gene)).min(self.genes).max(1))
+        Some((spare / (threads * per_row)).min(self.genes).max(1))
     }
 
     /// Footprint summary: each term in bytes and MiB.
@@ -142,19 +158,22 @@ mod tests {
         assert_eq!(p.prepared_bytes(), codes + table); // ≈ 98 MB
         assert_eq!(p.permutations_bytes(), 30 * 3_137 * 4);
         assert_eq!(p.bins_padded, 16);
-        // The row plan: 3,137 × (12 + 4 + 120) bytes ≈ 0.41 MiB, plus 9
-        // run bounds and 30 flags; four 10 × 16 grids.
-        let plan = 3_137 * 136 + 4 * 9 + 30;
-        assert_eq!(p.per_thread_fixed_bytes(), plan + 4 * 10 * 16 * 4);
-        // One thread at T=64: 64 × 3,137 × 16 × 4 ≈ 12.8 MB + plan + grids.
+        // A row plan: 3,137 × (12 + 4) bytes plus 9 run bounds; nothing
+        // per null permutation.
+        assert_eq!(p.row_plan_bytes(), 50_228);
+        // One block of four dense genes (3,137 × 16 × 4 bytes each) and
+        // four 10 × 16 grids.
+        assert_eq!(p.per_thread_fixed_bytes(), 4 * 3_137 * 64 + 4 * 10 * 16 * 4);
+        // The cache-rule tile at paper shape, T = 12: 1.34 MiB per worker,
+        // 1.7% below the 1.37 MiB a worker held at T = 5 with a whole
+        // tile's dense columns and 30 composed null lists.
+        assert_eq!(p.per_thread_tile_bytes(12), 1_408_368);
+        // Wider tiles add only row plans: T = 64 is 4 MB, not 13 MB.
         let per = p.per_thread_tile_bytes(64);
-        assert!((13_200_000..13_300_000).contains(&per), "{per}");
-        // At the cache-rule tile T = 5 the plan adds ~40% to the dense
-        // columns.
-        assert_eq!(
-            p.per_thread_tile_bytes(5),
-            5 * 3_137 * 64 + p.per_thread_fixed_bytes()
-        );
+        assert!((4_000_000..4_050_000).contains(&per), "{per}");
+        assert_eq!(p.max_tile_for_worker(1_408_368), 12);
+        assert_eq!(p.max_tile_for_worker(1_408_367), 11);
+        assert_eq!(p.max_tile_for_worker(100), 0);
     }
 
     #[test]
@@ -182,9 +201,13 @@ mod tests {
 
     #[test]
     fn per_thread_bytes_equal_a_threads_buffers() {
+        use crate::scan::{scan_tile, NullScan};
         use gnet_bspline::BsplineBasis;
-        use gnet_mi::{prepare_gene, MiKernel, MiScratch};
-        let (genes, m, tile) = (8usize, 40usize, 5usize);
+        use gnet_mi::{prepare_gene, MiScratch, Pairing};
+        use gnet_parallel::Tile;
+        // A tile of 5 row genes against 7 column genes: five row plans,
+        // and blocks of 4 + 3 columns through one block's buffers.
+        let (genes, m, tile) = (12usize, 40usize, 5usize);
         let config = InferenceConfig {
             permutations: 6,
             ..InferenceConfig::default()
@@ -199,21 +222,21 @@ mod tests {
         let perms: Vec<Vec<u32>> = (0..config.permutations as u32)
             .map(|r| (0..m as u32).map(|s| (s * 3 + r) % m as u32).collect())
             .collect();
+        let pairings = Pairing::all(&perms, m);
+        let t = Tile {
+            row_start: 0,
+            row_end: tile as u32,
+            col_start: tile as u32,
+            col_end: genes as u32,
+        };
         let mut scratch = MiScratch::for_basis(&basis);
-        let dense = scratch.expand_columns(&prepared[genes - tile..]);
-        let dense_bytes: usize = dense.iter().map(|d| d.heap_bytes()).sum();
-        scratch.reuse_columns(dense);
-        let dense = scratch.expand_columns(&prepared[genes - tile..]);
-        let mut row = scratch.plan_row(MiKernel::VectorDense, &prepared[0], &perms);
-        let width = row.block_columns();
-        let (ys, mut out) = (&prepared[genes - tile..][..width], vec![0.0; width]);
-        for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
-            row.mi_block(ys, &dense[..width], pairing, &mut out);
-        }
-        scratch.reuse_columns(dense);
+        let (rows, cols) = (&prepared[..tile], &prepared[tile..]);
+        let mut acc = NullScan::default();
+        scan_tile(&t, rows, cols, &pairings, &config, &mut scratch, &mut acc);
+        assert_eq!(acc.joints, 5 * 7 * 7);
         assert_eq!(
             plan.per_thread_tile_bytes(tile),
-            dense_bytes + scratch.vector_heap_bytes()
+            scratch.vector_heap_bytes()
         );
     }
 
@@ -221,9 +244,11 @@ mod tests {
     fn headline_fits_the_phis_8_gb_at_the_paper_operating_point() {
         let p = headline_plan();
         let budget = 8usize * 1024 * 1024 * 1024;
-        // 244 threads with the cache-rule tile (T=5 at 3,137 samples)
+        // 244 threads with the cache-rule tile (T = 12 at 3,137 samples)
         // sits far inside the card.
-        assert!(p.peak_bytes(5, 244) < budget);
+        let tile = InferenceConfig::default().resolved_tile_size(p.genes, p.samples);
+        assert_eq!(tile, 12);
+        assert!(p.peak_bytes(tile, 244) < budget);
         // And the planner can tell how far tiles could grow.
         let max_tile = p.max_tile_for_budget(budget, 244).unwrap();
         assert!(max_tile >= 64, "8 GB admits large tiles, got {max_tile}");

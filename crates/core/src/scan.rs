@@ -13,6 +13,13 @@
 //! calls it once per block pair; the pre-pass scans its sampled pairs as
 //! 1 × 1 tiles.
 //!
+//! A tile is scanned block-outer: each row gene with a column in the
+//! tile is planned once, then the tile's columns are expanded one block
+//! of [`gnet_mi::TileRows::block_columns`] genes at a time, and every row
+//! meets each block while its dense rows are resident. A worker so holds
+//! the tile's row plans and one block, whatever the tile's edge
+//! ([`crate::MemoryPlan::per_thread_tile_bytes`]).
+//!
 //! The result cannot depend on how the pair space is divided: per-pair
 //! MI does not depend on the tile shape (each row gene is planned the
 //! same way in any tile, and a block's values are those of one-gene
@@ -24,7 +31,7 @@ use crate::config::{InferenceConfig, NullStrategy};
 use crate::durable::Reader;
 use gnet_bspline::{BsplineBasis, DenseWeights};
 use gnet_graph::{Edge, GeneNetwork};
-use gnet_mi::{MiKernel, MiScratch, PlannedRow, PreparedGene};
+use gnet_mi::{MiKernel, MiScratch, Pairing, PlannedRow, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile};
 use gnet_permute::{PermutationSet, PooledNull};
 use gnet_trace::Recorder;
@@ -165,54 +172,47 @@ pub(crate) fn tile_genes<'a>(
     )
 }
 
-/// Visit the tile's pairs in row-major order through each row gene's
-/// [`PlannedRow`], planned once before the row's first pair, a block of
-/// column genes at a time. A row's columns split into balanced blocks of
-/// at most [`PlannedRow::block_columns`] genes (5 → 3 + 2 at k = 3, not
-/// 4 + 1). `rows[0]` is gene `tile.row_start` and `cols[0]` gene
-/// `tile.col_start`; the column genes are expanded into the dense layout
-/// once, into the scratch's reused buffers (vector kernel only). The
-/// visitor gets the planned row, the row gene's index, the block's first
-/// column gene index, the block's column genes and their dense
-/// expansions (empty for the scalar kernel).
+/// Visit the tile's pairs through each row gene's [`PlannedRow`], block
+/// by block: plan every row gene that has a column in the tile once,
+/// then for each block of [`gnet_mi::TileRows::block_columns`]
+/// consecutive column genes expand the block once (vector kernel only)
+/// and visit every row whose columns meet it, with the part they meet. `rows[0]` is gene
+/// `tile.row_start` and `cols[0]` gene `tile.col_start`; `pairings` are
+/// the run's null pairings, validated once. The visitor gets the planned
+/// row, the row gene's index, the first column gene's index, the column
+/// genes and their dense expansions (empty for the scalar kernel).
 pub(crate) fn for_each_planned_block(
     tile: &Tile,
     rows: &[PreparedGene],
     cols: &[PreparedGene],
-    perms: &[Vec<u32>],
+    pairings: &[Pairing<'_>],
     kernel: MiKernel,
     scratch: &mut MiScratch,
     mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, &[PreparedGene], &[DenseWeights]),
 ) {
-    let dense: Vec<DenseWeights> = match kernel {
-        MiKernel::VectorDense => scratch.expand_columns(cols),
-        MiKernel::ScalarSparse => Vec::new(),
-    };
-    for i in tile.row_start..tile.row_end {
-        let row_cols = tile.row_columns(i);
-        let n = row_cols.len();
-        if n == 0 {
-            continue;
-        }
-        let mut row = scratch.plan_row(kernel, &rows[(i - tile.row_start) as usize], perms);
-        // `blocks` balanced blocks: the first `n % blocks` one gene wider.
-        let blocks = n.div_ceil(row.block_columns());
-        let mut c = (row_cols.start - tile.col_start) as usize;
-        for b in 0..blocks {
-            let len = n / blocks + usize::from(b < n % blocks);
-            let block = c..c + len;
-            let block_dense = dense.get(block.clone()).unwrap_or(&[]);
-            visit(
-                &mut row,
-                i,
-                tile.col_start + c as u32,
-                &cols[block.clone()],
-                block_dense,
-            );
-            c = block.end;
+    // A row's columns start no earlier than the row above's, so the rows
+    // with a column (all but a diagonal tile's last) are a prefix.
+    let rows_with_columns = (tile.row_start..tile.row_end)
+        .take_while(|&i| !tile.row_columns(i).is_empty())
+        .count();
+    let mut planned = scratch.plan_rows(kernel, &rows[..rows_with_columns], pairings);
+    let width = planned.block_columns();
+    for (b, block) in cols.chunks(width).enumerate() {
+        planned.expand_block(block);
+        let start = tile.col_start + (b * width) as u32;
+        let end = start + block.len() as u32;
+        for (r, i) in (0..rows_with_columns).zip(tile.row_start..) {
+            let row_cols = tile.row_columns(i);
+            let (j0, j1) = (row_cols.start.max(start), row_cols.end.min(end));
+            if j0 >= j1 {
+                continue;
+            }
+            let part = (j0 - start) as usize..(j1 - start) as usize;
+            let (mut row, dense) = planned.row(r);
+            let dense = dense.get(part.clone()).unwrap_or(&[]);
+            visit(&mut row, i, j0, &block[part], dense);
         }
     }
-    scratch.reuse_columns(dense);
 }
 
 /// Evaluate every pair of `tile` under `config`'s null test into `acc`.
@@ -232,7 +232,8 @@ pub(crate) fn for_each_planned_block(
 ///
 /// At the same threshold both tests keep the same candidates;
 /// `acc.joints` counts the joints read. `rows` and `cols` are the tile's
-/// row and column genes, as in [`for_each_planned_block`].
+/// row and column genes and `pairings` the run's null pairings, as in
+/// [`for_each_planned_block`].
 ///
 /// # Panics
 /// Panics under early exit without `config.mi_threshold`.
@@ -240,7 +241,7 @@ pub fn scan_tile(
     tile: &Tile,
     rows: &[PreparedGene],
     cols: &[PreparedGene],
-    perms: &PermutationSet,
+    pairings: &[Pairing<'_>],
     config: &InferenceConfig,
     scratch: &mut MiScratch,
     acc: &mut NullScan,
@@ -250,13 +251,13 @@ pub fn scan_tile(
         !early_exit || config.mi_threshold.is_some(),
         "early exit scans under a resolved threshold"
     );
-    let q = perms.len();
+    let q = pairings.len();
     let (mut observed, mut null, mut beaten) = (Vec::new(), Vec::new(), Vec::new());
     for_each_planned_block(
         tile,
         rows,
         cols,
-        perms.as_vecs(),
+        pairings,
         config.kernel,
         scratch,
         |row, i, j0, ys, dense| {
@@ -303,13 +304,15 @@ pub fn scan_tile(
 /// each worker evaluates its tiles through [`scan_tile`] into its own
 /// scratch and evidence, and every worker's evidence is then merged into
 /// `acc`, which must itself be merged evidence (see [`NullScan::merge`]).
-/// `genes` maps a tile to its row and column genes (as [`scan_tile`]
-/// takes them). An enabled `rec` receives the executor's per-tile
-/// latencies and per-thread claim counts. Returns the execution report.
+/// `genes` maps a tile to its row and column genes and `pairings` are
+/// the run's null pairings (as [`scan_tile`] takes them). An enabled
+/// `rec` receives the executor's per-tile latencies and per-thread claim
+/// counts, and the counters `scan.row_plans` and `scan.expansions` (row
+/// plans built and column genes expanded). Returns the execution report.
 pub fn scan_tiles<'g>(
     tiles: &[Tile],
     genes: impl Fn(&Tile) -> (&'g [PreparedGene], &'g [PreparedGene]) + Sync,
-    perms: &PermutationSet,
+    pairings: &[Pairing<'_>],
     basis: &BsplineBasis,
     config: &InferenceConfig,
     rec: &Recorder,
@@ -322,11 +325,13 @@ pub fn scan_tiles<'g>(
         |_tid| (MiScratch::for_basis(basis), NullScan::default()),
         |(scratch, part), tile| {
             let (rows, cols) = genes(tile);
-            scan_tile(tile, rows, cols, perms, config, scratch, part);
+            scan_tile(tile, rows, cols, pairings, config, scratch, part);
         },
         rec,
     );
-    for (_, part) in states {
+    for (scratch, part) in states {
+        rec.counter_add("scan.row_plans", scratch.plans_built());
+        rec.counter_add("scan.expansions", scratch.expansions());
         acc.merge(part);
     }
     report
@@ -389,7 +394,8 @@ impl TileScan<'_> {
     }
 
     /// Scan the tiles after `progress.tiles_done` in chunks of
-    /// `chunk_tiles` on the configured threads and scheduler, folding
+    /// `chunk_tiles` on the configured threads and scheduler, against the
+    /// permutations validated once as null pairings, folding
     /// each chunk into `progress` and then calling `after_chunk`, which
     /// returns `false` to stop the scan. Per-tile progress on `rec`
     /// counts against the whole tile list, the resumed prefix included.
@@ -407,6 +413,7 @@ impl TileScan<'_> {
             progress.tiles_done <= self.tiles.len(),
             "corrupt tile prefix"
         );
+        let pairings = Pairing::all(self.perms.as_vecs(), self.perms.samples());
         let mut execution = ExecutionReport::default();
         while progress.tiles_done < self.tiles.len() {
             let end = progress
@@ -416,7 +423,7 @@ impl TileScan<'_> {
             let report = scan_tiles(
                 &self.tiles[progress.tiles_done..end],
                 |tile| tile_genes(tile, self.prepared),
-                self.perms,
+                &pairings,
                 self.basis,
                 self.config,
                 &rec.for_chunk(progress.tiles_done, self.tiles.len()),
@@ -437,6 +444,7 @@ mod tests {
     use super::*;
     use gnet_expr::synth::{coupled_pairs, Coupling};
     use gnet_mi::{mi_with_nulls, prepare_gene};
+    use gnet_permute::PermutationSet;
 
     /// Twelve prepared genes (six coupled pairs, 250 samples), twelve
     /// shared permutations and the tile of all their pairs.
@@ -455,7 +463,9 @@ mod tests {
         (genes, PermutationSet::generate(250, 12, 5), tile)
     }
 
-    /// One tile's evidence under `strategy` at `threshold`.
+    /// One tile's evidence under `strategy` at `threshold`, merged (its
+    /// candidates sorted by `(i, j)`, not in the scan's block-outer
+    /// visiting order).
     fn scan_one(
         genes: &[PreparedGene],
         perms: &PermutationSet,
@@ -473,8 +483,199 @@ mod tests {
         let mut scratch = MiScratch::for_basis(&BsplineBasis::tinge_default());
         let mut acc = NullScan::default();
         let (rows, cols) = tile_genes(tile, genes);
-        scan_tile(tile, rows, cols, perms, &config, &mut scratch, &mut acc);
-        acc
+        let pairings = Pairing::all(perms.as_vecs(), perms.samples());
+        scan_tile(tile, rows, cols, &pairings, &config, &mut scratch, &mut acc);
+        let mut merged = NullScan::default();
+        merged.merge(acc);
+        merged
+    }
+
+    /// Rows of `tile` with at least one column: the row plans it builds.
+    fn planned_rows(tile: &Tile) -> u64 {
+        (tile.row_start..tile.row_end)
+            .filter(|&i| !tile.row_columns(i).is_empty())
+            .count() as u64
+    }
+
+    #[test]
+    fn a_tile_plans_each_row_once_and_expands_each_column_once() {
+        use gnet_parallel::TileSpace;
+        let (genes, perms, _) = coupled_genes();
+        let pairings = Pairing::all(perms.as_vecs(), perms.samples());
+        let config = InferenceConfig {
+            permutations: perms.len(),
+            ..InferenceConfig::default()
+        };
+        for space in [
+            TileSpace::new(12, 5),
+            TileSpace::frontier(12, 7, 3),
+            TileSpace::block_pair(0..4, 4..12, 3),
+        ] {
+            let mut scratch = MiScratch::for_basis(&BsplineBasis::tinge_default());
+            let mut acc = NullScan::default();
+            for tile in space.tiles() {
+                let (rows, cols) = tile_genes(tile, &genes);
+                scan_tile(tile, rows, cols, &pairings, &config, &mut scratch, &mut acc);
+            }
+            let plans: u64 = space.tiles().iter().map(planned_rows).sum();
+            let columns: u64 = space
+                .tiles()
+                .iter()
+                .map(|t| u64::from(t.col_end - t.col_start))
+                .sum();
+            assert_eq!(scratch.plans_built(), plans, "{space:?}");
+            assert_eq!(scratch.expansions(), columns, "{space:?}");
+        }
+        // At paper-256's cache-rule tile (T = 12) that is 3,006 plans and
+        // 2,860 expansions, against 6,834 plans at T = 5 with a plan per
+        // tile row.
+        let paper = TileSpace::new(256, 12);
+        assert_eq!(paper.tiles().iter().map(planned_rows).sum::<u64>(), 3_006);
+        let columns: u64 = paper
+            .tiles()
+            .iter()
+            .map(|t| u64::from(t.col_end - t.col_start))
+            .sum();
+        assert_eq!(columns, 2_860);
+    }
+
+    /// Every pair of `space` as per-call `mi_with_nulls` evaluates it.
+    fn per_call_pairs(
+        genes: &[PreparedGene],
+        perms: &PermutationSet,
+        space: &gnet_parallel::TileSpace,
+    ) -> Vec<(u32, u32, gnet_mi::PairMi)> {
+        let mut scratch = MiScratch::for_basis(&BsplineBasis::new(genes[0].sparse.order(), 10));
+        let mut pairs: Vec<(u32, u32)> = space.tiles().iter().flat_map(Tile::pairs).collect();
+        pairs.sort_unstable();
+        pairs
+            .into_iter()
+            .map(|(i, j)| {
+                let (x, y) = (&genes[i as usize], &genes[j as usize]);
+                let yd = y.to_dense();
+                let kernel = MiKernel::VectorDense;
+                let pair = mi_with_nulls(kernel, x, y, Some(&yd), perms.as_vecs(), &mut scratch);
+                (i, j, pair)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_tile_equals_per_call_mi_with_nulls_bitwise() {
+        use gnet_parallel::TileSpace;
+        let (matrix, _) = coupled_pairs(13, 48, Coupling::Linear(0.8), 71);
+        let perms = PermutationSet::generate(48, 3, 9);
+        let pairings = Pairing::all(perms.as_vecs(), perms.samples());
+        let n = matrix.genes();
+        for order in [3, 4, 8] {
+            let basis = BsplineBasis::new(order, 10);
+            let genes: Vec<_> = (0..n)
+                .map(|g| prepare_gene(matrix.gene(g), &basis))
+                .collect();
+            let reference = per_call_pairs(&genes, &perms, &TileSpace::new(n, n));
+            let lookup = |i: u32, j: u32| {
+                let at = reference.binary_search_by_key(&(i, j), |r| (r.0, r.1));
+                &reference[at.expect("every pair has a reference")].2
+            };
+            for edge in [1, 2, 3, 4, 5, 7, 9, 12, 16, 24] {
+                for space in [
+                    TileSpace::new(n, edge),
+                    TileSpace::frontier(n, 17, edge),
+                    TileSpace::block_pair(0..9, 9..n, edge),
+                ] {
+                    let at = format!("k {order}, edge {edge}, {:?}", space.tiles()[0]);
+                    let mut scratch = MiScratch::for_basis(&basis);
+                    // Every value the visitor reads, bitwise.
+                    let mut visited = 0;
+                    for tile in space.tiles() {
+                        let (rows, cols) = tile_genes(tile, &genes);
+                        let kernel = MiKernel::VectorDense;
+                        let visit = |row: &mut PlannedRow<'_>, i, j0, ys: &[_], dense: &[_]| {
+                            let mut v = vec![0.0; ys.len()];
+                            for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
+                                row.mi_block(ys, dense, pairing, &mut v);
+                                for (j, v) in (j0..).zip(&v) {
+                                    let pair = lookup(i, j);
+                                    let want = pairing.map_or(pair.observed, |p| pair.null[p]);
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        want.to_bits(),
+                                        "{at}: ({i},{j}) {pairing:?}"
+                                    );
+                                }
+                            }
+                            visited += ys.len();
+                        };
+                        for_each_planned_block(
+                            tile,
+                            rows,
+                            cols,
+                            &pairings,
+                            kernel,
+                            &mut scratch,
+                            visit,
+                        );
+                    }
+                    assert_eq!(visited as u64, space.total_pairs(), "{at}");
+                    // The exact test and early exit over the same tiles.
+                    for (strategy, threshold) in [
+                        (NullStrategy::ExactFull, None),
+                        (NullStrategy::ExactFull, Some(0.05)),
+                        (NullStrategy::EarlyExit, Some(0.05)),
+                        (NullStrategy::EarlyExit, Some(f64::NEG_INFINITY)),
+                    ] {
+                        let config = InferenceConfig {
+                            spline_order: order,
+                            permutations: perms.len(),
+                            null_strategy: strategy,
+                            mi_threshold: threshold,
+                            ..InferenceConfig::default()
+                        };
+                        let mut scan = NullScan::default();
+                        for tile in space.tiles() {
+                            let (rows, cols) = tile_genes(tile, &genes);
+                            let mut part = NullScan::default();
+                            scan_tile(
+                                tile,
+                                rows,
+                                cols,
+                                &pairings,
+                                &config,
+                                &mut scratch,
+                                &mut part,
+                            );
+                            scan.merge(part);
+                        }
+                        let mut want = NullScan::default();
+                        for (i, j, pair) in space
+                            .tiles()
+                            .iter()
+                            .flat_map(Tile::pairs)
+                            .map(|(i, j)| (i, j, lookup(i, j)))
+                        {
+                            let above = threshold.is_none_or(|t| pair.observed > t);
+                            let first_beat = pair.null.iter().position(|&v| v >= pair.observed);
+                            if strategy == NullStrategy::ExactFull {
+                                want.pooled.extend(&pair.null);
+                                want.joints += 1 + pair.null.len() as u64;
+                            } else {
+                                let read = if above {
+                                    first_beat.map_or(pair.null.len(), |p| p + 1)
+                                } else {
+                                    0
+                                };
+                                want.joints += 1 + read as u64;
+                            }
+                            if above && first_beat.is_none() {
+                                want.candidates.push((i, j, pair.observed));
+                            }
+                        }
+                        want.candidates.sort_unstable_by_key(|c| (c.0, c.1));
+                        assert_eq!(scan, want, "{at}, {strategy:?} at {threshold:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! for all `n−1` pairs the gene participates in — the amortization that
 //! makes whole-genome runs feasible and that the tiling layer is built
 //! around. Gene contexts keep only the coded *sparse* form; the dense
-//! expansion the vector kernel needs is materialized per
-//! tile by the executor ([`PreparedGene::to_dense`]), which is exactly how
-//! the paper bounds the working set to the L2 cache. Symmetrically, the
-//! vector kernel's run plan of a row gene is built once per tile row
-//! ([`MiScratch::plan_row`]) and shared by every pair in the row, whose
-//! column genes it meets in blocks. A planned row has one evaluation
-//! method, [`PlannedRow::mi_block`]: one pairing (the observed one or one
-//! null) for a whole block; the null tests that read it live in the tile
-//! scan. [`mi_vector`] and [`mi_with_nulls`] are one-column blocks over a
-//! plan built per call, for oracles and benchmarks. Each scratch carries
-//! the SIMD [`KernelTable`] its joints run on.
+//! expansion the vector kernel needs is materialized one block of column
+//! genes at a time by the executor ([`TileRows::expand_block`]), which is
+//! how the paper bounds the working set to the L2 cache. Symmetrically,
+//! the vector kernel's run plan of each row gene of a tile is built once
+//! ([`MiScratch::plan_rows`]) and shared by every pair and every null
+//! pairing of the row. A planned row has one evaluation method,
+//! [`PlannedRow::mi_block`]: one pairing (the observed one or one null)
+//! for a whole block; the null tests that read it live in the tile scan.
+//! [`mi_vector`] and [`mi_with_nulls`] are one-column blocks over a plan
+//! built per call, for oracles and benchmarks. Each scratch carries the
+//! SIMD [`KernelTable`] its joints run on.
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
@@ -23,7 +23,7 @@ use crate::vector_kernel::{self, VectorGrid};
 use gnet_bspline::{BsplineBasis, DenseWeights, SampleCodes, SparseWeights, WeightTable};
 use gnet_expr::normalize::rank_codes;
 use gnet_simd::dispatch::{self, KernelTable};
-use gnet_simd::{F32x16, RunPlan};
+use gnet_simd::{F32x16, Pairing, RunPlan};
 use std::sync::Arc;
 
 /// Which B-spline kernel the pipeline dispatches to.
@@ -114,11 +114,17 @@ pub struct MiScratch {
     /// One joint grid per column of the widest block met so far, all of
     /// one dense layout.
     vector_grids: Vec<VectorGrid>,
-    /// The vector kernel's run plan of the current [`PlannedRow`].
-    plan: RunPlan,
-    /// Dense expansions handed back by [`Self::reuse_columns`], whose
-    /// aligned rows the next [`Self::expand_columns`] refills.
-    dense_pool: Vec<DenseWeights>,
+    /// The vector kernel's run plans of the current tile's row genes, one
+    /// per row ([`Self::plan_rows`]).
+    plans: Vec<RunPlan>,
+    /// Dense expansions of the current block of column genes in the first
+    /// `block_len` entries; the rest are buffers the next block refills.
+    block: Vec<DenseWeights>,
+    block_len: usize,
+    /// Row plans built so far.
+    plans_built: u64,
+    /// Column genes expanded into the dense layout so far.
+    expansions: u64,
     bins: usize,
 }
 
@@ -138,36 +144,24 @@ impl MiScratch {
             kernels,
             scalar_grid: vec![0.0; b * b],
             vector_grids: Vec::new(),
-            plan: RunPlan::new(),
-            dense_pool: Vec::new(),
+            plans: Vec::new(),
+            block: Vec::new(),
+            block_len: 0,
+            plans_built: 0,
+            expansions: 0,
             bins: b,
         }
     }
 
-    /// The dense expansions of `genes`, in its first `genes.len()`
-    /// entries, refilling the buffers of the last [`Self::reuse_columns`]
-    /// call: a tile executor expands each tile's column genes without
-    /// allocating once its first tile has.
-    pub fn expand_columns(&mut self, genes: &[PreparedGene]) -> Vec<DenseWeights> {
-        let mut dense = core::mem::take(&mut self.dense_pool);
-        for (i, g) in genes.iter().enumerate() {
-            match dense.get_mut(i) {
-                Some(d) => g.sparse.expand_into(d),
-                None => dense.push(g.to_dense()),
-            }
-        }
-        dense
-    }
-
-    /// Hand back [`Self::expand_columns`]'s buffers for the next tile.
-    pub fn reuse_columns(&mut self, dense: Vec<DenseWeights>) {
-        self.dense_pool = dense;
-    }
-
-    /// Heap bytes of the vector kernel's buffers: the run plan and the
-    /// joint grids.
+    /// Heap bytes of the vector kernel's buffers: the row plans, the
+    /// block's dense expansions and the joint grids.
     pub fn vector_heap_bytes(&self) -> usize {
-        self.plan.heap_bytes()
+        self.plans.iter().map(RunPlan::heap_bytes).sum::<usize>()
+            + self
+                .block
+                .iter()
+                .map(DenseWeights::heap_bytes)
+                .sum::<usize>()
             + self
                 .vector_grids
                 .iter()
@@ -175,26 +169,115 @@ impl MiScratch {
                 .sum::<usize>()
     }
 
-    /// Plan the row gene `x` for every pair it is evaluated in against the
-    /// null permutations `perms`. For the vector kernel this sorts `x`'s
-    /// samples into runs (see [`RunPlan`]); each permutation's y-row list
-    /// is composed when a pair first reads it. A no-op for the scalar
-    /// kernel and for layouts wider than one register row.
-    pub fn plan_row<'a>(
+    /// Row plans this scratch has built ([`Self::plan_rows`]).
+    pub fn plans_built(&self) -> u64 {
+        self.plans_built
+    }
+
+    /// Column genes this scratch has expanded into the dense layout
+    /// ([`TileRows::expand_block`]).
+    pub fn expansions(&self) -> u64 {
+        self.expansions
+    }
+
+    /// Plan the row genes `rows` of a tile, one plan each, for every pair
+    /// and every null pairing of `pairings` they are evaluated in. For the
+    /// vector kernel this sorts each row gene's samples into runs (see
+    /// [`RunPlan`]); a no-op for the scalar kernel and for layouts wider
+    /// than one register row. The rows then meet their column genes one
+    /// block at a time ([`TileRows::expand_block`]).
+    pub fn plan_rows<'a>(
         &'a mut self,
         kernel: MiKernel,
-        x: &'a PreparedGene,
-        perms: &'a [Vec<u32>],
-    ) -> PlannedRow<'a> {
-        if kernel == MiKernel::VectorDense && x.sparse.bins() <= F32x16::LANES {
-            vector_kernel::plan_runs(&x.sparse, perms.len(), &mut self.plan);
+        rows: &'a [PreparedGene],
+        pairings: &'a [Pairing<'a>],
+    ) -> TileRows<'a> {
+        if self.plans.len() < rows.len() {
+            self.plans.resize_with(rows.len(), RunPlan::new);
         }
-        PlannedRow {
+        if kernel == MiKernel::VectorDense {
+            for (x, plan) in rows.iter().zip(&mut self.plans) {
+                if x.sparse.bins() <= F32x16::LANES {
+                    vector_kernel::plan_runs(&x.sparse, plan);
+                    self.plans_built += 1;
+                }
+            }
+        }
+        self.block_len = 0;
+        TileRows {
             kernel,
-            x,
-            perms,
+            rows,
+            pairings,
             scratch: self,
         }
+    }
+}
+
+/// A tile's row genes, each planned once ([`MiScratch::plan_rows`]), and
+/// the block of column genes they currently meet. A row's plan is built
+/// from its own gene, and only that row reads it, so no pair can meet
+/// another gene's plan.
+#[derive(Debug)]
+pub struct TileRows<'a> {
+    kernel: MiKernel,
+    rows: &'a [PreparedGene],
+    pairings: &'a [Pairing<'a>],
+    scratch: &'a mut MiScratch,
+}
+
+impl TileRows<'_> {
+    /// Column genes per block the rows are best evaluated in: the run
+    /// kernel's [`run_block_columns`](gnet_simd::run_block_columns) at the
+    /// row genes' spline order. Derived from the order alone; any block
+    /// width gives the same values.
+    pub fn block_columns(&self) -> usize {
+        gnet_simd::run_block_columns(self.rows.first().map_or(1, |x| x.sparse.order()))
+    }
+
+    /// Make `cols` the block the rows meet: for the vector kernel, expand
+    /// each gene into the dense layout, refilling the buffers of earlier
+    /// blocks in place.
+    pub fn expand_block(&mut self, cols: &[PreparedGene]) {
+        let scratch = &mut *self.scratch;
+        scratch.block_len = 0;
+        if self.kernel != MiKernel::VectorDense {
+            return;
+        }
+        for (i, g) in cols.iter().enumerate() {
+            match scratch.block.get_mut(i) {
+                Some(d) => g.sparse.expand_into(d),
+                None => scratch.block.push(g.to_dense()),
+            }
+        }
+        scratch.block_len = cols.len();
+        scratch.expansions += cols.len() as u64;
+    }
+
+    /// Row `r`'s planned row, and the dense expansions of the current
+    /// block (empty for the scalar kernel), in the order of its genes.
+    ///
+    /// # Panics
+    /// Panics if `r` is not one of the planned rows.
+    pub fn row(&mut self, r: usize) -> (PlannedRow<'_>, &[DenseWeights]) {
+        let MiScratch {
+            kernels,
+            scalar_grid,
+            vector_grids,
+            plans,
+            block,
+            block_len,
+            ..
+        } = &mut *self.scratch;
+        let row = PlannedRow {
+            kernel: self.kernel,
+            x: &self.rows[r],
+            plan: &plans[r],
+            pairings: self.pairings,
+            kernels,
+            scalar_grid,
+            vector_grids,
+        };
+        (row, &block[..*block_len])
     }
 }
 
@@ -217,44 +300,34 @@ fn vector_grids_for<'g>(
     &mut slot[..columns]
 }
 
-/// A row gene `x` planned once for all the pairs it is evaluated in
-/// ([`MiScratch::plan_row`]). The plan is built from `x` and the null
-/// permutations the row was planned with, and only this row reads it, so
-/// no pair can meet another gene's plan.
-///
-/// Each null permutation's list is composed the first time a block reads
-/// it: the full test composes all `q` on the row's first block, the
-/// early-exit test only the few nulls it reaches.
+/// A row gene `x` planned once for all the pairs and null pairings it is
+/// evaluated in ([`TileRows::row`]).
 #[derive(Debug)]
 pub struct PlannedRow<'a> {
     kernel: MiKernel,
     x: &'a PreparedGene,
-    perms: &'a [Vec<u32>],
-    scratch: &'a mut MiScratch,
+    /// `x`'s run plan; read by the vector kernel on the one-register-row
+    /// layout only.
+    plan: &'a RunPlan,
+    pairings: &'a [Pairing<'a>],
+    kernels: &'static KernelTable,
+    scalar_grid: &'a mut Vec<f32>,
+    vector_grids: &'a mut Vec<VectorGrid>,
 }
 
 impl PlannedRow<'_> {
-    /// Column genes per block the row is best evaluated in: the run
-    /// kernel's [`run_block_columns`](gnet_simd::run_block_columns) at the
-    /// row gene's spline order. Derived from the order alone; any block
-    /// width gives the same values.
-    pub fn block_columns(&self) -> usize {
-        gnet_simd::run_block_columns(self.x.sparse.order())
-    }
-
     /// MI (nats) of the row gene against each gene of the block `ys`
     /// under one pairing, into `out`: the observed pairing for `None`,
-    /// null permutation `p` for `Some(p)`. The joint runs for the whole
-    /// block in one pass over the row's plan, and each gene's value is
-    /// that of a one-gene block. `dense` holds the dense expansions of
-    /// `ys`, one each, for the vector kernel, and may be empty for the
-    /// scalar one.
+    /// null pairing `p` for `Some(p)`. The joint runs for the whole block
+    /// in one pass over the row's plan, and each gene's value is that of
+    /// a one-gene block. `dense` holds the dense expansions of `ys`, one
+    /// each, for the vector kernel, and may be empty for the scalar one.
     ///
     /// # Panics
     /// Panics if `out` is not one per gene, if the kernel is
     /// [`MiKernel::VectorDense`] and `dense` is not one per gene, on a
-    /// shape mismatch between the genes, or if permutation `p` has the
-    /// wrong length or an out-of-range index.
+    /// shape mismatch between the genes or with the pairing, or if there
+    /// is no null pairing `p`.
     pub fn mi_block(
         &mut self,
         ys: &[PreparedGene],
@@ -263,28 +336,16 @@ impl PlannedRow<'_> {
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), ys.len(), "one MI per column gene");
-        let (x, perms) = (self.x, self.perms);
-        let hx = x.h_marginal;
-        let MiScratch {
-            kernels,
-            scalar_grid,
-            vector_grids,
-            plan,
-            ..
-        } = &mut *self.scratch;
+        let (x, hx) = (self.x, self.x.h_marginal);
+        let pairing = pairing.map(|p| self.pairings[p]);
         if self.kernel == MiKernel::ScalarSparse {
             for (y, mi) in ys.iter().zip(out.iter_mut()) {
-                let hy = y.h_marginal;
+                let (hy, grid) = (y.h_marginal, &mut *self.scalar_grid);
                 *mi = match pairing {
-                    None => sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, scalar_grid),
-                    Some(p) => sparse_kernel::mi_permuted(
-                        &x.sparse,
-                        &y.sparse,
-                        &perms[p],
-                        hx,
-                        hy,
-                        scalar_grid,
-                    ),
+                    None => sparse_kernel::mi(&x.sparse, &y.sparse, hx, hy, grid),
+                    Some(p) => {
+                        sparse_kernel::mi_permuted(&x.sparse, &y.sparse, p.indices(), hx, hy, grid)
+                    }
                 };
             }
             return;
@@ -297,12 +358,16 @@ impl PlannedRow<'_> {
         let Some(first) = dense.first() else {
             return;
         };
-        let grids = vector_grids_for(vector_grids, first, ys.len().min(vector_kernel::MAX_BLOCK));
+        let grids = vector_grids_for(
+            self.vector_grids,
+            first,
+            ys.len().min(vector_kernel::MAX_BLOCK),
+        );
         if !vector_kernel::fits_run_kernel(first) {
-            let perm = pairing.map(|p| perms[p].as_slice());
+            let perm = pairing.map(|p| p.indices());
             for ((y, yd), mi) in ys.iter().zip(dense).zip(out.iter_mut()) {
                 let (hy, grid) = (y.h_marginal, &mut grids[0]);
-                *mi = vector_kernel::mi_on(kernels, &x.sparse, yd, perm, hx, hy, grid);
+                *mi = vector_kernel::mi_on(self.kernels, &x.sparse, yd, perm, hx, hy, grid);
             }
             return;
         }
@@ -311,16 +376,12 @@ impl PlannedRow<'_> {
             first.bins(),
             "genes must share the bin count"
         );
-        if let Some(p) = pairing {
-            if !plan.is_composed(p) {
-                plan.compose(p, &perms[p]);
-            }
-        }
         let chunks = ys
             .chunks(vector_kernel::MAX_BLOCK)
             .zip(dense.chunks(vector_kernel::MAX_BLOCK));
         for ((ys, dense), out) in chunks.zip(out.chunks_mut(vector_kernel::MAX_BLOCK)) {
             let grids = &mut grids[..ys.len()];
+            let (kernels, plan) = (self.kernels, self.plan);
             vector_kernel::joint_entropies_planned(kernels, plan, pairing, dense, grids, out);
             for (mi, y) in out.iter_mut().zip(ys) {
                 let hxy = *mi;
@@ -343,9 +404,8 @@ pub fn mi_scalar(x: &PreparedGene, y: &PreparedGene, scratch: &mut MiScratch) ->
 }
 
 /// MI (nats) of a prepared pair with the vector kernel. `y_dense` must be
-/// the dense expansion of `y` (cached by the tile executor). Plans `x` per
-/// call; to evaluate one `x` against many genes, plan it once with
-/// [`MiScratch::plan_row`].
+/// the dense expansion of `y`. Plans `x` per call; to evaluate one `x`
+/// against many genes, plan it once with [`MiScratch::plan_rows`].
 pub fn mi_vector(
     x: &PreparedGene,
     y: &PreparedGene,
@@ -353,7 +413,8 @@ pub fn mi_vector(
     scratch: &mut MiScratch,
 ) -> f64 {
     let mut mi = [0.0];
-    scratch.plan_row(MiKernel::VectorDense, x, &[]).mi_block(
+    let mut rows = scratch.plan_rows(MiKernel::VectorDense, core::slice::from_ref(x), &[]);
+    rows.row(0).0.mi_block(
         core::slice::from_ref(y),
         core::slice::from_ref(y_dense),
         None,
@@ -384,12 +445,13 @@ impl PairMi {
 /// Evaluate a pair and its `q` permutation nulls: the observed pairing,
 /// then each null, as one-column blocks of one planned row. Dispatches on
 /// `kernel`; the dense expansion of `y` is only touched (and required to
-/// be `Some`) for the vector kernel. Plans `x` per call; executors that
-/// meet one `x` many times plan it once with [`MiScratch::plan_row`].
+/// be `Some`) for the vector kernel. Plans `x` and validates `perms` per
+/// call; executors that meet one `x` many times plan it once with
+/// [`MiScratch::plan_rows`], against pairings validated once.
 ///
 /// # Panics
 /// Panics if `kernel` is [`MiKernel::VectorDense`] and `y_dense` is `None`,
-/// or if any permutation has the wrong length.
+/// or if any permutation has the wrong length or an index out of range.
 pub fn mi_with_nulls(
     kernel: MiKernel,
     x: &PreparedGene,
@@ -402,7 +464,9 @@ pub fn mi_with_nulls(
         core::slice::from_ref(y),
         y_dense.map_or(&[][..], core::slice::from_ref),
     );
-    let mut row = scratch.plan_row(kernel, x, perms);
+    let pairings = Pairing::all(perms, x.samples());
+    let mut rows = scratch.plan_rows(kernel, core::slice::from_ref(x), &pairings);
+    let (mut row, _) = rows.row(0);
     let mut mi = |pairing| {
         let mut value = [0.0];
         row.mi_block(ys, dense, pairing, &mut value);
@@ -482,9 +546,11 @@ mod tests {
         let b = basis();
         let genes: Vec<_> = (0..4).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
         let perms = strided_perms(5, 97);
+        let pairings = Pairing::all(&perms, 97);
         let dense: Vec<_> = genes.iter().map(PreparedGene::to_dense).collect();
         let mut row_scratch = MiScratch::for_basis(&b);
-        let mut row = row_scratch.plan_row(MiKernel::VectorDense, &genes[0], &perms);
+        let mut rows = row_scratch.plan_rows(MiKernel::VectorDense, &genes[..1], &pairings);
+        let (mut row, _) = rows.row(0);
         let mut scratch = MiScratch::for_basis(&b);
         for (y, yd) in genes.iter().zip(&dense).skip(1) {
             let (ys, ds) = (core::slice::from_ref(y), core::slice::from_ref(yd));
@@ -524,35 +590,44 @@ mod tests {
 
     #[test]
     fn blocks_reproduce_one_gene_blocks_bitwise() {
-        let matrix = synth::independent_gaussian(6, 211, 31);
+        let matrix = synth::independent_gaussian(8, 211, 31);
         let perms = strided_perms(4, 211);
+        let pairings = Pairing::all(&perms, 211);
         for order in [1, 3, 4, 6] {
             let b = BsplineBasis::new(order, 10);
-            let genes: Vec<_> = (0..6).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
-            let mut scratch = MiScratch::for_basis(&b);
-            let dense = scratch.expand_columns(&genes[1..]);
+            let genes: Vec<_> = (0..8).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
+            let (xs, cols) = genes.split_at(3);
             let mut single = MiScratch::for_basis(&b);
-            let one: Vec<PairMi> = genes[1..]
+            let one: Vec<Vec<PairMi>> = xs
                 .iter()
-                .zip(&dense)
-                .map(|(y, yd)| {
-                    let x = &genes[0];
-                    mi_with_nulls(MiKernel::VectorDense, x, y, Some(yd), &perms, &mut single)
+                .map(|x| {
+                    let pair = |y: &PreparedGene| {
+                        let yd = y.to_dense();
+                        mi_with_nulls(MiKernel::VectorDense, x, y, Some(&yd), &perms, &mut single)
+                    };
+                    cols.iter().map(pair).collect()
                 })
                 .collect();
-            let mut row = scratch.plan_row(MiKernel::VectorDense, &genes[0], &perms);
-            for width in 1..=row.block_columns() {
-                let (ys, ds) = (&genes[1..=width], &dense[..width]);
-                let mut block = vec![0.0; width];
-                for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
-                    row.mi_block(ys, ds, pairing, &mut block);
-                    for (v, pair) in block.iter().zip(&one) {
-                        let expected = pairing.map_or(pair.observed, |p| pair.null[p]);
-                        assert_eq!(
-                            v.to_bits(),
-                            expected.to_bits(),
-                            "k {order}, width {width}, pairing {pairing:?}"
-                        );
+            let mut scratch = MiScratch::for_basis(&b);
+            let mut rows = scratch.plan_rows(MiKernel::VectorDense, xs, &pairings);
+            for width in 1..=rows.block_columns() {
+                for start in [0, cols.len() - width] {
+                    rows.expand_block(&cols[start..start + width]);
+                    for (r, one) in one.iter().enumerate() {
+                        let (mut row, dense) = rows.row(r);
+                        let ys = &cols[start..start + width];
+                        let mut block = vec![0.0; width];
+                        for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
+                            row.mi_block(ys, dense, pairing, &mut block);
+                            for (v, pair) in block.iter().zip(&one[start..]) {
+                                let expected = pairing.map_or(pair.observed, |p| pair.null[p]);
+                                assert_eq!(
+                                    v.to_bits(),
+                                    expected.to_bits(),
+                                    "k {order}, row {r}, width {width}, pairing {pairing:?}"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -560,19 +635,39 @@ mod tests {
     }
 
     #[test]
-    fn a_null_pairing_composes_only_its_list() {
+    fn tile_rows_plan_each_row_once_and_expand_each_block_once() {
+        let matrix = synth::independent_gaussian(7, 64, 3);
+        let b = basis();
+        let genes: Vec<_> = (0..7).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
+        let perms = strided_perms(3, 64);
+        let pairings = Pairing::all(&perms, 64);
+        let mut scratch = MiScratch::for_basis(&b);
+        let mut rows = scratch.plan_rows(MiKernel::VectorDense, &genes[..3], &pairings);
+        for block in genes[3..].chunks(rows.block_columns()) {
+            rows.expand_block(block);
+            for r in 0..3 {
+                let (mut row, dense) = rows.row(r);
+                let mut out = vec![0.0; block.len()];
+                for pairing in std::iter::once(None).chain((0..3).map(Some)) {
+                    row.mi_block(block, dense, pairing, &mut out);
+                }
+            }
+        }
+        assert_eq!((scratch.plans_built(), scratch.expansions()), (3, 4));
+        // The scalar kernel reads neither plans nor dense rows.
+        let _ = scratch.plan_rows(MiKernel::ScalarSparse, &genes, &pairings);
+        assert_eq!(scratch.plans_built(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing index 64 at sample 5 out of range for 64 samples")]
+    fn mi_with_nulls_validates_its_permutations_on_each_call() {
         let (x, y) = prepared_pair(4, 64);
-        let (ys, ds) = (core::slice::from_ref(&y), [y.to_dense()]);
-        let perms = strided_perms(5, 64);
+        let yd = y.to_dense();
+        let mut bad = strided_perms(2, 64);
+        bad[1][5] = 64;
         let mut scratch = MiScratch::for_basis(&basis());
-        let mut row = scratch.plan_row(MiKernel::VectorDense, &x, &perms);
-        row.mi_block(ys, &ds, None, &mut [0.0]);
-        row.mi_block(ys, &ds, Some(2), &mut [0.0]);
-        let composed: Vec<bool> = (0..5).map(|p| scratch.plan.is_composed(p)).collect();
-        assert_eq!(composed, [false, false, true, false, false]);
-        // A new row starts with no list composed.
-        let _ = scratch.plan_row(MiKernel::VectorDense, &y, &perms);
-        assert!((0..5).all(|p| !scratch.plan.is_composed(p)));
+        let _ = mi_with_nulls(MiKernel::VectorDense, &x, &y, Some(&yd), &bad, &mut scratch);
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod vector_kernel;
 pub use entropy::{entropy_nats, nats_to_bits};
 pub use gene::{
     mi_scalar, mi_vector, mi_with_nulls, prepare_gene, MiKernel, MiScratch, PairMi, PlannedRow,
-    PreparedGene,
+    PreparedGene, TileRows,
 };
+pub use gnet_simd::Pairing;
 pub use ksg::KsgEstimator;

@@ -139,8 +139,8 @@ impl MutatedVectorKernel {
         };
         let y_rows = poisoned.as_ref().unwrap_or(y_dense);
 
-        crate::vector_kernel::plan_runs(sx, 0, &mut self.plan);
-        let (weights, rows) = (self.plan.sorted_weights(), self.plan.y_rows(None));
+        crate::vector_kernel::plan_runs(sx, &mut self.plan);
+        let (weights, rows) = (self.plan.sorted_weights(), self.plan.sample_order());
         for (r, run) in self.plan.offsets().windows(2).enumerate() {
             let (start, mut end) = (run[0] as usize, run[1] as usize);
             if self.mutation == KernelMutation::DroppedRunTail && (end - start) % 2 == 1 {

@@ -20,13 +20,15 @@
 //! run-blocked kernel ([`KernelTable::accumulate_runs`]): *x*'s samples
 //! are sorted by first bin into a [`RunPlan`], so each run of samples
 //! updates the same `k` rows, which stay in registers until the run ends.
-//! The null permutations are planned on the *x* side too ("permute x, not
-//! y"): each one is a composed list of *y* row indices, and *y*'s rows
-//! stay put. The tile executor plans each *x* gene once
-//! (`MiScratch::plan_row`) and reuses the plan for every *y* it meets, a
-//! block of up to [`run_block_columns`](gnet_simd::run_block_columns) *y*
-//! genes per pass; [`joint_counts`] and [`joint_counts_permuted`] build a
-//! one-off plan per call. Dense rows and grids are cache-line-aligned
+//! The null permutations act on the *x* side too ("permute x, not y"):
+//! under a null pairing `π` sorted position `t` reads *y*'s row
+//! `π[order[t]]`, which the kernel looks up itself, and *y*'s rows stay
+//! put. The tile executor plans each *x* gene of a tile once
+//! (`MiScratch::plan_rows`) and reuses the plan for every *y* and every
+//! pairing it meets, a block of up to
+//! [`run_block_columns`](gnet_simd::run_block_columns) *y* genes per
+//! pass; [`joint_counts`] and [`joint_counts_permuted`] build a one-off
+//! plan per call. Dense rows and grids are cache-line-aligned
 //! [`Row16`]s. Wider layouts fall back to a per-sample row loop. The
 //! public functions here run on the process's resolved table
 //! ([`dispatch::table`]); the scan path runs on the table its `MiScratch`
@@ -35,7 +37,7 @@
 use crate::entropy::entropy_from_counts_on;
 use gnet_bspline::{DenseWeights, SampleCodes, SparseWeights};
 use gnet_simd::dispatch::{self, KernelTable};
-use gnet_simd::{F32x16, Row16, RunPlan};
+use gnet_simd::{F32x16, Pairing, Row16, RunPlan};
 
 /// Most *y* columns one call of the planned block kernel takes.
 pub(crate) const MAX_BLOCK: usize = gnet_simd::run_block_columns(1);
@@ -99,30 +101,29 @@ pub(crate) fn fits_run_kernel(y: &DenseWeights) -> bool {
     y.stride() == F32x16::LANES
 }
 
-/// Plan `x` for the run-blocked kernel with room for `permutations` null
-/// lists (composed later, [`RunPlan::compose`]), reusing `plan`'s buffers.
-pub(crate) fn plan_runs(x: &SparseWeights, permutations: usize, plan: &mut RunPlan) {
+/// Plan `x` for the run-blocked kernel, reusing `plan`'s buffers.
+pub(crate) fn plan_runs(x: &SparseWeights, plan: &mut RunPlan) {
     let (table, k, b) = (x.table(), x.order(), x.bins());
     let (first_bins, weights) = (table.first_bins(), table.weights());
     match x.codes() {
-        SampleCodes::Narrow(c) => plan.rebuild(c, first_bins, weights, k, b, permutations),
-        SampleCodes::Wide(c) => plan.rebuild(c, first_bins, weights, k, b, permutations),
+        SampleCodes::Narrow(c) => plan.rebuild(c, first_bins, weights, k, b),
+        SampleCodes::Wide(c) => plan.rebuild(c, first_bins, weights, k, b),
     }
 }
 
 /// Accumulate the unnormalized joint grids of a planned `x` against a
-/// block of dense *y* genes on `kernels`, one grid each: the identity
-/// pairing for `perm == None`, the planned permutation `p` for `Some(p)`.
-/// Every `y` must have the one-register-row layout ([`fits_run_kernel`]).
+/// block of dense *y* genes on `kernels`, one grid each, under the
+/// observed pairing (`None`) or a null pairing. Every `y` must have the
+/// one-register-row layout ([`fits_run_kernel`]).
 ///
 /// # Panics
 /// Panics if the block is wider than [`MAX_BLOCK`], `ys` and `grids`
-/// differ in length, the plan's shapes disagree with a `y` or its grid,
-/// or `perm` names a permutation whose list is not composed.
+/// differ in length, or the plan's or the pairing's shapes disagree with
+/// a `y` or its grid.
 fn joint_counts_planned(
     kernels: &KernelTable,
     plan: &RunPlan,
-    perm: Option<usize>,
+    pairing: Option<Pairing<'_>>,
     ys: &[DenseWeights],
     grids: &mut [VectorGrid],
 ) {
@@ -139,7 +140,7 @@ fn joint_counts_planned(
         (*yr, *gr) = (y.rows16(), &mut grid.data);
     }
     let n = ys.len();
-    (kernels.accumulate_runs)(plan, perm, &y_rows[..n], &mut grid_rows[..n]);
+    (kernels.accumulate_runs)(plan, pairing, &y_rows[..n], &mut grid_rows[..n]);
 }
 
 /// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`.
@@ -151,10 +152,11 @@ pub fn joint_counts(x: &SparseWeights, y: &DenseWeights, grid: &mut VectorGrid) 
 }
 
 /// As [`joint_counts`] but pairing sample `s` of `x` with sample `perm[s]`
-/// of `y`.
+/// of `y`. `perm` is validated on each call.
 ///
 /// # Panics
-/// As [`joint_counts`], plus if `perm.len()` differs from the sample count.
+/// As [`joint_counts`], plus if `perm.len()` differs from the sample count
+/// or an index of `perm` is out of range.
 pub fn joint_counts_permuted(
     x: &SparseWeights,
     y: &DenseWeights,
@@ -178,17 +180,12 @@ fn joint_counts_on(
     grid: &mut VectorGrid,
 ) {
     check_pair(x, y);
-    if let Some(perm) = perm {
-        assert_eq!(perm.len(), x.samples(), "permutation length mismatch");
-    }
+    let pairing = perm.map(|p| Pairing::new(p, x.samples()));
     if fits_run_kernel(y) {
         let mut plan = RunPlan::new();
-        plan_runs(x, usize::from(perm.is_some()), &mut plan);
-        if let Some(perm) = perm {
-            plan.compose(0, perm);
-        }
+        plan_runs(x, &mut plan);
         let (ys, grids) = (core::slice::from_ref(y), core::slice::from_mut(grid));
-        joint_counts_planned(kernels, &plan, perm.map(|_| 0), ys, grids);
+        joint_counts_planned(kernels, &plan, pairing, ys, grids);
         return;
     }
     grid.reset(y);
@@ -222,21 +219,21 @@ pub(crate) fn mi_on(
 }
 
 /// Joint entropies (nats) of a planned `x` against a block of *y* genes
-/// on `kernels`, into `hxy` — the identity pairing for `perm == None`,
-/// the planned permutation `p` for `Some(p)`. One grid per column.
+/// on `kernels`, into `hxy`, under the observed pairing (`None`) or a
+/// null pairing. One grid per column.
 ///
 /// # Panics
 /// As [`joint_counts_planned`], plus if `hxy` is not one per column.
 pub(crate) fn joint_entropies_planned(
     kernels: &KernelTable,
     plan: &RunPlan,
-    perm: Option<usize>,
+    pairing: Option<Pairing<'_>>,
     ys: &[DenseWeights],
     grids: &mut [VectorGrid],
     hxy: &mut [f64],
 ) {
     assert_eq!(hxy.len(), ys.len(), "one joint entropy per y column");
-    joint_counts_planned(kernels, plan, perm, ys, grids);
+    joint_counts_planned(kernels, plan, pairing, ys, grids);
     for (h, grid) in hxy.iter_mut().zip(grids.iter()) {
         // cast-ok: sample counts are far below f64's 2^53 exact-integer range
         *h = entropy_from_counts_on(kernels, grid.as_slice(), plan.samples() as f64);
@@ -427,6 +424,19 @@ mod tests {
         let mut fresh = VectorGrid::for_dense(&zd);
         let direct = vector_mi(&x, &zd, None, hx, hz, &mut fresh);
         assert_eq!(second, direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing index 41 at sample 3 out of range for 41 samples")]
+    fn joint_counts_permuted_validates_its_permutation_on_each_call() {
+        let basis = BsplineBasis::tinge_default();
+        let (a, b) = random_profiles(8, 41);
+        let (x, yd) = (prep(&a, &basis), prep(&b, &basis).to_dense());
+        let mut perm: Vec<u32> = (0..41).rev().collect();
+        let mut grid = VectorGrid::for_dense(&yd);
+        joint_counts_permuted(&x, &yd, &perm, &mut grid);
+        perm[3] = 41;
+        joint_counts_permuted(&x, &yd, &perm, &mut grid);
     }
 
     #[test]

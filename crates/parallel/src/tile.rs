@@ -37,7 +37,7 @@ impl Tile {
     }
 
     /// Number of distinct genes whose weight matrices the tile touches —
-    /// the quantity the cache-blocking tile-size choice is based on.
+    /// the quantity the simulated platforms' cache model charges.
     pub fn genes_touched(&self) -> u32 {
         if self.is_diagonal() {
             self.row_end - self.row_start
@@ -184,15 +184,6 @@ impl TileSpace {
     /// Total pair count over all tiles: `n(n−1)/2` for [`Self::new`].
     pub fn total_pairs(&self) -> u64 {
         self.tiles.iter().map(Tile::pair_count).sum()
-    }
-
-    /// Choose a tile size so one tile's working set (`2·T` gene weight
-    /// matrices of `bytes_per_gene`) fits in `cache_bytes`, clamped to
-    /// `[4, genes]`. This encodes the paper's L2 blocking rule.
-    pub fn tile_size_for_cache(genes: usize, bytes_per_gene: usize, cache_bytes: usize) -> usize {
-        assert!(bytes_per_gene > 0, "genes cannot be weightless");
-        let t = cache_bytes / (2 * bytes_per_gene);
-        t.clamp(4, genes.max(4))
     }
 }
 
@@ -374,20 +365,6 @@ mod tests {
     #[should_panic(expected = "at least two genes")]
     fn single_gene_rejected() {
         let _ = TileSpace::new(1, 4);
-    }
-
-    #[test]
-    fn cache_blocking_rule() {
-        // 44 KB per gene (the cache rule's charge at 3,137 samples, k = 3)
-        // in a 512 KB L2 share
-        // ⇒ T ≈ 5... clamped up to 4 minimum; with 256 KB per-core share of
-        // a big L2 and small genes, T grows.
-        let t = TileSpace::tile_size_for_cache(15_575, 44_000, 512 * 1024);
-        assert_eq!(t, 5);
-        let t2 = TileSpace::tile_size_for_cache(1000, 1_000, 512 * 1024);
-        assert_eq!(t2, 262);
-        let t3 = TileSpace::tile_size_for_cache(100, 1_000_000, 512 * 1024);
-        assert_eq!(t3, 4, "clamped to the minimum");
     }
 
     proptest! {

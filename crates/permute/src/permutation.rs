@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Draw a uniform random permutation of `0..m` with Fisher–Yates.
 pub fn fisher_yates(m: usize, rng: &mut StdRng) -> Vec<u32> {
@@ -31,8 +30,10 @@ pub fn is_permutation(p: &[u32]) -> bool {
 }
 
 /// The shared set of `q` permutations of the sample index space, drawn once
-/// from a seed and reused for every gene pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// from a seed and reused for every gene pair. [`Self::generate`] is the
+/// only way to build one, so every set holds bijections of its sample
+/// space.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PermutationSet {
     samples: usize,
     seed: u64,

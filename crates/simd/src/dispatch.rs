@@ -21,7 +21,7 @@ use core::fmt;
 use std::sync::OnceLock;
 
 use crate::row::Row16;
-use crate::run_plan::RunPlan;
+use crate::run_plan::{Pairing, RunPlan};
 use crate::slice_ops;
 
 /// One of the selectable slice-kernel implementations.
@@ -92,7 +92,7 @@ impl fmt::Display for Backend {
 /// The run-blocked joint accumulator's signature: a plan, the pairing,
 /// a block of dense *y* genes and one grid per *y*
 /// ([`KernelTable::accumulate_runs`]).
-pub type RunKernel = fn(&RunPlan, Option<usize>, &[&[Row16]], &mut [&mut [Row16]]);
+pub type RunKernel = fn(&RunPlan, Option<Pairing<'_>>, &[&[Row16]], &mut [&mut [Row16]]);
 
 /// The function-pointer table one backend exposes. All entries are safe
 /// functions: the hardware entries validate their slice arguments before
@@ -119,8 +119,10 @@ pub struct KernelTable {
     /// layout, run-blocked and column-blocked: for every *y* column `c` of
     /// the block and every sample `s` of the planned *x* gene, add
     /// `w_s[i] · ys[c][row(s)]` into row `first_bin[s] + i` (`i < k`) of
-    /// `grids[c]`, where `row(s) = s` for `perm == None` and
-    /// `row(s) = π_p[s]` for `perm == Some(p)`.
+    /// `grids[c]`, where `row(s) = s` for the observed pairing (`None`)
+    /// and `row(s) = π[s]` for a null pairing `Some(π)`. The kernel reads
+    /// sorted position `t`'s row as `order[t]` or `π[order[t]]` itself,
+    /// so nothing per null is built before it runs.
     ///
     /// The samples of one run (same first bin, see [`RunPlan`]) update
     /// the same `k` rows, so the kernel keeps them in registers: per
@@ -135,9 +137,9 @@ pub struct KernelTable {
     ///
     /// Panics on an empty plan, if `ys` and `grids` differ in length, if
     /// a grid is not exactly the plan's rows, if a *y* is not exactly one
-    /// row per sample, or if `perm` names a permutation whose list is not
-    /// composed. These are O(1)-per-column checks; the O(m) range checks
-    /// ran when the plan was built.
+    /// row per sample, or if the pairing is not one index per sample.
+    /// These are O(1)-per-column checks; the O(m) range checks ran when
+    /// the plan was built and when the [`Pairing`] was validated.
     ///
     /// [`run_block_columns`]: crate::run_plan::run_block_columns
     pub accumulate_runs: RunKernel,

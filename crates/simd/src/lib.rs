@@ -12,8 +12,9 @@
 //!   data).
 //! * Slice kernels — the whole-slice primitives the MI estimators are
 //!   built from (`axpy`, `xlogx_sum`, and the run-blocked joint
-//!   accumulator `accumulate_runs` driven by a validated [`RunPlan`] over
-//!   a block of cache-line-aligned [`Row16`] *y* genes and grids). Each
+//!   accumulator `accumulate_runs` driven by a validated [`RunPlan`] and
+//!   an optional validated null [`Pairing`] over a block of
+//!   cache-line-aligned [`Row16`] *y* genes and grids). Each
 //!   backend exposes them as one immutable
 //!   [`KernelTable`](dispatch::KernelTable): portable
 //!   `_emulated` laned forms ([`slice_ops`], which also holds `_scalar`
@@ -51,4 +52,4 @@ pub use dispatch::{active_backend, dispatch_report, Backend, DispatchReport};
 pub use lanes::F32x16;
 pub use model::VectorModel;
 pub use row::Row16;
-pub use run_plan::{run_block_columns, EntryCode, RunPlan};
+pub use run_plan::{run_block_columns, EntryCode, Pairing, RunPlan};

@@ -16,21 +16,21 @@
 //!
 //! * the run bounds (one run per possible first bin, possibly empty);
 //! * the `k` weights of every sample;
-//! * one list of *y* row indices per pairing: the identity list
-//!   `order[t]` (sorted position `t` holds original sample `order[t]`),
-//!   and for each null permutation `π_p` the composed list
-//!   `π_p[order[t]]`. Sample `s` of *x* meets row `π_p[s]` of *y*, exactly
-//!   as an unsorted per-sample loop would pair them.
+//! * the sample order: sorted position `t` holds original sample
+//!   `order[t]`.
+//!
+//! The observed pairing reads *y*'s row `order[t]` at position `t`; a
+//! null [`Pairing`] `π` reads row `π[order[t]]`, which the kernel looks up
+//! itself. Sample `s` of *x* then meets row `π[s]` of *y*, exactly as an
+//! unsorted per-sample loop would pair them, and nothing per null is
+//! stored in the plan.
 //!
 //! [`RunPlan::rebuild`] reads *x* as one code per sample into a table of
-//! first bins and weights, sorts the samples and builds the identity list;
-//! each permutation's list is composed separately ([`RunPlan::compose`]),
-//! so a caller that may stop after a few nulls (the early-exit test)
-//! composes only the lists it reads. Every range check the kernel's
-//! raw-pointer loads and stores rely on happens there, once per plan and
-//! list; the kernel's entry then checks only O(1) shapes
-//! ([`RunPlan::check`]). A plan is built once per *x* gene and reused for
-//! every *y* it meets.
+//! first bins and weights and sorts the samples. Every range check the
+//! kernel's raw-pointer loads and stores rely on happens there, once per
+//! plan, and in [`Pairing::new`], once per pairing; the kernel's entry
+//! then checks only O(1) shapes ([`RunPlan::check`]). A plan is built
+//! once per *x* gene and reused for every *y* and every pairing it meets.
 
 use crate::row::Row16;
 
@@ -54,8 +54,64 @@ pub const fn run_block_columns(order: usize) -> usize {
     }
 }
 
-/// A validated, bin-sorted accumulation plan for one *x* gene against a
-/// fixed set of null permutations. See the [module docs](self).
+/// A null pairing of `m` samples, validated once: sample `s` of *x* meets
+/// row `indices[s]` of *y*, and every index is below `m`. The run kernel
+/// reads row `indices[order[t]]` without a bounds check, so the range
+/// check happens here, when the pairing is built, not per plan or per
+/// kernel call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pairing<'a> {
+    /// `m` row indices, each below `m`.
+    indices: &'a [u32],
+}
+
+impl<'a> Pairing<'a> {
+    /// Validate `indices` as a pairing of `samples` samples.
+    ///
+    /// # Panics
+    /// Panics, naming the fault, if there are not exactly `samples`
+    /// indices or one of them is `samples` or more.
+    pub fn new(indices: &'a [u32], samples: usize) -> Self {
+        assert_eq!(
+            indices.len(),
+            samples,
+            "pairing length mismatch: {} indices for {samples} samples",
+            indices.len()
+        );
+        let m = u32::try_from(samples).expect("pairing: sample count fits u32");
+        // An OR of compares vectorizes on baseline x86-64; a max does not.
+        if indices.iter().fold(false, |bad, &v| bad | (v >= m)) {
+            let (s, v) = (0..)
+                .zip(indices)
+                .find(|&(_, &v)| v >= m)
+                .expect("the fold found an index out of range");
+            panic!("pairing index {v} at sample {s} out of range for {samples} samples");
+        }
+        Self { indices }
+    }
+
+    /// Validate each of `perms` as a pairing of `samples` samples
+    /// ([`Self::new`]), in order.
+    ///
+    /// # Panics
+    /// As [`Self::new`], on the first pairing at fault.
+    pub fn all(perms: &'a [Vec<u32>], samples: usize) -> Vec<Self> {
+        perms.iter().map(|p| Self::new(p, samples)).collect()
+    }
+
+    /// Sample count `m`.
+    pub fn samples(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// The row index of *y* each sample of *x* meets.
+    pub fn indices(&self) -> &'a [u32] {
+        self.indices
+    }
+}
+
+/// A validated, bin-sorted accumulation plan for one *x* gene. See the
+/// [module docs](self).
 ///
 /// The default value is an empty plan that every kernel call rejects;
 /// [`RunPlan::rebuild`] fills it, reusing its buffers.
@@ -65,19 +121,14 @@ pub struct RunPlan {
     order: usize,
     /// Grid rows the plan addresses (the bin count `b`).
     rows: usize,
-    /// Sample count `m`; every y-row index is below it.
+    /// Sample count `m`.
     samples: usize,
     /// `rows − k + 2` run bounds: run `r` is `offsets[r]..offsets[r + 1]`.
     offsets: Vec<u32>,
     /// `m × k` weights in sorted order.
     weights: Vec<f32>,
-    /// The identity's `m` y-row indices.
-    identity: Vec<u32>,
-    /// Room for `q × m` y-row indices, one list per null permutation;
-    /// list `p` holds data only while `composed[p]` is set.
-    lists: Vec<u32>,
-    /// Whether each null permutation's list is composed for this plan.
-    composed: Vec<bool>,
+    /// The sample at each sorted position, a permutation of `0..m`.
+    sample_order: Vec<u32>,
 }
 
 impl RunPlan {
@@ -89,8 +140,7 @@ impl RunPlan {
     /// Re-plan for an *x* gene given as `codes`, one per sample, into a
     /// table whose entry `e` has first bin `first_bins[e]` and the `order`
     /// weights `weights[e·order..(e + 1)·order]`, over a grid of `rows`
-    /// rows, with room for `permutations` null lists, none of them
-    /// composed yet. Buffers are reused.
+    /// rows. Buffers are reused.
     ///
     /// # Panics
     /// Panics — leaving the plan empty — if `order` is outside
@@ -104,7 +154,6 @@ impl RunPlan {
         weights: &[f32],
         order: usize,
         rows: usize,
-        permutations: usize,
     ) {
         // Empty until every check below has passed: a rebuild that panics
         // leaves a plan every kernel rejects.
@@ -148,8 +197,8 @@ impl RunPlan {
         for r in 1..self.offsets.len() {
             self.offsets[r] += self.offsets[r - 1];
         }
-        self.identity.clear();
-        self.identity.resize(m, 0);
+        self.sample_order.clear();
+        self.sample_order.resize(m, 0);
         self.weights.clear();
         self.weights.resize(m * order, 0.0);
         with_order!(
@@ -159,50 +208,15 @@ impl RunPlan {
                 first_bins,
                 weights,
                 &mut self.offsets,
-                &mut self.identity,
+                &mut self.sample_order,
                 &mut self.weights
             )
         );
         self.offsets.truncate(runs + 1);
-        self.composed.clear();
-        self.composed.resize(permutations, false);
-        if self.lists.len() < permutations * m {
-            self.lists.resize(permutations * m, 0);
-        }
 
         self.rows = rows;
         self.samples = m;
         self.order = order;
-    }
-
-    /// Compose null permutation `p`'s y-row list `perm[order[t]]`,
-    /// checking `perm` once. Composing a list twice recomposes it.
-    ///
-    /// # Panics
-    /// Panics — leaving list `p` uncomposed — on an empty plan, if `p` is
-    /// not below [`Self::permutations`], or if `perm` has the wrong length
-    /// or an out-of-range index.
-    pub fn compose(&mut self, p: usize, perm: &[u32]) {
-        assert!(self.order > 0, "run plan: compose on an empty plan");
-        let q = self.composed.len();
-        assert!(p < q, "run plan: permutation {p} not planned ({q} planned)");
-        self.composed[p] = false;
-        let m = self.samples;
-        assert_eq!(perm.len(), m, "permutation length mismatch");
-        let samples = u32::try_from(m).expect("rebuild checked m fits u32");
-        // An OR of compares vectorizes on baseline x86-64; a max does not.
-        let out_of_range = perm.iter().fold(false, |bad, &v| bad | (v >= samples));
-        assert!(!out_of_range, "run plan: perm index out of range");
-        let list = &mut self.lists[p * m..(p + 1) * m];
-        for (d, &s) in list.iter_mut().zip(&self.identity) {
-            *d = perm[s as usize]; // cast-ok: u32 to usize widens losslessly
-        }
-        self.composed[p] = true;
-    }
-
-    /// Whether permutation `p`'s list is composed for the current plan.
-    pub fn is_composed(&self, p: usize) -> bool {
-        self.order > 0 && self.composed.get(p).copied().unwrap_or(false)
     }
 
     /// Spline order `k` (0 for an empty plan).
@@ -220,11 +234,6 @@ impl RunPlan {
         self.samples
     }
 
-    /// Null permutations planned next to the identity (composed or not).
-    pub fn permutations(&self) -> usize {
-        self.composed.len()
-    }
-
     /// Run bounds: run `r` (first bin `r`) covers sorted positions
     /// `offsets[r]..offsets[r + 1]`.
     pub fn offsets(&self) -> &[u32] {
@@ -236,47 +245,31 @@ impl RunPlan {
         &self.weights
     }
 
-    /// The y-row index list of one pairing: the identity for `None`,
-    /// permutation `p`'s composed list for `Some(p)`.
-    ///
-    /// # Panics
-    /// Panics if list `p` is not composed ([`Self::is_composed`]).
-    pub fn y_rows(&self, perm: Option<usize>) -> &[u32] {
-        match perm {
-            None => &self.identity,
-            Some(p) => {
-                assert!(
-                    self.is_composed(p),
-                    "run plan: permutation {p} not composed ({} planned)",
-                    self.permutations()
-                );
-                &self.lists[p * self.samples..(p + 1) * self.samples]
-            }
-        }
+    /// The sample at each sorted position: position `t` holds sample
+    /// `sample_order()[t]`, whose observed *y* row is the same index.
+    pub fn sample_order(&self) -> &[u32] {
+        &self.sample_order
     }
 
     /// Heap bytes of the plan's buffers at their current lengths: run
-    /// bounds, sorted weights, the identity list, room for every null
-    /// list and the composed flags.
+    /// bounds, sorted weights and the sample order.
     pub fn heap_bytes(&self) -> usize {
-        (self.offsets.len() + self.identity.len() + self.lists.len()) * 4
-            + self.weights.len() * 4
-            + self.composed.len()
+        (self.offsets.len() + self.sample_order.len() + self.weights.len()) * 4
     }
 
     /// The O(1) shape checks every backend's safe entry makes before the
     /// kernel runs: the plan is built, there is one grid per *y* column,
-    /// every grid has exactly the plan's rows and every *y* exactly one
-    /// row per sample. Returns the pairing's y-row index list.
+    /// every grid has exactly the plan's rows, every *y* exactly one row
+    /// per sample, and a null pairing exactly one index per sample.
     ///
     /// # Panics
-    /// Panics on an empty plan, a shape mismatch, or an uncomposed `perm`.
+    /// Panics on an empty plan or a shape mismatch.
     pub(crate) fn check(
         &self,
+        pairing: Option<Pairing<'_>>,
         ys: &[&[Row16]],
         grids: &[&mut [Row16]],
-        perm: Option<usize>,
-    ) -> &[u32] {
+    ) {
         assert!(self.order > 0, "run plan: accumulate on an empty plan");
         assert_eq!(ys.len(), grids.len(), "run plan: one grid per y column");
         for grid in grids {
@@ -285,19 +278,25 @@ impl RunPlan {
         for y in ys {
             assert_eq!(y.len(), self.samples, "run plan: y row count");
         }
-        self.y_rows(perm)
+        if let Some(pairing) = pairing {
+            assert_eq!(
+                pairing.samples(),
+                self.samples,
+                "run plan: pairing length mismatch"
+            );
+        }
     }
 }
 
 /// The counting sort's scatter pass at spline order `K`: sample `s`, of
 /// entry `codes[s]`, moves to its run's cursor `t`, which records
-/// `order[t] = s` and the entry's `K` weights in sorted position.
+/// `sample_order[t] = s` and the entry's `K` weights in sorted position.
 fn scatter<const K: usize>(
     codes: &[impl EntryCode],
     first_bins: &[u16],
     weights: &[f32],
     cursors: &mut [u32],
-    order: &mut [u32],
+    sample_order: &mut [u32],
     sorted: &mut [f32],
 ) {
     for (s, c) in (0u32..).zip(codes) {
@@ -305,7 +304,7 @@ fn scatter<const K: usize>(
         let cursor = &mut cursors[usize::from(first_bins[e]) + 1];
         let t = *cursor as usize; // cast-ok: u32 to usize widens losslessly
         *cursor += 1;
-        order[t] = s;
+        sample_order[t] = s;
         let dst: &mut [f32; K] = (&mut sorted[t * K..t * K + K])
             .try_into()
             .expect("a K-wide window is K long");
@@ -363,10 +362,9 @@ impl RunPlan {
         weights: &[f32],
         order: usize,
         rows: usize,
-        permutations: usize,
     ) {
         let codes: Vec<u32> = (0..u32::try_from(first_bins.len()).unwrap()).collect();
-        self.rebuild(&codes, first_bins, weights, order, rows, permutations);
+        self.rebuild(&codes, first_bins, weights, order, rows);
     }
 }
 
@@ -385,22 +383,22 @@ mod tests {
             .iter()
             .flat_map(|&c| weights[usize::from(c) * 2..][..2].to_vec())
             .collect();
-        per_sample.rebuild_per_sample(&expanded, &expanded_weights, 2, 4, 0);
+        per_sample.rebuild_per_sample(&expanded, &expanded_weights, 2, 4);
         let wide: Vec<u32> = codes.iter().map(|&c| u32::from(c)).collect();
         for plan in [
             {
                 let mut p = RunPlan::new();
-                p.rebuild(&codes, &first_bins, &weights, 2, 4, 0);
+                p.rebuild(&codes, &first_bins, &weights, 2, 4);
                 p
             },
             {
                 let mut p = RunPlan::new();
-                p.rebuild(&wide, &first_bins, &weights, 2, 4, 0);
+                p.rebuild(&wide, &first_bins, &weights, 2, 4);
                 p
             },
         ] {
             assert_eq!(plan.offsets(), per_sample.offsets());
-            assert_eq!(plan.y_rows(None), per_sample.y_rows(None));
+            assert_eq!(plan.sample_order(), per_sample.sample_order());
             assert_eq!(plan.sorted_weights(), per_sample.sorted_weights());
         }
     }
@@ -408,20 +406,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "code out of range")]
     fn rejects_a_code_past_the_table() {
-        RunPlan::new().rebuild(&[0u16, 2], &[0, 1], &[1.0, 1.0], 1, 4, 0);
+        RunPlan::new().rebuild(&[0u16, 2], &[0, 1], &[1.0, 1.0], 1, 4);
     }
 
     #[test]
-    fn sorts_by_first_bin_stably_and_composes_permutations() {
+    fn sorts_by_first_bin_stably() {
         let first_bins = [2u16, 0, 2, 1, 0];
         let weights: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&first_bins, &weights, 2, 4, 1);
+        plan.rebuild_per_sample(&first_bins, &weights, 2, 4);
         assert_eq!(plan.offsets(), &[0, 2, 3, 5]);
-        assert_eq!(plan.y_rows(None), &[1, 4, 3, 0, 2]);
-        assert!(!plan.is_composed(0));
-        plan.compose(0, &[4, 3, 2, 1, 0]);
-        assert_eq!(plan.y_rows(Some(0)), &[3, 0, 1, 4, 2]);
+        assert_eq!(plan.sample_order(), &[1, 4, 3, 0, 2]);
         assert_eq!(
             plan.sorted_weights(),
             &[2.0, 3.0, 8.0, 9.0, 6.0, 7.0, 0.0, 1.0, 4.0, 5.0]
@@ -429,84 +424,78 @@ mod tests {
     }
 
     #[test]
-    fn a_rebuild_uncomposes_every_list() {
-        let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 2);
-        plan.compose(1, &[1, 0]);
-        assert!(plan.is_composed(1) && !plan.is_composed(0));
-        plan.rebuild_per_sample(&[1, 0], &[1.0, 1.0], 1, 4, 2);
-        assert!(!plan.is_composed(0) && !plan.is_composed(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not composed")]
-    fn an_uncomposed_list_is_rejected() {
-        let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2, 1);
-        let _ = plan.check(&[&[Row16::ZERO; 2]], &[&mut [Row16::ZERO; 2]], Some(0));
-    }
-
-    #[test]
     #[should_panic(expected = "bin row out of range")]
     fn rejects_overflowing_bin() {
-        RunPlan::new().rebuild_per_sample(&[3], &[1.0, 1.0], 2, 4, 0);
+        RunPlan::new().rebuild_per_sample(&[3], &[1.0, 1.0], 2, 4);
     }
 
     #[test]
-    #[should_panic(expected = "perm index out of range")]
+    fn a_pairing_keeps_its_indices() {
+        let indices = [4u32, 3, 2, 1, 0];
+        let pairing = Pairing::new(&indices, 5);
+        assert_eq!(pairing.samples(), 5);
+        assert_eq!(pairing.indices(), &indices);
+        assert_eq!(Pairing::new(&[], 0).samples(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing index 5 at sample 1 out of range for 3 samples")]
     fn rejects_bad_perm() {
+        let _ = Pairing::new(&[0, 5, 1], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing length mismatch: 2 indices for 3 samples")]
+    fn a_pairing_of_another_length_is_rejected() {
+        let _ = Pairing::new(&[0, 1], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing length mismatch")]
+    fn check_rejects_a_pairing_of_another_plans_length() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 1);
-        plan.compose(0, &[5]);
+        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2);
+        let pairing = Pairing::new(&[0, 2, 1], 3);
+        plan.check(
+            Some(pairing),
+            &[&[Row16::ZERO; 2]],
+            &[&mut [Row16::ZERO; 2]],
+        );
     }
 
     #[test]
     fn a_failed_rebuild_leaves_an_empty_plan() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 1);
-        plan.compose(0, &[1, 0]);
+        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4);
         assert_eq!(plan.order(), 1);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.rebuild_per_sample(&[0, 9], &[1.0, 1.0], 1, 4, 1);
+            plan.rebuild_per_sample(&[0, 9], &[1.0, 1.0], 1, 4);
         }));
         assert!(failed.is_err());
         assert_eq!(plan.order(), 0, "a rejected plan must not stay usable");
-        assert!(!plan.is_composed(0));
-    }
-
-    #[test]
-    fn a_failed_compose_leaves_its_list_uncomposed() {
-        let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4, 1);
-        plan.compose(0, &[1, 0]);
-        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.compose(0, &[0, 9]);
-        }));
-        assert!(failed.is_err());
-        assert!(!plan.is_composed(0), "a rejected list must not stay usable");
     }
 
     #[test]
     #[should_panic(expected = "empty plan")]
     fn check_rejects_an_unbuilt_plan() {
-        let _ = RunPlan::new().check(&[], &[], None);
+        RunPlan::new().check(None, &[], &[]);
     }
 
     #[test]
     #[should_panic(expected = "y row count")]
     fn check_rejects_a_short_y() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2, 0);
-        let _ = plan.check(&[&[Row16::ZERO; 1]], &[&mut [Row16::ZERO; 2]], None);
+        plan.rebuild_per_sample(&[0, 0], &[1.0, 1.0], 1, 2);
+        plan.check(None, &[&[Row16::ZERO; 1]], &[&mut [Row16::ZERO; 2]]);
     }
 
     #[test]
     #[should_panic(expected = "one grid per y column")]
     fn check_rejects_a_missing_grid() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0], &[1.0], 1, 2, 0);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 2);
         let y = [Row16::ZERO; 1];
-        let _ = plan.check(&[&y, &y], &[&mut [Row16::ZERO; 2]], None);
+        plan.check(None, &[&y, &y], &[&mut [Row16::ZERO; 2]]);
     }
 
     #[test]
@@ -519,15 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_count_every_buffer_of_a_composed_plan() {
-        let (m, k, b, q) = (5usize, 3usize, 10usize, 2usize);
+    fn heap_bytes_count_every_buffer_of_a_plan() {
+        let (m, k, b) = (5usize, 3usize, 10usize);
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0, 1, 2, 3, 7], &[0.25; 15], k, b, q);
-        plan.compose(0, &[4, 3, 2, 1, 0]);
-        plan.compose(1, &[0, 1, 2, 3, 4]);
-        assert_eq!(
-            plan.heap_bytes(),
-            m * (4 * k + 4 + 4 * q) + 4 * (b - k + 2) + q
-        );
+        plan.rebuild_per_sample(&[0, 1, 2, 3, 7], &[0.25; 15], k, b);
+        assert_eq!(plan.heap_bytes(), m * (4 * k + 4) + 4 * (b - k + 2));
     }
 }

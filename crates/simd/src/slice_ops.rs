@@ -27,7 +27,7 @@
 
 use crate::lanes::F32x16;
 use crate::row::Row16;
-use crate::run_plan::{with_order, RunPlan};
+use crate::run_plan::{with_order, Pairing, RunPlan};
 
 /// Width used by the laned slice kernels.
 pub const W: usize = F32x16::LANES;
@@ -106,27 +106,39 @@ pub fn xlogx_sum_emulated(x: &[f32]) -> f32 {
 /// per-cell operation order as the hardware backends.
 pub fn accumulate_runs_emulated(
     plan: &RunPlan,
-    perm: Option<usize>,
+    pairing: Option<Pairing<'_>>,
     ys: &[&[Row16]],
     grids: &mut [&mut [Row16]],
 ) {
-    let rows = plan.check(ys, grids, perm);
+    plan.check(pairing, ys, grids);
+    let (offsets, weights) = (plan.offsets(), plan.sorted_weights());
+    let sorted = |t: usize| plan.sample_order()[t] as usize; // cast-ok: u32 to usize widens losslessly
     for (y, grid) in ys.iter().zip(grids.iter_mut()) {
-        with_order!(
-            plan.order(),
-            runs_emulated(plan.offsets(), plan.sorted_weights(), rows, y, grid)
-        );
+        match pairing {
+            None => with_order!(
+                plan.order(),
+                runs_emulated(offsets, weights, sorted, y, grid)
+            ),
+            Some(p) => {
+                let paired = |t: usize| p.indices()[sorted(t)] as usize; // cast-ok: u32 to usize widens losslessly
+                with_order!(
+                    plan.order(),
+                    runs_emulated(offsets, weights, paired, y, grid)
+                );
+            }
+        }
     }
 }
 
+/// One column's runs, reading sorted position `t`'s y row `row(t)`.
 fn runs_emulated<const K: usize>(
     offsets: &[u32],
     weights: &[f32],
-    rows: &[u32],
+    row: impl Fn(usize) -> usize,
     y: &[Row16],
     grid: &mut [Row16],
 ) {
-    let y_row = |t: usize| F32x16::from_slice(&y[rows[t] as usize].0); // cast-ok: u32 to usize widens losslessly
+    let y_row = |t: usize| F32x16::from_slice(&y[row(t)].0);
     for (r, run) in offsets.windows(2).enumerate() {
         let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
         if a == b {
@@ -232,16 +244,21 @@ mod tests {
     }
 
     /// The documented summation order in plain scalar code: sorted runs,
-    /// two partial sets alternating within a run, `grid += set₀ + set₁`.
-    fn reference_runs(plan: &RunPlan, perm: Option<usize>, y_rows: &[f32]) -> Vec<f32> {
+    /// two partial sets alternating within a run, `grid += set₀ + set₁`,
+    /// sorted position `t` reading y row `order[t]`, or `perm[order[t]]`.
+    fn reference_runs(plan: &RunPlan, perm: Option<&[u32]>, y_rows: &[f32]) -> Vec<f32> {
         let k = plan.order();
-        let (w, rows) = (plan.sorted_weights(), plan.y_rows(perm));
+        let (w, order) = (plan.sorted_weights(), plan.sample_order());
+        let row = |t: usize| {
+            let s = order[t] as usize;
+            perm.map_or(s, |p| p[s] as usize)
+        };
         let mut grid = vec![0.0f32; plan.rows() * W];
         for (r, run) in plan.offsets().windows(2).enumerate() {
             let (a, b) = (run[0] as usize, run[1] as usize);
             let mut sets = vec![[[0.0f32; W]; 2]; k];
             for t in a..b {
-                let y = &y_rows[rows[t] as usize * W..][..W];
+                let y = &y_rows[row(t) * W..][..W];
                 for (i, set) in sets.iter_mut().enumerate() {
                     let acc = &mut set[(t - a) % 2];
                     for j in 0..W {
@@ -291,13 +308,14 @@ mod tests {
     fn run_block(
         kernel: crate::dispatch::RunKernel,
         plan: &RunPlan,
-        perm: Option<usize>,
+        perm: Option<&[u32]>,
         ys: &[Vec<Row16>],
     ) -> Vec<Vec<Row16>> {
         let mut grids = vec![vec![Row16::ZERO; plan.rows()]; ys.len()];
         let y_refs: Vec<&[Row16]> = ys.iter().map(Vec::as_slice).collect();
         let mut grid_refs: Vec<&mut [Row16]> = grids.iter_mut().map(Vec::as_mut_slice).collect();
-        kernel(plan, perm, &y_refs, &mut grid_refs);
+        let pairing = perm.map(|p| Pairing::new(p, plan.samples()));
+        kernel(plan, pairing, &y_refs, &mut grid_refs);
         grids
     }
 
@@ -312,9 +330,8 @@ mod tests {
             .collect();
         let perm: Vec<u32> = (0..37u32).map(|s| (s * 11) % 37).collect();
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&first_bins, &weights, k, rows, 1);
-        plan.compose(0, &perm);
-        for (p, naive_perm) in [(None, None), (Some(0), Some(&perm[..]))] {
+        plan.rebuild_per_sample(&first_bins, &weights, k, rows);
+        for p in [None, Some(&perm[..])] {
             let grids = run_block(table().accumulate_runs, &plan, p, &ys);
             for (y, grid) in ys.iter().zip(&grids) {
                 let flat = Row16::flatten(y);
@@ -323,7 +340,7 @@ mod tests {
                     reference_runs(&plan, p, flat),
                     "perm {p:?}"
                 );
-                let naive = naive_joint(rows, &first_bins, &weights, k, flat, naive_perm);
+                let naive = naive_joint(rows, &first_bins, &weights, k, flat, p);
                 for (got, want) in Row16::flatten(grid).iter().zip(&naive) {
                     assert!((f64::from(*got) - want).abs() < 1e-4, "{got} vs {want}");
                 }
@@ -335,34 +352,30 @@ mod tests {
     #[should_panic(expected = "grid row count")]
     fn accumulate_runs_rejects_a_grid_of_another_shape() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 0);
+        plan.rebuild_per_sample(&[0], &[1.0], 1, 4);
         (table().accumulate_runs)(&plan, None, &[&[Row16::ZERO]], &mut [&mut [Row16::ZERO; 3]]);
     }
 
     #[test]
-    #[should_panic(expected = "not composed")]
-    fn accumulate_runs_rejects_an_unplanned_permutation() {
+    fn every_backend_rejects_a_pairing_of_another_length() {
         let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 0);
-        (table().accumulate_runs)(
-            &plan,
-            Some(0),
-            &[&[Row16::ZERO]],
-            &mut [&mut [Row16::ZERO; 4]],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not composed")]
-    fn accumulate_runs_rejects_an_uncomposed_permutation() {
-        let mut plan = RunPlan::new();
-        plan.rebuild_per_sample(&[0], &[1.0], 1, 4, 1);
-        (table().accumulate_runs)(
-            &plan,
-            Some(0),
-            &[&[Row16::ZERO]],
-            &mut [&mut [Row16::ZERO; 4]],
-        );
+        plan.rebuild_per_sample(&[0, 1], &[1.0, 1.0], 1, 4);
+        let three = [2u32, 0, 1];
+        for t in tables() {
+            let refused = std::panic::catch_unwind(|| {
+                let y = [Row16::ZERO; 2];
+                let mut grid = [Row16::ZERO; 4];
+                let pairing = Some(Pairing::new(&three, 3));
+                (t.accumulate_runs)(&plan, pairing, &[&y], &mut [&mut grid]);
+            });
+            let message = refused.expect_err("a 3-sample pairing of a 2-sample plan");
+            let text = message.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                text.contains("pairing length mismatch"),
+                "{}: {text}",
+                t.backend
+            );
+        }
     }
 
     proptest! {
@@ -412,9 +425,10 @@ mod tests {
         /// The run-blocked accumulator is pure FMA plus adds in one fixed
         /// order per column, so every column of a block of any width from
         /// 1 to the order's block width is bitwise equal to the scalar
-        /// statement of that order — identity and composed lists alike,
-        /// on every backend's table entry. Bins are drawn from a narrow
-        /// window so runs of length 0, 1, odd and even all occur.
+        /// statement of that order — the observed pairing and null
+        /// pairings alike (identity, reversal, a stride and a random
+        /// draw), on every backend's table entry. Bins are drawn from a
+        /// narrow window so runs of length 0, 1, odd and even all occur.
         #[test]
         fn prop_accumulate_runs_bitwise_across_backends(
             seed in 0u64..1000,
@@ -438,18 +452,20 @@ mod tests {
                 .map(|c| rows_from(m, |i| mixf(i + 50_000 + c * 10_000)))
                 .collect();
             let m32 = u32::try_from(m).unwrap();
+            let mut random: Vec<u32> = (0..m32).collect();
+            for i in (1..m).rev() {
+                random.swap(i, usize::try_from(mixu(i + 90_000)).unwrap() % (i + 1));
+            }
             let perms: Vec<Vec<u32>> = vec![
+                (0..m32).collect(),
                 (0..m32).rev().collect(),
                 (0..m32).map(|s| (s * 7 + 3) % m32.max(1)).collect(),
+                random,
             ];
             let mut plan = RunPlan::new();
-            plan.rebuild_per_sample(&first_bins, &weights, k, rows, perms.len());
-            for (p, perm) in perms.iter().enumerate() {
-                plan.compose(p, perm);
-            }
-            let mut lists = vec![None];
-            lists.extend((0..perms.len()).map(Some));
-            for p in lists {
+            plan.rebuild_per_sample(&first_bins, &weights, k, rows);
+            let pairings = std::iter::once(None).chain(perms.iter().map(|p| Some(&p[..])));
+            for p in pairings {
                 let reference: Vec<Vec<f32>> = ys
                     .iter()
                     .map(|y| reference_runs(&plan, p, Row16::flatten(y)))

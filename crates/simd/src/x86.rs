@@ -30,17 +30,87 @@
 //! wrappers validate slice lengths first, then the `unsafe` call is merely
 //! "the CPU has the feature", guaranteed by runtime detection in
 //! [`crate::dispatch`]. The accumulation kernel's index ranges were proved
-//! once when its [`RunPlan`] was built; its wrapper checks the O(1)
-//! shapes that tie the plan to the slices, and the [`Row16`] type proves
-//! every row 64-byte aligned for the aligned loads and stores.
+//! once when its [`RunPlan`] was built (every sorted position holds a
+//! sample below `m`) and its [`Pairing`] validated (every index below
+//! `m`); its wrapper checks the O(1) shapes that tie the plan and the
+//! pairing to the slices, and the [`Row16`] type proves every row 64-byte
+//! aligned for the aligned loads and stores.
 
 use crate::row::Row16;
-use crate::run_plan::{run_block_columns, with_order, RunPlan};
+use crate::run_plan::{run_block_columns, with_order, Pairing, RunPlan};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
 /// Width shared by every backend (one 512-bit register, two 256-bit ones).
 const W: usize = 16;
+
+/// Where the run kernel finds the *y* row of sorted position `t`: the
+/// plan's sample order `order[t]` for the observed pairing, or
+/// `π[order[t]]` for a null pairing `π` ([`PairedRows`]).
+trait RowSource: Copy {
+    /// The *y* row of sorted position `t`.
+    ///
+    /// # Safety
+    /// `t` must be below the sample count `m` of the plan the source was
+    /// made from.
+    // SAFETY: callers uphold `t < m`; see each implementation.
+    unsafe fn row(self, t: usize) -> usize;
+}
+
+/// The observed pairing: position `t` reads row `order[t]`.
+#[derive(Clone, Copy)]
+struct SortedRows<'a>(&'a [u32]);
+
+/// A null pairing: position `t` reads row `perm[order[t]]`.
+#[derive(Clone, Copy)]
+struct PairedRows<'a> {
+    order: &'a [u32],
+    perm: &'a [u32],
+}
+
+impl<'a> SortedRows<'a> {
+    fn of(plan: &'a RunPlan) -> Self {
+        Self(plan.sample_order())
+    }
+}
+
+impl<'a> PairedRows<'a> {
+    fn of(plan: &'a RunPlan, pairing: Pairing<'a>) -> Self {
+        assert_eq!(
+            pairing.samples(),
+            plan.samples(),
+            "run plan: pairing length mismatch"
+        );
+        Self {
+            order: plan.sample_order(),
+            perm: pairing.indices(),
+        }
+    }
+}
+
+impl RowSource for SortedRows<'_> {
+    #[inline(always)]
+    // SAFETY: `t < m` (the caller's contract) and the plan's sample order
+    // holds `m` entries, each a sample below `m`.
+    unsafe fn row(self, t: usize) -> usize {
+        // SAFETY: see above; `t` indexes the `m`-long sample order.
+        unsafe { *self.0.get_unchecked(t) as usize } // cast-ok: u32 to usize widens losslessly
+    }
+}
+
+impl RowSource for PairedRows<'_> {
+    #[inline(always)]
+    // SAFETY: `t < m` (the caller's contract); the sample order holds `m`
+    // entries below `m`, and the pairing, of `m` indices (checked in
+    // `of`), holds only indices below `m` (`Pairing::new`).
+    unsafe fn row(self, t: usize) -> usize {
+        // SAFETY: both reads index `m`-long slices below `m`, see above.
+        unsafe {
+            let s = *self.order.get_unchecked(t) as usize; // cast-ok: u32 to usize widens losslessly
+            *self.perm.get_unchecked(s) as usize // cast-ok: u32 to usize widens losslessly
+        }
+    }
+}
 
 /// Call `$f::<K, C>($args…)` with `K` the runtime spline order `$k` and
 /// `C` the runtime column count `$c`, for every `C ≤`
@@ -107,17 +177,27 @@ pub(crate) mod avx512 {
 
     pub(crate) fn accumulate_runs(
         plan: &RunPlan,
-        perm: Option<usize>,
+        pairing: Option<Pairing<'_>>,
         ys: &[&[Row16]],
         grids: &mut [&mut [Row16]],
     ) {
-        let rows = plan.check(ys, grids, perm);
+        plan.check(pairing, ys, grids);
+        match pairing {
+            None => blocks(plan, SortedRows::of(plan), ys, grids),
+            Some(p) => blocks(plan, PairedRows::of(plan, p), ys, grids),
+        }
+    }
+
+    /// The plan's runs over `ys` in blocks of up to [`run_block_columns`]
+    /// columns, reading y rows through `rows`.
+    fn blocks(plan: &RunPlan, rows: impl RowSource, ys: &[&[Row16]], grids: &mut [&mut [Row16]]) {
         let width = run_block_columns(plan.order());
         for (ys, grids) in ys.chunks(width).zip(grids.chunks_mut(width)) {
             // SAFETY: avx512f verified at dispatch-table selection; the
-            // plan's build proved every run bound, weight offset and y-row
-            // index in range, `check` tied its shapes to every grid and y,
-            // and the chunk holds 1..=width columns.
+            // plan's build proved every run bound and weight offset in
+            // range, `rows` reads only rows below m (`RowSource`), `check`
+            // tied the plan's and the pairing's shapes to every grid and
+            // y, and the chunk holds 1..=width columns.
             unsafe {
                 with_order_and_columns!(
                     plan.order(),
@@ -243,14 +323,13 @@ pub(crate) mod avx512 {
     fn runs_impl<const K: usize, const C: usize>(
         offsets: &[u32],
         weights: &[f32],
-        rows: &[u32],
+        rows: impl RowSource,
         ys: &[&[Row16]],
         grids: &mut [&mut [Row16]],
     ) {
         let yp: [*const f32; C] = core::array::from_fn(|c| ys[c].as_ptr().cast::<f32>());
         let gp: [*mut f32; C] = core::array::from_fn(|c| grids[c].as_mut_ptr().cast::<f32>());
         let wp = weights.as_ptr();
-        let ip = rows.as_ptr();
         for (r, run) in offsets.windows(2).enumerate() {
             let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
             if a == b {
@@ -260,13 +339,13 @@ pub(crate) mod avx512 {
             let mut acc1 = [[_mm512_setzero_ps(); K]; C];
             let mut t = a;
             while t + 1 < b {
-                // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
-                // (each < m) and m·K weights; `check` proved every y holds
-                // m rows, so both rows of every column are in bounds, and
-                // `Row16` aligns each row to 64 bytes for the aligned load.
+                // SAFETY: t + 1 < b ≤ m, so `rows` yields two rows below m,
+                // and the plan holds m·K weights; `check` proved every y
+                // holds m rows, so both rows of every column are in bounds,
+                // and `Row16` aligns each row to 64 bytes for the aligned
+                // load.
                 unsafe {
-                    let y0 = *ip.add(t) as usize * W; // cast-ok: u32 to usize widens losslessly
-                    let y1 = *ip.add(t + 1) as usize * W; // cast-ok: u32 to usize widens losslessly
+                    let (y0, y1) = (rows.row(t) * W, rows.row(t + 1) * W);
                     let w = wp.add(t * K);
                     for ((c0, c1), y) in acc0.iter_mut().zip(&mut acc1).zip(yp) {
                         let (v0, v1) = (_mm512_load_ps(y.add(y0)), _mm512_load_ps(y.add(y1)));
@@ -281,7 +360,7 @@ pub(crate) mod avx512 {
             if t < b {
                 // SAFETY: t < b ≤ m; same bounds as the paired loads above.
                 unsafe {
-                    let y0 = *ip.add(t) as usize * W; // cast-ok: u32 to usize widens losslessly
+                    let y0 = rows.row(t) * W;
                     let w = wp.add(t * K);
                     for (c0, y) in acc0.iter_mut().zip(yp) {
                         let v0 = _mm512_load_ps(y.add(y0));
@@ -327,15 +406,26 @@ pub(crate) mod avx2 {
 
     pub(crate) fn accumulate_runs(
         plan: &RunPlan,
-        perm: Option<usize>,
+        pairing: Option<Pairing<'_>>,
         ys: &[&[Row16]],
         grids: &mut [&mut [Row16]],
     ) {
-        let rows = plan.check(ys, grids, perm);
+        plan.check(pairing, ys, grids);
+        match pairing {
+            None => columns(plan, SortedRows::of(plan), ys, grids),
+            Some(p) => columns(plan, PairedRows::of(plan, p), ys, grids),
+        }
+    }
+
+    /// The plan's runs over `ys` one column at a time, reading y rows
+    /// through `rows`.
+    fn columns(plan: &RunPlan, rows: impl RowSource, ys: &[&[Row16]], grids: &mut [&mut [Row16]]) {
         for (y, grid) in ys.iter().zip(grids.iter_mut()) {
             // SAFETY: avx2+fma verified at dispatch-table selection; the
-            // plan's build proved every run bound, weight offset and y-row
-            // index in range, and `check` tied its shapes to `grid` and `y`.
+            // plan's build proved every run bound and weight offset in
+            // range, `rows` reads only rows below m (`RowSource`), and
+            // `check` tied the plan's and the pairing's shapes to `grid`
+            // and `y`.
             unsafe {
                 with_order!(
                     plan.order(),
@@ -465,14 +555,13 @@ pub(crate) mod avx2 {
     fn runs_impl<const K: usize>(
         offsets: &[u32],
         weights: &[f32],
-        rows: &[u32],
+        rows: impl RowSource,
         y: &[Row16],
         grid: &mut [Row16],
     ) {
         let gp = grid.as_mut_ptr().cast::<f32>();
         let yp = y.as_ptr().cast::<f32>();
         let wp = weights.as_ptr();
-        let ip = rows.as_ptr();
         for (r, run) in offsets.windows(2).enumerate() {
             let (a, b) = (run[0] as usize, run[1] as usize); // cast-ok: u32 to usize widens losslessly
             if a == b {
@@ -482,12 +571,12 @@ pub(crate) mod avx2 {
             let mut acc1 = [[_mm256_setzero_ps(); 2]; K];
             let mut t = a;
             while t + 1 < b {
-                // SAFETY: t + 1 < b ≤ m, and the plan holds m row indices
-                // (each < m) and m·K weights; `check` proved `y` holds m
-                // rows, so both 16-float rows are in bounds.
+                // SAFETY: t + 1 < b ≤ m, so `rows` yields two rows below m,
+                // and the plan holds m·K weights; `check` proved `y` holds
+                // m rows, so both 16-float rows are in bounds.
                 unsafe {
-                    let y0 = yp.add(*ip.add(t) as usize * W); // cast-ok: u32 to usize widens losslessly
-                    let y1 = yp.add(*ip.add(t + 1) as usize * W); // cast-ok: u32 to usize widens losslessly
+                    let y0 = yp.add(rows.row(t) * W);
+                    let y1 = yp.add(rows.row(t + 1) * W);
                     let (y0lo, y0hi) = (_mm256_loadu_ps(y0), _mm256_loadu_ps(y0.add(8)));
                     let (y1lo, y1hi) = (_mm256_loadu_ps(y1), _mm256_loadu_ps(y1.add(8)));
                     let w = wp.add(t * K);
@@ -505,7 +594,7 @@ pub(crate) mod avx2 {
             if t < b {
                 // SAFETY: t < b ≤ m; same bounds as the paired loads above.
                 unsafe {
-                    let y0 = yp.add(*ip.add(t) as usize * W); // cast-ok: u32 to usize widens losslessly
+                    let y0 = yp.add(rows.row(t) * W);
                     let (y0lo, y0hi) = (_mm256_loadu_ps(y0), _mm256_loadu_ps(y0.add(8)));
                     let w = wp.add(t * K);
                     for (i, a0) in acc0.iter_mut().enumerate() {
