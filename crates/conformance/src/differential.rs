@@ -7,10 +7,14 @@
 //! * **Kernel** (`ScalarSparse` vs `VectorDense`): *tolerance*-equal. The
 //!   two kernels accumulate the same joint histogram in different f32
 //!   summation orders, so last-ulp drift is expected; the bound is the
-//!   stated [`crate::TolerancePolicy::kernel_abs`]. The differential is
-//!   repeated with the vector kernel on the kernel table of every SIMD
-//!   backend this host supports, so each set of intrinsics is held to the
-//!   grade independently of what runtime dispatch would pick.
+//!   stated [`crate::TolerancePolicy::kernel_abs`]. The vector kernel is
+//!   read both ways the repo evaluates it: one gene alone at lane 0 of a
+//!   register group (the per-call helpers), and each row gene against the
+//!   packed blocks the tile scan reads, with every gene at every column
+//!   offset of a block. The differential is repeated with the vector
+//!   kernel on the kernel table of every SIMD backend this host supports,
+//!   so each set of intrinsics is held to the grade independently of what
+//!   runtime dispatch would pick.
 //! * **Scheduler** (3 policies × thread counts vs the serial baseline):
 //!   *bit*-equal. Scheduling only changes which thread computes a pair,
 //!   never the per-pair arithmetic, so the packed MI array must match the
@@ -36,7 +40,8 @@ use gnet_expr::ExpressionMatrix;
 use gnet_fault::{FaultInjector, FaultPlan};
 use gnet_graph::GeneNetwork;
 use gnet_mi::gene::{mi_scalar, mi_vector, mi_with_nulls, MiKernel, MiScratch};
-use gnet_mi::PreparedGene;
+use gnet_mi::vector_kernel::block_columns;
+use gnet_mi::{Pairing, PreparedGene};
 use gnet_parallel::{compute_pairwise, pair_index, SchedulerPolicy};
 use gnet_permute::PermutationSet;
 use gnet_simd::dispatch::{Backend, KernelTable};
@@ -106,6 +111,106 @@ where
     OracleOutcome::clean(checks)
 }
 
+/// A packed-block evaluator: MI of a row gene against each gene of one
+/// block, into `out`, under the observed pairing (`None`) or a null.
+pub(crate) type BlockMi<'a> =
+    dyn FnMut(&PreparedGene, &[PreparedGene], Option<&[u32]>, &mut [f64]) + 'a;
+
+/// Scalar-vs-packed-block differential with an injectable block
+/// evaluator (the self-check swaps in
+/// [`gnet_mi::mutation::MutatedVectorKernel::mi_packed`]). Blocks are as
+/// wide as the scan's ([`block_columns`]) and wrap around the gene list,
+/// one starting at each gene, so every gene sits at every column offset
+/// of a block; each row gene meets each block observed and under two
+/// nulls, and every value of a pair of distinct genes must lie within
+/// `kernel_abs` of the scalar kernel's.
+pub(crate) fn packed_oracle_with(
+    spec: &DatasetSpec,
+    tol: &TolerancePolicy,
+    block_mi: &mut BlockMi<'_>,
+) -> OracleOutcome {
+    let matrix = spec.build();
+    let basis = basis();
+    let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis, 1);
+    let perms = PermutationSet::generate(matrix.samples(), 2, spec.seed ^ 0x7061_636B); // "pack"
+    let n = prepared.len();
+    let mut scratch = MiScratch::for_basis(&basis);
+    // scalar[i][j]: observed, then each null.
+    let scalar: Vec<Vec<Vec<f64>>> = prepared
+        .iter()
+        .map(|x| {
+            prepared
+                .iter()
+                .map(|y| {
+                    let pair = mi_with_nulls(
+                        MiKernel::ScalarSparse,
+                        x,
+                        y,
+                        None,
+                        perms.as_vecs(),
+                        &mut scratch,
+                    );
+                    [vec![pair.observed], pair.null].concat()
+                })
+                .collect()
+        })
+        .collect();
+    let width = block_columns(basis.order(), basis.bins());
+    let mut checks = 0;
+    let mut out = vec![0.0; width];
+    for shift in 0..n {
+        let genes: Vec<usize> = (0..width).map(|c| (shift + c) % n).collect();
+        let block: Vec<PreparedGene> = genes.iter().map(|&j| prepared[j].clone()).collect();
+        for (i, x) in prepared.iter().enumerate() {
+            let pairings = std::iter::once(None).chain(perms.as_vecs().iter().map(Some));
+            for (p, perm) in pairings.enumerate() {
+                block_mi(x, &block, perm.map(Vec::as_slice), &mut out);
+                for (c, (&j, &vector)) in genes.iter().zip(&out).enumerate() {
+                    if j == i {
+                        continue;
+                    }
+                    checks += 1;
+                    let s = scalar[i][j][p];
+                    let delta = (s - vector).abs();
+                    if delta > tol.kernel_abs {
+                        let pairing = p
+                            .checked_sub(1)
+                            .map_or("observed".into(), |q| format!("null {q}"));
+                        return OracleOutcome::fail(
+                            checks,
+                            format!(
+                                "pair ({i},{j}) {pairing} at column {c} of a packed block: \
+                                 scalar MI {s:.9} vs vector MI {vector:.9} \
+                                 — |Δ| {delta:.3e} exceeds {:.1e} nats",
+                                tol.kernel_abs
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    OracleOutcome::clean(checks)
+}
+
+/// The real packed-block evaluator on `kernels`: the row gene planned
+/// once per call, the block laid out as the tile scan lays it out
+/// (`TileRows::expand_block`), every column read by one `mi_block`.
+fn packed_mi_on(
+    kernels: &'static KernelTable,
+) -> impl FnMut(&PreparedGene, &[PreparedGene], Option<&[u32]>, &mut [f64]) {
+    let mut scratch = MiScratch::with_kernels(&basis(), kernels);
+    move |x, cols, perm, out| {
+        let pairings: Vec<Pairing<'_>> = perm
+            .map(|p| Pairing::new(p, x.samples()))
+            .into_iter()
+            .collect();
+        let mut rows = scratch.plan_rows(MiKernel::VectorDense, std::slice::from_ref(x), &pairings);
+        rows.expand_block(cols);
+        rows.row(0).mi_block(0..cols.len(), perm.map(|_| 0), out);
+    }
+}
+
 /// Kernel differential on the real kernels, run once per supported SIMD
 /// backend's kernel table (emulated / AVX2 / AVX-512): the scalar oracle
 /// must hold whichever backend the vector kernel lands on, so a backend
@@ -129,8 +234,9 @@ pub(crate) fn kernel_oracle(spec: &DatasetSpec, tol: &TolerancePolicy) -> Oracle
 }
 
 /// One backend's scalar-vs-vector differential, including the permuted
-/// (null-evaluation) paths the pipeline exercises per pair, with the
-/// vector kernel on `kernels`.
+/// (null-evaluation) paths the pipeline exercises per pair and the
+/// packed blocks the tile scan reads, with the vector kernel on
+/// `kernels`.
 fn kernel_oracle_one_backend(
     spec: &DatasetSpec,
     tol: &TolerancePolicy,
@@ -141,13 +247,20 @@ fn kernel_oracle_one_backend(
     if observed.violation.is_some() {
         return observed;
     }
+    let packed = packed_oracle_with(spec, tol, &mut packed_mi_on(kernels));
+    if packed.violation.is_some() {
+        return OracleOutcome {
+            checks: observed.checks + packed.checks,
+            ..packed
+        };
+    }
 
     // Permuted path: both kernels must agree null-by-null.
     let matrix = spec.build();
     let prepared = prepare_genes(&matrix, 0..matrix.genes(), &basis(), 1);
     let perms = PermutationSet::generate(matrix.samples(), 2, spec.seed ^ 0x7065_726D); // "perm"
     let mut scratch = MiScratch::with_kernels(&basis(), kernels);
-    let mut checks = observed.checks;
+    let mut checks = observed.checks + packed.checks;
     for j in 1..prepared.len() {
         let yd = prepared[j].to_dense();
         for i in 0..j {

@@ -19,7 +19,7 @@
 //!
 //! Failures shrink to a minimal dataset ([`shrink`]) and the report
 //! carries the replay seed that rebuilds it. [`run_self_check`] closes
-//! the loop: it injects the four kernel mutations from
+//! the loop: it injects the five kernel mutations from
 //! [`gnet_mi::mutation`] and the two incremental-update mutations from
 //! [`gnet_core::UpdateMutation`], asserting the matching oracle catches
 //! each one — a harness that cannot detect a sabotaged implementation is
@@ -38,8 +38,8 @@ pub use corpus::{corpus, DatasetClass, DatasetSpec, Level};
 pub use report::{ConformanceReport, FamilyReport, MutationOutcome, SelfCheck, Violation};
 
 use differential::{
-    distributed_oracle, kernel_oracle, kernel_oracle_with, recovery_oracle, scheduler_oracle,
-    OracleOutcome,
+    distributed_oracle, kernel_oracle, kernel_oracle_with, packed_oracle_with, recovery_oracle,
+    scheduler_oracle, OracleOutcome,
 };
 use gnet_core::UpdateMutation;
 use gnet_mi::mutation::{KernelMutation, MutatedVectorKernel};
@@ -206,15 +206,27 @@ pub fn run_replay(opts: &ConformanceOptions, spec: DatasetSpec) -> ConformanceRe
 }
 
 /// Kernel oracle with one injected mutation standing in for the vector
-/// kernel. A fresh mutated kernel per invocation keeps the predicate
-/// pure, which the shrinker requires.
+/// kernel, on one-gene blocks and then on packed blocks. A fresh mutated
+/// kernel per invocation keeps the predicate pure, which the shrinker
+/// requires.
 fn mutated_kernel_oracle(
     spec: &DatasetSpec,
     tol: &TolerancePolicy,
     mutation: KernelMutation,
 ) -> OracleOutcome {
     let mut kernel = MutatedVectorKernel::new(mutation);
-    kernel_oracle_with(spec, tol, &mut |x, y, yd| kernel.mi(x, y, yd))
+    let one_gene = kernel_oracle_with(spec, tol, &mut |x, y, yd| kernel.mi(x, y, yd));
+    if one_gene.violation.is_some() {
+        return one_gene;
+    }
+    let mut kernel = MutatedVectorKernel::new(mutation);
+    let packed = packed_oracle_with(spec, tol, &mut |x, cols, perm, out| {
+        kernel.mi_packed(x, cols, perm, out)
+    });
+    OracleOutcome {
+        checks: one_gene.checks + packed.checks,
+        ..packed
+    }
 }
 
 /// Hunt one injected mutation across the corpus: find the first spec the
@@ -355,9 +367,12 @@ mod tests {
         let outcome = differential::kernel_oracle(&spec, &TolerancePolicy::default());
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         // Per backend: C(5,2) = 10 observed checks plus 10 pairs × 2
-        // permuted nulls = 30; the oracle must repeat that for every
-        // backend this host supports (at minimum the emulated one).
+        // permuted nulls = 30 one-gene checks, and the packed blocks: five
+        // 6-gene blocks (one from each gene) meet each of 5 row genes
+        // under 3 pairings, 6 of each row's 30 columns being the row gene
+        // itself, so 5 × 24 × 3 = 360. The oracle must repeat that for
+        // every backend this host supports (at minimum the emulated one).
         let backends = gnet_simd::dispatch::Backend::supported().len();
-        assert_eq!(outcome.checks, 30 * backends);
+        assert_eq!(outcome.checks, (30 + 360) * backends);
     }
 }

@@ -211,12 +211,14 @@ impl InferenceConfig {
 
     /// Resolved tile size for `genes` genes of `samples` samples: the
     /// configured edge, or the cache rule. The rule takes the largest
-    /// multiple of the run kernel's block width `C`
-    /// ([`run_block_columns`]) whose worker — `T` row plans, one block of
-    /// `C` dense genes and `C` grids, as [`MemoryPlan`] counts them —
-    /// fits [`TILE_WORKER_BYTES`], at most `⌈genes/8⌉` (so the matrix has
-    /// at least eight bands), then at least `C` and at most `genes`. It
-    /// reads no thread count: the tile list binds checkpoints.
+    /// multiple of the `C` register groups one pass of the run kernel
+    /// holds ([`run_block_columns`]) whose worker — `T` row plans, one
+    /// block packed into `C` groups and `C` grids, as [`MemoryPlan`]
+    /// counts them — fits [`TILE_WORKER_BYTES`], at most `⌈genes/8⌉` (so
+    /// the matrix has at least eight bands), then at least `C` and at
+    /// most `genes`. It reads no thread count: the tile list binds
+    /// checkpoints. A tile row's columns are cut into packed blocks
+    /// (six genes at b = 10), the last one possibly partial.
     pub fn resolved_tile_size(&self, genes: usize, samples: usize) -> usize {
         self.tile_size.unwrap_or_else(|| {
             let c = run_block_columns(self.spline_order);

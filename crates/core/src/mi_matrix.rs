@@ -97,9 +97,9 @@ pub fn compute_mi_matrix(matrix: &ExpressionMatrix, config: &InferenceConfig) ->
                 &[],
                 kernel,
                 scratch,
-                |row, i, j0, ys, dense| {
-                    values.resize(ys.len(), 0.0);
-                    row.mi_block(ys, dense, None, &mut values);
+                |row, i, j0, cols| {
+                    values.resize(cols.len(), 0.0);
+                    row.mi_block(cols, None, &mut values);
                     out.extend((j0..).zip(&values).map(|(j, &v)| (i, j, v as f32)));
                 },
             );

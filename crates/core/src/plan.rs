@@ -5,11 +5,12 @@
 //! matrix is ~195 MB, and the prepared genes ~98 MB — two-byte rank codes
 //! per gene-sample into one shared B-spline weight table (88 KB), where
 //! per-sample weights took ~684 MB. Every worker thread additionally
-//! holds the run plans of its current tile's row genes, the dense
-//! lane-padded expansions of one block of column genes and one joint grid
-//! per column of the block. This module makes those footprints explicit
-//! so callers can pick a tile size that fits a memory budget *before*
-//! starting a multi-hour run, and the tile cache rule
+//! holds the run plans of its current tile's row genes, one block of
+//! column genes packed across the run kernel's register groups and one
+//! joint grid per group. The run's candidates, the pairs that beat all of
+//! their nulls, grow with the pair count. This module makes those
+//! footprints explicit so callers can pick a tile size that fits a memory
+//! budget *before* starting a multi-hour run, and the tile cache rule
 //! ([`InferenceConfig::resolved_tile_size`]) reads a worker's bytes from
 //! it.
 
@@ -77,6 +78,19 @@ impl MemoryPlan {
         self.permutations * self.samples * 4
     }
 
+    /// Gene pairs `n(n−1)/2`.
+    pub fn pairs(&self) -> usize {
+        self.genes * self.genes.saturating_sub(1) / 2
+    }
+
+    /// The candidates the run keeps, 16 bytes each (`u32` genes `i`, `j`
+    /// and the `f64` MI): at least `⌈pairs/(q+1)⌉` of them, because even a
+    /// pair with no dependence beats all `q` of its nulls with probability
+    /// `1/(q+1)`. Real dependence only adds candidates.
+    pub fn candidate_bytes(&self) -> usize {
+        16 * self.pairs().div_ceil(self.permutations + 1)
+    }
+
     /// One row gene's run plan: `m × k` sorted weights and the `m`-long
     /// sample order, four bytes each, plus `b − k + 2` run bounds.
     pub fn row_plan_bytes(&self) -> usize {
@@ -84,10 +98,13 @@ impl MemoryPlan {
         m * (4 * k + 4) + 4 * (b + 2).saturating_sub(k)
     }
 
-    /// One thread's fixed buffers, whatever the tile: one block of
-    /// [`run_block_columns`]`(k)` column genes' dense expansions
-    /// (`m × bins_padded × 4` each) and one `b × bins_padded` joint grid
-    /// per column of the block.
+    /// One thread's fixed buffers, whatever the tile: the
+    /// `R =` [`run_block_columns`]`(k)` register groups one pass of the
+    /// run kernel holds (`m × 64` bytes each), into which a block's genes
+    /// are packed `b` lanes apart, and one `b × 16` joint grid per group.
+    /// Layouts wider than one register keep `R` genes' dense expansions
+    /// (`m × bins_padded × 4` each) and one `b × bins_padded` grid per
+    /// gene: the same formula.
     pub fn per_thread_fixed_bytes(&self) -> usize {
         let grid = self.bins * self.bins_padded * 4;
         run_block_columns(self.order) * (self.samples * self.bins_padded * 4 + grid)
@@ -106,19 +123,25 @@ impl MemoryPlan {
         worker_bytes.saturating_sub(self.per_thread_fixed_bytes()) / self.row_plan_bytes().max(1)
     }
 
-    /// Peak resident bytes with `threads` workers at tile size `tile`.
-    pub fn peak_bytes(&self, tile: usize, threads: usize) -> usize {
+    /// The bytes that do not depend on the tile or the threads: matrix,
+    /// prepared genes, permutations and candidates.
+    fn shared_bytes(&self) -> usize {
         self.matrix_bytes()
             + self.prepared_bytes()
             + self.permutations_bytes()
-            + threads * self.per_thread_tile_bytes(tile)
+            + self.candidate_bytes()
+    }
+
+    /// Peak resident bytes with `threads` workers at tile size `tile`.
+    pub fn peak_bytes(&self, tile: usize, threads: usize) -> usize {
+        self.shared_bytes() + threads * self.per_thread_tile_bytes(tile)
     }
 
     /// Largest tile size whose peak stays within `budget_bytes`, or
     /// `None` if even tile 1 does not fit (the fixed state alone exceeds
     /// the budget).
     pub fn max_tile_for_budget(&self, budget_bytes: usize, threads: usize) -> Option<usize> {
-        let fixed = self.matrix_bytes() + self.prepared_bytes() + self.permutations_bytes();
+        let fixed = self.shared_bytes();
         let per_thread_fixed = threads * self.per_thread_fixed_bytes();
         let per_row = self.row_plan_bytes();
         if fixed + per_thread_fixed + threads * per_row > budget_bytes {
@@ -132,10 +155,12 @@ impl MemoryPlan {
     pub fn summary(&self, tile: usize, threads: usize) -> String {
         let bytes = |b: usize| format!("{b} B ({:.2} MiB)", b as f64 / (1024.0 * 1024.0));
         format!(
-            "matrix {} + genes {} + perms {} + {threads} threads × tile {tile} ({}) = peak {}",
+            "matrix {} + genes {} + perms {} + candidates {} + {threads} threads × tile {tile} \
+             ({}) = peak {}",
             bytes(self.matrix_bytes()),
             bytes(self.prepared_bytes()),
             bytes(self.permutations_bytes()),
+            bytes(self.candidate_bytes()),
             bytes(threads * self.per_thread_tile_bytes(tile)),
             bytes(self.peak_bytes(tile, threads)),
         )
@@ -161,9 +186,16 @@ mod tests {
         // A row plan: 3,137 × (12 + 4) bytes plus 9 run bounds; nothing
         // per null permutation.
         assert_eq!(p.row_plan_bytes(), 50_228);
-        // One block of four dense genes (3,137 × 16 × 4 bytes each) and
-        // four 10 × 16 grids.
+        // Four register groups of 3,137 rows (64 bytes each), six genes
+        // packed ten lanes apart, and four 10 × 16 grids: the bytes four
+        // one-gene groups took.
         assert_eq!(p.per_thread_fixed_bytes(), 4 * 3_137 * 64 + 4 * 10 * 16 * 4);
+        // At least one pair in 31 beats all 30 of its nulls by chance:
+        // ⌈121,282,525 / 31⌉ = 3,912,340 candidates, 62.6 MB.
+        assert_eq!(p.pairs(), 121_282_525);
+        assert_eq!(p.candidate_bytes(), 16 * 3_912_340);
+        let shared = p.matrix_bytes() + p.prepared_bytes() + p.permutations_bytes();
+        assert_eq!(p.peak_bytes(12, 1), shared + 62_597_440 + 1_408_368);
         // The cache-rule tile at paper shape, T = 12: 1.34 MiB per worker,
         // 1.7% below the 1.37 MiB a worker held at T = 5 with a whole
         // tile's dense columns and 30 composed null lists.
@@ -206,7 +238,8 @@ mod tests {
         use gnet_mi::{prepare_gene, MiScratch, Pairing};
         use gnet_parallel::Tile;
         // A tile of 5 row genes against 7 column genes: five row plans,
-        // and blocks of 4 + 3 columns through one block's buffers.
+        // and packed blocks of 6 + 1 columns through one block's four
+        // register groups and four grids.
         let (genes, m, tile) = (12usize, 40usize, 5usize);
         let config = InferenceConfig {
             permutations: 6,
@@ -298,5 +331,18 @@ mod tests {
         let p = headline_plan();
         let s = p.summary(64, 244);
         assert!(s.contains("matrix") && s.contains("genes") && s.contains("peak"));
+        assert!(s.contains(" + candidates 62597440 B (59.70 MiB) + "), "{s}");
+    }
+
+    #[test]
+    fn every_pair_may_be_a_candidate_without_nulls() {
+        let config = InferenceConfig {
+            permutations: 0,
+            mi_threshold: Some(0.1),
+            ..InferenceConfig::default()
+        };
+        let p = MemoryPlan::new(&config, 100, 50);
+        assert_eq!(p.candidate_bytes(), 16 * 4_950);
+        assert_eq!(MemoryPlan::new(&config, 1, 50).candidate_bytes(), 0);
     }
 }

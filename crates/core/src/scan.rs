@@ -14,22 +14,27 @@
 //! 1 × 1 tiles.
 //!
 //! A tile is scanned block-outer: each row gene with a column in the
-//! tile is planned once, then the tile's columns are expanded one block
-//! of [`gnet_mi::TileRows::block_columns`] genes at a time, and every row
-//! meets each block while its dense rows are resident. A worker so holds
-//! the tile's row plans and one block, whatever the tile's edge
-//! ([`crate::MemoryPlan::per_thread_tile_bytes`]).
+//! tile is planned once, then the tile's columns are laid out one block
+//! of [`gnet_mi::TileRows::block_columns`] genes at a time (packed `b`
+//! lanes apart across the run kernel's register groups, six genes at
+//! b = 10), and every row meets each block while its rows are resident.
+//! A row asks for one pairing at a time over the range of the block its
+//! columns cover; under early exit a row's surviving pairs read each null
+//! together, over the range from the first survivor to the last. A
+//! worker so holds the tile's row plans and one block, whatever the
+//! tile's edge ([`crate::MemoryPlan::per_thread_tile_bytes`]).
 //!
 //! The result cannot depend on how the pair space is divided: per-pair
 //! MI does not depend on the tile shape (each row gene is planned the
-//! same way in any tile, and a block's values are those of one-gene
-//! blocks), the pooled null merges as integer sums, and candidates are
-//! kept sorted by `(i, j)`. So threads, schedulers, chunk sizes,
-//! resumes, appends and ranks all reach the same bits.
+//! same way in any tile, and a packed column's values are those of a
+//! one-gene block), the pooled null merges as integer sums, and
+//! candidates are kept sorted by `(i, j)`. So threads, schedulers, chunk
+//! sizes, resumes, appends and ranks all reach the same bits.
 
 use crate::config::{InferenceConfig, NullStrategy};
 use crate::durable::Reader;
-use gnet_bspline::{BsplineBasis, DenseWeights};
+use core::ops::Range;
+use gnet_bspline::BsplineBasis;
 use gnet_graph::{Edge, GeneNetwork};
 use gnet_mi::{MiKernel, MiScratch, Pairing, PlannedRow, PreparedGene};
 use gnet_parallel::{execute_tiles_traced, ExecutionReport, Tile};
@@ -175,12 +180,13 @@ pub(crate) fn tile_genes<'a>(
 /// Visit the tile's pairs through each row gene's [`PlannedRow`], block
 /// by block: plan every row gene that has a column in the tile once,
 /// then for each block of [`gnet_mi::TileRows::block_columns`]
-/// consecutive column genes expand the block once (vector kernel only)
-/// and visit every row whose columns meet it, with the part they meet. `rows[0]` is gene
-/// `tile.row_start` and `cols[0]` gene `tile.col_start`; `pairings` are
-/// the run's null pairings, validated once. The visitor gets the planned
-/// row, the row gene's index, the first column gene's index, the column
-/// genes and their dense expansions (empty for the scalar kernel).
+/// consecutive column genes lay the block out once (packed, for the
+/// vector kernel) and visit every row whose columns meet it, with the
+/// part they meet. `rows[0]` is gene `tile.row_start` and `cols[0]` gene
+/// `tile.col_start`; `pairings` are the run's null pairings, validated
+/// once. The visitor gets the planned row, the row gene's index, the
+/// first column gene's index and the columns' range within the block,
+/// which [`PlannedRow::mi_block`] takes.
 pub(crate) fn for_each_planned_block(
     tile: &Tile,
     rows: &[PreparedGene],
@@ -188,7 +194,7 @@ pub(crate) fn for_each_planned_block(
     pairings: &[Pairing<'_>],
     kernel: MiKernel,
     scratch: &mut MiScratch,
-    mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, &[PreparedGene], &[DenseWeights]),
+    mut visit: impl FnMut(&mut PlannedRow<'_>, u32, u32, Range<usize>),
 ) {
     // A row's columns start no earlier than the row above's, so the rows
     // with a column (all but a diagonal tile's last) are a prefix.
@@ -208,32 +214,32 @@ pub(crate) fn for_each_planned_block(
                 continue;
             }
             let part = (j0 - start) as usize..(j1 - start) as usize;
-            let (mut row, dense) = planned.row(r);
-            let dense = dense.get(part.clone()).unwrap_or(&[]);
-            visit(&mut row, i, j0, &block[part], dense);
+            visit(&mut planned.row(r), i, j0, part);
         }
     }
 }
 
 /// Evaluate every pair of `tile` under `config`'s null test into `acc`.
-/// Each block of column genes asks its planned row for one pairing at a
-/// time ([`PlannedRow::mi_block`]), the observed pairing first, for the
-/// whole block.
+/// Each row asks its planned row for one pairing at a time
+/// ([`PlannedRow::mi_block`]), the observed pairing first, over the
+/// columns it meets in a block.
 ///
 /// - The exact test ([`NullStrategy::ExactFull`]) reads every null for
-///   the whole block and folds each joint straight into the pooled null.
+///   those columns and folds each joint straight into the pooled null.
 ///   A pair that beats all of its own nulls (and `config.mi_threshold`,
 ///   when set) becomes a candidate.
 /// - Early exit ([`NullStrategy::EarlyExit`]) reads `config.mi_threshold`
-///   as the resolved threshold. A pair at or below it reads no null; any
-///   other pair reads its nulls one at a time and stops at the first that
-///   ties or beats it. A pair that outlasts every null becomes a
-///   candidate, and no null feeds the pooled null.
+///   as the resolved threshold. A pair at or below it reads no null; the
+///   others (the survivors) read null `p` together, over the columns from
+///   the first survivor still standing to the last, and each stops at its
+///   own first null that ties or beats it. A pair that outlasts every
+///   null becomes a candidate, and no null feeds the pooled null.
 ///
 /// At the same threshold both tests keep the same candidates;
-/// `acc.joints` counts the joints read. `rows` and `cols` are the tile's
-/// row and column genes and `pairings` the run's null pairings, as in
-/// [`for_each_planned_block`].
+/// `acc.joints` counts the joints read (a column between two survivors
+/// that rides along in early exit's pass is not read). `rows` and `cols`
+/// are the tile's row and column genes and `pairings` the run's null
+/// pairings, as in [`for_each_planned_block`].
 ///
 /// # Panics
 /// Panics under early exit without `config.mi_threshold`.
@@ -252,7 +258,7 @@ pub fn scan_tile(
         "early exit scans under a resolved threshold"
     );
     let q = pairings.len();
-    let (mut observed, mut null, mut beaten) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut observed, mut null, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
     for_each_planned_block(
         tile,
         rows,
@@ -260,41 +266,49 @@ pub fn scan_tile(
         pairings,
         config.kernel,
         scratch,
-        |row, i, j0, ys, dense| {
-            let n = ys.len();
+        |row, i, j0, part| {
+            let n = part.len();
             observed.resize(n, 0.0);
-            row.mi_block(ys, dense, None, &mut observed);
+            row.mi_block(part.clone(), None, &mut observed);
             acc.joints += n as u64;
-            beaten.clear();
-            beaten.resize(n, false);
+            // `dropped[c]`: pair c is no candidate (it is at or below the
+            // threshold, or a null tied or beat it).
+            dropped.clear();
+            dropped.extend(
+                observed
+                    .iter()
+                    .map(|&o| !config.mi_threshold.is_none_or(|t| o > t)),
+            );
             if !early_exit {
                 null.resize(n, 0.0);
                 for p in 0..q {
-                    row.mi_block(ys, dense, Some(p), &mut null);
+                    row.mi_block(part.clone(), Some(p), &mut null);
                     acc.pooled.extend(&null);
-                    for ((b, v), o) in beaten.iter_mut().zip(&null).zip(&observed) {
+                    for ((b, v), o) in dropped.iter_mut().zip(&null).zip(&observed) {
                         *b |= v >= o;
                     }
                 }
                 acc.joints += (n * q) as u64;
+            } else {
+                for p in 0..q {
+                    let Some(first) = dropped.iter().position(|&b| !b) else {
+                        break;
+                    };
+                    let last = dropped.iter().rposition(|&b| !b).expect("a survivor") + 1;
+                    null.resize(last - first, 0.0);
+                    let span = part.start + first..part.start + last;
+                    row.mi_block(span, Some(p), &mut null);
+                    let survivors = dropped[first..last].iter_mut().zip(&observed[first..last]);
+                    for ((b, o), v) in survivors.zip(&null) {
+                        if !*b {
+                            acc.joints += 1;
+                            *b = v >= o;
+                        }
+                    }
+                }
             }
-            for (c, (j, &o)) in (j0..).zip(&observed).enumerate() {
-                if beaten[c] || !config.mi_threshold.is_none_or(|t| o > t) {
-                    continue;
-                }
-                // Early exit reads this pair's nulls now, up to the first
-                // that ties or beats it.
-                let (y, yd) = (&ys[c..=c], dense.get(c..=c).unwrap_or(&[]));
-                let mut v = [0.0];
-                let beaten_late = early_exit
-                    && (0..q).any(|p| {
-                        row.mi_block(y, yd, Some(p), &mut v);
-                        acc.joints += 1;
-                        v[0] >= o
-                    });
-                if !beaten_late {
-                    acc.candidates.push((i, j, o));
-                }
+            for ((j, &o), _) in (j0..).zip(&observed).zip(&dropped).filter(|(_, &b)| !b) {
+                acc.candidates.push((i, j, o));
             }
         },
     );
@@ -590,10 +604,10 @@ mod tests {
                     for tile in space.tiles() {
                         let (rows, cols) = tile_genes(tile, &genes);
                         let kernel = MiKernel::VectorDense;
-                        let visit = |row: &mut PlannedRow<'_>, i, j0, ys: &[_], dense: &[_]| {
-                            let mut v = vec![0.0; ys.len()];
+                        let visit = |row: &mut PlannedRow<'_>, i, j0, cols: Range<usize>| {
+                            let mut v = vec![0.0; cols.len()];
                             for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
-                                row.mi_block(ys, dense, pairing, &mut v);
+                                row.mi_block(cols.clone(), pairing, &mut v);
                                 for (j, v) in (j0..).zip(&v) {
                                     let pair = lookup(i, j);
                                     let want = pairing.map_or(pair.observed, |p| pair.null[p]);
@@ -604,7 +618,7 @@ mod tests {
                                     );
                                 }
                             }
-                            visited += ys.len();
+                            visited += cols.len();
                         };
                         for_each_planned_block(
                             tile,

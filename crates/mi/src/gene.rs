@@ -4,22 +4,28 @@
 //! table the run's genes share, plus the marginal entropy) and is reused
 //! for all `n−1` pairs the gene participates in — the amortization that
 //! makes whole-genome runs feasible and that the tiling layer is built
-//! around. Gene contexts keep only the coded *sparse* form; the dense
-//! expansion the vector kernel needs is materialized one block of column
-//! genes at a time by the executor ([`TileRows::expand_block`]), which is
-//! how the paper bounds the working set to the L2 cache. Symmetrically,
-//! the vector kernel's run plan of each row gene of a tile is built once
+//! around. Gene contexts keep only the coded *sparse* form; the layout
+//! the vector kernel reads is materialized one block of column genes at
+//! a time by the executor ([`TileRows::expand_block`]), which is how the
+//! paper bounds the working set to the L2 cache: on the one-register-row
+//! layout the block's genes are packed `b` lanes apart across the run
+//! kernel's 16-lane register groups, six genes in four groups at b = 10
+//! ([`vector_kernel::block_columns`]). Symmetrically, the vector kernel's
+//! run plan of each row gene of a tile is built once
 //! ([`MiScratch::plan_rows`]) and shared by every pair and every null
 //! pairing of the row. A planned row has one evaluation method,
 //! [`PlannedRow::mi_block`]: one pairing (the observed one or one null)
-//! for a whole block; the null tests that read it live in the tile scan.
-//! [`mi_vector`] and [`mi_with_nulls`] are one-column blocks over a plan
-//! built per call, for oracles and benchmarks. Each scratch carries the
-//! SIMD [`KernelTable`] its joints run on.
+//! for a range of the block's columns; the null tests that read it live
+//! in the tile scan. [`mi_vector`] and [`mi_with_nulls`] evaluate one
+//! gene alone at lane 0 of one register group over a plan built per
+//! call, for oracles and benchmarks, and a packed column's MI is bitwise
+//! theirs. Each scratch carries the SIMD [`KernelTable`] its joints run
+//! on.
 
 use crate::entropy::entropy_nats;
 use crate::sparse_kernel;
-use crate::vector_kernel::{self, VectorGrid};
+use crate::vector_kernel::{self, PackedBlock, VectorGrid};
+use core::ops::Range;
 use gnet_bspline::{BsplineBasis, DenseWeights, SampleCodes, SparseWeights, WeightTable};
 use gnet_expr::normalize::rank_codes;
 use gnet_simd::dispatch::{self, KernelTable};
@@ -111,19 +117,18 @@ pub struct MiScratch {
     /// scratch runs on.
     kernels: &'static KernelTable,
     scalar_grid: Vec<f32>,
-    /// One joint grid per column of the widest block met so far, all of
-    /// one dense layout.
-    vector_grids: Vec<VectorGrid>,
+    /// The one-gene joint grid of the per-call helpers ([`mi_vector`],
+    /// [`mi_with_nulls`]), of the last dense layout they met.
+    dense_grid: Option<VectorGrid>,
     /// The vector kernel's run plans of the current tile's row genes, one
     /// per row ([`Self::plan_rows`]).
     plans: Vec<RunPlan>,
-    /// Dense expansions of the current block of column genes in the first
-    /// `block_len` entries; the rest are buffers the next block refills.
-    block: Vec<DenseWeights>,
-    block_len: usize,
+    /// The current block of column genes in the vector kernel's layout,
+    /// with its joint grids ([`TileRows::expand_block`]).
+    block: PackedBlock,
     /// Row plans built so far.
     plans_built: u64,
-    /// Column genes expanded into the dense layout so far.
+    /// Column genes expanded into the block layout so far.
     expansions: u64,
     bins: usize,
 }
@@ -143,10 +148,9 @@ impl MiScratch {
         Self {
             kernels,
             scalar_grid: vec![0.0; b * b],
-            vector_grids: Vec::new(),
+            dense_grid: None,
             plans: Vec::new(),
-            block: Vec::new(),
-            block_len: 0,
+            block: PackedBlock::default(),
             plans_built: 0,
             expansions: 0,
             bins: b,
@@ -154,19 +158,12 @@ impl MiScratch {
     }
 
     /// Heap bytes of the vector kernel's buffers: the row plans, the
-    /// block's dense expansions and the joint grids.
+    /// block's register groups and joint grids, and the per-call helpers'
+    /// one-gene grid.
     pub fn vector_heap_bytes(&self) -> usize {
         self.plans.iter().map(RunPlan::heap_bytes).sum::<usize>()
-            + self
-                .block
-                .iter()
-                .map(DenseWeights::heap_bytes)
-                .sum::<usize>()
-            + self
-                .vector_grids
-                .iter()
-                .map(VectorGrid::heap_bytes)
-                .sum::<usize>()
+            + self.block.heap_bytes()
+            + self.dense_grid.as_ref().map_or(0, VectorGrid::heap_bytes)
     }
 
     /// Row plans this scratch has built ([`Self::plan_rows`]).
@@ -174,7 +171,7 @@ impl MiScratch {
         self.plans_built
     }
 
-    /// Column genes this scratch has expanded into the dense layout
+    /// Column genes this scratch has expanded into the block layout
     /// ([`TileRows::expand_block`]).
     pub fn expansions(&self) -> u64 {
         self.expansions
@@ -203,13 +200,33 @@ impl MiScratch {
                 }
             }
         }
-        self.block_len = 0;
+        self.block.clear();
         TileRows {
             kernel,
             rows,
             pairings,
             scratch: self,
+            cols: &[],
         }
+    }
+
+    /// The per-call helpers' state for `x` against a dense `y`: `x`
+    /// planned into the first plan buffer on the one-register-row layout,
+    /// and a one-gene grid of `y`'s layout.
+    fn one_gene(&mut self, x: &PreparedGene, y: &DenseWeights) -> (&RunPlan, &mut VectorGrid) {
+        if self.plans.is_empty() {
+            self.plans.push(RunPlan::new());
+        }
+        if vector_kernel::fits_run_kernel(y) {
+            vector_kernel::plan_runs(&x.sparse, &mut self.plans[0]);
+            self.plans_built += 1;
+        }
+        let layout = |g: &VectorGrid| g.bins() == y.bins() && g.stride() == y.stride();
+        if !self.dense_grid.as_ref().is_some_and(layout) {
+            self.dense_grid = Some(VectorGrid::for_dense(y));
+        }
+        let grid = self.dense_grid.as_mut().expect("a grid of y's layout");
+        (&self.plans[0], grid)
     }
 }
 
@@ -223,85 +240,72 @@ pub struct TileRows<'a> {
     rows: &'a [PreparedGene],
     pairings: &'a [Pairing<'a>],
     scratch: &'a mut MiScratch,
+    /// The block's column genes ([`Self::expand_block`]).
+    cols: &'a [PreparedGene],
 }
 
-impl TileRows<'_> {
-    /// Column genes per block the rows are best evaluated in: the run
-    /// kernel's [`run_block_columns`](gnet_simd::run_block_columns) at the
-    /// row genes' spline order. Derived from the order alone; any block
-    /// width gives the same values.
+impl<'a> TileRows<'a> {
+    /// Column genes per block the rows are best evaluated in
+    /// ([`vector_kernel::block_columns`] at the row genes' spline order and
+    /// bins): on the one-register-row layout, as many genes as fit `b`
+    /// lanes apart in the register groups one pass of the run kernel
+    /// holds. Any block width gives the same values.
     pub fn block_columns(&self) -> usize {
-        gnet_simd::run_block_columns(self.rows.first().map_or(1, |x| x.sparse.order()))
+        let (order, bins) = self.rows.first().map_or((1, self.scratch.bins), |x| {
+            (x.sparse.order(), x.sparse.bins())
+        });
+        vector_kernel::block_columns(order, bins)
     }
 
-    /// Make `cols` the block the rows meet: for the vector kernel, expand
-    /// each gene into the dense layout, refilling the buffers of earlier
-    /// blocks in place.
-    pub fn expand_block(&mut self, cols: &[PreparedGene]) {
-        let scratch = &mut *self.scratch;
-        scratch.block_len = 0;
-        if self.kernel != MiKernel::VectorDense {
-            return;
+    /// Make `cols` the block the rows meet: for the vector kernel, lay
+    /// the genes out in the block layout (packed `b` lanes apart on the
+    /// one-register-row layout), refilling the buffers of earlier blocks
+    /// in place.
+    ///
+    /// # Panics
+    /// Panics if `cols` holds more than [`Self::block_columns`] genes, or
+    /// genes of different shapes.
+    pub fn expand_block(&mut self, cols: &'a [PreparedGene]) {
+        assert!(
+            cols.len() <= self.block_columns(),
+            "a block of {} genes, wider than {}",
+            cols.len(),
+            self.block_columns()
+        );
+        self.cols = cols;
+        if self.kernel == MiKernel::VectorDense {
+            self.scratch.block.expand(cols);
+            self.scratch.expansions += cols.len() as u64;
         }
-        for (i, g) in cols.iter().enumerate() {
-            match scratch.block.get_mut(i) {
-                Some(d) => g.sparse.expand_into(d),
-                None => scratch.block.push(g.to_dense()),
-            }
-        }
-        scratch.block_len = cols.len();
-        scratch.expansions += cols.len() as u64;
     }
 
-    /// Row `r`'s planned row, and the dense expansions of the current
-    /// block (empty for the scalar kernel), in the order of its genes.
+    /// Row `r`'s planned row, meeting the current block.
     ///
     /// # Panics
     /// Panics if `r` is not one of the planned rows.
-    pub fn row(&mut self, r: usize) -> (PlannedRow<'_>, &[DenseWeights]) {
+    pub fn row(&mut self, r: usize) -> PlannedRow<'_> {
         let MiScratch {
             kernels,
             scalar_grid,
-            vector_grids,
             plans,
             block,
-            block_len,
             ..
         } = &mut *self.scratch;
-        let row = PlannedRow {
+        PlannedRow {
             kernel: self.kernel,
             x: &self.rows[r],
             plan: &plans[r],
             pairings: self.pairings,
             kernels,
             scalar_grid,
-            vector_grids,
-        };
-        (row, &block[..*block_len])
+            cols: self.cols,
+            block,
+        }
     }
-}
-
-/// `columns` grids of `dense`'s layout out of `slot`, reallocated if they
-/// have another layout.
-fn vector_grids_for<'g>(
-    slot: &'g mut Vec<VectorGrid>,
-    dense: &DenseWeights,
-    columns: usize,
-) -> &'g mut [VectorGrid] {
-    if slot
-        .first()
-        .is_some_and(|g| g.bins() != dense.bins() || g.stride() != dense.stride())
-    {
-        slot.clear();
-    }
-    while slot.len() < columns {
-        slot.push(VectorGrid::for_dense(dense));
-    }
-    &mut slot[..columns]
 }
 
 /// A row gene `x` planned once for all the pairs and null pairings it is
-/// evaluated in ([`TileRows::row`]).
+/// evaluated in, meeting one block of column genes ([`TileRows::row`]).
 #[derive(Debug)]
 pub struct PlannedRow<'a> {
     kernel: MiKernel,
@@ -312,30 +316,29 @@ pub struct PlannedRow<'a> {
     pairings: &'a [Pairing<'a>],
     kernels: &'static KernelTable,
     scalar_grid: &'a mut Vec<f32>,
-    vector_grids: &'a mut Vec<VectorGrid>,
+    /// The block's column genes.
+    cols: &'a [PreparedGene],
+    /// The block in the vector kernel's layout.
+    block: &'a mut PackedBlock,
 }
 
 impl PlannedRow<'_> {
-    /// MI (nats) of the row gene against each gene of the block `ys`
+    /// MI (nats) of the row gene against columns `cols` of the block
     /// under one pairing, into `out`: the observed pairing for `None`,
-    /// null pairing `p` for `Some(p)`. The joint runs for the whole block
-    /// in one pass over the row's plan, and each gene's value is that of
-    /// a one-gene block. `dense` holds the dense expansions of `ys`, one
-    /// each, for the vector kernel, and may be empty for the scalar one.
+    /// null pairing `p` for `Some(p)`. For the vector kernel one pass of
+    /// the run kernel covers the register groups the columns span, and
+    /// one packed entropy call their joint entropies; each column's value
+    /// is that of a one-gene block ([`mi_with_nulls`]).
     ///
     /// # Panics
-    /// Panics if `out` is not one per gene, if the kernel is
-    /// [`MiKernel::VectorDense`] and `dense` is not one per gene, on a
-    /// shape mismatch between the genes or with the pairing, or if there
-    /// is no null pairing `p`.
-    pub fn mi_block(
-        &mut self,
-        ys: &[PreparedGene],
-        dense: &[DenseWeights],
-        pairing: Option<usize>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), ys.len(), "one MI per column gene");
+    /// Panics if `out` is not one per column, the columns are not in the
+    /// block, on a shape mismatch between the genes or with the pairing,
+    /// or if there is no null pairing `p`.
+    pub fn mi_block(&mut self, cols: Range<usize>, pairing: Option<usize>, out: &mut [f64]) {
+        assert_eq!(out.len(), cols.len(), "one MI per column gene");
+        let Some(ys) = self.cols.get(cols.clone()) else {
+            panic!("columns {cols:?} of a {}-gene block", self.cols.len());
+        };
         let (x, hx) = (self.x, self.x.h_marginal);
         let pairing = pairing.map(|p| self.pairings[p]);
         if self.kernel == MiKernel::ScalarSparse {
@@ -350,43 +353,12 @@ impl PlannedRow<'_> {
             }
             return;
         }
-        assert_eq!(
-            dense.len(),
-            ys.len(),
-            "vector kernel requires the dense expansion of y"
-        );
-        let Some(first) = dense.first() else {
-            return;
-        };
-        let grids = vector_grids_for(
-            self.vector_grids,
-            first,
-            ys.len().min(vector_kernel::MAX_BLOCK),
-        );
-        if !vector_kernel::fits_run_kernel(first) {
-            let perm = pairing.map(|p| p.indices());
-            for ((y, yd), mi) in ys.iter().zip(dense).zip(out.iter_mut()) {
-                let (hy, grid) = (y.h_marginal, &mut grids[0]);
-                *mi = vector_kernel::mi_on(self.kernels, &x.sparse, yd, perm, hx, hy, grid);
-            }
-            return;
-        }
-        assert_eq!(
-            x.sparse.bins(),
-            first.bins(),
-            "genes must share the bin count"
-        );
-        let chunks = ys
-            .chunks(vector_kernel::MAX_BLOCK)
-            .zip(dense.chunks(vector_kernel::MAX_BLOCK));
-        for ((ys, dense), out) in chunks.zip(out.chunks_mut(vector_kernel::MAX_BLOCK)) {
-            let grids = &mut grids[..ys.len()];
-            let (kernels, plan) = (self.kernels, self.plan);
-            vector_kernel::joint_entropies_planned(kernels, plan, pairing, dense, grids, out);
-            for (mi, y) in out.iter_mut().zip(ys) {
-                let hxy = *mi;
-                *mi = hx + y.h_marginal - hxy;
-            }
+        let (kernels, plan) = (self.kernels, self.plan);
+        self.block
+            .joint_entropies(kernels, plan, &x.sparse, pairing, cols, out);
+        for (mi, y) in out.iter_mut().zip(ys) {
+            let hxy = *mi;
+            *mi = hx + y.h_marginal - hxy;
         }
     }
 }
@@ -403,24 +375,21 @@ pub fn mi_scalar(x: &PreparedGene, y: &PreparedGene, scratch: &mut MiScratch) ->
     )
 }
 
-/// MI (nats) of a prepared pair with the vector kernel. `y_dense` must be
-/// the dense expansion of `y`. Plans `x` per call; to evaluate one `x`
-/// against many genes, plan it once with [`MiScratch::plan_rows`].
+/// MI (nats) of a prepared pair with the vector kernel: `y` alone at lane
+/// 0 of one register group, its joint entropy through `xlogx_sum`.
+/// `y_dense` must be the dense expansion of `y`. Plans `x` per call; to
+/// evaluate one `x` against many genes, plan it once with
+/// [`MiScratch::plan_rows`].
 pub fn mi_vector(
     x: &PreparedGene,
     y: &PreparedGene,
     y_dense: &DenseWeights,
     scratch: &mut MiScratch,
 ) -> f64 {
-    let mut mi = [0.0];
-    let mut rows = scratch.plan_rows(MiKernel::VectorDense, core::slice::from_ref(x), &[]);
-    rows.row(0).0.mi_block(
-        core::slice::from_ref(y),
-        core::slice::from_ref(y_dense),
-        None,
-        &mut mi,
-    );
-    mi[0]
+    let kernels = scratch.kernels;
+    let (plan, grid) = scratch.one_gene(x, y_dense);
+    let (hx, hy) = (x.h_marginal, y.h_marginal);
+    vector_kernel::mi_planned(kernels, plan, &x.sparse, y_dense, None, hx, hy, grid)
 }
 
 /// Result of evaluating one pair together with its permutation null.
@@ -443,10 +412,11 @@ impl PairMi {
 }
 
 /// Evaluate a pair and its `q` permutation nulls: the observed pairing,
-/// then each null, as one-column blocks of one planned row. Dispatches on
-/// `kernel`; the dense expansion of `y` is only touched (and required to
-/// be `Some`) for the vector kernel. Plans `x` and validates `perms` per
-/// call; executors that meet one `x` many times plan it once with
+/// then each null. Dispatches on `kernel`; the vector kernel evaluates
+/// `y` alone at lane 0 of one register group, as [`mi_vector`] does, so
+/// the dense expansion of `y` is only touched (and required to be
+/// `Some`) for it. Plans `x` and validates `perms` per call; executors
+/// that meet one `x` many times plan it once with
 /// [`MiScratch::plan_rows`], against pairings validated once.
 ///
 /// # Panics
@@ -460,21 +430,33 @@ pub fn mi_with_nulls(
     perms: &[Vec<u32>],
     scratch: &mut MiScratch,
 ) -> PairMi {
-    let (ys, dense) = (
-        core::slice::from_ref(y),
-        y_dense.map_or(&[][..], core::slice::from_ref),
-    );
     let pairings = Pairing::all(perms, x.samples());
-    let mut rows = scratch.plan_rows(kernel, core::slice::from_ref(x), &pairings);
-    let (mut row, _) = rows.row(0);
-    let mut mi = |pairing| {
-        let mut value = [0.0];
-        row.mi_block(ys, dense, pairing, &mut value);
-        value[0]
+    let pairings = std::iter::once(None).chain(pairings.into_iter().map(Some));
+    let (hx, hy) = (x.h_marginal, y.h_marginal);
+    let mut values: Vec<f64> = match kernel {
+        MiKernel::ScalarSparse => {
+            let grid = &mut scratch.scalar_grid;
+            let (sx, sy) = (&x.sparse, &y.sparse);
+            pairings
+                .map(|pairing| match pairing {
+                    None => sparse_kernel::mi(sx, sy, hx, hy, grid),
+                    Some(p) => sparse_kernel::mi_permuted(sx, sy, p.indices(), hx, hy, grid),
+                })
+                .collect()
+        }
+        MiKernel::VectorDense => {
+            let yd = y_dense.expect("vector kernel requires the dense expansion of y");
+            let kernels = scratch.kernels;
+            let (plan, grid) = scratch.one_gene(x, yd);
+            pairings
+                .map(|p| vector_kernel::mi_planned(kernels, plan, &x.sparse, yd, p, hx, hy, grid))
+                .collect()
+        }
     };
+    let null = values.split_off(1);
     PairMi {
-        observed: mi(None),
-        null: (0..perms.len()).map(|p| mi(Some(p))).collect(),
+        observed: values[0],
+        null,
     }
 }
 
@@ -550,10 +532,8 @@ mod tests {
         let dense: Vec<_> = genes.iter().map(PreparedGene::to_dense).collect();
         let mut row_scratch = MiScratch::for_basis(&b);
         let mut rows = row_scratch.plan_rows(MiKernel::VectorDense, &genes[..1], &pairings);
-        let (mut row, _) = rows.row(0);
         let mut scratch = MiScratch::for_basis(&b);
         for (y, yd) in genes.iter().zip(&dense).skip(1) {
-            let (ys, ds) = (core::slice::from_ref(y), core::slice::from_ref(yd));
             let per_call = mi_with_nulls(
                 MiKernel::VectorDense,
                 &genes[0],
@@ -562,15 +542,17 @@ mod tests {
                 &perms,
                 &mut scratch,
             );
+            rows.expand_block(core::slice::from_ref(y));
+            let mut row = rows.row(0);
             let mut planned = [0.0];
-            row.mi_block(ys, ds, None, &mut planned);
+            row.mi_block(0..1, None, &mut planned);
             assert_eq!(planned[0].to_bits(), per_call.observed.to_bits());
             assert_eq!(
                 mi_vector(&genes[0], y, yd, &mut scratch).to_bits(),
                 per_call.observed.to_bits()
             );
             for (p, null) in per_call.null.iter().enumerate() {
-                row.mi_block(ys, ds, Some(p), &mut planned);
+                row.mi_block(0..1, Some(p), &mut planned);
                 assert_eq!(planned[0].to_bits(), null.to_bits(), "null {p}");
             }
             // The one-off joint (a plan of its own) agrees with the row's.
@@ -588,13 +570,101 @@ mod tests {
         }
     }
 
+    /// The identity, the reversal and a shuffle of `m` samples.
+    fn identity_reversed_random(m: u32) -> Vec<Vec<u32>> {
+        let mut random: Vec<u32> = (0..m).collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for i in (1..random.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            random.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        vec![(0..m).collect(), (0..m).rev().collect(), random]
+    }
+
+    #[test]
+    fn packed_blocks_reproduce_one_gene_blocks_bitwise() {
+        // Every column range of a full block and of a partial one, at
+        // every order and bin count of the one-register-row layout, on
+        // every backend: each value is the one-gene block's, bit for bit.
+        let m = 37;
+        let matrix = synth::independent_gaussian(66, m, 31);
+        let perms = identity_reversed_random(m as u32);
+        let pairings = Pairing::all(&perms, m);
+        for kernels in dispatch::Backend::ALL
+            .into_iter()
+            .filter_map(KernelTable::for_backend)
+        {
+            for order in 1..=8 {
+                for bins in order..=16 {
+                    let b = BsplineBasis::new(order, bins);
+                    let width = vector_kernel::block_columns(order, bins);
+                    let genes: Vec<_> = (0..=width)
+                        .map(|g| prepare_gene(matrix.gene(g), &b))
+                        .collect();
+                    let (x, cols) = genes.split_first().expect("a row gene");
+                    let mut single = MiScratch::with_kernels(&b, kernels);
+                    let one: Vec<PairMi> = cols
+                        .iter()
+                        .map(|y| {
+                            let yd = y.to_dense();
+                            mi_with_nulls(
+                                MiKernel::VectorDense,
+                                x,
+                                y,
+                                Some(&yd),
+                                &perms,
+                                &mut single,
+                            )
+                        })
+                        .collect();
+                    let mut scratch = MiScratch::with_kernels(&b, kernels);
+                    let mut rows = scratch.plan_rows(
+                        MiKernel::VectorDense,
+                        core::slice::from_ref(x),
+                        &pairings,
+                    );
+                    assert_eq!(rows.block_columns(), width);
+                    // The full block, then a partial one from its second gene.
+                    for first in [0, 1.min(width - 1)] {
+                        let block = &cols[first..];
+                        rows.expand_block(block);
+                        let mut row = rows.row(0);
+                        let mut out = vec![0.0; block.len()];
+                        for start in 0..block.len() {
+                            for end in start + 1..=block.len() {
+                                for pairing in
+                                    std::iter::once(None).chain((0..perms.len()).map(Some))
+                                {
+                                    let out = &mut out[..end - start];
+                                    row.mi_block(start..end, pairing, out);
+                                    for (v, pair) in out.iter().zip(&one[first + start..]) {
+                                        let want = pairing.map_or(pair.observed, |p| pair.null[p]);
+                                        assert_eq!(
+                                            v.to_bits(),
+                                            want.to_bits(),
+                                            "{}: k {order}, b {bins}, block from {first}, columns {start}..{end}, {pairing:?}",
+                                            kernels.backend
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn blocks_reproduce_one_gene_blocks_bitwise() {
         let matrix = synth::independent_gaussian(8, 211, 31);
         let perms = strided_perms(4, 211);
         let pairings = Pairing::all(&perms, 211);
-        for order in [1, 3, 4, 6] {
-            let b = BsplineBasis::new(order, 10);
+        // Ten bins pack, twenty keep one dense gene per group.
+        for (order, bins) in [(1, 10), (3, 10), (4, 10), (6, 10), (3, 20)] {
+            let b = BsplineBasis::new(order, bins);
             let genes: Vec<_> = (0..8).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
             let (xs, cols) = genes.split_at(3);
             let mut single = MiScratch::for_basis(&b);
@@ -610,21 +680,20 @@ mod tests {
                 .collect();
             let mut scratch = MiScratch::for_basis(&b);
             let mut rows = scratch.plan_rows(MiKernel::VectorDense, xs, &pairings);
-            for width in 1..=rows.block_columns() {
+            for width in 1..=rows.block_columns().min(cols.len()) {
                 for start in [0, cols.len() - width] {
                     rows.expand_block(&cols[start..start + width]);
                     for (r, one) in one.iter().enumerate() {
-                        let (mut row, dense) = rows.row(r);
-                        let ys = &cols[start..start + width];
+                        let mut row = rows.row(r);
                         let mut block = vec![0.0; width];
                         for pairing in std::iter::once(None).chain((0..perms.len()).map(Some)) {
-                            row.mi_block(ys, dense, pairing, &mut block);
+                            row.mi_block(0..width, pairing, &mut block);
                             for (v, pair) in block.iter().zip(&one[start..]) {
                                 let expected = pairing.map_or(pair.observed, |p| pair.null[p]);
                                 assert_eq!(
                                     v.to_bits(),
                                     expected.to_bits(),
-                                    "k {order}, row {r}, width {width}, pairing {pairing:?}"
+                                    "k {order}, b {bins}, row {r}, width {width}, pairing {pairing:?}"
                                 );
                             }
                         }
@@ -636,27 +705,44 @@ mod tests {
 
     #[test]
     fn tile_rows_plan_each_row_once_and_expand_each_block_once() {
-        let matrix = synth::independent_gaussian(7, 64, 3);
+        let matrix = synth::independent_gaussian(13, 64, 3);
         let b = basis();
-        let genes: Vec<_> = (0..7).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
+        let genes: Vec<_> = (0..13).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
         let perms = strided_perms(3, 64);
         let pairings = Pairing::all(&perms, 64);
         let mut scratch = MiScratch::for_basis(&b);
         let mut rows = scratch.plan_rows(MiKernel::VectorDense, &genes[..3], &pairings);
+        // Ten columns: a packed block of six, then a partial one of four.
+        assert_eq!(rows.block_columns(), 6);
         for block in genes[3..].chunks(rows.block_columns()) {
             rows.expand_block(block);
             for r in 0..3 {
-                let (mut row, dense) = rows.row(r);
+                let mut row = rows.row(r);
                 let mut out = vec![0.0; block.len()];
                 for pairing in std::iter::once(None).chain((0..3).map(Some)) {
-                    row.mi_block(block, dense, pairing, &mut out);
+                    row.mi_block(0..block.len(), pairing, &mut out);
                 }
             }
         }
-        assert_eq!((scratch.plans_built(), scratch.expansions()), (3, 4));
+        assert_eq!((scratch.plans_built(), scratch.expansions()), (3, 10));
+        // Four register groups of 64 rows and their four 10-row grids.
+        let groups = 4 * (64 + 10) * 64;
+        let plans: usize = scratch.plans[..3].iter().map(RunPlan::heap_bytes).sum();
+        assert_eq!(scratch.vector_heap_bytes(), plans + groups);
         // The scalar kernel reads neither plans nor dense rows.
         let _ = scratch.plan_rows(MiKernel::ScalarSparse, &genes, &pairings);
         assert_eq!(scratch.plans_built(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a block of 7 genes, wider than 6")]
+    fn a_block_wider_than_the_packed_layout_is_refused() {
+        let matrix = synth::independent_gaussian(8, 20, 3);
+        let b = basis();
+        let genes: Vec<_> = (0..8).map(|g| prepare_gene(matrix.gene(g), &b)).collect();
+        let mut scratch = MiScratch::for_basis(&b);
+        let mut rows = scratch.plan_rows(MiKernel::VectorDense, &genes[..1], &[]);
+        rows.expand_block(&genes[1..]);
     }
 
     #[test]

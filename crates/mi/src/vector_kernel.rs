@@ -25,22 +25,48 @@
 //! `π[order[t]]`, which the kernel looks up itself, and *y*'s rows stay
 //! put. The tile executor plans each *x* gene of a tile once
 //! (`MiScratch::plan_rows`) and reuses the plan for every *y* and every
-//! pairing it meets, a block of up to
-//! [`run_block_columns`](gnet_simd::run_block_columns) *y* genes per
-//! pass; [`joint_counts`] and [`joint_counts_permuted`] build a one-off
-//! plan per call. Dense rows and grids are cache-line-aligned
-//! [`Row16`]s. Wider layouts fall back to a per-sample row loop. The
-//! public functions here run on the process's resolved table
+//! pairing it meets, a packed block of [`block_columns`] *y* genes per
+//! pass: the genes lie `b` lanes apart across the
+//! [`run_block_columns`](gnet_simd::run_block_columns) 16-lane register
+//! groups one pass holds (six genes in four groups at b = 10, k = 3,
+//! where four one-gene groups held four), so every FMA, y-row load and
+//! `x·ln x` vector serves more pairs. The kernel never mixes lanes and
+//! the packed entropy ([`KernelTable::xlogx_packed`]) reads each gene's
+//! lanes back through `xlogx_sum`'s arithmetic, so a packed gene's MI is
+//! bitwise its one-gene group's. [`joint_counts`] and
+//! [`joint_counts_permuted`] build a one-off plan per call over one gene
+//! at lane 0. Dense rows and grids are cache-line-aligned [`Row16`]s.
+//! Wider layouts keep one dense gene per group and a per-sample row
+//! loop. The public functions here run on the process's resolved table
 //! ([`dispatch::table`]); the scan path runs on the table its `MiScratch`
 //! carries.
 
 use crate::entropy::entropy_from_counts_on;
+use crate::gene::PreparedGene;
+use core::ops::Range;
 use gnet_bspline::{DenseWeights, SampleCodes, SparseWeights};
 use gnet_simd::dispatch::{self, KernelTable};
+use gnet_simd::slice_ops::MAX_PACKED_GROUPS;
 use gnet_simd::{F32x16, Pairing, Row16, RunPlan};
 
-/// Most *y* columns one call of the planned block kernel takes.
-pub(crate) const MAX_BLOCK: usize = gnet_simd::run_block_columns(1);
+/// Lanes of one register group.
+const W: usize = F32x16::LANES;
+
+/// Column genes one block holds at spline order `order` and `bins` bins:
+/// on the one-register-row layout (`b ≤ 16`), the `⌊16R/b⌋` genes that
+/// fit `b` lanes apart in the `R =`
+/// [`run_block_columns`](gnet_simd::run_block_columns)`(order)` register
+/// groups one pass of the run kernel holds — 6 at b = 10 and k ≤ 3, where
+/// four one-gene groups held 4; on wider layouts, `R` genes of their own
+/// rows.
+pub fn block_columns(order: usize, bins: usize) -> usize {
+    let groups = gnet_simd::run_block_columns(order);
+    if bins <= W {
+        groups * W / bins.max(1)
+    } else {
+        groups
+    }
+}
 
 /// Reusable joint-grid scratch for the vector kernel: `bins` rows padded to
 /// the dense layout's stride, each starting on a cache line.
@@ -57,7 +83,7 @@ impl VectorGrid {
         Self {
             bins: dense.bins(),
             stride: dense.stride(),
-            data: vec![Row16::ZERO; dense.bins() * dense.stride() / F32x16::LANES],
+            data: vec![Row16::ZERO; dense.bins() * dense.stride() / W],
         }
     }
 
@@ -87,18 +113,196 @@ impl VectorGrid {
         assert_eq!(self.bins, dense.bins(), "grid/dense bin mismatch");
         self.data.fill(Row16::ZERO);
     }
+}
 
-    #[inline(always)]
-    fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        let stride = self.stride;
-        &mut Row16::flatten_mut(&mut self.data)[r * stride..(r + 1) * stride]
+/// A block of column genes in the layout the vector kernel reads,
+/// refilled in place block after block ([`Self::expand`]), with one joint
+/// grid per register group.
+///
+/// On the one-register-row layout (`b ≤ 16`) the genes lie `b` lanes
+/// apart: bin `j` of gene `c` is lane `c·b + j` of the groups' lanes read
+/// group after group, so group `g`'s row of a sample holds lanes
+/// `16g..16g + 16` and a gene may straddle two groups. Lanes past the
+/// last gene are zero. The run kernel accumulates every group into its
+/// own grid lane by lane, and packed lane `c·b + j` sees exactly the
+/// operations lane `j` of gene `c`'s own one-gene group would, so each
+/// gene's cells are bitwise its one-gene grid's; the packed entropy
+/// ([`KernelTable::xlogx_packed`]) reads each gene's lanes back. Wider
+/// layouts keep one dense expansion per gene, each a group of its own.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PackedBlock {
+    bins: usize,
+    /// Floats per sample in one group: 16 when packed, else the gene's
+    /// lane-padded bins.
+    stride: usize,
+    /// Genes in the block.
+    columns: usize,
+    /// Register groups, `m · stride / 16` rows each; the block's genes
+    /// fill the first ones, later ones are buffers of wider blocks.
+    groups: Vec<Vec<Row16>>,
+    /// One joint grid per group, `b · stride / 16` rows each.
+    grids: Vec<Vec<Row16>>,
+}
+
+impl PackedBlock {
+    /// Make `cols` the block, refilling the groups' rows in place: each
+    /// sample's rows are laid out once, from the genes' codes.
+    ///
+    /// # Panics
+    /// Panics if the genes differ in bins or samples, or if more than
+    /// [`MAX_PACKED_GROUPS`] groups of packed lanes would be needed.
+    pub(crate) fn expand(&mut self, cols: &[PreparedGene]) {
+        self.columns = cols.len();
+        let Some(first) = cols.first() else {
+            return;
+        };
+        let (b, m) = (first.sparse.bins(), first.samples());
+        for g in cols {
+            assert_eq!(g.sparse.bins(), b, "genes must share the bin count");
+            assert_eq!(g.samples(), m, "genes must share the sample count");
+        }
+        self.bins = b;
+        if b > W {
+            self.stride = b.div_ceil(W) * W;
+            let per_sample = self.stride / W;
+            self.size_groups(cols.len(), m * per_sample);
+            for (g, group) in cols.iter().zip(&mut self.groups) {
+                for (s, rows) in group.chunks_exact_mut(per_sample).enumerate() {
+                    rows.fill(Row16::ZERO);
+                    let (fb, w) = (g.sparse.first_bin(s), g.sparse.sample_weights(s));
+                    Row16::flatten_mut(rows)[fb..fb + w.len()].copy_from_slice(w);
+                }
+            }
+            return;
+        }
+        self.stride = W;
+        let used = (cols.len() * b).div_ceil(W);
+        assert!(
+            used <= MAX_PACKED_GROUPS,
+            "a block of {} genes of {b} bins overruns {MAX_PACKED_GROUPS} register groups",
+            cols.len()
+        );
+        self.size_groups(used, m);
+        for s in 0..m {
+            let mut line = [0.0f32; W * MAX_PACKED_GROUPS];
+            for (c, g) in cols.iter().enumerate() {
+                let (fb, w) = (g.sparse.first_bin(s), g.sparse.sample_weights(s));
+                line[c * b + fb..][..w.len()].copy_from_slice(w);
+            }
+            for (group, lanes) in self.groups[..used].iter_mut().zip(line.chunks_exact(W)) {
+                group[s] = Row16(lanes.try_into().expect("a chunk of 16 lanes"));
+            }
+        }
+    }
+
+    /// At least `n` groups, the first `n` of `rows` rows each.
+    fn size_groups(&mut self, n: usize, rows: usize) {
+        if self.groups.len() < n {
+            self.groups.resize_with(n, Vec::new);
+        }
+        for group in &mut self.groups[..n] {
+            group.resize(rows, Row16::ZERO);
+        }
+    }
+
+    /// Empty the block, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.columns = 0;
+    }
+
+    /// Heap bytes of the groups' rows and the grids.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let rows: usize = self.groups.iter().chain(&self.grids).map(Vec::len).sum();
+        rows * core::mem::size_of::<Row16>()
+    }
+
+    /// Joint entropies (nats) of a planned `x` against columns `cols` of
+    /// the block on `kernels`, into `hxy`, under the observed pairing
+    /// (`None`) or a null pairing: one pass of the run kernel over the
+    /// register groups the columns span, then their packed entropy, with
+    /// `ln m` computed once. Wider layouts run the per-sample row loop
+    /// column by column. Each value is bitwise the one a one-gene block
+    /// gives ([`mi_planned`]).
+    ///
+    /// # Panics
+    /// Panics if `hxy` is not one per column, the columns are not in the
+    /// block, or `x` does not share the block's bins and samples.
+    pub(crate) fn joint_entropies(
+        &mut self,
+        kernels: &KernelTable,
+        plan: &RunPlan,
+        x: &SparseWeights,
+        pairing: Option<Pairing<'_>>,
+        cols: Range<usize>,
+        hxy: &mut [f64],
+    ) {
+        assert_eq!(hxy.len(), cols.len(), "one joint entropy per column");
+        assert!(
+            cols.end <= self.columns,
+            "columns {cols:?} of a {}-gene block",
+            self.columns
+        );
+        if cols.is_empty() {
+            return;
+        }
+        let b = self.bins;
+        assert_eq!(x.bins(), b, "genes must share the bin count");
+        // cast-ok: sample counts are far below f64's 2^53 exact-integer range
+        let total = x.samples() as f64;
+        if self.stride != W {
+            let grid_rows = b * self.stride / W;
+            self.size_grids(cols.end, grid_rows);
+            let perm = pairing.map(|p| p.indices());
+            for (c, h) in cols.zip(hxy) {
+                let (y, grid) = (&self.groups[c], &mut self.grids[c]);
+                assert_eq!(
+                    y.len(),
+                    x.samples() * self.stride / W,
+                    "genes must share the sample count"
+                );
+                grid.fill(Row16::ZERO);
+                let grid = Row16::flatten_mut(grid);
+                per_sample_joint(kernels, x, Row16::flatten(y), self.stride, perm, grid);
+                *h = entropy_from_counts_on(kernels, grid, total);
+            }
+            return;
+        }
+        let (g0, g1) = (cols.start * b / W, (cols.end * b).div_ceil(W));
+        self.size_grids(g1, b);
+        let mut y_rows: [&[Row16]; MAX_PACKED_GROUPS] = Default::default();
+        let mut grid_rows: [&mut [Row16]; MAX_PACKED_GROUPS] = Default::default();
+        let groups = self.groups[g0..g1].iter().zip(&mut self.grids[g0..g1]);
+        for ((yr, gr), (y, grid)) in y_rows.iter_mut().zip(grid_rows.iter_mut()).zip(groups) {
+            grid.fill(Row16::ZERO);
+            (*yr, *gr) = (y, grid);
+        }
+        let n = g1 - g0;
+        (kernels.accumulate_runs)(plan, pairing, &y_rows[..n], &mut grid_rows[..n]);
+        let grids: [&[Row16]; MAX_PACKED_GROUPS] = core::array::from_fn(|g| &*grid_rows[g]);
+        let mut sums = [0.0f32; W * MAX_PACKED_GROUPS];
+        let sums = &mut sums[..hxy.len()];
+        (kernels.xlogx_packed)(&grids[..n], cols.start * b - g0 * W, b, sums);
+        let ln_m = total.ln();
+        for (h, &s) in hxy.iter_mut().zip(sums.iter()) {
+            *h = ln_m - f64::from(s) / total;
+        }
+    }
+
+    /// At least `n` grids, the first `n` of `rows` rows each.
+    fn size_grids(&mut self, n: usize, rows: usize) {
+        if self.grids.len() < n {
+            self.grids.resize_with(n, Vec::new);
+        }
+        for grid in &mut self.grids[..n] {
+            grid.resize(rows, Row16::ZERO);
+        }
     }
 }
 
 /// Whether `y`'s dense layout is the one-register-row layout the
 /// run-blocked kernel handles (`stride == 16`, i.e. `b ≤ 16`).
 pub(crate) fn fits_run_kernel(y: &DenseWeights) -> bool {
-    y.stride() == F32x16::LANES
+    y.stride() == W
 }
 
 /// Plan `x` for the run-blocked kernel, reusing `plan`'s buffers.
@@ -111,36 +315,55 @@ pub(crate) fn plan_runs(x: &SparseWeights, plan: &mut RunPlan) {
     }
 }
 
-/// Accumulate the unnormalized joint grids of a planned `x` against a
-/// block of dense *y* genes on `kernels`, one grid each, under the
-/// observed pairing (`None`) or a null pairing. Every `y` must have the
-/// one-register-row layout ([`fits_run_kernel`]).
+/// The per-sample row loop of layouts wider than one register: for each
+/// sample `s` of `x`, `k` row-wide FMAs of *y*'s row `perm[s]` (or `s`),
+/// `stride` floats each, into the zeroed `grid`.
+fn per_sample_joint(
+    kernels: &KernelTable,
+    x: &SparseWeights,
+    y_rows: &[f32],
+    stride: usize,
+    perm: Option<&[u32]>,
+    grid: &mut [f32],
+) {
+    for s in 0..x.samples() {
+        let fx = x.first_bin(s);
+        let y = perm.map_or(s, |p| p[s] as usize); // cast-ok: u32 to usize widens losslessly
+        let y_row = &y_rows[y * stride..(y + 1) * stride];
+        for (i, &wxi) in x.sample_weights(s).iter().enumerate() {
+            // Row-wide FMA: one padded row of y scaled by one x weight.
+            let row = fx + i;
+            (kernels.axpy)(wxi, y_row, &mut grid[row * stride..(row + 1) * stride]);
+        }
+    }
+}
+
+/// Accumulate the unnormalized joint grid of `x`, planned as `plan` on
+/// the one-register-row layout, against one dense `y` on `kernels`, under
+/// the observed pairing (`None`) or a null pairing: a block of one
+/// register group for the run kernel, the per-sample row loop on wider
+/// layouts (which read no plan).
 ///
 /// # Panics
-/// Panics if the block is wider than [`MAX_BLOCK`], `ys` and `grids`
-/// differ in length, or the plan's or the pairing's shapes disagree with
-/// a `y` or its grid.
+/// Panics on shape disagreements between the plan, `x`, `y`, `grid` and
+/// the pairing.
 fn joint_counts_planned(
     kernels: &KernelTable,
     plan: &RunPlan,
+    x: &SparseWeights,
+    y: &DenseWeights,
     pairing: Option<Pairing<'_>>,
-    ys: &[DenseWeights],
-    grids: &mut [VectorGrid],
+    grid: &mut VectorGrid,
 ) {
-    assert!(ys.len() <= MAX_BLOCK, "block of {} columns", ys.len());
-    assert_eq!(ys.len(), grids.len(), "one grid per y column");
-    let mut y_rows: [&[Row16]; MAX_BLOCK] = Default::default();
-    let mut grid_rows: [&mut [Row16]; MAX_BLOCK] = Default::default();
-    for ((yr, gr), (y, grid)) in y_rows
-        .iter_mut()
-        .zip(grid_rows.iter_mut())
-        .zip(ys.iter().zip(grids.iter_mut()))
-    {
-        grid.reset(y);
-        (*yr, *gr) = (y.rows16(), &mut grid.data);
+    check_pair(x, y);
+    grid.reset(y);
+    if fits_run_kernel(y) {
+        (kernels.accumulate_runs)(plan, pairing, &[y.rows16()], &mut [&mut grid.data]);
+        return;
     }
-    let n = ys.len();
-    (kernels.accumulate_runs)(plan, pairing, &y_rows[..n], &mut grid_rows[..n]);
+    let perm = pairing.map(|p| p.indices());
+    let grid = Row16::flatten_mut(&mut grid.data);
+    per_sample_joint(kernels, x, y.as_slice(), y.stride(), perm, grid);
 }
 
 /// Accumulate the unnormalized joint grid of sparse-`x` against dense-`y`.
@@ -181,28 +404,19 @@ fn joint_counts_on(
 ) {
     check_pair(x, y);
     let pairing = perm.map(|p| Pairing::new(p, x.samples()));
+    let mut plan = RunPlan::new();
     if fits_run_kernel(y) {
-        let mut plan = RunPlan::new();
         plan_runs(x, &mut plan);
-        let (ys, grids) = (core::slice::from_ref(y), core::slice::from_mut(grid));
-        joint_counts_planned(kernels, &plan, pairing, ys, grids);
-        return;
     }
-    grid.reset(y);
-    for s in 0..x.samples() {
-        let fx = x.first_bin(s);
-        let y_row = y.row(perm.map_or(s, |p| p[s] as usize)); // cast-ok: u32 to usize widens losslessly
-        for (i, &wxi) in x.sample_weights(s).iter().enumerate() {
-            // Row-wide FMA: one padded row of y scaled by one x weight.
-            (kernels.axpy)(wxi, y_row, grid.row_mut(fx + i));
-        }
-    }
+    joint_counts_planned(kernels, &plan, x, y, pairing, grid);
 }
 
 /// Mutual information (nats) of `x` against `y` on `kernels`, given
 /// precomputed marginal entropies, pairing sample `s` of `x` with sample
 /// `perm[s]` of `y` when `perm` is given (`hy` is the unpermuted marginal
-/// entropy, which a permutation leaves unchanged).
+/// entropy, which a permutation leaves unchanged). A one-off plan per
+/// call: the tests' reference for planned joints.
+#[cfg(test)]
 pub(crate) fn mi_on(
     kernels: &KernelTable,
     x: &SparseWeights,
@@ -218,26 +432,30 @@ pub(crate) fn mi_on(
     hx + hy - hxy
 }
 
-/// Joint entropies (nats) of a planned `x` against a block of *y* genes
-/// on `kernels`, into `hxy`, under the observed pairing (`None`) or a
-/// null pairing. One grid per column.
+/// Mutual information (nats) of `x`, planned as `plan`, against one dense
+/// `y` on `kernels` under the observed pairing (`None`) or a null
+/// pairing: `y` alone at lane 0 of one register group (or the per-sample
+/// row loop on wider layouts), its joint entropy through `xlogx_sum`.
+/// The per-call helpers' path, and the reference a packed block's
+/// columns reproduce bitwise.
 ///
 /// # Panics
-/// As [`joint_counts_planned`], plus if `hxy` is not one per column.
-pub(crate) fn joint_entropies_planned(
+/// As [`joint_counts_planned`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mi_planned(
     kernels: &KernelTable,
     plan: &RunPlan,
+    x: &SparseWeights,
+    y: &DenseWeights,
     pairing: Option<Pairing<'_>>,
-    ys: &[DenseWeights],
-    grids: &mut [VectorGrid],
-    hxy: &mut [f64],
-) {
-    assert_eq!(hxy.len(), ys.len(), "one joint entropy per y column");
-    joint_counts_planned(kernels, plan, pairing, ys, grids);
-    for (h, grid) in hxy.iter_mut().zip(grids.iter()) {
-        // cast-ok: sample counts are far below f64's 2^53 exact-integer range
-        *h = entropy_from_counts_on(kernels, grid.as_slice(), plan.samples() as f64);
-    }
+    hx: f64,
+    hy: f64,
+    grid: &mut VectorGrid,
+) -> f64 {
+    joint_counts_planned(kernels, plan, x, y, pairing, grid);
+    // cast-ok: sample counts are far below f64's 2^53 exact-integer range
+    let hxy = entropy_from_counts_on(kernels, grid.as_slice(), x.samples() as f64);
+    hx + hy - hxy
 }
 
 fn check_pair(x: &SparseWeights, y: &DenseWeights) {

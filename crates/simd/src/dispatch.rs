@@ -90,9 +90,14 @@ impl fmt::Display for Backend {
 }
 
 /// The run-blocked joint accumulator's signature: a plan, the pairing,
-/// a block of dense *y* genes and one grid per *y*
+/// a block of 16-lane register groups of *y* rows and one grid per group
 /// ([`KernelTable::accumulate_runs`]).
 pub type RunKernel = fn(&RunPlan, Option<Pairing<'_>>, &[&[Row16]], &mut [&mut [Row16]]);
+
+/// The packed joint entropy's signature: a run of register-group grids,
+/// the first column's lane, the bins per column and one output per column
+/// ([`KernelTable::xlogx_packed`]).
+pub type PackedEntropy = fn(&[&[Row16]], usize, usize, &mut [f32]);
 
 /// The function-pointer table one backend exposes. All entries are safe
 /// functions: the hardware entries validate their slice arguments before
@@ -115,34 +120,54 @@ pub struct KernelTable {
     /// as zero, a < 1e-36-nats difference no real count grid can
     /// produce).
     pub xlogx_sum: fn(&[f32]) -> f32,
-    /// The paper's joint-histogram accumulation on the dense 16-lane
-    /// layout, run-blocked and column-blocked: for every *y* column `c` of
-    /// the block and every sample `s` of the planned *x* gene, add
-    /// `w_s[i] · ys[c][row(s)]` into row `first_bin[s] + i` (`i < k`) of
-    /// `grids[c]`, where `row(s) = s` for the observed pairing (`None`)
+    /// The paper's joint-histogram accumulation on 16-lane register
+    /// groups, run-blocked and group-blocked: for every group `g` of the
+    /// block and every sample `s` of the planned *x* gene, add
+    /// `w_s[i] · ys[g][row(s)]` into row `first_bin[s] + i` (`i < k`) of
+    /// `grids[g]`, where `row(s) = s` for the observed pairing (`None`)
     /// and `row(s) = π[s]` for a null pairing `Some(π)`. The kernel reads
     /// sorted position `t`'s row as `order[t]` or `π[order[t]]` itself,
-    /// so nothing per null is built before it runs.
+    /// so nothing per null is built before it runs. A group's lanes are
+    /// whatever the caller laid out in them: a one-gene dense expansion
+    /// (`DenseWeights` with `b ≤ 16`) is a block of one group, and a
+    /// packed block lays several genes `b` lanes apart across its groups.
+    /// The kernel never mixes lanes, so each lane's grid cell is the same
+    /// in either layout.
     ///
     /// The samples of one run (same first bin, see [`RunPlan`]) update
     /// the same `k` rows, so the kernel keeps them in registers: per
-    /// column, `k` accumulators × 2 partial sets, alternating sample by
+    /// group, `k` accumulators × 2 partial sets, alternating sample by
     /// sample within the run. At the run's end each row adds
     /// `(set₀ + set₁)` to its grid once. The AVX-512 backend runs up to
-    /// [`run_block_columns`] columns per pass over the plan, sharing the
+    /// [`run_block_columns`] groups per pass over the plan, sharing the
     /// run bounds, index loads and weight broadcasts between them; the
-    /// other backends take the block one column at a time. Every column
+    /// other backends take the block one group at a time. Every lane
     /// sees exactly this sequence of correctly-rounded FMAs and adds at
     /// any block width and on every backend, so results agree bitwise.
     ///
     /// Panics on an empty plan, if `ys` and `grids` differ in length, if
-    /// a grid is not exactly the plan's rows, if a *y* is not exactly one
-    /// row per sample, or if the pairing is not one index per sample.
-    /// These are O(1)-per-column checks; the O(m) range checks ran when
+    /// a grid is not exactly the plan's rows, if a group is not exactly
+    /// one row per sample, or if the pairing is not one index per sample.
+    /// These are O(1)-per-group checks; the O(m) range checks ran when
     /// the plan was built and when the [`Pairing`] was validated.
     ///
     /// [`run_block_columns`]: crate::run_plan::run_block_columns
     pub accumulate_runs: RunKernel,
+    /// `Σ x ln x` of each column of a packed block's joint grids:
+    /// `grids` are consecutive register groups of equal rows, their lanes
+    /// read group after group as one row of `16 · grids.len()` lanes, and
+    /// column `c` is lanes `first_lane + c·bins ..` `+ bins` of every row.
+    /// `out[c]` is bitwise [`Self::xlogx_sum`] over column `c`'s unpacked
+    /// grid (the same rows, the column's lanes at `0..bins`, zeros after):
+    /// each group adds `x·ln x` of its rows lane by lane in row order from
+    /// zero, each column's `bins` lane sums move to lanes `0..bins` of a
+    /// zeroed register (a column may straddle two groups), and the
+    /// register reduces through the same pairwise tree.
+    ///
+    /// Panics unless `1 ≤ bins ≤ 16`, `grids` holds 1 to
+    /// [`MAX_PACKED_GROUPS`](crate::slice_ops::MAX_PACKED_GROUPS) groups
+    /// of equal length, and the columns end within the groups.
+    pub xlogx_packed: PackedEntropy,
 }
 
 impl KernelTable {
@@ -159,6 +184,7 @@ static EMULATED_TABLE: KernelTable = KernelTable {
     axpy: slice_ops::axpy_emulated,
     xlogx_sum: slice_ops::xlogx_sum_emulated,
     accumulate_runs: slice_ops::accumulate_runs_emulated,
+    xlogx_packed: slice_ops::xlogx_packed_emulated,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -167,6 +193,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx2::axpy,
     xlogx_sum: crate::x86::avx2::xlogx_sum,
     accumulate_runs: crate::x86::avx2::accumulate_runs,
+    xlogx_packed: crate::x86::avx2::xlogx_packed,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -175,6 +202,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     axpy: crate::x86::avx512::axpy,
     xlogx_sum: crate::x86::avx512::xlogx_sum,
     accumulate_runs: crate::x86::avx512::accumulate_runs,
+    xlogx_packed: crate::x86::avx512::xlogx_packed,
 };
 
 fn table_for(b: Backend) -> &'static KernelTable {

@@ -99,6 +99,58 @@ pub fn xlogx_sum_emulated(x: &[f32]) -> f32 {
     acc.reduce_add()
 }
 
+/// Most 16-lane register groups one call of
+/// [`KernelTable::xlogx_packed`](crate::dispatch::KernelTable::xlogx_packed)
+/// reads: the groups one pass of the run kernel holds at any order
+/// ([`run_block_columns`](crate::run_plan::run_block_columns)`(1)`).
+pub const MAX_PACKED_GROUPS: usize = crate::run_plan::run_block_columns(1);
+
+/// The O(1) shape checks every backend's `xlogx_packed` makes: 1 to 16
+/// bins, 1 to [`MAX_PACKED_GROUPS`] groups of equal length, and
+/// `columns` columns from lane `first_lane` that end within the groups.
+///
+/// # Panics
+/// Panics on a shape the packed layout cannot hold.
+pub(crate) fn check_packed(grids: &[&[Row16]], first_lane: usize, bins: usize, columns: usize) {
+    assert!((1..=W).contains(&bins), "packed entropy: {bins} bins");
+    assert!(
+        (1..=MAX_PACKED_GROUPS).contains(&grids.len()),
+        "packed entropy: {} groups",
+        grids.len()
+    );
+    assert!(
+        grids.iter().all(|g| g.len() == grids[0].len()),
+        "packed entropy: groups of unequal rows"
+    );
+    assert!(
+        first_lane + columns * bins <= grids.len() * W,
+        "packed entropy: {columns} columns from lane {first_lane} overrun {} groups",
+        grids.len()
+    );
+}
+
+/// Portable emulated backend of
+/// [`KernelTable::xlogx_packed`](crate::dispatch::KernelTable::xlogx_packed):
+/// each group's lane sums of `x·ln x` in row order, then each column's
+/// `bins` lane sums moved to lanes `0..bins` of a zeroed value and
+/// reduced by the pairwise tree — [`xlogx_sum_emulated`]'s arithmetic on
+/// the column's unpacked grid.
+pub fn xlogx_packed_emulated(grids: &[&[Row16]], first_lane: usize, bins: usize, out: &mut [f32]) {
+    check_packed(grids, first_lane, bins, out.len());
+    let mut sums = [0.0f32; W * (MAX_PACKED_GROUPS + 1)];
+    for (grid, lanes) in grids.iter().zip(sums.chunks_exact_mut(W)) {
+        let mut acc = F32x16::zero();
+        for row in grid.iter() {
+            acc += F32x16::from_slice(&row.0).xlogx();
+        }
+        acc.write_to_slice(lanes);
+    }
+    for (c, o) in out.iter_mut().enumerate() {
+        let lane = first_lane + c * bins;
+        *o = F32x16::from_slice_padded(&sums[lane..lane + bins]).reduce_add();
+    }
+}
+
 /// Portable emulated backend of
 /// [`KernelTable::accumulate_runs`](crate::dispatch::KernelTable::accumulate_runs):
 /// the run-blocked loop
@@ -349,6 +401,63 @@ mod tests {
     }
 
     #[test]
+    fn packed_columns_split_across_groups_sum_as_their_unpacked_grids() {
+        // Six 10-bin columns in four groups: columns 1, 3 and 4 straddle
+        // two groups, and rows 2 and 7 are all zero.
+        let (bins, rows) = (10, 10);
+        let cell = |r: usize, l: usize| {
+            if r == 2 || r == 7 || l >= 60 {
+                0.0
+            } else {
+                ((r * 64 + l) % 37) as f32 * 0.75
+            }
+        };
+        let grids: Vec<Vec<Row16>> = (0..4)
+            .map(|g| {
+                let row = |r| Row16(core::array::from_fn(|j| cell(r, g * W + j)));
+                (0..rows).map(row).collect()
+            })
+            .collect();
+        let refs: Vec<&[Row16]> = grids.iter().map(Vec::as_slice).collect();
+        for t in tables() {
+            let mut out = [0.0; 6];
+            (t.xlogx_packed)(&refs, 0, bins, &mut out);
+            for (c, got) in out.iter().enumerate() {
+                let unpacked: Vec<f32> = (0..rows)
+                    .flat_map(|r| {
+                        (0..W).map(move |j| if j < bins { cell(r, c * bins + j) } else { 0.0 })
+                    })
+                    .collect();
+                let want = (t.xlogx_sum)(&unpacked);
+                assert_eq!(got.to_bits(), want.to_bits(), "{}: column {c}", t.backend);
+            }
+            // The columns from the second on, read from its lane, agree.
+            let mut tail = [0.0; 5];
+            (t.xlogx_packed)(&refs, bins, bins, &mut tail);
+            assert_eq!(
+                tail.map(f32::to_bits),
+                out.map(f32::to_bits)[1..],
+                "{}",
+                t.backend
+            );
+        }
+    }
+
+    #[test]
+    fn every_backend_rejects_packed_columns_past_the_groups() {
+        let grids = [Row16::ZERO; 2];
+        for t in tables() {
+            for (first_lane, bins, columns) in [(7, 10, 1), (0, 17, 1), (0, 10, 2)] {
+                let refused = std::panic::catch_unwind(|| {
+                    let mut out = vec![0.0; columns];
+                    (t.xlogx_packed)(&[&grids], first_lane, bins, &mut out);
+                });
+                assert!(refused.is_err(), "{}: {first_lane}, {bins}", t.backend);
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "grid row count")]
     fn accumulate_runs_rejects_a_grid_of_another_shape() {
         let mut plan = RunPlan::new();
@@ -419,6 +528,51 @@ mod tests {
                     (got - reference).abs() <= tol,
                     "xlogx_sum on {}: {} vs emulated {}", t.backend, got, reference
                 );
+            }
+        }
+
+        /// Each packed column's `Σ x ln x` is bitwise its backend's
+        /// `xlogx_sum` over the column's unpacked grid — the same rows,
+        /// the column's lanes at `0..bins` and zeros after — at every bin
+        /// count, group count and first lane, for columns inside one
+        /// group and columns split across two, with whole rows of zeros
+        /// among the counts.
+        #[test]
+        fn prop_xlogx_packed_is_xlogx_sum_of_each_unpacked_column(
+            seed in 0u64..1000,
+            bins in 1usize..=16,
+            groups in 1usize..=MAX_PACKED_GROUPS,
+            rows in 1usize..=16,
+            lead in 0usize..16,
+        ) {
+            let mix = |i: usize| {
+                let z = (seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z >> 40
+            };
+            let lanes = groups * W;
+            let first_lane = lead.min(lanes - bins);
+            let columns = (lanes - first_lane) / bins;
+            // Counts up to ~300 with a third of the cells zero and every
+            // fourth row all zero.
+            let cell = |r: usize, l: usize| {
+                let u = mix(r * lanes + l);
+                if r % 4 == 3 || u % 3 == 0 { 0.0 } else { (u % 300_000) as f32 / 1000.0 }
+            };
+            let grids: Vec<Vec<Row16>> = (0..groups)
+                .map(|g| (0..rows).map(|r| Row16(core::array::from_fn(|j| cell(r, g * W + j)))).collect())
+                .collect();
+            let refs: Vec<&[Row16]> = grids.iter().map(Vec::as_slice).collect();
+            for t in tables() {
+                let mut out = vec![f32::NAN; columns];
+                (t.xlogx_packed)(&refs, first_lane, bins, &mut out);
+                for (c, got) in out.iter().enumerate() {
+                    let lane = first_lane + c * bins;
+                    let unpacked: Vec<f32> = (0..rows)
+                        .flat_map(|r| (0..W).map(move |j| if j < bins { cell(r, lane + j) } else { 0.0 }))
+                        .collect();
+                    let want = (t.xlogx_sum)(&unpacked);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: column {} of {} from lane {}", t.backend, c, columns, first_lane);
+                }
             }
         }
 

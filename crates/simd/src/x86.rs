@@ -1,8 +1,8 @@
 //! Hardware slice-kernel backends for x86-64: AVX-512F and AVX2+FMA.
 //!
-//! Each backend implements the same three kernels as the emulated laned
-//! ones in [`crate::slice_ops`] (`axpy`, `xlogx_sum` and
-//! `accumulate_runs`), with the same arithmetic *shape*:
+//! Each backend implements the same four kernels as the emulated laned
+//! ones in [`crate::slice_ops`] (`axpy`, `xlogx_sum`, `accumulate_runs`
+//! and `xlogx_packed`), with the same arithmetic *shape*:
 //!
 //! * lanewise work chunk-by-chunk in slice order,
 //! * zero-padded tail handling (tails are staged through a zeroed stack
@@ -13,8 +13,14 @@
 //!   `slice_ops::accumulate_runs_emulated`: per run and per *y* column,
 //!   two partial sets of `k` register rows alternating sample by sample,
 //!   then `grid += set₀ + set₁`. AVX-512 runs up to
-//!   [`run_block_columns`] columns per pass over the plan; AVX2 (16 ymm
-//!   registers, 12 of them one column's accumulators at k = 3) runs one.
+//!   [`run_block_columns`] register groups per pass over the plan; AVX2
+//!   (16 ymm registers, 12 of them one group's accumulators at k = 3)
+//!   runs one;
+//! * for `xlogx_packed`, `xlogx_sum`'s per-lane sums over each group's
+//!   rows, then each packed column's lanes moved to lanes `0..b` of a
+//!   zeroed register and reduced by the same tree, so each column's sum
+//!   is bitwise that backend's `xlogx_sum` over the column's unpacked
+//!   grid.
 //!
 //! Because a hardware FMA computes the same correctly-rounded fused result
 //! as `f32::mul_add`, `axpy` and `accumulate_runs` are *bitwise* identical
@@ -38,6 +44,7 @@
 
 use crate::row::Row16;
 use crate::run_plan::{run_block_columns, with_order, Pairing, RunPlan};
+use crate::slice_ops::{check_packed, MAX_PACKED_GROUPS};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
@@ -173,6 +180,19 @@ pub(crate) mod avx512 {
         // SAFETY: avx512f verified at dispatch-table selection; the inner
         // fn reads only within `x` (chunked loads + padded tail buffer).
         unsafe { xlogx_sum_impl(x) }
+    }
+
+    pub(crate) fn xlogx_packed(
+        grids: &[&[Row16]],
+        first_lane: usize,
+        bins: usize,
+        out: &mut [f32],
+    ) {
+        check_packed(grids, first_lane, bins, out.len());
+        // SAFETY: avx512f verified at dispatch-table selection; the inner
+        // fn loads only whole `Row16`s of `grids` and `check_packed` bounded
+        // the group count and every column's lanes.
+        unsafe { xlogx_packed_impl(grids, first_lane, bins, out) }
     }
 
     pub(crate) fn accumulate_runs(
@@ -313,6 +333,36 @@ pub(crate) mod avx512 {
         reduce_add_tree(acc)
     }
 
+    /// Each group's lane sums of `x·ln x` in row order, as
+    /// [`xlogx_sum_impl`] adds a grid's rows; then each column's `bins`
+    /// lanes, from one group or straddling two, permuted into lanes
+    /// `0..bins` of a zeroed register and reduced by the same tree.
+    #[target_feature(enable = "avx512f")]
+    fn xlogx_packed_impl(grids: &[&[Row16]], first_lane: usize, bins: usize, out: &mut [f32]) {
+        // One zero group past the last, for a column's second half.
+        let mut sums = [_mm512_setzero_ps(); MAX_PACKED_GROUPS + 1];
+        for (acc, grid) in sums.iter_mut().zip(grids) {
+            for row in grid.iter() {
+                // SAFETY: `row` is a live `Row16`: 16 floats on a 64-byte
+                // boundary, so the aligned load stays inside it.
+                let v = unsafe { _mm512_load_ps(row.0.as_ptr()) };
+                *acc = _mm512_add_ps(*acc, xlogx_lane(v));
+            }
+        }
+        let iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+        let keep = u16::MAX >> (W - bins); // lanes 0..bins; 1 ≤ bins ≤ 16 (`check_packed`)
+        for (c, o) in out.iter_mut().enumerate() {
+            let lane = first_lane + c * bins;
+            let (g, off) = (lane / W, lane % W);
+            // Index `off + i` picks lane `off + i` of group g, or lane
+            // `off + i − 16` of group g + 1 from 16 on.
+            let off = i32::try_from(off).expect("a lane offset below 16");
+            let idx = _mm512_add_epi32(iota, _mm512_set1_epi32(off));
+            let column = _mm512_maskz_permutex2var_ps(keep, sums[g], idx, sums[g + 1]);
+            *o = reduce_add_tree(column);
+        }
+    }
+
     /// The run-blocked loop for spline order `K` over a block of `C` *y*
     /// columns: per column, two partial sets of `K` zmm rows per run,
     /// alternating sample by sample, added to the column's grid once at
@@ -402,6 +452,19 @@ pub(crate) mod avx2 {
         // SAFETY: avx2+fma verified at dispatch-table selection; the inner
         // fn reads only within `x` (chunked loads + padded tail buffer).
         unsafe { xlogx_sum_impl(x) }
+    }
+
+    pub(crate) fn xlogx_packed(
+        grids: &[&[Row16]],
+        first_lane: usize,
+        bins: usize,
+        out: &mut [f32],
+    ) {
+        check_packed(grids, first_lane, bins, out.len());
+        // SAFETY: avx2+fma verified at dispatch-table selection; the inner
+        // fn loads only whole `Row16`s of `grids` and its own lane-sum
+        // buffer, whose size `check_packed` bounded every column within.
+        unsafe { xlogx_packed_impl(grids, first_lane, bins, out) }
     }
 
     pub(crate) fn accumulate_runs(
@@ -546,6 +609,52 @@ pub(crate) mod avx2 {
             hi = _mm256_add_ps(hi, xlogx_lane(thi));
         }
         reduce_add_tree(lo, hi)
+    }
+
+    /// Each group's lane sums of `x·ln x` in row order, as
+    /// [`xlogx_sum_impl`] adds a grid's rows, stored group after group;
+    /// then each column's `bins` lanes loaded from there (straddling two
+    /// groups where the column does) and masked to lanes `0..bins` of a
+    /// zeroed pair, reduced by the same tree.
+    #[target_feature(enable = "avx2,fma")]
+    fn xlogx_packed_impl(grids: &[&[Row16]], first_lane: usize, bins: usize, out: &mut [f32]) {
+        // One zero group past the last, so a column's 16-lane load ends
+        // inside the buffer.
+        let mut sums = [0.0f32; W * (MAX_PACKED_GROUPS + 1)];
+        for (lanes, grid) in sums.chunks_exact_mut(W).zip(grids) {
+            let (mut lo, mut hi) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+            for row in grid.iter() {
+                let p = row.0.as_ptr();
+                // SAFETY: `row` is a live `Row16`, 16 floats at p..p + 16.
+                unsafe {
+                    lo = _mm256_add_ps(lo, xlogx_lane(_mm256_loadu_ps(p)));
+                    hi = _mm256_add_ps(hi, xlogx_lane(_mm256_loadu_ps(p.add(8))));
+                }
+            }
+            // SAFETY: `lanes` is a 16-float chunk of `sums`.
+            unsafe {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), lo);
+                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), hi);
+            }
+        }
+        let bound = i32::try_from(bins).expect("1 ≤ bins ≤ 16 (`check_packed`)");
+        let bound = _mm256_set1_epi32(bound);
+        let keep_lo = _mm256_cmpgt_epi32(bound, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        let keep_hi = _mm256_cmpgt_epi32(bound, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
+        let (keep_lo, keep_hi) = (_mm256_castsi256_ps(keep_lo), _mm256_castsi256_ps(keep_hi));
+        for (c, o) in out.iter_mut().enumerate() {
+            let lane = first_lane + c * bins;
+            // SAFETY: `check_packed` proved lane + bins ≤ 16 · groups with
+            // bins ≥ 1, so lane < 16 · groups and the 16 floats from
+            // `lane` end within the groups' sums and the zero group after
+            // them, inside `sums`. The loads may straddle two groups; the
+            // masks keep only the column's `bins` lanes.
+            let (lo, hi) = unsafe {
+                let p = sums.as_ptr().add(lane);
+                (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)))
+            };
+            *o = reduce_add_tree(_mm256_and_ps(lo, keep_lo), _mm256_and_ps(hi, keep_hi));
+        }
     }
 
     /// The run-blocked loop for spline order `K`, each 16-lane row held
